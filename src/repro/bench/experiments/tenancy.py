@@ -104,7 +104,8 @@ def run(ctx) -> ExperimentResult:
                 round(bill.p50_s, 4),
                 round(bill.p95_s, 4),
                 round(bill.request_cost, 9),
-                round(bill.ec2_cost, 9),
+                # ``+ 0.0``: a residue of minus one ulp rounds to -0.0.
+                round(bill.ec2_cost, 9) + 0.0,
                 "exact" if tied else "MISMATCH",
             ])
         series["steady_p95_s"][scheduler] = bills["steady"].p95_s

@@ -71,14 +71,20 @@ class DynamoItem:
 
     @property
     def size_bytes(self) -> int:
-        """Billable item size: key bytes plus attribute name/value bytes."""
-        size = len(self.hash_key.encode("utf-8"))
-        if self.range_key is not None:
-            size += len(self.range_key.encode("utf-8"))
-        for name, values in self.attributes.items():
-            size += len(name.encode("utf-8"))
-            size += sum(value_size(v) for v in values)
-        return size
+        """Billable item size: key bytes plus attribute name/value bytes
+        (computed on first use, kept out of the fields; the item is
+        frozen, so it never changes)."""
+        try:
+            return self._size_bytes
+        except AttributeError:
+            size = len(self.hash_key.encode("utf-8"))
+            if self.range_key is not None:
+                size += len(self.range_key.encode("utf-8"))
+            for name, values in self.attributes.items():
+                size += len(name.encode("utf-8"))
+                size += sum(value_size(v) for v in values)
+            object.__setattr__(self, "_size_bytes", size)
+            return size
 
 
 @dataclass

@@ -46,12 +46,17 @@ class SimpleDBItem:
 
     @property
     def size_bytes(self) -> int:
-        """Billable item size: name plus attribute name/value bytes."""
-        size = len(self.name.encode("utf-8"))
-        for attr_name, attr_value in self.attributes:
-            size += len(attr_name.encode("utf-8"))
-            size += len(attr_value.encode("utf-8"))
-        return size
+        """Billable item size: name plus attribute name/value bytes
+        (computed on first use; the item is frozen)."""
+        try:
+            return self._size_bytes
+        except AttributeError:
+            size = len(self.name.encode("utf-8"))
+            for attr_name, attr_value in self.attributes:
+                size += len(attr_name.encode("utf-8"))
+                size += len(attr_value.encode("utf-8"))
+            object.__setattr__(self, "_size_bytes", size)
+            return size
 
 
 @dataclass

@@ -53,6 +53,15 @@ class CostBreakdown:
             sqs=self.sqs + other.sqs,
             egress=self.egress + other.egress)
 
+    def accumulate(self, other: "CostBreakdown") -> None:
+        """In-place :meth:`add`: the same sums, no new object."""
+        self.s3 += other.s3
+        self.dynamodb += other.dynamodb
+        self.simpledb += other.simpledb
+        self.ec2 += other.ec2
+        self.sqs += other.sqs
+        self.egress += other.egress
+
 
 def price_record(record, book: PriceBook) -> CostBreakdown:
     """Price a single meter record against the price book.

@@ -173,12 +173,15 @@ class ServingReport:
         Vacuously true on single-tenant runs (no bills).  On
         multi-tenant runs both billed columns must re-add to the run's
         numbers bit-exactly: request dollars to the estimator total,
-        EC2 dollars to the fleet total.
+        EC2 dollars to the fleet total (ordered left folds, as
+        ``reconcile`` guarantees: Python 3.12's ``sum`` compensates).
         """
         if not self.tenant_bills:
             return True
-        request_sum = sum(b.request_cost for b in self.tenant_bills)
-        ec2_sum = sum(b.ec2_cost for b in self.tenant_bills)
+        request_sum = ec2_sum = 0.0
+        for bill in self.tenant_bills:
+            request_sum += bill.request_cost
+            ec2_sum += bill.ec2_cost
         return (request_sum == self.estimator_request_cost
                 and ec2_sum == self.ec2_cost)
 

@@ -28,7 +28,6 @@ the report's request dollars are attributable to the last float bit.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.costs.estimator import phase_cost
@@ -59,8 +58,6 @@ COMPLETION_POLL_S = 0.25
 #: seconds).  Bookkeeping only — no metered requests.
 DISPATCH_POLL_S = 0.05
 
-_serve_serials = itertools.count(1)
-
 
 class ServingRuntime:
     """Orchestrates one open-workload serving run."""
@@ -82,7 +79,7 @@ class ServingRuntime:
         self.background = list(background or [])
         self.strategy_name = index.strategy.name if index else "none"
         self.tag = tag or "serve:{}:{}:{}".format(
-            self.strategy_name, profile.arrival, next(_serve_serials))
+            self.strategy_name, profile.arrival, next(warehouse._serve_ids))
         self.tenancy = getattr(deployment, "tenancy", None)
         if queries is not None:
             self._queries: Dict[str, Query] = dict(queries)
@@ -453,6 +450,7 @@ class ServingRuntime:
                 if proc.is_alive:
                     yield proc
 
+        mark = cloud.meter.mark()
         with warehouse._span("serve", strategy=self.strategy_name,
                              arrival=profile.arrival,
                              rate_qps=profile.rate_qps,
@@ -470,7 +468,7 @@ class ServingRuntime:
         return self._build_report(
             admission, fleet, autoscaler, arrivals, names, fetched,
             degraded_ids, stats_sink, start_at, end_at,
-            redelivered_before, serve_span, initial,
+            redelivered_before, serve_span, initial, mark,
             spot_market=spot_market, controller=controller,
             replicator=replicator, switch=switch,
             outage_retries=int(retries), tenants=tenants)
@@ -484,7 +482,7 @@ class ServingRuntime:
                       stats_sink: Dict[int, QueryWorkStats],
                       start_at: float, end_at: float,
                       redelivered_before: int, serve_span: Optional[Any],
-                      initial: int,
+                      initial: int, mark: int,
                       spot_market: Optional[Any] = None,
                       controller: Optional[Any] = None,
                       replicator: Optional[Any] = None,
@@ -502,7 +500,9 @@ class ServingRuntime:
         inclusive: Dict[int, Any] = {}
         if trace is not None:
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(trace, cloud.meter, book)
+            # Every span of this serve opened after ``mark``.
+            inclusive = span_inclusive_costs(
+                trace, cloud.meter.since(mark), book)
 
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \

@@ -86,6 +86,7 @@ class Meter:
         self._records: List[MeterRecord] = []
         self._tag_stack: List[str] = []
         self._telemetry: Optional[Any] = None
+        self._requests_total: Optional[Any] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -99,6 +100,10 @@ class Meter:
         with or without telemetry.
         """
         self._telemetry = hub
+        self._requests_total = hub.counter(
+            "cloud_requests_total",
+            "Billable cloud API requests by service and operation.",
+            ("service", "operation"))
 
     def record(self, time: float, service: str, operation: str,
                count: int = 1, bytes_in: int = 0, bytes_out: int = 0,
@@ -113,12 +118,9 @@ class Meter:
                           count=count, bytes_in=bytes_in,
                           bytes_out=bytes_out, tag=tag, span_id=span_id)
         self._records.append(rec)
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "cloud_requests_total",
-                "Billable cloud API requests by service and operation.",
-                ("service", "operation"),
-            ).inc(count, service=service, operation=operation)
+        if self._requests_total is not None:
+            self._requests_total.inc(count, service=service,
+                                     operation=operation)
         return rec
 
     def tagged(self, tag: Any) -> "_TagScope":
@@ -143,6 +145,14 @@ class Meter:
 
     def __iter__(self) -> Iterator[MeterRecord]:
         return iter(self._records)
+
+    def mark(self) -> int:
+        """The current end of the record list (until :meth:`clear`)."""
+        return len(self._records)
+
+    def since(self, mark: int) -> List[MeterRecord]:
+        """The records appended since ``mark`` was taken, oldest first."""
+        return self._records[mark:]
 
     def records(self, service: Optional[str] = None,
                 operation: Optional[str] = None,

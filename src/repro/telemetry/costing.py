@@ -13,7 +13,7 @@ $0.0004, 78% of it DynamoDB reads".  Two views:
 Records with span id 0 (emitted outside any span) land in the
 ``untraced`` bucket, so the sum of root-span inclusive costs plus
 untraced always equals the estimator's request total for the run —
-asserted in ``tests/telemetry/test_costing.py``.
+asserted in ``tests/telemetry/test_cost_attribution.py``.
 
 Imports from :mod:`repro.costs` are deferred into the functions:
 ``repro.costs`` imports ``repro.sim`` which imports this package, and
@@ -22,7 +22,8 @@ the lazy imports keep that cycle from biting at import time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from dataclasses import replace
+from typing import Any, Dict, Optional, Tuple
 
 from repro.telemetry.spans import Tracer
 
@@ -59,19 +60,33 @@ def span_direct_costs(tracer: Tracer, meter: Any,
 
 def span_inclusive_costs(tracer: Tracer, meter: Any,
                          book: Any) -> Dict[int, Any]:
-    """Request cost per span id including the span's whole subtree."""
+    """Request cost per span id including the span's whole subtree.
+
+    Over a meter suffix (``meter.since(mark)``) every span opened after
+    the mark gets its whole-meter slot bit for bit — it owns only later
+    records, folded in the same order; slot 0 and the slots of spans
+    opened before the mark are partial.
+    """
     from repro.costs.estimator import CostBreakdown, price_record
 
     out: Dict[int, CostBreakdown] = {}
+    chains: Dict[int, Tuple[int, ...]] = {0: (0,)}
     for record in meter:
         priced = price_record(record, book)
         span_id = getattr(record, "span_id", 0)
-        targets = list(tracer.ancestor_ids(span_id)) if span_id else [0]
-        if not targets:  # span id no longer resolvable: keep it untraced
-            targets = [0]
+        targets = chains.get(span_id)
+        if targets is None:
+            targets = chains[span_id] = \
+                tuple(tracer.ancestor_ids(span_id)) or (0,)  # unresolvable
+        spare = priced  # the record's first new slot keeps ``priced``
         for target in targets:
             slot = out.get(target)
-            out[target] = priced if slot is None else slot.add(priced)
+            if slot is not None:
+                slot.accumulate(priced)
+            elif spare is None:
+                out[target] = replace(priced)  # never alias two slots
+            else:
+                out[target], spare = spare, None
     return out
 
 

@@ -18,7 +18,10 @@ drag the cost model in at import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.tenancy.tenant import SHARED_TENANT
@@ -130,21 +133,27 @@ def reconcile(parts: List[Tuple[str, float]], target: float,
     The bills must still satisfy ``sum(parts) == target`` *exactly* —
     the tie-out invariant the serving report enforces — so the rounding
     residue is folded into the final part (the ``shared`` bucket, which
-    absorbs unattributed spend anyway).  The nudge loop converges in a
-    couple of iterations; each step moves the last part by exactly the
-    observed fold error.
+    absorbs unattributed spend anyway).  Each nudge moves the last part
+    by exactly the observed fold error; a nudge landing on a rounding
+    tie hops around the answer for ever, so the part is then walked to
+    it float by float (one exists when the part is under half the target).
     """
     if not parts:
         return {}
     keys = [key for key, _ in parts]
     values = [value for _, value in parts]
+    seen = set()
     for _ in range(_RECONCILE_ATTEMPTS):
-        folded = 0.0
-        for value in values:
-            folded += value
-        error = target - folded
+        error = target - reduce(add, values, 0.0)
         if error == 0.0:
             break
+        if values[-1] in seen:  # oscillating: walk, do not jump
+            toward = math.copysign(math.inf, error)
+            while error * toward > 0.0:
+                values[-1] = math.nextafter(values[-1], toward)
+                error = target - reduce(add, values, 0.0)
+            break
+        seen.add(values[-1])
         values[-1] += error
     # ``+ 0.0`` normalises a nudged ``-0.0`` without changing any sum.
     return {key: value + 0.0 for key, value in zip(keys, values)}
@@ -175,10 +184,9 @@ class SpendTracker:
         """Price records appended since the previous refresh."""
         from repro.costs.estimator import price_record
 
-        records = self._meter._records
-        while self._cursor < len(records):
-            record = records[self._cursor]
-            self._cursor += 1
+        records = self._meter.since(self._cursor)
+        self._cursor += len(records)
+        for record in records:
             if self._tag_prefix and \
                     not record.tag.startswith(self._tag_prefix):
                 continue

@@ -326,6 +326,7 @@ class Warehouse:
         self._all_uris: List[str] = []
         self._build_ids = itertools.count(1)
         self._mutation_ids = itertools.count(1)
+        self._serve_ids = itertools.count(1)
         #: Table-health registry shared by scrubs and degraded look-ups;
         #: created on first use (see :attr:`health`).
         self._health: Optional[Any] = None
@@ -1128,6 +1129,7 @@ class Warehouse:
                 yield proc
 
         started_at = self.cloud.env.now
+        mark = self.cloud.meter.mark()
         with self._span("workload", strategy=strategy_name,
                         instances=instances,
                         instance_type=instance_type) as workload_span:
@@ -1138,15 +1140,15 @@ class Warehouse:
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
 
-        # Price every span subtree once; each execution then picks its
-        # own query span's rollup out of the map.
+        # Price every span subtree of this workload once; each execution
+        # then picks its own query span's rollup out of the map.
         hub = self.telemetry
         trace = hub.tracer if hub is not None else None
         inclusive: Dict[int, Any] = {}
         if trace is not None:
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(trace, self.cloud.meter,
-                                             self.cloud.price_book)
+            inclusive = span_inclusive_costs(
+                trace, self.cloud.meter.since(mark), self.cloud.price_book)
 
         executions: List[QueryExecution] = []
         for query_id in sorted(submitted):
@@ -1352,6 +1354,7 @@ class Warehouse:
                       instance_type: str = "l") -> Any:
         """Drive one mutation generator under its phase tag and price it."""
         started_at = self.cloud.env.now
+        mark = self.cloud.meter.mark()
         with self.cloud.meter.tagged(tag):
             report = self.cloud.env.run_process(
                 core, name="mutation-{}".format(tag))
@@ -1359,23 +1362,23 @@ class Warehouse:
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
         report.tag = tag
-        self._price_mutation(report, tag)
+        self._price_mutation(report, tag, mark)
         return report
 
-    def _price_mutation(self, report: Any, tag: str) -> None:
+    def _price_mutation(self, report: Any, tag: str, mark: int) -> None:
         """Fill a mutation report's span/estimator cost breakdowns.
 
         ``span_cost`` rolls up every meter record inside the mutation's
-        span subtree (workers spawned under it inherit it); the
-        estimator side prices the phase tag.  The two must agree to the
-        last float bit — the report's ``cost_tied_out``.
+        span subtree (workers spawned under it inherit it), all of them
+        after ``mark``; the estimator side prices the phase tag.  The two
+        must agree to the last float bit — the report's ``cost_tied_out``.
         """
         from repro.costs.estimator import phase_cost
         hub = self.telemetry
         if hub is not None and report.span_id:
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(hub.tracer, self.cloud.meter,
-                                             self.cloud.price_book)
-            report.span_cost = inclusive.get(report.span_id)
+            report.span_cost = span_inclusive_costs(
+                hub.tracer, self.cloud.meter.since(mark),
+                self.cloud.price_book).get(report.span_id)
         report.estimator_cost = phase_cost(self.cloud.meter,
                                            self.cloud.price_book, tag)

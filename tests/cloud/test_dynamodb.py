@@ -1,9 +1,14 @@
 """Unit tests for the simulated DynamoDB key-value store."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cloud import CloudProvider
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT,
-                                  DynamoItem, MAX_ITEM_BYTES)
+                                  DynamoItem, MAX_ITEM_BYTES, value_size)
 from repro.errors import (ItemTooLarge, NoSuchTable, TableAlreadyExists,
                           ValidationError)
 
@@ -101,6 +106,85 @@ def test_item_size_counts_keys_names_values():
     item = DynamoItem(hash_key="hh", range_key="rrr",
                       attributes={"name": ("ab", b"cde")})
     assert item.size_bytes == 2 + 3 + 4 + 2 + 3
+
+
+def _fresh_size(item):
+    """``size_bytes`` recomputed from the fields, memo ignored."""
+    size = len(item.hash_key.encode("utf-8"))
+    if item.range_key is not None:
+        size += len(item.range_key.encode("utf-8"))
+    for name, values in item.attributes.items():
+        size += len(name.encode("utf-8")) + sum(map(value_size, values))
+    return size
+
+
+_texts = st.text(max_size=12)
+_values = st.lists(st.one_of(_texts, st.binary(min_size=1, max_size=12)),
+                   min_size=1, max_size=4).map(tuple)
+_items = st.builds(DynamoItem, hash_key=_texts,
+                   range_key=st.one_of(st.none(), _texts),
+                   attributes=st.dictionaries(_texts, _values, max_size=4))
+
+
+@given(item=_items, new_hash=_texts)
+def test_memoised_size_is_a_pure_function_of_the_fields(item, new_hash):
+    twin = DynamoItem(item.hash_key, item.range_key, dict(item.attributes))
+    unsized = repr(item)
+    assert item.size_bytes == _fresh_size(item)
+    assert item.size_bytes == _fresh_size(item)  # the memoised read
+    # The memo is not a field: ==, repr and the field list ignore it.
+    assert item == twin and twin == item
+    assert repr(item) == repr(twin) == unsized
+    assert [f.name for f in dataclasses.fields(item)] \
+        == ["hash_key", "range_key", "attributes"]
+    assert set(dataclasses.asdict(item)) \
+        == {"hash_key", "range_key", "attributes"}
+    # A replaced item is a new item and sizes itself afresh.
+    moved = dataclasses.replace(item, hash_key=new_hash)
+    assert moved.size_bytes == _fresh_size(moved)
+    assert item.size_bytes == _fresh_size(item)
+
+
+class _HashableMap(dict):
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+
+def test_memoised_size_stays_out_of_the_hash():
+    one = DynamoItem("h", "r", _HashableMap(a=("x",)))
+    two = DynamoItem("h", "r", _HashableMap(a=("x",)))
+    assert one.size_bytes == 4  # memoise one side only
+    assert hash(one) == hash(two) and one == two
+
+
+@settings(deadline=None, max_examples=40)
+@given(items=st.lists(_items, min_size=1, max_size=8),
+       byte_index=st.integers(0, 64), bit=st.integers(0, 7),
+       pick=st.integers(0, 7))
+def test_raw_bytes_tracks_damage_and_loss(items, byte_index, bit, pick):
+    db = CloudProvider().dynamodb
+    db.create_table("idx")
+
+    def scenario():
+        for item in items:
+            if item.range_key is None:
+                item = dataclasses.replace(item, range_key="r")
+            yield from db.put("idx", item)
+    db._env.run_process(scenario())
+    table = db.table("idx")
+
+    def stored():
+        return sum(_fresh_size(item) for item in table.all_items())
+
+    assert table.raw_bytes() == stored()  # sizes memoised by the puts
+    victim = table.all_items()[pick % table.item_count()]
+    for attr in victim.attributes:
+        db.corrupt_attribute("idx", victim.hash_key, victim.range_key,
+                             attr, byte_index=byte_index, bit=bit)
+    assert table.raw_bytes() == stored()
+    db.drop_partition("idx", victim.hash_key)
+    assert table.raw_bytes() == stored()
+    assert db.raw_bytes(["idx"]) == stored()
 
 
 def test_batch_put_limit(cloud, db):

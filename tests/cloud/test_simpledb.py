@@ -29,6 +29,17 @@ def test_put_get_round_trip(cloud, sdb):
     assert fetched.attributes == (("a.xml", "/ea/eb"),)
 
 
+def test_memoised_item_size_stays_out_of_eq_hash_and_repr():
+    import dataclasses
+    item = SimpleDBItem(name="né", attributes=(("a.xml", "/ea"), ("b", "")))
+    twin = SimpleDBItem(name="né", attributes=(("a.xml", "/ea"), ("b", "")))
+    assert item.size_bytes == 3 + 5 + 3 + 1 == item.size_bytes
+    assert item == twin and hash(item) == hash(twin)
+    assert repr(item) == repr(twin)
+    longer = dataclasses.replace(item, name="longer")
+    assert longer.size_bytes == item.size_bytes + 3
+
+
 def test_get_missing_returns_none(cloud, sdb):
     def scenario():
         return (yield from sdb.get("idx", "nope"))

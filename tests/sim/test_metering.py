@@ -85,3 +85,33 @@ def test_extend_merges_records():
     target = Meter()
     target.extend(source)
     assert len(target) == 1
+
+
+def test_since_returns_what_a_phase_appended():
+    meter = Meter()
+    meter.record(0.0, "s3", "put")
+    mark = meter.mark()
+    assert meter.since(mark) == []
+    second = meter.record(1.0, "s3", "get")
+    third = meter.record(2.0, "sqs", "send_message")
+    assert meter.since(mark) == [second, third]
+    assert meter.since(0) == list(meter)
+    # A copy: appending to the view leaves the meter alone.
+    meter.since(mark).append(second)
+    assert len(meter) == 3
+
+
+def test_bound_meter_resolves_its_request_counter_once():
+    from repro.sim import Environment
+    from repro.telemetry import TelemetryHub
+    meter = Meter()
+    hub = TelemetryHub(Environment(), meter=meter)
+    lookups = []
+    resolve = hub.registry.counter
+    hub.registry.counter = lambda *args: lookups.append(args) \
+        or resolve(*args)
+    for _ in range(5):
+        meter.record(0.0, "s3", "put", count=2)
+    assert lookups == []
+    assert hub.registry.get("cloud_requests_total").value(
+        service="s3", operation="put") == 10

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.costs.estimator import _price_requests, activity_cost, price_record
@@ -90,3 +92,74 @@ def test_activity_cost_slices_by_attribution(traced_warehouse):
                    for record in meter.records(tag=""))
     assert build_total + workload_total + upload_total + untagged \
         == pytest.approx(_price_requests(meter, book).total, rel=1e-9)
+
+
+def _reference_inclusive(tracer, records, book):
+    """The fold as first written: one chain walk and one fresh
+    ``CostBreakdown`` per record x ancestor."""
+    out = {}
+    for record in records:
+        priced = price_record(record, book)
+        targets = list(tracer.ancestor_ids(record.span_id)) or [0]
+        for target in targets:
+            slot = out.get(target)
+            out[target] = priced if slot is None else slot.add(priced)
+    return out
+
+
+def test_inclusive_fold_keeps_every_bit_of_the_per_record_fold(
+        traced_warehouse):
+    meter = traced_warehouse.cloud.meter
+    book = traced_warehouse.cloud.price_book
+    tracer = traced_warehouse.telemetry.tracer
+    inclusive = span_inclusive_costs(tracer, meter, book)
+    # Dataclass ``==``: all six dollar fields, no tolerance.
+    assert inclusive == _reference_inclusive(tracer, meter, book)
+    # In-place accumulation must not alias one record into two slots.
+    assert len({id(slot) for slot in inclusive.values()}) == len(inclusive)
+
+
+def test_ancestor_chain_is_resolved_once_per_span(traced_warehouse,
+                                                  monkeypatch):
+    meter = traced_warehouse.cloud.meter
+    tracer = traced_warehouse.telemetry.tracer
+    resolved = []
+    walk = tracer.ancestor_ids
+    monkeypatch.setattr(tracer, "ancestor_ids",
+                        lambda span_id: resolved.append(span_id)
+                        or walk(span_id))
+    span_inclusive_costs(tracer, meter, traced_warehouse.cloud.price_book)
+    assert sorted(resolved) == sorted({r.span_id for r in meter} - {0})
+    assert len(resolved) < len(meter)
+
+
+def test_unresolvable_span_ids_stay_untraced(traced_warehouse):
+    book = traced_warehouse.cloud.price_book
+    tracer = traced_warehouse.telemetry.tracer
+    orphan = next(iter(traced_warehouse.cloud.meter))
+    orphans = [dataclasses.replace(orphan, span_id=10 ** 9)] * 2
+    assert set(span_inclusive_costs(tracer, orphans, book)) == {0}
+
+
+def test_suffix_view_prices_a_phase_to_the_last_bit(traced_warehouse):
+    """Spans opened after a meter mark own only later records, so the
+    suffix fold reproduces their whole-meter slots exactly; older spans
+    and the untraced slot are partial there."""
+    meter = traced_warehouse.cloud.meter
+    book = traced_warehouse.cloud.price_book
+    tracer = traced_warehouse.telemetry.tracer
+    report = traced_warehouse.report
+    whole = span_inclusive_costs(tracer, meter, book)
+    assert report.cost == whole[report.span_id]
+    for execution in report.executions:
+        assert execution.cost == whole[execution.span_id]
+    first = next(i for i, record in enumerate(meter)
+                 if report.span_id in tracer.ancestor_ids(record.span_id))
+    assert first > 0  # upload and build came before the workload
+    suffix = span_inclusive_costs(tracer, meter.since(first), book)
+    workload_spans = {span_id for span_id in whole if span_id
+                      and report.span_id in tracer.ancestor_ids(span_id)}
+    assert workload_spans and workload_spans <= set(suffix)
+    for span_id in workload_spans:
+        assert suffix[span_id] == whole[span_id]
+    assert set(suffix) < set(whole)
