@@ -61,6 +61,15 @@ def value_size(value: AttrValue) -> int:
     return len(value.encode("utf-8"))
 
 
+def attribute_size(name: str, values: Sequence[AttrValue]) -> int:
+    """Billable bytes of one attribute, name plus values: the formula
+    behind :attr:`DynamoItem.size_bytes` and :meth:`DynamoItem.sized`."""
+    size = len(name.encode("utf-8"))
+    for value in values:
+        size += value_size(value)
+    return size
+
+
 @dataclass(frozen=True)
 class DynamoItem:
     """One stored item: primary key plus named, multi-valued attributes."""
@@ -69,22 +78,34 @@ class DynamoItem:
     range_key: Optional[str]
     attributes: Mapping[str, Tuple[AttrValue, ...]]
 
+    @classmethod
+    def sized(cls, hash_key: str, range_key: Optional[str],
+              attributes: Mapping[str, Tuple[AttrValue, ...]],
+              attribute_bytes: int) -> "DynamoItem":
+        """An item born with its size: ``attribute_bytes`` must be the
+        sum of :func:`attribute_size` over ``attributes``."""
+        item = cls(hash_key, range_key, attributes)
+        item._remember_size(attribute_bytes)
+        return item
+
+    def _remember_size(self, attribute_bytes: int) -> int:
+        size = attribute_bytes + len(self.hash_key.encode("utf-8"))
+        if self.range_key is not None:
+            size += len(self.range_key.encode("utf-8"))
+        object.__setattr__(self, "_size_bytes", size)
+        return size
+
     @property
     def size_bytes(self) -> int:
         """Billable item size: key bytes plus attribute name/value bytes
-        (computed on first use, kept out of the fields; the item is
-        frozen, so it never changes)."""
+        (computed on first use unless born :meth:`sized`, kept out of
+        the fields; the item is frozen, so it never changes)."""
         try:
             return self._size_bytes
         except AttributeError:
-            size = len(self.hash_key.encode("utf-8"))
-            if self.range_key is not None:
-                size += len(self.range_key.encode("utf-8"))
-            for name, values in self.attributes.items():
-                size += len(name.encode("utf-8"))
-                size += sum(value_size(v) for v in values)
-            object.__setattr__(self, "_size_bytes", size)
-            return size
+            return self._remember_size(sum(
+                attribute_size(name, values)
+                for name, values in self.attributes.items()))
 
 
 @dataclass
@@ -264,7 +285,8 @@ class DynamoDB:
 
     # -- validation -------------------------------------------------------------
 
-    def _validate_item(self, table: DynamoTable, item: DynamoItem) -> None:
+    def _validate_item(self, table: DynamoTable, item: DynamoItem) -> int:
+        """Check the §6 limits; returns the item's size in bytes."""
         if len(item.hash_key.encode("utf-8")) > MAX_HASH_KEY_BYTES:
             raise ValidationError(
                 "hash key exceeds {} bytes".format(MAX_HASH_KEY_BYTES))
@@ -278,10 +300,12 @@ class DynamoDB:
         elif item.range_key is not None:
             raise ValidationError(
                 "table {!r} has no range key".format(table.name))
-        if item.size_bytes > MAX_ITEM_BYTES:
+        size = item.size_bytes
+        if size > MAX_ITEM_BYTES:
             raise ItemTooLarge(
                 "item of {} bytes exceeds the {} byte limit".format(
-                    item.size_bytes, MAX_ITEM_BYTES))
+                    size, MAX_ITEM_BYTES))
+        return size
 
     # -- writes -------------------------------------------------------------------
 
@@ -329,13 +353,13 @@ class DynamoDB:
         """
         self._check_available("put")
         table = self.table(table_name)
-        self._validate_item(table, item)
+        size = self._validate_item(table, item)
         with self._span("put", table=table_name):
             if self._faults is not None:
                 yield from self._faults.perturb("put")
             yield self._env.timeout(self._profile.dynamodb_request_latency_s)
             self._check_throttle(self._write_limiter)
-            yield self._write_limiter.consume(item.size_bytes)
+            yield self._write_limiter.consume(size)
             if expected is not None:
                 # A failed conditional write is still a billed request
                 # (DynamoDB consumes write capacity for the check).
@@ -343,11 +367,11 @@ class DynamoDB:
                     self._check_condition(table, item, expected)
                 except ConditionalCheckFailed:
                     self._meter.record(self._env.now, SERVICE, "put",
-                                       bytes_in=item.size_bytes)
+                                       bytes_in=size)
                     raise
             self._store(table, item)
             self._meter.record(self._env.now, SERVICE, "put",
-                               bytes_in=item.size_bytes)
+                               bytes_in=size)
 
     def delete_item(self, table_name: str, hash_key: str,
                     range_key: Optional[str] = None,
@@ -394,8 +418,7 @@ class DynamoDB:
         table = self.table(table_name)
         total = 0
         for item in items:
-            self._validate_item(table, item)
-            total += item.size_bytes
+            total += self._validate_item(table, item)
         with self._span("batch_put", table=table_name, items=len(items)):
             if self._faults is not None:
                 yield from self._faults.perturb("batch_put")

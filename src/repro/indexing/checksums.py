@@ -19,7 +19,6 @@ Checksum attributes are named with a ``#`` prefix; readers treat any
 from __future__ import annotations
 
 import hashlib
-import uuid
 import zlib
 from typing import Mapping, Sequence, Tuple, Union
 
@@ -48,24 +47,45 @@ def canonical_item_bytes(hash_key: str,
     stamping the checksum itself.  Length-prefixed fields keep the
     encoding injective (no concatenation ambiguity).
     """
-    parts = [b"k", str(len(hash_key)).encode("ascii"), b":",
-             hash_key.encode("utf-8")]
+    parts = [b"k%d:" % len(hash_key), hash_key.encode("utf-8")]
     for name in sorted(attributes):
         if name.startswith(META_ATTR_PREFIX):
             continue
         encoded = name.encode("utf-8")
-        parts.extend([b"a", str(len(encoded)).encode("ascii"), b":", encoded])
+        parts += (b"a%d:" % len(encoded), encoded)
         for value in attributes[name]:
             raw = _value_bytes(value)
-            parts.extend([b"v", str(len(raw)).encode("ascii"), b":", raw])
+            parts += (b"v%d:" % len(raw), raw)
     return b"".join(parts)
+
+
+def checksum_of(canonical: bytes) -> str:
+    """CRC-32 (8 hex digits) of one canonical byte form."""
+    return "{:08x}".format(zlib.crc32(canonical) & 0xFFFFFFFF)
+
+
+_UUID4_CLEAR = ~((0xC000 << 48) | (0xF000 << 64))
+_UUID4_SET = (0x8000 << 48) | (4 << 76)
+
+
+def uuid4_text(value: int) -> str:
+    """``str(uuid.UUID(int=value, version=4))`` for a 128-bit ``value``,
+    without building the object — every item of an index draws one."""
+    text = "%032x" % (value & _UUID4_CLEAR | _UUID4_SET)
+    return "%s-%s-%s-%s-%s" % (text[:8], text[8:12], text[12:16],
+                               text[16:20], text[20:])
+
+
+def range_key_of(canonical: bytes) -> str:
+    """UUID-shaped range key (SHA-256) of one canonical byte form."""
+    digest = hashlib.sha256(canonical).digest()
+    return uuid4_text(int.from_bytes(digest[:16], "big"))
 
 
 def item_checksum(hash_key: str,
                   attributes: Mapping[str, Tuple[AttrValue, ...]]) -> str:
     """CRC-32 (8 hex digits) of the item's canonical bytes."""
-    crc = zlib.crc32(canonical_item_bytes(hash_key, attributes))
-    return "{:08x}".format(crc & 0xFFFFFFFF)
+    return checksum_of(canonical_item_bytes(hash_key, attributes))
 
 
 def content_range_key(hash_key: str,
@@ -78,9 +98,7 @@ def content_range_key(hash_key: str,
     primary key — concurrent writers of *different* content still never
     collide, and rewriters of the *same* content overwrite in place.
     """
-    digest = hashlib.sha256(
-        canonical_item_bytes(hash_key, attributes)).digest()
-    return str(uuid.UUID(bytes=digest[:16], version=4))
+    return range_key_of(canonical_item_bytes(hash_key, attributes))
 
 
 def batch_content_hash(canonical_forms: Sequence[bytes]) -> str:

@@ -16,7 +16,7 @@ every concrete strategy then projects into its own payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key, text_word_keys)
@@ -34,10 +34,11 @@ class IndexEntry:
     ids: Tuple[NodeID, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.paths and self.ids:
+        ids = self.ids
+        if ids and self.paths:
             raise ValueError("an entry carries paths or ids, not both")
-        for previous, current in zip(self.ids, self.ids[1:]):
-            if current.pre <= previous.pre:
+        for index in range(1, len(ids)):
+            if ids[index].pre <= ids[index - 1].pre:
                 raise ValueError("entry IDs must be sorted by pre")
 
     @property
@@ -69,29 +70,6 @@ class KeyOccurrences:
             self.paths.append(path)
 
 
-def _node_keys(document: Document,
-               include_words: bool) -> Iterator[Tuple[str, NodeID, str]]:
-    """Yield ``(key, id, path)`` for every key of every node.
-
-    Word keys and word paths use the *text node's* identifier and its
-    parent element's path plus the word step — matching Figure 3/4
-    (``wOlympia`` → (4, 2, 3), path ``/epainting/ename/wOlympia``).
-    """
-    for node in document.iter_nodes():
-        if isinstance(node, Element):
-            yield element_key(node.label), node.node_id, node.path
-        elif isinstance(node, Attribute):
-            # Two keys per attribute: name-only and name+value (§5).
-            base_path = node.path
-            yield attribute_key(node.name), node.node_id, base_path
-            value_key = attribute_value_key(node.name, node.value)
-            parent_path = base_path.rsplit("/", 1)[0]
-            yield value_key, node.node_id, "{}/{}".format(parent_path, value_key)
-        elif isinstance(node, Text) and include_words:
-            for key in text_word_keys(node.value):
-                yield key, node.node_id, "{}/{}".format(node.parent_path, key)
-
-
 def collect_occurrences(document: Document,
                         include_words: bool = True,
                         ) -> Dict[str, KeyOccurrences]:
@@ -101,14 +79,33 @@ def collect_occurrences(document: Document,
     a pre-order traversal — the LUI invariant (§5.3) for free.  Word
     keys may repeat per text node; duplicates of the *same* ID are
     collapsed.
+
+    Word keys and word paths use the *text node's* identifier and its
+    parent element's path plus the word step — matching Figure 3/4
+    (``wOlympia`` → (4, 2, 3), path ``/epainting/ename/wOlympia``).
     """
     groups: Dict[str, KeyOccurrences] = {}
-    for key, node_id, path in _node_keys(document, include_words):
-        group = groups.get(key)
-        if group is None:
-            group = KeyOccurrences(key=key)
-            groups[key] = group
-        if group.ids and group.ids[-1] == node_id:
-            continue  # same word twice in one text node
-        group.add(node_id, path)
+    for node in document.iter_nodes():
+        node_id = node.node_id
+        if isinstance(node, Element):
+            occurrences = ((element_key(node.label), node.path),)
+        elif isinstance(node, Attribute):
+            # Two keys per attribute: name-only and name+value (§5).
+            path = node.path
+            value_key = attribute_value_key(node.name, node.value)
+            occurrences = (
+                (attribute_key(node.name), path),
+                (value_key, path.rsplit("/", 1)[0] + "/" + value_key))
+        elif include_words and isinstance(node, Text):
+            step = node.parent_path + "/"
+            occurrences = [(key, step + key)
+                           for key in text_word_keys(node.value)]
+        else:
+            continue
+        for key, path in occurrences:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = KeyOccurrences(key, [node_id], [path], {path})
+            elif group.ids[-1] != node_id:  # same word twice in one text
+                group.add(node_id, path)
     return groups

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.indexing.base import IndexingStrategy
-from repro.indexing.entries import IndexEntry
+from repro.indexing.entries import IndexEntry, KeyOccurrences
 from repro.xmldb.model import Document
 
 
@@ -30,11 +30,16 @@ class LUIStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LUI(d)``: key -> URI + sorted IDs (Table 2)."""
-        occurrences = self._occurrences(document)
-        entries = [IndexEntry(key=key, uri=document.uri,
-                              ids=tuple(occurrences[key].ids))
-                   for key in sorted(occurrences)]
-        return {"lui": entries}
+        return {"lui": self.project(document.uri,
+                                    self._occurrences(document))}
+
+    @staticmethod
+    def project(uri: str, occurrences: Dict[str, KeyOccurrences],
+                ) -> List[IndexEntry]:
+        """One document's LUI entries from its grouped occurrences."""
+        return [IndexEntry(key=key, uri=uri,
+                           ids=tuple(occurrences[key].ids))
+                for key in sorted(occurrences)]
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.3 LUI look-up planner."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.indexing.base import IndexingStrategy
-from repro.indexing.entries import IndexEntry
+from repro.indexing.entries import IndexEntry, KeyOccurrences
 from repro.xmldb.model import Document
 
 
@@ -28,11 +28,16 @@ class LUPStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LUP(d)``: key -> URI + label paths (Table 2)."""
-        occurrences = self._occurrences(document)
-        entries = [IndexEntry(key=key, uri=document.uri,
-                              paths=tuple(occurrences[key].paths))
-                   for key in sorted(occurrences)]
-        return {"lup": entries}
+        return {"lup": self.project(document.uri,
+                                    self._occurrences(document))}
+
+    @staticmethod
+    def project(uri: str, occurrences: Dict[str, KeyOccurrences],
+                ) -> List[IndexEntry]:
+        """One document's LUP entries from its grouped occurrences."""
+        return [IndexEntry(key=key, uri=uri,
+                           paths=tuple(occurrences[key].paths))
+                for key in sorted(occurrences)]
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.2 LUP look-up planner."""

@@ -27,20 +27,22 @@ from __future__ import annotations
 
 import abc
 import random
-import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, List, Sequence, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
+                    Tuple)
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
-                                  DynamoItem, MAX_ITEM_BYTES)
+                                  DynamoItem, MAX_ITEM_BYTES, attribute_size,
+                                  value_size)
 from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
 from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
                                       batch_content_hash,
-                                      canonical_item_bytes,
-                                      content_range_key, item_checksum)
+                                      canonical_item_bytes, checksum_of,
+                                      item_checksum, range_key_of, uuid4_text)
+from repro.indexing.checksums import content_range_key  # noqa: F401 (API)
 from repro.indexing.entries import IndexEntry
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
@@ -121,11 +123,16 @@ class IndexStore(abc.ABC):
 
 
 def _encode_payload(entry: IndexEntry) -> Tuple[Any, ...]:
-    if entry.kind == "ids":
-        return (encode_ids(list(entry.ids)),)
-    if entry.kind == "paths":
+    """The entry's stored attribute values.  An ID list is encoded
+    once: the blob is kept on the (frozen) entry outside its fields, so
+    the packer and the batch ledger's hash share it."""
+    if not entry.ids:
         return tuple(entry.paths)
-    return ()
+    values = getattr(entry, "_encoded_ids", None)
+    if values is None:
+        values = (encode_ids(entry.ids),)
+        object.__setattr__(entry, "_encoded_ids", values)
+    return values
 
 
 def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
@@ -144,11 +151,6 @@ def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
             forms.append(prefix + canonical_item_bytes(
                 entry.key, {entry.uri: _encode_payload(entry)}))
     return batch_content_hash(forms)
-
-
-def _split_ids(ids: Sequence[NodeID], parts: int) -> List[List[NodeID]]:
-    size = max(1, (len(ids) + parts - 1) // parts)
-    return [list(ids[i:i + size]) for i in range(0, len(ids), size)]
 
 
 class DynamoIndexStore(IndexStore):
@@ -175,22 +177,28 @@ class DynamoIndexStore(IndexStore):
 
     def _uuid(self) -> str:
         """A UUID range key ([20]); seeded for reproducible runs."""
-        return str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
+        return uuid4_text(self._rng.getrandbits(128))
 
-    def _finish_item(self, hash_key: str,
-                     attrs: Dict[str, Tuple[Any, ...]]) -> DynamoItem:
+    def _finish_item(self, hash_key: str, attrs: Dict[str, Tuple[Any, ...]],
+                     attr_bytes: int, uri_key: str = "") -> DynamoItem:
         """Close an item under the mode's range-key discipline.
 
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
-        the write idempotent and scrub-verifiable.
+        the write idempotent and scrub-verifiable (one canonical form
+        feeds both); ``attribute`` uses ``uri_key``.  The item takes
+        ``attrs`` over and is born with the size the packer budgeted.
         """
+        if self.range_key_mode == "attribute":
+            return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
         if self.range_key_mode == "content":
-            attrs = dict(attrs)
-            attrs[CHECKSUM_ATTR] = (item_checksum(hash_key, attrs),)
-            return DynamoItem(hash_key, content_range_key(hash_key, attrs),
-                              attrs)
-        return DynamoItem(hash_key, self._uuid(), dict(attrs))
+            canonical = canonical_item_bytes(hash_key, attrs)
+            checksum = (checksum_of(canonical),)
+            attrs[CHECKSUM_ATTR] = checksum
+            return DynamoItem.sized(
+                hash_key, range_key_of(canonical), attrs,
+                attr_bytes + attribute_size(CHECKSUM_ATTR, checksum))
+        return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes)
 
     def create_table(self, physical_name: str) -> None:
         """Create the physical table/domain."""
@@ -201,50 +209,35 @@ class DynamoIndexStore(IndexStore):
     def _entry_items(self, entry: IndexEntry) -> List[DynamoItem]:
         """Items for one entry, splitting oversized payloads."""
         values = _encode_payload(entry)
-        attr_bytes = sum(len(v) if isinstance(v, bytes)
-                         else len(v.encode("utf-8")) for v in values)
-        if attr_bytes <= _ITEM_BUDGET:
-            if self.range_key_mode == "attribute":
-                return [DynamoItem(hash_key=entry.key, range_key=entry.uri,
-                                   attributes={entry.uri: values})]
-            return [self._finish_item(entry.key, {entry.uri: values})]
+        attr_bytes = attribute_size(entry.uri, values)
+        value_bytes = attr_bytes - value_size(entry.uri)
+        if value_bytes <= _ITEM_BUDGET:
+            return [self._finish_item(entry.key, {entry.uri: values},
+                                      attr_bytes, entry.uri)]
         # Oversized payload: split across items.
-        items: List[DynamoItem] = []
-        if entry.kind == "ids":
-            parts = attr_bytes // _ITEM_BUDGET + 1
-            for index, chunk in enumerate(_split_ids(entry.ids, parts)):
-                attrs = {entry.uri: (encode_ids(chunk),)}
-                if self.range_key_mode == "attribute":
-                    items.append(DynamoItem(
-                        entry.key, "{}#{}".format(entry.uri, index), attrs))
-                else:
-                    items.append(self._finish_item(entry.key, attrs))
+        chunks: List[Tuple[Any, ...]] = []
+        if entry.ids:
+            parts = value_bytes // _ITEM_BUDGET + 1
+            size = max(1, (len(entry.ids) + parts - 1) // parts)
+            chunks = [(encode_ids(entry.ids[start:start + size]),)
+                      for start in range(0, len(entry.ids), size)]
         else:  # paths
             chunk: List[str] = []
             size = 0
-            index = 0
             for path in entry.paths:
-                path_bytes = len(path.encode("utf-8"))
+                path_bytes = value_size(path)
                 if chunk and size + path_bytes > _ITEM_BUDGET:
-                    attrs = {entry.uri: tuple(chunk)}
-                    if self.range_key_mode == "attribute":
-                        items.append(DynamoItem(
-                            entry.key, "{}#{}".format(entry.uri, index),
-                            attrs))
-                    else:
-                        items.append(self._finish_item(entry.key, attrs))
+                    chunks.append(tuple(chunk))
                     chunk, size = [], 0
-                    index += 1
                 chunk.append(path)
                 size += path_bytes
             if chunk:
-                attrs = {entry.uri: tuple(chunk)}
-                if self.range_key_mode == "attribute":
-                    items.append(DynamoItem(
-                        entry.key, "{}#{}".format(entry.uri, index), attrs))
-                else:
-                    items.append(self._finish_item(entry.key, attrs))
-        return items
+                chunks.append(tuple(chunk))
+        return [self._finish_item(
+                    entry.key, {entry.uri: chunk_values},
+                    attribute_size(entry.uri, chunk_values),
+                    "{}#{}".format(entry.uri, index))
+                for index, chunk_values in enumerate(chunks)]
 
     def _pack_items(self, entries: Sequence[IndexEntry]) -> List[DynamoItem]:
         """Map a batch of entries to items.
@@ -253,6 +246,7 @@ class DynamoIndexStore(IndexStore):
         items (up to the item budget) — the paper's point about UUIDs
         reducing item counts; in ``attribute`` mode every entry keeps
         its own item (range key = URI), which is the ablation baseline.
+        Each entry is encoded and sized once, here.
         """
         if self.range_key_mode == "attribute":
             return [item for entry in entries
@@ -266,21 +260,18 @@ class DynamoIndexStore(IndexStore):
             size = 0
             for entry in by_key[key]:
                 values = _encode_payload(entry)
-                attr_bytes = (len(entry.uri.encode("utf-8"))
-                              + sum(len(v) if isinstance(v, bytes)
-                                    else len(v.encode("utf-8"))
-                                    for v in values))
+                attr_bytes = attribute_size(entry.uri, values)
                 if attr_bytes > _ITEM_BUDGET:
                     # Oversized single entry: dedicated split items.
                     items.extend(self._entry_items(entry))
                     continue
                 if attrs and size + attr_bytes > _ITEM_BUDGET:
-                    items.append(self._finish_item(key, attrs))
+                    items.append(self._finish_item(key, attrs, size))
                     attrs, size = {}, 0
                 attrs[entry.uri] = values
                 size += attr_bytes
             if attrs:
-                items.append(self._finish_item(key, attrs))
+                items.append(self._finish_item(key, attrs, size))
         return items
 
     def write_entries(self, physical_name: str,
@@ -430,8 +421,7 @@ class SimpleDBIndexStore(IndexStore):
         self.columnar = columnar
 
     def _shard_name(self, key: str) -> str:
-        return "{}#{}".format(
-            key, uuid.UUID(int=self._rng.getrandbits(128), version=4))
+        return "{}#{}".format(key, uuid4_text(self._rng.getrandbits(128)))
 
     def create_table(self, physical_name: str) -> None:
         """Create the physical table/domain."""

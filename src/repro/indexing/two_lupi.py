@@ -36,15 +36,13 @@ class TwoLUPIStrategy(IndexingStrategy):
         #: The §5.4 semi-join pre-filter; switchable for the ablation
         #: bench (disabling it must not change results, only work done).
         self.reduction_enabled = reduction_enabled
-        self._lup = LUPStrategy(include_words=include_words)
-        self._lui = LUIStrategy(include_words=include_words)
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
-        """``I_2LUPI(d)``: both sub-indexes' entries (Table 2)."""
-        combined: Dict[str, List[IndexEntry]] = {}
-        combined.update(self._lup.extract(document))
-        combined.update(self._lui.extract(document))
-        return combined
+        """``I_2LUPI(d)``: both sub-indexes' entries (Table 2), projected
+        from one walk of the document."""
+        occurrences = self._occurrences(document)
+        return {"lup": LUPStrategy.project(document.uri, occurrences),
+                "lui": LUIStrategy.project(document.uri, occurrences)}
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.4 two-phase look-up planner."""

@@ -19,7 +19,8 @@ packed together into DynamoDB items.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cloud.ec2 import Instance
 from repro.cloud.provider import CloudProvider
@@ -182,75 +183,66 @@ class IndexerWorker:
             if applied is not None:
                 self.stats.skipped_batches += 1
                 return
-        env = self._cloud.env
-        self.stats.batches += 1
-
-        # Extraction, as in _process_batch — but entries are assembled
-        # in *request order*, not task-completion order, so the batch's
-        # content (and therefore its items and its ledger hash) is
-        # identical no matter when or where it is (re)processed.
-        per_document: Dict[str, Dict[str, List[IndexEntry]]] = {}
-        phase_start = env.now
-        tasks = [env.process(self._extract_document(uri, per_document),
-                             name="extract-{}".format(uri))
-                 for uri in request.uris]
-        for task in tasks:
-            yield task
-        self.stats.extraction_s += env.now - phase_start
-        self.stats.documents += len(request.uris)
-        extracted: Dict[str, List[IndexEntry]] = {
-            table: [] for table in self._strategy.logical_tables}
-        for uri in request.uris:
-            for logical_table, entries in per_document[uri].items():
-                extracted[logical_table].extend(entries)
-
-        upload_start = env.now
-        for logical_table in self._strategy.logical_tables:
-            entries = extracted[logical_table]
-            if not entries:
-                continue
-            write_stats = yield from self._store.write_entries(
-                self._table_names[logical_table], entries)
-            self.stats.writes.merge(write_stats)
-        self.stats.upload_s += env.now - upload_start
-
+        # Entries are assembled in *request order*, not task-completion
+        # order, so the batch's content (and therefore its items and its
+        # ledger hash) is identical no matter when or where it is
+        # (re)processed.
+        done = yield from self._extract_all(request.uris)
+        per_document = dict(done)
+        extracted = yield from self._upload(
+            per_document[uri] for uri in request.uris)
         if self._ledger is not None:
             yield from self._ledger.record(request.batch_id,
                                            batch_entries_hash(extracted))
 
     def _process_batch(self, requests: List[LoadRequest],
-                       ) -> Generator[Any, Any, Dict[str, List[IndexEntry]]]:
+                       ) -> Generator[Any, Any, None]:
+        done = yield from self._extract_all(
+            [request.uri for request in requests])
+        yield from self._upload(by_table for _, by_table in done)
+
+    def _extract_all(self, uris: Sequence[str]) -> Generator[
+            Any, Any, List[Tuple[str, Dict[str, List[IndexEntry]]]]]:
+        """Phase 1 — extraction: fetch + parse + extract, one core task
+        per document (intra-machine parallelism).  Returns ``(uri,
+        entries by table)`` pairs in task-completion order."""
         env = self._cloud.env
         self.stats.batches += 1
-
-        # Phase 1 — extraction: fetch + parse + extract, one core task
-        # per document (intra-machine parallelism).
-        extracted: Dict[str, List[IndexEntry]] = {
-            table: [] for table in self._strategy.logical_tables}
+        done: List[Tuple[str, Dict[str, List[IndexEntry]]]] = []
         phase_start = env.now
-        tasks = [env.process(self._extract_one(request.uri, extracted),
-                             name="extract-{}".format(request.uri))
-                 for request in requests]
+        tasks = [env.process(self._extract(uri, done),
+                             name="extract-{}".format(uri))
+                 for uri in uris]
         for task in tasks:
             yield task
         self.stats.extraction_s += env.now - phase_start
-        self.stats.documents += len(requests)
+        self.stats.documents += len(uris)
+        return done
 
-        # Phase 2 — upload: write the batch's entries per logical table.
+    def _upload(self, documents: Iterable[Dict[str, List[IndexEntry]]],
+                ) -> Generator[Any, Any, Dict[str, List[IndexEntry]]]:
+        """Phase 2 — upload: write the batch's entries, assembled in the
+        order given, per logical table; returns them by table."""
+        env = self._cloud.env
+        extracted: Dict[str, List[IndexEntry]] = {
+            table: [] for table in self._strategy.logical_tables}
+        for by_table in documents:
+            for logical_table, entries in by_table.items():
+                extracted[logical_table].extend(entries)
         upload_start = env.now
-        for logical_table in self._strategy.logical_tables:
-            entries = extracted[logical_table]
-            if not entries:
-                continue
-            write_stats = yield from self._store.write_entries(
-                self._table_names[logical_table], entries)
-            self.stats.writes.merge(write_stats)
+        for logical_table, entries in extracted.items():
+            if entries:
+                write_stats = yield from self._store.write_entries(
+                    self._table_names[logical_table], entries)
+                self.stats.writes.merge(write_stats)
         self.stats.upload_s += env.now - upload_start
         return extracted
 
-    def _extract_one(self, uri: str,
-                     sink: Dict[str, List[IndexEntry]],
-                     ) -> Generator[Any, Any, None]:
+    def _extract(self, uri: str,
+                 done: List[Tuple[str, Dict[str, List[IndexEntry]]]],
+                 ) -> Generator[Any, Any, None]:
+        """One core task: fetch, parse, extract, charge the CPU, then
+        append ``(uri, entries by table)`` to ``done``."""
         data = yield from self._cloud.resilient.s3.get(self._bucket, uri)
         document = parse_document(data, uri)
         by_table = self._strategy.extract(document)
@@ -258,19 +250,4 @@ class IndexerWorker:
         work = extraction_cpu_ecu_s(self._cloud.profile, len(data), stats)
         yield from self._instance.run(work)
         self.stats.merge_extraction(stats)
-        for logical_table, entries in by_table.items():
-            sink[logical_table].extend(entries)
-
-    def _extract_document(self, uri: str,
-                          sink_by_uri: Dict[str, Dict[str, List[IndexEntry]]],
-                          ) -> Generator[Any, Any, None]:
-        """Like :meth:`_extract_one`, but keyed by URI so the caller can
-        assemble entries in a deterministic (request) order."""
-        data = yield from self._cloud.resilient.s3.get(self._bucket, uri)
-        document = parse_document(data, uri)
-        by_table = self._strategy.extract(document)
-        stats = ExtractionStats.of(by_table)
-        work = extraction_cpu_ecu_s(self._cloud.profile, len(data), stats)
-        yield from self._instance.run(work)
-        self.stats.merge_extraction(stats)
-        sink_by_uri[uri] = by_table
+        done.append((uri, by_table))

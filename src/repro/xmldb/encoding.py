@@ -65,17 +65,25 @@ def encode_ids(ids: Sequence[NodeID]) -> bytes:
     """
     out = bytearray()
     _write_varint(len(ids), out)
+    append = out.append
     previous_pre = 0
     for node_id in ids:
-        delta = node_id.pre - previous_pre
+        pre, post, depth = node_id
+        delta = pre - previous_pre
         if delta <= 0:
             raise EncodingError(
                 "IDs must be strictly sorted by pre; got {} after pre={}".format(
                     node_id, previous_pre))
-        _write_varint(delta, out)
-        _write_varint(node_id.post, out)
-        _write_varint(node_id.depth, out)
-        previous_pre = node_id.pre
+        previous_pre = pre
+        for value in (delta, post, depth):
+            # One- and two-byte varints (all but a few of them) inline.
+            if 0 <= value < 0x80:
+                append(value)
+            elif 0x80 <= value < 0x4000:
+                append(value & 0x7F | 0x80)
+                append(value >> 7)
+            else:
+                _write_varint(value, out)
     return bytes(out)
 
 

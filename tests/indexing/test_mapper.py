@@ -206,3 +206,78 @@ class TestChunking:
         chunks = _chunk_ids_text([NodeID(1, 1, 1)])
         assert len(chunks) == 1
         assert chunks[0].startswith("0000|")
+
+
+class TestOnDiskContract:
+    """Stored bytes pinned as literals (taken from the seed's write
+    path): a faster encoder, canonical form or key draw may not move
+    what lands in the store or in the batch ledger."""
+
+    THIRD = ("<painting id=\"1889-é\"><name>Café Terrace — Arles"
+             "</name><year>1888</year><name>café</name></painting>")
+
+    def _batch(self, paper_documents):
+        from repro.indexing.two_lupi import TwoLUPIStrategy
+        from repro.xmldb.parser import parse_document
+        documents = list(paper_documents) + [
+            parse_document(self.THIRD.encode("utf-8"), "vangogh.xml")]
+        strategy = TwoLUPIStrategy()
+        extracted = {"lup": [], "lui": []}
+        for document in documents:
+            for table, entries in strategy.extract(document).items():
+                extracted[table].extend(entries)
+        return extracted
+
+    def test_batch_ledger_hash(self, paper_documents):
+        from repro.indexing.mapper import batch_entries_hash
+        extracted = self._batch(paper_documents)
+        assert len(extracted["lup"]) == len(extracted["lui"]) == 31
+        assert batch_entries_hash(extracted) == (
+            "22d1b643fa82a9841bc716862cbdd2dff821fc9c4c34a89adea772443652bb51")
+
+    @pytest.mark.parametrize("key, uris, range_key, crc, size", [
+        ("ename", ["delacroix.xml", "manet.xml", "vangogh.xml"],
+         "97e44a3c-7afc-4158-a9e6-d83c6e880b82", "db31d308", 107),
+        # A non-ASCII hash key: the canonical form counts its characters,
+        # the item size its bytes.
+        ("aid 1889-é", ["vangogh.xml"],
+         "63988ca2-376f-4d1f-8567-f1e1f8c6043d", "8edfd596", 74),
+    ])
+    def test_content_addressed_item(self, cloud, paper_documents, key, uris,
+                                    range_key, crc, size):
+        from repro.indexing.checksums import (CHECKSUM_ATTR,
+                                              content_range_key,
+                                              item_checksum)
+        store = DynamoIndexStore(cloud.dynamodb, range_key_mode="content")
+        items = store._pack_items(self._batch(paper_documents)["lui"])
+        item, = [item for item in items if item.hash_key == key]
+        assert list(item.attributes) == uris + [CHECKSUM_ATTR]
+        assert item.range_key == range_key
+        assert item.attributes[CHECKSUM_ATTR] == (crc,)
+        assert content_range_key(item.hash_key, item.attributes) == range_key
+        assert item_checksum(item.hash_key, item.attributes) == crc
+        assert item.size_bytes == size
+
+    def test_stored_id_blob(self, cloud, paper_documents):
+        store = DynamoIndexStore(cloud.dynamodb, range_key_mode="content")
+        items = store._pack_items(self._batch(paper_documents)["lui"])
+        item, = [item for item in items if item.hash_key == "ename"]
+        assert item.attributes["vangogh.xml"] == (
+            b"\x02\x03\x03\x02\x04\x07\x02",)
+
+    def test_seeded_uuid_range_keys(self, cloud, paper_documents):
+        store = DynamoIndexStore(cloud.dynamodb, seed=20130318)
+        items = store._pack_items(self._batch(paper_documents)["lup"])
+        assert [(item.hash_key, item.range_key) for item in items[:2]] == [
+            ("aid", "060e74c3-aa00-4523-a0b8-ff81f16dfa7f"),
+            ("aid 1854-1", "3225f4f5-0ed3-4835-88f3-4c5c413cf043")]
+
+    def test_uuid4_text_is_the_stdlib_form(self):
+        import random
+        import uuid
+        from repro.indexing.checksums import uuid4_text
+        rng = random.Random(7)
+        values = [0, 1, 2 ** 128 - 1] + [rng.getrandbits(128)
+                                         for _ in range(2000)]
+        for value in values:
+            assert uuid4_text(value) == str(uuid.UUID(int=value, version=4))

@@ -14,7 +14,10 @@ from tests.properties.strategies import documents
 from repro.cloud import CloudProvider
 from repro.engine.evaluator import pattern_matches
 from repro.indexing.mapper import DynamoIndexStore
+from repro.indexing.lui import LUIStrategy
+from repro.indexing.lup import LUPStrategy
 from repro.indexing.registry import all_strategies
+from repro.indexing.two_lupi import TwoLUPIStrategy
 from repro.query.parser import parse_pattern
 
 PATTERN_TEXTS = (
@@ -67,3 +70,17 @@ def test_lookup_soundness_and_ordering(docs, pattern_text):
     assert set(results["LUP"].uris) <= set(results["LU"].uris)
     assert set(results["LUI"].uris) <= set(results["LUP"].uris)
     assert results["LUI"].uris == results["2LUPI"].uris
+
+
+@given(documents(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_two_lupi_is_lup_plus_lui_entry_for_entry(document, include_words):
+    """2LUPI's single walk projects exactly what the two sub-strategies
+    extract on their own — same entries, same order, same tables."""
+    both = TwoLUPIStrategy(include_words=include_words).extract(document)
+    apart = {**LUPStrategy(include_words=include_words).extract(document),
+             **LUIStrategy(include_words=include_words).extract(document)}
+    assert list(both) == list(apart) == ["lup", "lui"]
+    assert both == apart
+    assert [entry.key for entry in both["lup"]] \
+        == [entry.key for entry in both["lui"]]

@@ -6,14 +6,18 @@ items) and reading it back must reproduce the payload exactly — paths
 in order, IDs sorted — across batch boundaries and item splits.
 """
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.properties.strategies import sorted_node_ids
 
 from repro.cloud import CloudProvider
+from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import DynamoIndexStore, SimpleDBIndexStore
+from repro.xmldb.ids import NodeID
 
 keys = st.sampled_from(["ea", "eb", "aid", "wgold", "ename"])
 uris = st.sampled_from(["d1.xml", "d2.xml", "d3.xml"])
@@ -109,3 +113,73 @@ def test_simpledb_store_round_trip(entry_list):
             kept.append(entry)
     _round_trip(lambda cloud: SimpleDBIndexStore(cloud.simpledb, seed=1),
                 kept)
+
+
+def _size_from_scratch(item):
+    """An item's billable size recomputed from its fields alone."""
+    size = len(item.hash_key.encode("utf-8"))
+    if item.range_key is not None:
+        size += len(item.range_key.encode("utf-8"))
+    for name, values in item.attributes.items():
+        size += len(name.encode("utf-8"))
+        for value in values:
+            size += len(value if isinstance(value, bytes)
+                        else value.encode("utf-8"))
+    return size
+
+
+@st.composite
+def oversized_entries(draw):
+    """An entry whose payload alone overflows one item, so it splits."""
+    key = draw(keys)
+    uri = draw(st.sampled_from(["big1.xml", "bïg2.xml"]))
+    if draw(st.booleans()):
+        count = draw(st.integers(13000, 16000))
+        return IndexEntry(key=key, uri=uri, ids=tuple(
+            NodeID(1 + 3 * i, 70000 + i, 1 + i % 40) for i in range(count)))
+    stem = "/ea" + "/eb" * draw(st.integers(300, 400))
+    return IndexEntry(key=key, uri=uri, paths=tuple(
+        "{}/e{}".format(stem, i) for i in range(80)))
+
+
+@given(st.lists(entries(), min_size=1, max_size=10),
+       st.lists(oversized_entries(), max_size=2),
+       st.sampled_from(["uuid", "attribute", "content"]),
+       st.integers(0, 64), st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_items_are_born_with_their_size(small, big, mode, byte_index, bit):
+    cloud = CloudProvider()
+    store = DynamoIndexStore(cloud.dynamodb, seed=3, range_key_mode=mode)
+    store.create_table("t")
+    batch = _unique_per_key_uri(small + big)
+    items = store._pack_items(batch)
+    for entry in batch:
+        if entry.uri.startswith("b"):  # an oversized one: it split
+            assert sum(1 for item in items if item.hash_key == entry.key
+                       and entry.uri in item.attributes) >= 2
+    for item in items:
+        assert "_size_bytes" in vars(item)  # born sized, not sized later
+        assert item.size_bytes == _size_from_scratch(item)
+        if mode == "content":
+            assert CHECKSUM_ATTR in item.attributes
+        # A changed copy is a new item and sizes itself afresh.
+        moved = dataclasses.replace(item, hash_key=item.hash_key + "é")
+        assert "_size_bytes" not in vars(moved)
+        assert moved.size_bytes == _size_from_scratch(moved)
+
+    def write():
+        stats = yield from store.write_entries("t", batch)
+        return stats
+    stats = cloud.env.run_process(write())
+    table = cloud.dynamodb.table("t")
+    stored = table.all_items()
+    assert stats.payload_bytes == sum(map(_size_from_scratch, items))
+    assert table.raw_bytes() == sum(map(_size_from_scratch, stored))
+    # Damage replaces the item; the replacement is sized from scratch.
+    victim = stored[byte_index % len(stored)]
+    for attr in victim.attributes:
+        cloud.dynamodb.corrupt_attribute(
+            "t", victim.hash_key, victim.range_key, attr,
+            byte_index=byte_index, bit=bit)
+    assert table.raw_bytes() == sum(map(_size_from_scratch,
+                                        table.all_items()))
