@@ -94,6 +94,11 @@ def price_record(record, book: PriceBook) -> CostBreakdown:
     return out
 
 
+def price_records(records, book: PriceBook) -> list:
+    """``(record, price)`` pairs: priced once, folded as often as needed."""
+    return [(record, price_record(record, book)) for record in records]
+
+
 def _price_requests(meter: Meter, book: PriceBook, tag_prefix: str = "",
                     activity: Optional[str] = None) -> CostBreakdown:
     """Price all metered API requests matching the attribution filter."""

@@ -45,11 +45,15 @@ __all__ = [
     "block_semi_join_ancestors",
     "block_semi_join_descendants",
     "block_stack_tree_join",
+    "flatten_twig",
     "hash_join_indices",
     "make_twig_join",
+    "twig_exists",
 ]
 
 BlockLike = Union[IDBlock, Sequence[NodeID]]
+#: Per pre-order twig position: ((child position, is a // edge), ...).
+TwigShape = Tuple[Tuple[Tuple[int, bool], ...], ...]
 
 
 @dataclass
@@ -104,6 +108,74 @@ class BlockStream:
         return False
 
 
+def flatten_twig(pattern: TreePattern) -> Tuple[List[PatternNode], TwigShape]:
+    """The twig's nodes in pre-order and, per position, its children as
+    ``(position, is a // edge)`` — computed once, checked against many
+    documents' streams by :func:`twig_exists`."""
+    nodes = list(pattern.iter_nodes())
+    position = {id(node): index for index, node in enumerate(nodes)}
+    return nodes, tuple(
+        tuple((position[id(child)], child.axis is Axis.DESCENDANT)
+              for child in node.children) for node in nodes)
+
+
+def twig_exists(children: TwigShape,
+                streams: Sequence[Optional[BlockLike]]) -> bool:
+    """Memoised top-down existence check with early exit.
+
+    ``streams[i]`` is the sorted ID stream of pre-order twig position
+    ``i`` (see :func:`flatten_twig`).  Only *one* witness is needed, so
+    instead of the full bottom-up OK computation this verifies root
+    entries in document order and stops at the first complete match.
+    Laziness compounds: streams on pattern branches that are never
+    reached (an edge that fails high up) are never decoded at all.
+    Per-(position, entry) memoisation bounds the total work by the
+    bottom-up computation's, so the worst case is the same and the
+    common case is a handful of probes.
+    """
+    for stream in streams:
+        if not stream:
+            return False  # an empty stream kills every embedding
+    if not children[0]:
+        return True
+    bound: List[Optional[tuple]] = [None] * len(streams)
+
+    def columns(position: int) -> tuple:
+        block = as_block(streams[position])
+        entry = bound[position] = (block.pres, block.posts, block.depths,
+                                   len(block), {})
+        return entry
+
+    def entry_ok(position: int, index: int) -> bool:
+        pres, posts, depths, _, memo = bound[position]
+        cached = memo.get(index)
+        if cached is not None:
+            return cached
+        pre = pres[index]
+        post = posts[index]
+        child_depth = depths[index] + 1
+        result = True
+        for child, descendant in children[position]:
+            c_pres, c_posts, c_depths, c_size, _ = \
+                bound[child] or columns(child)
+            inner = children[child]
+            j = bisect_right(c_pres, pre)
+            found = False
+            while j < c_size and c_posts[j] <= post:
+                if ((descendant or c_depths[j] == child_depth)
+                        and (not inner or entry_ok(child, j))):
+                    found = True
+                    break
+                j += 1
+            if not found:
+                result = False
+                break
+        memo[index] = result
+        return result
+
+    return any(entry_ok(0, i) for i in range(columns(0)[3]))
+
+
 class BlockTwigJoin:
     """Existence-checking holistic twig join over columnar streams.
 
@@ -119,39 +191,38 @@ class BlockTwigJoin:
                  streams: Mapping[int, Optional[BlockLike]],
                  validate: bool = False) -> None:
         self.pattern = pattern
-        self._blocks: dict = {}
-        for node in pattern.iter_nodes():
-            block = as_block(streams.get(id(node)))
-            if validate:
+        nodes, self._children = flatten_twig(pattern)
+        self._blocks = [as_block(streams.get(id(node))) for node in nodes]
+        if validate:
+            for node, block in zip(nodes, self._blocks):
                 block.check_sorted("stream for {!r}".format(node.label))
-            self._blocks[id(node)] = block
-        self._ok: Optional[dict] = None
+        self._ok: Optional[list] = None
         self._exists: Optional[bool] = None
 
     # -- core ---------------------------------------------------------------
 
-    def _compute(self) -> dict:
+    def _compute(self) -> list:
         """Bottom-up OK sets, as IDBlocks of surviving stream entries."""
         if self._ok is not None:
             return self._ok
-        ok: dict = {}
-        for node in self._postorder(self.pattern.root):
-            block = self._blocks[id(node)]
-            if node.is_leaf:
-                ok[id(node)] = block
+        ok: list = list(self._blocks)  # a leaf's OK set is its stream
+        # Reverse pre-order visits every child before its parent.
+        for position in range(len(ok) - 1, -1, -1):
+            if not self._children[position]:
                 continue
+            block = ok[position]
             children = []
             dead = False
-            for child in node.children:
-                child_ok = ok[id(child)]
+            for child, descendant in self._children[position]:
+                child_ok = ok[child]
                 if not child_ok:
                     dead = True
                     break
                 children.append((child_ok.pres, child_ok.posts,
                                  child_ok.depths, len(child_ok),
-                                 child.axis is Axis.DESCENDANT))
+                                 descendant))
             if dead or not block:
-                ok[id(node)] = as_block(None)
+                ok[position] = as_block(None)
                 continue
             pres = block.pres
             posts = block.posts
@@ -186,7 +257,7 @@ class BlockTwigJoin:
                                 append_depth(depth)
                                 break
                             index += 1
-                ok[id(node)] = IDBlock(out_pre, out_post, out_depth)
+                ok[position] = IDBlock(out_pre, out_post, out_depth)
                 continue
             for pre, post, depth in zip(pres, posts, depths):
                 child_depth = depth + 1
@@ -206,95 +277,28 @@ class BlockTwigJoin:
                     append_pre(pre)
                     append_post(post)
                     append_depth(depth)
-            ok[id(node)] = IDBlock(out_pre, out_post, out_depth)
+            ok[position] = IDBlock(out_pre, out_post, out_depth)
         self._ok = ok
         return ok
 
-    def _postorder(self, node: PatternNode):
-        for child in node.children:
-            yield from self._postorder(child)
-        yield node
-
     # -- results -------------------------------------------------------------
-
-    def _check_exists(self) -> bool:
-        """Memoised top-down existence check with early exit.
-
-        ``matches()`` only needs *one* witness, so instead of the full
-        bottom-up OK computation it verifies root entries in document
-        order and stops at the first complete match.  Laziness
-        compounds: streams on pattern branches that are never reached
-        (an empty stream, or an edge that fails high up) are never
-        decoded at all.  Per-(node, entry) memoisation bounds the total
-        work by the bottom-up computation's, so the worst case is the
-        same and the common case is a handful of probes.
-        """
-        blocks = self._blocks
-        for node in self.pattern.iter_nodes():
-            if not blocks[id(node)]:
-                return False  # an empty stream kills every embedding
-        info: dict = {}
-
-        def node_info(node: PatternNode):
-            entry = info.get(id(node))
-            if entry is None:
-                block = blocks[id(node)]
-                entry = (block.pres, block.posts, block.depths,
-                         len(block), node.children,
-                         node.axis is Axis.DESCENDANT, {})
-                info[id(node)] = entry
-            return entry
-
-        def entry_ok(node: PatternNode, index: int) -> bool:
-            pres, posts, depths, _, children, _, memo = node_info(node)
-            cached = memo.get(index)
-            if cached is not None:
-                return cached
-            pre = pres[index]
-            post = posts[index]
-            child_depth = depths[index] + 1
-            result = True
-            for child in children:
-                c_info = node_info(child)
-                c_pres, c_posts, c_depths, c_size = c_info[:4]
-                grandchildren = c_info[4]
-                descendant = c_info[5]
-                j = bisect_right(c_pres, pre)
-                found = False
-                while j < c_size and c_posts[j] <= post:
-                    if ((descendant or c_depths[j] == child_depth)
-                            and (not grandchildren or entry_ok(child, j))):
-                        found = True
-                        break
-                    j += 1
-                if not found:
-                    result = False
-                    break
-            memo[index] = result
-            return result
-
-        root = self.pattern.root
-        size = node_info(root)[3]
-        if not root.children:
-            return size > 0
-        return any(entry_ok(root, i) for i in range(size))
 
     def matches(self) -> bool:
         """Whether the document contains at least one full twig match."""
         if self._ok is not None:
-            return bool(self._ok[id(self.pattern.root)])
+            return bool(self._ok[0])
         if self._exists is None:
-            self._exists = self._check_exists()
+            self._exists = twig_exists(self._children, self._blocks)
         return self._exists
 
     def matching_roots(self) -> List[NodeID]:
         """IDs of pattern-root occurrences with a full match, in
         document order."""
-        return self._compute()[id(self.pattern.root)].to_ids()
+        return self._compute()[0].to_ids()
 
     def rows_processed(self) -> int:
         """Total stream entries consumed — drives the plan-CPU charge."""
-        return sum(len(block) for block in self._blocks.values())
+        return sum(map(len, self._blocks))
 
 
 def make_twig_join(pattern: TreePattern,

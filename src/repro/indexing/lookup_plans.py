@@ -28,9 +28,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.engine.columnar import make_twig_join
+from repro.engine.columnar import (flatten_twig, make_twig_join,
+                                   twig_exists)
 from repro.engine.operators import HashIntersect, PlanStats, SemiJoin
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key)
@@ -38,6 +40,7 @@ from repro.indexing.mapper import IndexStore
 from repro.query.pattern import Axis, PatternNode, Query, TreePattern
 from repro.query.predicates import Equals
 from repro.telemetry.spans import maybe_span
+from repro.xmldb.blocks import IDBlock
 
 WORD_PREFIX = "w"
 
@@ -324,15 +327,18 @@ class LUPLookup(BaseLookup):
                     self._table, last_key, "paths")
                 data[last_key] = payloads
                 gets += requests
+        ordered = {key: sorted(payloads) for key, payloads in data.items()}
         per_path_uris: List[List[str]] = []
         for path in paths:
             payloads = data.get(path[-1][1], {})
-            regex = query_path_regex(path)
+            # Data paths repeat from document to document: one verdict
+            # per distinct string and look-up (a match object is truthy).
+            matches = lru_cache(maxsize=None)(query_path_regex(path).match)
             matching: List[str] = []
-            for uri in sorted(payloads):
+            for uri in ordered.get(path[-1][1], ()):
                 data_paths = payloads[uri] or ()
                 stats.charge("path-filter", len(data_paths))
-                if any(regex.match(data_path) for data_path in data_paths):
+                if any(map(matches, data_paths)):
                     matching.append(uri)
             per_path_uris.append(matching)
         uris = HashIntersect(stats).execute(per_path_uris)
@@ -391,31 +397,38 @@ class LUILookup(BaseLookup):
             if twig_span is not None:
                 twig_span.attributes["candidates"] = len(candidates)
 
+            # One flattened twig per look-up; a candidate only binds
+            # its streams to the twig's positions.
+            nodes, children = flatten_twig(twig.pattern)
+            payloads = [data.get(twig.keys[id(node)], {}) for node in nodes]
             matched: List[str] = []
             for uri in sorted(candidates):
-                streams: Dict[int, Any] = {}
-                for node in twig.pattern.iter_nodes():
-                    ids = data[twig.keys[id(node)]].get(uri, [])
-                    if not self.assume_sorted:
-                        # Ablation: pay for sorting each stream at look-up
-                        # time (the §5.3 design avoids exactly this).
+                streams = [by_uri[uri] for by_uri in payloads]
+                if not self.assume_sorted:
+                    # Ablation: pay for sorting each stream at look-up
+                    # time (the §5.3 design avoids exactly this).
+                    for position, ids in enumerate(streams):
                         length = len(ids)
                         if length > 1:
                             stats.charge("sort", length * max(
                                 1, math.ceil(math.log2(length))))
-                        ids = (ids.sorted_by_pre() if hasattr(
-                                   ids, "sorted_by_pre")
-                               else sorted(ids, key=lambda nid: nid.pre))
-                    streams[id(node)] = ids
-                # Columnar payloads (IDBlocks) dispatch to the
-                # array-kernel twig join; row payloads keep the
-                # validating row join.  ``rows_processed`` only needs
-                # stream lengths, so the plan-CPU charge is identical
-                # on both engines even for never-decoded lazy blocks.
-                join = make_twig_join(twig.pattern, streams)
-                if join.matches():
+                        streams[position] = (
+                            ids.sorted_by_pre() if hasattr(
+                                ids, "sorted_by_pre")
+                            else sorted(ids, key=lambda nid: nid.pre))
+                # Columnar payloads (IDBlocks) take the array existence
+                # check; row payloads keep the validating row join.  The
+                # plan-CPU charge only needs stream lengths, so it is the
+                # same on both, even for never-decoded lazy blocks.
+                if any(isinstance(ids, IDBlock) for ids in streams):
+                    found = twig_exists(children, streams)
+                else:
+                    found = make_twig_join(
+                        twig.pattern, dict(zip(map(id, nodes), streams))
+                    ).matches()
+                if found:
                     matched.append(uri)
-                stats.charge("twig-join", join.rows_processed())
+                stats.charge("twig-join", sum(map(len, streams)))
         return LookupOutcome(uris=matched, index_gets=gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(keys))

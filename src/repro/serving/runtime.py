@@ -28,9 +28,10 @@ the report's request dollars are attributable to the last float bit.
 from __future__ import annotations
 
 import dataclasses
+from functools import reduce
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.costs.estimator import phase_cost
+from repro.costs.estimator import CostBreakdown, price_records
 from repro.errors import ProcessInterrupted
 from repro.query.pattern import Query
 from repro.query.workload import workload_query
@@ -42,7 +43,7 @@ from repro.serving.traffic import TrafficGenerator, TrafficProfile
 from repro.tenancy import (DEFAULT_TENANT, SCHEDULER_FAIR, SHARED_TENANT,
                            FairShareQueue, TenantBill)
 from repro.tenancy import QueryRequest as TenantQueryRequest
-from repro.tenancy.billing import reconcile, tenant_costs
+from repro.tenancy.billing import partition_costs, reconcile
 from repro.warehouse.messages import QUERY_QUEUE, StopWorker
 from repro.warehouse.query_processor import QueryWorker, QueryWorkStats
 from repro.warehouse.warehouse import DOCUMENT_BUCKET, RESULTS_BUCKET
@@ -497,12 +498,22 @@ class ServingRuntime:
 
         hub = warehouse.telemetry
         trace = hub.tracer if hub is not None else None
+        # Everything the serve emitted follows ``mark`` and is priced
+        # once, for three folds (the span roll-up last: it keeps the
+        # prices as its slots).
+        priced = price_records(cloud.meter.since(mark), book)
+        tagged = [pair for pair in priced
+                  if pair[0].tag.startswith(self.tag)]
+        estimator_breakdown = reduce(
+            CostBreakdown.add, (price for _, price in tagged),
+            CostBreakdown())
+        costs = partition_costs(trace, tagged) \
+            if trace is not None and self.tenancy is not None else {}
         inclusive: Dict[int, Any] = {}
         if trace is not None:
-            from repro.telemetry.costing import span_inclusive_costs
+            from repro.telemetry.costing import inclusive_costs
             # Every span of this serve opened after ``mark``.
-            inclusive = span_inclusive_costs(
-                trace, cloud.meter.since(mark), book)
+            inclusive = inclusive_costs(trace, priced)
 
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \
@@ -518,7 +529,6 @@ class ServingRuntime:
 
         serve_span_id = serve_span.span_id if serve_span is not None else 0
         span_breakdown = inclusive.get(serve_span_id)
-        estimator_breakdown = phase_cost(cloud.meter, book, self.tag)
         request_cost = (span_breakdown.total
                         if span_breakdown is not None else 0.0)
         total_cost = request_cost + ec2_cost
@@ -543,7 +553,7 @@ class ServingRuntime:
 
         tenant_bills = self._tenant_bills(
             admission, arrivals, fetched, tenants or {}, stats_sink,
-            estimator_breakdown, ec2_cost, trace)
+            estimator_breakdown, ec2_cost, costs)
 
         timeline = [(t - start_at, n) for t, n in fleet.timeline]
         return ServingReport(
@@ -621,11 +631,12 @@ class ServingRuntime:
                       tenants: Dict[int, str],
                       stats_sink: Dict[int, QueryWorkStats],
                       estimator_breakdown: Any, ec2_cost: float,
-                      trace: Optional[Any]) -> List[TenantBill]:
+                      costs: Dict[str, Any]) -> List[TenantBill]:
         """Per-tenant bills whose columns sum exactly to the totals.
 
         Request dollars come from span-attributed record partitioning
-        (:func:`~repro.tenancy.billing.tenant_costs`); EC2 dollars are
+        (``costs``, :func:`~repro.tenancy.billing.partition_costs` of
+        the serve's tagged records); EC2 dollars are
         apportioned by each tenant's worker busy time.  Both columns
         are reconciled so their Python sums over the returned list
         equal ``estimator_breakdown.total`` and ``ec2_cost`` exactly —
@@ -635,10 +646,6 @@ class ServingRuntime:
         tenancy = self.tenancy
         if tenancy is None:
             return []
-        cloud = self.warehouse.cloud
-        costs = tenant_costs(trace, cloud.meter, cloud.price_book,
-                             tag_prefix=self.tag) if trace is not None \
-            else {}
         tenant_names = sorted(
             {spec.name for spec in tenancy.tenants}
             | (set(costs) - {SHARED_TENANT}))

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.telemetry.spans import Tracer
 
-__all__ = ["span_direct_costs", "span_inclusive_costs",
+__all__ = ["span_direct_costs", "span_inclusive_costs", "inclusive_costs",
            "priced_breakdown", "breakdown_as_dict"]
 
 
@@ -67,24 +67,29 @@ def span_inclusive_costs(tracer: Tracer, meter: Any,
     records, folded in the same order; slot 0 and the slots of spans
     opened before the mark are partial.
     """
-    from repro.costs.estimator import CostBreakdown, price_record
+    from repro.costs.estimator import price_records
 
-    out: Dict[int, CostBreakdown] = {}
+    return inclusive_costs(tracer, price_records(meter, book))
+
+
+def inclusive_costs(tracer: Tracer, priced: Any) -> Dict[int, Any]:
+    """:func:`span_inclusive_costs` over ``(record, price)`` pairs.  The
+    prices become slots of the result: fold them elsewhere *first*."""
+    out: Dict[int, Any] = {}
     chains: Dict[int, Tuple[int, ...]] = {0: (0,)}
-    for record in meter:
-        priced = price_record(record, book)
+    for record, price in priced:
         span_id = getattr(record, "span_id", 0)
         targets = chains.get(span_id)
         if targets is None:
             targets = chains[span_id] = \
                 tuple(tracer.ancestor_ids(span_id)) or (0,)  # unresolvable
-        spare = priced  # the record's first new slot keeps ``priced``
+        spare = price  # the record's first new slot keeps ``price``
         for target in targets:
             slot = out.get(target)
             if slot is not None:
-                slot.accumulate(priced)
+                slot.accumulate(price)
             elif spare is None:
-                out[target] = replace(priced)  # never alias two slots
+                out[target] = replace(price)  # never alias two slots
             else:
                 out[target], spare = spare, None
     return out

@@ -26,8 +26,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.tenancy.tenant import SHARED_TENANT
 
-__all__ = ["TenantBill", "tenant_of_span", "tenant_costs", "reconcile",
-           "SpendTracker"]
+__all__ = ["TenantBill", "tenant_of_span", "tenant_costs",
+           "partition_costs", "reconcile", "SpendTracker"]
 
 #: Iterations of the ulp fix-up loop in :func:`reconcile`.  A handful
 #: suffices in practice; the bound only guards against pathological
@@ -110,16 +110,24 @@ def tenant_costs(tracer: Any, meter: Any, book: Any,
     would price for the same ``tag_prefix`` — the partition refines the
     phase fold, it never prices a record the phase would not.
     """
-    from repro.costs.estimator import CostBreakdown, price_record
+    from repro.costs.estimator import price_records
+
+    return partition_costs(tracer, price_records(
+        meter.records(tag_prefix=tag_prefix), book))
+
+
+def partition_costs(tracer: Any, priced: Any) -> Dict[str, Any]:
+    """:func:`tenant_costs` over already priced ``(record, price)`` pairs."""
+    from repro.costs.estimator import CostBreakdown
 
     cache: Dict[int, str] = {}
     out: Dict[str, Any] = {}
-    for record in meter.records(tag_prefix=tag_prefix):
+    for record, price in priced:
         tenant = tenant_of_span(tracer, record.span_id, cache)
         bucket = out.get(tenant)
         if bucket is None:
             bucket = CostBreakdown()
-        out[tenant] = bucket.add(price_record(record, book))
+        out[tenant] = bucket.add(price)
     return out
 
 

@@ -44,6 +44,10 @@ from repro.xmldb.parser import parse_document
 #: the outage (or the failover flip) instead of dead-lettering it.
 OUTAGE_RETRY_S = 1.0
 
+#: Most (query text, pattern index) row sets memoised per parsed
+#: document; the oldest is dropped first.
+EVAL_MEMO_PER_DOCUMENT = 64
+
 
 @dataclass
 class QueryWorkStats:
@@ -102,6 +106,14 @@ class QueryWorker:
                  stats_sink: Dict[int, QueryWorkStats],
                  parsed_documents: Optional[Dict[str, Any]] = None,
                  degraded_lookup: Optional[BaseLookup] = None) -> None:
+        """``parsed_documents`` is a parse cache (uri -> Document) shared
+        with the owner; parse and evaluation CPU is *charged on the
+        instance regardless*, only the host-side work is skipped.  A
+        Document carries the memo of the rows evaluated on it, so sharing
+        the dict shares the memo and replacing or popping an entry (the
+        warehouse does, on every corpus mutation) invalidates both.  With
+        ``None`` the dict is private, never invalidated, and dies, memos
+        and all, with the worker."""
         self._cloud = cloud
         self._instance = instance
         self._lookup = lookup
@@ -109,9 +121,6 @@ class QueryWorker:
         self._results_bucket = results_bucket
         self._all_uris = list(all_uris)
         self._stats_sink = stats_sink
-        #: Optional shared parse cache (uri -> Document).  Parsing CPU is
-        #: *charged on the instance regardless*; the cache only avoids
-        #: re-doing the host-side parse work for hot documents.
         self._parsed_documents = parsed_documents if parsed_documents \
             is not None else {}
         #: Alternative look-up used for requests flagged ``degraded``
@@ -280,8 +289,8 @@ class QueryWorker:
                                         for uris in per_pattern_uris]
             with maybe_span(tracer, "fetch-eval", documents=len(union)):
                 tasks = [env.process(
-                    self._evaluate_document(uri, query, uri_sets,
-                                            pattern_rows),
+                    self._evaluate_document(uri, request.text, query,
+                                            uri_sets, pattern_rows),
                     name="eval-{}".format(uri)) for uri in union]
                 for task in tasks:
                     yield task
@@ -310,11 +319,12 @@ class QueryWorker:
                     "results/{}.txt".format(request.query_id), payload)
         return stats
 
-    def _evaluate_document(self, uri: str, query,
+    def _evaluate_document(self, uri: str, text: str, query,
                            uri_sets: List[Set[str]],
                            pattern_rows: List[List[EvalRow]],
                            ) -> Generator[Any, Any, None]:
-        """Core task: fetch one document and evaluate relevant patterns."""
+        """Core task: fetch one document and evaluate relevant patterns
+        (each query ``text``'s pattern once per parsed Document)."""
         profile = self._cloud.profile
         data = yield from self._cloud.resilient.s3.get(
             self._document_bucket, uri)
@@ -324,12 +334,19 @@ class QueryWorker:
             self._parsed_documents[uri] = document
         size_mb = len(data) / MB
         work = profile.parse_ecu_s_per_mb * size_mb
+        memo = document.__dict__.setdefault("_pattern_rows", {})
         rows_found: List[tuple] = []
         for index, pattern in enumerate(query.patterns):
             if uri not in uri_sets[index]:
                 continue
             work += profile.eval_ecu_s_per_mb * size_mb
-            rows_found.append((index, evaluate_pattern(pattern, document)))
+            rows = memo.get((text, index))
+            if rows is None:
+                if len(memo) >= EVAL_MEMO_PER_DOCUMENT:
+                    del memo[next(iter(memo))]  # oldest entry
+                rows = memo[text, index] = tuple(
+                    evaluate_pattern(pattern, document))
+            rows_found.append((index, rows))
         yield from self._instance.run(work)
         for index, rows in rows_found:
             pattern_rows[index].extend(rows)

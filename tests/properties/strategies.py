@@ -6,6 +6,8 @@ import string
 
 from hypothesis import strategies as st
 
+from repro.query.pattern import Axis, PatternNode, TreePattern
+from repro.query.predicates import Contains, Equals
 from repro.xmldb.ids import NodeID
 from repro.xmldb.model import (Attribute, Document, Element, Text,
                                assign_identifiers)
@@ -77,3 +79,33 @@ def sorted_node_ids(draw, max_size: int = 30):
         depth = draw(st.integers(min_value=1, max_value=40))
         out.append(NodeID(pre, post, depth))
     return out
+
+
+@st.composite
+def _twig_nodes(draw, depth: int) -> PatternNode:
+    node = PatternNode(label=draw(label),
+                       axis=draw(st.sampled_from([Axis.CHILD,
+                                                  Axis.DESCENDANT])))
+    if draw(st.booleans()):
+        node.predicate = Contains(draw(word))  # a word leaf, once expanded
+    if depth > 0:
+        for child in draw(st.lists(_twig_nodes(depth=depth - 1),
+                                   max_size=2)):
+            node.add_child(child)
+    if draw(st.booleans()):
+        leaf = PatternNode(label=draw(attr_name), is_attribute=True,
+                           axis=draw(st.sampled_from([Axis.CHILD,
+                                                      Axis.DESCENDANT])))
+        if draw(st.booleans()):
+            leaf.predicate = Equals(draw(word))
+        node.add_child(leaf)
+    return node
+
+
+@st.composite
+def twig_patterns(draw, max_depth: int = 2) -> TreePattern:
+    """A random tree pattern over the property alphabets: ``/`` and
+    ``//`` edges, word predicates and (valued) attribute leaves."""
+    root = draw(_twig_nodes(depth=max_depth))
+    root.axis = Axis.DESCENDANT
+    return TreePattern(root=root)

@@ -13,17 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.properties.strategies import documents
+from tests.properties.strategies import documents, twig_patterns
 
 from repro.engine.columnar import (BlockTwigJoin, block_semi_join_ancestors,
                                    block_semi_join_descendants,
-                                   block_stack_tree_join, make_twig_join)
+                                   block_stack_tree_join, flatten_twig,
+                                   make_twig_join, twig_exists)
 from repro.engine.structural_join import (semi_join_ancestors,
                                           semi_join_descendants,
                                           stack_tree_join)
 from repro.engine.twigstack import HolisticTwigJoin
 from repro.indexing.entries import collect_occurrences
 from repro.indexing.keys import element_key
+from repro.indexing.lookup_plans import expand_pattern_for_twig
 from repro.query.parser import parse_pattern
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import encode_ids
@@ -71,6 +73,57 @@ def test_block_twig_join_agrees_with_row_oracle(document, pattern_text):
         assert join.matches() == oracle.matches()
         assert join.matching_roots() == oracle.matching_roots()
         assert join.rows_processed() == oracle.rows_processed()
+
+
+def _assert_existence_checks_agree(pattern, rows):
+    """``twig_exists`` over the twig flattened once ≡ a fresh
+    BlockTwigJoin ≡ the row oracle on ``rows`` (one sorted stream per
+    pre-order twig position); and the plan-CPU rows are the summed
+    stream lengths whether or not a lazy block was ever decoded."""
+    nodes, children = flatten_twig(pattern)
+    assert nodes == list(pattern.iter_nodes())
+    lazy = [IDBlock.from_encoded(encode_ids(ids)) if ids
+            else IDBlock.from_ids([]) for ids in rows]
+    oracle = HolisticTwigJoin(pattern, dict(zip(map(id, nodes), rows)))
+    fresh = BlockTwigJoin(pattern, dict(zip(map(id, nodes), lazy)))
+    assert sum(map(len, lazy)) == fresh.rows_processed() \
+        == oracle.rows_processed()
+    assert twig_exists(children, lazy) == fresh.matches() \
+        == oracle.matches() == bool(oracle.matching_roots())
+    assert twig_exists(children, rows) == oracle.matches()  # coerced
+    assert fresh.matching_roots() == oracle.matching_roots()
+    return oracle.matches()
+
+
+@given(documents(), twig_patterns(), st.booleans())
+@settings(max_examples=150)
+def test_existence_checks_agree_on_indexed_streams(document, pattern,
+                                                   include_words):
+    """Random twigs (attribute and word leaves, both axes) against the
+    streams a random document's index would serve — many of them
+    empty, which kills every embedding before a column is decoded."""
+    twig = expand_pattern_for_twig(pattern, include_words)
+    occurrences = collect_occurrences(document, include_words=True)
+    _assert_existence_checks_agree(twig.pattern, [
+        list(occurrences[key].ids) if key in occurrences else []
+        for key in (twig.keys[id(node)]
+                    for node in twig.pattern.iter_nodes())])
+
+
+@given(documents(), twig_patterns(), st.integers(0, 2 ** 16))
+@settings(max_examples=250)
+def test_existence_checks_agree_on_random_sorted_streams(document, pattern,
+                                                         seed):
+    """The check is purely structural: each twig position gets a random
+    sorted subset of one document's node IDs, so about half the twigs
+    have a witness and the memoised top-down search really runs."""
+    rng = random.Random(seed)
+    ids = sorted((node.node_id for node in document.iter_nodes()),
+                 key=lambda nid: nid.pre)
+    keep = rng.choice((0.5, 0.9, 1.0))
+    _assert_existence_checks_agree(pattern, [
+        [nid for nid in ids if rng.random() < keep]
+        for _ in pattern.iter_nodes()])
 
 
 @given(documents(), st.sampled_from(PATTERN_TEXTS))

@@ -105,9 +105,9 @@ def test_mutations_price_only_their_own_records(priced):
     assert compaction.span_cost == compaction.estimator_cost
 
 
-def _two_tenant_serve(history):
-    """A two-tenant serve on a fresh warehouse, after ``history``
-    closed-loop queries have aged its meter."""
+def _two_tenant_warehouse(history):
+    """A fresh two-tenant warehouse and its index, its meter aged by
+    ``history`` closed-loop queries."""
     warehouse = Warehouse(deployment={
         "loaders": 2, "batch_size": 4, "workers": 2,
         "tenancy": TenancyConfig(tenants=(
@@ -117,7 +117,28 @@ def _two_tenant_serve(history):
     index = warehouse.build_index("LUI")
     for _ in range(history):
         warehouse.run_query(workload_query("q1"), index)
+    return warehouse, index
+
+
+def _two_tenant_serve(history):
+    warehouse, index = _two_tenant_warehouse(history)
     return warehouse, warehouse.serve(TRAFFIC, index)
+
+
+def test_serve_prices_each_record_it_emitted_once(priced):
+    """One pricing feeds the span roll-up, the estimator's tag fold and
+    the tenant partition; history is never re-priced."""
+    warehouse, index = _two_tenant_warehouse(history=3)
+    meter = warehouse.cloud.meter
+    for _ in range(2):
+        mark = meter.mark()
+        priced.clear()
+        report = warehouse.serve(TRAFFIC, index)
+        emitted = meter.since(mark)
+        assert priced == emitted and 0 < len(emitted) < len(meter)
+        assert report.cost_tied_out and report.tenants_tied_out
+        assert [bill.tenant for bill in report.tenant_bills] \
+            == ["alpha", "beta", "shared"]
 
 
 def test_serve_span_dollars_equal_the_whole_meter_slots():
