@@ -10,19 +10,17 @@ parameter that existed in the snapshot has disappeared or changed
 shape.  Additions never fail: new API is backwards-compatible and is
 declared by regenerating the snapshot.
 
-The check also cross-references the deprecation registry
-(``repro.deprecations.DEPRECATIONS``) against the DESIGN.md section 12
-migration table: every deprecated old spelling must appear there
-verbatim, so no warning a user can hit lacks a documented replacement.
+A module that declares ``__all__`` exposes exactly those names; one
+that does not exposes the functions and classes it *defines* (names it
+merely imports belong to the module that defines them) plus its
+upper-case constants.
 
 Usage::
 
-    python scripts/check_api_surface.py                # check, exit 1 on breaks
-    python scripts/check_api_surface.py --update       # regenerate the snapshot
-    python scripts/check_api_surface.py --deprecations # registry/docs check only
+    python scripts/check_api_surface.py           # check, exit 1 on breaks
+    python scripts/check_api_surface.py --update  # regenerate the snapshot
 
-The test suite runs the check, so an undeclared break or an
-undocumented deprecation fails tier-1.
+The test suite runs the check, so an undeclared break fails tier-1.
 """
 
 from __future__ import annotations
@@ -38,12 +36,6 @@ from typing import Any, Dict, List, Optional
 
 SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "api_surface.json")
-
-DESIGN = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "DESIGN.md")
-
-#: Heading prefix of the migration-table section in DESIGN.md.
-MIGRATION_SECTION = "## 12."
 
 CONSTANT_TYPES = (bool, int, float, str, bytes, tuple, frozenset)
 
@@ -89,16 +81,12 @@ def _module_surface(module: Any) -> Dict[str, Any]:
         obj = getattr(module, name, None)
         if inspect.ismodule(obj):
             continue
-        home = getattr(obj, "__module__", "")
-        if inspect.isclass(obj):
-            if declared is None and not home.startswith("repro"):
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            if declared is None and obj.__module__ != module.__name__:
                 continue
-            surface[name] = _class_surface(obj)
-        elif inspect.isfunction(obj):
-            if declared is None and not home.startswith("repro"):
-                continue
-            surface[name] = {"kind": "function",
-                             "parameters": _parameters(obj)}
+            surface[name] = (_class_surface(obj) if inspect.isclass(obj)
+                             else {"kind": "function",
+                                   "parameters": _parameters(obj)})
         elif isinstance(obj, CONSTANT_TYPES):
             if declared is None and not name.isupper():
                 continue
@@ -159,64 +147,13 @@ def find_breaks(snapshot: Dict[str, Any],
     return breaks
 
 
-def _migration_section(design_path: str) -> str:
-    """The DESIGN.md migration-table section's text ("" if absent)."""
-    if not os.path.exists(design_path):
-        return ""
-    with open(design_path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    start = text.find("\n" + MIGRATION_SECTION)
-    if start < 0:
-        return ""
-    end = text.find("\n## ", start + 1)
-    return text[start:end if end > 0 else len(text)]
-
-
-def find_undocumented_deprecations(design_path: str = DESIGN) -> List[str]:
-    """Registered deprecations the DESIGN.md section 12 migration table
-    does not document verbatim.
-
-    Both columns are checked: the *old* spelling (so every warning a
-    user can hit names its row) and the *replacement* spelling (so the
-    row actually tells them where to go — a registry entry whose
-    replacement drifted from the docs fails here too)."""
-    from repro.deprecations import DEPRECATIONS
-    section = _migration_section(design_path)
-    problems: List[str] = []
-    for key, (old, new) in sorted(DEPRECATIONS.items()):
-        if old not in section:
-            problems.append(
-                "{}: old spelling {!r} not in DESIGN.md section 12".format(
-                    key, old))
-        if new not in section:
-            problems.append(
-                "{}: replacement {!r} not in DESIGN.md section 12".format(
-                    key, new))
-    return problems
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="regenerate the snapshot from current code")
     parser.add_argument("--snapshot", default=SNAPSHOT,
                         help="snapshot path (default: scripts/api_surface.json)")
-    parser.add_argument("--deprecations", action="store_true",
-                        help="only check the deprecation registry against "
-                             "the DESIGN.md migration table")
     args = parser.parse_args(argv)
-
-    undocumented = find_undocumented_deprecations()
-    if undocumented:
-        print("undocumented deprecations ({}):".format(len(undocumented)))
-        for entry in undocumented:
-            print("  " + entry)
-        print("add the old spelling to the DESIGN.md section 12 "
-              "migration table")
-        return 1
-    if args.deprecations:
-        print("deprecations OK (all documented in DESIGN.md section 12)")
-        return 0
 
     current = collect_surface()
     if args.update:

@@ -129,6 +129,9 @@ class BuildRunResult:
     #: The (content-addressed) index store the run wrote through; a
     #: completed build wraps it into a ``BuiltIndex``.
     store: Any = None
+    #: The run's own ``PhaseRecord``: the tag, fleet shape and VM-hours
+    #: its build report carries, whatever phases run afterwards.
+    phase: Any = None
 
     @property
     def complete(self) -> bool:

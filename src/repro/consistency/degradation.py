@@ -24,7 +24,6 @@ from collections import Counter
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cloud.provider import CloudProvider
-from repro.deprecations import warn_deprecated
 from repro.errors import ConfigError, EncodingError, IntegrityError, \
     NoSuchTable, RegionUnavailable
 from repro.indexing.lookup_plans import BaseLookup, LookupOutcome
@@ -67,17 +66,6 @@ class HealthRegistry:
     def suspect_tables(self) -> Dict[str, str]:
         """All non-healthy tables and their states, sorted."""
         return dict(sorted(self._states.items()))
-
-    def downgrade_counts(self) -> Dict[str, int]:
-        """Downgrades per resolution used, sorted.
-
-        Deprecated: read the ``downgrades_total`` counter off the
-        deployment's :class:`~repro.telemetry.registry.MetricsRegistry`
-        instead (see the migration table in DESIGN.md section 12).
-        """
-        warn_deprecated("downgrade-counts")
-        return {name: self.downgrades[name]
-                for name in sorted(self.downgrades)}
 
 
 class DegradingLookup(BaseLookup):

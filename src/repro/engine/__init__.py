@@ -33,7 +33,6 @@ from repro.engine.structural_join import (semi_join_ancestors,
                                           semi_join_descendants,
                                           stack_tree_join)
 from repro.engine.twigstack import HolisticTwigJoin
-from repro.engine.twigstack_full import TwigStack
 from repro.engine.value_join import hash_value_join, join_query_rows
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "EvalRow",
     "HolisticTwigJoin",
     "KernelStats",
-    "TwigStack",
     "block_semi_join_ancestors",
     "block_semi_join_descendants",
     "block_stack_tree_join",

@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
-from repro.deprecations import warn_deprecated
 from repro.errors import ThroughputExceeded, TransientServiceError
 from repro.faults.plan import (FAULT_SERVICES, KIND_ERROR, KIND_LATENCY,
                                KIND_THROTTLE, FaultPlan, FaultSpec)
@@ -128,21 +127,6 @@ class FaultDomain:
     def injector_for(self, service: str) -> Optional[FaultInjector]:
         """The injector for ``service``, or None if it has no rules."""
         return self._injectors.get(service)
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Injected fault totals keyed by ``"service:kind"``, sorted.
-
-        Deprecated: read the ``faults_injected_total`` counter off the
-        deployment's :class:`~repro.telemetry.registry.MetricsRegistry`
-        instead (see the migration table in DESIGN.md section 12).
-        """
-        warn_deprecated("fault-counts")
-        out: Dict[str, int] = {}
-        for service in sorted(self._injectors):
-            injector = self._injectors[service]
-            for kind in sorted(injector.counts):
-                out["{}:{}".format(service, kind)] = injector.counts[kind]
-        return out
 
     def events(self) -> List[FaultEvent]:
         """All injected fault events across services, in time order."""

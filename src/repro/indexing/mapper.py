@@ -42,7 +42,6 @@ from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
                                       batch_content_hash,
                                       canonical_item_bytes, checksum_of,
                                       item_checksum, range_key_of, uuid4_text)
-from repro.indexing.checksums import content_range_key  # noqa: F401 (API)
 from repro.indexing.entries import IndexEntry
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids

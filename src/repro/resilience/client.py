@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.deprecations import warn_deprecated
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import RetryPolicy, is_retryable
 from repro.sim import Environment, Meter
@@ -123,17 +122,6 @@ class ResilientClient:
                 continue
             breaker.record_success()
             return result
-
-    def retry_counts(self) -> Dict[str, int]:
-        """Retries per service, sorted by service name.
-
-        Deprecated: read the ``retries_total`` counter off the
-        deployment's :class:`~repro.telemetry.registry.MetricsRegistry`
-        instead (see the migration table in DESIGN.md section 12).
-        """
-        warn_deprecated("retry-counts")
-        return {service: self.retries[service]
-                for service in sorted(self.retries)}
 
 
 class ServiceProxy:

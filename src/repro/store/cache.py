@@ -11,8 +11,8 @@ Coherence comes from the crash-consistency layer, not from timeouts:
 
 - physical tables are immutable between manifest flips (builds write
   fresh epoch-scoped tables), so an entry can never be stale *within*
-  an epoch — except for incremental ingests and scrub repairs, whose
-  writes :meth:`discard` the affected keys write-through;
+  an epoch — except for scrub repairs, whose writes :meth:`discard`
+  the affected keys write-through;
 - a manifest flip publishes a new epoch into fresh physical tables, so
   pre-flip entries can never be *served* against it — the warehouse
   invalidates just the tables named in the superseded and newly

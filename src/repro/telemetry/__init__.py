@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.telemetry.attribution import Attribution, parse_tag
+from repro.telemetry.attribution import Attribution
 from repro.telemetry.costing import (breakdown_as_dict, priced_breakdown,
                                      span_direct_costs, span_inclusive_costs)
 from repro.telemetry.export import (chrome_trace_json, metrics_snapshot_json,
@@ -45,7 +45,7 @@ __all__ = [
     "TelemetryHub", "Tracer", "Span", "maybe_span",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "counter_dict",
-    "Attribution", "parse_tag",
+    "Attribution",
     "chrome_trace_json", "render_tree", "metrics_snapshot_json",
     "span_direct_costs", "span_inclusive_costs", "priced_breakdown",
     "breakdown_as_dict",

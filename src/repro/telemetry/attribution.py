@@ -20,18 +20,14 @@ names the parts explicitly:
 
 The legacy string form stays available as :attr:`Attribution.tag` and
 :meth:`Attribution.from_tag` converts old tags forward, so existing
-meters, phase records and tests keep working unchanged.  The original
-module-level :func:`parse_tag` still works but is deprecated in favour
-of the classmethod.
+meters, phase records and tests keep working unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.deprecations import warn_deprecated
-
-__all__ = ["Attribution", "parse_tag"]
+__all__ = ["Attribution"]
 
 #: Activities whose tag qualifier names a query rather than a detail.
 _QUERY_ACTIVITIES = frozenset({"query"})
@@ -83,9 +79,3 @@ class Attribution:
         if activity in _QUERY_ACTIVITIES:
             return cls(activity=activity, query=rest, span_id=span_id)
         return cls(activity=activity, detail=rest, span_id=span_id)
-
-
-def parse_tag(tag: str, span_id: int = 0) -> Attribution:
-    """Deprecated alias of :meth:`Attribution.from_tag`."""
-    warn_deprecated("parse-tag")
-    return Attribution.from_tag(tag, span_id=span_id)

@@ -5,10 +5,7 @@ One registry per deployment (created by the
 scattered ad-hoc counters of earlier PRs migrate onto: fault-injection
 counts, retry/exhaustion counts, SQS redelivery and dead-letter counts,
 DynamoDB throttle rejections, degradation downgrades, and the meter's
-per-(service, operation) request volumes.  The legacy accessors
-(``FaultDomain.fault_counts``, ``ResilientClient.retry_counts``,
-``HealthRegistry.downgrade_counts``, ...) remain as deprecation shims
-over the same underlying counts.
+per-(service, operation) request volumes.
 
 Shape follows the Prometheus client conventions — named metrics with a
 fixed tuple of label names, child series per label-value combination —
@@ -306,9 +303,8 @@ def counter_dict(registry: Optional["MetricsRegistry"],
                  name: str) -> Dict[str, int]:
     """One counter's series as ``{"label1[:label2...]": int}``.
 
-    The migration shape for the retired per-object accessors
-    (``FaultDomain.fault_counts`` and friends): colon-joined label
-    values keyed to integer counts, sorted by label values.  Returns an
+    Colon-joined label values keyed to integer counts, sorted by label
+    values — the shape reports and monitors print.  Returns an
     empty dict when the registry is missing or the counter was never
     incremented.
     """

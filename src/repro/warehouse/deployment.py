@@ -19,10 +19,6 @@ Construction paths:
   full :class:`DeploymentConfig` or a mapping of field overrides
   applied to the warehouse's own deployment
   (``build_index("2LUPI", config={"loaders": 4})``).
-
-The old per-method kwargs keep working behind
-:class:`~repro.deprecations.ReproDeprecationWarning` shims; the
-migration table lives in DESIGN.md section 12.
 """
 
 from __future__ import annotations

@@ -85,21 +85,6 @@ class Frontend:
                              tenant=wire_tenant))
         return query_id
 
-    def submit_query(self, text: str, name: str = "",
-                     degraded: bool = False) -> Generator[Any, Any, int]:
-        """Deprecated positional spelling of :meth:`submit`.
-
-        ``degraded`` marks the request for the coarser access path —
-        set by admission control when the queue is over its degrade
-        bound.
-        """
-        from repro.deprecations import warn_deprecated
-        from repro.tenancy.envelope import QueryRequest as Envelope
-        warn_deprecated("frontend-submit-query")
-        query_id = yield from self.submit(
-            Envelope(query=text, name=name, degraded=degraded))
-        return query_id
-
     def await_response(self) -> Generator[Any, Any, FetchedResult]:
         """Steps 16-18: take the next response, fetch its results."""
         with self._span("await_response"):

@@ -27,14 +27,13 @@ from typing import (Any, Dict, Generator, List, Optional, Sequence, Tuple,
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sqs import RedrivePolicy
-from repro.deprecations import warn_deprecated
 from repro.errors import InstanceCrashed, WarehouseError
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
 from repro.indexing.registry import strategy as strategy_by_name
 from repro.query.pattern import Query
-from repro.store import IndexCache, StoreConfig, StoreRouter, expand_physical
+from repro.store import IndexCache, StoreRouter, expand_physical
 from repro.telemetry.spans import maybe_span
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import Frontend
@@ -58,38 +57,6 @@ DLQ_SUFFIX = "-dlq"
 #: How often a chaos build polls the loader queue for drain before
 #: sending the poison pills (simulated seconds).
 DRAIN_POLL_INTERVAL_S = 0.25
-
-#: Legacy keyword → (deprecation key, DeploymentConfig field) for the
-#: build-side methods; the query-side ones map to the worker fields.
-_BUILD_KWARGS = {
-    "instances": ("build-instances", "loaders"),
-    "instance_type": ("build-instance-type", "loader_type"),
-    "batch_size": ("build-batch-size", "batch_size"),
-    "backend": ("build-backend", "backend"),
-}
-_QUERY_KWARGS = {
-    "instances": ("workload-instances", "workers"),
-    "instance_type": ("workload-instance-type", "worker_type"),
-}
-#: Per-method legacy maps so the deprecation table can point each old
-#: spelling at the exact config override that replaces it.
-_SERVE_KWARGS = {
-    "instances": ("serve-instances", "workers"),
-    "instance_type": ("serve-instance-type", "worker_type"),
-}
-_DEGRADED_KWARGS = {
-    "instances": ("degraded-instances", "workers"),
-    "instance_type": ("degraded-instance-type", "worker_type"),
-}
-_INGEST_KWARGS = {
-    "instances": ("ingest-instances", "loaders"),
-    "instance_type": ("ingest-instance-type", "loader_type"),
-    "batch_size": ("ingest-batch-size", "batch_size"),
-}
-_INIT_KWARGS = {
-    "visibility_timeout": "warehouse-visibility-timeout",
-    "store_config": "warehouse-store-config",
-}
 
 
 @dataclass
@@ -164,6 +131,44 @@ class BuiltIndex:
     def stored_bytes(self) -> int:
         """Current billable index storage, ``s(D, I)``."""
         return self.store.stored_bytes(self.physical_tables)
+
+
+def _built_index(strategy: IndexingStrategy, store: IndexStore,
+                 table_names: Dict[str, str], phase: PhaseRecord,
+                 stats: Sequence[LoaderWorkerStats]) -> BuiltIndex:
+    """Roll one build phase's loader stats up into a ``BuiltIndex``."""
+    active = [s for s in stats if s.documents]
+    first_receive = min((s.first_receive for s in active
+                         if s.first_receive is not None),
+                        default=phase.started_at)
+    last_delete = max((s.last_delete for s in active),
+                      default=phase.ended_at)
+    physical = [table_names[t] for t in strategy.logical_tables]
+    report = IndexBuildReport(
+        strategy_name=strategy.name,
+        include_words=strategy.include_words,
+        tag=phase.tag,
+        instance_type=phase.instance_type,
+        instances=phase.instances,
+        documents=sum(s.documents for s in stats),
+        total_s=last_delete - first_receive,
+        avg_extraction_s=(sum(s.extraction_s for s in active)
+                          / len(active)) if active else 0.0,
+        avg_upload_s=(sum(s.upload_s for s in active)
+                      / len(active)) if active else 0.0,
+        puts=sum(s.writes.puts for s in stats),
+        items=sum(s.writes.items for s in stats),
+        batches=sum(s.writes.batches for s in stats),
+        entries=sum(s.extraction.entries for s in stats),
+        ids=sum(s.extraction.ids for s in stats),
+        paths=sum(s.extraction.paths for s in stats),
+        raw_bytes=store.raw_bytes(physical),
+        overhead_bytes=store.overhead_bytes(physical),
+        stored_bytes=store.stored_bytes(physical),
+        vm_hours=phase.vm_hours,
+    )
+    return BuiltIndex(strategy=strategy, store=store,
+                      table_names=table_names, report=report)
 
 
 @dataclass
@@ -262,31 +267,14 @@ class Warehouse:
     """A deployed warehouse on one simulated cloud."""
 
     def __init__(self, cloud: Optional[CloudProvider] = None,
-                 deployment: Optional[Any] = None, **legacy: Any) -> None:
+                 deployment: Optional[Any] = None) -> None:
         """Deploy a warehouse on ``cloud`` under one deployment config.
 
         ``deployment`` is a :class:`DeploymentConfig` (or a mapping of
-        field overrides over the default one).  The pre-config keywords
-        ``visibility_timeout=`` and ``store_config=`` still work but
-        emit a :class:`~repro.deprecations.ReproDeprecationWarning`; see
-        the migration table in DESIGN.md section 12.
+        field overrides over the default one).
         """
         self.cloud = cloud or CloudProvider()
         resolved = DeploymentConfig.resolve(DeploymentConfig(), deployment)
-        for key in sorted(legacy):
-            if key not in _INIT_KWARGS:
-                raise TypeError(
-                    "Warehouse() got an unexpected keyword argument "
-                    "{!r}".format(key))
-            warn_deprecated(_INIT_KWARGS[key])
-        if "visibility_timeout" in legacy:
-            resolved = resolved.override(
-                visibility_timeout=legacy["visibility_timeout"])
-        if "store_config" in legacy:
-            legacy_store = legacy["store_config"] or StoreConfig()
-            resolved = resolved.override(
-                shards=legacy_store.shards,
-                cache_bytes=legacy_store.cache_bytes)
         #: The deployment's frozen configuration: fleet shapes, store
         #: layout, queue lease, optional fault/autoscale/admission
         #: policies.  Per-call ``config=`` arguments override it.
@@ -360,30 +348,6 @@ class Warehouse:
             cloud = CloudProvider(fault_plan=resolved.faults)
         return cls(cloud=cloud, deployment=resolved)
 
-    def _resolve_deployment(self, config: Optional[Any],
-                            legacy: Dict[str, Any],
-                            mapping: Dict[str, Tuple[str, str]],
-                            method: str) -> DeploymentConfig:
-        """Per-call config: deployment ← ``config=`` ← legacy keywords.
-
-        Legacy keywords (the pre-config ``instances=`` spellings) are
-        honoured but warn; unknown keywords raise exactly like a normal
-        signature mismatch would.
-        """
-        resolved = DeploymentConfig.resolve(self.deployment, config)
-        overrides: Dict[str, Any] = {}
-        for key in sorted(legacy):
-            if key not in mapping:
-                raise TypeError(
-                    "{}() got an unexpected keyword argument {!r}".format(
-                        method, key))
-            dep_key, field = mapping[key]
-            warn_deprecated(dep_key, stacklevel=4)
-            overrides[field] = legacy[key]
-        if overrides:
-            resolved = resolved.override(**overrides)
-        return resolved
-
     # -- corpus upload -----------------------------------------------------------
 
     def upload_corpus(self, corpus: Corpus, tag: str = "upload") -> None:
@@ -404,7 +368,7 @@ class Warehouse:
 
     def build_index(self, strategy: Union[str, IndexingStrategy],
                     config: Optional[Any] = None, include_words: bool = True,
-                    tag: Optional[str] = None, **legacy: Any) -> BuiltIndex:
+                    tag: Optional[str] = None) -> BuiltIndex:
         """Build one strategy's index over the uploaded corpus.
 
         Launches ``config.loaders`` loader VMs of ``config.loader_type``,
@@ -414,8 +378,7 @@ class Warehouse:
         baseline of Tables 7-8).  ``config`` defaults to the
         deployment's config; a mapping overrides individual fields.
         """
-        cfg = self._resolve_deployment(config, legacy, _BUILD_KWARGS,
-                                       "build_index")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         instances = cfg.loaders
         instance_type = cfg.loader_type
         batch_size = cfg.batch_size
@@ -513,182 +476,16 @@ class Warehouse:
             with self.cloud.meter.tagged(tag):
                 self.cloud.env.run_process(
                     driver(), name="build-{}".format(strategy.name))
-        # Aggregate over every worker that ran, including crashed ones
-        # and their replacements: redone work is real work (and real
-        # cost), and a crashed worker's partial stats describe it.
-        stats: List[LoaderWorkerStats] = [w.stats for w in workers]
-        self.cloud.ec2.stop_all()
-        ended_at = self.cloud.env.now
-        phase = PhaseRecord(tag=tag, instance_type=instance_type,
-                            instances=instances, started_at=started_at,
-                            ended_at=ended_at)
-        self.phases.append(phase)
-
-        active = [s for s in stats if s.documents]
-        first_receive = min((s.first_receive for s in active
-                             if s.first_receive is not None),
-                            default=started_at)
-        last_delete = max((s.last_delete for s in active), default=ended_at)
-        physical = list(table_names.values())
-        report = IndexBuildReport(
-            strategy_name=strategy.name,
-            include_words=strategy.include_words,
-            tag=tag,
-            instance_type=instance_type,
-            instances=instances,
-            documents=sum(s.documents for s in stats),
-            total_s=last_delete - first_receive,
-            avg_extraction_s=(sum(s.extraction_s for s in active)
-                              / len(active)) if active else 0.0,
-            avg_upload_s=(sum(s.upload_s for s in active)
-                          / len(active)) if active else 0.0,
-            puts=sum(s.writes.puts for s in stats),
-            items=sum(s.writes.items for s in stats),
-            batches=sum(s.writes.batches for s in stats),
-            entries=sum(s.extraction.entries for s in stats),
-            ids=sum(s.extraction.ids for s in stats),
-            paths=sum(s.extraction.paths for s in stats),
-            raw_bytes=store.raw_bytes(physical),
-            overhead_bytes=store.overhead_bytes(physical),
-            stored_bytes=store.stored_bytes(physical),
-            vm_hours=phase.vm_hours,
-        )
-        return BuiltIndex(strategy=strategy, store=store,
-                          table_names=table_names, report=report)
-
-    def ingest_increment(self, increment: Corpus,
-                         indexes: Sequence[BuiltIndex],
-                         config: Optional[Any] = None,
-                         tag: Optional[str] = None,
-                         **legacy: Any) -> List[IndexBuildReport]:
-        """Incrementally warehouse newly-arrived documents (steps 1-6).
-
-        The paper's indexes "only depend on data", so new documents
-        extend existing indexes without rebuilds: each increment
-        document is stored in S3, a load request is posted, and loader
-        workers extract entries into the *existing* tables of every
-        index in ``indexes``.  Returns one report per extended index.
-        The loader fleet comes from ``config`` (``loaders`` /
-        ``loader_type`` / ``batch_size``), defaulting to the
-        deployment's.
-        """
-        cfg = self._resolve_deployment(config, legacy, _INGEST_KWARGS,
-                                       "ingest_increment")
-        instances = cfg.loaders
-        instance_type = cfg.loader_type
-        batch_size = cfg.batch_size
-        if self.corpus is None:
-            raise WarehouseError(
-                "upload_corpus() must run before ingest_increment()")
-        duplicate = set(self.corpus.data) & set(increment.data)
-        if duplicate:
-            raise WarehouseError(
-                "increment re-uses existing URIs: {}".format(
-                    sorted(duplicate)[:3]))
-        tag = tag or "ingest:{}".format(len(increment))
-
-        # Extend the warehouse's view of the corpus.
-        self.corpus = Corpus(
-            documents=self.corpus.documents + increment.documents,
-            data={**self.corpus.data, **increment.data},
-            kinds={**self.corpus.kinds, **increment.kinds},
-            restructured=self.corpus.restructured + increment.restructured,
-            heterogenized=(self.corpus.heterogenized
-                           + increment.heterogenized))
-        self._all_uris.extend(doc.uri for doc in increment.documents)
-        self._parse_cache.update(
-            {doc.uri: doc for doc in increment.documents})
-
-        reports: List[IndexBuildReport] = []
-        with self._span("ingest-store", documents=len(increment)):
-            with self.cloud.meter.tagged(tag):
-                # Steps 1-2: the front end stores the arriving documents.
-                def store_driver() -> Generator[Any, Any, None]:
-                    for document in increment.documents:
-                        yield from self.frontend.store_document(
-                            document.uri, increment.data[document.uri])
-                self.cloud.env.run_process(store_driver(),
-                                           name="ingest-store")
-
-        for built in indexes:
-            reports.append(self._index_increment(
-                built, increment, instances, instance_type, batch_size,
-                tag="{}:{}".format(tag, built.strategy.name)))
-        return reports
-
-    def _index_increment(self, built: BuiltIndex, increment: Corpus,
-                         instances: int, instance_type: str,
-                         batch_size: int, tag: str) -> IndexBuildReport:
-        """Run loader workers over the increment into existing tables."""
-        fleet = self.cloud.ec2.launch_fleet(instance_type, instances)
-        workers = [IndexerWorker(self.cloud, instance, built.store,
-                                 built.strategy, built.table_names,
-                                 DOCUMENT_BUCKET, batch_size=batch_size)
-                   for instance in fleet]
-
-        def driver() -> Generator[Any, Any, List[LoaderWorkerStats]]:
-            procs = [self.cloud.env.process(worker.run(),
-                                            name="ingest-loader-{}".format(i))
-                     for i, worker in enumerate(workers)]
-            sends = [self.cloud.env.process(
-                self.frontend.request_load(document.uri),
-                name="ingest-send-{}".format(document.uri))
-                for document in increment.documents]
-            for send in sends:
-                yield send
-            for _ in workers:
-                yield from self.cloud.resilient.sqs.send(
-                    LOADER_QUEUE, StopWorker())
-            results: List[LoaderWorkerStats] = []
-            for proc in procs:
-                results.append((yield proc))
-            return results
-
-        started_at = self.cloud.env.now
-        with self._span("ingest-index", strategy=built.strategy.name):
-            with self.cloud.meter.tagged(tag):
-                stats = self.cloud.env.run_process(
-                    driver(), name="ingest-{}".format(built.strategy.name))
         self.cloud.ec2.stop_all()
         phase = PhaseRecord(tag=tag, instance_type=instance_type,
                             instances=instances, started_at=started_at,
                             ended_at=self.cloud.env.now)
         self.phases.append(phase)
-        active = [s for s in stats if s.documents]
-        first_receive = min((s.first_receive for s in active
-                             if s.first_receive is not None),
-                            default=started_at)
-        last_delete = max((s.last_delete for s in active),
-                          default=self.cloud.env.now)
-        physical = built.physical_tables
-        report = IndexBuildReport(
-            strategy_name=built.strategy.name,
-            include_words=built.strategy.include_words,
-            tag=tag,
-            instance_type=instance_type,
-            instances=instances,
-            documents=sum(s.documents for s in stats),
-            total_s=last_delete - first_receive,
-            avg_extraction_s=(sum(s.extraction_s for s in active)
-                              / len(active)) if active else 0.0,
-            avg_upload_s=(sum(s.upload_s for s in active)
-                          / len(active)) if active else 0.0,
-            puts=sum(s.writes.puts for s in stats),
-            items=sum(s.writes.items for s in stats),
-            batches=sum(s.writes.batches for s in stats),
-            entries=sum(s.extraction.entries for s in stats),
-            ids=sum(s.extraction.ids for s in stats),
-            paths=sum(s.extraction.paths for s in stats),
-            raw_bytes=built.store.raw_bytes(physical),
-            overhead_bytes=built.store.overhead_bytes(physical),
-            stored_bytes=built.store.stored_bytes(physical),
-            vm_hours=phase.vm_hours,
-        )
-        # Keep the handle's report in sync with the grown index.
-        built.report.raw_bytes = report.raw_bytes
-        built.report.overhead_bytes = report.overhead_bytes
-        built.report.stored_bytes = report.stored_bytes
-        return report
+        # Aggregate over every worker that ran, including crashed ones
+        # and their replacements: redone work is real work (and real
+        # cost), and a crashed worker's partial stats describe it.
+        return _built_index(strategy, store, table_names, phase,
+                            [w.stats for w in workers])
 
     def drop_index(self, built: BuiltIndex) -> int:
         """Delete an index's tables, ending its storage rent.
@@ -751,7 +548,7 @@ class Warehouse:
     def plan_build(self, strategy: Union[str, IndexingStrategy],
                    name: Optional[str] = None,
                    config: Optional[Any] = None,
-                   include_words: bool = True, **legacy: Any) -> Any:
+                   include_words: bool = True) -> Any:
         """Plan a checkpointed build of the next epoch of ``name``.
 
         The corpus is partitioned into fixed-composition batches *now*,
@@ -761,8 +558,7 @@ class Warehouse:
         """
         from repro.consistency import Manifest
         from repro.consistency.build import BuildPlan, partition_batches
-        cfg = self._resolve_deployment(config, legacy, _BUILD_KWARGS,
-                                       "plan_build")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         instances = cfg.loaders
         instance_type = cfg.loader_type
         batch_size = cfg.batch_size
@@ -875,16 +671,17 @@ class Warehouse:
                     driver(), name="ckpt-build-{}".format(plan.name))
         stats = [worker.stats for worker in workers]
         self.cloud.ec2.stop_all()
-        self.phases.append(PhaseRecord(
+        phase = PhaseRecord(
             tag=tag, instance_type=plan.instance_type,
             instances=plan.instances, started_at=started_at,
-            ended_at=self.cloud.env.now))
+            ended_at=self.cloud.env.now)
+        self.phases.append(phase)
         return BuildRunResult(
             plan=plan, interrupted=interrupted[0],
             enqueued=counters["enqueued"],
             applied_batches=counters["applied"],
             skipped_batches=sum(s.skipped_batches for s in stats),
-            worker_stats=stats, store=store)
+            worker_stats=stats, store=store, phase=phase)
 
     def commit_build(self, plan: Any, tag: Optional[str] = None) -> Any:
         """Commit a fully-applied plan: inventories + atomic epoch flip."""
@@ -935,55 +732,22 @@ class Warehouse:
         metering), so byte totals are authoritative while timing covers
         the run that finished the job.
         """
-        stats: List[LoaderWorkerStats] = list(result.worker_stats)
-        phase = self.phases[-1] if self.phases else None
-        active = [s for s in stats if s.documents]
-        first_receive = min((s.first_receive for s in active
-                             if s.first_receive is not None), default=0.0)
-        last_delete = max((s.last_delete for s in active),
-                          default=first_receive)
-        store = result.store
-        physical = [plan.table_names[t]
-                    for t in plan.strategy.logical_tables]
-        report = IndexBuildReport(
-            strategy_name=plan.strategy.name,
-            include_words=plan.strategy.include_words,
-            tag=phase.tag if phase else "",
-            instance_type=plan.instance_type,
-            instances=plan.instances,
-            documents=sum(s.documents for s in stats),
-            total_s=last_delete - first_receive,
-            avg_extraction_s=(sum(s.extraction_s for s in active)
-                              / len(active)) if active else 0.0,
-            avg_upload_s=(sum(s.upload_s for s in active)
-                          / len(active)) if active else 0.0,
-            puts=sum(s.writes.puts for s in stats),
-            items=sum(s.writes.items for s in stats),
-            batches=sum(s.writes.batches for s in stats),
-            entries=sum(s.extraction.entries for s in stats),
-            ids=sum(s.extraction.ids for s in stats),
-            paths=sum(s.extraction.paths for s in stats),
-            raw_bytes=store.raw_bytes(physical),
-            overhead_bytes=store.overhead_bytes(physical),
-            stored_bytes=store.stored_bytes(physical),
-            vm_hours=phase.vm_hours if phase else 0.0,
-        )
-        return BuiltIndex(strategy=plan.strategy, store=store,
-                          table_names=dict(plan.table_names), report=report)
+        return _built_index(plan.strategy, result.store,
+                            dict(plan.table_names), result.phase,
+                            result.worker_stats)
 
     def build_index_checkpointed(self, strategy: Union[str, IndexingStrategy],
                                  name: Optional[str] = None,
                                  config: Optional[Any] = None,
                                  include_words: bool = True,
-                                 tag: Optional[str] = None,
-                                 **legacy: Any) -> Tuple[BuiltIndex, Any]:
+                                 tag: Optional[str] = None
+                                 ) -> Tuple[BuiltIndex, Any]:
         """One-call checkpointed build: plan → run → commit.
 
         Returns the ``BuiltIndex`` handle plus the committed
         :class:`~repro.consistency.manifest.EpochRecord`.
         """
-        cfg = self._resolve_deployment(config, legacy, _BUILD_KWARGS,
-                                       "build_index_checkpointed")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         plan = self.plan_build(strategy, name=name, config=cfg,
                                include_words=include_words)
         result = self.run_build(plan, tag=tag)
@@ -1027,8 +791,7 @@ class Warehouse:
                               indexes: Sequence[BuiltIndex],
                               config: Optional[Any] = None,
                               repeats: int = 1, pipeline: bool = False,
-                              tag: Optional[str] = None,
-                              **legacy: Any) -> WorkloadReport:
+                              tag: Optional[str] = None) -> WorkloadReport:
         """Run a workload over a graceful-degradation chain of indexes.
 
         The chain tries the highest-ranked healthy candidate per
@@ -1036,8 +799,7 @@ class Warehouse:
         scan when nothing is usable; every downgrade is metered.
         """
         from repro.consistency import DegradedIndexChain
-        cfg = self._resolve_deployment(config, legacy, _DEGRADED_KWARGS,
-                                       "run_degraded_workload")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         chain = DegradedIndexChain(self.cloud, list(indexes),
                                    self._all_uris, health=self.health)
         tag = tag or "workload:degraded:{}x{}".format(
@@ -1052,8 +814,7 @@ class Warehouse:
                      index: Optional[BuiltIndex],
                      config: Optional[Any] = None,
                      repeats: int = 1, pipeline: bool = False,
-                     tag: Optional[str] = None,
-                     **legacy: Any) -> WorkloadReport:
+                     tag: Optional[str] = None) -> WorkloadReport:
         """Run ``queries`` (``repeats`` times) over ``config.workers`` VMs.
 
         With ``index=None`` the no-index baseline runs: every document
@@ -1067,8 +828,7 @@ class Warehouse:
         Figure 10 ("we sent to the front-end all our workload queries,
         successively, 16 times").
         """
-        cfg = self._resolve_deployment(config, legacy, _QUERY_KWARGS,
-                                       "run_workload")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         instances = cfg.workers
         instance_type = cfg.worker_type
         if self.corpus is None:
@@ -1198,10 +958,9 @@ class Warehouse:
 
     def run_query(self, query: Query, index: Optional[BuiltIndex],
                   config: Optional[Any] = None,
-                  tag: Optional[str] = None, **legacy: Any) -> QueryExecution:
+                  tag: Optional[str] = None) -> QueryExecution:
         """Run a single query on a single instance."""
-        cfg = self._resolve_deployment(config, legacy, _QUERY_KWARGS,
-                                       "run_query")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         report = self.run_workload([query], index,
                                    config=cfg.override(workers=1), tag=tag)
         return report.executions[0]
@@ -1213,7 +972,7 @@ class Warehouse:
               degraded_indexes: Optional[Sequence[BuiltIndex]] = None,
               queries: Optional[Dict[str, Query]] = None,
               background: Optional[Sequence[Any]] = None,
-              tag: Optional[str] = None, **legacy: Any) -> Any:
+              tag: Optional[str] = None) -> Any:
         """Serve an *open* workload: traffic, admission, elastic fleet.
 
         ``traffic`` is a :class:`~repro.serving.traffic.TrafficProfile`
@@ -1237,8 +996,7 @@ class Warehouse:
         from repro.serving.traffic import TrafficProfile
         if self.corpus is None:
             raise WarehouseError("upload_corpus() must run before serve()")
-        cfg = self._resolve_deployment(config, legacy, _SERVE_KWARGS,
-                                       "serve")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         if isinstance(traffic, dict):
             traffic = TrafficProfile(**traffic)
         runtime = ServingRuntime(self, traffic, index, cfg,
@@ -1292,8 +1050,7 @@ class Warehouse:
         returns see them (read-your-writes).  Returns the priced
         :class:`~repro.mutations.live.DeltaReport`.
         """
-        cfg = self._resolve_deployment(config, {}, _BUILD_KWARGS,
-                                       "add_documents")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         tag = tag or "ingest:{}:m{:04d}:add".format(
             live.name, next(self._mutation_ids))
         return self._run_mutation(
@@ -1323,8 +1080,7 @@ class Warehouse:
         document — never a blend.  Returns the priced
         :class:`~repro.mutations.live.DeltaReport`.
         """
-        cfg = self._resolve_deployment(config, {}, _BUILD_KWARGS,
-                                       "update_document")
+        cfg = DeploymentConfig.resolve(self.deployment, config)
         tag = tag or "ingest:{}:m{:04d}:update".format(
             live.name, next(self._mutation_ids))
         return self._run_mutation(

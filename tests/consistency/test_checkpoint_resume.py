@@ -10,6 +10,7 @@ import pytest
 from repro.config import ScaleProfile
 from repro.errors import BuildStateError
 from repro.faults.scenarios import physical_snapshot
+from repro.query.workload import workload_query
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -88,6 +89,22 @@ def test_resume_reenqueues_only_missing_batches(corpus):
     assert result.enqueued == len(plan.batches) - survived
     assert result.applied_batches == len(plan.batches)
     assert record is not None
+
+
+@pytest.mark.scrub
+def test_build_report_describes_the_build_not_the_last_phase(corpus):
+    warehouse = fresh_warehouse(corpus)
+    plan = warehouse.plan_build("LU", config={"batch_size": BATCH_SIZE,
+                                              "loaders": 2})
+    warehouse.run_build(plan, interrupt_after_s=1.0)
+    result, _ = warehouse.resume_build(plan)
+    build_phase = warehouse.phases[-1]
+    # Any later phase must not leak into the build's report.
+    warehouse.run_workload([workload_query("q1")], None)
+    report = warehouse.built_index_from(plan, result).report
+    assert report.tag == build_phase.tag == "index-build:LU:e1"
+    assert report.vm_hours == build_phase.vm_hours
+    assert (report.instances, report.instance_type) == (2, "l")
 
 
 @pytest.mark.scrub

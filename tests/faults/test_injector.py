@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.deprecations import ReproDeprecationWarning
-
 from repro.errors import ThroughputExceeded, TransientServiceError
 from repro.faults import FaultDomain, FaultInjector, FaultPlan
 from repro.sim import Environment, Meter
+from repro.telemetry import TelemetryHub, counter_dict
 
 
 def make_injector(plan, service="s3", env=None, meter=None):
@@ -112,12 +111,13 @@ def test_fault_counts_and_events_merge_across_services():
             .transient_errors("s3", rate=1.0)
             .latency_spike("sqs", extra_s=0.1, rate=1.0))
     env, meter = Environment(), Meter()
+    hub = TelemetryHub(env, meter=meter)
     domain = FaultDomain(plan, env, meter)
     with pytest.raises(TransientServiceError):
         drive(env, domain.injector_for("s3").perturb("get"))
     drive(env, domain.injector_for("sqs").perturb("send"))
-    with pytest.warns(ReproDeprecationWarning, match="faults_injected_total"):
-        assert domain.fault_counts() == {"s3:error": 1, "sqs:latency": 1}
+    assert counter_dict(hub.registry, "faults_injected_total") == {
+        "s3:error": 1, "sqs:latency": 1}
     events = domain.events()
     assert [e.kind for e in events] == ["error", "latency"]
     assert events[0].time <= events[1].time

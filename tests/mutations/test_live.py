@@ -62,6 +62,10 @@ def test_add_documents_is_read_your_writes_and_priced():
     assert report.documents == len(increment)
     assert report.puts > 0 and report.entries > 0
     assert len(live.deltas) == 1
+    # The add is its own metered phase under the report's tag.
+    assert report.tag.startswith("ingest:")
+    assert warehouse.phases[-1].tag == report.tag
+    assert warehouse.cloud.meter.records(tag_prefix=report.tag)
     # The very next query through the same handle sees the delta.
     after = query_rows(warehouse, live)
     assert after.docs_from_index > before.docs_from_index

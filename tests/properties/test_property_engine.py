@@ -63,35 +63,6 @@ def test_parent_child_join_is_subset_of_descendant_join(document):
 
 
 @given(documents(), st.sampled_from(PATTERN_TEXTS))
-@settings(max_examples=100)
-def test_full_twigstack_agrees_with_existence_join(document, pattern_text):
-    """The full path-enumerating TwigStack and the existence-check
-    holistic join decide the same documents — and every enumerated
-    match is a valid embedding."""
-    from repro.engine.twigstack_full import TwigStack
-
-    pattern = parse_pattern(pattern_text)
-    occurrences = collect_occurrences(document, include_words=False)
-    streams = {}
-    for node in pattern.iter_nodes():
-        group = occurrences.get(element_key(node.label))
-        streams[id(node)] = list(group.ids) if group else []
-    full = TwigStack(pattern, streams)
-    exists = HolisticTwigJoin(pattern, streams)
-    matches = full.twig_matches()
-    assert bool(matches) == exists.matches()
-    for match in matches:
-        for node in pattern.iter_nodes():
-            for child in node.children:
-                parent_id = match[id(node)]
-                child_id = match[id(child)]
-                if child.axis is Axis.CHILD:
-                    assert parent_id.is_parent_of(child_id)
-                else:
-                    assert parent_id.is_ancestor_of(child_id)
-
-
-@given(documents(), st.sampled_from(PATTERN_TEXTS))
 @settings(max_examples=80)
 def test_twig_matching_roots_really_match(document, pattern_text):
     """Every root the twig join reports can be verified structurally."""

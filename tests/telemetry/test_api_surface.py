@@ -56,13 +56,13 @@ def test_removed_name_is_reported_as_break(tmp_path):
 def test_signature_change_is_reported_as_break(tmp_path):
     with open(SNAPSHOT, "r", encoding="utf-8") as handle:
         surface = json.load(handle)
-    entry = surface["repro.telemetry"]["parse_tag"]
-    entry["parameters"] = ["tag", "span_id", "gone"]
+    entry = surface["repro.telemetry"]["counter_dict"]
+    entry["parameters"] = ["registry", "name", "gone"]
     doctored = tmp_path / "surface.json"
     doctored.write_text(json.dumps(surface))
     proc = run_checker("--snapshot", str(doctored))
     assert proc.returncode == 1
-    assert "parse_tag parameters changed" in proc.stdout
+    assert "counter_dict parameters changed" in proc.stdout
 
 
 def test_additions_do_not_break(tmp_path):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import Environment, Meter
-from repro.deprecations import ReproDeprecationWarning
-from repro.telemetry import Attribution, TelemetryHub, parse_tag
+from repro.telemetry import Attribution, TelemetryHub
 
 pytestmark = pytest.mark.telemetry
 
@@ -35,12 +34,6 @@ def test_from_tag_carries_span_id():
     attribution = Attribution.from_tag("query:q7", span_id=42)
     assert attribution.span_id == 42
     assert attribution.query == "q7"
-
-
-def test_parse_tag_still_works_but_warns():
-    with pytest.warns(ReproDeprecationWarning, match="Attribution.from_tag"):
-        attribution = parse_tag("query:q7", span_id=42)
-    assert attribution == Attribution.from_tag("query:q7", span_id=42)
 
 
 def test_meter_accepts_attribution_in_tagged():

@@ -1,48 +1,24 @@
-"""Deployment API: legacy keyword shims round-trip through the config.
+"""Deployment API: one spelling per job.
 
-Every pre-config spelling must still *work* — same behaviour, routed
-through :class:`DeploymentConfig` — while emitting the registered
-:class:`ReproDeprecationWarning` (the suite escalates these to errors,
-so in-repo code can never rely on one).
+Fleet shapes, store layout and queue leases reach the warehouse through
+:class:`DeploymentConfig` (``deployment=`` / ``config=``) and nothing
+else: the per-method keyword spellings are gone, so a stray keyword is
+an ordinary ``TypeError``.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.config import ScaleProfile
-from repro.deprecations import ReproDeprecationWarning
-from repro.query.workload import workload_query
-from repro.store import StoreConfig
 from repro.warehouse import Warehouse
-from repro.xmark import generate_corpus
+from repro.warehouse.frontend import Frontend
 
 pytestmark = pytest.mark.serving
 
-DOCUMENTS = 8
-SEED = 303
-
-
-def _corpus():
-    return generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED))
-
 
 class TestConstructorShims:
-    def test_visibility_timeout_keyword_still_works(self):
-        with pytest.warns(ReproDeprecationWarning,
-                          match="visibility_timeout"):
-            warehouse = Warehouse(visibility_timeout=7.0)
-        assert warehouse.deployment.visibility_timeout == 7.0
-        assert warehouse.visibility_timeout == 7.0
-
-    def test_store_config_keyword_still_works(self):
-        with pytest.warns(ReproDeprecationWarning, match="store_config"):
-            warehouse = Warehouse(
-                store_config=StoreConfig(shards=3, cache_bytes=1 << 20))
-        assert warehouse.deployment.shards == 3
-        assert warehouse.deployment.cache_bytes == 1 << 20
-        assert warehouse.index_cache is not None
-
     def test_unknown_keyword_raises_like_a_signature_mismatch(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             Warehouse(bogus=1)
@@ -53,46 +29,13 @@ class TestConstructorShims:
         assert warehouse.deployment.loaders == 3
 
 
-class TestMethodShims:
-    @pytest.fixture
-    def warehouse(self):
-        warehouse = Warehouse()
-        warehouse.upload_corpus(_corpus())
-        return warehouse
-
-    def test_build_index_instances_keyword(self, warehouse):
-        with pytest.warns(ReproDeprecationWarning, match="loaders"):
-            index = warehouse.build_index("LU", instances=2)
-        assert index.report.instances == 2
-
-    def test_build_index_legacy_overrides_config(self, warehouse):
-        with pytest.warns(ReproDeprecationWarning, match="loaders"):
-            index = warehouse.build_index(
-                "LU", config={"loaders": 4}, instances=2)
-        assert index.report.instances == 2
-
-    def test_run_workload_instances_keyword(self, warehouse):
-        index = warehouse.build_index("LU", config={"loaders": 2})
-        with pytest.warns(ReproDeprecationWarning, match="workers"):
-            report = warehouse.run_workload(
-                [workload_query("q1")], index, instances=2)
-        assert report.instances == 2
-
-
-class TestRetiredCounterShims:
-    def test_resilient_client_retry_counts_warns(self):
-        from repro.cloud import CloudProvider
-        from repro.resilience import ResilientClient, RetryPolicy
-        cloud = CloudProvider()
-        client = ResilientClient(cloud.env, cloud.meter, RetryPolicy())
-        with pytest.warns(ReproDeprecationWarning,
-                          match="retries_total"):
-            counts = client.retry_counts()
-        assert counts == {}
-
-    def test_health_registry_downgrade_counts_warns(self):
-        warehouse = Warehouse()
-        with pytest.warns(ReproDeprecationWarning,
-                          match="downgrades_total"):
-            counts = warehouse.health.downgrade_counts()
-        assert counts == {}
+def test_no_public_method_swallows_arbitrary_keywords():
+    """A ``**kwargs`` catch-all is how a second spelling creeps back."""
+    offenders = [
+        "{}.{}".format(cls.__name__, name)
+        for cls in (Warehouse, Frontend)
+        for name, member in inspect.getmembers(cls, inspect.isfunction)
+        if (not name.startswith("_") or name == "__init__")
+        and any(p.kind is inspect.Parameter.VAR_KEYWORD
+                for p in inspect.signature(member).parameters.values())]
+    assert offenders == []

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.deprecations import ReproDeprecationWarning
 from repro.tenancy import QueryRequest as Envelope
 from repro.warehouse.frontend import Frontend
 from repro.warehouse.messages import (LOADER_QUEUE, QUERY_QUEUE,
@@ -84,11 +83,3 @@ def test_tenant_rides_the_wire_request(cloud, frontend):
     assert body.tenant == "acme"
 
 
-def test_submit_query_shim_warns_and_delegates(cloud, frontend):
-    def scenario():
-        with pytest.warns(ReproDeprecationWarning):
-            query_id = yield from frontend.submit_query("//a", name="q1")
-        return query_id
-    query_id = cloud.env.run_process(scenario())
-    assert query_id >= 0
-    assert cloud.sqs.approximate_depth(QUERY_QUEUE) == 1

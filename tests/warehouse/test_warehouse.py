@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ScaleProfile
-from repro.errors import ConfigError, WarehouseError
+from repro.errors import ConfigError, NoSuchTable, WarehouseError
 from repro.query.workload import workload_query
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -144,3 +144,13 @@ class TestRunWorkload:
         grouped = report.by_name()
         assert len(grouped["q1"]) == 2
         assert len(grouped["q2"]) == 2
+
+
+def test_drop_index_frees_storage(warehouse):
+    built = warehouse.build_index("LU", config={"loaders": 2})
+    stored = built.stored_bytes()
+    assert stored > 0
+    freed = warehouse.drop_index(built)
+    assert freed == stored
+    with pytest.raises(NoSuchTable):
+        warehouse.cloud.dynamodb.table(built.physical_tables[0])
