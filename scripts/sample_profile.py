@@ -22,7 +22,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
-          "_build_report", "record")  # ``record`` is Meter.record
+          "_build_report", "record",  # ``record`` is Meter.record
+          # The write side (``ingest-live``, ``build-2lupi``): the
+          # compaction fold, the epoch commit, one query end to end
+          # (the serve-side names above are nested in it and win) and
+          # one document's fetch + parse + extract.
+          "_fold_unit", "commit", "_process", "_extract")
 INTERVAL_S = 0.001
 ROUNDS = 5
 

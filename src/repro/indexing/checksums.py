@@ -31,10 +31,27 @@ CHECKSUM_ATTR = "#crc"
 META_ATTR_PREFIX = "#"
 
 
-def _value_bytes(value: AttrValue) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    return value.encode("utf-8")
+def key_prefix(hash_key: str) -> bytes:
+    """The canonical form's leading field (the length counts the key's
+    characters: every stored range key and checksum depends on it)."""
+    return b"k%d:%b" % (len(hash_key), hash_key.encode("utf-8"))
+
+
+def attribute_piece(name: str, values: Sequence[AttrValue],
+                    ) -> Tuple[bytes, int]:
+    """One attribute's *piece* of the canonical form, ``a<len>:<name>``
+    then ``v<len>:<value>`` per value, and its billable bytes
+    (:func:`repro.cloud.dynamodb.attribute_size`), both from one utf-8
+    encode per string.  A ``#``-prefixed bookkeeping attribute has an
+    empty piece: the form is stable under stamping the checksum."""
+    encoded = name.encode()
+    size = len(encoded)
+    piece = b"a%d:%b" % (size, encoded)
+    for value in values:
+        raw = value if isinstance(value, bytes) else value.encode()
+        piece += b"v%d:%b" % (len(raw), raw)
+        size += len(raw)
+    return (b"" if name.startswith(META_ATTR_PREFIX) else piece), size
 
 
 def canonical_item_bytes(hash_key: str,
@@ -42,21 +59,14 @@ def canonical_item_bytes(hash_key: str,
                          ) -> bytes:
     """Canonical byte form of an item's index content.
 
-    Attribute names are sorted and ``#``-prefixed bookkeeping attributes
-    are excluded, so the form is stable under dict ordering and under
-    stamping the checksum itself.  Length-prefixed fields keep the
+    The key prefix, then one :func:`attribute_piece` per attribute in
+    sorted name order (nothing for bookkeeping attributes), so the form
+    is stable under dict ordering.  Length-prefixed fields keep the
     encoding injective (no concatenation ambiguity).
     """
-    parts = [b"k%d:" % len(hash_key), hash_key.encode("utf-8")]
-    for name in sorted(attributes):
-        if name.startswith(META_ATTR_PREFIX):
-            continue
-        encoded = name.encode("utf-8")
-        parts += (b"a%d:" % len(encoded), encoded)
-        for value in attributes[name]:
-            raw = _value_bytes(value)
-            parts += (b"v%d:" % len(raw), raw)
-    return b"".join(parts)
+    return key_prefix(hash_key) + b"".join(
+        [attribute_piece(name, attributes[name])[0]
+         for name in sorted(attributes)])
 
 
 def checksum_of(canonical: bytes) -> str:
@@ -109,7 +119,6 @@ def batch_content_hash(canonical_forms: Sequence[bytes]) -> str:
     """
     digest = hashlib.sha256()
     for form in canonical_forms:
-        digest.update(str(len(form)).encode("ascii"))
-        digest.update(b":")
+        digest.update(b"%d:" % len(form))
         digest.update(form)
     return digest.hexdigest()

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.cloud.dynamodb import attribute_size
+from repro.indexing.checksums import AttrValue, attribute_piece
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key, text_word_keys)
 from repro.xmldb.ids import NodeID
@@ -49,6 +51,30 @@ class IndexEntry:
         if self.ids:
             return "ids"
         return "presence"
+
+
+class Posting:
+    """An index tuple in *stored form*: ``values`` is exactly what the
+    store holds under attribute ``uri`` of an item of ``key`` — ``()``,
+    the label paths, or one encoded ID blob.  The write side packs and
+    hashes this shape, and a compaction carries it from scan to put.
+
+    A ``canonical`` posting is born with its :func:`attribute_piece`
+    and its billable ``attr_bytes`` from one utf-8 encode per value;
+    one for a store that stamps no checksum is only sized.
+    """
+
+    __slots__ = ("key", "uri", "values", "attr_bytes", "piece")
+
+    def __init__(self, key: str, uri: str, values: Tuple[AttrValue, ...],
+                 canonical: bool = True) -> None:
+        self.key = key
+        self.uri = uri
+        self.values = values
+        if canonical:
+            self.piece, self.attr_bytes = attribute_piece(uri, values)
+        else:
+            self.piece, self.attr_bytes = None, attribute_size(uri, values)
 
 
 @dataclass

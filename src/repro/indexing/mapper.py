@@ -29,7 +29,7 @@ import abc
 import random
 from dataclasses import dataclass
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES, attribute_size,
@@ -39,10 +39,10 @@ from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
 from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
-                                      batch_content_hash,
-                                      canonical_item_bytes, checksum_of,
-                                      item_checksum, range_key_of, uuid4_text)
-from repro.indexing.entries import IndexEntry
+                                      batch_content_hash, checksum_of,
+                                      item_checksum, key_prefix,
+                                      range_key_of, uuid4_text)
+from repro.indexing.entries import IndexEntry, Posting
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
 from repro.xmldb.ids import NodeID
@@ -121,20 +121,39 @@ class IndexStore(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
-def _encode_payload(entry: IndexEntry) -> Tuple[Any, ...]:
-    """The entry's stored attribute values.  An ID list is encoded
-    once: the blob is kept on the (frozen) entry outside its fields, so
-    the packer and the batch ledger's hash share it."""
-    if not entry.ids:
-        return tuple(entry.paths)
-    values = getattr(entry, "_encoded_ids", None)
-    if values is None:
-        values = (encode_ids(entry.ids),)
-        object.__setattr__(entry, "_encoded_ids", values)
-    return values
+_Entries = Sequence[Union[IndexEntry, Posting]]
 
 
-def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
+def stored_postings(entries: _Entries, canonical: bool = True,
+                    ) -> List[Posting]:
+    """A batch in stored form: an entry is encoded here, once (an ID
+    list to one blob); a posting, converted earlier, passes through."""
+    return [entry if entry.__class__ is Posting else Posting(
+                entry.key, entry.uri,
+                (encode_ids(entry.ids),) if entry.ids else tuple(entry.paths),
+                canonical)
+            for entry in entries]
+
+
+def _canonical(hash_key: str, held: Mapping[str, Posting]) -> bytes:
+    """The canonical form of the item holding exactly these postings
+    (by attribute name), joined from their pieces."""
+    return key_prefix(hash_key) + b"".join(
+        [held[name].piece for name in sorted(held)])
+
+
+def _check_stamp(physical_name: str, item: DynamoItem, actual: str) -> None:
+    """Raise unless the item's stamped checksum is ``actual``."""
+    stamped = item.attributes[CHECKSUM_ATTR][0]
+    if stamped != actual:
+        raise IntegrityError(
+            "checksum mismatch in {} at ({!r}, {!r}): "
+            "stamped {} != computed {}".format(
+                physical_name, item.hash_key, item.range_key,
+                stamped, actual))
+
+
+def batch_entries_hash(extracted: Mapping[str, _Entries]) -> str:
     """Content hash of one loader batch's extracted entries.
 
     Hashes the encoded payloads (what actually lands in the store), per
@@ -146,9 +165,12 @@ def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
     forms = []
     for logical_table in sorted(extracted):
         prefix = logical_table.encode("utf-8") + b"\x00"
-        for entry in extracted[logical_table]:
-            forms.append(prefix + canonical_item_bytes(
-                entry.key, {entry.uri: _encode_payload(entry)}))
+        key = head = None
+        for posting in stored_postings(extracted[logical_table]):
+            if posting.key != key:
+                key = posting.key
+                head = prefix + key_prefix(key)
+            forms.append(head + posting.piece)
     return batch_content_hash(forms)
 
 
@@ -178,20 +200,22 @@ class DynamoIndexStore(IndexStore):
         """A UUID range key ([20]); seeded for reproducible runs."""
         return uuid4_text(self._rng.getrandbits(128))
 
-    def _finish_item(self, hash_key: str, attrs: Dict[str, Tuple[Any, ...]],
+    def _finish_item(self, hash_key: str, held: Dict[str, Posting],
                      attr_bytes: int, uri_key: str = "") -> DynamoItem:
-        """Close an item under the mode's range-key discipline.
+        """Close an item over the postings it holds (by URI), under the
+        mode's range-key discipline.
 
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
-        the write idempotent and scrub-verifiable (one canonical form
-        feeds both); ``attribute`` uses ``uri_key``.  The item takes
-        ``attrs`` over and is born with the size the packer budgeted.
+        the write idempotent and scrub-verifiable (one canonical form,
+        joined from the postings' pieces, feeds both); ``attribute``
+        uses ``uri_key``.  The item is born with the size budgeted.
         """
+        attrs = {uri: posting.values for uri, posting in held.items()}
         if self.range_key_mode == "attribute":
             return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
         if self.range_key_mode == "content":
-            canonical = canonical_item_bytes(hash_key, attrs)
+            canonical = _canonical(hash_key, held)
             checksum = (checksum_of(canonical),)
             attrs[CHECKSUM_ATTR] = checksum
             return DynamoItem.sized(
@@ -205,25 +229,26 @@ class DynamoIndexStore(IndexStore):
 
     # -- writes -------------------------------------------------------------
 
-    def _entry_items(self, entry: IndexEntry) -> List[DynamoItem]:
-        """Items for one entry, splitting oversized payloads."""
-        values = _encode_payload(entry)
-        attr_bytes = attribute_size(entry.uri, values)
-        value_bytes = attr_bytes - value_size(entry.uri)
+    def _posting_items(self, posting: Posting) -> List[DynamoItem]:
+        """Items for one posting alone, splitting an oversized payload."""
+        key, uri, values = posting.key, posting.uri, posting.values
+        value_bytes = posting.attr_bytes - value_size(uri)
         if value_bytes <= _ITEM_BUDGET:
-            return [self._finish_item(entry.key, {entry.uri: values},
-                                      attr_bytes, entry.uri)]
+            return [self._finish_item(key, {uri: posting},
+                                      posting.attr_bytes, uri)]
         # Oversized payload: split across items.
         chunks: List[Tuple[Any, ...]] = []
-        if entry.ids:
+        if isinstance(values[0], bytes):
+            # The one ID blob splits at whole IDs, so it is decoded.
+            ids = decode_ids(values[0])
             parts = value_bytes // _ITEM_BUDGET + 1
-            size = max(1, (len(entry.ids) + parts - 1) // parts)
-            chunks = [(encode_ids(entry.ids[start:start + size]),)
-                      for start in range(0, len(entry.ids), size)]
+            size = max(1, (len(ids) + parts - 1) // parts)
+            chunks = [(encode_ids(ids[start:start + size]),)
+                      for start in range(0, len(ids), size)]
         else:  # paths
             chunk: List[str] = []
             size = 0
-            for path in entry.paths:
+            for path in values:
                 path_bytes = value_size(path)
                 if chunk and size + path_bytes > _ITEM_BUDGET:
                     chunks.append(tuple(chunk))
@@ -232,49 +257,48 @@ class DynamoIndexStore(IndexStore):
                 size += path_bytes
             if chunk:
                 chunks.append(tuple(chunk))
-        return [self._finish_item(
-                    entry.key, {entry.uri: chunk_values},
-                    attribute_size(entry.uri, chunk_values),
-                    "{}#{}".format(entry.uri, index))
-                for index, chunk_values in enumerate(chunks)]
+        return [self._finish_item(key, {uri: part}, part.attr_bytes,
+                                  "{}#{}".format(uri, index))
+                for index, part in enumerate(
+                    Posting(key, uri, chunk, self.range_key_mode == "content")
+                    for chunk in chunks)]
 
-    def _pack_items(self, entries: Sequence[IndexEntry]) -> List[DynamoItem]:
-        """Map a batch of entries to items.
+    def _pack_items(self, entries: _Entries) -> List[DynamoItem]:
+        """Map a batch of entries (or ready postings) to items.
 
         In ``uuid`` mode entries sharing a key are *packed* into shared
         items (up to the item budget) — the paper's point about UUIDs
         reducing item counts; in ``attribute`` mode every entry keeps
         its own item (range key = URI), which is the ablation baseline.
-        Each entry is encoded and sized once, here.
+        Each entry is encoded and sized once, here or by its sender.
         """
+        canonical = self.range_key_mode == "content"
         if self.range_key_mode == "attribute":
-            return [item for entry in entries
-                    for item in self._entry_items(entry)]
-        by_key: Dict[str, List[IndexEntry]] = {}
-        for entry in entries:
-            by_key.setdefault(entry.key, []).append(entry)
+            return [item for posting in stored_postings(entries, canonical)
+                    for item in self._posting_items(posting)]
+        by_key: Dict[str, List[Posting]] = {}
+        for posting in stored_postings(entries, canonical):
+            by_key.setdefault(posting.key, []).append(posting)
         items: List[DynamoItem] = []
         for key in sorted(by_key):
-            attrs: Dict[str, Tuple[Any, ...]] = {}
+            held: Dict[str, Posting] = {}
             size = 0
-            for entry in by_key[key]:
-                values = _encode_payload(entry)
-                attr_bytes = attribute_size(entry.uri, values)
+            for posting in by_key[key]:
+                attr_bytes = posting.attr_bytes
                 if attr_bytes > _ITEM_BUDGET:
-                    # Oversized single entry: dedicated split items.
-                    items.extend(self._entry_items(entry))
+                    # Oversized single posting: dedicated split items.
+                    items.extend(self._posting_items(posting))
                     continue
-                if attrs and size + attr_bytes > _ITEM_BUDGET:
-                    items.append(self._finish_item(key, attrs, size))
-                    attrs, size = {}, 0
-                attrs[entry.uri] = values
+                if held and size + attr_bytes > _ITEM_BUDGET:
+                    items.append(self._finish_item(key, held, size))
+                    held, size = {}, 0
+                held[posting.uri] = posting
                 size += attr_bytes
-            if attrs:
-                items.append(self._finish_item(key, attrs, size))
+            if held:
+                items.append(self._finish_item(key, held, size))
         return items
 
-    def write_entries(self, physical_name: str,
-                      entries: Sequence[IndexEntry],
+    def write_entries(self, physical_name: str, entries: _Entries,
                       ) -> Generator[Any, Any, WriteStats]:
         """Persist a loader batch; returns write stats."""
         stats = WriteStats()
@@ -330,20 +354,62 @@ class DynamoIndexStore(IndexStore):
                                               key=lambda nid: nid.pre)
         return merged
 
+    @staticmethod
+    def _stored_postings(physical_name: str, items: Sequence[DynamoItem],
+                         kind: str) -> Dict[str, Dict[str, Posting]]:
+        """:meth:`_merge_items` without leaving stored form, over a
+        scanned table: key → URI → the posting a rewrite would store
+        (the compaction fold's regroup step).
+
+        Each attribute becomes a posting once, and its piece serves
+        twice.  Joined per item, the pieces are the canonical form the
+        stamped checksum is verified against: carrying bytes means
+        vouching for them.  And a posting that is its URI's only
+        sighting, checksummed and already in merged form, is carried as
+        is — only ``encode_ids`` ever wrote a blob under a checksum, so
+        decode → encode would reproduce it.  A key with any other URI
+        (a list split over items, a redelivered batch, repeated paths,
+        no checksum) takes what :meth:`_merge_items` makes of it.
+        """
+        by_key: Dict[str, Dict[str, Posting]] = {}
+        again = set()
+        for item in items:
+            key = item.hash_key
+            merged = by_key.setdefault(key, {})
+            held = {name: Posting(key, name, values)
+                    for name, values in item.attributes.items()
+                    if not name.startswith(META_ATTR_PREFIX)}
+            stamped = CHECKSUM_ATTR in item.attributes
+            if stamped:
+                _check_stamp(physical_name, item,
+                             checksum_of(_canonical(key, held)))
+            for name, posting in held.items():
+                values = posting.values
+                is_merged = (not values if kind == "presence" else
+                             len(values) < 2 or (
+                                 kind == "paths"
+                                 and len(set(values)) == len(values)))
+                if (not stamped or not is_merged or "#" in name
+                        or name in merged):
+                    again.add(key)
+                merged[name] = posting
+        for key in again:  # the whole key takes the decode route
+            payloads = DynamoIndexStore._merge_items(
+                [item for item in items if item.hash_key == key], kind)
+            by_key[key] = {
+                uri: Posting(key, uri, (encode_ids(payload),)
+                             if payload and kind == "ids"
+                             else tuple(payload or ()))
+                for uri, payload in payloads.items()}
+        return by_key
+
     def _verify_items(self, physical_name: str,
                       items: Sequence[DynamoItem]) -> None:
         """Check stamped checksums; unstamped (legacy) items pass."""
         for item in items:
-            stamped = item.attributes.get(CHECKSUM_ATTR)
-            if stamped is None:
-                continue
-            actual = item_checksum(item.hash_key, item.attributes)
-            if stamped[0] != actual:
-                raise IntegrityError(
-                    "checksum mismatch in {} at ({!r}, {!r}): "
-                    "stamped {} != computed {}".format(
-                        physical_name, item.hash_key, item.range_key,
-                        stamped[0], actual))
+            if CHECKSUM_ATTR in item.attributes:
+                _check_stamp(physical_name, item, item_checksum(
+                    item.hash_key, item.attributes))
 
     def read_key(self, physical_name: str, key: str, kind: str,
                  ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:

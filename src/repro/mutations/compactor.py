@@ -45,7 +45,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.consistency.build import BuildCoordinator, BuildPlan
 from repro.errors import BuildStateError
-from repro.indexing.entries import IndexEntry
+from repro.indexing.entries import Posting
 from repro.indexing.mapper import DynamoIndexStore, batch_entries_hash
 from repro.mutations.merge import overlay_payloads
 from repro.store.sharding import shard_of, shard_table_names
@@ -301,7 +301,10 @@ class Compactor:
 
         Scan → regroup → overlay-merge → rewrite → ledger-record, all
         against shard ``shard`` of every layer (key-hash sharding keeps
-        a key in the same shard index across base and deltas).
+        a key in the same shard index across base and deltas).  The
+        fold never leaves stored form; its regroup verifies every
+        scanned item's checksum, so corruption raises before this unit
+        writes and the pass stays uncommitted like an interrupted one.
         """
         live = self.live
         cloud = self.warehouse.cloud
@@ -320,63 +323,42 @@ class Compactor:
             # with this unit's: scan every base shard and keep only the
             # keys that route to this unit under the current config.
             base_scan = base_tables
-        base_items: List[Any] = []
-        for table in base_scan:
-            scanned = yield from cloud.resilient.dynamodb.scan(table)
-            base_items.extend(scanned)
-        report.scanned_items += len(base_items)
-        base_groups = _group_by_key(base_items)
-        if base_record.shards != shards:
-            base_groups = {key: group for key, group in base_groups.items()
-                           if shard_of(key, shards) == shard}
-        layer_groups: List[Tuple[Dict[str, List[Any]],
-                                 Tuple[str, ...]]] = []
-        for delta in deltas:
-            table = delta.tables.get(logical)
-            if table is None:
-                layer_groups.append(({}, delta.tombstones))
-                continue
-            delta_items = yield from cloud.resilient.dynamodb.scan(
-                shard_table_names(table, shards)[shard])
-            report.scanned_items += len(delta_items)
-            layer_groups.append((_group_by_key(delta_items),
-                                 delta.tombstones))
 
-        keys = set(base_groups)
-        for groups, _ in layer_groups:
-            keys.update(groups)
-        entries: List[IndexEntry] = []
+        def regroup(table: str) -> Generator[Any, Any, Dict[str, Any]]:
+            scanned = yield from cloud.resilient.dynamodb.scan(table)
+            report.scanned_items += len(scanned)
+            return DynamoIndexStore._stored_postings(table, scanned, kind)
+
+        base: Dict[str, Dict[str, Posting]] = {}
+        for table in base_scan:
+            base.update((yield from regroup(table)))
+        if base_record.shards != shards:
+            base = {key: payloads for key, payloads in base.items()
+                    if shard_of(key, shards) == shard}
+        layers: List[Tuple[Dict[str, Dict[str, Posting]],
+                           Tuple[str, ...]]] = []
+        for delta in deltas:
+            payloads = {}
+            if logical in delta.tables:
+                payloads = yield from regroup(shard_table_names(
+                    delta.tables[logical], shards)[shard])
+            layers.append((payloads, delta.tombstones))
+
+        keys = set(base)
+        for payloads, _ in layers:
+            keys.update(payloads)
+        postings: List[Posting] = []
         for key in sorted(keys):
-            base_map = DynamoIndexStore._merge_items(
-                base_groups.get(key, []), kind)
-            layers = [(DynamoIndexStore._merge_items(groups.get(key, []),
-                                                     kind), tombstones)
-                      for groups, tombstones in layer_groups]
-            payloads = overlay_payloads(base_map, layers)
-            for uri in sorted(payloads):
-                payload = payloads[uri]
-                if kind == "presence":
-                    entries.append(IndexEntry(key=key, uri=uri))
-                elif kind == "paths":
-                    entries.append(IndexEntry(key=key, uri=uri,
-                                              paths=tuple(payload)))
-                else:
-                    entries.append(IndexEntry(key=key, uri=uri,
-                                              ids=tuple(payload)))
-        if entries:
-            stats = yield from store.write_entries(new_table, entries)
-            report.entries_written += len(entries)
+            merged = overlay_payloads(
+                base.get(key, {}), [(payloads.get(key, {}), tombstones)
+                                    for payloads, tombstones in layers])
+            postings.extend(merged[uri] for uri in sorted(merged))
+        if postings:
+            stats = yield from store.write_entries(new_table, postings)
+            report.entries_written += len(postings)
             report.puts += stats.puts
             report.items += stats.items
             report.batches += stats.batches
             report.payload_bytes += stats.payload_bytes
         yield from coordinator.ledger.record(
-            unit_id, batch_entries_hash({logical: entries}))
-
-
-def _group_by_key(items: List[Any]) -> Dict[str, List[Any]]:
-    """Group scanned items by hash key (the scrubber's regroup step)."""
-    groups: Dict[str, List[Any]] = {}
-    for item in items:
-        groups.setdefault(item.hash_key, []).append(item)
-    return groups
+            unit_id, batch_entries_hash({logical: postings}))

@@ -28,7 +28,8 @@ from repro.config import MB, PerformanceProfile
 from repro.errors import ReceiptHandleInvalid
 from repro.indexing.base import ExtractionStats, IndexingStrategy
 from repro.indexing.entries import IndexEntry
-from repro.indexing.mapper import IndexStore, WriteStats, batch_entries_hash
+from repro.indexing.mapper import (IndexStore, WriteStats,
+                                   batch_entries_hash, stored_postings)
 from repro.warehouse.lease import LeaseKeeper
 from repro.warehouse.messages import (LOADER_QUEUE, BatchLoadRequest,
                                       LoadRequest, StopWorker)
@@ -220,15 +221,20 @@ class IndexerWorker:
         return done
 
     def _upload(self, documents: Iterable[Dict[str, List[IndexEntry]]],
-                ) -> Generator[Any, Any, Dict[str, List[IndexEntry]]]:
+                ) -> Generator[Any, Any, Dict[str, List[Any]]]:
         """Phase 2 — upload: write the batch's entries, assembled in the
         order given, per logical table; returns them by table."""
         env = self._cloud.env
-        extracted: Dict[str, List[IndexEntry]] = {
+        extracted: Dict[str, List[Any]] = {
             table: [] for table in self._strategy.logical_tables}
         for by_table in documents:
             for logical_table, entries in by_table.items():
                 extracted[logical_table].extend(entries)
+        if self._ledger is not None:
+            # A ledgered batch is written content-addressed, then hashed:
+            # the packer and the ledger hash read the same postings.
+            extracted = {table: stored_postings(entries)
+                         for table, entries in extracted.items()}
         upload_start = env.now
         for logical_table, entries in extracted.items():
             if entries:

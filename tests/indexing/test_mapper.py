@@ -281,3 +281,36 @@ class TestOnDiskContract:
                                          for _ in range(2000)]
         for value in values:
             assert uuid4_text(value) == str(uuid.UUID(int=value, version=4))
+
+    def test_compacted_epoch(self):
+        """A folded epoch's digest and unit ledger hashes (literals
+        taken from the entry-based fold, before bytes were carried)."""
+        from repro.config import ScaleProfile
+        from repro.consistency.ledger import BatchLedger
+        from repro.warehouse import Warehouse
+        from repro.xmark import generate_corpus
+        from tests.mutations.test_live import make_increment
+        warehouse = Warehouse()
+        warehouse.upload_corpus(
+            generate_corpus(ScaleProfile(documents=6, seed=11)))
+        _, record = warehouse.build_index_checkpointed(
+            "2LUPI", config={"loaders": 2, "batch_size": 4})
+        live = warehouse.live_index(record.name)
+        increment = make_increment(1, documents=2)
+        warehouse.add_documents(live, increment, config={"loaders": 2})
+        warehouse.update_document(
+            live, warehouse.corpus.documents[1].uri,
+            increment.data[increment.documents[0].uri])
+        report = warehouse.compact_index(live)
+        assert (report.entries_written, report.items) == (1236, 502)
+        assert report.digest == (
+            "715319912b2555eddae275c3250d236fa36f569cc19956cde2861e6917b4dedc")
+        ledger = BatchLedger(warehouse.cloud.dynamodb,
+                             "ldg-{}-e2-cmp".format(live.name.lower()))
+        hashes = warehouse.cloud.env.run_process(ledger.entries())
+        assert hashes == {
+            "2LUPI-e2-cmp-chain": "[1, 2]",
+            "2LUPI-e2-cmp-lui-s00": "50a3614a913b2509848b1b0aa84ed2432a"
+                                    "4738734064a3f9396747fc717df4cf",
+            "2LUPI-e2-cmp-lup-s00": "6fa3d43e128eb7484b405f79dffb3ba3a3"
+                                    "6434a1c23d727ee05bc8c01fa0f884"}

@@ -243,3 +243,46 @@ def test_sequence_numbers_survive_compaction():
                                      config={"loaders": 2})
     assert report.seq == 2  # not 1 again
     assert report.base_epoch == live.record.epoch
+
+
+@pytest.mark.parametrize("logical, pick", [
+    ("lui", lambda values: len(values[0]) - 1),  # an ID blob's last byte
+    ("lup", lambda values: 1),                   # inside a label path
+])
+def test_compaction_refuses_to_launder_corruption(logical, pick):
+    """A flipped bit in a scanned item must not be rewritten under a
+    freshly stamped, valid checksum: the fold raises before the unit
+    writes, the pass stays uncommitted, and a resume after repair
+    commits what an undamaged twin commits."""
+    from repro.errors import IntegrityError
+    from repro.indexing.checksums import CHECKSUM_ATTR
+
+    twin_wh, twin = fresh_live(strategy="2LUPI")
+    mutate(twin_wh, twin)
+    clean = twin_wh.compact_index(twin)
+
+    warehouse, live = fresh_live(strategy="2LUPI")
+    mutate(warehouse, live)
+    before = execution_fingerprint(warehouse, live)
+    db = warehouse.cloud.dynamodb
+    table = shard_table_names(live.record.tables[logical], 1)[0]
+    item = next(item for item in db.table(table).all_items()
+                if item.hash_key == "ename")
+    uri = next(name for name in item.attributes if name != CHECKSUM_ATTR)
+    assert db.corrupt_attribute(table, item.hash_key, item.range_key, uri,
+                                byte_index=pick(item.attributes[uri]))
+
+    with pytest.raises(IntegrityError, match="checksum mismatch in " + table):
+        warehouse.compact_index(live)
+    assert live.record.epoch == 1 and len(live.deltas) == 3
+    new_table = "idx-2lupi-{}-e2".format(logical)
+    assert db.table(new_table).all_items() == []  # nothing laundered
+    assert execution_fingerprint(warehouse, live) == before
+
+    # Repair (put the original item back), then resume.
+    db.table(table)._items[item.hash_key][item.range_key] = item
+    resumed = warehouse.compact_index(live)
+    assert resumed.committed and live.record.epoch == 2
+    assert resumed.digest == clean.digest
+    assert (table_snapshot(warehouse.cloud, live.record.tables, 1)
+            == table_snapshot(twin_wh.cloud, twin.record.tables, 1))

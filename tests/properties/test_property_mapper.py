@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 from tests.properties.strategies import sorted_node_ids
 
 from repro.cloud import CloudProvider
-from repro.indexing.checksums import CHECKSUM_ATTR
+from repro.cloud.dynamodb import attribute_size
+from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
+                                      canonical_item_bytes,
+                                      content_range_key, item_checksum,
+                                      key_prefix)
 from repro.indexing.entries import IndexEntry
-from repro.indexing.mapper import DynamoIndexStore, SimpleDBIndexStore
+from repro.indexing.mapper import (DynamoIndexStore, SimpleDBIndexStore,
+                                   batch_entries_hash, stored_postings)
 from repro.xmldb.ids import NodeID
 
 keys = st.sampled_from(["ea", "eb", "aid", "wgold", "ename"])
@@ -183,3 +188,44 @@ def test_items_are_born_with_their_size(small, big, mode, byte_index, bit):
             byte_index=byte_index, bit=bit)
     assert table.raw_bytes() == sum(map(_size_from_scratch,
                                         table.all_items()))
+
+
+@given(st.lists(entries(), min_size=1, max_size=10),
+       st.lists(oversized_entries(), max_size=1),
+       st.sampled_from(["uuid", "attribute", "content"]))
+@settings(max_examples=40, deadline=None)
+def test_postings_pack_and_hash_like_their_entries(small, big, mode):
+    """The stored form is a shortcut, not a second format: sizes, items,
+    range keys, checksums and ledger hashes are those of the entries,
+    and those the whole-item canonical form gives."""
+    batch = _unique_per_key_uri(small + big)
+    postings = stored_postings(batch, mode == "content")
+    assert stored_postings(postings) == postings  # they pass through
+    for entry, posting in zip(batch, postings):
+        assert (posting.key, posting.uri) == (entry.key, entry.uri)
+        assert posting.attr_bytes == attribute_size(posting.uri,
+                                                    posting.values)
+        if mode == "content":
+            assert key_prefix(posting.key) + posting.piece == \
+                canonical_item_bytes(posting.key,
+                                     {posting.uri: posting.values})
+        else:
+            assert posting.piece is None
+    packed = [DynamoIndexStore(CloudProvider().dynamodb, seed=5,
+                               range_key_mode=mode)._pack_items(shape)
+              for shape in (batch, postings)]
+    assert packed[0] == packed[1]
+    assert ([item.size_bytes for item in packed[0]]
+            == [_size_from_scratch(item) for item in packed[1]])
+    if mode == "content":
+        for item in packed[1]:
+            assert item.attributes[CHECKSUM_ATTR] == (
+                item_checksum(item.hash_key, item.attributes),)
+            assert item.range_key == content_range_key(item.hash_key,
+                                                       item.attributes)
+        assert (batch_entries_hash({"t": batch})
+                == batch_entries_hash({"t": postings})
+                == batch_content_hash([
+                    b"t\x00" + canonical_item_bytes(
+                        posting.key, {posting.uri: posting.values})
+                    for posting in postings]))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import CloudProvider
-from repro.errors import ReceiptHandleInvalid
+from repro.errors import ReceiptHandleInvalid, TransientServiceError
 
 QUEUE = "work"
 VISIBILITY_S = 1.0
@@ -145,10 +145,21 @@ def test_at_least_once_under_spot_storm_and_throttling(n_messages, seed):
         def run(self):
             try:
                 while True:
-                    body, handle = yield from sqs.receive(QUEUE)
+                    # A spent retry budget or a lease that lapsed under
+                    # backoff is tolerated, as the loader tolerates it
+                    # (the message is redelivered): a consumer that died
+                    # of either took the guaranteed survivor with it and
+                    # the scenario polled an undrained queue for ever.
+                    try:
+                        body, handle = yield from sqs.receive(QUEUE)
+                    except TransientServiceError:
+                        continue
                     self.busy = True
                     yield self.env.timeout(0.3)
-                    yield from sqs.delete(QUEUE, handle)
+                    try:
+                        yield from sqs.delete(QUEUE, handle)
+                    except (ReceiptHandleInvalid, TransientServiceError):
+                        pass
                     processed.append(body)
                     self.busy = False
                     if self.draining:

@@ -1,9 +1,9 @@
 """The index write path does each piece of work once per unit written.
 
 Count-based, like ``test_priced_once``: calls of the walk, the varint
-encoder, the canonical serialiser and the size formula against the
-documents, entries and items that went through the packer — nothing
-here depends on wall-clock time.
+codec, the canonical serialiser, the piece builder and the size formula
+against the documents, entries, postings and items that went through
+the packer — nothing here depends on wall-clock time.
 """
 
 import pytest
@@ -11,7 +11,8 @@ import pytest
 from tests.warehouse.test_priced_once import _corpus
 
 from repro.cloud import dynamodb
-from repro.indexing import base, checksums, mapper
+from repro.consistency import build
+from repro.indexing import base, checksums, entries, mapper
 from repro.mutations import compactor
 from repro.warehouse import Warehouse, loader
 
@@ -21,9 +22,11 @@ DOCUMENTS = 12
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts by name, plus what the packer and the ledger hash
-    were handed: ``id_entries``/``items`` packed, ``hashed`` entries."""
-    counts = {"walks": 0, "encodes": 0, "canonical": 0, "sized": 0,
-              "id_entries": 0, "items": 0, "hashed": 0}
+    were handed: ``packed`` entries or postings (``id_entries`` of them
+    entries with an ID list) into ``items``, ``hashed`` postings."""
+    counts = {"walks": 0, "encodes": 0, "decodes": 0, "canonical": 0,
+              "pieces": 0, "joined": 0, "sized": 0, "entries_built": 0,
+              "packed": 0, "id_entries": 0, "items": 0, "hashed": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -35,18 +38,32 @@ def calls(monkeypatch):
                         counting("walks", base.collect_occurrences))
     monkeypatch.setattr(mapper, "encode_ids",
                         counting("encodes", mapper.encode_ids))
+    monkeypatch.setattr(mapper, "decode_ids",
+                        counting("decodes", mapper.decode_ids))
     canonical = counting("canonical", checksums.canonical_item_bytes)
     monkeypatch.setattr(checksums, "canonical_item_bytes", canonical)
-    monkeypatch.setattr(mapper, "canonical_item_bytes", canonical)
+    monkeypatch.setattr(build, "canonical_item_bytes", canonical)
+    # The pieces postings are born with (``canonical_item_bytes`` builds
+    # its own through the ``checksums`` name, which stays unpatched).
+    monkeypatch.setattr(entries, "attribute_piece",
+                        counting("pieces", entries.attribute_piece))
+    monkeypatch.setattr(mapper, "_canonical",
+                        counting("joined", mapper._canonical))
     sized = counting("sized", dynamodb.attribute_size)
     monkeypatch.setattr(dynamodb, "attribute_size", sized)
     monkeypatch.setattr(mapper, "attribute_size", sized)
+    monkeypatch.setattr(entries, "attribute_size", sized)
+    monkeypatch.setattr(
+        entries.IndexEntry, "__post_init__",
+        counting("entries_built", entries.IndexEntry.__post_init__))
 
     pack = mapper.DynamoIndexStore._pack_items
 
-    def packing(self, entries):
-        items = pack(self, entries)
-        counts["id_entries"] += sum(1 for entry in entries if entry.ids)
+    def packing(self, batch):
+        items = pack(self, batch)
+        counts["packed"] += len(batch)
+        counts["id_entries"] += sum(
+            1 for entry in batch if getattr(entry, "ids", ()))
         counts["items"] += len(items)
         return items
 
@@ -81,25 +98,41 @@ def test_build_walks_encodes_and_sizes_once(calls):
     assert db.raw_bytes() == sum(item.size_bytes for item in stored)
     assert calls["sized"] == sum(len(item.attributes) for item in stored)
     assert calls["canonical"] == calls["hashed"] == 0  # uuid mode
+    assert calls["pieces"] == 0  # ... which builds no canonical piece
 
 
 def test_checkpointed_ingest_and_compaction_encode_once(calls):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
-    _, record = warehouse.build_index_checkpointed(
+    built, record = warehouse.build_index_checkpointed(
         "2LUPI", config={"loaders": 2, "batch_size": 4})
     live = warehouse.live_index(record.name)
-    warehouse.add_documents(live, _corpus(seed=7000, documents=4,
-                                          prefix="new-"),
-                            config={"loaders": 2})
+    delta = warehouse.add_documents(live, _corpus(seed=7000, documents=4,
+                                                  prefix="new-"),
+                                    config={"loaders": 2})
+    assert calls["walks"] == DOCUMENTS + 4
+    before = dict(calls)
     compaction = warehouse.compact_index(live)
     assert compaction.entries_written > 0
-    assert calls["walks"] == DOCUMENTS + 4
-    # Build batches, the delta and the compaction's folds: every entry
-    # (LUP and LUI alike) is packed and then hashed for the ledger; an
-    # ID list is encoded when it is packed and the hash reuses that.
-    assert calls["hashed"] == 2 * calls["id_entries"] > 0
-    assert calls["encodes"] == calls["id_entries"]
-    # One canonical form per content-addressed item (its CRC and its
-    # range key share it), one per entry in a ledger hash.
-    assert calls["canonical"] == calls["items"] + calls["hashed"]
+    # The fold never leaves stored form: every ID list it carries is
+    # the one blob it scanned, so the codec ran for the build batches'
+    # and the delta's ID entries only, and no entry object was built.
+    assert calls["encodes"] == (built.report.entries + delta.entries) // 2
+    assert calls["encodes"] == before["encodes"]
+    assert calls["decodes"] == 0
+    assert calls["entries_built"] == before["entries_built"]
+    # One piece per posting written (build batches, delta and fold
+    # alike; this chain masks nothing, so every posting the fold scans
+    # it also writes), from one encode per value: the scanned item's
+    # canonical form, the new item's, the ledger's form and the
+    # packer's budget check all read it.
+    assert calls["packed"] - before["packed"] == compaction.entries_written
+    assert calls["pieces"] == calls["packed"] == calls["hashed"]
+    # Canonical forms are joined from those pieces: one per scanned
+    # item (the fold's checksum verification) and one per item packed.
+    # Only the commit's digest serialises items again, one form each —
+    # none per item packed, none per posting hashed.
+    assert (calls["joined"] - before["joined"]
+            == compaction.scanned_items + compaction.items)
+    assert calls["joined"] - compaction.scanned_items == calls["items"]
+    assert calls["canonical"] - before["canonical"] == compaction.items
