@@ -11,9 +11,18 @@ phase.  A sampler costs the same whatever is running; cProfile's
 per-call hook triples this section's wall time and overstates its many
 tiny calls, so shares read from it are not the shares ``ops_per_s`` is
 made of.
+
+A cyclic-GC pass runs between two bytecodes, so SIGPROF files its whole
+duration under whichever line happened to allocate the object that
+tripped the threshold (a pass that frees nothing looks like a slow
+``self._handles = []``).  ``gc.callbacks`` times the passes themselves:
+the GC block reports, per generation, how many ran inside the timed
+section, how long they took, what share of the section that is and how
+many objects they freed.
 """
 
 import collections
+import gc
 import signal
 import sys
 import time
@@ -26,8 +35,11 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # The write side (``ingest-live``, ``build-2lupi``): the
           # compaction fold, the epoch commit, one query end to end
           # (the serve-side names above are nested in it and win) and
-          # one document's fetch + parse + extract.
-          "_fold_unit", "commit", "_process", "_extract")
+          # one document's fetch + parse + extract, then the packer
+          # and the put of its batch (innermost wins, so ``_extract``
+          # is what is left of it without the parse).
+          "_fold_unit", "commit", "_process", "_extract",
+          "parse_document", "_pack_items", "batch_put")
 INTERVAL_S = 0.001
 ROUNDS = 5
 
@@ -54,20 +66,42 @@ def main(argv):
             frame = frame.f_back
         by_phase[frame.f_code.co_name if frame else package] += 1
 
+    # Per generation: [passes, seconds, objects collected].
+    gc_passes = [[0, 0.0, 0] for _ in range(3)]
+    pass_started = 0.0
+
+    def on_gc(phase, info):
+        nonlocal pass_started
+        if phase == "start":
+            pass_started = time.perf_counter()
+        else:
+            row = gc_passes[info["generation"]]
+            row[0] += 1
+            row[1] += time.perf_counter() - pass_started
+            row[2] += info["collected"]
+
     signal.signal(signal.SIGPROF, sample)
     elapsed = 0.0
     for _ in range(ROUNDS):
         state = workload.setup()
+        gc.callbacks.append(on_gc)
         signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         started = time.perf_counter()
         try:
             workload.main(state)
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
-        elapsed += time.perf_counter() - started
+            elapsed += time.perf_counter() - started
+            gc.callbacks.remove(on_gc)
     total = sum(by_phase.values())
     print("{} seed {}: main {:.2f} s per round, {} samples".format(
         argv[1], seed, elapsed / ROUNDS, total))
+    print("-- cyclic GC inside main, per round ({:.1%} of it)".format(
+        sum(row[1] for row in gc_passes) / elapsed))
+    for generation, (passes, seconds, collected) in enumerate(gc_passes):
+        print("{:6.1%}  gen {}: {:.1f} passes, {:.3f} s, {:.0f} objects "
+              "freed".format(seconds / elapsed, generation, passes / ROUNDS,
+                             seconds / ROUNDS, collected / ROUNDS))
     for title, counts, top in (("phase", by_phase, 20),
                                ("function", by_function, 30)):
         print("-- self time by {}".format(title))

@@ -5,7 +5,8 @@ A strategy couples:
 - ``extract(document)`` — the indexing function ``I(d)`` of Table 2,
   returning entries grouped by *logical table* (every strategy uses one
   table except 2LUPI, which materialises both of its sub-indexes in
-  separate tables, §6);
+  separate tables, §6); ``extract_postings`` returns the same tuples
+  in the form the store holds, which is what a build carries;
 - ``lookup(...)`` — the strategy's look-up planner (built in
   :mod:`repro.indexing.lookup_plans`), which maps a query tree pattern
   to the URIs of possibly-matching documents.
@@ -20,11 +21,11 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.indexing.entries import IndexEntry, collect_occurrences
+from repro.indexing.entries import IndexEntry, Posting, collect_occurrences
 from repro.xmldb.model import Document
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExtractionStats:
     """Work accounting for one extraction, used to charge simulated CPU.
 
@@ -48,6 +49,12 @@ class ExtractionStats:
                 paths += len(entry.paths)
         return ExtractionStats(entries=entries, ids=ids, paths=paths)
 
+    def merge(self, other: "ExtractionStats") -> None:
+        """Accumulate another extraction's counts into this one."""
+        self.entries += other.entries
+        self.ids += other.ids
+        self.paths += other.paths
+
 
 class IndexingStrategy(abc.ABC):
     """Base class of the four §5 strategies."""
@@ -66,7 +73,15 @@ class IndexingStrategy(abc.ABC):
 
     @abc.abstractmethod
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
-        """``I(d)``: entries to add per logical table for ``document``."""
+        """``I(d)``: entries to add per logical table for ``document``
+        (the entry-object view: ``NodeID`` tuples, path tuples)."""
+
+    @abc.abstractmethod
+    def extract_postings(self, document: Document, canonical: bool = True,
+                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
+        """``I(d)`` in stored form (``canonical`` as for ``Posting``) and
+        its work accounting: :meth:`extract`'s occurrences in the same
+        key order, each ID list already its one blob."""
 
     @abc.abstractmethod
     def make_lookup(self, store, table_names: Dict[str, str]):
@@ -78,7 +93,9 @@ class IndexingStrategy(abc.ABC):
     # -- shared extraction machinery ----------------------------------------
 
     def _occurrences(self, document: Document):
-        return collect_occurrences(document, include_words=self.include_words)
+        """The one walk, as (key, group) pairs in the order written."""
+        return sorted(collect_occurrences(
+            document, include_words=self.include_words).items())
 
     def table_kind(self, logical_table: str) -> str:
         """Payload kind stored in a logical table

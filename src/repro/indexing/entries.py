@@ -15,8 +15,8 @@ every concrete strategy then projects into its own payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.cloud.dynamodb import attribute_size
 from repro.indexing.checksums import AttrValue, attribute_piece
@@ -77,23 +77,21 @@ class Posting:
             self.piece, self.attr_bytes = None, attribute_size(uri, values)
 
 
-@dataclass
+#: What ``write_entries`` and the ledger hash take: postings (a loader's,
+#: a fold's) or entry objects (a repair's), converted at the packer.
+Entries = Sequence[Union[IndexEntry, Posting]]
+
+
 class KeyOccurrences:
-    """All occurrences of one key within one document."""
+    """All occurrences of one key within one document: the node ``ids``
+    in extraction (document) order, and the distinct label ``paths`` in
+    first-seen order (an insertion-ordered dict's keys)."""
 
-    key: str
-    #: Node IDs, in extraction (document) order.
-    ids: List[NodeID] = field(default_factory=list)
-    #: Distinct label paths, in first-seen order.
-    paths: List[str] = field(default_factory=list)
-    _seen_paths: set = field(default_factory=set)
+    __slots__ = ("ids", "paths")
 
-    def add(self, node_id: NodeID, path: str) -> None:
-        """Record one occurrence (ID always; path if new)."""
-        self.ids.append(node_id)
-        if path not in self._seen_paths:
-            self._seen_paths.add(path)
-            self.paths.append(path)
+    def __init__(self, node_id: NodeID, path: str) -> None:
+        self.ids = [node_id]
+        self.paths = {path: None}
 
 
 def collect_occurrences(document: Document,
@@ -131,7 +129,8 @@ def collect_occurrences(document: Document,
         for key, path in occurrences:
             group = groups.get(key)
             if group is None:
-                groups[key] = KeyOccurrences(key, [node_id], [path], {path})
+                groups[key] = KeyOccurrences(node_id, path)
             elif group.ids[-1] != node_id:  # same word twice in one text
-                group.add(node_id, path)
+                group.ids.append(node_id)
+                group.paths[path] = None
     return groups

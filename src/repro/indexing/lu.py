@@ -11,10 +11,10 @@ The URI sets thus obtained are intersected."
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.indexing.base import IndexingStrategy
-from repro.indexing.entries import IndexEntry
+from repro.indexing.base import ExtractionStats, IndexingStrategy
+from repro.indexing.entries import IndexEntry, Posting
 from repro.xmldb.model import Document
 
 
@@ -27,10 +27,16 @@ class LUStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LU(d)``: one presence entry per key (Table 2)."""
-        occurrences = self._occurrences(document)
-        entries = [IndexEntry(key=key, uri=document.uri)
-                   for key in sorted(occurrences)]
-        return {"lu": entries}
+        return {"lu": [IndexEntry(key=key, uri=document.uri)
+                       for key, _ in self._occurrences(document)]}
+
+    def extract_postings(self, document: Document, canonical: bool = True,
+                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
+        """``I_LU(d)`` in stored form: presence is no value at all."""
+        uri = document.uri
+        postings = [Posting(key, uri, (), canonical)
+                    for key, _ in self._occurrences(document)]
+        return {"lu": postings}, ExtractionStats(entries=len(postings))
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.1 LU look-up planner."""

@@ -12,10 +12,10 @@ paths.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.indexing.base import IndexingStrategy
-from repro.indexing.entries import IndexEntry, KeyOccurrences
+from repro.indexing.base import ExtractionStats, IndexingStrategy
+from repro.indexing.entries import IndexEntry, Posting
 from repro.xmldb.model import Document
 
 
@@ -28,16 +28,20 @@ class LUPStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LUP(d)``: key -> URI + label paths (Table 2)."""
-        return {"lup": self.project(document.uri,
-                                    self._occurrences(document))}
+        return {"lup": [IndexEntry(key=key, uri=document.uri,
+                                   paths=tuple(group.paths))
+                        for key, group in self._occurrences(document)]}
 
-    @staticmethod
-    def project(uri: str, occurrences: Dict[str, KeyOccurrences],
-                ) -> List[IndexEntry]:
-        """One document's LUP entries from its grouped occurrences."""
-        return [IndexEntry(key=key, uri=uri,
-                           paths=tuple(occurrences[key].paths))
-                for key in sorted(occurrences)]
+    def extract_postings(self, document: Document, canonical: bool = True,
+                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
+        """``I_LUP(d)`` in stored form: the paths are the values."""
+        uri = document.uri
+        postings, count = [], 0
+        for key, group in self._occurrences(document):
+            paths = tuple(group.paths)
+            count += len(paths)
+            postings.append(Posting(key, uri, paths, canonical))
+        return {"lup": postings}, ExtractionStats(len(postings), paths=count)
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.2 LUP look-up planner."""

@@ -42,14 +42,16 @@ from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
                                       batch_content_hash, checksum_of,
                                       item_checksum, key_prefix,
                                       range_key_of, uuid4_text)
-from repro.indexing.entries import IndexEntry, Posting
+from repro.indexing.entries import Entries, IndexEntry, Posting
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
 from repro.xmldb.ids import NodeID
 
 #: Payload returned per URI by reads: None (presence), tuple of paths,
 #: or a sorted ID list — a columnar :class:`~repro.xmldb.blocks.IDBlock`
-#: on the default engine, a ``List[NodeID]`` on the row engine.
+#: on the default engine, a ``List[NodeID]`` on the row engine.  The
+#: write side (``Entries``) never sees one: a compaction's per-URI maps
+#: hold the scanned :class:`Posting` where a read's hold a payload.
 Payload = Any
 
 #: Safety margin under the DynamoDB item limit for key bytes.
@@ -85,10 +87,9 @@ class IndexStore(abc.ABC):
         """Create the physical table/domain (idempotence not required)."""
 
     @abc.abstractmethod
-    def write_entries(self, physical_name: str,
-                      entries: Sequence[IndexEntry],
+    def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
-        """Persist ``entries`` (a loader batch); returns write stats."""
+        """Persist a batch (postings or entries); returns write stats."""
 
     @abc.abstractmethod
     def read_key(self, physical_name: str, key: str, kind: str,
@@ -121,10 +122,7 @@ class IndexStore(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
-_Entries = Sequence[Union[IndexEntry, Posting]]
-
-
-def stored_postings(entries: _Entries, canonical: bool = True,
+def stored_postings(entries: Entries, canonical: bool = True,
                     ) -> List[Posting]:
     """A batch in stored form: an entry is encoded here, once (an ID
     list to one blob); a posting, converted earlier, passes through."""
@@ -153,7 +151,7 @@ def _check_stamp(physical_name: str, item: DynamoItem, actual: str) -> None:
                 stamped, actual))
 
 
-def batch_entries_hash(extracted: Mapping[str, _Entries]) -> str:
+def batch_entries_hash(extracted: Mapping[str, Entries]) -> str:
     """Content hash of one loader batch's extracted entries.
 
     Hashes the encoded payloads (what actually lands in the store), per
@@ -263,7 +261,7 @@ class DynamoIndexStore(IndexStore):
                     Posting(key, uri, chunk, self.range_key_mode == "content")
                     for chunk in chunks)]
 
-    def _pack_items(self, entries: _Entries) -> List[DynamoItem]:
+    def _pack_items(self, entries: Entries) -> List[DynamoItem]:
         """Map a batch of entries (or ready postings) to items.
 
         In ``uuid`` mode entries sharing a key are *packed* into shared
@@ -298,7 +296,7 @@ class DynamoIndexStore(IndexStore):
                 items.append(self._finish_item(key, held, size))
         return items
 
-    def write_entries(self, physical_name: str, entries: _Entries,
+    def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
         """Persist a loader batch; returns write stats."""
         stats = WriteStats()
@@ -494,23 +492,26 @@ class SimpleDBIndexStore(IndexStore):
 
     # -- writes -------------------------------------------------------------
 
-    def _entry_pairs(self, entry: IndexEntry) -> List[Tuple[str, str]]:
-        """(attribute name, value) pairs for one entry: name = URI."""
-        if entry.kind == "presence":
-            return [(entry.uri, "")]
-        if entry.kind == "paths":
-            pairs = []
-            for path in entry.paths:
-                if len(path.encode("utf-8")) > MAX_VALUE_BYTES:
-                    raise IndexingError(
-                        "path exceeds the SimpleDB 1KB value limit: "
-                        "{!r}".format(path[:80]))
-                pairs.append((entry.uri, path))
-            return pairs
-        return [(entry.uri, chunk) for chunk in _chunk_ids_text(entry.ids)]
+    def _entry_pairs(self, entry: Union[IndexEntry, Posting],
+                     ) -> List[Tuple[str, str]]:
+        """(attribute name, value) pairs for one entry: name = URI.
+        SimpleDB holds text, so a posting's ID blob is decoded."""
+        if entry.__class__ is Posting:
+            paths, ids = entry.values, ()
+            if paths and isinstance(paths[0], bytes):
+                paths, ids = (), decode_ids(paths[0])
+        else:
+            paths, ids = entry.paths, entry.ids
+        if ids:
+            return [(entry.uri, chunk) for chunk in _chunk_ids_text(ids)]
+        for path in paths:
+            if len(path.encode("utf-8")) > MAX_VALUE_BYTES:
+                raise IndexingError(
+                    "path exceeds the SimpleDB 1KB value limit: "
+                    "{!r}".format(path[:80]))
+        return [(entry.uri, path) for path in paths] or [(entry.uri, "")]
 
-    def write_entries(self, physical_name: str,
-                      entries: Sequence[IndexEntry],
+    def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
         """Persist a loader batch; returns write stats."""
         stats = WriteStats()

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Iterable, List, Sequence, Tuple
 
 from repro.errors import IndexingError
+from repro.indexing.entries import Entries
 from repro.indexing.mapper import IndexStore, Payload, WriteStats
 
 __all__ = ["MergingStore", "alias_table", "overlay_payloads"]
@@ -97,8 +98,7 @@ class MergingStore(IndexStore):
             "the live merging store is read-only; mutate through "
             "Warehouse.add_documents/delete_documents/update_document")
 
-    def write_entries(self, physical_name: str,
-                      entries: Sequence[Any],
+    def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
         """Refuse: writes land in delta tables, not through the merge."""
         raise IndexingError(

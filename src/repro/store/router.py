@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from repro.indexing.entries import IndexEntry
+from repro.indexing.entries import Entries
 from repro.indexing.mapper import IndexStore, Payload, WriteStats
 from repro.telemetry.spans import maybe_span
 
@@ -205,16 +205,15 @@ class StoreRouter(IndexStore):
 
     # -- writes ------------------------------------------------------------
 
-    def write_entries(self, physical_name: str,
-                      entries: Sequence[IndexEntry],
+    def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
-        """Persist entries, partitioned to their shards; merged stats."""
+        """Persist a batch, partitioned to its shards; merged stats."""
         if self.passthrough:
             stats = yield from self._base.write_entries(
                 self._physical(physical_name), entries)
             return stats
         names = self.shard_tables(physical_name)
-        by_shard: Dict[int, List[IndexEntry]] = {}
+        by_shard: Dict[int, list] = {}
         for entry in entries:
             by_shard.setdefault(
                 shard_of(entry.key, self.config.shards), []).append(entry)

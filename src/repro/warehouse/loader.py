@@ -27,9 +27,8 @@ from repro.cloud.provider import CloudProvider
 from repro.config import MB, PerformanceProfile
 from repro.errors import ReceiptHandleInvalid
 from repro.indexing.base import ExtractionStats, IndexingStrategy
-from repro.indexing.entries import IndexEntry
-from repro.indexing.mapper import (IndexStore, WriteStats,
-                                   batch_entries_hash, stored_postings)
+from repro.indexing.entries import Posting
+from repro.indexing.mapper import IndexStore, WriteStats, batch_entries_hash
 from repro.warehouse.lease import LeaseKeeper
 from repro.warehouse.messages import (LOADER_QUEUE, BatchLoadRequest,
                                       LoadRequest, StopWorker)
@@ -54,13 +53,6 @@ class LoaderWorkerStats:
     extraction: ExtractionStats = field(
         default_factory=ExtractionStats)
     writes: WriteStats = field(default_factory=WriteStats)
-
-    def merge_extraction(self, stats: ExtractionStats) -> None:
-        """Accumulate one document's extraction stats."""
-        self.extraction = ExtractionStats(
-            entries=self.extraction.entries + stats.entries,
-            ids=self.extraction.ids + stats.ids,
-            paths=self.extraction.paths + stats.paths)
 
 
 def extraction_cpu_ecu_s(profile: PerformanceProfile, document_bytes: int,
@@ -93,6 +85,9 @@ class IndexerWorker:
         #: :class:`repro.consistency.ledger.BatchLedger`); None for
         #: legacy builds, whose behaviour is unchanged.
         self._ledger = ledger
+        #: Postings are born with their canonical piece exactly when
+        #: the store addresses items by content (and so reads it).
+        self._canonical = getattr(store, "range_key_mode", "") == "content"
         self.stats = LoaderWorkerStats()
 
     def _visibility_timeout(self) -> float:
@@ -203,13 +198,13 @@ class IndexerWorker:
         yield from self._upload(by_table for _, by_table in done)
 
     def _extract_all(self, uris: Sequence[str]) -> Generator[
-            Any, Any, List[Tuple[str, Dict[str, List[IndexEntry]]]]]:
+            Any, Any, List[Tuple[str, Dict[str, List[Posting]]]]]:
         """Phase 1 — extraction: fetch + parse + extract, one core task
         per document (intra-machine parallelism).  Returns ``(uri,
-        entries by table)`` pairs in task-completion order."""
+        postings by table)`` pairs in task-completion order."""
         env = self._cloud.env
         self.stats.batches += 1
-        done: List[Tuple[str, Dict[str, List[IndexEntry]]]] = []
+        done: List[Tuple[str, Dict[str, List[Posting]]]] = []
         phase_start = env.now
         tasks = [env.process(self._extract(uri, done),
                              name="extract-{}".format(uri))
@@ -220,40 +215,36 @@ class IndexerWorker:
         self.stats.documents += len(uris)
         return done
 
-    def _upload(self, documents: Iterable[Dict[str, List[IndexEntry]]],
-                ) -> Generator[Any, Any, Dict[str, List[Any]]]:
-        """Phase 2 — upload: write the batch's entries, assembled in the
+    def _upload(self, documents: Iterable[Dict[str, List[Posting]]],
+                ) -> Generator[Any, Any, Dict[str, List[Posting]]]:
+        """Phase 2 — upload: write the batch's postings, assembled in the
         order given, per logical table; returns them by table."""
         env = self._cloud.env
-        extracted: Dict[str, List[Any]] = {
+        extracted: Dict[str, List[Posting]] = {
             table: [] for table in self._strategy.logical_tables}
         for by_table in documents:
-            for logical_table, entries in by_table.items():
-                extracted[logical_table].extend(entries)
-        if self._ledger is not None:
-            # A ledgered batch is written content-addressed, then hashed:
-            # the packer and the ledger hash read the same postings.
-            extracted = {table: stored_postings(entries)
-                         for table, entries in extracted.items()}
+            for logical_table, postings in by_table.items():
+                extracted[logical_table].extend(postings)
         upload_start = env.now
-        for logical_table, entries in extracted.items():
-            if entries:
+        for logical_table, postings in extracted.items():
+            if postings:
                 write_stats = yield from self._store.write_entries(
-                    self._table_names[logical_table], entries)
+                    self._table_names[logical_table], postings)
                 self.stats.writes.merge(write_stats)
         self.stats.upload_s += env.now - upload_start
         return extracted
 
     def _extract(self, uri: str,
-                 done: List[Tuple[str, Dict[str, List[IndexEntry]]]],
+                 done: List[Tuple[str, Dict[str, List[Posting]]]],
                  ) -> Generator[Any, Any, None]:
         """One core task: fetch, parse, extract, charge the CPU, then
-        append ``(uri, entries by table)`` to ``done``."""
+        append ``(uri, postings by table)`` to ``done``."""
         data = yield from self._cloud.resilient.s3.get(self._bucket, uri)
-        document = parse_document(data, uri)
-        by_table = self._strategy.extract(document)
-        stats = ExtractionStats.of(by_table)
+        # The parsed tree lives inside this expression only: this frame
+        # is suspended through the CPU wait, and must not pin it.
+        by_table, stats = self._strategy.extract_postings(
+            parse_document(data, uri), self._canonical)
         work = extraction_cpu_ecu_s(self._cloud.profile, len(data), stats)
         yield from self._instance.run(work)
-        self.stats.merge_extraction(stats)
+        self.stats.extraction.merge(stats)
         done.append((uri, by_table))

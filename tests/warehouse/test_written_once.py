@@ -12,7 +12,8 @@ from tests.warehouse.test_priced_once import _corpus
 
 from repro.cloud import dynamodb
 from repro.consistency import build
-from repro.indexing import base, checksums, entries, mapper
+from repro.indexing import (base, checksums, entries, lui, mapper,
+                            two_lupi)
 from repro.mutations import compactor
 from repro.warehouse import Warehouse, loader
 
@@ -22,11 +23,13 @@ DOCUMENTS = 12
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts by name, plus what the packer and the ledger hash
-    were handed: ``packed`` entries or postings (``id_entries`` of them
-    entries with an ID list) into ``items``, ``hashed`` postings."""
+    were handed: ``packed`` postings (``id_postings`` of them holding
+    an ID blob, ``converted`` of them still entry objects on arrival)
+    into ``items``, ``hashed`` postings."""
     counts = {"walks": 0, "encodes": 0, "decodes": 0, "canonical": 0,
               "pieces": 0, "joined": 0, "sized": 0, "entries_built": 0,
-              "packed": 0, "id_entries": 0, "items": 0, "hashed": 0}
+              "packed": 0, "id_postings": 0, "converted": 0, "items": 0,
+              "hashed": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -36,8 +39,11 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(base, "collect_occurrences",
                         counting("walks", base.collect_occurrences))
-    monkeypatch.setattr(mapper, "encode_ids",
-                        counting("encodes", mapper.encode_ids))
+    # The projection encodes; the packer only to re-split an oversized
+    # posting (never, at this size).
+    encode = counting("encodes", mapper.encode_ids)
+    for module in (lui, two_lupi, mapper):
+        monkeypatch.setattr(module, "encode_ids", encode, raising=False)
     monkeypatch.setattr(mapper, "decode_ids",
                         counting("decodes", mapper.decode_ids))
     canonical = counting("canonical", checksums.canonical_item_bytes)
@@ -57,13 +63,23 @@ def calls(monkeypatch):
         entries.IndexEntry, "__post_init__",
         counting("entries_built", entries.IndexEntry.__post_init__))
 
+    convert = mapper.stored_postings
+
+    def converting(batch, canonical=True):
+        counts["converted"] += sum(
+            1 for entry in batch if not isinstance(entry, entries.Posting))
+        return convert(batch, canonical)
+
+    monkeypatch.setattr(mapper, "stored_postings", converting)
     pack = mapper.DynamoIndexStore._pack_items
 
     def packing(self, batch):
         items = pack(self, batch)
         counts["packed"] += len(batch)
-        counts["id_entries"] += sum(
-            1 for entry in batch if getattr(entry, "ids", ()))
+        counts["id_postings"] += sum(
+            1 for posting in batch
+            if any(isinstance(value, bytes)
+                   for value in getattr(posting, "values", ())))
         counts["items"] += len(items)
         return items
 
@@ -86,8 +102,13 @@ def test_build_walks_encodes_and_sizes_once(calls):
                                                    "batch_size": 4})
     assert index.report.documents == DOCUMENTS
     assert calls["walks"] == DOCUMENTS  # one walk feeds both tables
-    assert calls["id_entries"] == index.report.entries // 2 > 0
-    assert calls["encodes"] == calls["id_entries"]
+    # The projection of that walk is what the packer packs: no entry
+    # object on the way, nothing left for the packer to convert, and
+    # the codec ran once per ID posting.
+    assert calls["entries_built"] == calls["converted"] == 0
+    assert calls["packed"] == index.report.entries
+    assert calls["id_postings"] == index.report.entries // 2 > 0
+    assert calls["encodes"] == calls["id_postings"]
     db = warehouse.cloud.dynamodb
     stored = [item for name in db.table_names()
               for item in db.table(name).all_items()]
@@ -96,7 +117,6 @@ def test_build_walks_encodes_and_sizes_once(calls):
     # put path, the write stats and the storage report read that size.
     assert calls["sized"] == sum(len(item.attributes) for item in stored)
     assert db.raw_bytes() == sum(item.size_bytes for item in stored)
-    assert calls["sized"] == sum(len(item.attributes) for item in stored)
     assert calls["canonical"] == calls["hashed"] == 0  # uuid mode
     assert calls["pieces"] == 0  # ... which builds no canonical piece
 
@@ -111,16 +131,18 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
                                                   prefix="new-"),
                                     config={"loaders": 2})
     assert calls["walks"] == DOCUMENTS + 4
+    assert calls["id_postings"] == (built.report.entries
+                                    + delta.entries) // 2 > 0
     before = dict(calls)
     compaction = warehouse.compact_index(live)
     assert compaction.entries_written > 0
     # The fold never leaves stored form: every ID list it carries is
     # the one blob it scanned, so the codec ran for the build batches'
-    # and the delta's ID entries only, and no entry object was built.
-    assert calls["encodes"] == (built.report.entries + delta.entries) // 2
-    assert calls["encodes"] == before["encodes"]
+    # and the delta's ID postings only; and from the first walk to the
+    # last put no entry object was built and none reached the packer.
+    assert calls["encodes"] == before["id_postings"] == before["encodes"]
     assert calls["decodes"] == 0
-    assert calls["entries_built"] == before["entries_built"]
+    assert calls["entries_built"] == calls["converted"] == 0
     # One piece per posting written (build batches, delta and fold
     # alike; this chain masks nothing, so every posting the fold scans
     # it also writes), from one encode per value: the scanned item's
