@@ -2,6 +2,7 @@
 """SIGPROF sampling profile of one end-to-end benchmark workload.
 
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants [SEED]
+    PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants --garbage
 
 Runs the workload's ``setup`` (unsampled) and its timed ``main`` under
 ``signal.setitimer(ITIMER_PROF)``, ROUNDS times on fresh state (the
@@ -19,6 +20,16 @@ tripped the threshold (a pass that frees nothing looks like a slow
 the GC block reports, per generation, how many ran inside the timed
 section, how long they took, what share of the section that is and how
 many objects they freed.
+
+That block counts what the collector freed without naming it.
+``--garbage`` runs one more round with the collector off and
+``gc.DEBUG_SAVEALL`` set, so the ``gc.collect()`` after the timed
+section keeps what it finds unreachable in ``gc.garbage``: the report
+lists those objects by type, the functions among them by
+``__qualname__`` (a closure that recurses through its own cell is what
+makes a call's working set cyclic) and the live ``Process`` objects
+before and after the section (one that outlives its generator is held
+by something).
 """
 
 import collections
@@ -26,6 +37,7 @@ import gc
 import signal
 import sys
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,9 +56,47 @@ INTERVAL_S = 0.001
 ROUNDS = 5
 
 
+def live_processes():
+    from repro.sim.process import Process
+    return sum(isinstance(obj, Process) for obj in gc.get_objects())
+
+
+def garbage_report(workload):
+    """One round with the collector off: what does ``main`` leave that
+    only a collector pass can free, and which processes outlive it?"""
+    state = workload.setup()
+    gc.collect()
+    before = live_processes()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        workload.main(state)
+        after = live_processes()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    by_type = collections.Counter(type(obj).__name__ for obj in garbage)
+    closures = collections.Counter(
+        obj.__qualname__ for obj in garbage
+        if isinstance(obj, types.FunctionType))
+    print("-- garbage: one round of main with the collector off")
+    print("{} unreachable objects; live Process objects {} before, {} "
+          "after ({} of them unreachable)".format(
+              len(garbage), before, after, by_type["Process"]))
+    for title, counts in (("type", by_type), ("function", closures)):
+        print("-- unreachable by {}".format(title))
+        for name, count in counts.most_common(15):
+            print("{:8d}  {}".format(count, name))
+
+
 def main(argv):
     import run as bench
     from workloads import make_workload
+    garbage = "--garbage" in argv
+    argv = [arg for arg in argv if arg != "--garbage"]
     seed = int(argv[2]) if len(argv) > 2 else bench.DEFAULT_SEED
     workload = make_workload(argv[1], seed)
     workload.prepare()
@@ -107,6 +157,9 @@ def main(argv):
         print("-- self time by {}".format(title))
         for name, count in counts.most_common(top):
             print("{:6.1%}  {}".format(count / total, name))
+    if garbage:
+        state = None  # the last round's processes are not this round's
+        garbage_report(workload)
     return 0
 
 

@@ -139,41 +139,52 @@ def twig_exists(children: TwigShape,
     if not children[0]:
         return True
     bound: List[Optional[tuple]] = [None] * len(streams)
+    for index in range(_columns(streams, bound, 0)[3]):
+        if _entry_ok(children, streams, bound, 0, index):
+            return True
+    return False
 
-    def columns(position: int) -> tuple:
-        block = as_block(streams[position])
-        entry = bound[position] = (block.pres, block.posts, block.depths,
-                                   len(block), {})
-        return entry
 
-    def entry_ok(position: int, index: int) -> bool:
-        pres, posts, depths, _, memo = bound[position]
-        cached = memo.get(index)
-        if cached is not None:
-            return cached
-        pre = pres[index]
-        post = posts[index]
-        child_depth = depths[index] + 1
-        result = True
-        for child, descendant in children[position]:
-            c_pres, c_posts, c_depths, c_size, _ = \
-                bound[child] or columns(child)
-            inner = children[child]
-            j = bisect_right(c_pres, pre)
-            found = False
-            while j < c_size and c_posts[j] <= post:
-                if ((descendant or c_depths[j] == child_depth)
-                        and (not inner or entry_ok(child, j))):
-                    found = True
-                    break
-                j += 1
-            if not found:
-                result = False
+def _columns(streams: Sequence[Optional[BlockLike]],
+             bound: List[Optional[tuple]], position: int) -> tuple:
+    """First reach of a position: decode its columns, open its memo."""
+    block = as_block(streams[position])
+    entry = bound[position] = (block.pres, block.posts, block.depths,
+                               len(block), {})
+    return entry
+
+
+def _entry_ok(children: TwigShape, streams: Sequence[Optional[BlockLike]],
+              bound: List[Optional[tuple]], position: int,
+              index: int) -> bool:
+    """Whether entry ``index`` of ``position`` roots a sub-twig match.
+    Not a closure: one recursing through its own cell is a GC cycle."""
+    pres, posts, depths, _, memo = bound[position]
+    cached = memo.get(index)
+    if cached is not None:
+        return cached
+    pre = pres[index]
+    post = posts[index]
+    child_depth = depths[index] + 1
+    result = True
+    for child, descendant in children[position]:
+        c_pres, c_posts, c_depths, c_size, _ = \
+            bound[child] or _columns(streams, bound, child)
+        inner = children[child]
+        j = bisect_right(c_pres, pre)
+        found = False
+        while j < c_size and c_posts[j] <= post:
+            if ((descendant or c_depths[j] == child_depth)
+                    and (not inner
+                         or _entry_ok(children, streams, bound, child, j))):
+                found = True
                 break
-        memo[index] = result
-        return result
-
-    return any(entry_ok(0, i) for i in range(columns(0)[3]))
+            j += 1
+        if not found:
+            result = False
+            break
+    memo[index] = result
+    return result
 
 
 class BlockTwigJoin:

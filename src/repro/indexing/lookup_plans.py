@@ -158,22 +158,24 @@ def expand_pattern_for_twig(pattern: TreePattern,
     dropped (§5.5).
     """
     keys: Dict[int, str] = {}
+    root = _clone_for_twig(pattern.root, keys, include_words)
+    return ExpandedTwig(pattern=TreePattern(root=root), keys=keys)
 
-    def clone(node: PatternNode) -> PatternNode:
-        copy = PatternNode(label=node.label, is_attribute=node.is_attribute,
-                           axis=node.axis)
-        keys[id(copy)] = _node_key(node)
-        for child in node.children:
-            copy.children.append(clone(child))
-        if include_words:
-            for word in _node_words(node):
-                leaf = PatternNode(label=word, axis=Axis.DESCENDANT)
-                keys[id(leaf)] = WORD_PREFIX + word
-                copy.children.append(leaf)
-        return copy
 
-    return ExpandedTwig(pattern=TreePattern(root=clone(pattern.root)),
-                        keys=keys)
+def _clone_for_twig(node: PatternNode, keys: Dict[int, str],
+                    include_words: bool) -> PatternNode:
+    """Copy ``node``'s subtree, filing each copy's key in ``keys``."""
+    copy = PatternNode(label=node.label, is_attribute=node.is_attribute,
+                       axis=node.axis)
+    keys[id(copy)] = _node_key(node)
+    for child in node.children:
+        copy.children.append(_clone_for_twig(child, keys, include_words))
+    if include_words:
+        for word in _node_words(node):
+            leaf = PatternNode(label=word, axis=Axis.DESCENDANT)
+            keys[id(leaf)] = WORD_PREFIX + word
+            copy.children.append(leaf)
+    return copy
 
 
 # -- outcomes ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, InstanceRetired
+from repro.errors import ConfigError, InstanceRetired, ProcessInterrupted
 from repro.serving.policy import AutoscalePolicy, SpotPolicy
 from repro.warehouse.messages import QUERY_QUEUE
 
@@ -205,11 +205,14 @@ class Autoscaler:
         return MARKET_ON_DEMAND
 
     def run(self):
-        """The scaling process: evaluate the policy every tick forever."""
+        """The scaling process: one evaluation per tick until interrupted."""
         env = self._cloud.env
-        while True:
-            yield env.timeout(self.policy.tick_s)
-            self.evaluate()
+        try:
+            while True:
+                yield env.timeout(self.policy.tick_s)
+                self.evaluate()
+        except ProcessInterrupted:
+            return
 
     def evaluate(self) -> None:
         """One policy evaluation against the current queue signals."""

@@ -35,7 +35,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_processes = 0
         #: The process whose generator is currently being stepped (kernel
         #: maintained).  Telemetry keys span stacks on it so concurrent
         #: simulated processes each carry their own active span.
@@ -126,7 +125,7 @@ class Environment:
         an event nobody will ever trigger).
         """
         proc = self.process(generator, name=name)
-        while proc.is_alive:
+        while not proc._triggered:  # noqa: SLF001 - is_alive, no call
             if not self._queue:
                 raise SimulationDeadlock(
                     "process {!r} never completed (deadlock)".format(

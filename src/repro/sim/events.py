@@ -27,6 +27,8 @@ class Event:
     every waiting process.
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_exception", "_triggered")
+
     def __init__(self, env: "Environment") -> None:  # noqa: F821
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -100,14 +102,18 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float,  # noqa: F821
                  value: Any = None) -> None:
         if delay < 0:
             raise SimulationError("negative timeout delay: {!r}".format(delay))
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._exception = None
+        self._triggered = True
+        self.delay = delay
         env.schedule(self, PRIORITY_NORMAL, delay)
 
     def __repr__(self) -> str:
@@ -116,6 +122,8 @@ class Timeout(Event):
 
 class _Composite(Event):
     """Shared machinery for AllOf / AnyOf."""
+
+    __slots__ = ("events", "_done")
 
     def __init__(self, env: "Environment",  # noqa: F821
                  events: Iterable[Event]) -> None:
@@ -135,6 +143,8 @@ class _Composite(Event):
 class AllOf(_Composite):
     """Fires when *all* child events have fired; value is their values."""
 
+    __slots__ = ()
+
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
@@ -148,6 +158,8 @@ class AllOf(_Composite):
 
 class AnyOf(_Composite):
     """Fires as soon as *any* child event fires; value is that value."""
+
+    __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:

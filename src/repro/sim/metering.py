@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from repro.telemetry.attribution import Attribution
 
 
-@dataclass(frozen=True)
-class MeterRecord:
-    """One metered cloud operation.
+class MeterRecord(NamedTuple):
+    """One metered cloud operation: a flat immutable record, built once.
 
     Attributes
     ----------
@@ -114,9 +114,8 @@ class Meter:
         span_id = 0
         if self._telemetry is not None:
             span_id = self._telemetry.current_span_id
-        rec = MeterRecord(time=time, service=service, operation=operation,
-                          count=count, bytes_in=bytes_in,
-                          bytes_out=bytes_out, tag=tag, span_id=span_id)
+        rec = MeterRecord(time, service, operation, count, bytes_in,
+                          bytes_out, tag, span_id)
         self._records.append(rec)
         if self._requests_total is not None:
             self._requests_total.inc(count, service=service,

@@ -18,6 +18,8 @@ from repro.sim.events import Event, PRIORITY_URGENT
 class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
+    __slots__ = ("name", "_generator", "_waiting_on", "base_span")
+
     def __init__(self, env: "Environment",  # noqa: F821
                  generator: Generator[Event, Any, Any],
                  name: str = "") -> None:
@@ -28,11 +30,13 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Event | None = None
+        #: The spawner's telemetry span: per-process state lives on the process
+        self.base_span: Any = None
         # Bootstrap: resume the generator at time now.
         bootstrap = Event(env)
         bootstrap._triggered = True  # noqa: SLF001 - kernel internal
+        bootstrap.callbacks.append(self._resume)
         env.schedule(bootstrap, PRIORITY_URGENT)
-        bootstrap.add_callback(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -65,19 +69,19 @@ class Process(Event):
         belongs to.
         """
         self._waiting_on = None
-        throw_exc: BaseException | None = None
-        if not event.ok:
-            throw_exc = event._exception  # noqa: SLF001 - kernel internal
-        previous = self.env.active_process
-        self.env.active_process = self
+        env = self.env
+        generator = self._generator
+        throw_exc: BaseException | None = event._exception  # noqa: SLF001
+        previous = env.active_process
+        env.active_process = self
         try:
             while True:
                 try:
                     if throw_exc is not None:
                         pending, throw_exc = throw_exc, None
-                        target = self._generator.throw(pending)
+                        target = generator.throw(pending)
                     else:
-                        target = self._generator.send(event._value)  # noqa: SLF001
+                        target = generator.send(event._value)  # noqa: SLF001
                 except StopIteration as stop:
                     self.succeed(stop.value)
                     return
@@ -90,7 +94,7 @@ class Process(Event):
                     throw_exc = SimulationError(
                         "process yielded a non-event: {!r}".format(target))
                     continue
-                if target.env is not self.env:
+                if target.env is not env:
                     throw_exc = SimulationError(
                         "process yielded an event from another environment")
                     continue
@@ -98,7 +102,7 @@ class Process(Event):
             self._waiting_on = target
             target.add_callback(self._resume)
         finally:
-            self.env.active_process = previous
+            env.active_process = previous
 
     def __repr__(self) -> str:
         return "<Process {} {}>".format(

@@ -13,10 +13,10 @@ stack: simulated processes interleave, so "the innermost open span" is
 only meaningful *per process*.  The tracer therefore keys its span
 stacks on the environment's currently-stepping process
 (:attr:`~repro.sim.engine.Environment.active_process`) and, when a new
-process is spawned, records the spawner's active span as the child
-process's *base* span — so a loader worker's S3 gets attach below the
-index-build span even though the build driver and the workers are
-separate processes.
+process is spawned, records the spawner's active span *on the child*
+as its base span (``Process.base_span``; no table of processes to
+leak) — so a loader worker's S3 gets attach below the index-build span
+even though the build driver and the workers are separate processes.
 
 Determinism: span ids are assigned in creation order, times come off
 the simulated clock, and nothing samples wall-clock time or randomness
@@ -47,7 +47,7 @@ class Span:
         self.start = start
         #: Simulated end time; ``None`` while the span is still open.
         self.end: Optional[float] = None
-        self.attributes: Dict[str, Any] = dict(attributes or {})
+        self.attributes = {} if attributes is None else attributes
         #: Name of the simulated process the span was opened in ("main"
         #: for driver code running outside any process).
         self.track = track
@@ -127,8 +127,6 @@ class Tracer:
         self._next_id = 1
         #: Per-process stacks of open spans (key: Process or None).
         self._stacks: Dict[Any, List[Span]] = {}
-        #: Span inherited from the spawning context, per process.
-        self._bases: Dict[Any, Span] = {}
         #: Every span ever begun, by id (parents of meter records must
         #: stay resolvable after the span closes).
         self._by_id: Dict[int, Span] = {}
@@ -152,7 +150,7 @@ class Tracer:
         stack = self._stacks.get(context)
         if stack:
             return stack[-1]
-        return self._bases.get(context)
+        return context.base_span if context is not None else None
 
     @property
     def current_span_id(self) -> int:
@@ -162,9 +160,7 @@ class Tracer:
 
     def on_process_spawned(self, proc: Any) -> None:
         """Record the spawner's active span as ``proc``'s base span."""
-        span = self.current_span
-        if span is not None:
-            self._bases[proc] = span
+        proc.base_span = self.current_span
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -174,7 +170,8 @@ class Tracer:
 
     def begin(self, name: str,
               attributes: Optional[Dict[str, Any]] = None) -> Span:
-        """Open a span explicitly (prefer the :meth:`span` scope)."""
+        """Open a span explicitly (prefer the :meth:`span` scope); the
+        span keeps ``attributes`` itself, not a copy."""
         context = self._context()
         parent = self.current_span
         track = (context.name or self.MAIN_TRACK) if context is not None \
@@ -185,7 +182,10 @@ class Tracer:
                     attributes=attributes)
         self._next_id += 1
         self._by_id[span.span_id] = span
-        self._stacks.setdefault(context, []).append(span)
+        stack = self._stacks.get(context)
+        if stack is None:
+            stack = self._stacks[context] = []
+        stack.append(span)
         return span
 
     def finish(self, span: Span) -> None:

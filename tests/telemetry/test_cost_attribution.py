@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.costs.estimator import _price_requests, activity_cost, price_record
@@ -137,7 +135,7 @@ def test_unresolvable_span_ids_stay_untraced(traced_warehouse):
     book = traced_warehouse.cloud.price_book
     tracer = traced_warehouse.telemetry.tracer
     orphan = next(iter(traced_warehouse.cloud.meter))
-    orphans = [dataclasses.replace(orphan, span_id=10 ** 9)] * 2
+    orphans = [orphan._replace(span_id=10 ** 9)] * 2
     assert set(span_inclusive_costs(tracer, orphans, book)) == {0}
 
 
