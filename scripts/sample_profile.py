@@ -43,6 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
+          # What a warm look-up still pays once its outcome is replayed
+          # (innermost wins): the cache gets and the copies handed out.
+          "read_keys",
           "_build_report", "record",  # ``record`` is Meter.record
           # The write side (``ingest-live``, ``build-2lupi``): the
           # compaction fold, the epoch commit, one query end to end
@@ -132,6 +135,7 @@ def main(argv):
 
     signal.signal(signal.SIGPROF, sample)
     elapsed = 0.0
+    answers = []  # per round: look-ups replayed / computed and kept
     for _ in range(ROUNDS):
         state = workload.setup()
         gc.callbacks.append(on_gc)
@@ -143,9 +147,16 @@ def main(argv):
             signal.setitimer(signal.ITIMER_PROF, 0)
             elapsed += time.perf_counter() - started
             gc.callbacks.remove(on_gc)
+        cache = state.warehouse.index_cache
+        if cache is not None:
+            answers.append("{}/{}".format(cache.answer_hits,
+                                          cache.answer_misses))
     total = sum(by_phase.values())
     print("{} seed {}: main {:.2f} s per round, {} samples".format(
         argv[1], seed, elapsed / ROUNDS, total))
+    if answers:
+        print("-- look-up answers replayed/computed per round: {}".format(
+            " ".join(answers)))
     print("-- cyclic GC inside main, per round ({:.1%} of it)".format(
         sum(row[1] for row in gc_passes) / elapsed))
     for generation, (passes, seconds, collected) in enumerate(gc_passes):

@@ -252,6 +252,29 @@ class BaseLookup:
         """
         return getattr(self._store, "cache", None)
 
+    def _once(self, table: str, keys: Sequence[str], gets: int,
+              question: tuple, stats: PlanStats, compute: Any) -> Any:
+        """``compute(stats)`` over the ``keys`` just read from ``table``,
+        looked up once per set of cache entries: a read that billed
+        nothing came whole from the store's cache, which — asked in the
+        same simulation step — names the entries, and what was computed
+        from those very entries (an immutable value and its per-operator
+        row charges) is replayed.  Any other read computes as ever."""
+        peek = getattr(self._store, "cache_ordinals", None)
+        entries = peek(table, keys) if peek and not gets else None
+        if entries is None:
+            return compute(stats)
+
+        def charged() -> tuple:
+            fresh = PlanStats()
+            return compute(fresh), fresh.operator_rows
+
+        answer, charges = self._store.cache.answer(
+            (question, entries), charged)
+        for operator, rows in charges.items():
+            stats.charge(operator, rows)
+        return answer
+
     def lookup_pattern(self, pattern: TreePattern,
                        ) -> Generator[Any, Any, LookupOutcome]:
         """URIs of documents possibly matching ``pattern``."""
@@ -288,9 +311,14 @@ class LULookup(BaseLookup):
         data, gets = yield from self._store.read_keys(
             self._table, keys, "presence")
         stats = PlanStats()
-        uri_sets = [sorted(data.get(key, {})) for key in keys]
-        uris = HashIntersect(stats).execute(uri_sets)
-        return LookupOutcome(uris=sorted(uris), index_gets=gets,
+
+        def intersect(stats: PlanStats) -> Tuple[str, ...]:
+            uri_sets = [sorted(data.get(key, {})) for key in keys]
+            return tuple(sorted(HashIntersect(stats).execute(uri_sets)))
+
+        uris = self._once(self._table, keys, gets, ("LU", tuple(keys)),
+                          stats, intersect)
+        return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(keys))
 
@@ -329,22 +357,30 @@ class LUPLookup(BaseLookup):
                     self._table, last_key, "paths")
                 data[last_key] = payloads
                 gets += requests
-        ordered = {key: sorted(payloads) for key, payloads in data.items()}
-        per_path_uris: List[List[str]] = []
-        for path in paths:
-            payloads = data.get(path[-1][1], {})
-            # Data paths repeat from document to document: one verdict
-            # per distinct string and look-up (a match object is truthy).
-            matches = lru_cache(maxsize=None)(query_path_regex(path).match)
-            matching: List[str] = []
-            for uri in ordered.get(path[-1][1], ()):
-                data_paths = payloads[uri] or ()
-                stats.charge("path-filter", len(data_paths))
-                if any(map(matches, data_paths)):
-                    matching.append(uri)
-            per_path_uris.append(matching)
-        uris = HashIntersect(stats).execute(per_path_uris)
-        return LookupOutcome(uris=sorted(uris), index_gets=gets,
+
+        def filter_paths(stats: PlanStats) -> Tuple[str, ...]:
+            ordered = {key: sorted(payloads)
+                       for key, payloads in data.items()}
+            per_path_uris: List[List[str]] = []
+            for path in paths:
+                payloads = data.get(path[-1][1], {})
+                # Data paths repeat from document to document: one
+                # verdict per distinct string and look-up (a match
+                # object is truthy).
+                matches = lru_cache(maxsize=None)(
+                    query_path_regex(path).match)
+                matching: List[str] = []
+                for uri in ordered.get(path[-1][1], ()):
+                    data_paths = payloads[uri] or ()
+                    stats.charge("path-filter", len(data_paths))
+                    if any(map(matches, data_paths)):
+                        matching.append(uri)
+                per_path_uris.append(matching)
+            return tuple(sorted(HashIntersect(stats).execute(per_path_uris)))
+
+        uris = self._once(self._table, unique_keys, gets,
+                          ("LUP", tuple(paths)), stats, filter_paths)
+        return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(paths))
 
@@ -375,34 +411,28 @@ class LUILookup(BaseLookup):
                      extra_gets: int = 0,
                      ) -> Generator[Any, Any, LookupOutcome]:
         keys = twig.unique_keys()
-        with maybe_span(self.tracer, "twig-join",
-                        keys=len(keys)) as twig_span:
-            data, gets = yield from self._store.read_keys(
-                self._table, keys, "ids")
-            gets += extra_gets
-            stats = extra_stats or PlanStats()
+        # One flattened twig per look-up; a candidate only binds its
+        # streams to the twig's positions.
+        nodes, children = flatten_twig(twig.pattern)
+        node_keys = tuple(twig.keys[id(node)] for node in nodes)
 
+        def join(stats: PlanStats) -> Tuple[Tuple[str, ...], int]:
+            """Matched URIs and candidate count over ``data``, read below."""
+            by_key = data
             if reduce_to is not None:
                 # 2LUPI reduction: R2^ai ⋉ R1(URI) for each key (§5.4).
                 semi = SemiJoin(stats)
-                reduced: Dict[str, Dict[str, Any]] = {}
+                by_key = {}
                 for key in keys:
                     payloads = data.get(key, {})
                     kept = semi.execute(sorted(payloads), list(reduce_to),
                                         key=lambda uri: uri)
-                    reduced[key] = {uri: payloads[uri] for uri in kept}
-                data = reduced
+                    by_key[key] = {uri: payloads[uri] for uri in kept}
 
             # Candidate documents must contain every key at least once.
-            uri_sets = [sorted(data.get(key, {})) for key in keys]
+            uri_sets = [sorted(by_key.get(key, {})) for key in keys]
             candidates = HashIntersect(stats).execute(uri_sets)
-            if twig_span is not None:
-                twig_span.attributes["candidates"] = len(candidates)
-
-            # One flattened twig per look-up; a candidate only binds
-            # its streams to the twig's positions.
-            nodes, children = flatten_twig(twig.pattern)
-            payloads = [data.get(twig.keys[id(node)], {}) for node in nodes]
+            payloads = [by_key.get(key, {}) for key in node_keys]
             matched: List[str] = []
             for uri in sorted(candidates):
                 streams = [by_uri[uri] for by_uri in payloads]
@@ -431,7 +461,21 @@ class LUILookup(BaseLookup):
                 if found:
                     matched.append(uri)
                 stats.charge("twig-join", sum(map(len, streams)))
-        return LookupOutcome(uris=matched, index_gets=gets,
+            return tuple(matched), len(candidates)
+
+        with maybe_span(self.tracer, "twig-join",
+                        keys=len(keys)) as twig_span:
+            data, gets = yield from self._store.read_keys(
+                self._table, keys, "ids")
+            stats = extra_stats or PlanStats()
+            matched, candidates = self._once(
+                self._table, keys, gets,
+                ("twig", node_keys, children, self.assume_sorted,
+                 None if reduce_to is None else tuple(reduce_to)),
+                stats, join)
+            if twig_span is not None:
+                twig_span.attributes["candidates"] = candidates
+        return LookupOutcome(uris=list(matched), index_gets=gets + extra_gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(keys))
 

@@ -24,6 +24,16 @@ Coherence comes from the crash-consistency layer, not from timeouts:
 Simulated DynamoDB latency and billing accrue only on misses: the
 cache lives host-side and costs no simulated time, mirroring a RAM
 cache in front of a remote store.
+
+The cache also remembers *answers* — what a look-up planner computed
+from a read whose every key was a hit — and their coherence is the
+entries' own: each stored entry carries the ordinal of its ``put``
+(unique, never reused) and an answer is keyed by what was computed plus
+the ordinals of the entries read.  A repair's :meth:`~IndexCache.discard`,
+an eviction, an invalidation or a flip to fresh tables means a re-``put``
+under new ordinals, so a stale answer can no longer be *asked for*.  The
+table is bounded by count, outside the byte budget: charging it would
+change which entries are evicted, and so every simulated get after.
 """
 
 from __future__ import annotations
@@ -37,6 +47,10 @@ from repro.xmldb.blocks import IDBlock
 #: Fixed per-entry bookkeeping charge against the byte budget (key
 #: strings, dict overhead) so even empty payload maps have a weight.
 ENTRY_OVERHEAD_BYTES = 64
+
+#: Most look-up answers remembered (a count, not bytes: see the module
+#: docstring); the least recently asked goes first.
+ANSWER_MEMO_ENTRIES = 256
 
 
 def _value_bytes(value: Any) -> int:
@@ -86,14 +100,20 @@ class IndexCache:
                 "IndexCache needs a positive byte budget, got {}".format(
                     max_bytes))
         self.max_bytes = max_bytes
+        #: cache key -> (payload map, weight, ordinal of its put).
         self._entries: "OrderedDict[Tuple[str, str, str, int], " \
-                       "Tuple[Dict[str, Any], int]]" = OrderedDict()
+                       "Tuple[Dict[str, Any], int, int]]" = OrderedDict()
+        self._answers: "OrderedDict[Any, Any]" = OrderedDict()
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.evictions = 0
         self.invalidations = 0
+        #: Answers replayed / computed (not in :meth:`stats`: it is
+        #: rendered into reports and bench artefacts).
+        self.answer_hits = 0
+        self.answer_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,20 +139,47 @@ class IndexCache:
     def put(self, table: str, key: str, epoch: int,
             payloads: Dict[str, Any], tenant: str = "") -> None:
         """Store one read result, evicting LRU entries past the budget."""
-        weight = payload_weight(payloads)
-        if weight > self.max_bytes:
-            return  # larger than the whole budget: not cacheable
         cache_key = (tenant, table, key, epoch)
         previous = self._entries.pop(cache_key, None)
         if previous is not None:
             self.current_bytes -= previous[1]
-        self._entries[cache_key] = (payloads, weight)
-        self.current_bytes += weight
+        weight = payload_weight(payloads)
+        if weight > self.max_bytes:
+            return  # larger than the whole budget: not cacheable
         self.puts += 1
+        self._entries[cache_key] = (payloads, weight, self.puts)
+        self.current_bytes += weight
         while self.current_bytes > self.max_bytes:
-            _, (_, evicted_weight) = self._entries.popitem(last=False)
-            self.current_bytes -= evicted_weight
+            _, evicted = self._entries.popitem(last=False)
+            self.current_bytes -= evicted[1]
             self.evictions += 1
+
+    # -- answers -----------------------------------------------------------
+
+    def ordinals(self, table: str, keys: Any, epoch: int,
+                 tenant: str = "") -> Optional[Tuple[int, ...]]:
+        """The put ordinals of the entries under ``keys``, in order —
+        a peek: no hit or miss counted, no recency refreshed; ``None``
+        if any key has no entry."""
+        entries = [self._entries.get((tenant, table, key, epoch))
+                   for key in keys]
+        return None if None in entries else tuple(
+            entry[2] for entry in entries)
+
+    def answer(self, question: Any, compute: Any) -> Any:
+        """What ``compute()`` returned when ``question`` — which names
+        the entries read by their :meth:`ordinals` — was first asked;
+        every asker gets the same object, so it must be immutable."""
+        found = self._answers.get(question)
+        if found is not None:
+            self._answers.move_to_end(question)
+            self.answer_hits += 1
+            return found
+        found = self._answers[question] = compute()
+        self.answer_misses += 1
+        if len(self._answers) > ANSWER_MEMO_ENTRIES:
+            self._answers.popitem(last=False)
+        return found
 
     # -- coherence ---------------------------------------------------------
 
@@ -154,8 +201,7 @@ class IndexCache:
         doomed = [cache_key for cache_key in self._entries
                   if cache_key[1] == table]
         for cache_key in doomed:
-            _, weight = self._entries.pop(cache_key)
-            self.current_bytes -= weight
+            self.current_bytes -= self._entries.pop(cache_key)[1]
         self.invalidations += len(doomed)
         return len(doomed)
 
@@ -168,8 +214,7 @@ class IndexCache:
         doomed = [cache_key for cache_key in self._entries
                   if cache_key[0] == tenant]
         for cache_key in doomed:
-            _, weight = self._entries.pop(cache_key)
-            self.current_bytes -= weight
+            self.current_bytes -= self._entries.pop(cache_key)[1]
         self.invalidations += len(doomed)
         return len(doomed)
 
@@ -191,6 +236,7 @@ class IndexCache:
         """
         dropped = len(self._entries)
         self._entries.clear()
+        self._answers.clear()
         self.current_bytes = 0
         self.invalidations += dropped
         return dropped

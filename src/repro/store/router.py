@@ -301,6 +301,20 @@ class StoreRouter(IndexStore):
                     + (len(keys) - len(dict.fromkeys(keys))))
         return result, gets
 
+    def cache_ordinals(self, physical_name: str, keys: Sequence[str],
+                       ) -> Optional[tuple]:
+        """Which cache entries a read of ``keys`` just now is served by:
+        their :meth:`~repro.store.cache.IndexCache.ordinals` behind this
+        router's tenant, table and epoch, or ``None`` unless every key
+        is cached."""
+        if self.cache is None:
+            return None
+        found = self.cache.ordinals(physical_name, keys, self.epoch,
+                                    self.tenant)
+        if found is None:
+            return None
+        return (self.tenant, physical_name, self.epoch) + found
+
     # -- storage accounting ------------------------------------------------
 
     def raw_bytes(self, physical_names: Iterable[str]) -> int:

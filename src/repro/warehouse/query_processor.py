@@ -48,6 +48,10 @@ OUTAGE_RETRY_S = 1.0
 #: document; the oldest is dropped first.
 EVAL_MEMO_PER_DOCUMENT = 64
 
+#: Most distinct (text, name) requests a worker keeps parsed (nothing
+#: downstream mutates a parsed Query); the oldest is dropped first.
+PARSED_QUERIES_PER_WORKER = 64
+
 
 @dataclass
 class QueryWorkStats:
@@ -123,6 +127,7 @@ class QueryWorker:
         self._stats_sink = stats_sink
         self._parsed_documents = parsed_documents if parsed_documents \
             is not None else {}
+        self._parsed_queries: Dict[tuple, Any] = {}
         #: Alternative look-up used for requests flagged ``degraded``
         #: by admission control (typically a DegradingLookup over the
         #: 2LUPI → LU → scan ladder).
@@ -226,7 +231,13 @@ class QueryWorker:
         stats = QueryWorkStats(query_id=request.query_id, name=request.name,
                                received_at=env.now,
                                tenant=getattr(request, "tenant", ""))
-        query = parse_query(request.text, name=request.name)
+        parsed = self._parsed_queries
+        query = parsed.get((request.text, request.name))
+        if query is None:
+            if len(parsed) >= PARSED_QUERIES_PER_WORKER:
+                del parsed[next(iter(parsed))]  # oldest entry
+            query = parsed[request.text, request.name] = parse_query(
+                request.text, name=request.name)
         lookup = self._lookup
         if getattr(request, "degraded", False) \
                 and self._degraded_lookup is not None:

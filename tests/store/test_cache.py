@@ -57,6 +57,18 @@ def test_oversized_entries_are_not_cached():
     assert cache.get("idx", "big", 1) is None
 
 
+def test_an_oversized_replacement_drops_the_entry_it_replaces():
+    """A re-put too heavy to cache must not leave the old map served."""
+    cache = IndexCache(2 * ENTRY_OVERHEAD_BYTES + 64)
+    cache.put("idx", "k", 1, {"a.xml": "x"})
+    cache.put("idx", "other", 1, {})
+    cache.put("idx", "k", 1, {"a.xml": "x" * 1024})
+    assert cache.get("idx", "k", 1) is None
+    assert len(cache) == 1
+    assert cache.current_bytes == payload_weight({})
+    assert cache.puts == 2 and cache.evictions == 0
+
+
 def test_replacing_an_entry_adjusts_bytes():
     """Re-putting the same key replaces the entry and its weight."""
     cache = IndexCache(8192)
@@ -131,3 +143,52 @@ def test_hit_ratio_and_stats_snapshot():
                           "invalidations"}
     assert stats["entries"] == 1.0
     assert stats["hits"] == 1.0 and stats["misses"] == 1.0
+
+
+def test_ordinals_name_stored_entries_without_touching_them():
+    """Each put stamps a fresh ordinal; the peek counts and moves nothing."""
+    cache = IndexCache(4096)
+    cache.put("idx", "a", 1, {})
+    cache.put("idx", "b", 1, {})
+    cache.put("idx", "a", 1, {"x.xml": None}, tenant="t")
+    assert cache.ordinals("idx", ["a", "b"], 1) == (1, 2)
+    assert cache.ordinals("idx", ["b", "a", "b"], 1) == (2, 1, 2)
+    assert cache.ordinals("idx", ["a"], 1, tenant="t") == (3,)
+    assert cache.ordinals("idx", [], 1) == ()
+    assert cache.ordinals("idx", ["a", "gone"], 1) is None
+    assert cache.ordinals("idx", ["a"], 2) is None
+    assert cache.hits == cache.misses == 0
+    assert next(iter(cache._entries))[2] == "a"  # LRU order untouched
+    # Re-put, discard + re-put: never the same ordinal twice.
+    cache.put("idx", "a", 1, {})
+    cache.discard("idx", "b", 1)
+    cache.put("idx", "b", 1, {})
+    assert cache.ordinals("idx", ["a", "b"], 1) == (4, 5)
+
+
+def test_answers_are_computed_once_and_kept_out_of_stats():
+    """The answer table computes on first ask and counts beside stats()."""
+    cache = IndexCache(4096)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return ("a.xml",)
+
+    before = cache.stats()
+    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
+    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
+    assert cache.answer(("q", (1, 3)), compute) == ("a.xml",)
+    assert len(calls) == 2
+    assert (cache.answer_hits, cache.answer_misses) == (1, 2)
+    assert cache.stats() == before and cache.current_bytes == 0
+
+    def broken():
+        raise ValueError("damaged block")
+
+    with pytest.raises(ValueError):
+        cache.answer("bad", broken)
+    assert cache.answer("bad", compute) == ("a.xml",)  # nothing was stored
+    cache.invalidate_all()
+    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
+    assert len(calls) == 4

@@ -83,3 +83,53 @@ def test_index_gets_counted_per_query(warehouse, lui_index):
     execution = warehouse.run_query(workload_query("q6"), lui_index)
     # q6's twig has 4 labels -> 4 LUI gets.
     assert execution.index_gets == 4
+
+
+@pytest.mark.parametrize("strategy", ["LU", "LUP", "LUI", "2LUPI"])
+def test_a_worker_parses_each_query_once_and_never_mutates_it(
+        warehouse, monkeypatch, strategy):
+    """Thirty requests over ten texts cost one worker ten parses — safe
+    to share because processing leaves a parsed Query as it was."""
+    from repro.query.parser import query_to_source
+    from repro.query.workload import workload
+    from repro.warehouse import query_processor
+
+    parsed = []
+
+    def recording_parse(text, name=""):
+        query = parse_query(text, name=name)
+        parsed.append((query, query_to_source(query)))
+        return query
+
+    monkeypatch.setattr(query_processor, "parse_query", recording_parse)
+    index = warehouse.build_index(strategy, config={"loaders": 2})
+    report = warehouse.run_workload(workload(), index,
+                                    config={"workers": 1}, repeats=3)
+    assert len(report.executions) == 30
+    assert [query.name for query, _ in parsed] == [
+        query.name for query in workload()]
+    for query, source in parsed:
+        assert query_to_source(query) == source, query.name
+    by_name = {}
+    for execution in report.executions:
+        by_name.setdefault(execution.name, set()).add(execution.result_rows)
+    for query in workload():
+        assert by_name[query.name] == {
+            len(evaluate_query(query, warehouse.corpus.documents))}
+
+
+def test_the_parsed_query_table_is_bounded(warehouse, lui_index, monkeypatch):
+    from repro.warehouse import query_processor
+    monkeypatch.setattr(query_processor, "PARSED_QUERIES_PER_WORKER", 2)
+    parses = []
+    monkeypatch.setattr(
+        query_processor, "parse_query",
+        lambda text, name="": parses.append(name) or parse_query(
+            text, name=name))
+    queries = [workload_query(name) for name in ("q1", "q2", "q1", "q6",
+                                                 "q6", "q1")]
+    report = warehouse.run_workload(queries, lui_index,
+                                    config={"workers": 1})
+    assert len(report.executions) == 6
+    # q1 is parsed again once q2 and q6 have pushed it out.
+    assert parses == ["q1", "q2", "q6", "q1"]
