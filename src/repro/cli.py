@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import sys
-from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.advisor import IndexAdvisor
@@ -604,48 +603,6 @@ def cmd_prices(args) -> int:
     return 0
 
 
-#: Lookup strategies the wall-clock bench can replay (they are the
-#: ones whose lookups join ID streams).
-WALLCLOCK_STRATEGIES = ("LUI", "2LUPI")
-
-
-def cmd_bench(args) -> int:
-    """Replay a wall-clock bench (real seconds, not simulated dollars)."""
-    from repro.bench.experiments import wallclock
-
-    if args.experiment != "wallclock":  # argparse choices guard this
-        out.line("unknown bench {!r}".format(args.experiment))
-        return 2
-    if args.strategy is None:
-        strategies = WALLCLOCK_STRATEGIES
-    elif args.strategy in WALLCLOCK_STRATEGIES:
-        strategies = (args.strategy,)
-    else:
-        out.line("bench wallclock replays ID-joining lookups only; "
-                 "--strategy must be one of {}".format(
-                     ", ".join(WALLCLOCK_STRATEGIES)))
-        return 2
-    ctx = SimpleNamespace(corpus=_corpus(args))
-    result = wallclock.run(ctx, queries=args.queries,
-                           patterns=args.patterns, seed=args.seed,
-                           strategies=strategies)
-    out.line(result.render())
-    if args.out:
-        payload = {
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "headers": result.headers,
-            "rows": result.rows,
-            "series": result.series,
-            "notes": result.notes,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True)
-                         + "\n")
-        out.line("wrote {}".format(args.out))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command-line interface."""
     parser = argparse.ArgumentParser(
@@ -862,24 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prices.add_argument("--provider", default="aws",
                           choices=("aws", "google", "azure"))
     p_prices.set_defaults(func=cmd_prices)
-
-    p_bench = sub.add_parser("bench", help=cmd_bench.__doc__)
-    p_bench.add_argument("experiment", choices=("wallclock",),
-                         help="which wall-clock bench to replay")
-    add_corpus_args(p_bench, documents=600)
-    p_bench.add_argument("--strategy", type=_strategy_name, default=None,
-                         help="replay one lookup strategy ({}); default "
-                              "replays both".format(
-                                  "/".join(WALLCLOCK_STRATEGIES)))
-    p_bench.add_argument("--queries", type=int, default=10000,
-                         help="lookup replays per (strategy, engine) arm "
-                              "(scales to a million-query replay)")
-    p_bench.add_argument("--patterns", type=int, default=32,
-                         help="distinct seeded patterns cycled through "
-                              "the replay")
-    p_bench.add_argument("--out", help="write the JSON result here "
-                                       "(BENCH_wallclock.json layout)")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -7,19 +7,16 @@ by means of a single-site XML processor, which one can choose freely"
 - :mod:`~repro.engine.evaluator` — tree-pattern evaluation over a
   :class:`~repro.xmldb.model.Document` (selections, projections,
   structural navigation), producing result rows;
-- :mod:`~repro.engine.structural_join` — the stack-based binary
-  structural join of Al-Khalifa et al. [3];
-- :mod:`~repro.engine.twigstack` — the holistic twig join of Bruno et
+- :mod:`~repro.engine.columnar` — the holistic twig join of Bruno et
   al. [7], specialised to the existence test the look-ups need
-  ("identify the relevant documents", §5.3/§5.4);
+  ("identify the relevant documents", §5.3/§5.4), and the stack-based
+  structural joins of Al-Khalifa et al. [3], all over
+  :class:`~repro.xmldb.blocks.IDBlock` columns;
 - :mod:`~repro.engine.value_join` — hash-based value joins across tree
   pattern results (§5.5);
 - :mod:`~repro.engine.operators` — small physical-plan operators with
   row accounting, used by the look-up plans (Figure 5) to charge plan
-  execution CPU;
-- :mod:`~repro.engine.columnar` — array-based kernels over
-  :class:`~repro.xmldb.blocks.IDBlock` columns (the columnar fast
-  path); the row implementations above remain the reference oracles.
+  execution CPU.
 """
 
 from repro.engine.columnar import (BlockTwigJoin, KernelStats,
@@ -29,16 +26,11 @@ from repro.engine.columnar import (BlockTwigJoin, KernelStats,
                                    make_twig_join)
 from repro.engine.evaluator import (EvalRow, evaluate_pattern, evaluate_query,
                                     pattern_matches)
-from repro.engine.structural_join import (semi_join_ancestors,
-                                          semi_join_descendants,
-                                          stack_tree_join)
-from repro.engine.twigstack import HolisticTwigJoin
 from repro.engine.value_join import hash_value_join, join_query_rows
 
 __all__ = [
     "BlockTwigJoin",
     "EvalRow",
-    "HolisticTwigJoin",
     "KernelStats",
     "block_semi_join_ancestors",
     "block_semi_join_descendants",
@@ -50,7 +42,4 @@ __all__ = [
     "join_query_rows",
     "make_twig_join",
     "pattern_matches",
-    "semi_join_ancestors",
-    "semi_join_descendants",
-    "stack_tree_join",
 ]

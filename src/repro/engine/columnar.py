@@ -1,30 +1,26 @@
-"""Array-based structural-join kernels over :class:`IDBlock` columns.
+"""Structural-join kernels over :class:`IDBlock` columns.
 
-The row engine (:mod:`~repro.engine.structural_join`,
-:mod:`~repro.engine.twigstack`) walks ``NodeID`` NamedTuples through
-Python inner loops; these kernels run the same merge algorithms over
+The holistic twig join of Bruno et al. [7] and the stack-based binary
+structural joins of Al-Khalifa et al. [3] run here as merge loops over
 the parallel ``array('q')`` columns of
-:class:`~repro.xmldb.blocks.IDBlock`, avoiding per-node object
-construction and attribute dispatch on the hot path.  Results are
-identical to the row implementations, which stay in place as the
-reference oracles — the property suite in
-``tests/properties/test_property_columnar.py`` holds the two sides
-together.
+:class:`~repro.xmldb.blocks.IDBlock`, with no per-node object
+construction or attribute dispatch on the hot path.  Inputs must be
+sorted by ``pre`` — exactly why LUI stores its ID lists sorted (§5.3).
+Row-at-a-time versions over ``NodeID`` lists live in the test suite as
+reference oracles (``tests/engine/oracles.py``); the property suite
+holds the kernels to them.
 
-Validation policy (the hot-path fix): the row entry points keep their
-always-on O(n) sortedness checks for backward compatibility, but every
-kernel here takes ``validate=False`` by default — index-sourced blocks
-are sorted by construction (``encode_ids`` refuses unsorted input and
-the lazy decode enforces strictly-positive pre deltas), so re-checking
-on every call, including the per-node OK-stream rebuilds inside the
-twig join, is pure overhead.  Pass ``validate=True`` to re-enable the
-checks for hand-built inputs.
+Validation policy: every kernel takes ``validate=False`` by default —
+index-sourced blocks are sorted by construction (``encode_ids`` refuses
+unsorted input and the lazy decode enforces strictly-positive pre
+deltas), so re-checking on every call is pure overhead.  Pass
+``validate=True`` to check hand-built inputs; :func:`make_twig_join`
+does so by default for streams that are not blocks.
 
-The semi-join kernels are single-pass merges: unlike the row versions
-(which materialise the full O(output) pair join and dedupe via sets),
-they decide existence per node directly, and report how many
-(ancestor, descendant) pairs they actually examined through
-:class:`KernelStats`.
+The semi-join kernels are single-pass merges: rather than materialise
+the full O(output) pair join and dedupe it, they decide existence per
+node directly, and report how many (ancestor, descendant) pairs they
+actually examined through :class:`KernelStats`.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from repro.xmldb.blocks import IDBlock, as_block
 from repro.xmldb.ids import NodeID
 
 __all__ = [
-    "BlockStream",
     "BlockTwigJoin",
     "KernelStats",
     "block_semi_join_ancestors",
@@ -66,46 +61,6 @@ class KernelStats:
     """
 
     pairs_enumerated: int = 0
-
-
-class BlockStream:
-    """Columnar counterpart of ``twigstack._Stream``.
-
-    ``has_structural_child`` binary-searches the pre column and scans
-    the contiguous descendant run over flat arrays.
-    """
-
-    __slots__ = ("block", "_pres", "_posts", "_depths", "_size")
-
-    def __init__(self, ids: BlockLike, label: str,
-                 validate: bool = False) -> None:
-        block = as_block(ids)
-        if validate:
-            block.check_sorted("stream for {!r}".format(label))
-        self.block = block
-        self._pres = block.pres
-        self._posts = block.posts
-        self._depths = block.depths
-        self._size = len(block)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def has_structural_child(self, parent: NodeID, axis: Axis) -> bool:
-        """Whether some stream ID is a descendant (or child) of ``parent``."""
-        index = bisect_right(self._pres, parent.pre)
-        posts = self._posts
-        depths = self._depths
-        parent_post = parent.post
-        child_depth = parent.depth + 1
-        descendant = axis is Axis.DESCENDANT
-        while index < self._size:
-            if posts[index] > parent_post:
-                return False  # subtree run ended
-            if descendant or depths[index] == child_depth:
-                return True
-            index += 1
-        return False
 
 
 def flatten_twig(pattern: TreePattern) -> Tuple[List[PatternNode], TwigShape]:
@@ -188,14 +143,18 @@ def _entry_ok(children: TwigShape, streams: Sequence[Optional[BlockLike]],
 
 
 class BlockTwigJoin:
-    """Existence-checking holistic twig join over columnar streams.
+    """Existence-checking holistic twig join (Bruno et al. [7]) over
+    columnar streams.
 
-    Drop-in for :class:`~repro.engine.twigstack.HolisticTwigJoin`
-    (same ``matches`` / ``matching_roots`` / ``rows_processed`` API and
-    results) but the bottom-up OK computation runs over IDBlock
-    columns.  ``rows_processed`` only needs stream *lengths*, which are
-    cheap even on lazy blocks, so the plan-CPU accounting is identical
-    whether or not the streams were ever decoded.
+    ``streams`` maps the *identity* of each pattern node to the
+    document's sorted ID stream for that node's key; a missing or empty
+    stream means no match.  :meth:`matches` runs :func:`twig_exists`;
+    :meth:`matching_roots` computes, bottom-up, the stream entries that
+    root a full subtree match, one merge per pattern edge (descendants
+    form a contiguous ``pre`` run), with no per-pair enumeration.
+    ``rows_processed`` only needs stream *lengths*, which are cheap even
+    on lazy blocks, so the plan-CPU accounting is identical whether or
+    not the streams were ever decoded.
     """
 
     def __init__(self, pattern: TreePattern,
@@ -314,21 +273,18 @@ class BlockTwigJoin:
 
 def make_twig_join(pattern: TreePattern,
                    streams: Mapping[int, Optional[BlockLike]],
-                   validate: Optional[bool] = None):
-    """Type-driven twig-join dispatch.
+                   validate: Optional[bool] = None) -> BlockTwigJoin:
+    """A :class:`BlockTwigJoin` over ``streams``.
 
-    Any :class:`IDBlock` stream selects :class:`BlockTwigJoin`
-    (validation off by default — blocks are sorted by construction);
-    all-row streams keep the row
-    :class:`~repro.engine.twigstack.HolisticTwigJoin` oracle with its
-    historical always-on validation.
+    ``validate=None`` checks sortedness unless some stream is an
+    :class:`IDBlock`: blocks are sorted by construction, while
+    hand-built ``NodeID`` streams are checked, so an unsorted one raises
+    :class:`~repro.errors.EvaluationError` instead of a wrong answer.
     """
-    from repro.engine.twigstack import HolisticTwigJoin
-
-    if any(isinstance(ids, IDBlock) for ids in streams.values()):
-        return BlockTwigJoin(pattern, streams, validate=bool(validate))
-    return HolisticTwigJoin(pattern, streams,
-                            validate=True if validate is None else validate)
+    if validate is None:
+        validate = not any(isinstance(ids, IDBlock)
+                           for ids in streams.values())
+    return BlockTwigJoin(pattern, streams, validate=validate)
 
 
 # -- binary structural joins ------------------------------------------------
@@ -338,9 +294,10 @@ def block_stack_tree_join(ancestors: BlockLike, descendants: BlockLike,
                           parent_child: bool = False,
                           validate: bool = False,
                           ) -> List[Tuple[NodeID, NodeID]]:
-    """Columnar stack-tree join; same output contract as
-    :func:`~repro.engine.structural_join.stack_tree_join` (pairs sorted
-    by (descendant.pre, ancestor.pre))."""
+    """Stack-tree join (Al-Khalifa et al. [3]): every (ancestor,
+    descendant) — with ``parent_child``, (parent, child) — pair between
+    two pre-sorted inputs in one merge pass over a stack of open
+    ancestors, sorted by (descendant.pre, ancestor.pre)."""
     anc = as_block(ancestors)
     desc = as_block(descendants)
     if validate:

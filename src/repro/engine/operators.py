@@ -1,8 +1,8 @@
 """Minimal physical-plan operators with row accounting.
 
-The look-up plans (Figure 5: projections, intersections, semi-joins
-feeding a holistic twig join) are assembled from these operators.  They
-run in ordinary Python, but every row that flows through an operator is
+The look-up plans (Figure 5: intersections and semi-joins feeding a
+holistic twig join) are assembled from these operators.  They run in
+ordinary Python, but every row that flows through an operator is
 counted in a shared :class:`PlanStats`; the query processor converts the
 count into simulated CPU time ("Lookup - Plan execution" in Figures
 9b/9c) via ``PerformanceProfile.plan_ecu_s_per_row``.
@@ -41,60 +41,6 @@ class Operator:
     def _account(self, rows: Sequence) -> Sequence:
         self.stats.charge(self.name, len(rows))
         return rows
-
-
-class Scan(Operator):
-    """Leaf node: materialise an input collection."""
-
-    name = "scan"
-
-    def execute(self, rows: Iterable[Row]) -> List[Row]:
-        """Run the operator, counting consumed rows."""
-        return list(self._account(list(rows)))
-
-
-class Project(Operator):
-    """Apply a per-row function (e.g. extract the URI column)."""
-
-    name = "project"
-
-    def execute(self, rows: Iterable[Row],
-                fn: Callable[[Row], Key]) -> List[Key]:
-        """Run the operator, counting consumed rows."""
-        materialised = list(rows)
-        self._account(materialised)
-        return [fn(row) for row in materialised]
-
-
-class Filter(Operator):
-    """Keep rows satisfying a predicate (e.g. path regex matching)."""
-
-    name = "filter"
-
-    def execute(self, rows: Iterable[Row],
-                predicate: Callable[[Row], bool]) -> List[Row]:
-        """Run the operator, counting consumed rows."""
-        materialised = list(rows)
-        self._account(materialised)
-        return [row for row in materialised if predicate(row)]
-
-
-class Distinct(Operator):
-    """Remove duplicates, preserving first-seen order."""
-
-    name = "distinct"
-
-    def execute(self, rows: Iterable[Row]) -> List[Row]:
-        """Run the operator, counting consumed rows."""
-        materialised = list(rows)
-        self._account(materialised)
-        seen: Set[Row] = set()
-        out: List[Row] = []
-        for row in materialised:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
 
 
 class HashIntersect(Operator):

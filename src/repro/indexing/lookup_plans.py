@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.engine.columnar import (flatten_twig, make_twig_join,
-                                   twig_exists)
+from repro.engine.columnar import flatten_twig, twig_exists
 from repro.engine.operators import HashIntersect, PlanStats, SemiJoin
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key)
@@ -40,7 +39,6 @@ from repro.indexing.mapper import IndexStore
 from repro.query.pattern import Axis, PatternNode, Query, TreePattern
 from repro.query.predicates import Equals
 from repro.telemetry.spans import maybe_span
-from repro.xmldb.blocks import IDBlock
 
 WORD_PREFIX = "w"
 
@@ -444,21 +442,10 @@ class LUILookup(BaseLookup):
                         if length > 1:
                             stats.charge("sort", length * max(
                                 1, math.ceil(math.log2(length))))
-                        streams[position] = (
-                            ids.sorted_by_pre() if hasattr(
-                                ids, "sorted_by_pre")
-                            else sorted(ids, key=lambda nid: nid.pre))
-                # Columnar payloads (IDBlocks) take the array existence
-                # check; row payloads keep the validating row join.  The
-                # plan-CPU charge only needs stream lengths, so it is the
-                # same on both, even for never-decoded lazy blocks.
-                if any(isinstance(ids, IDBlock) for ids in streams):
-                    found = twig_exists(children, streams)
-                else:
-                    found = make_twig_join(
-                        twig.pattern, dict(zip(map(id, nodes), streams))
-                    ).matches()
-                if found:
+                        streams[position] = ids.sorted_by_pre()
+                # The plan-CPU charge only needs stream lengths, so it
+                # costs no decode of a never-joined lazy block.
+                if twig_exists(children, streams):
                     matched.append(uri)
                 stats.charge("twig-join", sum(map(len, streams)))
             return tuple(matched), len(candidates)

@@ -48,8 +48,7 @@ from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
 from repro.xmldb.ids import NodeID
 
 #: Payload returned per URI by reads: None (presence), tuple of paths,
-#: or a sorted ID list — a columnar :class:`~repro.xmldb.blocks.IDBlock`
-#: on the default engine, a ``List[NodeID]`` on the row engine.  The
+#: or the sorted IDs as an :class:`~repro.xmldb.blocks.IDBlock`.  The
 #: write side (``Entries``) never sees one: a compaction's per-URI maps
 #: hold the scanned :class:`Posting` where a read's hold a payload.
 Payload = Any
@@ -179,8 +178,7 @@ class DynamoIndexStore(IndexStore):
 
     def __init__(self, dynamodb: DynamoDB, seed: int = 0,
                  range_key_mode: str = "uuid",
-                 verify_reads: bool = False,
-                 columnar: bool = True) -> None:
+                 verify_reads: bool = False) -> None:
         if range_key_mode not in ("uuid", "attribute", "content"):
             raise IndexingError(
                 "range_key_mode must be 'uuid', 'attribute' or 'content', "
@@ -189,10 +187,6 @@ class DynamoIndexStore(IndexStore):
         self._rng = random.Random(seed)
         self.range_key_mode = range_key_mode
         self.verify_reads = verify_reads
-        #: Columnar reads hand ID payloads to the engine as lazy
-        #: :class:`~repro.xmldb.blocks.IDBlock`\ s (decode deferred to
-        #: first column access); ``False`` keeps the row-oracle decode.
-        self.columnar = columnar
 
     def _uuid(self) -> str:
         """A UUID range key ([20]); seeded for reproducible runs."""
@@ -314,7 +308,7 @@ class DynamoIndexStore(IndexStore):
 
     @staticmethod
     def _merge_items(items: Sequence[DynamoItem], kind: str,
-                     columnar: bool = False) -> Dict[str, Payload]:
+                     ) -> Dict[str, Payload]:
         merged: Dict[str, Payload] = {}
         blobs: Dict[str, List[bytes]] = {}
         for item in items:
@@ -332,24 +326,13 @@ class DynamoIndexStore(IndexStore):
                     merged[base_uri] = tuple(existing)
                 else:  # ids
                     blobs.setdefault(base_uri, []).extend(values)
-        if kind == "ids":
-            if columnar:
-                # The single-blob common case stays *encoded*: the block
-                # reads only the count varint here and decodes straight
-                # to columns if the engine ever joins this URI.
-                for base_uri, uri_blobs in blobs.items():
-                    merged[base_uri] = IDBlock.from_encoded_chunks(uri_blobs)
-            else:
-                for base_uri, uri_blobs in blobs.items():
-                    decoded: List[NodeID] = []
-                    for blob in uri_blobs:
-                        decoded = decoded + decode_ids(blob)
-                    # Chunks from split items may arrive out of order,
-                    # and a redelivered loader batch (chaos recovery)
-                    # may have written the same IDs twice; dedup + sort
-                    # restores the LUI invariant either way.
-                    merged[base_uri] = sorted(set(decoded),
-                                              key=lambda nid: nid.pre)
+        # The single-blob common case stays *encoded*: the block reads
+        # only the count varint here and decodes straight to columns if
+        # the engine ever joins this URI.  Chunks of a split item and a
+        # redelivered batch's duplicates are merged back to one sorted
+        # list (see :meth:`IDBlock.from_encoded_chunks`).
+        for base_uri, uri_blobs in blobs.items():
+            merged[base_uri] = IDBlock.from_encoded_chunks(uri_blobs)
         return merged
 
     @staticmethod
@@ -415,7 +398,7 @@ class DynamoIndexStore(IndexStore):
         items = yield from self._db.get(physical_name, key)
         if self.verify_reads:
             self._verify_items(physical_name, items)
-        return self._merge_items(items, kind, columnar=self.columnar), 1
+        return self._merge_items(items, kind), 1
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
                   ) -> Generator[Any, Any,
@@ -431,8 +414,7 @@ class DynamoIndexStore(IndexStore):
             for chunk_key, items in grouped.items():
                 if self.verify_reads:
                     self._verify_items(physical_name, items)
-                result[chunk_key] = self._merge_items(
-                    items, kind, columnar=self.columnar)
+                result[chunk_key] = self._merge_items(items, kind)
         return result, gets
 
     # -- storage accounting -----------------------------------------------------
@@ -474,14 +456,9 @@ class SimpleDBIndexStore(IndexStore):
 
     backend_name = "simpledb"
 
-    def __init__(self, simpledb: SimpleDB, seed: int = 0,
-                 columnar: bool = True) -> None:
+    def __init__(self, simpledb: SimpleDB, seed: int = 0) -> None:
         self._db = simpledb
         self._rng = random.Random(seed)
-        #: SimpleDB stores IDs as text, so decode cost is paid either
-        #: way; columnar reads still hand the engine IDBlocks so the
-        #: join kernels run on columns.
-        self.columnar = columnar
 
     def _shard_name(self, key: str) -> str:
         return "{}#{}".format(key, uuid4_text(self._rng.getrandbits(128)))
@@ -538,7 +515,7 @@ class SimpleDBIndexStore(IndexStore):
 
     @staticmethod
     def _merge_items(items: Sequence[SimpleDBItem], kind: str,
-                     columnar: bool = False) -> Dict[str, Payload]:
+                     ) -> Dict[str, Payload]:
         merged: Dict[str, Payload] = {}
         chunks: Dict[str, List[str]] = {}
         for item in items:
@@ -559,16 +536,16 @@ class SimpleDBIndexStore(IndexStore):
                 unique = list(dict.fromkeys(parts))
                 unique.sort(key=lambda chunk: int(chunk.split("|", 1)[0]))
                 text = "".join(part.split("|", 1)[1] for part in unique)
-                ids = decode_ids_text(text)
-                merged[attr_uri] = (IDBlock.from_ids(ids) if columnar
-                                    else ids)
+                # Text, so the decode is paid here; the join kernels
+                # still get columns.
+                merged[attr_uri] = IDBlock.from_ids(decode_ids_text(text))
         return merged
 
     def read_key(self, physical_name: str, key: str, kind: str,
                  ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
         """(URI -> payload) map for one key, plus billable gets."""
         items = yield from self._db.select_prefix(physical_name, key + "#")
-        return self._merge_items(items, kind, columnar=self.columnar), 1
+        return self._merge_items(items, kind), 1
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
                   ) -> Generator[Any, Any,

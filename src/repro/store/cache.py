@@ -64,10 +64,10 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, (tuple, list)):
         return sum(_value_bytes(part) for part in value)
     if isinstance(value, IDBlock):
-        # Columnar payloads: encoded bytes while lazy, column bytes
-        # once decoded.
+        # ID payloads: encoded bytes while lazy, column bytes once
+        # decoded.
         return value.nbytes
-    # Structural IDs (NodeID) and anything else fixed-size.
+    # Anything else (an int, say) counts as fixed-size.
     return 16
 
 

@@ -38,10 +38,6 @@ __all__ = ["DeploymentConfig"]
 #: Index-store backends the warehouse can deploy on.
 _BACKENDS = ("dynamodb", "simpledb")
 
-#: Structural-ID engines: "columnar" serves look-ups on IDBlock columns
-#: through the array kernels, "row" keeps the NodeID-list oracle path.
-_ENGINES = ("columnar", "row")
-
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -61,13 +57,6 @@ class DeploymentConfig:
         serving fleet when no autoscale policy is set.
     backend:
         Index store: "dynamodb" or "simpledb" (the [8] baseline).
-    engine:
-        Structural-ID data plane: "columnar" (default) reads ID
-        payloads as :class:`~repro.xmldb.blocks.IDBlock` columns and
-        joins them with the array kernels of
-        :mod:`repro.engine.columnar`; "row" keeps the NodeID-list
-        reference path.  Results, ``rows_processed`` accounting and
-        simulated dollars are identical — only wall-clock time differs.
     batch_size:
         Loader write-batch size (documents per index batch).
     shards / cache_bytes:
@@ -105,7 +94,6 @@ class DeploymentConfig:
     workers: int = 1
     worker_type: str = "xl"
     backend: str = "dynamodb"
-    engine: str = "columnar"
     batch_size: int = 8
     shards: int = 1
     cache_bytes: int = 0
@@ -132,10 +120,6 @@ class DeploymentConfig:
             raise ConfigError(
                 "DeploymentConfig.backend must be one of {}, got "
                 "{!r}".format("/".join(_BACKENDS), self.backend))
-        if self.engine not in _ENGINES:
-            raise ConfigError(
-                "DeploymentConfig.engine must be one of {}, got "
-                "{!r}".format("/".join(_ENGINES), self.engine))
         if self.batch_size < 1:
             raise ConfigError(
                 "DeploymentConfig.batch_size must be >= 1, got {}".format(

@@ -508,21 +508,18 @@ class Warehouse:
         # Stores talk to the resilient facade: the raw service on a
         # fault-free cloud, the retry/breaker proxy under chaos.  Every
         # store is handed out behind a StoreRouter; with the default
-        # configuration the router is a pure passthrough.  The
-        # deployment's engine picks the ID-payload representation:
-        # columnar IDBlocks (array-kernel joins) or row NodeID lists.
-        columnar = self.deployment.engine == "columnar"
+        # configuration the router is a pure passthrough.
         if backend == "dynamodb":
             base: IndexStore = DynamoIndexStore(
                 self.cloud.resilient.dynamodb, seed=seed,
-                range_key_mode=range_key_mode, columnar=columnar)
+                range_key_mode=range_key_mode)
         elif backend == "simpledb":
             if range_key_mode != "uuid":
                 raise WarehouseError(
                     "checkpointed builds need content-addressed items; "
                     "the simpledb backend does not support them")
             base = SimpleDBIndexStore(self.cloud.resilient.simpledb,
-                                      seed=seed, columnar=columnar)
+                                      seed=seed)
         else:
             raise WarehouseError(
                 "unknown index backend {!r} (dynamodb or simpledb)".format(

@@ -1,13 +1,13 @@
 """Columnar blocks of structural identifiers.
 
-The row-at-a-time data plane walks ID lists as per-object
-:class:`~repro.xmldb.ids.NodeID` tuples; at warehouse scale the Python
-interpreter — not the simulated cloud — dominates the twig-join hot
-path.  :class:`IDBlock` keeps the same logical content as a pre-sorted
-``List[NodeID]`` but stores it as three parallel ``array('q')`` columns
-(pre / post / depth), so the engine kernels in
-:mod:`repro.engine.columnar` can run merge loops over flat machine
-integers instead of attribute lookups on NamedTuples.
+Walking ID lists as per-object :class:`~repro.xmldb.ids.NodeID` tuples
+would make the Python interpreter — not the simulated cloud — dominate
+the twig-join hot path at warehouse scale.  :class:`IDBlock` keeps the
+same logical content as a pre-sorted ``List[NodeID]`` but stores it as
+three parallel ``array('q')`` columns (pre / post / depth), so the
+engine kernels in :mod:`repro.engine.columnar` can run merge loops over
+flat machine integers instead of attribute lookups on NamedTuples.
+Every ID payload an index read returns is one.
 
 Blocks decode **lazily** from the binary codec of
 :mod:`repro.xmldb.encoding`: :meth:`IDBlock.from_encoded` reads only
@@ -210,8 +210,9 @@ class IDBlock:
         Store chunking splits one logical list into blobs with disjoint
         ``pre`` ranges, and at-least-once delivery can redeliver whole
         blobs; concatenation therefore usually stays sorted, and exact
-        duplicate triples are the only legitimate overlap.  Mirrors the
-        row-path merge (``sorted(set(ids), key=pre)``) for that data.
+        duplicate triples are the only legitimate overlap.  Otherwise
+        the distinct triples are re-sorted by ``pre``: for that data,
+        the same list as ``sorted(set(ids), key=pre)`` over ``NodeID``s.
         """
         if len(blobs) == 1:
             return cls.from_encoded(blobs[0])

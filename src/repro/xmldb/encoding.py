@@ -21,9 +21,10 @@ Two codecs:
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import EncodingError
+from repro.xmldb.blocks import IDBlock
 from repro.xmldb.ids import NodeID
 
 
@@ -56,12 +57,13 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
             raise EncodingError("varint too long")
 
 
-def encode_ids(ids: Sequence[NodeID]) -> bytes:
-    """Encode a pre-sorted ID list to compact bytes.
+def encode_ids(ids: Union[IDBlock, Sequence[NodeID]]) -> bytes:
+    """Encode a pre-sorted ID list (or block) to compact bytes.
 
     Raises :class:`~repro.errors.EncodingError` if the list is not
     strictly sorted by ``pre`` — sortedness is the LUI invariant that
-    lets the twig join skip its sort phase.
+    lets the twig join skip its sort phase.  A block iterates as its
+    ``NodeID`` list, so it encodes to the same bytes.
     """
     out = bytearray()
     _write_varint(len(ids), out)
@@ -95,8 +97,6 @@ def decode_ids_block(data: bytes):
     access.  This is the columnar engine's fast path from index bytes
     to join input — no NodeIDs are materialised.
     """
-    from repro.xmldb.blocks import IDBlock
-
     return IDBlock.from_encoded(data)
 
 

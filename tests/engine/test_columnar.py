@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.engine.columnar import (BlockStream, BlockTwigJoin, KernelStats,
+from tests.engine.oracles import (HolisticTwigJoin, semi_join_ancestors,
+                                  semi_join_descendants, stack_tree_join)
+
+from repro.engine.columnar import (BlockTwigJoin, KernelStats,
                                    block_semi_join_ancestors,
                                    block_semi_join_descendants,
                                    block_stack_tree_join, hash_join_indices,
                                    make_twig_join)
-from repro.engine.structural_join import (semi_join_ancestors,
-                                          semi_join_descendants,
-                                          stack_tree_join)
-from repro.engine.twigstack import HolisticTwigJoin
 from repro.errors import EncodingError, EvaluationError
 from repro.query.parser import parse_pattern
 from repro.xmldb.blocks import IDBlock, as_block
@@ -133,8 +132,6 @@ def test_validation_gating_on_kernels():
         block_semi_join_descendants(unsorted, sorted_ids, validate=True)
     with pytest.raises(EvaluationError):
         block_semi_join_ancestors(unsorted, sorted_ids, validate=True)
-    with pytest.raises(EvaluationError):
-        BlockStream(unsorted, "a", validate=True)
     pattern = parse_pattern("//a")
     BlockTwigJoin(pattern, {id(pattern.root): unsorted})  # default: off
     with pytest.raises(EvaluationError):
@@ -180,21 +177,6 @@ def test_semi_join_output_is_duplicate_free_and_ordered():
     assert pres == sorted(set(pres))
 
 
-def test_block_stream_has_structural_child():
-    from repro.query.pattern import Axis
-
-    ancestors, middles, leaves = _tree_ids()
-    stream = BlockStream(IDBlock.from_ids(leaves), "c")
-    assert stream.has_structural_child(middles[0], Axis.CHILD)
-    assert stream.has_structural_child(ancestors[0], Axis.DESCENDANT)
-    # Depth gate: the a nodes hold c nodes as grandchildren only.
-    assert not stream.has_structural_child(ancestors[0], Axis.CHILD)
-    assert not stream.has_structural_child(ancestors[1], Axis.CHILD)
-    # Outside every subtree run.
-    assert not stream.has_structural_child(NodeID(13, 13, 1),
-                                           Axis.DESCENDANT)
-
-
 def test_twig_join_dispatch_and_equivalence():
     pattern = parse_pattern("//a[/b][//c]")
     nodes = list(pattern.iter_nodes())
@@ -206,14 +188,30 @@ def test_twig_join_dispatch_and_equivalence():
     lazy_streams = {id(n): IDBlock.from_encoded(
         encode_ids(by_label[n.label])) for n in nodes}
 
-    row = make_twig_join(pattern, row_streams)
-    assert isinstance(row, HolisticTwigJoin)
-    for streams in (block_streams, lazy_streams):
+    oracle = HolisticTwigJoin(pattern, row_streams)
+    assert oracle.matches()
+    for streams in (row_streams, block_streams, lazy_streams):
         blk = make_twig_join(pattern, streams)
         assert isinstance(blk, BlockTwigJoin)
-        assert blk.matches() == row.matches()
-        assert blk.matching_roots() == row.matching_roots()
-        assert blk.rows_processed() == row.rows_processed()
+        assert blk.matches() == oracle.matches()
+        assert blk.matching_roots() == oracle.matching_roots()
+        assert blk.rows_processed() == oracle.rows_processed()
+
+
+def test_twig_join_validates_hand_built_streams_by_default():
+    """Unsorted NodeID streams raise a typed error rather than answer
+    wrongly; index blocks, sorted by construction, are not re-checked."""
+    pattern = parse_pattern("//a/b")
+    a_node, b_node = pattern.iter_nodes()
+    unsorted = _chain((4, 5, 2), (1, 6, 1))
+    children = _chain((2, 3, 2))
+    with pytest.raises(EvaluationError):
+        make_twig_join(pattern, {id(a_node): unsorted,
+                                 id(b_node): children})
+    make_twig_join(pattern, {id(a_node): unsorted, id(b_node): children},
+                   validate=False)
+    make_twig_join(pattern, {id(a_node): IDBlock.from_ids(unsorted),
+                             id(b_node): children})
 
 
 def test_twig_join_empty_stream_short_circuits_without_decode():

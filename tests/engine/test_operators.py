@@ -1,35 +1,6 @@
 """Unit tests for the look-up plan operators and row accounting."""
 
-from repro.engine.operators import (Distinct, Filter, HashIntersect,
-                                    PlanStats, Project, Scan, SemiJoin)
-
-
-def test_scan_counts_rows():
-    stats = PlanStats()
-    rows = Scan(stats).execute([1, 2, 3])
-    assert rows == [1, 2, 3]
-    assert stats.rows_processed == 3
-    assert stats.operator_rows["scan"] == 3
-
-
-def test_project_applies_function():
-    stats = PlanStats()
-    out = Project(stats).execute([(1, "a"), (2, "b")], fn=lambda r: r[1])
-    assert out == ["a", "b"]
-    assert stats.rows_processed == 2
-
-
-def test_filter_keeps_matching():
-    stats = PlanStats()
-    out = Filter(stats).execute(range(10), predicate=lambda x: x % 2 == 0)
-    assert out == [0, 2, 4, 6, 8]
-    assert stats.rows_processed == 10  # all inputs were examined
-
-
-def test_distinct_preserves_first_seen_order():
-    stats = PlanStats()
-    out = Distinct(stats).execute(["b", "a", "b", "c", "a"])
-    assert out == ["b", "a", "c"]
+from repro.engine.operators import HashIntersect, PlanStats, SemiJoin
 
 
 def test_intersect_multiple_inputs():
@@ -61,7 +32,7 @@ def test_semi_join_reduction():
 
 def test_stats_accumulate_across_operators():
     stats = PlanStats()
-    Scan(stats).execute([1, 2])
-    Filter(stats).execute([1, 2, 3], predicate=bool)
-    assert stats.rows_processed == 5
-    assert set(stats.operator_rows) == {"scan", "filter"}
+    HashIntersect(stats).execute([[1, 2], [2]])
+    SemiJoin(stats).execute([1, 2, 3], [3], key=lambda row: row)
+    assert stats.rows_processed == 7
+    assert stats.operator_rows == {"intersect": 3, "semijoin": 4}

@@ -1,10 +1,12 @@
-"""Unit tests for the stack-based binary structural join [3]."""
+"""Unit tests for the stack-based binary structural join [3]: the row
+oracle, and the columnar semi-join kernels on the paper's example."""
 
 import pytest
 
-from repro.engine.structural_join import (semi_join_ancestors,
-                                          semi_join_descendants,
-                                          stack_tree_join)
+from tests.engine.oracles import stack_tree_join
+
+from repro.engine.columnar import (block_semi_join_ancestors,
+                                   block_semi_join_descendants)
 from repro.errors import EvaluationError
 from repro.xmldb.ids import NodeID
 
@@ -70,14 +72,14 @@ def test_output_sorted_by_descendant():
 def test_semi_join_descendants_dedupes(manet):
     paintings = _ids(manet, "painting")
     names = _ids(manet, "name")
-    result = semi_join_descendants(paintings, names)
+    result = block_semi_join_descendants(paintings, names).to_ids()
     assert result == sorted(names)
 
 
 def test_semi_join_ancestors(manet):
     names = _ids(manet, "name")
     firsts = _ids(manet, "first")
-    result = semi_join_ancestors(names, firsts)
+    result = block_semi_join_ancestors(names, firsts).to_ids()
     # Only painter/name contains a first.
     assert result == [NodeID(6, 8, 3)]
 

@@ -1,8 +1,10 @@
-"""Unit tests for the holistic twig join (existence semantics)."""
+"""Unit tests for the row holistic twig join oracle (existence
+semantics) that the columnar kernels are held to."""
 
 import pytest
 
-from repro.engine.twigstack import HolisticTwigJoin
+from tests.engine.oracles import HolisticTwigJoin
+
 from repro.errors import EvaluationError
 from repro.query.parser import parse_pattern
 from repro.xmldb.ids import NodeID

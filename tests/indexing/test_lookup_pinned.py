@@ -1,8 +1,8 @@
 """Every look-up's answer and plan accounting, pinned with literals.
 
 For q1-q10 on a fixed 30-document corpus, all four strategies and the
-``assume_sorted=False`` ablation of LUI (which pays a sort per stream),
-on both structural-ID engines: the URIs a pattern look-up returns (as the documents' serial numbers), its
+``assume_sorted=False`` ablation of LUI (which pays a sort per stream):
+the URIs a pattern look-up returns (as the documents' serial numbers), its
 billable ``index_gets``, its ``rows_processed`` and the
 ``operator_rows`` of every :class:`PlanStats` it opened, in order (the
 2LUPI look-up opens two: the LUP pre-filter's and its own).  The values
@@ -11,8 +11,6 @@ were computed at commit 1f74c3d, before the read path was reorganised
 so a faster look-up must reproduce them key for key — no zero-row
 entry the old code would not have written.
 """
-
-import pytest
 
 from repro.config import ScaleProfile
 from repro.indexing import lookup_plans
@@ -170,8 +168,7 @@ PINNED = {('2LUPI', 'q1', 0): ([3], 5, 72,
                     [{'intersect': 11, 'path-filter': 16}])}
 
 
-@pytest.mark.parametrize("engine", ["columnar", "row"])
-def test_lookups_reproduce_the_pinned_rows(monkeypatch, engine):
+def test_lookups_reproduce_the_pinned_rows(monkeypatch):
     opened = []
 
     class Recording(lookup_plans.PlanStats):
@@ -180,7 +177,7 @@ def test_lookups_reproduce_the_pinned_rows(monkeypatch, engine):
             opened.append(self)
 
     monkeypatch.setattr(lookup_plans, "PlanStats", Recording)
-    warehouse = Warehouse(deployment={"engine": engine})
+    warehouse = Warehouse()
     warehouse.upload_corpus(
         generate_corpus(ScaleProfile(documents=30, seed=31)))
     seen = {}

@@ -1,9 +1,9 @@
 """The entry-based compaction fold, kept as the tests' reference.
 
 This is the fold the compactor ran before it carried index bytes from
-scan to put: every scanned item is inflated to payload objects
-(``_merge_items(columnar=False)`` as it then was — every ID blob to
-``NodeID``\\ s, deduplicated and sorted), overlaid, wrapped in
+scan to put: every scanned item is inflated to payload objects (the
+row read path as it then was — every ID blob to ``NodeID``\\ s,
+deduplicated and sorted), overlaid, wrapped in
 :class:`~repro.indexing.entries.IndexEntry` objects and handed to
 ``write_entries`` and ``batch_entries_hash`` as entries, which encode
 them again.  It verifies no checksum.  ``test_fold_identity`` runs it

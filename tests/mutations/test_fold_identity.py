@@ -28,6 +28,7 @@ from repro.store.sharding import shard_of, shard_table_names
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 from repro.xmark.corpus import Corpus
+from repro.xmldb import blocks
 from repro.xmldb.encoding import decode_ids
 from repro.xmldb.parser import parse_document
 
@@ -88,16 +89,21 @@ def mutate(warehouse, live, seed, steps):
 def compact(warehouse, live, monkeypatch, reference, decodes=None,
             **options):
     """``compact_index`` through the production fold or the oracle;
-    the production fold's ``decode_ids`` calls go to ``decodes``."""
-    def counting(data):
-        decodes.append(len(data))
-        return decode_ids(data)
+    every blob the production fold decodes — to ``NodeID``\\ s or to
+    columns — goes to ``decodes``."""
+    def counting(decode):
+        def counted(data):
+            decodes.append(len(data))
+            return decode(data)
+        return counted
 
     with monkeypatch.context() as patch:
         if reference:
             patch.setattr(compactor, "Compactor", ReferenceCompactor)
         elif decodes is not None:
-            patch.setattr(mapper, "decode_ids", counting)
+            patch.setattr(mapper, "decode_ids", counting(decode_ids))
+            patch.setattr(blocks, "_decode_columns",
+                          counting(blocks._decode_columns))
         return warehouse.compact_index(live, **options)
 
 

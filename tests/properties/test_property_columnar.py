@@ -1,7 +1,7 @@
 """Property-based tests: columnar kernels agree with the row oracles.
 
-The row engine is the reference; every kernel in
-:mod:`repro.engine.columnar` must return exactly what its row
+The row joins of ``tests/engine/oracles.py`` are the reference; every
+kernel in :mod:`repro.engine.columnar` must return exactly what its row
 counterpart returns on random trees and twig patterns — including
 empty streams, both structural axes, and the degraded-ladder repair
 (stable re-sort by pre) path.
@@ -13,16 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.engine.oracles import (HolisticTwigJoin, semi_join_ancestors,
+                                  semi_join_descendants, stack_tree_join)
 from tests.properties.strategies import documents, twig_patterns
 
 from repro.engine.columnar import (BlockTwigJoin, block_semi_join_ancestors,
                                    block_semi_join_descendants,
                                    block_stack_tree_join, flatten_twig,
                                    make_twig_join, twig_exists)
-from repro.engine.structural_join import (semi_join_ancestors,
-                                          semi_join_descendants,
-                                          stack_tree_join)
-from repro.engine.twigstack import HolisticTwigJoin
 from repro.indexing.entries import collect_occurrences
 from repro.indexing.keys import element_key
 from repro.indexing.lookup_plans import expand_pattern_for_twig
@@ -129,18 +127,18 @@ def test_existence_checks_agree_on_random_sorted_streams(document, pattern,
 @given(documents(), st.sampled_from(PATTERN_TEXTS))
 @settings(max_examples=60)
 def test_dispatch_preserves_results(document, pattern_text):
-    """make_twig_join picks the engine by stream type; both answers
-    match."""
+    """make_twig_join answers alike over NodeID lists (checked) and
+    blocks (trusted), and like the row oracle."""
     pattern = parse_pattern(pattern_text)
     row_streams = _streams(document, pattern)
     block_streams = {key: IDBlock.from_ids(ids)
                      for key, ids in row_streams.items()}
-    row = make_twig_join(pattern, row_streams)
-    blk = make_twig_join(pattern, block_streams)
-    assert isinstance(row, HolisticTwigJoin)
-    assert isinstance(blk, BlockTwigJoin)
-    assert blk.matches() == row.matches()
-    assert blk.matching_roots() == row.matching_roots()
+    oracle = HolisticTwigJoin(pattern, row_streams)
+    for streams in (row_streams, block_streams):
+        join = make_twig_join(pattern, streams)
+        assert isinstance(join, BlockTwigJoin)
+        assert join.matches() == oracle.matches()
+        assert join.matching_roots() == oracle.matching_roots()
 
 
 @given(documents(), st.booleans())
@@ -170,7 +168,7 @@ def test_block_semi_joins_agree(document, parent_child):
 @settings(max_examples=60)
 def test_degraded_resort_path_agrees(document, pattern_text, seed):
     """The degradation ladder's repair — a stable re-sort by pre only —
-    yields the same twig answers through either engine."""
+    yields the same twig answers from the kernel as from the oracle."""
     pattern = parse_pattern(pattern_text)
     row_streams = _streams(document, pattern)
     rng = random.Random(seed)

@@ -1,13 +1,13 @@
-"""Property-based tests: joins agree with brute-force oracles."""
+"""Property-based tests: the row join oracles agree with brute force
+and with direct evaluation."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.engine.oracles import HolisticTwigJoin, stack_tree_join
 from tests.properties.strategies import documents
 
 from repro.engine.evaluator import pattern_matches
-from repro.engine.structural_join import stack_tree_join
-from repro.engine.twigstack import HolisticTwigJoin
 from repro.indexing.entries import collect_occurrences
 from repro.indexing.keys import element_key
 from repro.query.parser import parse_pattern

@@ -172,7 +172,15 @@ def test_at_least_once_under_spot_storm_and_throttling(n_messages, seed):
 
     def scenario():
         for index in range(n_messages):
-            yield from sqs.send(QUEUE, index)
+            # A send that spent its retry budget stored nothing (the
+            # fault fires before the enqueue), so the producer sends
+            # again rather than die with the message unsent.
+            while True:
+                try:
+                    yield from sqs.send(QUEUE, index)
+                    break
+                except TransientServiceError:
+                    continue
         fleet.launch(1)                    # the guaranteed survivor
         fleet.launch(3, market=MARKET_SPOT)
         plain = cloud.sqs

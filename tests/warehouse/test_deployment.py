@@ -12,6 +12,7 @@ import inspect
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.warehouse import Warehouse
 from repro.warehouse.frontend import Frontend
 
@@ -27,6 +28,12 @@ class TestConstructorShims:
         warehouse = Warehouse.deploy({"workers": 2, "loaders": 3})
         assert warehouse.deployment.workers == 2
         assert warehouse.deployment.loaders == 3
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_engine_is_not_a_deployment_field(self, engine):
+        """There is one structural-ID data plane, so no option picks it."""
+        with pytest.raises(ConfigError, match=r"field\(s\) engine;"):
+            Warehouse(deployment={"engine": engine})
 
 
 def test_no_public_method_swallows_arbitrary_keywords():
