@@ -3,12 +3,13 @@
 
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants [SEED]
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants --garbage
+    PYTHONHASHSEED=0 python3 scripts/sample_profile.py ingest-live --rounds 1
 
 Runs the workload's ``setup`` (unsampled) and its timed ``main`` under
-``signal.setitimer(ITIMER_PROF)``, ROUNDS times on fresh state (the
-kernel delivers at best one sample per 4 ms tick), and prints self-time
-shares by the innermost ``repro`` function and by the first enclosing
-phase.  A sampler costs the same whatever is running; cProfile's
+``signal.setitimer(ITIMER_PROF)``, ``--rounds`` times (default 5) on
+fresh state (the kernel delivers at best one sample per 4 ms tick),
+and prints self-time shares by the innermost ``repro`` function and
+by the first enclosing phase.  A sampler costs the same whatever is running; cProfile's
 per-call hook triples this section's wall time and overstates its many
 tiny calls, so shares read from it are not the shares ``ops_per_s`` is
 made of.
@@ -32,6 +33,7 @@ before and after the section (one that outlives its generator is held
 by something).
 """
 
+import argparse
 import collections
 import gc
 import signal
@@ -48,13 +50,16 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           "read_keys",
           "_build_report", "record",  # ``record`` is Meter.record
           # The write side (``ingest-live``, ``build-2lupi``): the
-          # compaction fold, the epoch commit, one query end to end
-          # (the serve-side names above are nested in it and win) and
-          # one document's fetch + parse + extract, then the packer
-          # and the put of its batch (innermost wins, so ``_extract``
-          # is what is left of it without the parse).
-          "_fold_unit", "commit", "_process", "_extract",
-          "parse_document", "_pack_items", "batch_put")
+          # compaction fold and its regroup of the scanned items, the
+          # epoch commit and the content digests (an epoch's, a
+          # delta's), one query end to end (the serve-side names above
+          # are nested in it and win) and one document's fetch +
+          # parse + extract, then the packer and the put of its batch
+          # (innermost wins, so ``_extract`` is what is left of it
+          # without the parse).
+          "_fold_unit", "_stored_postings", "commit", "items_digest",
+          "_process", "_extract", "parse_document", "_pack_items",
+          "batch_put")
 INTERVAL_S = 0.001
 ROUNDS = 5
 
@@ -98,10 +103,19 @@ def garbage_report(workload):
 def main(argv):
     import run as bench
     from workloads import make_workload
-    garbage = "--garbage" in argv
-    argv = [arg for arg in argv if arg != "--garbage"]
-    seed = int(argv[2]) if len(argv) > 2 else bench.DEFAULT_SEED
-    workload = make_workload(argv[1], seed)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("workload")
+    parser.add_argument("seed", nargs="?", type=int,
+                        default=bench.DEFAULT_SEED)
+    parser.add_argument("--rounds", type=int, default=ROUNDS,
+                        help="timed rounds on fresh state")
+    parser.add_argument("--garbage", action="store_true",
+                        help="one more round with the collector off")
+    args = parser.parse_args(argv[1:])
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    rounds, seed = args.rounds, args.seed
+    workload = make_workload(args.workload, seed)
     workload.prepare()
     by_function, by_phase = collections.Counter(), collections.Counter()
 
@@ -136,7 +150,7 @@ def main(argv):
     signal.signal(signal.SIGPROF, sample)
     elapsed = 0.0
     answers = []  # per round: look-ups replayed / computed and kept
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         state = workload.setup()
         gc.callbacks.append(on_gc)
         signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
@@ -153,7 +167,7 @@ def main(argv):
                                           cache.answer_misses))
     total = sum(by_phase.values())
     print("{} seed {}: main {:.2f} s per round, {} samples".format(
-        argv[1], seed, elapsed / ROUNDS, total))
+        args.workload, seed, elapsed / rounds, total))
     if answers:
         print("-- look-up answers replayed/computed per round: {}".format(
             " ".join(answers)))
@@ -161,14 +175,14 @@ def main(argv):
         sum(row[1] for row in gc_passes) / elapsed))
     for generation, (passes, seconds, collected) in enumerate(gc_passes):
         print("{:6.1%}  gen {}: {:.1f} passes, {:.3f} s, {:.0f} objects "
-              "freed".format(seconds / elapsed, generation, passes / ROUNDS,
-                             seconds / ROUNDS, collected / ROUNDS))
+              "freed".format(seconds / elapsed, generation, passes / rounds,
+                             seconds / rounds, collected / rounds))
     for title, counts, top in (("phase", by_phase, 20),
                                ("function", by_function, 30)):
         print("-- self time by {}".format(title))
         for name, count in counts.most_common(top):
             print("{:6.1%}  {}".format(count / total, name))
-    if garbage:
+    if args.garbage:
         state = None  # the last round's processes are not this round's
         garbage_report(workload)
     return 0

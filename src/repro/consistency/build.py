@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
 
 from repro.cloud.dynamodb import DynamoItem
 from repro.cloud.provider import CloudProvider
@@ -78,12 +78,21 @@ def coverage_of_items(items: List[DynamoItem]) -> Dict[str, List[str]]:
     return {key: sorted(uris) for key, uris in sorted(coverage.items())}
 
 
-def items_digest(items: List[DynamoItem]) -> str:
+def items_digest(items: List[DynamoItem],
+                 written: Optional[Mapping[int, Tuple[DynamoItem, bytes]]]
+                 = None) -> str:
     """Content digest of a table's scanned items (order-insensitive
-    within the scan's deterministic (hash, range) ordering)."""
-    return batch_content_hash(
-        [canonical_item_bytes(item.hash_key, item.attributes)
-         for item in items])
+    within the scan's deterministic (hash, range) ordering).  An item
+    that *is* the object a form in ``written`` (a store's
+    ``take_written``) was built for takes that form; any other — one
+    damage replaced, one another pass or store wrote — is serialised."""
+    forms = []
+    for item in items:
+        held = written.get(id(item)) if written else None
+        forms.append(held[1] if held is not None and held[0] is item
+                     else canonical_item_bytes(item.hash_key,
+                                               item.attributes))
+    return batch_content_hash(forms)
 
 
 @dataclass
@@ -160,6 +169,7 @@ class BuildCoordinator:
             strategy=plan.strategy.name, tables=dict(plan.table_names),
             ledger_table=plan.ledger_table, batches=len(plan.batches),
             batch_size=plan.batch_size, shards=plan.shards)
+        self._store: Any = None  # the run's, whose forms commit digests
 
     # -- prepare -----------------------------------------------------------
 
@@ -171,6 +181,7 @@ class BuildCoordinator:
         partial create finishes the job without clobbering anything.
         """
         from repro.store.sharding import shard_table_names
+        self._store = store
         db = self._cloud.resilient.dynamodb
         existing = set(db.table_names())
         creator = getattr(store, "create_physical_table",
@@ -239,7 +250,7 @@ class BuildCoordinator:
         # the 2LUPI cross-table invariants see a coherent logical view
         # regardless of the physical layout.
         from repro.store.sharding import shard_table_names
-        digest_forms: List[bytes] = []
+        scanned: List[DynamoItem] = []
         for logical in sorted(self.plan.table_names):
             physical = self.plan.table_names[logical]
             items = []
@@ -254,10 +265,9 @@ class BuildCoordinator:
                 META_BUCKET,
                 inventory_key(self.plan.name, self.plan.epoch, logical),
                 payload)
-            digest_forms.extend(
-                canonical_item_bytes(item.hash_key, item.attributes)
-                for item in items)
-        digest = batch_content_hash(digest_forms)
+            scanned.extend(items)
+        digest = items_digest(scanned, self._store.take_written()
+                              if self._store is not None else None)
 
         previous = yield from self.manifest.committed(self.plan.name)
         expected_epoch = previous.epoch if previous else None

@@ -306,6 +306,7 @@ class Scrubber:
                 yield from self._store.write_entries(
                     self._table_names[logical], needed)
                 report.repairs += len(needed)
+        self._store.take_written()  # no digest follows a repair
 
         report.repaired = True
         for physical in self._table_names.values():

@@ -43,14 +43,21 @@ def attribute_piece(name: str, values: Sequence[AttrValue],
     then ``v<len>:<value>`` per value, and its billable bytes
     (:func:`repro.cloud.dynamodb.attribute_size`), both from one utf-8
     encode per string.  A ``#``-prefixed bookkeeping attribute has an
-    empty piece: the form is stable under stamping the checksum."""
+    empty piece: the form is stable under stamping the checksum.  The
+    piece is allocated once: one format for a single value (a path, an
+    ID blob), one join for any other count."""
     encoded = name.encode()
-    size = len(encoded)
-    piece = b"a%d:%b" % (size, encoded)
-    for value in values:
-        raw = value if isinstance(value, bytes) else value.encode()
-        piece += b"v%d:%b" % (len(raw), raw)
-        size += len(raw)
+    if len(values) == 1:
+        raw = values[0]
+        raw = raw if isinstance(raw, bytes) else raw.encode()
+        piece = b"a%d:%bv%d:%b" % (len(encoded), encoded, len(raw), raw)
+        size = len(encoded) + len(raw)
+    else:
+        raws = [value if isinstance(value, bytes) else value.encode()
+                for value in values]
+        piece = b"".join([b"a%d:%b" % (len(encoded), encoded)]
+                         + [b"v%d:%b" % (len(raw), raw) for raw in raws])
+        size = len(encoded) + sum(map(len, raws))
     return (b"" if name.startswith(META_ATTR_PREFIX) else piece), size
 
 
@@ -96,19 +103,6 @@ def item_checksum(hash_key: str,
                   attributes: Mapping[str, Tuple[AttrValue, ...]]) -> str:
     """CRC-32 (8 hex digits) of the item's canonical bytes."""
     return checksum_of(canonical_item_bytes(hash_key, attributes))
-
-
-def content_range_key(hash_key: str,
-                      attributes: Mapping[str, Tuple[AttrValue, ...]],
-                      ) -> str:
-    """Deterministic UUID-shaped range key from the item's content.
-
-    Keeps the §6 wire format (a UUID string) while replacing the random
-    draw with SHA-256, so the same content always lands on the same
-    primary key — concurrent writers of *different* content still never
-    collide, and rewriters of the *same* content overwrite in place.
-    """
-    return range_key_of(canonical_item_bytes(hash_key, attributes))
 
 
 def batch_content_hash(canonical_forms: Sequence[bytes]) -> str:

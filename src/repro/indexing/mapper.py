@@ -26,6 +26,7 @@ binary blobs in SimpleDB).  Reads use a name-prefix select.
 from __future__ import annotations
 
 import abc
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
@@ -39,9 +40,8 @@ from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
 from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
-                                      batch_content_hash, checksum_of,
-                                      item_checksum, key_prefix,
-                                      range_key_of, uuid4_text)
+                                      checksum_of, item_checksum,
+                                      key_prefix, range_key_of, uuid4_text)
 from repro.indexing.entries import Entries, IndexEntry, Posting
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
@@ -115,6 +115,12 @@ class IndexStore(abc.ABC):
         names = list(physical_names)
         return self.raw_bytes(names) + self.overhead_bytes(names)
 
+    def take_written(self) -> Dict[int, Tuple[Any, bytes]]:
+        """Hand over, and forget, ``id(item)`` → ``(item, canonical
+        form)`` for each item packed since the last take (only a
+        content-addressed store records any)."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # DynamoDB
@@ -157,9 +163,11 @@ def batch_entries_hash(extracted: Mapping[str, Entries]) -> str:
     logical table in sorted order — the value the batch ledger records.
     Extraction is deterministic, so a redelivered batch always hashes
     identically; a mismatch in the ledger means a determinism bug, not
-    a fault.
+    a fault.  Each posting's form (table, key prefix, piece) streams
+    into one hash, framed as by :func:`batch_content_hash`.
     """
-    forms = []
+    digest = hashlib.sha256()
+    update = digest.update
     for logical_table in sorted(extracted):
         prefix = logical_table.encode("utf-8") + b"\x00"
         key = head = None
@@ -167,8 +175,11 @@ def batch_entries_hash(extracted: Mapping[str, Entries]) -> str:
             if posting.key != key:
                 key = posting.key
                 head = prefix + key_prefix(key)
-            forms.append(head + posting.piece)
-    return batch_content_hash(forms)
+            piece = posting.piece
+            update(b"%d:" % (len(head) + len(piece)))
+            update(head)
+            update(piece)
+    return digest.hexdigest()
 
 
 class DynamoIndexStore(IndexStore):
@@ -187,6 +198,13 @@ class DynamoIndexStore(IndexStore):
         self._rng = random.Random(seed)
         self.range_key_mode = range_key_mode
         self.verify_reads = verify_reads
+        #: The item is held beside its form so its id stays its own.
+        self._written: Dict[int, Tuple[DynamoItem, bytes]] = {}
+
+    def take_written(self) -> Dict[int, Tuple[DynamoItem, bytes]]:
+        """See :meth:`IndexStore.take_written`."""
+        written, self._written = self._written, {}
+        return written
 
     def _uuid(self) -> str:
         """A UUID range key ([20]); seeded for reproducible runs."""
@@ -200,8 +218,9 @@ class DynamoIndexStore(IndexStore):
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
         the write idempotent and scrub-verifiable (one canonical form,
-        joined from the postings' pieces, feeds both); ``attribute``
-        uses ``uri_key``.  The item is born with the size budgeted.
+        joined from the postings' pieces, feeds both, and is recorded
+        for the digest that scans the item back); ``attribute`` uses
+        ``uri_key``.  The item is born with the size budgeted.
         """
         attrs = {uri: posting.values for uri, posting in held.items()}
         if self.range_key_mode == "attribute":
@@ -210,9 +229,11 @@ class DynamoIndexStore(IndexStore):
             canonical = _canonical(hash_key, held)
             checksum = (checksum_of(canonical),)
             attrs[CHECKSUM_ATTR] = checksum
-            return DynamoItem.sized(
+            item = DynamoItem.sized(
                 hash_key, range_key_of(canonical), attrs,
                 attr_bytes + attribute_size(CHECKSUM_ATTR, checksum))
+            self._written[id(item)] = (item, canonical)
+            return item
         return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes)
 
     def create_table(self, physical_name: str) -> None:

@@ -454,7 +454,7 @@ class LiveIndex:
                             warehouse.store_config.shards):
                         scanned.extend(
                             cloud.dynamodb.table(shard_table).all_items())
-                digest = items_digest(scanned)
+                digest = items_digest(scanned, delta_store.take_written())
 
             # The conditional flip: append to the chain, retrying if a
             # concurrent compaction rewrote it (bounded, like

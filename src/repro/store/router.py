@@ -231,6 +231,10 @@ class StoreRouter(IndexStore):
                                    self.tenant)
         return stats
 
+    def take_written(self) -> Dict[int, Tuple[Any, bytes]]:
+        """The wrapped store's written forms, handed over."""
+        return self._base.take_written()
+
     # -- reads -------------------------------------------------------------
 
     def read_key(self, physical_name: str, key: str, kind: str,

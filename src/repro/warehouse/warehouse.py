@@ -321,6 +321,9 @@ class Warehouse:
         #: Shared host-side parse cache for query workers (see
         #: QueryWorker.parsed_documents: simulated CPU is unaffected).
         self._parse_cache: Dict[str, Any] = {}
+        #: Per index name, its latest run's coordinator, which holds the
+        #: run's store (and its written forms) for :meth:`commit_build`.
+        self._coordinators: Dict[str, Any] = {}
 
     @property
     def telemetry(self) -> Any:
@@ -603,6 +606,7 @@ class Warehouse:
         tag = tag or plan.tag or "index-build:{}:e{}".format(
             plan.name, plan.epoch)
         coordinator = BuildCoordinator(self.cloud, plan)
+        self._coordinators[plan.name] = coordinator
         store = self._make_store("dynamodb", seed=plan.epoch,
                                  range_key_mode="content",
                                  epoch=plan.epoch)
@@ -684,7 +688,9 @@ class Warehouse:
         """Commit a fully-applied plan: inventories + atomic epoch flip."""
         from repro.consistency.build import BuildCoordinator
         tag = tag or "index-commit:{}:e{}".format(plan.name, plan.epoch)
-        coordinator = BuildCoordinator(self.cloud, plan)
+        coordinator = self._coordinators.pop(plan.name, None)
+        if coordinator is None or coordinator.plan is not plan:
+            coordinator = BuildCoordinator(self.cloud, plan)
         # The flip overwrites the committed record, so the superseded
         # epoch's routing metadata must be captured before it runs.
         previous_tables: set = set()

@@ -246,15 +246,16 @@ class TestOnDiskContract:
     def test_content_addressed_item(self, cloud, paper_documents, key, uris,
                                     range_key, crc, size):
         from repro.indexing.checksums import (CHECKSUM_ATTR,
-                                              content_range_key,
-                                              item_checksum)
+                                              canonical_item_bytes,
+                                              item_checksum, range_key_of)
         store = DynamoIndexStore(cloud.dynamodb, range_key_mode="content")
         items = store._pack_items(self._batch(paper_documents)["lui"])
         item, = [item for item in items if item.hash_key == key]
         assert list(item.attributes) == uris + [CHECKSUM_ATTR]
         assert item.range_key == range_key
         assert item.attributes[CHECKSUM_ATTR] == (crc,)
-        assert content_range_key(item.hash_key, item.attributes) == range_key
+        assert range_key_of(canonical_item_bytes(
+            item.hash_key, item.attributes)) == range_key
         assert item_checksum(item.hash_key, item.attributes) == crc
         assert item.size_bytes == size
 

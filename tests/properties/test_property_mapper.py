@@ -16,9 +16,8 @@ from tests.properties.strategies import sorted_node_ids
 from repro.cloud import CloudProvider
 from repro.cloud.dynamodb import attribute_size
 from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
-                                      canonical_item_bytes,
-                                      content_range_key, item_checksum,
-                                      key_prefix)
+                                      canonical_item_bytes, item_checksum,
+                                      key_prefix, range_key_of)
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import (DynamoIndexStore, SimpleDBIndexStore,
                                    batch_entries_hash, stored_postings)
@@ -221,8 +220,8 @@ def test_postings_pack_and_hash_like_their_entries(small, big, mode):
         for item in packed[1]:
             assert item.attributes[CHECKSUM_ATTR] == (
                 item_checksum(item.hash_key, item.attributes),)
-            assert item.range_key == content_range_key(item.hash_key,
-                                                       item.attributes)
+            assert item.range_key == range_key_of(canonical_item_bytes(
+                item.hash_key, item.attributes))
         assert (batch_entries_hash({"t": batch})
                 == batch_entries_hash({"t": postings})
                 == batch_content_hash([

@@ -152,9 +152,39 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
     assert calls["pieces"] == calls["packed"] == calls["hashed"]
     # Canonical forms are joined from those pieces: one per scanned
     # item (the fold's checksum verification) and one per item packed.
-    # Only the commit's digest serialises items again, one form each —
-    # none per item packed, none per posting hashed.
+    # No digest serialises an item again: the build's commit, the
+    # delta's flip and the compaction's commit each take the form the
+    # packer joined for the very item they scan.
     assert (calls["joined"] - before["joined"]
             == compaction.scanned_items + compaction.items)
     assert calls["joined"] - compaction.scanned_items == calls["items"]
-    assert calls["canonical"] - before["canonical"] == compaction.items
+    assert before["canonical"] == 0
+    assert calls["canonical"] - before["canonical"] == 0
+
+
+def test_one_damaged_item_costs_one_serialisation(calls, monkeypatch):
+    warehouse = Warehouse()
+    warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
+    _, record = warehouse.build_index_checkpointed(
+        "2LUPI", config={"loaders": 2, "batch_size": 4})
+    live = warehouse.live_index(record.name)
+    warehouse.add_documents(live, _corpus(seed=7000, documents=4,
+                                          prefix="new-"),
+                            config={"loaders": 2})
+    db = warehouse.cloud.dynamodb
+    commit = build.BuildCoordinator.commit
+
+    def damage_then_commit(coordinator):
+        # After the fold's puts, before the commit's scan: the stored
+        # object is replaced, so its recorded form no longer applies.
+        table = coordinator.plan.table_names["lui"]
+        item = db.table(table).all_items()[0]
+        uri = max(item.attributes)  # "#crc" sorts before every URI
+        assert db.corrupt_attribute(table, item.hash_key, item.range_key,
+                                    uri)
+        committed = yield from commit(coordinator)
+        return committed
+
+    monkeypatch.setattr(build.BuildCoordinator, "commit", damage_then_commit)
+    assert warehouse.compact_index(live).committed
+    assert calls["canonical"] == 1
