@@ -53,13 +53,14 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # compaction fold and its regroup of the scanned items, the
           # epoch commit and the content digests (an epoch's, a
           # delta's), one query end to end (the serve-side names above
-          # are nested in it and win) and one document's fetch +
-          # parse + extract, then the packer and the put of its batch
-          # (innermost wins, so ``_extract`` is what is left of it
-          # without the parse).
+          # are nested in it and win), one document's fetch + extract,
+          # the key walk over its parsed bytes inside that (and the
+          # query side's model parse), then the packer and the put of
+          # its batch (innermost wins, so ``_extract`` is what is left
+          # of it without the walk: encoding and sizing the postings).
           "_fold_unit", "_stored_postings", "commit", "items_digest",
-          "_process", "_extract", "parse_document", "_pack_items",
-          "batch_put")
+          "_process", "_extract", "collect_occurrences", "parse_document",
+          "_pack_items", "batch_put")
 INTERVAL_S = 0.001
 ROUNDS = 5
 

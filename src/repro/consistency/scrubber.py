@@ -36,7 +36,6 @@ from repro.indexing.base import IndexingStrategy
 from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
                                       item_checksum)
 from repro.xmldb.encoding import decode_ids
-from repro.xmldb.parser import parse_document
 
 #: Cap on per-problem detail strings kept in a report.
 MAX_DETAILS = 20
@@ -290,11 +289,10 @@ class Scrubber:
             for uri in group:
                 data = yield from self._cloud.resilient.s3.get(
                     self._bucket, uri)
-                document = parse_document(data, uri)
                 report.documents_reextracted += 1
-                for logical, entries in \
-                        self._strategy.extract(document).items():
-                    extracted.setdefault(logical, []).extend(entries)
+                by_table, _ = self._strategy.extract_postings(data, uri)
+                for logical, postings in by_table.items():
+                    extracted.setdefault(logical, []).extend(postings)
             for logical in sorted(extracted):
                 pairs = damaged.get(logical, set())
                 if not pairs:

@@ -2,11 +2,12 @@
 
 A strategy couples:
 
-- ``extract(document)`` — the indexing function ``I(d)`` of Table 2,
-  returning entries grouped by *logical table* (every strategy uses one
+- ``extract_postings(data, uri)`` — the indexing function ``I(d)`` of
+  Table 2 over a document's bytes, returning the tuples in the form the
+  store holds, grouped by *logical table* (every strategy uses one
   table except 2LUPI, which materialises both of its sub-indexes in
-  separate tables, §6); ``extract_postings`` returns the same tuples
-  in the form the store holds, which is what a build carries;
+  separate tables, §6): what a build carries; ``extract(document)`` is
+  its entry-object view of a model document;
 - ``lookup(...)`` — the strategy's look-up planner (built in
   :mod:`repro.indexing.lookup_plans`), which maps a query tree pattern
   to the URIs of possibly-matching documents.
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.indexing.entries import IndexEntry, Posting, collect_occurrences
+from repro.xmldb.encoding import decode_ids, encode_id_rows
 from repro.xmldb.model import Document
+from repro.xmldb.serializer import serialize
 
 
 @dataclass
@@ -77,13 +80,6 @@ class IndexingStrategy(abc.ABC):
         (the entry-object view: ``NodeID`` tuples, path tuples)."""
 
     @abc.abstractmethod
-    def extract_postings(self, document: Document, canonical: bool = True,
-                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
-        """``I(d)`` in stored form (``canonical`` as for ``Posting``) and
-        its work accounting: :meth:`extract`'s occurrences in the same
-        key order, each ID list already its one blob."""
-
-    @abc.abstractmethod
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build this strategy's look-up planner over ``store``.
 
@@ -92,10 +88,58 @@ class IndexingStrategy(abc.ABC):
 
     # -- shared extraction machinery ----------------------------------------
 
-    def _occurrences(self, document: Document):
-        """The one walk, as (key, group) pairs in the order written."""
-        return sorted(collect_occurrences(
-            document, include_words=self.include_words).items())
+    def extract_postings(self, data: bytes, uri: str, canonical: bool = True,
+                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
+        """``I(d)`` of the document ``data`` stored under ``uri``: per
+        logical table, one posting per key in key order, in stored form
+        (``canonical`` as for ``Posting``), and its work accounting.
+
+        One walk feeds every table, and each posting is sized from it:
+        the URI's bytes once per document, paths by one encode of them
+        joined, an ID blob by its length — blobs are encoded once per
+        distinct ID list of the document (the codec refuses a list not
+        strictly sorted by ``pre``, §5.3).
+        """
+        groups, rows = collect_occurrences(data, uri, self.include_words)
+        keys = sorted(groups)
+        found = [groups[key] for key in keys]
+        uri_bytes = len(uri.encode())
+        by_table: Dict[str, List[Posting]] = {}
+        stats = ExtractionStats(entries=len(keys) * len(self.logical_tables))
+        for table in self.logical_tables:
+            kind = self.table_kind(table)
+            if kind == "ids":
+                lists = [tuple(pres) for pres, _ in found]
+                blobs = dict.fromkeys(lists)
+                for ids in blobs:
+                    blobs[ids] = encode_id_rows(map(rows.__getitem__, ids),
+                                                len(ids))
+                values = [(blobs[ids],) for ids in lists]
+                sizes = [len(blob) for blob, in values]
+                stats.ids = sum(map(len, lists))
+            elif kind == "paths":
+                values = [tuple(paths) for _, paths in found]
+                sizes = [len("".join(paths).encode()) for paths in values]
+                stats.paths = sum(map(len, values))
+            else:
+                values, sizes = [()] * len(keys), [0] * len(keys)
+            by_table[table] = [
+                Posting(key, uri, value, canonical, uri_bytes + size)
+                for key, value, size in zip(keys, values, sizes)]
+        return by_table, stats
+
+    def _entries(self, document: Document) -> Dict[str, List[IndexEntry]]:
+        """:meth:`extract`: the postings of the document's bytes, with
+        each ID blob decoded back to its ``NodeID`` tuple."""
+        by_table, _ = self.extract_postings(serialize(document),
+                                            document.uri, canonical=False)
+        return {table: [IndexEntry(posting.key, posting.uri,
+                                   ids=tuple(decode_ids(posting.values[0])))
+                        if table == "lui" else
+                        IndexEntry(posting.key, posting.uri,
+                                   paths=posting.values)
+                        for posting in postings]
+                for table, postings in by_table.items()}
 
     def table_kind(self, logical_table: str) -> str:
         """Payload kind stored in a logical table

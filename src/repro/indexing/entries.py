@@ -9,21 +9,22 @@ that attribute's values.  An :class:`IndexEntry` is one
 - **paths** — the node's root-to-node label paths (LUP);
 - **ids** — the node's structural identifiers, sorted by ``pre`` (LUI).
 
-Extraction helpers walk a document once and group nodes by key, which
-every concrete strategy then projects into its own payload.
+:func:`collect_occurrences` walks a document's bytes once and groups
+its nodes by key, which every concrete strategy then projects into its
+own payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.dynamodb import attribute_size
 from repro.indexing.checksums import AttrValue, attribute_piece
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key, text_word_keys)
 from repro.xmldb.ids import NodeID
-from repro.xmldb.model import Attribute, Document, Element, Text
+from repro.xmldb.parser import parse_tree
 
 
 @dataclass(frozen=True)
@@ -61,20 +62,24 @@ class Posting:
 
     A ``canonical`` posting is born with its :func:`attribute_piece`
     and its billable ``attr_bytes`` from one utf-8 encode per value;
-    one for a store that stamps no checksum is only sized.
+    one for a store that stamps no checksum is only sized, or takes the
+    ``attr_bytes`` its extraction already counted.
     """
 
     __slots__ = ("key", "uri", "values", "attr_bytes", "piece")
 
     def __init__(self, key: str, uri: str, values: Tuple[AttrValue, ...],
-                 canonical: bool = True) -> None:
+                 canonical: bool = True,
+                 attr_bytes: Optional[int] = None) -> None:
         self.key = key
         self.uri = uri
         self.values = values
         if canonical:
             self.piece, self.attr_bytes = attribute_piece(uri, values)
         else:
-            self.piece, self.attr_bytes = None, attribute_size(uri, values)
+            self.piece = None
+            self.attr_bytes = (attribute_size(uri, values)
+                               if attr_bytes is None else attr_bytes)
 
 
 #: What ``write_entries`` and the ledger hash take: postings (a loader's,
@@ -82,55 +87,71 @@ class Posting:
 Entries = Sequence[Union[IndexEntry, Posting]]
 
 
-class KeyOccurrences:
-    """All occurrences of one key within one document: the node ``ids``
-    in extraction (document) order, and the distinct label ``paths`` in
-    first-seen order (an insertion-ordered dict's keys)."""
+def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
+                        ) -> Tuple[Dict[str, Tuple[List[int], Dict[str, None]]],
+                                   List[Any]]:
+    """Group one document's nodes by index key, in one walk over the
+    tree of :func:`~repro.xmldb.parser.parse_tree` (no document model).
 
-    __slots__ = ("ids", "paths")
-
-    def __init__(self, node_id: NodeID, path: str) -> None:
-        self.ids = [node_id]
-        self.paths = {path: None}
-
-
-def collect_occurrences(document: Document,
-                        include_words: bool = True,
-                        ) -> Dict[str, KeyOccurrences]:
-    """Group a document's nodes by index key, in one pass.
-
-    IDs inside each group come out sorted by ``pre`` because the walk is
-    a pre-order traversal — the LUI invariant (§5.3) for free.  Word
-    keys may repeat per text node; duplicates of the *same* ID are
-    collapsed.
-
-    Word keys and word paths use the *text node's* identifier and its
-    parent element's path plus the word step — matching Figure 3/4
-    (``wOlympia`` → (4, 2, 3), path ``/epainting/ename/wOlympia``).
+    Returns ``(groups, rows)``.  ``groups`` maps each key to its nodes'
+    ``pre`` ordinals, sorted because the walk is a pre-order traversal
+    (the LUI invariant, §5.3, for free), and to its distinct label paths
+    in first-seen order.  ``rows[pre]`` is that node's (pre, post,
+    depth), numbered as :func:`~repro.xmldb.model.assign_identifiers`
+    numbers it: a node's post is the count of nodes completed by then,
+    ``last pre of its subtree - depth + 1``.  Word keys take the *text
+    node's* ordinal and its parent element's path plus the word step
+    (Figure 3/4: ``wOlympia`` → (4, 2, 3), ``/epainting/ename/wOlympia``).
     """
-    groups: Dict[str, KeyOccurrences] = {}
-    for node in document.iter_nodes():
-        node_id = node.node_id
-        if isinstance(node, Element):
-            occurrences = ((element_key(node.label), node.path),)
-        elif isinstance(node, Attribute):
-            # Two keys per attribute: name-only and name+value (§5).
-            path = node.path
-            value_key = attribute_value_key(node.name, node.value)
-            occurrences = (
-                (attribute_key(node.name), path),
-                (value_key, path.rsplit("/", 1)[0] + "/" + value_key))
-        elif include_words and isinstance(node, Text):
-            step = node.parent_path + "/"
-            occurrences = [(key, step + key)
-                           for key in text_word_keys(node.value)]
-        else:
-            continue
-        for key, path in occurrences:
-            group = groups.get(key)
+    rows: List[Any] = [None]  # rows[pre]; an element's row on its close
+    visits: List[Tuple[int, str, Sequence[str]]] = []  # (pre, step, keys)
+    append_row, visit = rows.append, visits.append
+    # Open elements: (element, its children, its pre, its path + "/",
+    # its depth); ``element`` is the next one to enter, below ``step``.
+    open_elements: List[tuple] = []
+    element, step, depth, pre = parse_tree(data, uri), "/", 1, 0
+    while element is not None:
+        pre += 1
+        own = pre
+        append_row(None)
+        key = element_key(element.tag)
+        visit((pre, step, (key,)))
+        step += key + "/"
+        for name, value in element.attrib.items():
+            pre += 1
+            append_row((pre, pre - depth, depth + 1))
+            visit((pre, step, (attribute_key(name),
+                               attribute_value_key(name, value))))
+        text = element.text
+        if text:
+            pre += 1
+            append_row((pre, pre - depth, depth + 1))
+            if include_words:
+                visit((pre, step, text_word_keys(text)))
+        open_elements.append((element, iter(element), own, step, depth))
+        element = None
+        while open_elements:
+            closing, children, own, step, depth = open_elements[-1]
+            element = next(children, None)
+            if element is not None:
+                depth += 1
+                break
+            open_elements.pop()
+            rows[own] = (own, pre - depth + 1, depth)
+            tail = closing.tail
+            if tail and open_elements:  # the root's tail is not content
+                pre += 1
+                append_row((pre, pre - depth + 1, depth))
+                if include_words:
+                    visit((pre, open_elements[-1][3], text_word_keys(tail)))
+    groups: Dict[str, Tuple[List[int], Dict[str, None]]] = {}
+    get = groups.get
+    for pre, step, keys in visits:
+        for key in keys:
+            group = get(key)
             if group is None:
-                groups[key] = KeyOccurrences(node_id, path)
-            elif group.ids[-1] != node_id:  # same word twice in one text
-                group.ids.append(node_id)
-                group.paths[path] = None
-    return groups
+                groups[key] = ([pre], {step + key: None})
+            else:
+                group[0].append(pre)
+                group[1][step + key] = None
+    return groups, rows

@@ -11,10 +11,10 @@ The URI sets thus obtained are intersected."
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.indexing.base import ExtractionStats, IndexingStrategy
-from repro.indexing.entries import IndexEntry, Posting
+from repro.indexing.base import IndexingStrategy
+from repro.indexing.entries import IndexEntry
 from repro.xmldb.model import Document
 
 
@@ -27,16 +27,7 @@ class LUStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LU(d)``: one presence entry per key (Table 2)."""
-        return {"lu": [IndexEntry(key=key, uri=document.uri)
-                       for key, _ in self._occurrences(document)]}
-
-    def extract_postings(self, document: Document, canonical: bool = True,
-                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
-        """``I_LU(d)`` in stored form: presence is no value at all."""
-        uri = document.uri
-        postings = [Posting(key, uri, (), canonical)
-                    for key, _ in self._occurrences(document)]
-        return {"lu": postings}, ExtractionStats(entries=len(postings))
+        return self._entries(document)
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.1 LU look-up planner."""

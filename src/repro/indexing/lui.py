@@ -14,11 +14,10 @@ documents whose streams admit a full twig match are returned.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.indexing.base import ExtractionStats, IndexingStrategy
-from repro.indexing.entries import IndexEntry, Posting
-from repro.xmldb.encoding import encode_ids
+from repro.indexing.base import IndexingStrategy
+from repro.indexing.entries import IndexEntry
 from repro.xmldb.model import Document
 
 
@@ -31,21 +30,7 @@ class LUIStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LUI(d)``: key -> URI + sorted IDs (Table 2)."""
-        return {"lui": [IndexEntry(key=key, uri=document.uri,
-                                   ids=tuple(group.ids))
-                        for key, group in self._occurrences(document)]}
-
-    def extract_postings(self, document: Document, canonical: bool = True,
-                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
-        """``I_LUI(d)`` in stored form: each ID list is its one blob (the
-        codec refuses one not strictly sorted by ``pre``, §5.3)."""
-        uri = document.uri
-        postings, count = [], 0
-        for key, group in self._occurrences(document):
-            ids = group.ids
-            count += len(ids)
-            postings.append(Posting(key, uri, (encode_ids(ids),), canonical))
-        return {"lui": postings}, ExtractionStats(len(postings), ids=count)
+        return self._entries(document)
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.3 LUI look-up planner."""

@@ -12,10 +12,10 @@ paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.indexing.base import ExtractionStats, IndexingStrategy
-from repro.indexing.entries import IndexEntry, Posting
+from repro.indexing.base import IndexingStrategy
+from repro.indexing.entries import IndexEntry
 from repro.xmldb.model import Document
 
 
@@ -28,20 +28,7 @@ class LUPStrategy(IndexingStrategy):
 
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_LUP(d)``: key -> URI + label paths (Table 2)."""
-        return {"lup": [IndexEntry(key=key, uri=document.uri,
-                                   paths=tuple(group.paths))
-                        for key, group in self._occurrences(document)]}
-
-    def extract_postings(self, document: Document, canonical: bool = True,
-                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
-        """``I_LUP(d)`` in stored form: the paths are the values."""
-        uri = document.uri
-        postings, count = [], 0
-        for key, group in self._occurrences(document):
-            paths = tuple(group.paths)
-            count += len(paths)
-            postings.append(Posting(key, uri, paths, canonical))
-        return {"lup": postings}, ExtractionStats(len(postings), paths=count)
+        return self._entries(document)
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.2 LUP look-up planner."""

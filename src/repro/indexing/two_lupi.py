@@ -14,11 +14,10 @@ as LUI — the reduction is pure pre-filtering (§5.4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.indexing.base import ExtractionStats, IndexingStrategy
-from repro.indexing.entries import IndexEntry, Posting
-from repro.xmldb.encoding import encode_ids
+from repro.indexing.base import IndexingStrategy
+from repro.indexing.entries import IndexEntry
 from repro.xmldb.model import Document
 
 
@@ -39,26 +38,7 @@ class TwoLUPIStrategy(IndexingStrategy):
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_2LUPI(d)``: both sub-indexes' entries (Table 2), projected
         from one walk of the document."""
-        uri = document.uri
-        occurrences = self._occurrences(document)
-        return {"lup": [IndexEntry(key=key, uri=uri, paths=tuple(group.paths))
-                        for key, group in occurrences],
-                "lui": [IndexEntry(key=key, uri=uri, ids=tuple(group.ids))
-                        for key, group in occurrences]}
-
-    def extract_postings(self, document: Document, canonical: bool = True,
-                         ) -> Tuple[Dict[str, List[Posting]], ExtractionStats]:
-        """``I_2LUPI(d)`` in stored form, from the same one walk."""
-        uri = document.uri
-        lup, lui, id_count, path_count = [], [], 0, 0
-        for key, group in self._occurrences(document):
-            ids, paths = group.ids, tuple(group.paths)
-            id_count += len(ids)
-            path_count += len(paths)
-            lup.append(Posting(key, uri, paths, canonical))
-            lui.append(Posting(key, uri, (encode_ids(ids),), canonical))
-        return {"lup": lup, "lui": lui}, ExtractionStats(
-            len(lup) + len(lui), ids=id_count, paths=path_count)
+        return self._entries(document)
 
     def make_lookup(self, store, table_names: Dict[str, str]):
         """Build the §5.4 two-phase look-up planner."""

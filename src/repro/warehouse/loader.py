@@ -32,7 +32,7 @@ from repro.indexing.mapper import IndexStore, WriteStats, batch_entries_hash
 from repro.warehouse.lease import LeaseKeeper
 from repro.warehouse.messages import (LOADER_QUEUE, BatchLoadRequest,
                                       LoadRequest, StopWorker)
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import parse_document  # noqa: F401 (benchmarks/e2e pins this alias)
 
 
 @dataclass
@@ -237,13 +237,11 @@ class IndexerWorker:
     def _extract(self, uri: str,
                  done: List[Tuple[str, Dict[str, List[Posting]]]],
                  ) -> Generator[Any, Any, None]:
-        """One core task: fetch, parse, extract, charge the CPU, then
-        append ``(uri, postings by table)`` to ``done``."""
+        """One core task: fetch, extract from the bytes, charge the CPU,
+        then append ``(uri, postings by table)`` to ``done``."""
         data = yield from self._cloud.resilient.s3.get(self._bucket, uri)
-        # The parsed tree lives inside this expression only: this frame
-        # is suspended through the CPU wait, and must not pin it.
         by_table, stats = self._strategy.extract_postings(
-            parse_document(data, uri), self._canonical)
+            data, uri, self._canonical)
         work = extraction_cpu_ecu_s(self._cloud.profile, len(data), stats)
         yield from self._instance.run(work)
         self.stats.extraction.merge(stats)

@@ -126,6 +126,8 @@ def _decode_columns(data: bytes) -> "tuple[array, array, array]":
             append_depth(value)
     except StopIteration:
         raise EncodingError("truncated varint") from None
+    except OverflowError:  # a ten-byte varint past the int64 columns
+        raise EncodingError("ID value beyond 64 bits") from None
     if next(it, None) is not None:
         raise EncodingError("trailing bytes after {} IDs".format(count))
     return pres, posts, depths

@@ -62,20 +62,28 @@ def encode_ids(ids: Union[IDBlock, Sequence[NodeID]]) -> bytes:
 
     Raises :class:`~repro.errors.EncodingError` if the list is not
     strictly sorted by ``pre`` — sortedness is the LUI invariant that
-    lets the twig join skip its sort phase.  A block iterates as its
-    ``NodeID`` list, so it encodes to the same bytes.
+    lets the twig join skip its sort phase.  A block encodes from its
+    columns to the same bytes as its ``NodeID`` list.
     """
+    if isinstance(ids, IDBlock):
+        return encode_id_rows(zip(ids.pres, ids.posts, ids.depths), len(ids))
+    return encode_id_rows(ids, len(ids))
+
+
+def encode_id_rows(rows: Iterable[Tuple[int, int, int]], count: int) -> bytes:
+    """:func:`encode_ids` of ``count`` (pre, post, depth) rows: the one
+    varint loop behind a list, a block and an extraction's columns."""
     out = bytearray()
-    _write_varint(len(ids), out)
+    _write_varint(count, out)
     append = out.append
     previous_pre = 0
-    for node_id in ids:
-        pre, post, depth = node_id
+    for row in rows:
+        pre, post, depth = row
         delta = pre - previous_pre
         if delta <= 0:
             raise EncodingError(
                 "IDs must be strictly sorted by pre; got {} after pre={}".format(
-                    node_id, previous_pre))
+                    row, previous_pre))
         previous_pre = pre
         for value in (delta, post, depth):
             # One- and two-byte varints (all but a few of them) inline.

@@ -151,31 +151,36 @@ def assign_identifiers(document: Document) -> None:
     Numbering follows Figure 3: one counter pair over the whole document,
     the root at pre=1 / depth=1, each element visiting its attributes
     first and then its children; post is assigned when a node's subtree
-    completes (leaves complete immediately).
+    completes (leaves complete immediately).  The walk keeps an explicit
+    stack of open elements, so any nesting depth numbers.
     """
-    counter = {"pre": 0, "post": 0}
-    _assign(document.root, 1, counter, "")
-
-
-def _assign(element: Element, depth: int, counter: dict, parent_path: str) -> None:
-    counter["pre"] += 1
-    pre = counter["pre"]
-    path = "{}/e{}".format(parent_path, element.label)
-    element.path = path
-    for attr in element.attributes:
-        counter["pre"] += 1
-        counter["post"] += 1
-        attr.node_id = NodeID(counter["pre"], counter["post"], depth + 1)
-        attr.path = "{}/a{}".format(path, attr.name)
-    for child in element.children:
-        if isinstance(child, Element):
-            _assign(child, depth + 1, counter, path)
-        elif isinstance(child, Text):
-            counter["pre"] += 1
-            counter["post"] += 1
-            child.node_id = NodeID(counter["pre"], counter["post"], depth + 1)
-            child.parent_path = path
-        else:
-            raise XMLError("unexpected child node {!r}".format(child))
-    counter["post"] += 1
-    element.node_id = NodeID(pre, counter["post"], depth)
+    pre = post = 0
+    open_elements: List[tuple] = []  # (element, its pre, depth, children)
+    element: Optional[Element] = document.root
+    depth, parent_path = 1, ""
+    while element is not None:
+        pre += 1
+        open_elements.append((element, pre, depth, iter(element.children)))
+        path = element.path = "{}/e{}".format(parent_path, element.label)
+        for attr in element.attributes:
+            pre += 1
+            post += 1
+            attr.node_id = NodeID(pre, post, depth + 1)
+            attr.path = "{}/a{}".format(path, attr.name)
+        element = None
+        while open_elements and element is None:
+            parent, parent_pre, depth, children = open_elements[-1]
+            for child in children:
+                if isinstance(child, Element):
+                    element, depth, parent_path = child, depth + 1, parent.path
+                    break
+                if not isinstance(child, Text):
+                    raise XMLError("unexpected child node {!r}".format(child))
+                pre += 1
+                post += 1
+                child.node_id = NodeID(pre, post, depth + 1)
+                child.parent_path = parent.path
+            else:
+                open_elements.pop()
+                post += 1
+                parent.node_id = NodeID(parent_pre, post, depth)

@@ -83,7 +83,7 @@ def test_matches_evaluator_on_real_documents(small_corpus):
     """The twig join agrees with direct evaluation (structural-only
     patterns) on every corpus document — the correctness anchor of LUI."""
     from repro.engine.evaluator import pattern_matches
-    from repro.indexing.entries import collect_occurrences
+    from tests.indexing.extraction_oracle import collect_occurrences
     from repro.indexing.keys import element_key
 
     patterns = [

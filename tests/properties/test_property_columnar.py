@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from tests.engine.oracles import (HolisticTwigJoin, semi_join_ancestors,
                                   semi_join_descendants, stack_tree_join)
+from tests.indexing.extraction_oracle import collect_occurrences
 from tests.properties.strategies import documents, twig_patterns
 
 from repro.engine.columnar import (BlockTwigJoin, block_semi_join_ancestors,
                                    block_semi_join_descendants,
                                    block_stack_tree_join, flatten_twig,
                                    make_twig_join, twig_exists)
-from repro.indexing.entries import collect_occurrences
 from repro.indexing.keys import element_key
 from repro.indexing.lookup_plans import expand_pattern_for_twig
 from repro.query.parser import parse_pattern

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.engine.oracles import HolisticTwigJoin, stack_tree_join
+from tests.indexing.extraction_oracle import collect_occurrences
 from tests.properties.strategies import documents
 
 from repro.engine.evaluator import pattern_matches
-from repro.indexing.entries import collect_occurrences
 from repro.indexing.keys import element_key
 from repro.query.parser import parse_pattern
 from repro.query.pattern import Axis

@@ -12,8 +12,7 @@ from tests.warehouse.test_priced_once import _corpus
 
 from repro.cloud import dynamodb
 from repro.consistency import build
-from repro.indexing import (base, checksums, entries, lui, mapper,
-                            two_lupi)
+from repro.indexing import base, checksums, entries, mapper
 from repro.mutations import compactor
 from repro.warehouse import Warehouse, loader
 
@@ -39,11 +38,12 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(base, "collect_occurrences",
                         counting("walks", base.collect_occurrences))
-    # The projection encodes; the packer only to re-split an oversized
-    # posting (never, at this size).
-    encode = counting("encodes", mapper.encode_ids)
-    for module in (lui, two_lupi, mapper):
-        monkeypatch.setattr(module, "encode_ids", encode, raising=False)
+    # The projection encodes from the walk's rows; the packer only to
+    # re-split an oversized posting (never, at this size).
+    monkeypatch.setattr(base, "encode_id_rows",
+                        counting("encodes", base.encode_id_rows))
+    monkeypatch.setattr(mapper, "encode_ids",
+                        counting("encodes", mapper.encode_ids))
     monkeypatch.setattr(mapper, "decode_ids",
                         counting("decodes", mapper.decode_ids))
     canonical = counting("canonical", checksums.canonical_item_bytes)
@@ -95,7 +95,7 @@ def calls(monkeypatch):
     return counts
 
 
-def test_build_walks_encodes_and_sizes_once(calls):
+def test_build_walks_encodes_and_sizes_once(calls, monkeypatch):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
     index = warehouse.build_index("2LUPI", config={"loaders": 2,
@@ -104,19 +104,26 @@ def test_build_walks_encodes_and_sizes_once(calls):
     assert calls["walks"] == DOCUMENTS  # one walk feeds both tables
     # The projection of that walk is what the packer packs: no entry
     # object on the way, nothing left for the packer to convert, and
-    # the codec ran once per ID posting.
+    # the codec ran at most once per ID posting (once per distinct ID
+    # list of a document).
     assert calls["entries_built"] == calls["converted"] == 0
     assert calls["packed"] == index.report.entries
     assert calls["id_postings"] == index.report.entries // 2 > 0
-    assert calls["encodes"] == calls["id_postings"]
+    assert 0 < calls["encodes"] <= calls["id_postings"]
     db = warehouse.cloud.dynamodb
     stored = [item for name in db.table_names()
               for item in db.table(name).all_items()]
     assert len(stored) == calls["items"] == index.report.items
-    # Every attribute of every item was sized by the packer, and the
-    # put path, the write stats and the storage report read that size.
-    assert calls["sized"] == sum(len(item.attributes) for item in stored)
+    # Every attribute was sized once, by its extraction, with no call
+    # of the size formula; the put path, the write stats and the
+    # storage report read that size, and it is the formula's exactly.
+    assert calls["sized"] == 0
     assert db.raw_bytes() == sum(item.size_bytes for item in stored)
+    monkeypatch.undo()
+    assert [item.size_bytes for item in stored] == [
+        dynamodb.DynamoItem(item.hash_key, item.range_key,
+                            item.attributes).size_bytes
+        for item in stored]
     assert calls["canonical"] == calls["hashed"] == 0  # uuid mode
     assert calls["pieces"] == 0  # ... which builds no canonical piece
 
@@ -133,6 +140,7 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
     assert calls["walks"] == DOCUMENTS + 4
     assert calls["id_postings"] == (built.report.entries
                                     + delta.entries) // 2 > 0
+    assert 0 < calls["encodes"] <= calls["id_postings"]
     before = dict(calls)
     compaction = warehouse.compact_index(live)
     assert compaction.entries_written > 0
@@ -140,7 +148,7 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
     # the one blob it scanned, so the codec ran for the build batches'
     # and the delta's ID postings only; and from the first walk to the
     # last put no entry object was built and none reached the packer.
-    assert calls["encodes"] == before["id_postings"] == before["encodes"]
+    assert calls["encodes"] == before["encodes"]
     assert calls["decodes"] == 0
     assert calls["entries_built"] == calls["converted"] == 0
     # One piece per posting written (build batches, delta and fold

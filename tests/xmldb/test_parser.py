@@ -62,3 +62,27 @@ def test_parse_error_mentions_uri():
     with pytest.raises(XMLParseError) as exc_info:
         parse_document(b"not xml", "which.xml")
     assert "which.xml" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("declared", ["bogus", "shift_jis"])
+def test_undecodable_encoding_declaration_raises_typed(declared):
+    """An unknown codec name (a bare ``LookupError`` from expat) and a
+    multi-byte one (a bare ``ValueError``) are malformed input too."""
+    data = "<?xml version='1.0' encoding='{}'?><a/>".format(declared)
+    with pytest.raises(XMLParseError, match="uri=enc.xml"):
+        parse_document(data.encode(), "enc.xml")
+
+
+def test_deep_document_parses():
+    """Conversion and numbering walk with explicit stacks: a document
+    nested far below the interpreter's recursion limit still parses,
+    numbered like any other."""
+    depth = 5000
+    doc = parse_document(b"<a>" * depth + b"x" + b"</a>" * depth, "deep.xml")
+    assert doc.root.node_id == NodeID(1, depth + 1, 1)
+    element = doc.root
+    for level in range(2, depth + 1):
+        element = element.children[0]
+    assert element.node_id == NodeID(depth, 2, depth)
+    assert element.children[0].node_id == NodeID(depth + 1, 1, depth + 1)
+    assert element.path.count("/") == depth
