@@ -20,7 +20,10 @@ tripped the threshold (a pass that frees nothing looks like a slow
 ``self._handles = []``).  ``gc.callbacks`` times the passes themselves:
 the GC block reports, per generation, how many ran inside the timed
 section, how long they took, what share of the section that is and how
-many objects they freed.
+many objects they freed.  ``Environment.run`` and ``run_process`` pause
+the collector while they step, so that block now reads about 0 passes:
+only what falls between kernel runs is left (on ``build-2lupi``, one
+long run, that is 2 young passes per round and no full one).
 
 That block counts what the collector freed without naming it.
 ``--garbage`` runs one more round with the collector off and
@@ -30,7 +33,9 @@ lists those objects by type, the functions among them by
 ``__qualname__`` (a closure that recurses through its own cell is what
 makes a call's working set cyclic) and the live ``Process`` objects
 before and after the section (one that outlives its generator is held
-by something).
+by something).  It exits 1 when the round left any unreachable object:
+with the collector paused inside every run, that garbage would pile up
+until a pass outside one.
 """
 
 import argparse
@@ -99,6 +104,7 @@ def garbage_report(workload):
         print("-- unreachable by {}".format(title))
         for name, count in counts.most_common(15):
             print("{:8d}  {}".format(count, name))
+    return len(garbage)
 
 
 def main(argv):
@@ -185,7 +191,7 @@ def main(argv):
             print("{:6.1%}  {}".format(count / total, name))
     if args.garbage:
         state = None  # the last round's processes are not this round's
-        garbage_report(workload)
+        return 1 if garbage_report(workload) else 0
     return 0
 
 

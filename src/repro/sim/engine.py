@@ -8,7 +8,9 @@ library uses: ``env.timeout(...)``, ``env.process(...)``,
 
 from __future__ import annotations
 
+import gc
 import heapq
+from contextlib import contextmanager
 from typing import Any, Generator, List, Optional, Tuple  # noqa: F401
 
 from repro.errors import SimulationDeadlock, SimulationError
@@ -16,8 +18,26 @@ from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 
+@contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic collector while the kernel steps; put back
+    the caller's state on every exit.  A run leaves nothing only a pass
+    could free (``tests/warehouse/test_no_garbage.py``), so a pass inside
+    one would walk every live object to free none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Environment:
     """Deterministic discrete-event simulation environment.
+
+    :meth:`run` and :meth:`run_process` step with CPython's cyclic
+    collector paused and put back the caller's state on every exit.
 
     Example
     -------
@@ -105,11 +125,12 @@ class Environment:
         if until is not None and until < self._now:
             raise SimulationError(
                 "run(until={}) is in the past (now={})".format(until, self._now))
-        while self._queue:
-            if until is not None and self._queue[0][0] >= until:
-                self._now = until
-                return
-            self.step()
+        with _collector_paused():
+            while self._queue:
+                if until is not None and self._queue[0][0] >= until:
+                    self._now = until
+                    return
+                self.step()
         if until is not None:
             self._now = until
 
@@ -125,10 +146,11 @@ class Environment:
         an event nobody will ever trigger).
         """
         proc = self.process(generator, name=name)
-        while not proc._triggered:  # noqa: SLF001 - is_alive, no call
-            if not self._queue:
-                raise SimulationDeadlock(
-                    "process {!r} never completed (deadlock)".format(
-                        proc.name))
-            self.step()
+        with _collector_paused():
+            while not proc._triggered:  # noqa: SLF001 - is_alive, no call
+                if not self._queue:
+                    raise SimulationDeadlock(
+                        "process {!r} never completed (deadlock)".format(
+                            proc.name))
+                self.step()
         return proc.value

@@ -72,6 +72,7 @@ class Process(Event):
         env = self.env
         generator = self._generator
         throw_exc: BaseException | None = event._exception  # noqa: SLF001
+        pending = None
         previous = env.active_process
         env.active_process = self
         try:
@@ -79,6 +80,7 @@ class Process(Event):
                 try:
                     if throw_exc is not None:
                         pending, throw_exc = throw_exc, None
+                        origin = pending.__traceback__
                         target = generator.throw(pending)
                     else:
                         target = generator.send(event._value)  # noqa: SLF001
@@ -88,7 +90,9 @@ class Process(Event):
                 except BaseException as exc:  # noqa: BLE001 - feed into waiters
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    self.fail(exc)
+                    # The traceback starts at the generator's frame: this
+                    # one holds ``self``, which would hold ``exc``.
+                    self.fail(exc.with_traceback(exc.__traceback__.tb_next))
                     return
                 if not isinstance(target, Event):
                     throw_exc = SimulationError(
@@ -103,6 +107,10 @@ class Process(Event):
             target.add_callback(self._resume)
         finally:
             env.active_process = previous
+            if pending is not None and pending is not self._exception:
+                # Handled here: the frames the throw put on it would tie
+                # the event that still holds it to this generator's locals.
+                pending.__traceback__ = origin
 
     def __repr__(self) -> str:
         return "<Process {} {}>".format(

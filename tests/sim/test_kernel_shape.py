@@ -2,13 +2,13 @@
 
 An event, a timeout, a composite and a process carry no instance
 ``__dict__``; a meter record is one flat immutable value; and nothing
-the kernel does on its own — waiting, interrupting, combining — leaves
-a reference cycle behind.
+the kernel does on its own — waiting, interrupting, combining, failing
+— leaves a reference cycle behind.
 """
 
-import gc
-
 import pytest
+
+from tests.census import census
 
 from repro.errors import ProcessInterrupted
 from repro.sim import AllOf, AnyOf, Environment, Event, Meter, Timeout
@@ -96,18 +96,6 @@ def test_meter_record_is_one_flat_immutable_value():
     assert MeterRecord(0.0, "sqs", "send_message").count == 1
 
 
-def _unreachable_after(action):
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        action()
-        return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def test_waits_interrupts_and_composites_leave_no_cycle():
     def run():
         env = Environment()
@@ -135,4 +123,38 @@ def test_waits_interrupts_and_composites_leave_no_cycle():
         assert env.run_process(driver()) == (1.0, [1.0, 2.0], "woken")
         env.run()
 
-    assert _unreachable_after(run) == 0
+    assert census(run)[0] == 0
+
+
+def test_a_failing_process_awaited_and_caught_leaves_no_cycle():
+    """The failed process holds its exception, whose traceback used to
+    hold ``Process._resume``'s frame, whose ``self`` is that process; and
+    the waiter's frame the throw put on the exception holds the waiter's
+    locals, ``child`` among them.  Neither frame stays on it."""
+    frames = []
+
+    def run():
+        env = Environment()
+        children = []
+
+        def failing():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        def driver():
+            child = env.process(failing())
+            children.append(child)
+            try:
+                yield child
+            except ValueError:
+                return "caught"
+
+        assert env.run_process(driver()) == "caught"
+        env.run()
+        traceback = children[0]._exception.__traceback__  # noqa: SLF001
+        while traceback is not None:
+            frames.append(traceback.tb_frame.f_code.co_name)
+            traceback = traceback.tb_next
+
+    assert census(run)[0] == 0
+    assert frames == ["failing"]  # from the generator's frame down

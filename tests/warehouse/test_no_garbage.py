@@ -1,52 +1,29 @@
-"""The read path leaves nothing for the cyclic collector.
+"""Neither the read path nor the write path leaves anything for the
+cyclic collector.
 
-With the collector switched off around a run, whatever ``gc.collect()``
-finds afterwards is what only a collector pass could have freed — a
-closure that recursed through its own cell, an exception cycled with
-the process it failed — and a finished ``Process`` still alive is one
-that something kept a table of.  Neither may grow with the number of
-queries: a long-running front end would leak per query.  Counts only,
-nothing here depends on wall-clock time.
+The kernel pauses the collector while it steps, so what a run leaves
+cyclic piles up until a pass outside a run (``tests/census.py``).  Here
+a serve, a ``run_query`` loop, a build (plain and checkpointed) and a
+live index's add, delete, update and compaction each run with the
+collector off: what ``gc.collect()`` then finds, and the finished
+processes still alive, stay under a bound and do not grow with the
+number of queries or documents — a long-running front end or loader
+fleet would leak per query or per document.
 """
-
-import gc
 
 import pytest
 
+from tests.census import MAX_UNREACHABLE, census
 from tests.warehouse.test_priced_once import _corpus
 
 from repro.query.workload import workload_query
-from repro.sim.process import Process
 from repro.tenancy import TenancyConfig, TenantSpec
 from repro.warehouse import Warehouse
 
-#: What a run may leave unreachable, whatever its length (measured: 0).
-MAX_UNREACHABLE = 20
 #: Finished processes that may still be referenced after a run: the
 #: driver's own completion event is still on the kernel's queue.
 MAX_FINISHED_ALIVE = 2
 STRATEGIES = ("LU", "LUP", "LUI", "2LUPI")
-
-
-def _census(warehouse, action):
-    """Run ``action`` with the collector off; return (unreachable
-    objects it left, finished processes of this warehouse still held,
-    processes it left running)."""
-    env = warehouse.cloud.env
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        action()
-        processes = [obj for obj in gc.get_objects()
-                     if isinstance(obj, Process) and obj.env is env]
-        finished = sum(not proc.is_alive for proc in processes)
-        running = len(processes) - finished
-        del processes
-        return gc.collect(), finished, running
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _serving_warehouse():
@@ -68,9 +45,9 @@ def test_serve_garbage_and_finished_processes_do_not_grow_with_arrivals():
         traffic = {"arrival": "poisson", "rate_qps": 2.0,
                    "queries": queries, "seed": 7}
         reports = []
-        unreachable, finished, running = _census(
-            warehouse,
-            lambda: reports.append(warehouse.serve(traffic, index)))
+        unreachable, finished, running = census(
+            lambda: reports.append(warehouse.serve(traffic, index)),
+            warehouse.cloud.env)
         assert reports[0].offered == reports[0].completed == 2 * queries
         assert unreachable <= MAX_UNREACHABLE
         assert finished <= MAX_FINISHED_ALIVE
@@ -95,8 +72,66 @@ def test_run_query_garbage_does_not_grow_with_the_queries():
                         warehouse.run_query(workload_query(name), index)
         return run
 
-    once = _census(warehouse, loop(1))
-    twice = _census(warehouse, loop(2))
+    env = warehouse.cloud.env
+    once = census(loop(1), env)
+    twice = census(loop(2), env)
     assert once[:2] == twice[:2]
     assert once[0] <= MAX_UNREACHABLE
     assert once[1] <= MAX_FINISHED_ALIVE
+
+
+def _write_census(prepare, documents):
+    """(unreachable, finished) left by the action ``prepare(warehouse,
+    base, increment)`` returns, on a fresh warehouse and two disjoint
+    corpora of ``documents``.  What the action does not exercise is
+    made outside the census: a generated ``Document`` tree links
+    children to parents, and a live handle and its ``MergingStore``
+    refer to each other — the caller's cycles, not the run's."""
+    warehouse = Warehouse(deployment={"loaders": 2, "batch_size": 4})
+    base = _corpus(seed=31, documents=documents)
+    increment = _corpus(seed=7031, documents=documents, prefix="inc-")
+    action = prepare(warehouse, base, increment)
+    unreachable, finished, _ = census(action, warehouse.cloud.env)
+    return unreachable, finished
+
+
+def _build(warehouse, base, _increment):
+    def action():
+        warehouse.upload_corpus(base)
+        for name in STRATEGIES:
+            warehouse.build_index(name)
+    return action
+
+
+def _build_checkpointed(warehouse, base, _increment):
+    def action():
+        warehouse.upload_corpus(base)
+        warehouse.build_index_checkpointed("2LUPI")
+    return action
+
+
+def _live_mutations(warehouse, base, increment):
+    warehouse.upload_corpus(base)
+    _, record = warehouse.build_index_checkpointed("LUI")
+    live = warehouse.live_index(record.name)
+    uris = [document.uri for document in base.documents]
+
+    def action():
+        warehouse.add_documents(live, increment)
+        warehouse.delete_documents(live, uris[:2])
+        warehouse.update_document(live, uris[2], increment.data[
+            increment.documents[0].uri])
+        warehouse.compact_index(live)
+    return action
+
+
+@pytest.mark.parametrize("prepare", [_build, _build_checkpointed,
+                                     _live_mutations],
+                         ids=["build_index", "build_index_checkpointed",
+                              "live_add_delete_update_compact"])
+def test_write_garbage_does_not_grow_with_the_documents(prepare):
+    small, large = (_write_census(prepare, documents)
+                    for documents in (8, 16))
+    assert small[0] <= MAX_UNREACHABLE
+    assert small[1] <= MAX_FINISHED_ALIVE
+    assert small == large
