@@ -8,6 +8,8 @@
 Runs the workload's ``setup`` (unsampled) and its timed ``main`` under
 ``signal.setitimer(ITIMER_PROF)``, ``--rounds`` times (default 5) on
 fresh state (the kernel delivers at best one sample per 4 ms tick),
+with the previous round's state dropped and a ``gc.collect()`` before
+the set-up and again before ``main``, as ``run.py`` times them,
 and prints self-time shares by the innermost ``repro`` function and
 by the first enclosing phase.  A sampler costs the same whatever is running; cProfile's
 per-call hook triples this section's wall time and overstates its many
@@ -158,7 +160,12 @@ def main(argv):
     elapsed = 0.0
     answers = []  # per round: look-ups replayed / computed and kept
     for _ in range(rounds):
+        # As ``run.py`` does: the last round's teardown and this set-up's
+        # garbage are collected here, not filed under ``main``.
+        state = None
+        gc.collect()
         state = workload.setup()
+        gc.collect()
         gc.callbacks.append(on_gc)
         signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         started = time.perf_counter()

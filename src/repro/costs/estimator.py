@@ -104,7 +104,7 @@ def _price_requests(meter: Meter, book: PriceBook, tag_prefix: str = "",
     """Price all metered API requests matching the attribution filter."""
     out = CostBreakdown()
     for record in meter.records(tag_prefix=tag_prefix, activity=activity):
-        out = out.add(price_record(record, book))
+        out.accumulate(price_record(record, book))
     return out
 
 

@@ -28,7 +28,6 @@ the report's request dollars are attributable to the last float bit.
 from __future__ import annotations
 
 import dataclasses
-from functools import reduce
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.costs.estimator import CostBreakdown, price_records
@@ -504,9 +503,9 @@ class ServingRuntime:
         priced = price_records(cloud.meter.since(mark), book)
         tagged = [pair for pair in priced
                   if pair[0].tag.startswith(self.tag)]
-        estimator_breakdown = reduce(
-            CostBreakdown.add, (price for _, price in tagged),
-            CostBreakdown())
+        estimator_breakdown = CostBreakdown()
+        for _, price in tagged:
+            estimator_breakdown.accumulate(price)
         costs = partition_costs(trace, tagged) \
             if trace is not None and self.tenancy is not None else {}
         inclusive: Dict[int, Any] = {}

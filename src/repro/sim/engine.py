@@ -56,8 +56,8 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
         #: The process whose generator is currently being stepped (kernel
-        #: maintained).  Telemetry keys span stacks on it so concurrent
-        #: simulated processes each carry their own active span.
+        #: maintained).  Telemetry reads its span stack (``Process.spans``)
+        #: so concurrent simulated processes each carry their own span.
         self.active_process: Optional[Process] = None
         #: Optional telemetry hook (a ``TelemetryHub``); when set, every
         #: spawned process is announced so it inherits the spawner's span.

@@ -85,21 +85,26 @@ class Meter:
     def __init__(self) -> None:
         self._records: List[MeterRecord] = []
         self._tag_stack: List[str] = []
-        self._telemetry: Optional[Any] = None
+        self._tracer: Optional[Any] = None
         self._requests_total: Optional[Any] = None
+        #: ``cloud_requests_total`` series cell per (service, operation),
+        #: bound through the counter's checks on first sight.
+        self._request_cells: Dict[Tuple[str, str], List[float]] = {}
 
     # -- recording ---------------------------------------------------------
 
     def bind_telemetry(self, hub: Any) -> None:
         """Attach a :class:`~repro.telemetry.TelemetryHub`.
 
-        A bound meter stamps each record with the active span id and
-        mirrors request counts onto the hub's ``cloud_requests_total``
-        registry counter.  The record list itself is unchanged (same
-        length, same order), so metering-based determinism checks hold
-        with or without telemetry.
+        A bound meter stamps each record with the id of the hub's
+        tracer's current span and mirrors request counts onto the hub's
+        ``cloud_requests_total`` registry counter, one series cell per
+        (service, operation) bound on first sight.  The record list
+        itself is unchanged (same length, same order), so metering-based
+        determinism checks hold with or without telemetry.
         """
-        self._telemetry = hub
+        self._tracer = hub.tracer
+        self._request_cells = {}
         self._requests_total = hub.counter(
             "cloud_requests_total",
             "Billable cloud API requests by service and operation.",
@@ -111,15 +116,20 @@ class Meter:
         """Append and return a new record, inheriting the current tag."""
         if tag is None:
             tag = self._tag_stack[-1] if self._tag_stack else ""
-        span_id = 0
-        if self._telemetry is not None:
-            span_id = self._telemetry.current_span_id
+        span = None if self._tracer is None else self._tracer.current_span
         rec = MeterRecord(time, service, operation, count, bytes_in,
-                          bytes_out, tag, span_id)
+                          bytes_out, tag,
+                          0 if span is None else span.span_id)
         self._records.append(rec)
-        if self._requests_total is not None:
+        cell = self._request_cells.get((service, operation))
+        if cell is not None and count >= 0:
+            cell[0] += count
+        elif self._requests_total is not None:
             self._requests_total.inc(count, service=service,
                                      operation=operation)
+            self._request_cells[service, operation] = \
+                self._requests_total.cell(service=service,
+                                          operation=operation)
         return rec
 
     def tagged(self, tag: Any) -> "_TagScope":

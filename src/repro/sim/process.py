@@ -18,7 +18,7 @@ from repro.sim.events import Event, PRIORITY_URGENT
 class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "base_span")
+    __slots__ = ("name", "_generator", "_waiting_on", "base_span", "spans")
 
     def __init__(self, env: "Environment",  # noqa: F821
                  generator: Generator[Event, Any, Any],
@@ -30,8 +30,10 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Event | None = None
-        #: The spawner's telemetry span: per-process state lives on the process
+        #: Telemetry state lives on the process: the spawner's span and
+        #: this process's open spans, innermost last.
         self.base_span: Any = None
+        self.spans: list = []
         # Bootstrap: resume the generator at time now.
         bootstrap = Event(env)
         bootstrap._triggered = True  # noqa: SLF001 - kernel internal

@@ -54,7 +54,10 @@ def span_direct_costs(tracer: Tracer, meter: Any,
         priced = price_record(record, book)
         span_id = getattr(record, "span_id", 0)
         slot = out.get(span_id)
-        out[span_id] = priced if slot is None else slot.add(priced)
+        if slot is None:
+            out[span_id] = priced  # a fresh price: the slot may own it
+        else:
+            slot.accumulate(priced)
     return out
 
 
@@ -107,7 +110,7 @@ def priced_breakdown(tracer: Tracer, meter: Any, book: Any,
 
     total = CostBreakdown()
     for record in meter:
-        total = total.add(price_record(record, book))
+        total.accumulate(price_record(record, book))
     direct = span_direct_costs(tracer, meter, book)
     inclusive = span_inclusive_costs(tracer, meter, book)
     zero = CostBreakdown()

@@ -97,6 +97,11 @@ class Counter(_Metric):
             raise ConfigError("counters only go up (amount={})".format(amount))
         self._series_for(labels)[0] += amount
 
+    def cell(self, **labels: str) -> List[float]:
+        """One series' one-slot list, created through the label checks:
+        ``cell[0] += amount`` is :meth:`inc` bound to those labels."""
+        return self._series_for(labels)
+
     def value(self, **labels: str) -> float:
         """Current value of one series (0.0 if never incremented)."""
         key = _label_key(self.labelnames, labels)

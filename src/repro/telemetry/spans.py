@@ -10,13 +10,13 @@ hands out spans through a context-manager API::
 
 Correct parentage in a discrete-event simulation needs more than a
 stack: simulated processes interleave, so "the innermost open span" is
-only meaningful *per process*.  The tracer therefore keys its span
-stacks on the environment's currently-stepping process
-(:attr:`~repro.sim.engine.Environment.active_process`) and, when a new
-process is spawned, records the spawner's active span *on the child*
-as its base span (``Process.base_span``; no table of processes to
-leak) — so a loader worker's S3 gets attach below the index-build span
-even though the build driver and the workers are separate processes.
+only meaningful *per process*.  Each process therefore keeps its own
+stack of open spans (``Process.spans``; the tracer keeps one more for
+code outside any process) and, when a new process is spawned, the
+spawner's active span is recorded *on the child* as its base span
+(``Process.base_span``) — no table of processes to leak, and a loader
+worker's S3 gets attach below the index-build span even though the
+build driver and the workers are separate processes.
 
 Determinism: span ids are assigned in creation order, times come off
 the simulated clock, and nothing samples wall-clock time or randomness
@@ -125,8 +125,9 @@ class Tracer:
     def __init__(self, env: Any) -> None:
         self._env = env
         self._next_id = 1
-        #: Per-process stacks of open spans (key: Process or None).
-        self._stacks: Dict[Any, List[Span]] = {}
+        #: Open spans of code outside any process, innermost last (a
+        #: process keeps its own in ``Process.spans``).
+        self._main: List[Span] = []
         #: Every span ever begun, by id (parents of meter records must
         #: stay resolvable after the span closes).
         self._by_id: Dict[int, Span] = {}
@@ -134,9 +135,6 @@ class Tracer:
         self.spans: List[Span] = []
 
     # -- context ------------------------------------------------------------
-
-    def _context(self) -> Any:
-        return getattr(self._env, "active_process", None)
 
     @property
     def current_span(self) -> Optional[Span]:
@@ -146,11 +144,10 @@ class Tracer:
         work done by a child process is attributed below its spawner's
         span even before the child opens any span of its own.
         """
-        context = self._context()
-        stack = self._stacks.get(context)
-        if stack:
-            return stack[-1]
-        return context.base_span if context is not None else None
+        proc = self._env.active_process
+        if proc is None:
+            return self._main[-1] if self._main else None
+        return proc.spans[-1] if proc.spans else proc.base_span
 
     @property
     def current_span_id(self) -> int:
@@ -172,31 +169,33 @@ class Tracer:
               attributes: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span explicitly (prefer the :meth:`span` scope); the
         span keeps ``attributes`` itself, not a copy."""
-        context = self._context()
-        parent = self.current_span
-        track = (context.name or self.MAIN_TRACK) if context is not None \
-            else self.MAIN_TRACK
-        span = Span(span_id=self._next_id,
-                    parent_id=parent.span_id if parent else None,
-                    name=name, start=self._env.now, track=track,
-                    attributes=attributes)
-        self._next_id += 1
-        self._by_id[span.span_id] = span
-        stack = self._stacks.get(context)
-        if stack is None:
-            stack = self._stacks[context] = []
+        env = self._env
+        proc = env.active_process
+        if proc is None:
+            stack, parent, track = self._main, None, self.MAIN_TRACK
+        else:
+            stack, parent = proc.spans, proc.base_span
+            track = proc.name or self.MAIN_TRACK
+        if stack:
+            parent = stack[-1]
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        span = Span(span_id, parent.span_id if parent is not None else None,
+                    name, env.now, track, attributes)
+        self._by_id[span_id] = span
         stack.append(span)
         return span
 
     def finish(self, span: Span) -> None:
         """Close ``span`` at the current simulated time."""
-        span.end = self._env.now
-        context = self._context()
-        stack = self._stacks.get(context)
-        if stack and span in stack:
+        env = self._env
+        span.end = env.now
+        proc = env.active_process
+        stack = self._main if proc is None else proc.spans
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # closed out of order
             stack.remove(span)
-            if not stack:
-                del self._stacks[context]
         self.spans.append(span)
 
     # -- queries ------------------------------------------------------------

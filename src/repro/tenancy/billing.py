@@ -120,14 +120,17 @@ def partition_costs(tracer: Any, priced: Any) -> Dict[str, Any]:
     """:func:`tenant_costs` over already priced ``(record, price)`` pairs."""
     from repro.costs.estimator import CostBreakdown
 
-    cache: Dict[int, str] = {}
+    buckets: Dict[int, Any] = {}  # span id -> its tenant's bucket
     out: Dict[str, Any] = {}
     for record, price in priced:
-        tenant = tenant_of_span(tracer, record.span_id, cache)
-        bucket = out.get(tenant)
+        bucket = buckets.get(record.span_id)
         if bucket is None:
-            bucket = CostBreakdown()
-        out[tenant] = bucket.add(price)
+            tenant = tenant_of_span(tracer, record.span_id)
+            bucket = out.get(tenant)
+            if bucket is None:
+                bucket = out[tenant] = CostBreakdown()
+            buckets[record.span_id] = bucket
+        bucket.accumulate(price)
     return out
 
 

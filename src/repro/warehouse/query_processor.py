@@ -26,7 +26,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set
 from repro.cloud.ec2 import Instance
 from repro.cloud.provider import CloudProvider
 from repro.config import MB
-from repro.errors import ReceiptHandleInvalid, RegionUnavailable
+from repro.errors import NoSuchKey, ReceiptHandleInvalid, RegionUnavailable
 from repro.engine.evaluator import (EvalRow, evaluate_pattern,
                                     result_size_bytes)
 from repro.engine.value_join import join_query_rows
@@ -335,10 +335,27 @@ class QueryWorker:
                            pattern_rows: List[List[EvalRow]],
                            ) -> Generator[Any, Any, None]:
         """Core task: fetch one document and evaluate relevant patterns
-        (each query ``text``'s pattern once per parsed Document)."""
+        (each query ``text``'s pattern once per parsed Document).
+
+        A candidate whose object is gone was deleted after the look-up:
+        it contributes no rows, so the query linearises after the
+        delete, and it is counted on ``documents_vanished_total`` and
+        the enclosing span's ``documents_vanished``."""
         profile = self._cloud.profile
-        data = yield from self._cloud.resilient.s3.get(
-            self._document_bucket, uri)
+        try:
+            data = yield from self._cloud.resilient.s3.get(
+                self._document_bucket, uri)
+        except NoSuchKey:
+            hub = getattr(self._cloud.env, "telemetry", None)
+            if hub is not None:
+                hub.counter("documents_vanished_total",
+                            "Candidates deleted between look-up and "
+                            "fetch.").inc()
+                span = hub.current_span
+                if span is not None:
+                    span.attributes["documents_vanished"] = \
+                        span.attributes.get("documents_vanished", 0) + 1
+            return
         document = self._parsed_documents.get(uri)
         if document is None:
             document = parse_document(data, uri)

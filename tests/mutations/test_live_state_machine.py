@@ -3,11 +3,13 @@
 Hypothesis drives one :class:`~repro.mutations.live.LiveIndex` through
 random sequences of adds (fresh URIs and re-adds of deleted ones),
 deletes, updates, compactions (whole, or interrupted after one unit and
-resumed by a later one) and queries, beside a plain ``{uri: bytes}``
-model of what the corpus should now be.  After every step:
+resumed by a later one), queries and deletes published beside a served
+query, beside a plain ``{uri: bytes}`` model of what the corpus should
+now be.  After every step:
 
 * the step's query answers exactly what ``evaluate_query`` answers over
-  the model;
+  the model (a query served beside a delete, over the model before or
+  after it);
 * every look-up of its patterns returns a superset of the model's
   matches and no URI the model does not hold — a deleted document never
   comes back;
@@ -30,6 +32,7 @@ from tests.census import census
 from tests.warehouse.test_priced_once import _corpus
 
 from repro.engine.evaluator import evaluate_query, pattern_matches
+from repro.mutations import mutation_feed
 from repro.query.workload import workload_query
 from repro.warehouse import Warehouse
 from repro.warehouse.warehouse import RESULTS_BUCKET
@@ -43,6 +46,9 @@ QUERIES = st.sampled_from(["q{}".format(n) for n in range(1, 11)])
 #: Picks one of a sorted candidate list, modulo its length.
 PICK = st.integers(min_value=0, max_value=63)
 DOCUMENTS = 6
+#: Simulated seconds from a served query's traffic start to the delete
+#: beside it; 0.18 s is where a look-up and its fetch straddle the delete.
+DELETE_OFFSETS = st.sampled_from([0.0, 0.05, 0.1, 0.18, 0.3])
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +64,22 @@ def _as_corpus(data):
     return Corpus(documents=[parse_document(payload, uri)
                              for uri, payload in data.items()],
                   data=dict(data))
+
+
+def _expected_lines(query, model):
+    """The rows a query worker stores for ``query`` over ``model``, one
+    per line, sorted."""
+    documents = [parse_document(data, uri)
+                 for uri, data in sorted(model.items())]
+    return sorted("\n".join("\t".join(row.projections)
+                             for row in evaluate_query(query, documents))
+                  .split("\n"))
+
+
+def _stored_lines(warehouse, query_id):
+    return sorted(warehouse.cloud.s3.peek(
+        RESULTS_BUCKET, "results/{}.txt".format(query_id)).data
+        .decode("utf-8").split("\n"))
 
 
 class LiveIndexMachine(RuleBasedStateMachine):
@@ -87,9 +109,7 @@ class LiveIndexMachine(RuleBasedStateMachine):
         def action():
             mutate()
             execution = warehouse.run_query(query, self.live)
-            answered.append(warehouse.cloud.s3.peek(
-                RESULTS_BUCKET,
-                "results/{}.txt".format(execution.query_id)).data)
+            answered.append(_stored_lines(warehouse, execution.query_id))
             answered.extend(
                 set(warehouse.cloud.env.run_process(
                     lookup.lookup_pattern(pattern)).uris)
@@ -101,12 +121,8 @@ class LiveIndexMachine(RuleBasedStateMachine):
         # children to parents.
         documents = [parse_document(data, uri)
                      for uri, data in sorted(self.model.items())]
-        payload, looked_up = answered[0], answered[1:]
-        # The rows a query worker stores, one per line, in any order.
-        expected = "\n".join("\t".join(row.projections)
-                             for row in evaluate_query(query, documents))
-        assert sorted(payload.decode("utf-8").split("\n")) == sorted(
-            expected.split("\n"))
+        stored, looked_up = answered[0], answered[1:]
+        assert stored == _expected_lines(query, self.model)
         for pattern, uris in zip(query.patterns, looked_up):
             assert uris <= set(self.model), uris & self.deleted
             assert {document.uri for document in documents
@@ -136,6 +152,29 @@ class LiveIndexMachine(RuleBasedStateMachine):
         self.deleted.add(uri)
         self._step(lambda: self.warehouse.delete_documents(
             self.live, [uri]), query)
+
+    @precondition(lambda self: len(self.model) > 1)
+    @rule(pick=PICK, query=QUERIES, offset=DELETE_OFFSETS)
+    def delete_beside_query(self, pick, query, offset):
+        """Serve one query with the delete in a background feed: the
+        query linearises before or after it, never dies of it."""
+        uri = sorted(self.model)[pick % len(self.model)]
+        before = dict(self.model)
+        del self.model[uri]
+        self.deleted.add(uri)
+        warehouse = self.warehouse
+        reports = []
+        unreachable, _, _ = census(lambda: reports.append(warehouse.serve(
+            {"arrival": "burst", "rate_qps": 4.0, "queries": 1,
+             "mix": (query,)}, self.live,
+            background=[mutation_feed(self.live, [("delete", [uri])],
+                                      interval_s=offset)])),
+            warehouse.cloud.env)
+        assert unreachable == 0
+        (served,) = reports[0].queries
+        assert _stored_lines(warehouse, served.query_id) in (
+            _expected_lines(workload_query(query), before),
+            _expected_lines(workload_query(query), self.model))
 
     @rule(pick=PICK, content=PICK, query=QUERIES)
     def update(self, pick, content, query):

@@ -1,6 +1,10 @@
 """Unit tests for the meter / cost attribution substrate."""
 
-from repro.sim import Meter
+import pytest
+
+from repro.errors import ConfigError, LabelCardinalityError
+from repro.sim import Environment, Meter
+from repro.telemetry import MetricsRegistry, TelemetryHub
 
 
 def test_record_and_count():
@@ -102,8 +106,6 @@ def test_since_returns_what_a_phase_appended():
 
 
 def test_bound_meter_resolves_its_request_counter_once():
-    from repro.sim import Environment
-    from repro.telemetry import TelemetryHub
     meter = Meter()
     hub = TelemetryHub(Environment(), meter=meter)
     lookups = []
@@ -115,3 +117,32 @@ def test_bound_meter_resolves_its_request_counter_once():
     assert lookups == []
     assert hub.registry.get("cloud_requests_total").value(
         service="s3", operation="put") == 10
+
+
+def test_bound_request_series_refuses_a_negative_count_like_inc():
+    meter = Meter()
+    hub = TelemetryHub(Environment(), meter=meter)
+    counter = hub.registry.get("cloud_requests_total")
+    with pytest.raises(ConfigError):
+        meter.record(0.0, "s3", "get", count=-1)
+    assert counter.series() == []  # no series left behind
+    meter.record(0.0, "s3", "get", count=2)
+    with pytest.raises(ConfigError):  # bound: still checked
+        meter.record(0.0, "s3", "get", count=-1)
+    meter.record(0.0, "s3", "get")
+    assert counter.value(service="s3", operation="get") == 3
+    assert [key for key, _ in counter.series()] == [("s3", "get")]
+
+
+def test_bound_request_series_keeps_the_cardinality_cap():
+    meter = Meter()
+    hub = TelemetryHub(Environment(), meter=meter,
+                       registry=MetricsRegistry(max_series_per_metric=2))
+    meter.record(0.0, "s3", "get")
+    meter.record(0.0, "s3", "put")
+    with pytest.raises(LabelCardinalityError):
+        meter.record(0.0, "sqs", "send_message")
+    meter.record(0.0, "s3", "get", count=4)
+    counter = hub.registry.get("cloud_requests_total")
+    assert [(key, series[0]) for key, series in counter.series()] == [
+        (("s3", "get"), 5.0), (("s3", "put"), 1.0)]

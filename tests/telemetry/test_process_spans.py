@@ -1,7 +1,9 @@
-"""The tracer contract a process's base span must keep now that it
-lives on the process (``Process.base_span``) instead of in a tracer-side
-table: inheritance outlives the spawner's span and the child itself,
-and the tracer holds no process once it has finished.
+"""The tracer contract a process's span state must keep now that it
+lives on the process (``Process.base_span`` and ``Process.spans``)
+instead of in tracer-side tables: inheritance outlives the spawner's
+span and the child itself, each process nests under its own base span
+however processes interleave, and the tracer holds no process once it
+has finished.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import pytest
 
 from repro.sim import Environment, Meter
 from repro.sim.process import Process
-from repro.telemetry import TelemetryHub
+from repro.telemetry import TelemetryHub, Tracer
 
 pytestmark = pytest.mark.telemetry
 
@@ -76,6 +78,8 @@ def test_the_tracer_keeps_no_finished_process():
     env = Environment()
     hub = TelemetryHub(env)
 
+    finished = []
+
     def work(index):
         with hub.span("work", index=index):
             yield env.timeout(1.0)
@@ -83,14 +87,73 @@ def test_the_tracer_keeps_no_finished_process():
     def driver():
         with hub.span("drive"):
             for index in range(50):
-                yield env.process(work(index), name="work")
+                finished.append(env.process(work(index), name="work"))
+                yield finished[-1]
 
     env.run_process(driver(), name="driver")
     env.run()
     assert len(hub.tracer.spans) == 51
+    assert [proc.spans for proc in finished] == [[]] * 50
+    assert hub.tracer._main == []
     assert not hasattr(hub.tracer, "_bases")
-    assert hub.tracer._stacks == {}
+    assert not hasattr(hub.tracer, "_stacks")
+    del finished[:]
     gc.collect()
     alive = [obj for obj in gc.get_objects()
              if isinstance(obj, Process) and obj.env is env]
     assert alive == []
+
+
+def test_interleaved_processes_nest_under_their_own_base_span(env):
+    hub = TelemetryHub(env)
+
+    def worker(who):
+        with hub.span("outer", who=who):
+            yield env.timeout(1.0)
+            with hub.span("inner", who=who):
+                yield env.timeout(1.0)
+
+    def driver():
+        workers = []
+        for who in ("a", "b"):
+            with hub.span("spawn", who=who):
+                workers.append(env.process(worker(who), name=who))
+        for proc in workers:
+            yield proc
+
+    env.run_process(driver(), name="driver")
+    by_key = {(span.name, span.attributes["who"]): span
+              for span in hub.tracer.spans}
+    for who in ("a", "b"):
+        outer, inner = by_key["outer", who], by_key["inner", who]
+        assert outer.parent_id == by_key["spawn", who].span_id
+        assert inner.parent_id == outer.span_id
+        assert (outer.track, inner.track) == (who, who)
+        assert (outer.start, inner.start, inner.end) == (0.0, 1.0, 2.0)
+
+
+def test_an_out_of_order_finish_keeps_the_rest_of_the_stack(env):
+    tracer = Tracer(env)
+    outer = tracer.begin("outer")
+    inner = tracer.begin("inner")
+    tracer.finish(outer)
+    assert tracer.current_span is inner
+    child = tracer.begin("child")
+    assert child.parent_id == inner.span_id
+    tracer.finish(child)
+    tracer.finish(inner)
+    assert tracer.current_span is None
+    assert [span.name for span in tracer.spans] == ["outer", "child",
+                                                    "inner"]
+
+    def proc():
+        first = tracer.begin("first")
+        second = tracer.begin("second")
+        yield env.timeout(1.0)
+        tracer.finish(first)
+        assert tracer.current_span is second
+        tracer.finish(second)
+        assert tracer.current_span is None
+
+    env.run_process(proc(), name="proc")
+    assert tracer._main == []
