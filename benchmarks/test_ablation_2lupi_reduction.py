@@ -16,11 +16,12 @@ from repro.query.workload import WORKLOAD_ORDER, workload_query
 def test_ablation_2lupi_reduction(ctx, benchmark):
     index = ctx.index("2LUPI")
     env = ctx.warehouse.cloud.env
+    tracer = ctx.warehouse.telemetry.tracer
     reduced = TwoLUPILookup(index.store, index.table_names["lup"],
-                            index.table_names["lui"],
+                            index.table_names["lui"], tracer,
                             reduction_enabled=True)
     unreduced = TwoLUPILookup(index.store, index.table_names["lup"],
-                              index.table_names["lui"],
+                              index.table_names["lui"], tracer,
                               reduction_enabled=False)
 
     rows = []

@@ -17,8 +17,10 @@ def test_ablation_unsorted_ids(ctx, benchmark):
     index = ctx.index("LUI")
     table = index.table_names["lui"]
     env = ctx.warehouse.cloud.env
-    sorted_lookup = LUILookup(index.store, table, assume_sorted=True)
-    ablated_lookup = LUILookup(index.store, table, assume_sorted=False)
+    tracer = ctx.warehouse.telemetry.tracer
+    sorted_lookup = LUILookup(index.store, table, tracer, assume_sorted=True)
+    ablated_lookup = LUILookup(index.store, table, tracer,
+                               assume_sorted=False)
 
     rows = []
     for name in WORKLOAD_ORDER[:7]:  # the single-pattern queries

@@ -16,7 +16,7 @@ def test_table5_query_details(ctx, benchmark):
     report(result)
 
     index = ctx.index("LUP")
-    lookup = index.make_lookup()
+    lookup = index.make_lookup(ctx.warehouse.telemetry.tracer)
     pattern = workload_query("q5").patterns[0]
     env = ctx.warehouse.cloud.env
 

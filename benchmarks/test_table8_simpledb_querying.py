@@ -16,7 +16,7 @@ def test_table8_simpledb_querying(ctx, benchmark):
     report(result)
 
     index = ctx.index("LUI")
-    lookup = index.make_lookup()
+    lookup = index.make_lookup(ctx.warehouse.telemetry.tracer)
     pattern = workload_query("q6").patterns[0]
     env = ctx.warehouse.cloud.env
 

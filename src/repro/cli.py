@@ -20,12 +20,13 @@ monetary cost.  This CLI does the same over the simulated substrate::
 Every subcommand is a plain function taking parsed args and returning
 an exit code, so the test suite drives them directly.  The deployment
 flags (``--strategy``, ``--backend``, ``--instances``, ``--workers``,
-``--instance-type``, ``--batch-size``, ``--shards``, ``--cache-bytes``)
-come from one shared parser — :func:`add_deployment_args` — and are
-folded into a single :class:`~repro.warehouse.deployment.
-DeploymentConfig` by :func:`_deployment`, so ``serve``, ``workload``,
-``demo``, ``trace`` and ``scrub`` all provision the warehouse the same
-way.  All output flows through one
+``--instance-type``, ``--batch-size``, ``--shards``, ``--cache-bytes``,
+and on ``serve``/``ingest`` also ``--spot-fraction``,
+``--interruption-rate``, ``--failover``) come from shared parsers and
+are folded into a single :class:`~repro.warehouse.deployment.
+DeploymentConfig` by :func:`_deployment`; :func:`_deployed` then
+provisions the warehouse and uploads the corpus the same way for every
+subcommand that needs one.  All output flows through one
 :class:`~repro.bench.reporting.Reporter`.
 """
 
@@ -35,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.advisor import IndexAdvisor
 from repro.bench.reporting import Reporter, format_money, format_table
@@ -87,13 +88,26 @@ def _deployment(args) -> dict:
     :class:`~repro.warehouse.deployment.DeploymentConfig` default, so
     the dict is safe to build from any parsed namespace.
     """
-    return {"loaders": getattr(args, "instances", 4),
-            "backend": getattr(args, "backend", "dynamodb"),
-            "batch_size": getattr(args, "batch_size", 8),
-            "workers": getattr(args, "workers", 1),
-            "worker_type": getattr(args, "instance_type", "xl"),
-            "shards": getattr(args, "shards", 1),
-            "cache_bytes": getattr(args, "cache_bytes", 0)}
+    deployment = {"loaders": getattr(args, "instances", 4),
+                  "backend": getattr(args, "backend", "dynamodb"),
+                  "batch_size": getattr(args, "batch_size", 8),
+                  "workers": getattr(args, "workers", 1),
+                  "worker_type": getattr(args, "instance_type", "xl"),
+                  "shards": getattr(args, "shards", 1),
+                  "cache_bytes": getattr(args, "cache_bytes", 0)}
+    _apply_resilience(args, deployment)
+    return deployment
+
+
+def _deployed(args, deployment: Optional[dict] = None,
+              ) -> Tuple[Warehouse, "Corpus"]:  # noqa: F821
+    """Generate the corpus, deploy the warehouse (``deployment``, or
+    the flags' :func:`_deployment`) and upload the corpus to it."""
+    corpus = _corpus(args)
+    warehouse = Warehouse.deploy(
+        deployment if deployment is not None else _deployment(args))
+    warehouse.upload_corpus(corpus)
+    return warehouse, corpus
 
 
 def _apply_resilience(args, deployment: dict) -> None:
@@ -102,12 +116,12 @@ def _apply_resilience(args, deployment: dict) -> None:
     ``--spot-fraction`` and ``--failover`` set policies;
     ``--interruption-rate`` and a ``--failover AFTER:DURATION`` value
     also grow a seeded :class:`~repro.faults.FaultPlan` so the chaos
-    actually happens.
+    actually happens.  Subcommands without the flags get neither.
     """
     from repro.faults import FaultPlan
     from repro.serving import FailoverPolicy, SpotPolicy
 
-    plan = deployment.get("faults")
+    plan = None
     spot_fraction = getattr(args, "spot_fraction", 0.0)
     rate = getattr(args, "interruption_rate", 0.0)
     failover = getattr(args, "failover", None)
@@ -157,7 +171,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_query_names(spec: str) -> List[str]:
+def _parse_query_names(spec: Optional[str]) -> List[str]:
+    """Workload query names from a ``q1,q5`` spec (all ten when empty)."""
+    if not spec:
+        return list(WORKLOAD_ORDER)
     names = [name.strip() for name in spec.split(",") if name.strip()]
     for name in names:
         if name not in WORKLOAD_ORDER:
@@ -169,9 +186,7 @@ def _parse_query_names(spec: str) -> List[str]:
 
 def cmd_demo(args) -> int:
     """Full pipeline: upload, build one index, run queries, show costs."""
-    corpus = _corpus(args)
-    warehouse = Warehouse(deployment=_deployment(args))
-    warehouse.upload_corpus(corpus)
+    warehouse, corpus = _deployed(args)
     out.line("uploaded {} documents ({:.2f} MB)".format(
         len(corpus), corpus.total_mb))
 
@@ -186,8 +201,7 @@ def cmd_demo(args) -> int:
                  format_money(
                      build_phase_cost(warehouse, index, book).total)))
 
-    names = _parse_query_names(args.queries) if args.queries \
-        else list(WORKLOAD_ORDER)
+    names = _parse_query_names(args.queries)
     dataset = DatasetMetrics.of_corpus(corpus)
     rows = []
     for name in names:
@@ -256,8 +270,7 @@ def cmd_scrub(args) -> int:
     from repro.faults.corruption import CorruptionMonkey
 
     _require_checkpoint_backend(args)
-    warehouse = Warehouse(deployment=_deployment(args))
-    warehouse.upload_corpus(_corpus(args))
+    warehouse, _ = _deployed(args)
     built, record = warehouse.build_index_checkpointed(args.strategy)
     out.line("built {} epoch {} ({} batches, digest {})".format(
         record.name, record.epoch, record.batches, record.digest[:12]))
@@ -306,8 +319,7 @@ def cmd_resume(args) -> int:
     epoch committed.
     """
     _require_checkpoint_backend(args)
-    warehouse = Warehouse(deployment=_deployment(args))
-    warehouse.upload_corpus(_corpus(args))
+    warehouse, _ = _deployed(args)
     plan = warehouse.plan_build(args.strategy)
     first = warehouse.run_build(plan, interrupt_after_s=args.interrupt_after)
     out.line("build {} e{}: interrupted={} applied {}/{} batches".format(
@@ -335,12 +347,9 @@ def cmd_trace(args) -> int:
     """
     from repro.telemetry import chrome_trace_json, priced_breakdown
 
-    corpus = _corpus(args)
-    warehouse = Warehouse(deployment=_deployment(args))
-    warehouse.upload_corpus(corpus)
+    warehouse, _ = _deployed(args)
     index = warehouse.build_index(args.strategy)
-    names = _parse_query_names(args.queries) if args.queries \
-        else list(WORKLOAD_ORDER)
+    names = _parse_query_names(args.queries)
     queries = [workload_query(name) for name in names]
     report = warehouse.run_workload(queries, index)
 
@@ -364,11 +373,10 @@ def cmd_trace(args) -> int:
         len(breakdown["spans"]), costs_path))
     out.line("workload: {} queries in {:.1f}s simulated, cost {}".format(
         len(report.executions), report.makespan_s,
-        format_money(report.cost.total if report.cost else 0.0)))
+        format_money(report.cost.total)))
     rows = [[execution.name, "{:.3f}s".format(execution.response_s),
-             execution.span_id,
-             execution.downgrade or "-",
-             format_money(execution.cost.total if execution.cost else 0.0)]
+             execution.span_id, execution.downgrade or "-",
+             format_money(execution.cost.total)]
             for execution in report.executions]
     out.table(["query", "response", "span", "downgrade", "cost"], rows)
     if args.tree:
@@ -389,13 +397,10 @@ def cmd_workload(args) -> int:
     cache, so billed DynamoDB gets (and the priced cost) drop after the
     first run.  With the cache off every run bills identically.
     """
-    corpus = _corpus(args)
-    warehouse = Warehouse(deployment=_deployment(args))
-    warehouse.upload_corpus(corpus)
+    warehouse, _ = _deployed(args)
     index = warehouse.build_index(args.strategy)
-    names = _parse_query_names(args.queries) if args.queries \
-        else list(WORKLOAD_ORDER)
-    queries = [workload_query(name) for name in names]
+    queries = [workload_query(name)
+               for name in _parse_query_names(args.queries)]
     book = warehouse.cloud.price_book
     meter = warehouse.cloud.meter
     rows = []
@@ -462,9 +467,7 @@ def cmd_serve(args) -> int:
                           for part in args.tenants.split(",")),
             scheduler=args.scheduler,
             p95_bound_s=args.p95_bound or None)
-    _apply_resilience(args, deployment)
-    warehouse = Warehouse.deploy(deployment)
-    warehouse.upload_corpus(_corpus(args))
+    warehouse, _ = _deployed(args, deployment)
     index = warehouse.build_index(args.strategy)
 
     mix = tuple(_parse_query_names(args.mix)) if args.mix else None
@@ -475,11 +478,16 @@ def cmd_serve(args) -> int:
     report = warehouse.serve(traffic, index)
     out.line(report.render())
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.to_dict(), indent=2,
-                                    sort_keys=True) + "\n")
-        out.line("report: {}".format(args.report_out))
+        _write_report(args.report_out, json.dumps(
+            report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0 if report.cost_tied_out and report.tenants_tied_out else 1
+
+
+def _write_report(path: str, text: str) -> None:
+    """Write a ``--report-out`` file and say where it went."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    out.line("report: {}".format(path))
 
 
 def _increments(args) -> List["Corpus"]:  # noqa: F821
@@ -523,10 +531,7 @@ def cmd_ingest(args) -> int:
                                  mutation_feed)
 
     _require_checkpoint_backend(args)
-    deployment = _deployment(args)
-    _apply_resilience(args, deployment)
-    warehouse = Warehouse.deploy(deployment)
-    warehouse.upload_corpus(_corpus(args))
+    warehouse, _ = _deployed(args)
     _, record = warehouse.build_index_checkpointed(args.strategy)
     live = warehouse.live_index(record.name)
     out.line("built {} epoch {}; live handle attached".format(
@@ -578,9 +583,7 @@ def cmd_ingest(args) -> int:
     if serving is not None:
         out.line(serving.render())
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(live.ingestion_report().to_json())
-        out.line("report: {}".format(args.report_out))
+        _write_report(args.report_out, live.ingestion_report().to_json())
 
     tied = [delta.cost_tied_out for delta in live.history]
     tied.extend(compaction.cost_tied_out
@@ -629,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_deployment_args(p, instances=4, workers=1):
         # The one deployment surface: every flag maps onto a
         # DeploymentConfig field (see _deployment), with identical
-        # spelling, defaults and semantics on serve, workload, demo,
-        # trace and scrub.
+        # spelling, defaults and semantics on every subcommand that
+        # deploys a warehouse.
         add_build_args(p, instances=instances)
         p.add_argument("--batch-size", type=int, default=8,
                        help="documents per loader write batch")
@@ -643,6 +646,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-bytes", type=int, default=0,
                        help="byte budget of the epoch-aware read cache "
                             "(0 disables)")
+
+    def add_query_names_arg(p):
+        p.add_argument("--queries",
+                       help="comma-separated q1..q10 (default: all)")
+
+    def add_resilience_args(p):
+        # Spot capacity and failover shape a serving fleet, so only the
+        # subcommands that serve traffic take them.
         p.add_argument("--spot-fraction", type=float, default=0.0,
                        help="target share of the query fleet bought "
                             "from the spot market (0 disables)")
@@ -664,8 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help=cmd_demo.__doc__)
     add_corpus_args(p_demo)
     add_deployment_args(p_demo)
-    p_demo.add_argument("--queries",
-                        help="comma-separated q1..q10 (default: all)")
+    add_query_names_arg(p_demo)
     p_demo.add_argument("--monitor", action="store_true",
                         help="print the resource report afterwards")
     p_demo.set_defaults(func=cmd_demo)
@@ -710,8 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help=cmd_trace.__doc__)
     add_corpus_args(p_trace, documents=60)
     add_deployment_args(p_trace, workers=2)
-    p_trace.add_argument("--queries",
-                         help="comma-separated q1..q10 (default: all)")
+    add_query_names_arg(p_trace)
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace-event JSON output path")
     p_trace.add_argument("--costs-out",
@@ -724,8 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_workload = sub.add_parser("workload", help=cmd_workload.__doc__)
     add_corpus_args(p_workload, documents=60)
     add_deployment_args(p_workload)
-    p_workload.add_argument("--queries",
-                            help="comma-separated q1..q10 (default: all)")
+    add_query_names_arg(p_workload)
     p_workload.add_argument("--runs", type=int, default=3,
                             help="workload repetitions (K)")
     p_workload.add_argument("--monitor", action="store_true",
@@ -735,6 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve", help=cmd_serve.__doc__)
     add_corpus_args(p_serve, documents=60)
     add_deployment_args(p_serve, instances=4, workers=1)
+    add_resilience_args(p_serve)
     p_serve.add_argument("--arrival", default="poisson",
                          choices=("poisson", "burst", "diurnal"),
                          help="arrival process of the open workload")
@@ -778,6 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help=cmd_ingest.__doc__)
     add_corpus_args(p_ingest, documents=24)
     add_deployment_args(p_ingest, instances=2, workers=1)
+    add_resilience_args(p_ingest)
     p_ingest.add_argument("--increments", type=int, default=3,
                           help="growth increments to publish as deltas")
     p_ingest.add_argument("--increment-documents", type=int, default=8,

@@ -30,7 +30,6 @@ from repro.errors import (ConditionalCheckFailed, ConfigError, ItemTooLarge,
                           NoSuchTable, RegionUnavailable, TableAlreadyExists,
                           ThroughputExceeded, ValidationError)
 from repro.sim import Environment, Meter, ThroughputLimiter
-from repro.telemetry.spans import maybe_span
 
 SERVICE = "dynamodb"
 
@@ -191,22 +190,19 @@ class DynamoDB:
         if self._available:
             return
         self.unavailable_total += 1
-        hub = getattr(self._env, "telemetry", None)
-        if hub is not None:
-            hub.counter(
-                "region_unavailable_total",
-                "Requests rejected during a region outage.",
-                ("region",)).inc(region=self.region)
+        self._env.telemetry.counter(
+            "region_unavailable_total",
+            "Requests rejected during a region outage.",
+            ("region",)).inc(region=self.region)
         # Unbilled, like throttles: the request never reached a server.
         self._meter.record(self._env.now, "faults",
                            "dynamodb:region-outage")
         raise RegionUnavailable(self.region, SERVICE, operation)
 
     def _span(self, operation: str, **attributes: Any):
-        """A telemetry span for one data-path request (no-op untraced)."""
-        hub = getattr(self._env, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        return maybe_span(tracer, "dynamodb." + operation, **attributes)
+        """A telemetry span for one data-path request."""
+        return self._env.telemetry.tracer.span("dynamodb." + operation,
+                                               **attributes)
 
     # -- throttle mode -----------------------------------------------------
 
@@ -245,12 +241,10 @@ class DynamoDB:
             return
         if limiter.backlog_seconds > self._throttle_max_backlog_s:
             self.throttled_total += 1
-            hub = getattr(self._env, "telemetry", None)
-            if hub is not None:
-                hub.counter(
-                    "dynamodb_throttled_total",
-                    "Requests rejected by throttle mode.",
-                ).inc()
+            self._env.telemetry.counter(
+                "dynamodb_throttled_total",
+                "Requests rejected by throttle mode.",
+            ).inc()
             self._meter.record(self._env.now, "faults", "dynamodb:throttle")
             raise ThroughputExceeded(
                 "capacity backlog {:.3f}s exceeds {:.3f}s".format(

@@ -17,7 +17,6 @@ from repro.config import PerformanceProfile
 from repro.errors import (BucketAlreadyExists, BucketNotEmpty, NoSuchBucket,
                           NoSuchKey)
 from repro.sim import Environment, Meter
-from repro.telemetry.spans import maybe_span
 
 SERVICE = "s3"
 
@@ -72,10 +71,9 @@ class S3:
         self._faults = injector
 
     def _span(self, operation: str, **attributes: Any):
-        """A telemetry span for one data-path request (no-op untraced)."""
-        hub = getattr(self._env, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        return maybe_span(tracer, "s3." + operation, **attributes)
+        """A telemetry span for one data-path request."""
+        return self._env.telemetry.tracer.span("s3." + operation,
+                                               **attributes)
 
     # -- bucket administration (immediate, unmetered) -----------------------
 

@@ -28,7 +28,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.config import PerformanceProfile
 from repro.errors import NoSuchQueue, QueueError, ReceiptHandleInvalid
 from repro.sim import Environment, Meter, Store
-from repro.telemetry.spans import maybe_span
 
 SERVICE = "sqs"
 
@@ -96,16 +95,12 @@ class SQS:
         self._faults = injector
 
     def _span(self, operation: str, **attributes: Any):
-        """A telemetry span for one data-path request (no-op untraced)."""
-        hub = getattr(self._env, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        return maybe_span(tracer, "sqs." + operation, **attributes)
+        """A telemetry span for one data-path request."""
+        return self._env.telemetry.tracer.span("sqs." + operation,
+                                               **attributes)
 
     def _counter(self, name: str, help_text: str):
-        hub = getattr(self._env, "telemetry", None)
-        if hub is None:
-            return None
-        return hub.counter(name, help_text, ("queue",))
+        return self._env.telemetry.counter(name, help_text, ("queue",))
 
     # -- administration ---------------------------------------------------
 
@@ -296,21 +291,19 @@ class SQS:
                 self._queue(redrive.dead_letter_queue).store.put(
                     record.message)
                 queue.dead_lettered_total += 1
-                counter = self._counter(
+                self._counter(
                     "sqs_dead_lettered_total",
-                    "Messages moved to a dead-letter queue.")
-                if counter is not None:
-                    counter.inc(queue=queue.name)
+                    "Messages moved to a dead-letter queue.",
+                ).inc(queue=queue.name)
                 self._meter.record(self._env.now, "faults",
                                    "sqs:dead_letter")
                 return
             queue.store.put(record.message)
             queue.redelivered_total += 1
-            counter = self._counter(
+            self._counter(
                 "sqs_redelivered_total",
-                "Messages redelivered after a lease expiry.")
-            if counter is not None:
-                counter.inc(queue=queue.name)
+                "Messages redelivered after a lease expiry.",
+            ).inc(queue=queue.name)
             return
 
     # -- inspection ----------------------------------------------------------------

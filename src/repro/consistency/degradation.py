@@ -74,10 +74,11 @@ class DegradingLookup(BaseLookup):
     def __init__(self, cloud: CloudProvider,
                  candidates: List[Any],  # BuiltIndex-shaped handles
                  all_uris: Sequence[str],
-                 health: HealthRegistry) -> None:
+                 health: HealthRegistry, tracer: Any) -> None:
         include_words = (candidates[0].strategy.include_words
                          if candidates else True)
-        super().__init__(store=None, include_words=include_words)
+        super().__init__(store=None, tracer=tracer,
+                         include_words=include_words)
         self._cloud = cloud
         self._candidates = list(candidates)
         self._all_uris = list(all_uris)
@@ -112,8 +113,7 @@ class DegradingLookup(BaseLookup):
             if not self._health.usable(tables):
                 self._note_downgrade(name, "health")
                 continue
-            lookup = built.make_lookup()
-            lookup.tracer = self.tracer
+            lookup = built.make_lookup(self.tracer)
             try:
                 outcome = yield from lookup.lookup_pattern(pattern)
             except RegionUnavailable:
@@ -156,12 +156,10 @@ class DegradingLookup(BaseLookup):
         if (self._candidates
                 and name != self._candidates[0].strategy.name):
             self._health.downgrades[name] += 1
-            hub = getattr(self._cloud.env, "telemetry", None)
-            if hub is not None:
-                hub.counter(
-                    "downgrades_total",
-                    "Pattern look-ups resolved below the preferred index.",
-                    ("resolution",)).inc(resolution=name)
+            self._cloud.telemetry.counter(
+                "downgrades_total",
+                "Pattern look-ups resolved below the preferred index.",
+                ("resolution",)).inc(resolution=name)
 
     def lookup_query(self, query: Any) -> Generator[Any, Any, Any]:
         """Per-query driver; resets the resolution trail first."""
@@ -219,7 +217,7 @@ class DegradedIndexChain:
         return [table for built in self._candidates
                 for table in built.physical_tables]
 
-    def make_lookup(self) -> DegradingLookup:
+    def make_lookup(self, tracer: Any) -> DegradingLookup:
         """A fresh degrading look-up over the chain."""
         return DegradingLookup(self._cloud, self._candidates,
-                               self._all_uris, self.health)
+                               self._all_uris, self.health, tracer)

@@ -42,7 +42,6 @@ from repro.consistency.manifest import (LIVE_SUFFIX, MANIFEST_TABLE,
                                         EpochRecord)
 from repro.errors import ProcessInterrupted
 from repro.store.sharding import SHARD_SEPARATOR
-from repro.telemetry.spans import maybe_span
 
 __all__ = ["ReplicatedManifest"]
 
@@ -130,12 +129,10 @@ class ReplicatedManifest:
         self.applied_versions = versions
         self._last_digest = digest
 
-        hub = getattr(self._primary, "telemetry", None)
-        if hub is not None:
-            hub.counter("replication_ships_total",
-                        "Manifest replication cycles applied.",
-                        ("outcome",)).inc(
-                            outcome="applied" if changed else "heartbeat")
+        self._primary.telemetry.counter(
+            "replication_ships_total",
+            "Manifest replication cycles applied.",
+            ("outcome",)).inc(outcome="applied" if changed else "heartbeat")
         return changed
 
     def _apply(self, items: List[DynamoItem],
@@ -144,10 +141,9 @@ class ReplicatedManifest:
         primary_db = self._primary.dynamodb
         secondary_db = self._secondary.resilient.dynamodb
         admin = self._secondary.dynamodb
-        hub = getattr(self._primary, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        with maybe_span(tracer, "replicate-manifest",
-                        items=len(items), tables=len(missing)):
+        with self._primary.telemetry.span("replicate-manifest",
+                                          items=len(items),
+                                          tables=len(missing)):
             for name in missing:
                 source = primary_db.table(name)
                 if name not in admin.table_names():

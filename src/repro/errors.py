@@ -203,19 +203,6 @@ class InstanceRetired(InstanceError):
 
 
 # --------------------------------------------------------------------------
-# Client-side resilience errors
-# --------------------------------------------------------------------------
-
-
-class ResilienceError(ReproError):
-    """Base class for client-side resilience-layer errors."""
-
-
-class CircuitOpen(ResilienceError):
-    """A call was rejected because the service's circuit breaker is open."""
-
-
-# --------------------------------------------------------------------------
 # XML substrate errors
 # --------------------------------------------------------------------------
 
@@ -264,11 +251,6 @@ class IndexingError(ReproError):
 
 class UnknownStrategy(IndexingError):
     """A strategy name was not found in the registry."""
-
-
-class LookupError_(IndexingError):
-    """An index look-up failed (named with a trailing underscore to avoid
-    shadowing the builtin :class:`LookupError`)."""
 
 
 class WarehouseError(ReproError):

@@ -75,11 +75,9 @@ class FaultInjector:
                                       service=self._service,
                                       operation=operation, kind=kind))
         self.counts[kind] += 1
-        hub = getattr(self._env, "telemetry", None)
-        if hub is not None:
-            hub.counter(
-                "faults_injected_total", "Faults injected by chaos plans.",
-                ("service", "kind")).inc(service=self._service, kind=kind)
+        self._env.telemetry.counter(
+            "faults_injected_total", "Faults injected by chaos plans.",
+            ("service", "kind")).inc(service=self._service, kind=kind)
         self._meter.record(self._env.now, FAULT_SERVICE,
                            "{}:{}".format(self._service, kind))
 

@@ -80,10 +80,12 @@ class IndexingStrategy(abc.ABC):
         (the entry-object view: ``NodeID`` tuples, path tuples)."""
 
     @abc.abstractmethod
-    def make_lookup(self, store, table_names: Dict[str, str]):
+    def make_lookup(self, store, table_names: Dict[str, str], tracer):
         """Build this strategy's look-up planner over ``store``.
 
-        ``table_names`` maps logical table names to physical ones.
+        ``table_names`` maps logical table names to physical ones;
+        ``tracer`` is the deployment's, which the planner opens its
+        spans on.
         """
 
     # -- shared extraction machinery ----------------------------------------

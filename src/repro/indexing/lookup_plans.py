@@ -38,7 +38,7 @@ from repro.indexing.keys import (attribute_key, attribute_value_key,
 from repro.indexing.mapper import IndexStore
 from repro.query.pattern import Axis, PatternNode, Query, TreePattern
 from repro.query.predicates import Equals
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.spans import Tracer
 
 WORD_PREFIX = "w"
 
@@ -231,14 +231,16 @@ class QueryLookupOutcome:
 
 
 class BaseLookup:
-    """Shared query-level driver: §5.5 — look up each pattern separately."""
+    """Shared query-level driver: §5.5 — look up each pattern separately.
 
-    #: Telemetry tracer, set by the query worker before each query so
-    #: look-up phases nest under the worker's ``index-lookup`` span.
-    tracer: Optional[Any] = None
+    Look-up phases open their spans on ``tracer``, the deployment's, so
+    they nest under the query worker's ``index-lookup`` span.
+    """
 
-    def __init__(self, store: IndexStore, include_words: bool = True) -> None:
+    def __init__(self, store: IndexStore, tracer: Tracer,
+                 include_words: bool = True) -> None:
         self._store = store
+        self.tracer = tracer
         self.include_words = include_words
 
     @property
@@ -284,12 +286,10 @@ class BaseLookup:
         """Look up every tree pattern of ``query`` independently."""
         outcomes: List[LookupOutcome] = []
         for index, pattern in enumerate(query.patterns):
-            with maybe_span(self.tracer, "pattern-lookup",
-                            pattern=index) as span:
+            with self.tracer.span("pattern-lookup", pattern=index) as span:
                 outcome = yield from self.lookup_pattern(pattern)
-                if span is not None:
-                    span.attributes["documents"] = outcome.document_count
-                    span.attributes["index_gets"] = outcome.index_gets
+                span.attributes["documents"] = outcome.document_count
+                span.attributes["index_gets"] = outcome.index_gets
             outcomes.append(outcome)
         return QueryLookupOutcome(per_pattern=outcomes)
 
@@ -297,9 +297,9 @@ class BaseLookup:
 class LULookup(BaseLookup):
     """§5.1: look up every query key, intersect the URI sets."""
 
-    def __init__(self, store: IndexStore, table: str,
+    def __init__(self, store: IndexStore, table: str, tracer: Tracer,
                  include_words: bool = True) -> None:
-        super().__init__(store, include_words)
+        super().__init__(store, tracer, include_words)
         self._table = table
 
     def lookup_pattern(self, pattern: TreePattern,
@@ -324,9 +324,9 @@ class LULookup(BaseLookup):
 class LUPLookup(BaseLookup):
     """§5.2: per query path, filter the last key's data paths."""
 
-    def __init__(self, store: IndexStore, table: str,
+    def __init__(self, store: IndexStore, table: str, tracer: Tracer,
                  include_words: bool = True) -> None:
-        super().__init__(store, include_words)
+        super().__init__(store, tracer, include_words)
         self._table = table
 
     def lookup_pattern(self, pattern: TreePattern,
@@ -386,10 +386,10 @@ class LUPLookup(BaseLookup):
 class LUILookup(BaseLookup):
     """§5.3: retrieve ID streams per key, run the holistic twig join."""
 
-    def __init__(self, store: IndexStore, table: str,
+    def __init__(self, store: IndexStore, table: str, tracer: Tracer,
                  include_words: bool = True,
                  assume_sorted: bool = True) -> None:
-        super().__init__(store, include_words)
+        super().__init__(store, tracer, include_words)
         self._table = table
         #: When False, models an index that did NOT store IDs sorted:
         #: every stream pays an n·log2(n) sort charge before the join —
@@ -450,8 +450,7 @@ class LUILookup(BaseLookup):
                 stats.charge("twig-join", sum(map(len, streams)))
             return tuple(matched), len(candidates)
 
-        with maybe_span(self.tracer, "twig-join",
-                        keys=len(keys)) as twig_span:
+        with self.tracer.span("twig-join", keys=len(keys)) as twig_span:
             data, gets = yield from self._store.read_keys(
                 self._table, keys, "ids")
             stats = extra_stats or PlanStats()
@@ -460,8 +459,7 @@ class LUILookup(BaseLookup):
                 ("twig", node_keys, children, self.assume_sorted,
                  None if reduce_to is None else tuple(reduce_to)),
                 stats, join)
-            if twig_span is not None:
-                twig_span.attributes["candidates"] = candidates
+            twig_span.attributes["candidates"] = candidates
         return LookupOutcome(uris=list(matched), index_gets=gets + extra_gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(keys))
@@ -471,20 +469,20 @@ class TwoLUPILookup(LUILookup):
     """§5.4 / Figure 5: LUP pre-filter, then reduced LUI twig join."""
 
     def __init__(self, store: IndexStore, lup_table: str, lui_table: str,
-                 include_words: bool = True,
+                 tracer: Tracer, include_words: bool = True,
                  reduction_enabled: bool = True,
                  assume_sorted: bool = True) -> None:
-        super().__init__(store, lui_table, include_words, assume_sorted)
-        self._lup = LUPLookup(store, lup_table, include_words)
+        super().__init__(store, lui_table, tracer, include_words,
+                         assume_sorted)
+        self._lup = LUPLookup(store, lup_table, tracer, include_words)
         self.reduction_enabled = reduction_enabled
 
     def lookup_pattern(self, pattern: TreePattern,
                        ) -> Generator[Any, Any, LookupOutcome]:
         """URIs of documents possibly matching ``pattern``."""
-        with maybe_span(self.tracer, "lup-prefilter") as span:
+        with self.tracer.span("lup-prefilter") as span:
             first = yield from self._lup.lookup_pattern(pattern)
-            if span is not None:
-                span.attributes["documents"] = first.document_count
+            span.attributes["documents"] = first.document_count
         twig = expand_pattern_for_twig(pattern, self.include_words)
         stats = PlanStats()
         stats.charge("lup-phase", first.rows_processed)

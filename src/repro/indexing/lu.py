@@ -29,8 +29,8 @@ class LUStrategy(IndexingStrategy):
         """``I_LU(d)``: one presence entry per key (Table 2)."""
         return self._entries(document)
 
-    def make_lookup(self, store, table_names: Dict[str, str]):
+    def make_lookup(self, store, table_names: Dict[str, str], tracer):
         """Build the §5.1 LU look-up planner."""
         from repro.indexing.lookup_plans import LULookup
-        return LULookup(store, table_names["lu"],
+        return LULookup(store, table_names["lu"], tracer,
                         include_words=self.include_words)

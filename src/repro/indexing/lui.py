@@ -32,8 +32,8 @@ class LUIStrategy(IndexingStrategy):
         """``I_LUI(d)``: key -> URI + sorted IDs (Table 2)."""
         return self._entries(document)
 
-    def make_lookup(self, store, table_names: Dict[str, str]):
+    def make_lookup(self, store, table_names: Dict[str, str], tracer):
         """Build the §5.3 LUI look-up planner."""
         from repro.indexing.lookup_plans import LUILookup
-        return LUILookup(store, table_names["lui"],
+        return LUILookup(store, table_names["lui"], tracer,
                          include_words=self.include_words)

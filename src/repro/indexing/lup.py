@@ -30,8 +30,8 @@ class LUPStrategy(IndexingStrategy):
         """``I_LUP(d)``: key -> URI + label paths (Table 2)."""
         return self._entries(document)
 
-    def make_lookup(self, store, table_names: Dict[str, str]):
+    def make_lookup(self, store, table_names: Dict[str, str], tracer):
         """Build the §5.2 LUP look-up planner."""
         from repro.indexing.lookup_plans import LUPLookup
-        return LUPLookup(store, table_names["lup"],
+        return LUPLookup(store, table_names["lup"], tracer,
                          include_words=self.include_words)

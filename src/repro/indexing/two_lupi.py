@@ -40,9 +40,9 @@ class TwoLUPIStrategy(IndexingStrategy):
         from one walk of the document."""
         return self._entries(document)
 
-    def make_lookup(self, store, table_names: Dict[str, str]):
+    def make_lookup(self, store, table_names: Dict[str, str], tracer):
         """Build the §5.4 two-phase look-up planner."""
         from repro.indexing.lookup_plans import TwoLUPILookup
         return TwoLUPILookup(store, table_names["lup"], table_names["lui"],
-                             include_words=self.include_words,
+                             tracer, include_words=self.include_words,
                              reduction_enabled=self.reduction_enabled)

@@ -112,7 +112,7 @@ class CompactionReport:
         """Exact span-vs-estimator agreement (None when unpriced)."""
         if self.span_cost is None or self.estimator_cost is None:
             return None
-        return abs(self.span_cost.total - self.estimator_cost.total) < 1e-9
+        return self.span_cost.total == self.estimator_cost.total
 
     def to_payload(self) -> Dict[str, Any]:
         """Deterministic dict form for the ingestion report."""
@@ -194,8 +194,7 @@ class Compactor:
                              from_epoch=base_record.epoch,
                              to_epoch=to_epoch,
                              deltas=len(live.deltas)) as span:
-            if span is not None:
-                report.span_id = span.span_id
+            report.span_id = span.span_id
             store = warehouse._make_store("dynamodb", seed=to_epoch,
                                           range_key_mode="content",
                                           epoch=to_epoch)

@@ -100,7 +100,7 @@ class DeltaReport:
         """Exact span-vs-estimator agreement (None when unpriced)."""
         if self.span_cost is None or self.estimator_cost is None:
             return None
-        return abs(self.span_cost.total - self.estimator_cost.total) < 1e-9
+        return self.span_cost.total == self.estimator_cost.total
 
     def to_payload(self) -> Dict[str, Any]:
         """Deterministic dict form (the golden-report building block)."""
@@ -211,9 +211,10 @@ class LiveIndex:
 
     # -- BuiltIndex surface --------------------------------------------------
 
-    def make_lookup(self) -> Any:
+    def make_lookup(self, tracer: Any) -> Any:
         """The strategy's look-up planner over the merging store."""
-        return self.strategy.make_lookup(self.store, self.table_names)
+        return self.strategy.make_lookup(self.store, self.table_names,
+                                         tracer)
 
     @property
     def physical_tables(self) -> List[str]:
@@ -493,8 +494,7 @@ class LiveIndex:
                 for uri in tombstones:
                     yield from cloud.resilient.s3.delete(
                         DOCUMENT_BUCKET, uri)
-            if span is not None:
-                span.attributes["seq"] = seq
+            span.attributes["seq"] = seq
             report = DeltaReport(
                 name=self.name, kind=kind, seq=seq,
                 base_epoch=self.record.epoch, version=new_head.version,
@@ -506,7 +506,7 @@ class LiveIndex:
                 items=sum(s.writes.items for s in stats),
                 batches=sum(s.writes.batches for s in stats),
                 payload_bytes=sum(s.writes.payload_bytes for s in stats),
-                span_id=span.span_id if span is not None else 0)
+                span_id=span.span_id)
         self.history.append(report)
         return report
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import PatternSemanticsError
 
@@ -128,5 +128,3 @@ class RangePredicate(Predicate):
     def __str__(self) -> str:
         return "in({}, {})".format(self.low, self.high)
 
-
-PredicateLike = Union[Equals, Contains, RangePredicate]

@@ -109,12 +109,10 @@ class ResilientClient:
                     self.exhausted[service] += 1
                     raise
                 self.retries[service] += 1
-                hub = getattr(self._env, "telemetry", None)
-                if hub is not None:
-                    hub.counter(
-                        "retries_total",
-                        "Data-path calls retried after a transient error.",
-                        ("service",)).inc(service=service)
+                self._env.telemetry.counter(
+                    "retries_total",
+                    "Data-path calls retried after a transient error.",
+                    ("service",)).inc(service=service)
                 self._meter.record(self._env.now, RESILIENCE_SERVICE,
                                    "retry:{}".format(service))
                 delay = self._policy.next_delay(rng, delay)

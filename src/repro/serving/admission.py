@@ -150,16 +150,15 @@ class AdmissionController:
             self.admitted += 1
             self.admitted_by[tenant] = \
                 self.admitted_by.get(tenant, 0) + 1
-        hub = getattr(self._cloud, "telemetry", None)
-        if hub is not None:
-            hub.counter("serving_admission_total",
-                        "Admission decisions at the serving front door.",
-                        ("decision", "strategy")).inc(
-                decision=decision, strategy=self._strategy)
-            if self._tenancy is not None:
-                hub.counter(
-                    "tenant_admission_total",
-                    "Per-tenant admission decisions.",
-                    ("decision", "tenant")).inc(
-                    decision=decision, tenant=tenant)
+        hub = self._cloud.telemetry
+        hub.counter("serving_admission_total",
+                    "Admission decisions at the serving front door.",
+                    ("decision", "strategy")).inc(
+            decision=decision, strategy=self._strategy)
+        if self._tenancy is not None:
+            hub.counter(
+                "tenant_admission_total",
+                "Per-tenant admission decisions.",
+                ("decision", "tenant")).inc(
+                decision=decision, tenant=tenant)
         return decision

@@ -223,12 +223,11 @@ class Autoscaler:
         age = cloud.sqs.oldest_message_age(self._queue_name)
         size = self.fleet.size
         cooling = now - self._last_action_at < policy.cooldown_s
-        hub = getattr(cloud, "telemetry", None)
-        if hub is not None:
-            hub.gauge("serving_fleet_size",
-                      "Query-processor fleet size.").set(size)
-            hub.gauge("serving_queue_depth",
-                      "Visible query-queue backlog.").set(depth)
+        hub = cloud.telemetry
+        hub.gauge("serving_fleet_size",
+                  "Query-processor fleet size.").set(size)
+        hub.gauge("serving_queue_depth",
+                  "Visible query-queue backlog.").set(depth)
 
         pressed = (depth / max(size, 1) > policy.scale_out_depth
                    or age > policy.max_queue_age_s)

@@ -30,7 +30,6 @@ from repro.errors import ProcessInterrupted
 from repro.faults.plan import OutageSpec
 from repro.serving.policy import FailoverPolicy
 from repro.store.sharding import SHARD_SEPARATOR
-from repro.telemetry.spans import maybe_span
 
 __all__ = ["RegionSwitch", "FailoverController", "PRIMARY", "SECONDARY"]
 
@@ -53,7 +52,7 @@ class RegionSwitch:
     """
 
     def __init__(self, primary: Any, secondary: Any,
-                 telemetry: Optional[Any] = None) -> None:
+                 telemetry: Any) -> None:
         self._regions = {PRIMARY: primary, SECONDARY: secondary}
         self.active = PRIMARY
         self._telemetry = telemetry
@@ -74,10 +73,9 @@ class RegionSwitch:
             def counted(table_name: str, *args: Any, **kwargs: Any) -> Any:
                 self.stale_reads += 1
                 self.tables_read.add(table_name)
-                if self._telemetry is not None:
-                    self._telemetry.counter(
-                        "stale_reads_total",
-                        "Index reads served by the replica region.").inc()
+                self._telemetry.counter(
+                    "stale_reads_total",
+                    "Index reads served by the replica region.").inc()
                 return target(table_name, *args, **kwargs)
             return counted
         return target
@@ -140,8 +138,8 @@ class FailoverController:
         primary_db.set_available(False)
         self.region_outages += 1
         self._count("region_outages_total")
-        with maybe_span(self._tracer(), "region-outage",
-                        region=spec.region, duration_s=spec.duration_s):
+        with self._cloud.telemetry.span("region-outage", region=spec.region,
+                                        duration_s=spec.duration_s):
             pass
         end_at = started_at + spec.duration_s
         while env.now < end_at:
@@ -172,9 +170,10 @@ class FailoverController:
         self.failed_over = True
         self.failovers += 1
         self._count("failovers_total")
-        with maybe_span(self._tracer(), "failover", staleness_s=staleness,
-                        ships=(self._replicator.ships
-                               if self._replicator is not None else 0)):
+        with self._cloud.telemetry.span(
+                "failover", staleness_s=staleness,
+                ships=(self._replicator.ships
+                       if self._replicator is not None else 0)):
             pass
 
     def _failback(self) -> None:
@@ -194,10 +193,10 @@ class FailoverController:
         if self._cache is not None and tainted:
             dropped = self._cache.invalidate_tables(sorted(tainted))
         self.invalidated_entries += dropped
-        with maybe_span(self._tracer(), "failback",
-                        stale_reads=switch.stale_reads,
-                        tables=len(switch.tables_read),
-                        cache_dropped=dropped):
+        with self._cloud.telemetry.span("failback",
+                                        stale_reads=switch.stale_reads,
+                                        tables=len(switch.tables_read),
+                                        cache_dropped=dropped):
             pass
         switch.tables_read = set()
 
@@ -211,13 +210,6 @@ class FailoverController:
         if self.failed_over:
             self._failback()
 
-    # -- telemetry helpers -------------------------------------------------
-
-    def _tracer(self) -> Optional[Any]:
-        hub = getattr(self._cloud, "telemetry", None)
-        return hub.tracer if hub is not None else None
-
     def _count(self, name: str) -> None:
-        hub = getattr(self._cloud, "telemetry", None)
-        if hub is not None:
-            hub.counter(name, "Failover controller events.").inc()
+        self._cloud.telemetry.counter(
+            name, "Failover controller events.").inc()

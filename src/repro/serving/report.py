@@ -45,7 +45,7 @@ class QueryOutcome:
     degraded: bool
     #: How the look-up resolved (strategy name / "s3-scan" / "mixed").
     index_mode: str
-    #: Request dollars of this query's span subtree (0.0 untraced).
+    #: Request dollars of this query's span subtree.
     cost: float
     #: Owning tenant ("default" in single-owner runs).
     tenant: str = "default"
@@ -138,7 +138,7 @@ class ServingReport:
     #: Request dollars of the serve span's inclusive subtree.
     request_cost: float = 0.0
     #: Request dollars the estimator prices for the serve tag — must
-    #: equal :attr:`request_cost` exactly on a traced run.
+    #: equal :attr:`request_cost` exactly.
     estimator_request_cost: float = 0.0
     total_cost: float = 0.0
     cost_per_query: float = 0.0
@@ -149,9 +149,9 @@ class ServingReport:
     #: Per-tenant bills (empty on single-tenant runs); the bills'
     #: request/ec2 columns sum exactly to the run's totals.
     tenant_bills: List[Any] = field(default_factory=list)
-    #: The run's tracer (None untraced) — not serialised.
+    #: The run's tracer — not serialised.
     trace: Optional[Any] = None
-    #: Serve-phase span id (0 untraced).
+    #: Serve-phase span id.
     span_id: int = 0
 
     @property

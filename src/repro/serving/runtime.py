@@ -28,6 +28,7 @@ the report's request dollars are attributable to the last float bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.costs.estimator import CostBreakdown, price_records
@@ -42,6 +43,7 @@ from repro.serving.traffic import TrafficGenerator, TrafficProfile
 from repro.tenancy import (DEFAULT_TENANT, SCHEDULER_FAIR, SHARED_TENANT,
                            FairShareQueue, TenantBill)
 from repro.tenancy import QueryRequest as TenantQueryRequest
+from repro.telemetry.costing import inclusive_costs
 from repro.tenancy.billing import partition_costs, reconcile
 from repro.warehouse.messages import QUERY_QUEUE, StopWorker
 from repro.warehouse.query_processor import QueryWorker, QueryWorkStats
@@ -122,18 +124,19 @@ class ServingRuntime:
                 # No fallback indexes: degraded queries take the ladder's
                 # last rung — the full S3 scan, the paper's no-index path.
                 from repro.consistency.degradation import DegradingLookup
-                degraded_factory = lambda: DegradingLookup(  # noqa: E731
-                    warehouse.cloud, [], warehouse._all_uris,
-                    warehouse.health)
+                degraded_factory = functools.partial(
+                    DegradingLookup, warehouse.cloud, [],
+                    warehouse._all_uris, warehouse.health)
+        tracer = warehouse.telemetry.tracer
 
         def factory(instance: Any) -> QueryWorker:
             return QueryWorker(
                 warehouse.cloud, instance,
-                index.make_lookup() if index else None,
+                index.make_lookup(tracer) if index else None,
                 DOCUMENT_BUCKET, RESULTS_BUCKET,
                 warehouse._all_uris, stats_sink,
                 parsed_documents=warehouse._parse_cache,
-                degraded_lookup=(degraded_factory()
+                degraded_lookup=(degraded_factory(tracer)
                                  if degraded_factory is not None else None))
         return factory
 
@@ -232,10 +235,8 @@ class ServingRuntime:
                 spec.dollar_budget is not None
                 for spec in tenancy.tenants):
             from repro.tenancy.billing import SpendTracker
-            hub_now = getattr(cloud, "telemetry", None)
             admission.spend_lookup = SpendTracker(
-                hub_now.tracer if hub_now is not None else None,
-                cloud.meter, cloud.price_book,
+                cloud.telemetry.tracer, cloud.meter, cloud.price_book,
                 tag_prefix=self.tag).spent
         stats_sink: Dict[int, QueryWorkStats] = {}
 
@@ -293,9 +294,8 @@ class ServingRuntime:
         degraded_ids: Set[int] = set()
         redelivered_before = cloud.sqs.redelivered_count(QUERY_QUEUE)
         dead_before = cloud.sqs.dead_lettered_count(QUERY_QUEUE)
-        hub = getattr(cloud, "telemetry", None)
-        retries_before = (hub.counter("outage_retries_total").value()
-                          if hub is not None else 0.0)
+        outage_retries = cloud.telemetry.counter("outage_retries_total")
+        retries_before = outage_retries.value()
         # The traffic baseline.  A failover deployment rebases it after
         # the replica's warm-up ship (below), so arrival offsets — and
         # the fault plan's serve-relative outage times — count from the
@@ -308,7 +308,6 @@ class ServingRuntime:
             query = self._queries[name]
             query_id = yield from warehouse.frontend.submit(
                 TenantQueryRequest(query=query, tenant=tenant, name=name,
-                                   strategy=self.strategy_name,
                                    degraded=degraded))
             arrivals[query_id] = arrived_at
             names[query_id] = name
@@ -463,8 +462,7 @@ class ServingRuntime:
             if instance.running:
                 cloud.ec2.stop(instance)
 
-        retries = ((hub.counter("outage_retries_total").value()
-                    - retries_before) if hub is not None else 0.0)
+        retries = outage_retries.value() - retries_before
         return self._build_report(
             admission, fleet, autoscaler, arrivals, names, fetched,
             degraded_ids, stats_sink, start_at, end_at,
@@ -481,7 +479,7 @@ class ServingRuntime:
                       fetched: Dict[int, float], degraded_ids: Set[int],
                       stats_sink: Dict[int, QueryWorkStats],
                       start_at: float, end_at: float,
-                      redelivered_before: int, serve_span: Optional[Any],
+                      redelivered_before: int, serve_span: Any,
                       initial: int, mark: int,
                       spot_market: Optional[Any] = None,
                       controller: Optional[Any] = None,
@@ -495,8 +493,7 @@ class ServingRuntime:
         book = cloud.price_book
         deployment = self.deployment
 
-        hub = warehouse.telemetry
-        trace = hub.tracer if hub is not None else None
+        trace = warehouse.telemetry.tracer
         # Everything the serve emitted follows ``mark`` and is priced
         # once, for three folds (the span roll-up last: it keeps the
         # prices as its slots).
@@ -507,12 +504,9 @@ class ServingRuntime:
         for _, price in tagged:
             estimator_breakdown.accumulate(price)
         costs = partition_costs(trace, tagged) \
-            if trace is not None and self.tenancy is not None else {}
-        inclusive: Dict[int, Any] = {}
-        if trace is not None:
-            from repro.telemetry.costing import inclusive_costs
-            # Every span of this serve opened after ``mark``.
-            inclusive = inclusive_costs(trace, priced)
+            if self.tenancy is not None else {}
+        # Every span of this serve opened after ``mark``.
+        inclusive = inclusive_costs(trace, priced)
 
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \
@@ -526,7 +520,7 @@ class ServingRuntime:
             * ondemand_hours
         ec2_cost = ondemand_ec2 + spot_ec2
 
-        serve_span_id = serve_span.span_id if serve_span is not None else 0
+        serve_span_id = serve_span.span_id
         span_breakdown = inclusive.get(serve_span_id)
         request_cost = (span_breakdown.total
                         if span_breakdown is not None else 0.0)
@@ -536,10 +530,9 @@ class ServingRuntime:
         queries: List[QueryOutcome] = []
         for query_id in sorted(fetched):
             work = stats_sink.get(query_id)
-            cost = 0.0
-            if work is not None and work.span_id:
-                rollup = inclusive.get(work.span_id)
-                cost = rollup.total if rollup is not None else 0.0
+            rollup = inclusive.get(work.span_id) if work is not None \
+                else None
+            cost = rollup.total if rollup is not None else 0.0
             queries.append(QueryOutcome(
                 query_id=query_id,
                 name=names[query_id],

@@ -25,7 +25,6 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import SpotSpec
 from repro.serving.autoscaler import MARKET_SPOT
-from repro.telemetry.spans import maybe_span
 
 __all__ = ["InterruptionNotice", "SpotMarket"]
 
@@ -128,15 +127,12 @@ class SpotMarket:
             issued_at=env.now, deadline=env.now + warning_s)
         self.notices.append(notice)
         self.interrupted_total += 1
-        hub = getattr(self._cloud, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        with maybe_span(tracer, "spot-interruption",
-                        instance=notice.instance_id,
-                        deadline=notice.deadline):
+        hub = self._cloud.telemetry
+        with hub.span("spot-interruption", instance=notice.instance_id,
+                      deadline=notice.deadline):
             pass
-        if hub is not None:
-            hub.counter("spot_interruptions_total",
-                        "Spot interruption notices issued.").inc()
+        hub.counter("spot_interruptions_total",
+                    "Spot interruption notices issued.").inc()
         worker = member.worker
         if getattr(worker, "request_drain", None) is not None:
             worker.request_drain(notice)
@@ -155,10 +151,8 @@ class SpotMarket:
             self.reclaimed_total += 1
         else:
             self.drained_total += 1
-        hub = getattr(self._cloud, "telemetry", None)
-        if hub is not None:
-            hub.counter(
-                "spot_reclaims_total",
-                "Spot interruptions by outcome.", ("outcome",)).inc(
-                    outcome="reclaimed" if reclaimed else "drained")
+        self._cloud.telemetry.counter(
+            "spot_reclaims_total",
+            "Spot interruptions by outcome.", ("outcome",)).inc(
+                outcome="reclaimed" if reclaimed else "drained")
         self._fleet.retire(member)

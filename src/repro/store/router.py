@@ -30,7 +30,6 @@ from typing import (Any, Dict, Generator, Iterable, List, Optional,
 
 from repro.indexing.entries import Entries
 from repro.indexing.mapper import IndexStore, Payload, WriteStats
-from repro.telemetry.spans import maybe_span
 
 from repro.store.batch import BatchPipeline
 from repro.store.cache import IndexCache
@@ -46,6 +45,9 @@ class StoreRouter(IndexStore):
     base:
         The backend :class:`~repro.indexing.mapper.IndexStore` doing
         the actual item mapping.
+    telemetry:
+        The deployment's :class:`~repro.telemetry.TelemetryHub`, used
+        for ``store.read`` spans and the store metrics when active.
     config:
         The :class:`~repro.store.config.StoreConfig`; default preserves
         seed behaviour exactly.
@@ -53,9 +55,6 @@ class StoreRouter(IndexStore):
         A shared :class:`~repro.store.cache.IndexCache` (the warehouse
         passes one cache to every router so repeated workload runs hit
         across builds); ignored unless the config enables caching.
-    telemetry:
-        The deployment's :class:`~repro.telemetry.TelemetryHub`, used
-        for ``store.read`` spans and the store metrics when active.
     epoch:
         The index epoch reads are keyed under in the cache (0 for
         legacy, non-epoch builds whose table names are build-scoped).
@@ -67,10 +66,9 @@ class StoreRouter(IndexStore):
         and invalidations can never collide.
     """
 
-    def __init__(self, base: IndexStore,
+    def __init__(self, base: IndexStore, telemetry: Any,
                  config: Optional[StoreConfig] = None,
                  cache: Optional[IndexCache] = None,
-                 telemetry: Optional[Any] = None,
                  epoch: int = 0, tenant: str = "") -> None:
         self._base = base
         self.config = config or StoreConfig()
@@ -94,9 +92,8 @@ class StoreRouter(IndexStore):
         namespace differs — so tenant routers cost nothing to mint per
         request.
         """
-        return StoreRouter(self._base, config=self.config,
-                           cache=self.cache, telemetry=self._telemetry,
-                           epoch=self.epoch, tenant=tenant)
+        return StoreRouter(self._base, self._telemetry, config=self.config,
+                           cache=self.cache, epoch=self.epoch, tenant=tenant)
 
     def _physical(self, physical_name: str) -> str:
         """Map a logical table into the router's tenant namespace."""
@@ -160,14 +157,9 @@ class StoreRouter(IndexStore):
 
     # -- telemetry ---------------------------------------------------------
 
-    @property
-    def _tracer(self) -> Optional[Any]:
-        return self._telemetry.tracer if self._telemetry is not None \
-            else None
-
     def _count(self, name: str, help_text: str, amount: float = 1.0,
                **labels: str) -> None:
-        if self._telemetry is None or amount == 0:
+        if amount == 0:
             return
         self._telemetry.counter(
             name, help_text, tuple(sorted(labels))).inc(amount, **labels)
@@ -281,8 +273,8 @@ class StoreRouter(IndexStore):
                     continue
             pipeline.add(key)
         gets = 0
-        with maybe_span(self._tracer, "store.read", table=physical_name,
-                        keys=len(keys)) as span:
+        with self._telemetry.tracer.span("store.read", table=physical_name,
+                                         keys=len(keys)) as span:
             for shard, shard_table, chunk in pipeline.batches(
                     self._physical(physical_name)):
                 got, chunk_gets = yield from self._base.read_keys(
@@ -295,9 +287,8 @@ class StoreRouter(IndexStore):
                     if self.cache is not None:
                         self.cache.put(physical_name, key, self.epoch,
                                        dict(payloads), self.tenant)
-            if span is not None:
-                span.attributes["cache_hits"] = hits
-                span.attributes["billed_gets"] = gets
+            span.attributes["cache_hits"] = hits
+            span.attributes["billed_gets"] = gets
         self._note_cache(hits, pipeline.unique)
         self._count("store_coalesced_reads_total",
                     "Duplicate point reads absorbed before billing.",

@@ -39,10 +39,10 @@ from repro.telemetry.export import (chrome_trace_json, metrics_snapshot_json,
 from repro.telemetry.registry import (DEFAULT_BUCKETS, Counter, Gauge,
                                       Histogram, MetricsRegistry,
                                       counter_dict)
-from repro.telemetry.spans import Span, Tracer, maybe_span
+from repro.telemetry.spans import Span, Tracer
 
 __all__ = [
-    "TelemetryHub", "Tracer", "Span", "maybe_span",
+    "TelemetryHub", "Tracer", "Span",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "counter_dict",
     "Attribution",

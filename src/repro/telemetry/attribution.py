@@ -16,7 +16,8 @@ names the parts explicitly:
     index name/epoch for scrubs, service name for retries).
 ``span_id``
     The telemetry span that was active when the operation ran (0 when
-    untraced), linking billing records into the trace tree.
+    none was open, or the meter is unbound), linking billing records
+    into the trace tree.
 
 The legacy string form stays available as :attr:`Attribution.tag` and
 :meth:`Attribution.from_tag` converts old tags forward, so existing

@@ -304,16 +304,14 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-def counter_dict(registry: Optional["MetricsRegistry"],
-                 name: str) -> Dict[str, int]:
+def counter_dict(registry: "MetricsRegistry", name: str) -> Dict[str, int]:
     """One counter's series as ``{"label1[:label2...]": int}``.
 
     Colon-joined label values keyed to integer counts, sorted by label
     values — the shape reports and monitors print.  Returns an
-    empty dict when the registry is missing or the counter was never
-    incremented.
+    empty dict when the counter was never incremented.
     """
-    metric = registry.get(name) if registry is not None else None
+    metric = registry.get(name)
     if not isinstance(metric, Counter):
         return {}
     return {":".join(key): int(series[0])

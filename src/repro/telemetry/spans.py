@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer", "maybe_span"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -93,27 +93,6 @@ class _SpanScope:
         if exc_type is not None:
             self._span.error = True
         self._tracer.finish(self._span)
-
-
-class _NullScope:
-    """Stand-in scope used when no tracer is wired up."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *_exc: Any) -> None:
-        return None
-
-
-def maybe_span(tracer: Optional["Tracer"], name: str, **attributes: Any):
-    """``tracer.span(...)`` when a tracer is present, else a no-op scope.
-
-    Lets deeply-nested code (look-up planners, plan operators) stay
-    instrumentable without requiring a tracer to be threaded in.
-    """
-    if tracer is None:
-        return _NullScope()
-    return tracer.span(name, **attributes)
 
 
 class Tracer:

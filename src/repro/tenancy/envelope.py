@@ -2,9 +2,9 @@
 
 Every public way to ask the warehouse a question now goes through one
 frozen :class:`QueryRequest`: tenant identity, the query (a parsed
-:class:`~repro.query.pattern.Query` or raw source text), a strategy
-hint, a priority and an idempotency key travel together instead of as
-positional ``(query, strategy, ...)`` plumbing.  Responses come back as
+:class:`~repro.query.pattern.Query` or raw source text), a display
+name, an idempotency key and the degraded-path flag travel together
+instead of as positional plumbing.  Responses come back as
 :class:`QueryResponse` (queries) and :class:`MutationResponse`
 (mutations through the facade, with the ETag that optimistic
 concurrency was checked against).
@@ -43,12 +43,6 @@ class QueryRequest:
     name:
         Display label for reports; derived from ``query.name`` when
         left empty and a parsed query is given.
-    strategy:
-        Strategy hint (``"LU"``/``"LUI"``/``"LUSI"``); empty defers to
-        the deployment's configured engine.
-    priority:
-        Tie-break hint within a tenant's own lane (higher first); the
-        fair-share scheduler never lets it jump another tenant's turn.
     idempotency_key:
         Non-empty keys let the facade deduplicate retries: resubmitting
         the same key returns the original query id without enqueueing
@@ -60,8 +54,6 @@ class QueryRequest:
     query: Union[Query, str]
     tenant: str = DEFAULT_TENANT
     name: str = ""
-    strategy: str = ""
-    priority: int = 0
     idempotency_key: str = ""
     degraded: bool = False
 

@@ -24,6 +24,7 @@ All methods are simulation generators (run them with
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Generator
 
 from repro.errors import ConfigError
@@ -62,12 +63,7 @@ class TenantFacade:
     def submit(self, request: QueryRequest) -> Generator[Any, Any, int]:
         """Post one envelope; returns its query id (idempotently)."""
         if request.tenant != self.tenant:
-            request = QueryRequest(
-                query=request.query, tenant=self.tenant,
-                name=request.name, strategy=request.strategy,
-                priority=request.priority,
-                idempotency_key=request.idempotency_key,
-                degraded=request.degraded)
+            request = replace(request, tenant=self.tenant)
         key = request.idempotency_key
         if key and key in self._submitted:
             self.deduplicated += 1

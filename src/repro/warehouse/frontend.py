@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.cloud.provider import CloudProvider
-from repro.telemetry.spans import maybe_span
 from repro.warehouse.messages import (LOADER_QUEUE, QUERY_QUEUE,
                                       RESPONSE_QUEUE, LoadRequest,
                                       QueryRequest, QueryResponse)
@@ -39,9 +38,7 @@ class Frontend:
         self._query_ids = itertools.count(1)
 
     def _span(self, name: str, **attributes: Any):
-        hub = getattr(self._cloud.env, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
-        return maybe_span(tracer, "frontend." + name, **attributes)
+        return self._cloud.telemetry.span("frontend." + name, **attributes)
 
     # -- ingestion ------------------------------------------------------------
 

@@ -225,8 +225,7 @@ def resource_report(warehouse) -> ResourceReport:
     report.request_counts = {
         "{}:{}".format(service, operation): count
         for (service, operation), count in sorted(totals.requests.items())}
-    hub = getattr(cloud, "telemetry", None)
-    registry = hub.registry if hub is not None else None
+    registry = cloud.telemetry.registry
     if cloud.faults is not None:
         report.fault_counts = counter_dict(registry,
                                            "faults_injected_total")

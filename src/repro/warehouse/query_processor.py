@@ -32,7 +32,6 @@ from repro.engine.evaluator import (EvalRow, evaluate_pattern,
 from repro.engine.value_join import join_query_rows
 from repro.indexing.lookup_plans import BaseLookup, QueryLookupOutcome
 from repro.query.parser import parse_query
-from repro.telemetry.spans import maybe_span
 from repro.warehouse.lease import LeaseKeeper
 from repro.warehouse.messages import (QUERY_QUEUE, RESPONSE_QUEUE,
                                       QueryRequest, QueryResponse, StopWorker)
@@ -81,7 +80,7 @@ class QueryWorkStats:
     #: report the candidate actually used, or "s3-scan"/"mixed"),
     #: "index" for a plain look-up, "none" for the no-index baseline.
     index_mode: str = ""
-    #: Telemetry span id of the worker's query span (0 untraced).
+    #: Telemetry span id of the worker's query span.
     span_id: int = 0
     #: Index reads served by the shared store cache during this query's
     #: look-up (0 when no cache is configured).
@@ -196,12 +195,10 @@ class QueryWorker:
                         # them and the failover controller restores or
                         # flips regions), so hold the lease and retry
                         # the whole query once the pause elapses.
-                        hub = getattr(self._cloud.env, "telemetry", None)
-                        if hub is not None:
-                            hub.counter(
-                                "outage_retries_total",
-                                "Queries retried across a region "
-                                "outage.").inc()
+                        self._cloud.telemetry.counter(
+                            "outage_retries_total",
+                            "Queries retried across a region "
+                            "outage.").inc()
                         yield self._cloud.env.timeout(OUTAGE_RETRY_S)
             finally:
                 keeper.stop()
@@ -226,8 +223,7 @@ class QueryWorker:
                  ) -> Generator[Any, Any, QueryWorkStats]:
         env = self._cloud.env
         profile = self._cloud.profile
-        hub = getattr(env, "telemetry", None)
-        tracer = hub.tracer if hub is not None else None
+        tracer = self._cloud.telemetry.tracer
         stats = QueryWorkStats(query_id=request.query_id, name=request.name,
                                received_at=env.now,
                                tenant=getattr(request, "tenant", ""))
@@ -248,17 +244,15 @@ class QueryWorker:
         span_attrs = {"query": request.name, "query_id": request.query_id}
         if stats.tenant:
             span_attrs["tenant"] = stats.tenant
-        with maybe_span(tracer, "query", **span_attrs) as query_span:
-            if query_span is not None:
-                stats.span_id = query_span.span_id
+        with tracer.span("query", **span_attrs) as query_span:
+            stats.span_id = query_span.span_id
 
             # Steps 9-10: index look-up (or the no-index full scan list).
             if lookup is not None:
-                lookup.tracer = tracer
                 cache = getattr(lookup, "store_cache", None)
                 hits_before = cache.hits if cache is not None else 0
                 lookup_start = env.now
-                with maybe_span(tracer, "index-lookup"):
+                with tracer.span("index-lookup"):
                     outcome: QueryLookupOutcome = \
                         yield from lookup.lookup_query(query)
                 stats.lookup_get_s = env.now - lookup_start
@@ -268,17 +262,16 @@ class QueryWorker:
                     # under pipelining, concurrent queries' hits may
                     # interleave — the shared cache keeps exact totals.
                     stats.store_cache_hits = cache.hits - hits_before
-                    if query_span is not None:
-                        query_span.attributes["store_cache_hits"] = \
-                            stats.store_cache_hits
+                    query_span.attributes["store_cache_hits"] = \
+                        stats.store_cache_hits
                 stats.rows_processed = outcome.rows_processed
                 stats.per_pattern_docs = [o.document_count
                                           for o in outcome.per_pattern]
                 per_pattern_uris = [o.uris for o in outcome.per_pattern]
                 # Step 11: the look-up physical plan's CPU.
                 plan_start = env.now
-                with maybe_span(tracer, "plan-execution",
-                                rows=outcome.rows_processed):
+                with tracer.span("plan-execution",
+                                 rows=outcome.rows_processed):
                     yield from self._instance.run(
                         outcome.rows_processed * profile.plan_ecu_s_per_row)
                 stats.lookup_plan_s = env.now - plan_start
@@ -298,7 +291,7 @@ class QueryWorker:
             pattern_rows: List[List[EvalRow]] = [[] for _ in query.patterns]
             uri_sets: List[Set[str]] = [set(uris)
                                         for uris in per_pattern_uris]
-            with maybe_span(tracer, "fetch-eval", documents=len(union)):
+            with tracer.span("fetch-eval", documents=len(union)):
                 tasks = [env.process(
                     self._evaluate_document(uri, request.text, query,
                                             uri_sets, pattern_rows),
@@ -310,7 +303,7 @@ class QueryWorker:
             # Value joins (§5.5) and final rows.
             if query.joins:
                 join_rows = sum(len(rows) for rows in pattern_rows)
-                with maybe_span(tracer, "value-join", rows=join_rows):
+                with tracer.span("value-join", rows=join_rows):
                     yield from self._instance.run(
                         join_rows * profile.join_ecu_s_per_row)
             final_rows = join_query_rows(query, pattern_rows)
@@ -323,8 +316,7 @@ class QueryWorker:
             payload = "\n".join(
                 "\t".join(row.projections)
                 for row in final_rows).encode("utf-8")
-            with maybe_span(tracer, "write-results",
-                            bytes=len(payload)):
+            with tracer.span("write-results", bytes=len(payload)):
                 yield from self._cloud.resilient.s3.put(
                     self._results_bucket,
                     "results/{}.txt".format(request.query_id), payload)
@@ -346,15 +338,14 @@ class QueryWorker:
             data = yield from self._cloud.resilient.s3.get(
                 self._document_bucket, uri)
         except NoSuchKey:
-            hub = getattr(self._cloud.env, "telemetry", None)
-            if hub is not None:
-                hub.counter("documents_vanished_total",
-                            "Candidates deleted between look-up and "
-                            "fetch.").inc()
-                span = hub.current_span
-                if span is not None:
-                    span.attributes["documents_vanished"] = \
-                        span.attributes.get("documents_vanished", 0) + 1
+            hub = self._cloud.telemetry
+            hub.counter("documents_vanished_total",
+                        "Candidates deleted between look-up and "
+                        "fetch.").inc()
+            span = hub.current_span
+            if span is not None:
+                span.attributes["documents_vanished"] = \
+                    span.attributes.get("documents_vanished", 0) + 1
             return
         document = self._parsed_documents.get(uri)
         if document is None:

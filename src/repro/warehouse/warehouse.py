@@ -34,7 +34,7 @@ from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
 from repro.indexing.registry import strategy as strategy_by_name
 from repro.query.pattern import Query
 from repro.store import IndexCache, StoreRouter, expand_physical
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import Frontend
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
@@ -45,10 +45,6 @@ from repro.xmark.corpus import Corpus
 
 DOCUMENT_BUCKET = "documents"
 RESULTS_BUCKET = "results"
-
-#: Realistic lease: long tasks survive through the workers' heartbeat
-#: renewals (``repro.warehouse.lease``), not an oversized timeout.
-QUEUE_VISIBILITY_TIMEOUT = 120.0
 
 #: Suffix of the dead-letter queues created alongside the work queues
 #: when the cloud carries a fault plan.
@@ -119,9 +115,11 @@ class BuiltIndex:
     table_names: Dict[str, str]
     report: IndexBuildReport
 
-    def make_lookup(self):
-        """The strategy's look-up planner over this index."""
-        return self.strategy.make_lookup(self.store, self.table_names)
+    def make_lookup(self, tracer: Any):
+        """The strategy's look-up planner over this index, tracing on
+        ``tracer``."""
+        return self.strategy.make_lookup(self.store, self.table_names,
+                                         tracer)
 
     @property
     def physical_tables(self) -> List[str]:
@@ -206,7 +204,7 @@ class QueryExecution:
     #: no-index baseline, "s3-scan" for a fully degraded query, or
     #: "mixed" when patterns of one query fell back differently.
     index_mode: str = ""
-    #: Telemetry span id of this query's processing span (0 untraced).
+    #: Telemetry span id of this query's processing span.
     span_id: int = 0
     #: Index reads served by the shared store cache during this query's
     #: look-up (0 when no cache is configured).
@@ -217,13 +215,8 @@ class QueryExecution:
     downgrade: str = ""
     #: Request cost of this query's span subtree (a
     #: :class:`~repro.costs.estimator.CostBreakdown`), priced from the
-    #: run's meter; ``None`` when the run was untraced.
+    #: run's meter.
     cost: Optional[Any] = None
-
-    @property
-    def traced(self) -> bool:
-        """Whether this execution is linked into a span tree."""
-        return self.span_id > 0
 
 
 @dataclass
@@ -242,13 +235,13 @@ class WorkloadReport:
     tag: str
     #: First submission → last result fetched (Figure 10's metric).
     makespan_s: float
-    #: The run's :class:`~repro.telemetry.spans.Tracer` (None untraced):
-    #: pass to the exporters for a Chrome trace or console tree.
+    #: The run's :class:`~repro.telemetry.spans.Tracer`: pass to the
+    #: exporters for a Chrome trace or console tree.
     trace: Optional[Any] = None
     #: Request cost of the whole workload span subtree
-    #: (:class:`~repro.costs.estimator.CostBreakdown`; None untraced).
+    #: (:class:`~repro.costs.estimator.CostBreakdown`).
     cost: Optional[Any] = None
-    #: Telemetry span id of the workload phase span (0 untraced).
+    #: Telemetry span id of the workload phase span.
     span_id: int = 0
 
     def by_name(self) -> Dict[str, List[QueryExecution]]:
@@ -328,13 +321,11 @@ class Warehouse:
     @property
     def telemetry(self) -> Any:
         """The deployment's :class:`~repro.telemetry.TelemetryHub`."""
-        return getattr(self.cloud, "telemetry", None)
+        return self.cloud.telemetry
 
     def _span(self, name: str, **attributes: Any):
-        """A phase-level span (no-op when the cloud carries no hub)."""
-        hub = self.telemetry
-        return maybe_span(hub.tracer if hub is not None else None,
-                          name, **attributes)
+        """A phase-level span."""
+        return self.cloud.telemetry.span(name, **attributes)
 
     @classmethod
     def deploy(cls, config: Optional[Any] = None,
@@ -843,7 +834,8 @@ class Warehouse:
         fleet = self.cloud.ec2.launch_fleet(instance_type, instances)
         stats_sink: Dict[int, QueryWorkStats] = {}
         workers = [QueryWorker(self.cloud, instance,
-                               index.make_lookup() if index else None,
+                               index.make_lookup(self.telemetry.tracer)
+                               if index else None,
                                DOCUMENT_BUCKET, RESULTS_BUCKET,
                                self._all_uris, stats_sink,
                                parsed_documents=self._parse_cache)
@@ -905,13 +897,9 @@ class Warehouse:
 
         # Price every span subtree of this workload once; each execution
         # then picks its own query span's rollup out of the map.
-        hub = self.telemetry
-        trace = hub.tracer if hub is not None else None
-        inclusive: Dict[int, Any] = {}
-        if trace is not None:
-            from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(
-                trace, self.cloud.meter.since(mark), self.cloud.price_book)
+        trace = self.telemetry.tracer
+        inclusive = span_inclusive_costs(
+            trace, self.cloud.meter.since(mark), self.cloud.price_book)
 
         executions: List[QueryExecution] = []
         for query_id in sorted(submitted):
@@ -944,12 +932,11 @@ class Warehouse:
                 span_id=work.span_id,
                 store_cache_hits=work.store_cache_hits,
                 downgrade=downgrade,
-                cost=inclusive.get(work.span_id) if work.span_id else None,
+                cost=inclusive.get(work.span_id),
             ))
         makespan = (max(fetched.values()) - min(submitted.values())
                     if fetched else 0.0)
-        workload_span_id = (workload_span.span_id
-                            if workload_span is not None else 0)
+        workload_span_id = workload_span.span_id
         return WorkloadReport(executions=executions,
                               strategy_name=strategy_name,
                               instance_type=instance_type,
@@ -1133,11 +1120,8 @@ class Warehouse:
         must agree to the last float bit — the report's ``cost_tied_out``.
         """
         from repro.costs.estimator import phase_cost
-        hub = self.telemetry
-        if hub is not None and report.span_id:
-            from repro.telemetry.costing import span_inclusive_costs
-            report.span_cost = span_inclusive_costs(
-                hub.tracer, self.cloud.meter.since(mark),
-                self.cloud.price_book).get(report.span_id)
+        report.span_cost = span_inclusive_costs(
+            self.telemetry.tracer, self.cloud.meter.since(mark),
+            self.cloud.price_book).get(report.span_id)
         report.estimator_cost = phase_cost(self.cloud.meter,
                                            self.cloud.price_book, tag)

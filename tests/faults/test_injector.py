@@ -8,8 +8,15 @@ from repro.sim import Environment, Meter
 from repro.telemetry import TelemetryHub, counter_dict
 
 
+def traced_env():
+    """An environment carrying a hub, as every cloud provider's does."""
+    env = Environment()
+    TelemetryHub(env)
+    return env
+
+
 def make_injector(plan, service="s3", env=None, meter=None):
-    env = env or Environment()
+    env = env or traced_env()
     meter = meter or Meter()
     return FaultInjector(service, plan.specs_for(service), env, meter,
                          plan.seed), env, meter
@@ -82,7 +89,7 @@ def test_injectors_for_different_services_draw_independent_streams():
     plan = (FaultPlan(seed=7)
             .transient_errors("s3", rate=0.5)
             .transient_errors("sqs", rate=0.5))
-    env, meter = Environment(), Meter()
+    env, meter = traced_env(), Meter()
     domain = FaultDomain(plan, env, meter)
 
     def sample(injector, operation):
@@ -101,7 +108,7 @@ def test_injectors_for_different_services_draw_independent_streams():
 
 def test_domain_only_builds_injectors_for_planned_services():
     plan = FaultPlan(seed=1).transient_errors("s3", rate=0.1)
-    domain = FaultDomain(plan, Environment(), Meter())
+    domain = FaultDomain(plan, traced_env(), Meter())
     assert domain.injector_for("s3") is not None
     assert domain.injector_for("dynamodb") is None
 

@@ -119,17 +119,18 @@ class Deployment:
     def uncached(self, router=None):
         """A cache-less router over the same tables as ``router``."""
         router = router or self.router
-        return StoreRouter(self.base, config=StoreConfig(shards=SHARDS),
+        return StoreRouter(self.base, self.cloud.telemetry,
+                           config=StoreConfig(shards=SHARDS),
                            epoch=router.epoch, tenant=router.tenant)
 
     def lookup(self, strategy, router=None):
         return strategy_named(strategy).make_lookup(
-            router or self.router, self.tables[strategy])
+            router or self.router, self.tables[strategy],
+            self.cloud.telemetry.tracer)
 
     def run(self, lookup, pattern):
         """One look-up's outcome and everything observable about it."""
         probe, tracer = self.probe, self.cloud.telemetry.tracer
-        lookup.tracer = tracer
         del probe.opened[:]
         probe.twig_calls = 0
         spans_from = len(tracer.spans)

@@ -182,7 +182,8 @@ def test_lookups_reproduce_the_pinned_rows(monkeypatch):
         generate_corpus(ScaleProfile(documents=30, seed=31)))
     seen = {}
     for strategy in ("LU", "LUP", "LUI", "2LUPI", "LUI-unsorted"):
-        lookup = warehouse.build_index(strategy.split("-")[0]).make_lookup()
+        lookup = warehouse.build_index(strategy.split("-")[0]).make_lookup(
+            warehouse.telemetry.tracer)
         if strategy == "LUI-unsorted":
             lookup.assume_sorted = False
         for query in workload():

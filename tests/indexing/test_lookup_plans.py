@@ -50,7 +50,8 @@ def indexed(small_corpus):
                         yield from store.write_entries(
                             tables[logical], entries)
         cloud.env.run_process(load())
-        lookups[s.name] = s.make_lookup(store, tables)
+        lookups[s.name] = s.make_lookup(store, tables,
+                                        cloud.telemetry.tracer)
     return cloud, lookups
 
 

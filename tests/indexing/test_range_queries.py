@@ -28,7 +28,7 @@ def lui_lookup(small_corpus):
             entries = lui.extract(document)["lui"]
             yield from store.write_entries("rq-lui", entries)
     cloud.env.run_process(load())
-    return cloud, lui.make_lookup(store, tables)
+    return cloud, lui.make_lookup(store, tables, cloud.telemetry.tracer)
 
 
 RANGE_PATTERN = "//open_auction[/initial in(50, 150)][/itemref]"

@@ -8,11 +8,15 @@ observes the mutation — no rebuild, no worker restart — while every
 mutation dollar ties out exactly against the cost estimator.
 """
 
+import math
+
 import pytest
 
 from repro.config import ScaleProfile
+from repro.costs.estimator import CostBreakdown
 from repro.engine.evaluator import evaluate_query
 from repro.errors import IndexingError, WarehouseError
+from repro.mutations import CompactionReport, DeltaReport
 from repro.query.workload import workload_query
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -225,3 +229,21 @@ def test_ingestion_report_is_byte_deterministic():
     first, second = scenario(), scenario()
     assert first == second
     assert '"deltas"' in first and '"compactions"' in first
+
+
+@pytest.mark.parametrize("make_report", [
+    lambda: DeltaReport(name="LUI", kind="add", seq=1, base_epoch=1,
+                        version=2, documents=1, tombstones=(), tables={},
+                        digest="", duration_s=0.0),
+    lambda: CompactionReport(name="LUI", from_epoch=1, to_epoch=2,
+                             folded_seqs=(1,)),
+], ids=["delta", "compaction"])
+def test_cost_tie_out_is_exact_to_the_last_bit(make_report):
+    """A span roll-up one ulp off the estimator is a mismatch."""
+    report = make_report()
+    assert report.cost_tied_out is None  # unpriced
+    report.estimator_cost = CostBreakdown(s3=0.3)
+    report.span_cost = CostBreakdown(s3=0.3)
+    assert report.cost_tied_out is True
+    report.span_cost = CostBreakdown(s3=math.nextafter(0.3, 1.0))
+    assert report.cost_tied_out is False

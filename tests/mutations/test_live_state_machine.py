@@ -103,7 +103,7 @@ class LiveIndexMachine(RuleBasedStateMachine):
         """Run ``mutate`` then ``name`` and its look-ups, all inside one
         census; then hold the answers to the model's."""
         warehouse, query = self.warehouse, workload_query(name)
-        lookup = self.live.make_lookup()
+        lookup = self.live.make_lookup(warehouse.telemetry.tracer)
         answered = []
 
         def action():

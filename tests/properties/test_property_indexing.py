@@ -23,6 +23,8 @@ from repro.indexing.lup import LUPStrategy
 from repro.indexing.registry import all_strategies
 from repro.indexing.two_lupi import TwoLUPIStrategy
 from repro.query.parser import parse_pattern
+from repro.sim import Environment
+from repro.telemetry import Tracer
 
 PATTERN_TEXTS = (
     "//a[/b][/c]",
@@ -61,7 +63,7 @@ def test_lookup_soundness_and_ordering(docs, pattern_text):
                         yield from store.write_entries(tables[logical],
                                                        entries)
         cloud.env.run_process(load())
-        lookup = strategy.make_lookup(store, tables)
+        lookup = strategy.make_lookup(store, tables, cloud.telemetry.tracer)
 
         def run(lookup=lookup):
             return (yield from lookup.lookup_pattern(pattern))
@@ -138,7 +140,8 @@ def test_memoised_path_filter_equals_the_plain_loop(pattern, seed):
             opened.append(self)
 
     with mock.patch.object(lookup_plans, "PlanStats", Recording):
-        lookup = lookup_plans.LUPLookup(_PathStore(data), "t")
+        lookup = lookup_plans.LUPLookup(_PathStore(data), "t",
+                                        Tracer(Environment()))
         try:
             next(lookup.lookup_pattern(pattern))
         except StopIteration as stop:

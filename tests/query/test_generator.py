@@ -92,7 +92,8 @@ def test_lookup_invariants_hold_on_generated_workload(small_corpus,
                         yield from store.write_entries(tables[logical],
                                                        entries)
         cloud.env.run_process(load())
-        lookups[strategy.name] = strategy.make_lookup(store, tables)
+        lookups[strategy.name] = strategy.make_lookup(
+            store, tables, cloud.telemetry.tracer)
 
     for query in generator.workload(12):
         for pattern in query.patterns:

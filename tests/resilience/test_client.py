@@ -6,10 +6,13 @@ from repro.errors import TransientServiceError, ValidationError
 from repro.resilience import (RESILIENCE_SERVICE, ResilientClient,
                               ResilientServices, RetryPolicy, ServiceProxy)
 from repro.sim import Environment, Meter
+from repro.telemetry import TelemetryHub
 
 
 def make_client(env=None, meter=None, **policy_kwargs):
-    env = env or Environment()
+    if env is None:
+        env = Environment()
+        TelemetryHub(env)
     meter = meter or Meter()
     policy_kwargs.setdefault("base_delay_s", 0.01)
     policy_kwargs.setdefault("max_delay_s", 0.1)

@@ -48,7 +48,7 @@ class FakeCache:
 
 def test_switch_delegates_to_the_active_region():
     primary, secondary = FakeStore("primary"), FakeStore("secondary")
-    switch = RegionSwitch(primary, secondary)
+    switch = RegionSwitch(primary, secondary, CloudProvider().telemetry)
     assert switch.get("t", "k") == {"from": "primary"}
     switch.flip(SECONDARY)
     assert switch.get("t", "k") == {"from": "secondary"}
@@ -58,7 +58,8 @@ def test_switch_delegates_to_the_active_region():
 
 
 def test_switch_counts_stale_reads_only_on_the_replica():
-    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"))
+    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"),
+                          CloudProvider().telemetry)
     switch.get("t", "k")
     assert switch.stale_reads == 0
     switch.flip(SECONDARY)
@@ -73,7 +74,8 @@ def test_switch_counts_stale_reads_only_on_the_replica():
 
 
 def test_switch_rejects_unknown_regions():
-    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"))
+    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"),
+                          CloudProvider().telemetry)
     with pytest.raises(KeyError):
         switch.flip("mars")
 
@@ -93,7 +95,8 @@ class FakeReplicator:
 
 
 def _controller(cloud, replicator, cache=None):
-    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"))
+    switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"),
+                          cloud.telemetry)
     controller = FailoverController(
         cloud, FailoverPolicy(max_staleness_s=60.0), [], switch=switch,
         replicator=replicator, cache=cache)

@@ -44,7 +44,8 @@ def _worker_fleet(warehouse, index, stats_sink):
     cloud = warehouse.cloud
     uris = [d.uri for d in warehouse.corpus.documents]
     return Fleet(cloud, "xl", lambda instance: QueryWorker(
-        cloud, instance, index.make_lookup(), DOCUMENT_BUCKET,
+        cloud, instance, index.make_lookup(cloud.telemetry.tracer),
+        DOCUMENT_BUCKET,
         RESULTS_BUCKET, uris, stats_sink))
 
 

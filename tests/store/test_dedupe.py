@@ -43,7 +43,7 @@ def _seed_store(cloud, store):
 
 def _lookup(cloud, store):
     """Run the LUP look-up for the duplicate-last-key pattern."""
-    lookup = LUPLookup(store, "lup")
+    lookup = LUPLookup(store, "lup", cloud.telemetry.tracer)
 
     def scenario():
         return (yield from lookup.lookup_pattern(parse_pattern(PATTERN)))
@@ -72,7 +72,7 @@ def test_plain_store_reads_duplicate_key_once(cloud):
 def test_coalescing_router_reads_duplicate_key_once(cloud):
     """Router read path (batched gets): same single billed get."""
     store = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                        config=StoreConfig(shards=2))
+                        cloud.telemetry, config=StoreConfig(shards=2))
     _seed_store(cloud, store)
     outcome = _lookup(cloud, store)
     assert outcome.index_gets == 1

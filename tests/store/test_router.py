@@ -56,16 +56,18 @@ class TestPassthrough:
     """Default configuration: the router must be invisible."""
 
     def test_default_config_is_passthrough(self, cloud):
-        router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1))
+        router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry)
         assert router.passthrough
         assert not router.coalesce_reads
         assert router.cache is None
 
     def test_active_configs_disable_passthrough(self, cloud):
         base = DynamoIndexStore(cloud.dynamodb, seed=1)
-        assert not StoreRouter(base,
+        assert not StoreRouter(base, cloud.telemetry,
                                config=StoreConfig(shards=2)).passthrough
-        cached = StoreRouter(base, config=StoreConfig(cache_bytes=4096))
+        cached = StoreRouter(base, cloud.telemetry,
+                             config=StoreConfig(cache_bytes=4096))
         assert not cached.passthrough
         assert cached.coalesce_reads
 
@@ -86,13 +88,14 @@ class TestPassthrough:
 
         raw_run = exercise(lambda c: DynamoIndexStore(c.dynamodb, seed=1))
         routed_run = exercise(
-            lambda c: StoreRouter(DynamoIndexStore(c.dynamodb, seed=1)))
+            lambda c: StoreRouter(DynamoIndexStore(c.dynamodb, seed=1),
+                                  c.telemetry))
         assert routed_run == raw_run
 
     def test_delegated_identity_properties(self, cloud):
         base = DynamoIndexStore(cloud.dynamodb, seed=1,
                                 range_key_mode="content")
-        router = StoreRouter(base)
+        router = StoreRouter(base, cloud.telemetry)
         assert router.backend_name == "dynamodb"
         assert router.base_store is base
         assert router.range_key_mode == "content"
@@ -105,7 +108,7 @@ class TestSharding:
 
     def test_create_table_creates_every_shard(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             config=StoreConfig(shards=3))
+                             cloud.telemetry, config=StoreConfig(shards=3))
         router.create_table("idx")
         assert cloud.dynamodb.table_names() == \
             ["idx.s0", "idx.s1", "idx.s2"]
@@ -118,6 +121,7 @@ class TestSharding:
         def contents(shards):
             cloud = CloudProvider()
             router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                                 cloud.telemetry,
                                  config=StoreConfig(shards=shards))
             router.create_table("idx")
             stats = _write(cloud, router, "idx", entries)
@@ -132,7 +136,7 @@ class TestSharding:
 
     def test_writes_balance_across_shards(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             config=StoreConfig(shards=3))
+                             cloud.telemetry, config=StoreConfig(shards=3))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(60))
         assert set(router.shard_writes) == {0, 1, 2}
@@ -142,7 +146,7 @@ class TestSharding:
 
     def test_read_key_routes_to_owning_shard_only(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             config=StoreConfig(shards=4))
+                             cloud.telemetry, config=StoreConfig(shards=4))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(8))
         payloads, gets = _read_key(cloud, router, "idx", "k5")
@@ -155,6 +159,7 @@ class TestSharding:
         def totals(shards):
             cloud = CloudProvider()
             router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                                 cloud.telemetry,
                                  config=StoreConfig(shards=shards))
             router.create_table("idx")
             _write(cloud, router, "idx", _entries(50))
@@ -169,6 +174,7 @@ class TestCache:
 
     def _cached_router(self, cloud, cache_bytes=256 * 1024, epoch=0):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry,
                              config=StoreConfig(cache_bytes=cache_bytes),
                              epoch=epoch)
         router.create_table("idx")
@@ -216,7 +222,7 @@ class TestCache:
         _write(cloud, cache_holder, "idx", _entries(2))
         _read_key(cloud, cache_holder, "idx", "k1")
         successor = StoreRouter(
-            DynamoIndexStore(cloud.dynamodb, seed=1),
+            DynamoIndexStore(cloud.dynamodb, seed=1), cloud.telemetry,
             config=StoreConfig(cache_bytes=256 * 1024),
             cache=cache_holder.cache, epoch=2)
         payloads, gets = _read_key(cloud, successor, "idx", "k1")
@@ -230,7 +236,7 @@ class TestBatchedReads:
     def test_duplicate_keys_billed_once(self, cloud):
         """The dedupe audit: same hash key twice → one store hit."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             config=StoreConfig(shards=2))
+                             cloud.telemetry, config=StoreConfig(shards=2))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(4))
         data, gets = _read_keys(cloud, router, "idx",
@@ -243,6 +249,7 @@ class TestBatchedReads:
         """101 distinct keys read fine — proof the router chunks them
         (one oversized ``batch_get`` would raise ValidationError)."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry,
                              config=StoreConfig(cache_bytes=1 << 20))
         router.create_table("idx")
         count = BATCH_GET_LIMIT + 1
@@ -255,6 +262,7 @@ class TestBatchedReads:
     def test_all_hits_issue_no_request_at_all(self, cloud):
         """A fully cached batch must not issue an empty ``batch_get``."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry,
                              config=StoreConfig(cache_bytes=1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(6))
@@ -268,6 +276,7 @@ class TestBatchedReads:
 
     def test_missing_keys_come_back_empty_and_cached(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry,
                              config=StoreConfig(cache_bytes=1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(2))
@@ -287,6 +296,7 @@ class TestResilienceInterplay:
         cloud = CloudProvider(fault_plan=plan)
         router = StoreRouter(
             DynamoIndexStore(cloud.resilient.dynamodb, seed=1),
+            cloud.telemetry,
             config=StoreConfig(shards=2, cache_bytes=1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(40))
@@ -303,7 +313,7 @@ class TestResilienceInterplay:
 
 
 class TestMetrics:
-    """Counters fed to the telemetry registry when a hub is attached."""
+    """Counters fed to the deployment's telemetry registry."""
 
     def test_cache_shard_and_coalescing_counters(self, cloud):
         router = StoreRouter(
@@ -326,13 +336,3 @@ class TestMetrics:
         writes = hub.counter("store_shard_writes_total", "", ("shard",))
         assert writes.value(shard="0") + writes.value(shard="1") == \
             sum(router.shard_writes.values())
-
-    def test_no_telemetry_means_no_counters(self, cloud):
-        """A hub-less router stays silent (and never crashes)."""
-        router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             config=StoreConfig(cache_bytes=1 << 20))
-        router.create_table("idx")
-        _write(cloud, router, "idx", _entries(2))
-        _read_keys(cloud, router, "idx", ["k0", "k1"])
-        assert cloud.telemetry.counter(
-            "store_cache_misses_total").value() == 0.0

@@ -46,7 +46,7 @@ def test_shard_table_names_sharded_suffixes():
 def test_router_routes_key_to_named_shard(cloud):
     """``shard_table_for`` agrees with ``shard_of`` on the shard ring."""
     router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                         config=StoreConfig(shards=4))
+                         cloud.telemetry, config=StoreConfig(shards=4))
     for key in ("ename", "aid", "w-gold"):
         expected = router.shard_tables("idx")[shard_of(key, 4)]
         assert router.shard_table_for("idx", key) == expected
@@ -55,9 +55,10 @@ def test_router_routes_key_to_named_shard(cloud):
 def test_expand_physical_uses_router_shards(cloud):
     """Consumers expand a logical table through the store they hold."""
     base = DynamoIndexStore(cloud.dynamodb, seed=1)
-    sharded = StoreRouter(base, config=StoreConfig(shards=2))
+    sharded = StoreRouter(base, cloud.telemetry, config=StoreConfig(shards=2))
     assert expand_physical(sharded, "idx") == \
         ["idx" + SHARD_SEPARATOR + "0", "idx" + SHARD_SEPARATOR + "1"]
     # Plain stores (and passthrough routers) fall back to the name.
     assert expand_physical(base, "idx") == ["idx"]
-    assert expand_physical(StoreRouter(base), "idx") == ["idx"]
+    assert expand_physical(StoreRouter(base, cloud.telemetry),
+                           "idx") == ["idx"]

@@ -65,7 +65,7 @@ def test_workload_report_costs_match_span_rollup(traced_warehouse):
     assert report.cost.total \
         == pytest.approx(inclusive[report.span_id].total, rel=1e-12)
     for execution in report.executions:
-        assert execution.traced
+        assert execution.span_id > 0
         assert execution.cost is not None
         assert execution.cost.total \
             == pytest.approx(inclusive[execution.span_id].total, rel=1e-12)

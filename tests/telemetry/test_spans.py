@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.sim import Environment
-from repro.telemetry import TelemetryHub, Tracer, maybe_span
+from repro.telemetry import TelemetryHub, Tracer
 
 pytestmark = pytest.mark.telemetry
 
@@ -98,11 +98,6 @@ def test_exception_marks_span_as_error(env):
     (span,) = tracer.spans
     assert span.error is True
     assert span.finished
-
-
-def test_maybe_span_without_tracer_is_a_noop():
-    with maybe_span(None, "anything", key="value") as span:
-        assert span is None
 
 
 def test_ancestor_ids_walk_to_the_root(env):

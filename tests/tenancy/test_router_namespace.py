@@ -43,7 +43,7 @@ def base(cloud):
 
 
 def test_default_router_uses_unprefixed_tables(cloud, base):
-    router = StoreRouter(base)
+    router = StoreRouter(base, cloud.telemetry)
     router.create_table("labels")
     _write(cloud, router, "labels", _entries(2))
     assert "labels" in cloud.dynamodb.table_names()
@@ -52,7 +52,7 @@ def test_default_router_uses_unprefixed_tables(cloud, base):
 
 
 def test_tenant_router_prefixes_every_table(cloud, base):
-    router = StoreRouter(base).for_tenant("acme")
+    router = StoreRouter(base, cloud.telemetry).for_tenant("acme")
     router.create_table("labels")
     _write(cloud, router, "labels", _entries(2))
     assert "tnt-acme--labels" in cloud.dynamodb.table_names()
@@ -61,7 +61,7 @@ def test_tenant_router_prefixes_every_table(cloud, base):
 
 def test_for_tenant_shares_backend_and_config(cloud, base):
     config = StoreConfig(shards=2)
-    router = StoreRouter(base, config=config)
+    router = StoreRouter(base, cloud.telemetry, config=config)
     scoped = router.for_tenant("acme")
     assert scoped.base_store is base
     assert scoped.config is config
@@ -70,7 +70,7 @@ def test_for_tenant_shares_backend_and_config(cloud, base):
 
 
 def test_tenants_cannot_read_each_other(cloud, base):
-    router = StoreRouter(base)
+    router = StoreRouter(base, cloud.telemetry)
     acme = router.for_tenant("acme")
     globex = router.for_tenant("globex")
     acme.create_table("labels")
@@ -84,7 +84,7 @@ def test_tenants_cannot_read_each_other(cloud, base):
 
 
 def test_shard_tables_are_prefixed_once(cloud, base):
-    router = StoreRouter(base, config=StoreConfig(shards=2))
+    router = StoreRouter(base, cloud.telemetry, config=StoreConfig(shards=2))
     scoped = router.for_tenant("acme")
     tables = scoped.shard_tables("labels")
     assert len(tables) == 2
@@ -98,9 +98,9 @@ class TestCacheIsolation:
 
     def test_cache_keys_carry_the_tenant(self, cloud, base, cache):
         config = StoreConfig(cache_bytes=1 << 20)
-        acme = StoreRouter(base, config=config,
+        acme = StoreRouter(base, cloud.telemetry, config=config,
                            cache=cache).for_tenant("acme")
-        globex = StoreRouter(base, config=config,
+        globex = StoreRouter(base, cloud.telemetry, config=config,
                              cache=cache).for_tenant("globex")
         acme.create_table("labels")
         globex.create_table("labels")

@@ -182,3 +182,11 @@ def test_ingest_command_under_serving_traffic(capsys):
     out = capsys.readouterr().out
     assert "cost tie-out" in out and "exact" in out
     assert "completed 16" in out
+
+
+def test_resilience_flags_belong_to_serving_subcommands():
+    """Only serve and ingest act on spot/failover flags; elsewhere they
+    are usage errors rather than silently ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["demo", "--documents", "10", "--failover", "1:1"])
+    assert excinfo.value.code == 2

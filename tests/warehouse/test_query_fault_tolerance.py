@@ -33,12 +33,14 @@ def test_crashed_query_worker_is_taken_over(deployed):
     # sending through the existing queue (visibility 120s) but crash
     # and then wait out the lease.
     crasher = QueryWorker(cloud, cloud.ec2.launch("l"),
-                          index.make_lookup(), DOCUMENT_BUCKET,
+                          index.make_lookup(cloud.telemetry.tracer),
+                          DOCUMENT_BUCKET,
                           RESULTS_BUCKET,
                           [d.uri for d in warehouse.corpus.documents],
                           stats_sink)
     survivor = QueryWorker(cloud, cloud.ec2.launch("l"),
-                           index.make_lookup(), DOCUMENT_BUCKET,
+                           index.make_lookup(cloud.telemetry.tracer),
+                           DOCUMENT_BUCKET,
                            RESULTS_BUCKET,
                            [d.uri for d in warehouse.corpus.documents],
                            stats_sink)
