@@ -67,7 +67,12 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # of it without the walk: encoding and sizing the postings).
           "_fold_unit", "_stored_postings", "commit", "items_digest",
           "_process", "_extract", "collect_occurrences", "parse_document",
-          "_pack_items", "batch_put")
+          "_pack_items", "batch_put",
+          # The read side's host work per call: the pattern's plan (its
+          # compile nests in the memo), one key's items decoded to
+          # payloads, and the report builders' cost folds.
+          "pattern_plan", "_merge_items", "inclusive_costs",
+          "partition_costs")
 INTERVAL_S = 0.001
 ROUNDS = 5
 

@@ -25,17 +25,14 @@ the expected horizon (build + storage + runs x workload).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.config import MB, DEFAULT_PROFILE, PerformanceProfile, instance_type
 from repro.costs.metrics import DatasetMetrics, IndexMetrics, QueryMetrics
 from repro.costs.model import (index_build_cost, monthly_storage_cost,
                                query_cost_indexed)
 from repro.costs.pricing import AWS_SINGAPORE, PriceBook
-from repro.indexing.lookup_plans import (expand_pattern_for_twig,
-                                         pattern_lookup_keys,
-                                         pattern_query_paths,
-                                         query_path_regex)
+from repro.indexing.lookup_plans import pattern_plan
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.query.pattern import Query, TreePattern
 from repro.xmldb.stats import CorpusStats
@@ -128,23 +125,21 @@ class IndexAdvisor:
                        DEFAULT_VALUE_KEY_SELECTIVITY)
         return self.stats.attribute_selectivity(rest)
 
-    def _path_selectivity(self, path_steps) -> float:
-        regex = query_path_regex(path_steps)
-        matching_docs = 0
-        for data_path, frequency in \
-                self.stats.path_document_frequency.items():
-            if regex.match(data_path):
-                matching_docs = max(matching_docs, frequency)
-        last_key = path_steps[-1][1]
+    def _path_selectivity(self, path, matches: Callable[[str], Any],
+                          prefix: Optional[Callable[[str], Any]]) -> float:
+        last_key = path[-1][1]
         if last_key.startswith("w") or " " in last_key:
             # Word / value steps are not in the path summary; fall back
             # to combining the structural prefix with the key estimate.
-            structural = self._path_selectivity(path_steps[:-1]) \
-                if len(path_steps) > 1 else 1.0
+            structural = self._path_selectivity(path[:-1], prefix, None) \
+                if prefix is not None else 1.0
             return structural * self._key_selectivity(last_key)
         if not self.stats.document_count:
             return 0.0
-        return matching_docs / self.stats.document_count
+        return max((frequency for data_path, frequency
+                    in self.stats.path_document_frequency.items()
+                    if matches(data_path)),
+                   default=0) / self.stats.document_count
 
     def estimate_pattern_documents(self, pattern: TreePattern,
                                    strategy_name: str) -> float:
@@ -158,40 +153,37 @@ class IndexAdvisor:
         construction, matching the Table 5 ordering.
         """
         documents = self.stats.document_count
+        plan = pattern_plan(pattern, include_words=True)
+        selectivity = 1.0
         if strategy_name == "LU":
-            selectivity = 1.0
-            for path in pattern_query_paths(pattern, include_words=True):
-                branch = min(
+            for path in plan.paths:
+                selectivity *= min(
                     (max(self._key_selectivity(key), 1e-6)
                      for _, key in path),
                     default=1.0)
-                selectivity *= branch
             return documents * selectivity
         # LUP and finer: product over query paths (independence).
-        selectivity = 1.0
-        for path in pattern_query_paths(pattern, include_words=True):
-            selectivity *= max(self._path_selectivity(path), 1e-6)
+        for path, matches, prefix in zip(plan.paths, plan.matchers,
+                                         plan.prefix_matchers):
+            selectivity *= max(
+                self._path_selectivity(path, matches, prefix), 1e-6)
         estimate = documents * selectivity
         if strategy_name in ("LUI", "2LUPI"):
-            twig = expand_pattern_for_twig(pattern, include_words=True)
-            branches = sum(1 for n in twig.pattern.iter_nodes()
-                           if len(n.children) > 1)
+            branches = sum(1 for shape in plan.children if len(shape) > 1)
             if branches:
                 estimate *= TWIG_CORRECTION ** branches
         return max(estimate, 0.0)
 
     def _estimate_gets(self, pattern: TreePattern,
                        strategy_name: str) -> int:
+        plan = pattern_plan(pattern, include_words=True)
         if strategy_name == "LU":
-            return len(pattern_lookup_keys(pattern, include_words=True))
+            return len(plan.lookup_keys)
         if strategy_name == "LUP":
-            return len(pattern_query_paths(pattern, include_words=True))
-        twig_keys = len(expand_pattern_for_twig(
-            pattern, include_words=True).unique_keys())
+            return len(plan.paths)
         if strategy_name == "LUI":
-            return twig_keys
-        return twig_keys + len(pattern_query_paths(pattern,
-                                                   include_words=True))
+            return len(plan.twig_keys)
+        return len(plan.twig_keys) + len(plan.paths)
 
     # -- cost estimation -----------------------------------------------------
 

@@ -50,9 +50,15 @@ class EvalRow:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized row size, used for ``|r(q)|`` accounting."""
-        return sum(len(p.encode("utf-8")) for p in self.projections) + \
-            sum(len(v.encode("utf-8")) for _, v in self.variables)
+        """Serialized row size, used for ``|r(q)|`` accounting (computed
+        on first use, kept out of the fields: the row is frozen)."""
+        try:
+            return self._size_bytes
+        except AttributeError:
+            size = sum(len(p.encode("utf-8")) for p in self.projections) \
+                + sum(len(v.encode("utf-8")) for _, v in self.variables)
+            object.__setattr__(self, "_size_bytes", size)
+            return size
 
 
 def _node_value(node: MatchedNode) -> str:

@@ -21,6 +21,9 @@ Common machinery:
   matched against the word key's ID stream (§5.3);
 - range predicates contribute nothing to any look-up (§5.5: evaluated
   after the index narrows the document set).
+
+:func:`pattern_plan` compiles them once per parsed pattern into the
+:class:`PatternPlan` every planner (and the advisor) reads.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
-from repro.engine.columnar import flatten_twig, twig_exists
+from repro.engine.columnar import TwigShape, flatten_twig, twig_exists
 from repro.engine.operators import HashIntersect, PlanStats, SemiJoin
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key)
@@ -176,6 +180,63 @@ def _clone_for_twig(node: PatternNode, keys: Dict[int, str],
     return copy
 
 
+# -- compiled plans ----------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class PatternPlan:
+    """What a look-up derives from its pattern alone, compiled once: LU
+    keys; LUP paths, their distinct last keys, a matcher per path (a
+    bounded memo of its regex's ``match``) and the structural prefix's
+    of a path ending in a word or value step (the advisor's); the twig's
+    keys, shape and per-node keys; and the ``IndexCache.answer``
+    questions.  It reads no data, so nothing written makes it stale."""
+
+    lookup_keys: Tuple[str, ...]
+    paths: Tuple[QueryPath, ...]
+    path_keys: Tuple[str, ...]
+    matchers: Tuple[Callable[[str], Any], ...]
+    prefix_matchers: Tuple[Optional[Callable[[str], Any]], ...]
+    twig_keys: Tuple[str, ...]
+    children: TwigShape
+    node_keys: Tuple[str, ...]
+    lu_question: tuple
+    lup_question: tuple
+    twig_question: tuple
+
+    @classmethod
+    def compile(cls, pattern: TreePattern,
+                include_words: bool) -> "PatternPlan":
+        """Run every derivation of ``pattern`` once."""
+        keys = tuple(pattern_lookup_keys(pattern, include_words))
+        paths = tuple(pattern_query_paths(pattern, include_words))
+        twig = expand_pattern_for_twig(pattern, include_words)
+        nodes, children = flatten_twig(twig.pattern)
+        node_keys = tuple(twig.keys[id(node)] for node in nodes)
+        return cls(
+            keys, paths, tuple(dict.fromkeys(p[-1][1] for p in paths)),
+            tuple(map(_matcher, paths)),
+            tuple(_matcher(p[:-1]) if len(p) > 1 and (
+                p[-1][1].startswith(WORD_PREFIX) or " " in p[-1][1])
+                else None for p in paths),
+            tuple(twig.unique_keys()), children, node_keys, ("LU", keys),
+            ("LUP", paths), ("twig", node_keys, children))
+
+
+def _matcher(path: QueryPath) -> Callable[[str], Any]:
+    return lru_cache(maxsize=4096)(query_path_regex(path).match)
+
+
+def pattern_plan(pattern: TreePattern, include_words: bool) -> PatternPlan:
+    """``pattern``'s plan, compiled on first use and kept on it (a
+    parsed pattern is never mutated)."""
+    plans = pattern.__dict__.setdefault("_plans", {})
+    plan = plans.get(include_words)
+    if plan is None:
+        plan = plans[include_words] = PatternPlan.compile(
+            pattern, include_words)
+    return plan
+
+
 # -- outcomes ----------------------------------------------------------------------
 
 
@@ -305,7 +366,8 @@ class LULookup(BaseLookup):
     def lookup_pattern(self, pattern: TreePattern,
                        ) -> Generator[Any, Any, LookupOutcome]:
         """URIs of documents possibly matching ``pattern``."""
-        keys = pattern_lookup_keys(pattern, self.include_words)
+        plan = pattern_plan(pattern, self.include_words)
+        keys = plan.lookup_keys
         data, gets = yield from self._store.read_keys(
             self._table, keys, "presence")
         stats = PlanStats()
@@ -314,7 +376,7 @@ class LULookup(BaseLookup):
             uri_sets = [sorted(data.get(key, {})) for key in keys]
             return tuple(sorted(HashIntersect(stats).execute(uri_sets)))
 
-        uris = self._once(self._table, keys, gets, ("LU", tuple(keys)),
+        uris = self._once(self._table, keys, gets, plan.lu_question,
                           stats, intersect)
         return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
@@ -341,9 +403,9 @@ class LUPLookup(BaseLookup):
         plain stores are read key by key in first-seen order — the
         seed's exact request sequence when no key repeats.
         """
-        paths = pattern_query_paths(pattern, self.include_words)
+        plan = pattern_plan(pattern, self.include_words)
         stats = PlanStats()
-        unique_keys = list(dict.fromkeys(path[-1][1] for path in paths))
+        unique_keys = plan.path_keys
         gets = 0
         if getattr(self._store, "coalesce_reads", False):
             data, gets = yield from self._store.read_keys(
@@ -360,13 +422,10 @@ class LUPLookup(BaseLookup):
             ordered = {key: sorted(payloads)
                        for key, payloads in data.items()}
             per_path_uris: List[List[str]] = []
-            for path in paths:
+            for path, matches in zip(plan.paths, plan.matchers):
                 payloads = data.get(path[-1][1], {})
-                # Data paths repeat from document to document: one
-                # verdict per distinct string and look-up (a match
-                # object is truthy).
-                matches = lru_cache(maxsize=None)(
-                    query_path_regex(path).match)
+                # The plan's matcher keeps one verdict per distinct
+                # data path, across look-ups (a match object is truthy).
                 matching: List[str] = []
                 for uri in ordered.get(path[-1][1], ()):
                     data_paths = payloads[uri] or ()
@@ -377,10 +436,10 @@ class LUPLookup(BaseLookup):
             return tuple(sorted(HashIntersect(stats).execute(per_path_uris)))
 
         uris = self._once(self._table, unique_keys, gets,
-                          ("LUP", tuple(paths)), stats, filter_paths)
+                          plan.lup_question, stats, filter_paths)
         return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
-                             keys_looked_up=len(paths))
+                             keys_looked_up=len(plan.paths))
 
 
 class LUILookup(BaseLookup):
@@ -399,20 +458,17 @@ class LUILookup(BaseLookup):
     def lookup_pattern(self, pattern: TreePattern,
                        ) -> Generator[Any, Any, LookupOutcome]:
         """URIs of documents possibly matching ``pattern``."""
-        twig = expand_pattern_for_twig(pattern, self.include_words)
-        outcome = yield from self._twig_lookup(twig, reduce_to=None)
+        outcome = yield from self._twig_lookup(
+            pattern_plan(pattern, self.include_words), reduce_to=None)
         return outcome
 
-    def _twig_lookup(self, twig: ExpandedTwig,
+    def _twig_lookup(self, plan: PatternPlan,
                      reduce_to: Optional[Sequence[str]],
                      extra_stats: Optional[PlanStats] = None,
                      extra_gets: int = 0,
                      ) -> Generator[Any, Any, LookupOutcome]:
-        keys = twig.unique_keys()
-        # One flattened twig per look-up; a candidate only binds its
-        # streams to the twig's positions.
-        nodes, children = flatten_twig(twig.pattern)
-        node_keys = tuple(twig.keys[id(node)] for node in nodes)
+        keys, children, node_keys = (plan.twig_keys, plan.children,
+                                     plan.node_keys)
 
         def join(stats: PlanStats) -> Tuple[Tuple[str, ...], int]:
             """Matched URIs and candidate count over ``data``, read below."""
@@ -456,8 +512,9 @@ class LUILookup(BaseLookup):
             stats = extra_stats or PlanStats()
             matched, candidates = self._once(
                 self._table, keys, gets,
-                ("twig", node_keys, children, self.assume_sorted,
-                 None if reduce_to is None else tuple(reduce_to)),
+                plan.twig_question + (
+                    self.assume_sorted,
+                    None if reduce_to is None else tuple(reduce_to)),
                 stats, join)
             twig_span.attributes["candidates"] = candidates
         return LookupOutcome(uris=list(matched), index_gets=gets + extra_gets,
@@ -483,11 +540,11 @@ class TwoLUPILookup(LUILookup):
         with self.tracer.span("lup-prefilter") as span:
             first = yield from self._lup.lookup_pattern(pattern)
             span.attributes["documents"] = first.document_count
-        twig = expand_pattern_for_twig(pattern, self.include_words)
         stats = PlanStats()
         stats.charge("lup-phase", first.rows_processed)
         reduce_to = first.uris if self.reduction_enabled else None
         outcome = yield from self._twig_lookup(
-            twig, reduce_to=reduce_to, extra_stats=stats,
+            pattern_plan(pattern, self.include_words),
+            reduce_to=reduce_to, extra_stats=stats,
             extra_gets=first.index_gets)
         return outcome

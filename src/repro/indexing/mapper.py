@@ -334,17 +334,21 @@ class DynamoIndexStore(IndexStore):
         blobs: Dict[str, List[bytes]] = {}
         for item in items:
             for raw_uri, values in item.attributes.items():
-                if raw_uri.startswith(META_ATTR_PREFIX):
+                if "#" not in raw_uri:
+                    base_uri = raw_uri
+                elif raw_uri.startswith(META_ATTR_PREFIX):
                     continue  # bookkeeping (checksums), not a URI
-                base_uri = raw_uri.split("#", 1)[0]
+                else:
+                    base_uri = raw_uri.split("#", 1)[0]
                 if kind == "presence":
                     merged[base_uri] = None
                 elif kind == "paths":
-                    existing = list(merged.get(base_uri, ()))
-                    for value in values:
-                        if value not in existing:
-                            existing.append(value)
-                    merged[base_uri] = tuple(existing)
+                    # A URI's first sighting with distinct paths is
+                    # already merged: stored as is.
+                    existing = merged.get(base_uri)
+                    merged[base_uri] = values if existing is None and len(
+                        set(values)) == len(values) else tuple(
+                        dict.fromkeys((*(existing or ()), *values)))
                 else:  # ids
                     blobs.setdefault(base_uri, []).extend(values)
         # The single-blob common case stays *encoded*: the block reads

@@ -136,6 +136,7 @@ class ServingRuntime:
                 DOCUMENT_BUCKET, RESULTS_BUCKET,
                 warehouse._all_uris, stats_sink,
                 parsed_documents=warehouse._parse_cache,
+                parsed_queries=warehouse._parsed_queries,
                 degraded_lookup=(degraded_factory(tracer)
                                  if degraded_factory is not None else None))
         return factory
@@ -505,8 +506,12 @@ class ServingRuntime:
             estimator_breakdown.accumulate(price)
         costs = partition_costs(trace, tagged) \
             if self.tenancy is not None else {}
-        # Every span of this serve opened after ``mark``.
-        inclusive = inclusive_costs(trace, priced)
+        # The slots the report reads — the serve span's and each query
+        # span's — all of spans opened after ``mark``.
+        serve_span_id = serve_span.span_id
+        inclusive = inclusive_costs(
+            trace, priced,
+            {serve_span_id} | {work.span_id for work in stats_sink.values()})
 
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \
@@ -520,7 +525,6 @@ class ServingRuntime:
             * ondemand_hours
         ec2_cost = ondemand_ec2 + spot_ec2
 
-        serve_span_id = serve_span.span_id
         span_breakdown = inclusive.get(serve_span_id)
         request_cost = (span_breakdown.total
                         if span_breakdown is not None else 0.0)

@@ -23,7 +23,7 @@ the lazy imports keep that cycle from biting at import time.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Collection, Dict, Optional, Tuple
 
 from repro.telemetry.spans import Tracer
 
@@ -61,31 +61,49 @@ def span_direct_costs(tracer: Tracer, meter: Any,
     return out
 
 
-def span_inclusive_costs(tracer: Tracer, meter: Any,
-                         book: Any) -> Dict[int, Any]:
+def span_inclusive_costs(tracer: Tracer, meter: Any, book: Any,
+                         only: Optional[Collection[int]] = None,
+                         ) -> Dict[int, Any]:
     """Request cost per span id including the span's whole subtree.
 
     Over a meter suffix (``meter.since(mark)``) every span opened after
     the mark gets its whole-meter slot bit for bit — it owns only later
     records, folded in the same order; slot 0 and the slots of spans
-    opened before the mark are partial.
+    opened before the mark are partial.  ``only`` keeps just those slots.
     """
     from repro.costs.estimator import price_records
 
-    return inclusive_costs(tracer, price_records(meter, book))
+    return inclusive_costs(tracer, price_records(meter, book), only)
 
 
-def inclusive_costs(tracer: Tracer, priced: Any) -> Dict[int, Any]:
+def inclusive_costs(tracer: Tracer, priced: Any,
+                    only: Optional[Collection[int]] = None,
+                    ) -> Dict[int, Any]:
     """:func:`span_inclusive_costs` over ``(record, price)`` pairs.  The
-    prices become slots of the result: fold them elsewhere *first*."""
+    prices become slots of the result: fold them elsewhere *first*.
+    With ``only`` just those slots are folded, each still the left fold
+    of its records in meter order: bit for bit the whole tree's slot."""
     out: Dict[int, Any] = {}
-    chains: Dict[int, Tuple[int, ...]] = {0: (0,)}
+    chains: Dict[int, Tuple[int, ...]] = {
+        0: (0,) if only is None or 0 in only else ()}
     for record, price in priced:
         span_id = getattr(record, "span_id", 0)
         targets = chains.get(span_id)
         if targets is None:
-            targets = chains[span_id] = \
-                tuple(tracer.ancestor_ids(span_id)) or (0,)  # unresolvable
+            # Walk up to the first memoised span; memoise each span
+            # passed, its chain keeping the ids in ``only``.
+            walked, targets = [], ()
+            for ancestor_id in tracer.ancestor_ids(span_id):
+                if ancestor_id in chains:
+                    targets = chains[ancestor_id]
+                    break
+                walked.append(ancestor_id)
+            for ancestor_id in reversed(walked):
+                if only is None or ancestor_id in only:
+                    targets = (ancestor_id,) + targets
+                chains[ancestor_id] = targets
+            if not walked:  # unresolvable
+                targets = chains[span_id] = chains[0]
         spare = price  # the record's first new slot keeps ``price``
         for target in targets:
             slot = out.get(target)

@@ -82,13 +82,20 @@ def tenant_of_span(tracer: Any, span_id: int,
     """The owning tenant of a span: nearest ancestor's ``tenant`` attr.
 
     Records emitted outside any tenant-labelled span (span id 0, or an
-    ancestry with no ``tenant`` attribute) belong to ``shared``.
+    ancestry with no ``tenant`` attribute) belong to ``shared``.  With a
+    ``cache``, the walk up stops at the first cached span and caches
+    every span it passed.
     """
     if cache is not None and span_id in cache:
         return cache[span_id]
     tenant = SHARED_TENANT
+    walked = []
     if span_id:
         for ancestor_id in tracer.ancestor_ids(span_id):
+            if cache is not None and ancestor_id in cache:
+                tenant = cache[ancestor_id]
+                break
+            walked.append(ancestor_id)
             span = tracer.get(ancestor_id)
             if span is None:
                 break
@@ -97,6 +104,7 @@ def tenant_of_span(tracer: Any, span_id: int,
                 tenant = str(owner)
                 break
     if cache is not None:
+        cache.update(dict.fromkeys(walked, tenant))
         cache[span_id] = tenant
     return tenant
 
@@ -121,11 +129,12 @@ def partition_costs(tracer: Any, priced: Any) -> Dict[str, Any]:
     from repro.costs.estimator import CostBreakdown
 
     buckets: Dict[int, Any] = {}  # span id -> its tenant's bucket
+    owners: Dict[int, str] = {}
     out: Dict[str, Any] = {}
     for record, price in priced:
         bucket = buckets.get(record.span_id)
         if bucket is None:
-            tenant = tenant_of_span(tracer, record.span_id)
+            tenant = tenant_of_span(tracer, record.span_id, owners)
             bucket = out.get(tenant)
             if bucket is None:
                 bucket = out[tenant] = CostBreakdown()

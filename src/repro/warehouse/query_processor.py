@@ -47,9 +47,9 @@ OUTAGE_RETRY_S = 1.0
 #: document; the oldest is dropped first.
 EVAL_MEMO_PER_DOCUMENT = 64
 
-#: Most distinct (text, name) requests a worker keeps parsed (nothing
+#: Most distinct (text, name) requests a warehouse keeps parsed (nothing
 #: downstream mutates a parsed Query); the oldest is dropped first.
-PARSED_QUERIES_PER_WORKER = 64
+PARSED_QUERIES_PER_WAREHOUSE = 64
 
 
 @dataclass
@@ -107,6 +107,7 @@ class QueryWorker:
                  lookup: Optional[BaseLookup], document_bucket: str,
                  results_bucket: str, all_uris: Sequence[str],
                  stats_sink: Dict[int, QueryWorkStats],
+                 parsed_queries: Dict[tuple, Any],
                  parsed_documents: Optional[Dict[str, Any]] = None,
                  degraded_lookup: Optional[BaseLookup] = None) -> None:
         """``parsed_documents`` is a parse cache (uri -> Document) shared
@@ -116,7 +117,9 @@ class QueryWorker:
         the dict shares the memo and replacing or popping an entry (the
         warehouse does, on every corpus mutation) invalidates both.  With
         ``None`` the dict is private, never invalidated, and dies, memos
-        and all, with the worker."""
+        and all, with the worker.  ``parsed_queries`` ((text, name) ->
+        Query) is the owner's parsed-query table; a parsed query depends
+        on no data, so nothing invalidates it."""
         self._cloud = cloud
         self._instance = instance
         self._lookup = lookup
@@ -126,7 +129,7 @@ class QueryWorker:
         self._stats_sink = stats_sink
         self._parsed_documents = parsed_documents if parsed_documents \
             is not None else {}
-        self._parsed_queries: Dict[tuple, Any] = {}
+        self._parsed_queries = parsed_queries
         #: Alternative look-up used for requests flagged ``degraded``
         #: by admission control (typically a DegradingLookup over the
         #: 2LUPI → LU → scan ladder).
@@ -230,7 +233,7 @@ class QueryWorker:
         parsed = self._parsed_queries
         query = parsed.get((request.text, request.name))
         if query is None:
-            if len(parsed) >= PARSED_QUERIES_PER_WORKER:
+            if len(parsed) >= PARSED_QUERIES_PER_WAREHOUSE:
                 del parsed[next(iter(parsed))]  # oldest entry
             query = parsed[request.text, request.name] = parse_query(
                 request.text, name=request.name)

@@ -314,6 +314,9 @@ class Warehouse:
         #: Shared host-side parse cache for query workers (see
         #: QueryWorker.parsed_documents: simulated CPU is unaffected).
         self._parse_cache: Dict[str, Any] = {}
+        #: Shared host-side (text, name) -> Query memo of query workers
+        #: (see QueryWorker.parsed_queries; bounded, never invalidated).
+        self._parsed_queries: Dict[tuple, Any] = {}
         #: Per index name, its latest run's coordinator, which holds the
         #: run's store (and its written forms) for :meth:`commit_build`.
         self._coordinators: Dict[str, Any] = {}
@@ -838,7 +841,8 @@ class Warehouse:
                                if index else None,
                                DOCUMENT_BUCKET, RESULTS_BUCKET,
                                self._all_uris, stats_sink,
-                               parsed_documents=self._parse_cache)
+                               parsed_documents=self._parse_cache,
+                               parsed_queries=self._parsed_queries)
                    for instance in fleet]
 
         submitted: Dict[int, float] = {}
@@ -895,11 +899,14 @@ class Warehouse:
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
 
-        # Price every span subtree of this workload once; each execution
-        # then picks its own query span's rollup out of the map.
+        # Price the workload's records once, into the slots the report
+        # reads: the workload span's and each query span's.
         trace = self.telemetry.tracer
+        workload_span_id = workload_span.span_id
         inclusive = span_inclusive_costs(
-            trace, self.cloud.meter.since(mark), self.cloud.price_book)
+            trace, self.cloud.meter.since(mark), self.cloud.price_book,
+            {workload_span_id}
+            | {work.span_id for work in stats_sink.values()})
 
         executions: List[QueryExecution] = []
         for query_id in sorted(submitted):
@@ -936,7 +943,6 @@ class Warehouse:
             ))
         makespan = (max(fetched.values()) - min(submitted.values())
                     if fetched else 0.0)
-        workload_span_id = workload_span.span_id
         return WorkloadReport(executions=executions,
                               strategy_name=strategy_name,
                               instance_type=instance_type,
@@ -1122,6 +1128,6 @@ class Warehouse:
         from repro.costs.estimator import phase_cost
         report.span_cost = span_inclusive_costs(
             self.telemetry.tracer, self.cloud.meter.since(mark),
-            self.cloud.price_book).get(report.span_id)
+            self.cloud.price_book, {report.span_id}).get(report.span_id)
         report.estimator_cost = phase_cost(self.cloud.meter,
                                            self.cloud.price_book, tag)

@@ -11,16 +11,18 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.mutations.fold_oracle import reference_merge_items
 from tests.properties.strategies import sorted_node_ids
 
 from repro.cloud import CloudProvider
-from repro.cloud.dynamodb import attribute_size
+from repro.cloud.dynamodb import DynamoItem, attribute_size
 from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
                                       canonical_item_bytes, item_checksum,
                                       key_prefix, range_key_of)
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import (DynamoIndexStore, SimpleDBIndexStore,
                                    batch_entries_hash, stored_postings)
+from repro.xmldb.encoding import encode_ids
 from repro.xmldb.ids import NodeID
 
 keys = st.sampled_from(["ea", "eb", "aid", "wgold", "ename"])
@@ -228,3 +230,48 @@ def test_postings_pack_and_hash_like_their_entries(small, big, mode):
                     b"t\x00" + canonical_item_bytes(
                         posting.key, {posting.uri: posting.values})
                     for posting in postings]))
+
+
+@st.composite
+def stored_items(draw):
+    """One key's items as a store may hold them: mostly one merged-form
+    attribute per URI, sometimes a split (``uri#n``), a URI repeated
+    across items, two blobs, repeated paths or a checksum attribute."""
+    kind = draw(st.sampled_from(["presence", "paths", "ids"]))
+    items = []
+    for serial in range(draw(st.integers(min_value=1, max_value=3))):
+        attributes = {}
+        for uri in draw(st.lists(uris, max_size=3, unique=True)):
+            if draw(st.integers(0, 5)) == 0:
+                uri += "#{}".format(draw(st.integers(0, 2)))
+            if kind == "presence":
+                values = ()
+            elif kind == "paths":
+                values = tuple(draw(paths))
+                if draw(st.integers(0, 5)) == 0:
+                    values += values[:1]
+            else:  # one node per ``pre``, as in a document
+                values = tuple(
+                    encode_ids([NodeID(pre, 2 * pre, 1 + pre % 5)
+                                for pre in sorted(draw(st.lists(
+                                    st.integers(1, 40), max_size=6,
+                                    unique=True)))])
+                    for _ in range(draw(st.sampled_from([1, 1, 1, 1, 2]))))
+            attributes[uri] = values
+        if draw(st.booleans()):
+            attributes[CHECKSUM_ATTR] = ("c",)
+        items.append(DynamoItem("ea", str(serial), attributes))
+    return kind, items
+
+
+@given(stored_items())
+@settings(max_examples=200, deadline=None)
+def test_merge_items_equals_the_reference_merge(case):
+    """Split or not, a key's items decode to the row read path's
+    reference payloads, in the same URI order."""
+    kind, items = case
+    merged = DynamoIndexStore._merge_items(items, kind)
+    reference = reference_merge_items(items, kind)
+    assert list(merged) == list(reference)
+    for uri, payload in merged.items():
+        assert payload == reference[uri], uri

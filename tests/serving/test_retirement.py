@@ -46,7 +46,7 @@ def _worker_fleet(warehouse, index, stats_sink):
     return Fleet(cloud, "xl", lambda instance: QueryWorker(
         cloud, instance, index.make_lookup(cloud.telemetry.tracer),
         DOCUMENT_BUCKET,
-        RESULTS_BUCKET, uris, stats_sink))
+        RESULTS_BUCKET, uris, stats_sink, {}))
 
 
 def test_heartbeats_keep_a_slow_query_leased():

@@ -37,13 +37,13 @@ def test_crashed_query_worker_is_taken_over(deployed):
                           DOCUMENT_BUCKET,
                           RESULTS_BUCKET,
                           [d.uri for d in warehouse.corpus.documents],
-                          stats_sink)
+                          stats_sink, {})
     survivor = QueryWorker(cloud, cloud.ec2.launch("l"),
                            index.make_lookup(cloud.telemetry.tracer),
                            DOCUMENT_BUCKET,
                            RESULTS_BUCKET,
                            [d.uri for d in warehouse.corpus.documents],
-                           stats_sink)
+                           stats_sink, {})
     query = workload_query("q2")
 
     def driver():

@@ -85,11 +85,16 @@ def test_index_gets_counted_per_query(warehouse, lui_index):
     assert execution.index_gets == 4
 
 
-@pytest.mark.parametrize("strategy", ["LU", "LUP", "LUI", "2LUPI"])
+STRATEGIES = ["LU", "LUP", "LUI", "2LUPI"]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_worker_parses_each_query_once_and_never_mutates_it(
-        warehouse, monkeypatch, strategy):
-    """Thirty requests over ten texts cost one worker ten parses — safe
-    to share because processing leaves a parsed Query as it was."""
+        monkeypatch, strategy):
+    """Thirty requests over ten texts in one call, then ten more through
+    single-query calls on another strategy, cost the warehouse ten
+    parses — safe to share across workers because processing leaves a
+    parsed Query as it was."""
     from repro.query.parser import query_to_source
     from repro.query.workload import workload
     from repro.warehouse import query_processor
@@ -102,16 +107,24 @@ def test_a_worker_parses_each_query_once_and_never_mutates_it(
         return query
 
     monkeypatch.setattr(query_processor, "parse_query", recording_parse)
+    warehouse = Warehouse()
+    warehouse.upload_corpus(generate_corpus(ScaleProfile(documents=40,
+                                                         seed=31)))
     index = warehouse.build_index(strategy, config={"loaders": 2})
     report = warehouse.run_workload(workload(), index,
                                     config={"workers": 1}, repeats=3)
-    assert len(report.executions) == 30
+    other = warehouse.build_index(
+        STRATEGIES[(STRATEGIES.index(strategy) + 1) % len(STRATEGIES)],
+        config={"loaders": 2})
+    executions = report.executions + [
+        warehouse.run_query(query, other) for query in workload()]
+    assert len(executions) == 40
     assert [query.name for query, _ in parsed] == [
         query.name for query in workload()]
     for query, source in parsed:
         assert query_to_source(query) == source, query.name
     by_name = {}
-    for execution in report.executions:
+    for execution in executions:
         by_name.setdefault(execution.name, set()).add(execution.result_rows)
     for query in workload():
         assert by_name[query.name] == {
@@ -119,17 +132,23 @@ def test_a_worker_parses_each_query_once_and_never_mutates_it(
 
 
 def test_the_parsed_query_table_is_bounded(warehouse, lui_index, monkeypatch):
+    """One FIFO table per warehouse, shared by every call's workers."""
     from repro.warehouse import query_processor
-    monkeypatch.setattr(query_processor, "PARSED_QUERIES_PER_WORKER", 2)
+    monkeypatch.setattr(query_processor, "PARSED_QUERIES_PER_WAREHOUSE", 2)
+    monkeypatch.setattr(warehouse, "_parsed_queries", {})
     parses = []
     monkeypatch.setattr(
         query_processor, "parse_query",
         lambda text, name="": parses.append(name) or parse_query(
             text, name=name))
-    queries = [workload_query(name) for name in ("q1", "q2", "q1", "q6",
-                                                 "q6", "q1")]
-    report = warehouse.run_workload(queries, lui_index,
-                                    config={"workers": 1})
+    names = ("q1", "q2", "q1", "q6", "q6", "q1")
+    report = warehouse.run_workload([workload_query(name) for name in names],
+                                    lui_index, config={"workers": 1})
     assert len(report.executions) == 6
     # q1 is parsed again once q2 and q6 have pushed it out.
     assert parses == ["q1", "q2", "q6", "q1"]
+    # Later calls read the same table, which holds q6 and q1: q1 hits,
+    # then q2, q6 and q1 each push the oldest entry out.
+    for name in names:
+        warehouse.run_query(workload_query(name), lui_index)
+    assert parses == ["q1", "q2", "q6", "q1", "q2", "q6", "q1"]

@@ -41,7 +41,7 @@ def reads(monkeypatch):
         "asked": [],        # (query name, pattern index, uri) per request
         "evaluated": [],    # (pattern text, uri) per evaluate_pattern call
         "workers": set(),   # workers that processed a query
-        "twig_lookups": 0, "flattened": 0, "joins_built": 0,
+        "twig_lookups": [], "flattened": 0, "joins_built": 0,
         "matched": [],      # (regex serial, data path) per regex.match
         "path_rows": 0,     # path-filter rows charged
     }
@@ -73,8 +73,8 @@ def reads(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    def count_twig_lookup(*_args, **_kwargs):
-        seen["twig_lookups"] += 1
+    def count_twig_lookup(_self, plan, *_args, **_kwargs):
+        seen["twig_lookups"].append(plan)  # held: ids stay distinct
 
     monkeypatch.setattr(
         lookup_plans.LUILookup, "_twig_lookup", _generator_wrapper(
@@ -133,8 +133,11 @@ def test_serve_evaluates_each_query_pattern_document_once(reads):
 
 
 def test_serve_flattens_one_twig_per_lookup(reads):
+    """Once per distinct pattern: the fleet shares the warehouse's
+    parsed queries, and each pattern keeps its compiled plan."""
     _two_tenant_serve()
-    assert reads["flattened"] == reads["twig_lookups"] > 0
+    plans = {id(plan) for plan in reads["twig_lookups"]}
+    assert reads["flattened"] == len(plans) < len(reads["twig_lookups"])
     assert reads["joins_built"] == 0  # no join object per candidate
 
 
