@@ -85,11 +85,6 @@ class Instance:
         finally:
             self._cores.release()
 
-    @property
-    def cores_in_use(self) -> int:
-        """How many cores are busy right now."""
-        return self._cores.in_use
-
     def __repr__(self) -> str:
         return "<Instance {} type={} {}>".format(
             self.instance_id, self.itype.name,
@@ -165,7 +160,3 @@ class EC2:
         if type_name is not None:
             out = [i for i in out if i.itype.name == type_name]
         return out
-
-    def total_uptime_hours(self, type_name: Optional[str] = None) -> float:
-        """Sum of fractional uptime hours across instances."""
-        return sum(i.uptime_hours for i in self.instances(type_name))

@@ -32,7 +32,7 @@ from repro.cloud.dynamodb import DynamoItem
 from repro.cloud.provider import CloudProvider
 from repro.errors import BuildStateError
 from repro.indexing.base import IndexingStrategy
-from repro.indexing.checksums import (META_ATTR_PREFIX, batch_content_hash,
+from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
                                       canonical_item_bytes)
 from repro.warehouse.messages import LOADER_QUEUE, BatchLoadRequest
 
@@ -64,17 +64,13 @@ def partition_batches(name: str, epoch: int, uris: List[str],
 def coverage_of_items(items: List[DynamoItem]) -> Dict[str, List[str]]:
     """Index coverage of a table scan: key → sorted document URIs.
 
-    Bookkeeping attributes are skipped and split-item URI suffixes
-    (``uri#chunk``) are folded back onto their base URI, mirroring how
-    reads merge items.
+    Every attribute name but the checksum is a whole URI, as reads
+    take it.
     """
     coverage: Dict[str, set] = {}
     for item in items:
-        uris = coverage.setdefault(item.hash_key, set())
-        for raw_uri in item.attributes:
-            if raw_uri.startswith(META_ATTR_PREFIX):
-                continue
-            uris.add(raw_uri.split("#", 1)[0])
+        coverage.setdefault(item.hash_key, set()).update(
+            name for name in item.attributes if name != CHECKSUM_ATTR)
     return {key: sorted(uris) for key, uris in sorted(coverage.items())}
 
 
@@ -282,13 +278,3 @@ class BuildCoordinator:
         committed = yield from self.manifest.commit(record, expected_epoch)
         yield from self.manifest.clear_pending(self.plan.name)
         return committed
-
-    # -- inventories (shared with the scrubber) ----------------------------
-
-    def load_inventory(self, logical: str,
-                       ) -> Generator[Any, Any, Dict[str, List[str]]]:
-        """Read one table's committed inventory back from S3."""
-        data = yield from self._cloud.resilient.s3.get(
-            META_BUCKET,
-            inventory_key(self.plan.name, self.plan.epoch, logical))
-        return json.loads(data.decode("utf-8"))

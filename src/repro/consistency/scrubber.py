@@ -33,8 +33,7 @@ from repro.consistency.build import (META_BUCKET, coverage_of_items,
                                      inventory_key)
 from repro.errors import EncodingError, NoSuchKey, NoSuchTable
 from repro.indexing.base import IndexingStrategy
-from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
-                                      item_checksum)
+from repro.indexing.checksums import CHECKSUM_ATTR, item_checksum
 from repro.xmldb.encoding import decode_ids
 
 #: Cap on per-problem detail strings kept in a report.
@@ -123,7 +122,7 @@ class Scrubber:
         if self._strategy.table_kind(logical) != "ids":
             return True
         for name, values in item.attributes.items():
-            if name.startswith(META_ATTR_PREFIX):
+            if name == CHECKSUM_ATTR:
                 continue
             for blob in values:
                 try:

@@ -22,7 +22,7 @@ from repro.cloud.provider import CloudProvider
 from repro.errors import ConfigError
 from repro.faults.plan import (KIND_CORRUPT_ITEM, KIND_DROP_PARTITION,
                                DamageSpec)
-from repro.indexing.checksums import META_ATTR_PREFIX
+from repro.indexing.checksums import CHECKSUM_ATTR
 
 
 class CorruptionMonkey:
@@ -78,8 +78,7 @@ class CorruptionMonkey:
             # checksum stamp — silent corruption of the guard itself.
             payload_attrs = sorted(
                 name for name, values in item.attributes.items()
-                if not name.startswith(META_ATTR_PREFIX)
-                and values and values[0])
+                if name != CHECKSUM_ATTR and values and values[0])
             if not payload_attrs:
                 payload_attrs = sorted(
                     name for name, values in item.attributes.items()

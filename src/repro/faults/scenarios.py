@@ -40,6 +40,8 @@ from repro.config import ScaleProfile
 from repro.costs.estimator import CostBreakdown, _price_requests
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
+from repro.indexing.checksums import CHECKSUM_ATTR
+from repro.indexing.mapper import simpledb_item_key
 from repro.query.workload import workload_query
 from repro.telemetry.registry import counter_dict
 from repro.warehouse.warehouse import RESULTS_BUCKET, Warehouse
@@ -228,7 +230,7 @@ def index_snapshot(warehouse: Warehouse, built) -> IndexSnapshot:
 
     Redelivered loader batches change the physical story — fresh UUID
     range keys, re-packed items, duplicate chunks — but never the
-    logical one.  Flattening each table to ``key → base URI → set of
+    logical one.  Flattening each table to ``key → URI → set of
     payload values`` makes the exactly-once claim a dict equality.
     """
     cloud = warehouse.cloud
@@ -239,15 +241,12 @@ def index_snapshot(warehouse: Warehouse, built) -> IndexSnapshot:
         if built.store.backend_name == "dynamodb":
             for item in cloud.dynamodb.table(physical).all_items():
                 per_key = flat.setdefault(item.hash_key, {})
-                for raw_uri, values in item.attributes.items():
-                    if raw_uri.startswith("#"):
-                        continue  # bookkeeping attrs (e.g. checksums)
-                    base_uri = raw_uri.split("#", 1)[0]
-                    per_key.setdefault(base_uri, set()).update(values)
+                for uri, values in item.attributes.items():
+                    if uri != CHECKSUM_ATTR:
+                        per_key.setdefault(uri, set()).update(values)
         else:
             for item in cloud.simpledb.domain(physical).all_items():
-                key = item.name.split("#", 1)[0]
-                per_key = flat.setdefault(key, {})
+                per_key = flat.setdefault(simpledb_item_key(item.name), {})
                 for attr_uri, value in item.attributes:
                     per_key.setdefault(attr_uri, set()).add(value)
         snapshot[logical] = {

@@ -12,8 +12,9 @@ Two consumers, one canonical byte form:
 - the **batch ledger and scrubber** hash whole entry batches and verify
   stored items against their stamped checksums.
 
-Checksum attributes are named with a ``#`` prefix; readers treat any
-``#``-prefixed attribute as bookkeeping, never as a document URI.
+Every other attribute name of an index item is a whole document URI;
+the one bookkeeping name is :data:`CHECKSUM_ATTR`, which readers skip
+and the warehouse refuses as a URI.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ AttrValue = Union[str, bytes]
 #: Attribute carrying the item's CRC-32 (hex) over its canonical bytes.
 CHECKSUM_ATTR = "#crc"
 
-#: Prefix marking bookkeeping attributes that are not document URIs.
-META_ATTR_PREFIX = "#"
-
 
 def key_prefix(hash_key: str) -> bytes:
     """The canonical form's leading field (the length counts the key's
@@ -42,8 +40,8 @@ def attribute_piece(name: str, values: Sequence[AttrValue],
     """One attribute's *piece* of the canonical form, ``a<len>:<name>``
     then ``v<len>:<value>`` per value, and its billable bytes
     (:func:`repro.cloud.dynamodb.attribute_size`), both from one utf-8
-    encode per string.  A ``#``-prefixed bookkeeping attribute has an
-    empty piece: the form is stable under stamping the checksum.  The
+    encode per string.  The checksum attribute has an empty piece: the
+    form is stable under stamping it.  The
     piece is allocated once: one format for a single value (a path, an
     ID blob), one join for any other count."""
     encoded = name.encode()
@@ -58,7 +56,7 @@ def attribute_piece(name: str, values: Sequence[AttrValue],
         piece = b"".join([b"a%d:%b" % (len(encoded), encoded)]
                          + [b"v%d:%b" % (len(raw), raw) for raw in raws])
         size = len(encoded) + sum(map(len, raws))
-    return (b"" if name.startswith(META_ATTR_PREFIX) else piece), size
+    return (b"" if name == CHECKSUM_ATTR else piece), size
 
 
 def canonical_item_bytes(hash_key: str,
@@ -67,7 +65,7 @@ def canonical_item_bytes(hash_key: str,
     """Canonical byte form of an item's index content.
 
     The key prefix, then one :func:`attribute_piece` per attribute in
-    sorted name order (nothing for bookkeeping attributes), so the form
+    sorted name order (nothing for the checksum attribute), so the form
     is stable under dict ordering.  Length-prefixed fields keep the
     encoding injective (no concatenation ambiguity).
     """

@@ -10,17 +10,19 @@ using UUID instead of mapping each attribute name to a range key allows
 the system to reduce the number of items in the store for an index
 entry" — the alternative (one item per URI attribute, range key = URI)
 is kept as ``range_key_mode="attribute"`` for the ablation bench.
-Attribute names hold document URIs; attribute values hold the payload:
-nothing (LU), label paths (LUP), or a compact *binary* blob of encoded
-structural IDs (LUI) — the DynamoDB feature §8.4 credits for much of
-the improvement over [8].  Items are split when they would exceed the
-64 KB item limit.
+Attribute names are whole document URIs, bar the one bookkeeping name
+:data:`~repro.indexing.checksums.CHECKSUM_ATTR`; attribute values hold
+the payload: nothing (LU), label paths (LUP), or a compact *binary*
+blob of encoded structural IDs (LUI) — the DynamoDB feature §8.4
+credits for much of the improvement over [8].  Items are split when
+they would exceed the 64 KB item limit.
 
 SimpleDB mapping (the [8] baseline): domains have no range keys, so an
-entry shards over items named ``key#<uuid>``; attribute values are
-limited to 1 KB of *text*, so ID lists are stored in their textual form,
-chunked at whole-ID boundaries with an explicit sequence prefix (no
-binary blobs in SimpleDB).  Reads use a name-prefix select.
+entry shards over items named ``key#<uuid>`` (parsed back by
+:func:`simpledb_item_key`); attribute values are limited to 1 KB of
+*text*, so ID lists are stored in their textual form, chunked at
+whole-ID boundaries with an explicit sequence prefix (no binary blobs
+in SimpleDB).  Reads use a name-prefix select.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
-from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
-                                      checksum_of, item_checksum,
-                                      key_prefix, range_key_of, uuid4_text)
+from repro.indexing.checksums import (CHECKSUM_ATTR, checksum_of,
+                                      item_checksum, key_prefix,
+                                      range_key_of, uuid4_text)
 from repro.indexing.entries import Entries, IndexEntry, Posting
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
@@ -253,11 +255,16 @@ class DynamoIndexStore(IndexStore):
         chunks: List[Tuple[Any, ...]] = []
         if isinstance(values[0], bytes):
             # The one ID blob splits at whole IDs, so it is decoded.
+            # Varints grow with the values, so equal counts need not
+            # encode equal sizes: add chunks until every one fits.
             ids = decode_ids(values[0])
-            parts = value_bytes // _ITEM_BUDGET + 1
-            size = max(1, (len(ids) + parts - 1) // parts)
-            chunks = [(encode_ids(ids[start:start + size]),)
-                      for start in range(0, len(ids), size)]
+            parts = value_bytes // _ITEM_BUDGET
+            while not chunks or any(len(blob) > _ITEM_BUDGET
+                                    for blob, in chunks):
+                parts += 1
+                size = max(1, (len(ids) + parts - 1) // parts)
+                chunks = [(encode_ids(ids[start:start + size]),)
+                          for start in range(0, len(ids), size)]
         else:  # paths
             chunk: List[str] = []
             size = 0
@@ -333,31 +340,27 @@ class DynamoIndexStore(IndexStore):
         merged: Dict[str, Payload] = {}
         blobs: Dict[str, List[bytes]] = {}
         for item in items:
-            for raw_uri, values in item.attributes.items():
-                if "#" not in raw_uri:
-                    base_uri = raw_uri
-                elif raw_uri.startswith(META_ATTR_PREFIX):
-                    continue  # bookkeeping (checksums), not a URI
-                else:
-                    base_uri = raw_uri.split("#", 1)[0]
+            for uri, values in item.attributes.items():
+                if uri == CHECKSUM_ATTR:
+                    continue  # bookkeeping, not a URI
                 if kind == "presence":
-                    merged[base_uri] = None
+                    merged[uri] = None
                 elif kind == "paths":
                     # A URI's first sighting with distinct paths is
                     # already merged: stored as is.
-                    existing = merged.get(base_uri)
-                    merged[base_uri] = values if existing is None and len(
+                    existing = merged.get(uri)
+                    merged[uri] = values if existing is None and len(
                         set(values)) == len(values) else tuple(
                         dict.fromkeys((*(existing or ()), *values)))
                 else:  # ids
-                    blobs.setdefault(base_uri, []).extend(values)
+                    blobs.setdefault(uri, []).extend(values)
         # The single-blob common case stays *encoded*: the block reads
         # only the count varint here and decodes straight to columns if
         # the engine ever joins this URI.  Chunks of a split item and a
         # redelivered batch's duplicates are merged back to one sorted
         # list (see :meth:`IDBlock.from_encoded_chunks`).
-        for base_uri, uri_blobs in blobs.items():
-            merged[base_uri] = IDBlock.from_encoded_chunks(uri_blobs)
+        for uri, uri_blobs in blobs.items():
+            merged[uri] = IDBlock.from_encoded_chunks(uri_blobs)
         return merged
 
     @staticmethod
@@ -384,7 +387,7 @@ class DynamoIndexStore(IndexStore):
             merged = by_key.setdefault(key, {})
             held = {name: Posting(key, name, values)
                     for name, values in item.attributes.items()
-                    if not name.startswith(META_ATTR_PREFIX)}
+                    if name != CHECKSUM_ATTR}
             stamped = CHECKSUM_ATTR in item.attributes
             if stamped:
                 _check_stamp(physical_name, item,
@@ -395,8 +398,7 @@ class DynamoIndexStore(IndexStore):
                              len(values) < 2 or (
                                  kind == "paths"
                                  and len(set(values)) == len(values)))
-                if (not stamped or not is_merged or "#" in name
-                        or name in merged):
+                if not stamped or not is_merged or name in merged:
                     again.add(key)
                 merged[name] = posting
         for key in again:  # the whole key takes the decode route
@@ -474,6 +476,12 @@ def _chunk_ids_text(ids: Sequence[NodeID]) -> List[str]:
     if current or not chunks:
         chunks.append("{:04d}|{}".format(len(chunks), "".join(current)))
     return chunks
+
+
+def simpledb_item_key(name: str) -> str:
+    """The index key of a SimpleDB item named ``key#<uuid>``: cut at the
+    *last* ``#``, since a key may hold one and a UUID never does."""
+    return name.rsplit("#", 1)[0]
 
 
 class SimpleDBIndexStore(IndexStore):
@@ -570,7 +578,11 @@ class SimpleDBIndexStore(IndexStore):
                  ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
         """(URI -> payload) map for one key, plus billable gets."""
         items = yield from self._db.select_prefix(physical_name, key + "#")
-        return self._merge_items(items, kind), 1
+        # The prefix also matches the items of a key ``key#...``: the
+        # select bills them, the merge keeps only this key's own.
+        return self._merge_items([item for item in items
+                                  if simpledb_item_key(item.name) == key],
+                                 kind), 1
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
                   ) -> Generator[Any, Any,

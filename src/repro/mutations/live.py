@@ -50,6 +50,7 @@ from repro.errors import BuildStateError, WarehouseError
 from repro.mutations.merge import MergingStore, alias_table
 from repro.store.sharding import shard_table_names
 from repro.warehouse.deployment import DeploymentConfig
+from repro.warehouse.frontend import check_document_uris
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
 from repro.warehouse.messages import LOADER_QUEUE, StopWorker
 from repro.xmark.corpus import Corpus
@@ -384,6 +385,7 @@ class LiveIndex:
                  ) -> Generator[Any, Any, DeltaReport]:
         """Store → index → flip: the delta-epoch state machine."""
         from repro.warehouse.warehouse import DOCUMENT_BUCKET
+        check_document_uris([uri for uri, _ in additions])
         warehouse = self.warehouse
         cloud = warehouse.cloud
         env = cloud.env

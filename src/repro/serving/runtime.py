@@ -445,10 +445,10 @@ class ServingRuntime:
             for member in list(fleet.members):
                 yield member.proc
             # Mutation feeds / compaction tickers may outlive traffic;
-            # the run is not over until they are.
+            # the run is not over until they are.  Every one is joined,
+            # so one that already failed re-raises here.
             for proc in background_procs:
-                if proc.is_alive:
-                    yield proc
+                yield proc
 
         mark = cloud.meter.mark()
         with warehouse._span("serve", strategy=self.strategy_name,

@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Generator, Sequence
 
 from repro.cloud.provider import CloudProvider
+from repro.errors import WarehouseError
+from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.warehouse.messages import (LOADER_QUEUE, QUERY_QUEUE,
                                       RESPONSE_QUEUE, LoadRequest,
                                       QueryRequest, QueryResponse)
+
+
+def check_document_uris(uris: Sequence[str]) -> None:
+    """Refuse the one URI a document cannot have: an index item names
+    its attributes by URI (§6), and ``CHECKSUM_ATTR`` is taken."""
+    if CHECKSUM_ATTR in uris:
+        raise WarehouseError("document URI {!r} is reserved for index "
+                             "checksums".format(CHECKSUM_ATTR))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from repro.query.pattern import Query
 from repro.store import IndexCache, StoreRouter, expand_physical
 from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
-from repro.warehouse.frontend import Frontend
+from repro.warehouse.frontend import Frontend, check_document_uris
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
 from repro.warehouse.messages import (LOADER_QUEUE, QUERY_QUEUE,
                                       RESPONSE_QUEUE, StopWorker)
@@ -251,10 +251,6 @@ class WorkloadReport:
             grouped.setdefault(execution.name, []).append(execution)
         return grouped
 
-    def downgraded(self) -> List[QueryExecution]:
-        """Executions that fell back below the nominal strategy."""
-        return [e for e in self.executions if e.downgrade]
-
 
 class Warehouse:
     """A deployed warehouse on one simulated cloud."""
@@ -349,8 +345,10 @@ class Warehouse:
 
     def upload_corpus(self, corpus: Corpus, tag: str = "upload") -> None:
         """Store every corpus document in the file store (steps 1-2)."""
+        uris = [doc.uri for doc in corpus.documents]
+        check_document_uris(uris)
         self.corpus = corpus
-        self._all_uris = [doc.uri for doc in corpus.documents]
+        self._all_uris = uris
         self._parse_cache = {doc.uri: doc for doc in corpus.documents}
 
         def driver() -> Generator[Any, Any, None]:

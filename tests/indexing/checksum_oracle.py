@@ -10,7 +10,7 @@ production versions must produce the same bytes and the same hex
 digest (``test_property_checksums``).
 """
 
-from repro.indexing.checksums import (META_ATTR_PREFIX, batch_content_hash,
+from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
                                       key_prefix)
 from repro.indexing.mapper import stored_postings
 
@@ -25,7 +25,7 @@ def reference_attribute_piece(name, values):
         raw = value if isinstance(value, bytes) else value.encode()
         piece += b"v%d:%b" % (len(raw), raw)
         size += len(raw)
-    return (b"" if name.startswith(META_ATTR_PREFIX) else piece), size
+    return (b"" if name == CHECKSUM_ATTR else piece), size
 
 
 def reference_batch_entries_hash(extracted):

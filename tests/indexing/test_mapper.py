@@ -4,6 +4,7 @@ mappings, §6)."""
 import pytest
 
 from repro.cloud import CloudProvider
+from repro.cloud.dynamodb import MAX_ITEM_BYTES
 from repro.errors import IndexingError
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import (DynamoIndexStore, SimpleDBIndexStore,
@@ -114,6 +115,25 @@ class TestDynamoStore:
         stats, payloads = cloud.env.run_process(scenario())
         assert stats.items >= 2
         assert payloads["huge.xml"] == list(ids)  # reassembled, sorted
+
+    @pytest.mark.parametrize("mode", ["uuid", "attribute", "content"])
+    def test_id_list_splits_by_encoded_size(self, cloud, mode):
+        # Cut into three equal counts, the middle chunk's ``post`` >=
+        # 16,384 takes 3-byte varints and overflows the item limit.
+        store = DynamoIndexStore(cloud.dynamodb, seed=1, range_key_mode=mode)
+        store.create_table("idx")
+        ids = tuple(NodeID(i, i, 1) for i in range(1, 40000))
+
+        def scenario():
+            stats = yield from store.write_entries(
+                "idx", [IndexEntry(key="ebig", uri="big.xml", ids=ids)])
+            payloads, _ = yield from store.read_key("idx", "ebig", "ids")
+            return stats, payloads
+        stats, payloads = cloud.env.run_process(scenario())
+        items = cloud.dynamodb.table("idx").all_items()
+        assert stats.items == len(items) == 4
+        assert max(item.size_bytes for item in items) <= MAX_ITEM_BYTES
+        assert payloads["big.xml"] == list(ids)
 
     def test_read_keys_batches(self, cloud, dynamo_store):
         entries = [_presence("k{}".format(i), "d.xml") for i in range(150)]

@@ -11,7 +11,7 @@ on a twin warehouse and requires the production fold to store the same
 bytes.
 """
 
-from repro.indexing.checksums import META_ATTR_PREFIX
+from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import batch_entries_hash
 from repro.mutations.compactor import Compactor
@@ -32,26 +32,25 @@ def reference_merge_items(items, kind):
     merged = {}
     blobs = {}
     for item in items:
-        for raw_uri, values in item.attributes.items():
-            if raw_uri.startswith(META_ATTR_PREFIX):
+        for uri, values in item.attributes.items():
+            if uri == CHECKSUM_ATTR:
                 continue
-            base_uri = raw_uri.split("#", 1)[0]
             if kind == "presence":
-                merged[base_uri] = None
+                merged[uri] = None
             elif kind == "paths":
-                existing = list(merged.get(base_uri, ()))
+                existing = list(merged.get(uri, ()))
                 for value in values:
                     if value not in existing:
                         existing.append(value)
-                merged[base_uri] = tuple(existing)
+                merged[uri] = tuple(existing)
             else:  # ids
-                blobs.setdefault(base_uri, []).extend(values)
+                blobs.setdefault(uri, []).extend(values)
     if kind == "ids":
-        for base_uri, uri_blobs in blobs.items():
+        for uri, uri_blobs in blobs.items():
             decoded = []
             for blob in uri_blobs:
                 decoded = decoded + decode_ids(blob)
-            merged[base_uri] = sorted(set(decoded), key=lambda nid: nid.pre)
+            merged[uri] = sorted(set(decoded), key=lambda nid: nid.pre)
     return merged
 
 

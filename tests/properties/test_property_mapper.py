@@ -22,7 +22,7 @@ from repro.indexing.checksums import (CHECKSUM_ATTR, batch_content_hash,
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import (DynamoIndexStore, SimpleDBIndexStore,
                                    batch_entries_hash, stored_postings)
-from repro.xmldb.encoding import encode_ids
+from repro.xmldb.encoding import decode_ids, encode_ids
 from repro.xmldb.ids import NodeID
 
 keys = st.sampled_from(["ea", "eb", "aid", "wgold", "ename"])
@@ -232,18 +232,21 @@ def test_postings_pack_and_hash_like_their_entries(small, big, mode):
                     for posting in postings]))
 
 
+#: A URI may hold ``#`` anywhere, even first: only ``#crc`` is taken.
+hashed_uris = st.sampled_from(["d1.xml", "d2.xml", "d#1.xml",
+                               "d1.xml#0", "#d2.xml"])
+
+
 @st.composite
 def stored_items(draw):
     """One key's items as a store may hold them: mostly one merged-form
-    attribute per URI, sometimes a split (``uri#n``), a URI repeated
+    attribute per URI, sometimes a URI holding ``#``, a URI repeated
     across items, two blobs, repeated paths or a checksum attribute."""
     kind = draw(st.sampled_from(["presence", "paths", "ids"]))
     items = []
     for serial in range(draw(st.integers(min_value=1, max_value=3))):
         attributes = {}
-        for uri in draw(st.lists(uris, max_size=3, unique=True)):
-            if draw(st.integers(0, 5)) == 0:
-                uri += "#{}".format(draw(st.integers(0, 2)))
+        for uri in draw(st.lists(hashed_uris, max_size=3, unique=True)):
             if kind == "presence":
                 values = ()
             elif kind == "paths":
@@ -259,7 +262,7 @@ def stored_items(draw):
                     for _ in range(draw(st.sampled_from([1, 1, 1, 1, 2]))))
             attributes[uri] = values
         if draw(st.booleans()):
-            attributes[CHECKSUM_ATTR] = ("c",)
+            attributes[CHECKSUM_ATTR] = (item_checksum("ea", attributes),)
         items.append(DynamoItem("ea", str(serial), attributes))
     return kind, items
 
@@ -267,11 +270,27 @@ def stored_items(draw):
 @given(stored_items())
 @settings(max_examples=200, deadline=None)
 def test_merge_items_equals_the_reference_merge(case):
-    """Split or not, a key's items decode to the row read path's
-    reference payloads, in the same URI order."""
+    """A key's items decode to the row read path's reference payloads,
+    in the same URI order, every attribute name but ``#crc`` whole."""
     kind, items = case
     merged = DynamoIndexStore._merge_items(items, kind)
     reference = reference_merge_items(items, kind)
     assert list(merged) == list(reference)
     for uri, payload in merged.items():
         assert payload == reference[uri], uri
+
+
+@given(stored_items())
+@settings(max_examples=200, deadline=None)
+def test_regroup_equals_the_fold_oracle(case):
+    """Carried or re-merged, the compaction fold's regroup holds the
+    postings of the fold oracle's payloads, in the same URI order."""
+    kind, items = case
+    regrouped = DynamoIndexStore._stored_postings("t", items, kind)["ea"]
+    reference = reference_merge_items(items, kind)
+    assert list(regrouped) == list(reference)
+    for uri, posting in regrouped.items():
+        values = posting.values
+        if kind == "ids":
+            values = decode_ids(values[0]) if values else []
+        assert values == (reference[uri] if kind != "presence" else ()), uri
