@@ -52,8 +52,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
-          # What a warm look-up still pays once its outcome is replayed
-          # (innermost wins): the cache gets and the copies handed out.
+          # What a look-up still pays once its outcome is replayed
+          # (innermost wins): its reads, cached or billed, and the view
+          # check of the items read.
           "read_keys",
           "_build_report", "record",  # ``record`` is Meter.record
           # The write side (``ingest-live``, ``build-2lupi``): the
@@ -163,7 +164,7 @@ def main(argv):
 
     signal.signal(signal.SIGPROF, sample)
     elapsed = 0.0
-    answers = []  # per round: look-ups replayed / computed and kept
+    answers = []  # per round: answers replayed / computed and kept
     for _ in range(rounds):
         # As ``run.py`` does: the last round's teardown and this set-up's
         # garbage are collected here, not filed under ``main``.
@@ -180,16 +181,13 @@ def main(argv):
             signal.setitimer(signal.ITIMER_PROF, 0)
             elapsed += time.perf_counter() - started
             gc.callbacks.remove(on_gc)
-        cache = state.warehouse.index_cache
-        if cache is not None:
-            answers.append("{}/{}".format(cache.answer_hits,
-                                          cache.answer_misses))
+        memo = state.warehouse.answer_memo
+        answers.append("{}/{}".format(memo.hits, memo.misses))
     total = sum(by_phase.values())
     print("{} seed {}: main {:.2f} s per round, {} samples".format(
         args.workload, seed, elapsed / rounds, total))
-    if answers:
-        print("-- look-up answers replayed/computed per round: {}".format(
-            " ".join(answers)))
+    print("-- look-up answers replayed/computed per round: {}".format(
+        " ".join(answers)))
     print("-- cyclic GC inside main, per round ({:.1%} of it)".format(
         sum(row[1] for row in gc_passes) / elapsed))
     for generation, (passes, seconds, collected) in enumerate(gc_passes):

@@ -32,8 +32,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.engine.columnar import TwigShape, flatten_twig, twig_exists
 from repro.engine.operators import HashIntersect, PlanStats, SemiJoin
@@ -182,14 +182,14 @@ def _clone_for_twig(node: PatternNode, keys: Dict[int, str],
 
 # -- compiled plans ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PatternPlan:
     """What a look-up derives from its pattern alone, compiled once: LU
     keys; LUP paths, their distinct last keys, a matcher per path (a
     bounded memo of its regex's ``match``) and the structural prefix's
     of a path ending in a word or value step (the advisor's); the twig's
-    keys, shape and per-node keys; and the ``IndexCache.answer``
-    questions.  It reads no data, so nothing written makes it stale."""
+    keys, shape and per-node keys; and the answer memo's questions.
+    It reads no data, so nothing written makes it stale."""
 
     lookup_keys: Tuple[str, ...]
     paths: Tuple[QueryPath, ...]
@@ -304,25 +304,32 @@ class BaseLookup:
         """
         return getattr(self._store, "cache", None)
 
-    def _once(self, table: str, keys: Sequence[str], gets: int,
+    def _once(self, data: Mapping[str, Any], keys: Sequence[str],
               question: tuple, stats: PlanStats, compute: Any) -> Any:
-        """``compute(stats)`` over the ``keys`` just read from ``table``,
-        looked up once per set of cache entries: a read that billed
-        nothing came whole from the store's cache, which — asked in the
-        same simulation step — names the entries, and what was computed
-        from those very entries (an immutable value and its per-operator
-        row charges) is replayed.  Any other read computes as ever."""
-        peek = getattr(self._store, "cache_ordinals", None)
-        entries = peek(table, keys) if peek and not gets else None
-        if entries is None:
+        """``compute(stats)`` over the payload maps of ``keys`` in
+        ``data``, just read, looked up once per set of maps: a store
+        that carries an answer memo hands each key's map out as a
+        read-only view that keeps its identity while the stored items
+        it was merged from do, so what was computed from those very
+        views — an immutable value and the rows it charged each
+        operator — is replayed, whether the read was cached, uncached
+        or partly cached.  The memo entry holds the views, so their ids
+        stay theirs.  A store without a memo computes as ever."""
+        memo = getattr(self._store, "answer_memo", None)
+        if memo is None:
             return compute(stats)
-
-        def charged() -> tuple:
-            fresh = PlanStats()
-            return compute(fresh), fresh.operator_rows
-
-        answer, charges = self._store.cache.answer(
-            (question, entries), charged)
+        views = tuple(map(data.get, keys))
+        question = (question, tuple(map(id, views)))
+        found = memo.get(question)
+        if found is None:
+            before = dict(stats.operator_rows)
+            answer = compute(stats)
+            memo.put(question, (answer, {
+                operator: rows - before.get(operator, 0)
+                for operator, rows in stats.operator_rows.items()
+                if before.get(operator) != rows}, views))
+            return answer
+        answer, charges, _ = found
         for operator, rows in charges.items():
             stats.charge(operator, rows)
         return answer
@@ -367,8 +374,7 @@ class LULookup(BaseLookup):
             uri_sets = [sorted(data.get(key, {})) for key in keys]
             return tuple(sorted(HashIntersect(stats).execute(uri_sets)))
 
-        uris = self._once(self._table, keys, gets, plan.lu_question,
-                          stats, intersect)
+        uris = self._once(data, keys, plan.lu_question, stats, intersect)
         return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(keys))
@@ -426,8 +432,8 @@ class LUPLookup(BaseLookup):
                 per_path_uris.append(matching)
             return tuple(sorted(HashIntersect(stats).execute(per_path_uris)))
 
-        uris = self._once(self._table, unique_keys, gets,
-                          plan.lup_question, stats, filter_paths)
+        uris = self._once(data, unique_keys, plan.lup_question, stats,
+                          filter_paths)
         return LookupOutcome(uris=list(uris), index_gets=gets,
                              rows_processed=stats.rows_processed,
                              keys_looked_up=len(plan.paths))
@@ -502,8 +508,7 @@ class LUILookup(BaseLookup):
                 self._table, keys, "ids")
             stats = extra_stats or PlanStats()
             matched, candidates = self._once(
-                self._table, keys, gets,
-                plan.twig_question + (
+                data, keys, plan.twig_question + (
                     self.assume_sorted,
                     None if reduce_to is None else tuple(reduce_to)),
                 stats, join)

@@ -31,6 +31,8 @@ import abc
 import hashlib
 import random
 from dataclasses import dataclass
+from operator import is_
+from types import MappingProxyType
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
                     Tuple, Union)
 
@@ -53,6 +55,8 @@ from repro.xmldb.ids import NodeID
 #: or the sorted IDs as an :class:`~repro.xmldb.blocks.IDBlock`.  The
 #: write side (``Entries``) never sees one: a compaction's per-URI maps
 #: hold the scanned :class:`Posting` where a read's hold a payload.
+#: A backend read hands each key's map out as a read-only view (see
+#: :meth:`IndexStore._view`).
 Payload = Any
 
 #: Safety margin under the DynamoDB item limit for key bytes.
@@ -82,6 +86,26 @@ class IndexStore(abc.ABC):
     """Backend-independent index storage interface."""
 
     backend_name: str = ""
+    #: A backend's read memo: (physical table, key, kind) -> (the items
+    #: merged, the read-only view over their merged map).
+    _views: Dict[Tuple[str, str, str], Tuple[tuple, Mapping[str, Payload]]]
+
+    def _view(self, physical_name: str, key: str, kind: str,
+              items: Sequence[Any]) -> Mapping[str, Payload]:
+        """One key's payload map over the ``items`` just read: the held
+        view while the store hands back the very same item objects in
+        the same order (items are frozen; damage and repairs store new
+        objects), else a view over a fresh ``_merge_items``.  A view
+        keeps its identity exactly as long as its items do, which is
+        what an answer memo keys on (DESIGN §10, "Looked up once")."""
+        memo_key = (physical_name, key, kind)
+        held = self._views.get(memo_key)
+        if held is not None and len(held[0]) == len(items) and all(
+                map(is_, held[0], items)):
+            return held[1]
+        view = MappingProxyType(self._merge_items(items, kind))
+        self._views[memo_key] = (tuple(items), view)
+        return view
 
     @abc.abstractmethod
     def create_table(self, physical_name: str) -> None:
@@ -94,14 +118,14 @@ class IndexStore(abc.ABC):
 
     @abc.abstractmethod
     def read_key(self, physical_name: str, key: str, kind: str,
-                 ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
+                 ) -> Generator[Any, Any, Tuple[Mapping[str, Payload], int]]:
         """All (URI → payload) for one index key; returns also the number
         of billable get operations issued."""
 
     @abc.abstractmethod
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
-                  ) -> Generator[Any, Any,
-                                 Tuple[Dict[str, Dict[str, Payload]], int]]:
+                  ) -> Generator[
+                      Any, Any, Tuple[Dict[str, Mapping[str, Payload]], int]]:
         """Batched variant: key → (URI → payload), plus billable gets."""
 
     @abc.abstractmethod
@@ -202,6 +226,7 @@ class DynamoIndexStore(IndexStore):
         self.verify_reads = verify_reads
         #: The item is held beside its form so its id stays its own.
         self._written: Dict[int, Tuple[DynamoItem, bytes]] = {}
+        self._views = {}
 
     def take_written(self) -> Dict[int, Tuple[DynamoItem, bytes]]:
         """See :meth:`IndexStore.take_written`."""
@@ -420,18 +445,18 @@ class DynamoIndexStore(IndexStore):
                     item.hash_key, item.attributes))
 
     def read_key(self, physical_name: str, key: str, kind: str,
-                 ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
+                 ) -> Generator[Any, Any, Tuple[Mapping[str, Payload], int]]:
         """(URI -> payload) map for one key, plus billable gets."""
         items = yield from self._db.get(physical_name, key)
         if self.verify_reads:
             self._verify_items(physical_name, items)
-        return self._merge_items(items, kind), 1
+        return self._view(physical_name, key, kind, items), 1
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
-                  ) -> Generator[Any, Any,
-                                 Tuple[Dict[str, Dict[str, Payload]], int]]:
+                  ) -> Generator[
+                      Any, Any, Tuple[Dict[str, Mapping[str, Payload]], int]]:
         """Batched reads: key -> (URI -> payload), plus billable gets."""
-        result: Dict[str, Dict[str, Payload]] = {}
+        result: Dict[str, Mapping[str, Payload]] = {}
         gets = 0
         unique_keys = list(dict.fromkeys(keys))
         for start in range(0, len(unique_keys), BATCH_GET_LIMIT):
@@ -441,7 +466,8 @@ class DynamoIndexStore(IndexStore):
             for chunk_key, items in grouped.items():
                 if self.verify_reads:
                     self._verify_items(physical_name, items)
-                result[chunk_key] = self._merge_items(items, kind)
+                result[chunk_key] = self._view(physical_name, chunk_key,
+                                               kind, items)
         return result, gets
 
     # -- storage accounting -----------------------------------------------------
@@ -492,6 +518,7 @@ class SimpleDBIndexStore(IndexStore):
     def __init__(self, simpledb: SimpleDB, seed: int = 0) -> None:
         self._db = simpledb
         self._rng = random.Random(seed)
+        self._views = {}
 
     def _shard_name(self, key: str) -> str:
         return "{}#{}".format(key, uuid4_text(self._rng.getrandbits(128)))
@@ -575,22 +602,22 @@ class SimpleDBIndexStore(IndexStore):
         return merged
 
     def read_key(self, physical_name: str, key: str, kind: str,
-                 ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
+                 ) -> Generator[Any, Any, Tuple[Mapping[str, Payload], int]]:
         """(URI -> payload) map for one key, plus billable gets."""
         items = yield from self._db.select_prefix(physical_name, key + "#")
         # The prefix also matches the items of a key ``key#...``: the
         # select bills them, the merge keeps only this key's own.
-        return self._merge_items([item for item in items
-                                  if simpledb_item_key(item.name) == key],
-                                 kind), 1
+        return self._view(physical_name, key, kind, [
+            item for item in items
+            if simpledb_item_key(item.name) == key]), 1
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
-                  ) -> Generator[Any, Any,
-                                 Tuple[Dict[str, Dict[str, Payload]], int]]:
+                  ) -> Generator[
+                      Any, Any, Tuple[Dict[str, Mapping[str, Payload]], int]]:
         """Batched reads: key -> (URI -> payload), plus billable gets."""
         # SimpleDB has no batchGet: one select per key (a cost the
         # Tables 7-8 comparison feels directly).
-        result: Dict[str, Dict[str, Payload]] = {}
+        result: Dict[str, Mapping[str, Payload]] = {}
         gets = 0
         for key in dict.fromkeys(keys):
             payloads, requests = yield from self.read_key(

@@ -154,7 +154,8 @@ class ServingRuntime:
         router = StoreRouter(base, config=warehouse.store_config,
                              cache=warehouse.index_cache,
                              telemetry=warehouse.telemetry,
-                             epoch=getattr(index.store, "epoch", 0))
+                             epoch=getattr(index.store, "epoch", 0),
+                             answer_memo=warehouse.answer_memo)
         return BuiltIndex(strategy=index.strategy, store=router,
                           table_names=dict(index.table_names),
                           report=index.report)

@@ -13,7 +13,8 @@ is a pure passthrough that preserves the seed's byte-identical traces.
 """
 
 from repro.store.batch import BatchPipeline
-from repro.store.cache import ENTRY_OVERHEAD_BYTES, IndexCache, payload_weight
+from repro.store.cache import (ENTRY_OVERHEAD_BYTES, AnswerMemo, IndexCache,
+                               payload_weight)
 from repro.store.config import StoreConfig
 from repro.store.router import StoreRouter
 from repro.store.sharding import (SHARD_SEPARATOR, expand_physical,
@@ -21,6 +22,7 @@ from repro.store.sharding import (SHARD_SEPARATOR, expand_physical,
                                   shard_table_names)
 
 __all__ = [
+    "AnswerMemo",
     "BatchPipeline",
     "ENTRY_OVERHEAD_BYTES",
     "IndexCache",

@@ -25,21 +25,24 @@ Simulated DynamoDB latency and billing accrue only on misses: the
 cache lives host-side and costs no simulated time, mirroring a RAM
 cache in front of a remote store.
 
-The cache also remembers *answers* — what a look-up planner computed
-from a read whose every key was a hit — and their coherence is the
-entries' own: each stored entry carries the ordinal of its ``put``
-(unique, never reused) and an answer is keyed by what was computed plus
-the ordinals of the entries read.  A repair's :meth:`~IndexCache.discard`,
-an eviction, an invalidation or a flip to fresh tables means a re-``put``
-under new ordinals, so a stale answer can no longer be *asked for*.  The
-table is bounded by count, outside the byte budget: charging it would
-change which entries are evicted, and so every simulated get after.
+Entries are the read-only payload views the backend store hands out
+(see :class:`~repro.indexing.mapper.IndexStore`), stored and served as
+they are: a view refuses mutation, so no caller can poison an entry.
+
+:class:`AnswerMemo` remembers what a look-up planner computed from a
+read, keyed by what was computed plus the identities of the views it
+was computed from.  A view keeps its identity exactly as long as the
+stored items it was merged from do, so a repair, a corruption or a flip
+to fresh tables means new views and a new question: a stale answer can
+no longer be *asked for*.  The memo is bounded by count, outside any
+cache's byte budget: charging it would change which entries are
+evicted, and so every simulated get after.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.xmldb.blocks import IDBlock
@@ -48,8 +51,8 @@ from repro.xmldb.blocks import IDBlock
 #: strings, dict overhead) so even empty payload maps have a weight.
 ENTRY_OVERHEAD_BYTES = 64
 
-#: Most look-up answers remembered (a count, not bytes: see the module
-#: docstring); the least recently asked goes first.
+#: Most look-up answers an :class:`AnswerMemo` remembers (a count, not
+#: bytes: see the module docstring); the least recently asked goes first.
 ANSWER_MEMO_ENTRIES = 256
 
 
@@ -64,14 +67,14 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, (tuple, list)):
         return sum(_value_bytes(part) for part in value)
     if isinstance(value, IDBlock):
-        # ID payloads: encoded bytes while lazy, column bytes once
-        # decoded.
+        # ID payloads: encoded bytes of a wrapped blob, column bytes
+        # otherwise (fixed when the block is made).
         return value.nbytes
     # Anything else (an int, say) counts as fixed-size.
     return 16
 
 
-def payload_weight(payloads: Dict[str, Any]) -> int:
+def payload_weight(payloads: Mapping[str, Any]) -> int:
     """Byte-budget weight of one cached ``URI → payload`` map."""
     weight = ENTRY_OVERHEAD_BYTES
     for uri, payload in payloads.items():
@@ -100,20 +103,15 @@ class IndexCache:
                 "IndexCache needs a positive byte budget, got {}".format(
                     max_bytes))
         self.max_bytes = max_bytes
-        #: cache key -> (payload map, weight, ordinal of its put).
+        #: cache key -> (payload map, weight).
         self._entries: "OrderedDict[Tuple[str, str, str, int], " \
-                       "Tuple[Dict[str, Any], int, int]]" = OrderedDict()
-        self._answers: "OrderedDict[Any, Any]" = OrderedDict()
+                       "Tuple[Mapping[str, Any], int]]" = OrderedDict()
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Answers replayed / computed (not in :meth:`stats`: it is
-        #: rendered into reports and bench artefacts).
-        self.answer_hits = 0
-        self.answer_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -121,12 +119,11 @@ class IndexCache:
     # -- read path ---------------------------------------------------------
 
     def get(self, table: str, key: str, epoch: int,
-            tenant: str = "") -> Optional[Dict[str, Any]]:
+            tenant: str = "") -> Optional[Mapping[str, Any]]:
         """The cached payload map, or None on a miss.
 
-        A hit refreshes LRU recency.  Callers get the stored dict; the
-        router hands callers a shallow copy so plan operators can never
-        mutate the cached entry.
+        A hit refreshes LRU recency.  Callers get the stored map, a
+        read-only view.
         """
         entry = self._entries.get((tenant, table, key, epoch))
         if entry is None:
@@ -137,7 +134,7 @@ class IndexCache:
         return entry[0]
 
     def put(self, table: str, key: str, epoch: int,
-            payloads: Dict[str, Any], tenant: str = "") -> None:
+            payloads: Mapping[str, Any], tenant: str = "") -> None:
         """Store one read result, evicting LRU entries past the budget."""
         cache_key = (tenant, table, key, epoch)
         previous = self._entries.pop(cache_key, None)
@@ -147,39 +144,12 @@ class IndexCache:
         if weight > self.max_bytes:
             return  # larger than the whole budget: not cacheable
         self.puts += 1
-        self._entries[cache_key] = (payloads, weight, self.puts)
+        self._entries[cache_key] = (payloads, weight)
         self.current_bytes += weight
         while self.current_bytes > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
             self.current_bytes -= evicted[1]
             self.evictions += 1
-
-    # -- answers -----------------------------------------------------------
-
-    def ordinals(self, table: str, keys: Any, epoch: int,
-                 tenant: str = "") -> Optional[Tuple[int, ...]]:
-        """The put ordinals of the entries under ``keys``, in order —
-        a peek: no hit or miss counted, no recency refreshed; ``None``
-        if any key has no entry."""
-        entries = [self._entries.get((tenant, table, key, epoch))
-                   for key in keys]
-        return None if None in entries else tuple(
-            entry[2] for entry in entries)
-
-    def answer(self, question: Any, compute: Any) -> Any:
-        """What ``compute()`` returned when ``question`` — which names
-        the entries read by their :meth:`ordinals` — was first asked;
-        every asker gets the same object, so it must be immutable."""
-        found = self._answers.get(question)
-        if found is not None:
-            self._answers.move_to_end(question)
-            self.answer_hits += 1
-            return found
-        found = self._answers[question] = compute()
-        self.answer_misses += 1
-        if len(self._answers) > ANSWER_MEMO_ENTRIES:
-            self._answers.popitem(last=False)
-        return found
 
     # -- coherence ---------------------------------------------------------
 
@@ -236,7 +206,6 @@ class IndexCache:
         """
         dropped = len(self._entries)
         self._entries.clear()
-        self._answers.clear()
         self.current_bytes = 0
         self.invalidations += dropped
         return dropped
@@ -262,3 +231,38 @@ class IndexCache:
             "evictions": float(self.evictions),
             "invalidations": float(self.invalidations),
         }
+
+
+class AnswerMemo:
+    """Look-up answers by question, bounded by count (see the module
+    docstring); one per warehouse, shared by every router it makes.
+
+    ``hits`` counts answers replayed, ``misses`` answers computed and
+    kept.  Every asker of a question gets the same object, so an answer
+    must be immutable.
+    """
+
+    def __init__(self) -> None:
+        self._answers: "OrderedDict[Any, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._answers)
+
+    def get(self, question: Any) -> Any:
+        """The answer kept for ``question`` (refreshing its recency), or
+        ``None``."""
+        found = self._answers.get(question)
+        if found is not None:
+            self._answers.move_to_end(question)
+            self.hits += 1
+        return found
+
+    def put(self, question: Any, answer: Any) -> None:
+        """Keep ``answer``; past the bound the least recently asked
+        goes."""
+        self._answers[question] = answer
+        self.misses += 1
+        if len(self._answers) > ANSWER_MEMO_ENTRIES:
+            self._answers.popitem(last=False)

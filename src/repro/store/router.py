@@ -14,6 +14,10 @@ argues belong in a dedicated layer:
 - **caching** — reads flow through the epoch-aware
   :class:`~repro.store.cache.IndexCache`; hits bill nothing.
 
+Every router of a warehouse also carries the warehouse's
+:class:`~repro.store.cache.AnswerMemo`, which look-up planners replay
+answers from (DESIGN §10, "Looked up once").
+
 With the default configuration (one shard, no cache) every method is
 a pure delegation — same requests, same simulated latency, same meter
 records, byte-identical traces — so the refactor is behaviour-
@@ -25,14 +29,14 @@ the savings are visible in traces, metrics and priced costs alike.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Generator, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Generator, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.indexing.entries import Entries
 from repro.indexing.mapper import IndexStore, Payload, WriteStats
 
 from repro.store.batch import BatchPipeline
-from repro.store.cache import IndexCache
+from repro.store.cache import AnswerMemo, IndexCache
 from repro.store.config import StoreConfig
 from repro.store.sharding import shard_of, shard_table_names
 
@@ -64,13 +68,19 @@ class StoreRouter(IndexStore):
         logical table (``tnt-<tenant>--<table>``) and keys cache
         entries under the tenant, so two tenants' tables, cache lines
         and invalidations can never collide.
+    answer_memo:
+        The warehouse's :class:`~repro.store.cache.AnswerMemo`, which
+        look-up planners over this router replay answers from; ``None``
+        (they compute every time) unless given.
     """
 
     def __init__(self, base: IndexStore, telemetry: Any,
                  config: Optional[StoreConfig] = None,
                  cache: Optional[IndexCache] = None,
-                 epoch: int = 0, tenant: str = "") -> None:
+                 epoch: int = 0, tenant: str = "",
+                 answer_memo: Optional[AnswerMemo] = None) -> None:
         self._base = base
+        self.answer_memo = answer_memo
         self.config = config or StoreConfig()
         if self.config.cache_enabled:
             self.cache = cache if cache is not None \
@@ -88,12 +98,13 @@ class StoreRouter(IndexStore):
     def for_tenant(self, tenant: str) -> "StoreRouter":
         """A router over the same backend scoped to one tenant.
 
-        Shares the backend, config, cache and telemetry — only the
-        namespace differs — so tenant routers cost nothing to mint per
-        request.
+        Shares the backend, config, cache, answer memo and telemetry —
+        only the namespace differs — so tenant routers cost nothing to
+        mint per request.
         """
         return StoreRouter(self._base, self._telemetry, config=self.config,
-                           cache=self.cache, epoch=self.epoch, tenant=tenant)
+                           cache=self.cache, epoch=self.epoch, tenant=tenant,
+                           answer_memo=self.answer_memo)
 
     def _physical(self, physical_name: str) -> str:
         """Map a logical table into the router's tenant namespace."""
@@ -205,10 +216,12 @@ class StoreRouter(IndexStore):
                 self._physical(physical_name), entries)
             return stats
         names = self.shard_tables(physical_name)
-        by_shard: Dict[int, list] = {}
-        for entry in entries:
-            by_shard.setdefault(
-                shard_of(entry.key, self.config.shards), []).append(entry)
+        by_shard: Dict[int, Entries] = {0: entries}  # one shard: whole
+        if self.config.shards > 1:
+            by_shard = {}
+            for entry in entries:
+                by_shard.setdefault(
+                    shard_of(entry.key, self.config.shards), []).append(entry)
         stats = WriteStats()
         for shard in sorted(by_shard):
             shard_stats = yield from self._base.write_entries(
@@ -218,7 +231,7 @@ class StoreRouter(IndexStore):
         if self.cache is not None:
             # Write-through coherence: an ingest or repair into a live
             # table must not leave stale payloads behind.
-            for key in dict.fromkeys(entry.key for entry in entries):
+            for key in dict.fromkeys([entry.key for entry in entries]):
                 self.cache.discard(physical_name, key, self.epoch,
                                    self.tenant)
         return stats
@@ -230,7 +243,7 @@ class StoreRouter(IndexStore):
     # -- reads -------------------------------------------------------------
 
     def read_key(self, physical_name: str, key: str, kind: str,
-                 ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
+                 ) -> Generator[Any, Any, Tuple[Mapping[str, Payload], int]]:
         """One key's payload map; cache hits bill zero gets."""
         if self.passthrough:
             result = yield from self._base.read_key(
@@ -241,34 +254,34 @@ class StoreRouter(IndexStore):
                                     self.tenant)
             if cached is not None:
                 self._note_cache(1, 0)
-                return dict(cached), 0
+                return cached, 0
         shard = shard_of(key, self.config.shards)
         payloads, gets = yield from self._base.read_key(
             self.shard_tables(physical_name)[shard], key, kind)
         self._note_shard_read(shard, gets)
         if self.cache is not None:
             self._note_cache(0, 1)
-            self.cache.put(physical_name, key, self.epoch, dict(payloads),
+            self.cache.put(physical_name, key, self.epoch, payloads,
                            self.tenant)
         return payloads, gets
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
-                  ) -> Generator[Any, Any,
-                                 Tuple[Dict[str, Dict[str, Payload]], int]]:
+                  ) -> Generator[
+                      Any, Any, Tuple[Dict[str, Mapping[str, Payload]], int]]:
         """Batched reads through cache, dedupe and per-shard coalescing."""
         if self.passthrough:
             result = yield from self._base.read_keys(
                 self._physical(physical_name), keys, kind)
             return result
         pipeline = BatchPipeline(shards=self.config.shards)
-        result: Dict[str, Dict[str, Payload]] = {}
+        result: Dict[str, Mapping[str, Payload]] = {}
         hits = 0
         for key in dict.fromkeys(keys):
             if self.cache is not None:
                 cached = self.cache.get(physical_name, key, self.epoch,
                                         self.tenant)
                 if cached is not None:
-                    result[key] = dict(cached)
+                    result[key] = cached
                     hits += 1
                     continue
             pipeline.add(key)
@@ -286,7 +299,7 @@ class StoreRouter(IndexStore):
                     result[key] = payloads
                     if self.cache is not None:
                         self.cache.put(physical_name, key, self.epoch,
-                                       dict(payloads), self.tenant)
+                                       payloads, self.tenant)
             span.attributes["cache_hits"] = hits
             span.attributes["billed_gets"] = gets
         self._note_cache(hits, pipeline.unique)
@@ -295,20 +308,6 @@ class StoreRouter(IndexStore):
                     pipeline.coalesced_savings
                     + (len(keys) - len(dict.fromkeys(keys))))
         return result, gets
-
-    def cache_ordinals(self, physical_name: str, keys: Sequence[str],
-                       ) -> Optional[tuple]:
-        """Which cache entries a read of ``keys`` just now is served by:
-        their :meth:`~repro.store.cache.IndexCache.ordinals` behind this
-        router's tenant, table and epoch, or ``None`` unless every key
-        is cached."""
-        if self.cache is None:
-            return None
-        found = self.cache.ordinals(physical_name, keys, self.epoch,
-                                    self.tenant)
-        if found is None:
-            return None
-        return (self.tenant, physical_name, self.epoch) + found
 
     # -- storage accounting ------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
 from repro.indexing.registry import strategy as strategy_by_name
 from repro.query.pattern import Query
-from repro.store import IndexCache, StoreRouter, expand_physical
+from repro.store import AnswerMemo, IndexCache, StoreRouter, expand_physical
 from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import Frontend, check_document_uris
@@ -313,6 +313,9 @@ class Warehouse:
         #: Shared host-side (text, name) -> Query memo of query workers
         #: (see QueryWorker.parsed_queries; bounded, never invalidated).
         self._parsed_queries: Dict[tuple, Any] = {}
+        #: Look-up answers replayed by every router this warehouse makes
+        #: (DESIGN §10, "Looked up once"), cache or no cache.
+        self.answer_memo = AnswerMemo()
         #: Per index name, its latest run's coordinator, which holds the
         #: run's store (and its written forms) for :meth:`commit_build`.
         self._coordinators: Dict[str, Any] = {}
@@ -521,7 +524,8 @@ class Warehouse:
                     backend))
         return StoreRouter(base, config=self.store_config,
                            cache=self.index_cache,
-                           telemetry=self.telemetry, epoch=epoch)
+                           telemetry=self.telemetry, epoch=epoch,
+                           answer_memo=self.answer_memo)
 
     # -- crash-consistent builds (repro.consistency) -----------------------------
 

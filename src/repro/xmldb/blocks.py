@@ -163,7 +163,8 @@ class IDBlock:
     force the lazy decode on first use.
     """
 
-    __slots__ = ("_pres", "_posts", "_depths", "_raw", "_count")
+    __slots__ = ("_pres", "_posts", "_depths", "_raw", "_count",
+                 "_nbytes")
 
     def __init__(self, pres: array, posts: array, depths: array) -> None:
         self._pres = pres
@@ -171,6 +172,7 @@ class IDBlock:
         self._depths = depths
         self._raw: Optional[bytes] = None
         self._count = len(pres)
+        self._nbytes = self._count * _DECODED_BYTES_PER_ID
 
     # -- construction -------------------------------------------------
 
@@ -203,6 +205,7 @@ class IDBlock:
         block._depths = None  # type: ignore[assignment]
         block._raw = bytes(data)
         block._count = _encoded_count(data)
+        block._nbytes = len(block._raw)
         return block
 
     @classmethod
@@ -268,10 +271,10 @@ class IDBlock:
 
     @property
     def nbytes(self) -> int:
-        """Approximate payload weight (for cache accounting)."""
-        if self._raw is not None:
-            return len(self._raw)
-        return self._count * _DECODED_BYTES_PER_ID
+        """Approximate payload weight (for cache accounting), fixed at
+        construction: the encoded length of a wrapped blob, column
+        bytes otherwise — whether a join has forced the block or not."""
+        return self._nbytes
 
     # -- sequence protocol --------------------------------------------
 

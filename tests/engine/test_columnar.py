@@ -50,13 +50,20 @@ def test_from_encoded_is_lazy_until_column_access():
     assert block.to_ids() == ids
 
 
-def test_lazy_nbytes_switches_with_decode():
+def test_nbytes_stays_fixed_through_decode():
+    """A block's cache weight is fixed when it is made: the encoded
+    length of a wrapped blob, whether a join forced it or not, and
+    column bytes for a block built from IDs or merged from chunks."""
     ids = _chain((1, 2, 1), (3, 4, 1))
     blob = encode_ids(ids)
     block = IDBlock.from_encoded(blob)
     assert block.nbytes == len(blob)
     block.pres
-    assert block.nbytes == 2 * 24
+    assert not block.is_lazy and block.nbytes == len(blob)
+    assert IDBlock.from_ids(ids).nbytes == 2 * 24
+    merged = IDBlock.from_encoded_chunks([blob, encode_ids(
+        _chain((5, 6, 1)))])
+    assert merged.nbytes == 3 * 24
 
 
 def test_from_encoded_chunks_merges_and_dedupes():

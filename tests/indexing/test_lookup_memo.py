@@ -1,16 +1,18 @@
-"""Looked up once: a fully-cached look-up replays its first outcome.
+"""Looked up once: a look-up over unchanged payload views replays.
 
-A planner whose read billed nothing asks the router which cache
-entries it was served from and replays what was computed from those
-very entries.  Pinned here, for every strategy on a sharded, cached
-router: the replay is indistinguishable from a recomputation (URIs,
-rows, per-operator charges, spans, cache counters) except that no join
-runs; everything that replaces an entry — a repair write, an eviction,
-an invalidation, an epoch bump, another tenant's namespace — makes the
-next look-up compute again, and agree with a planner over a cache-less
-router on the same tables; a read that missed anything stays out of
-the table; callers cannot poison it; it is bounded and weighs nothing
-against the byte budget.
+A backend store hands each key's payload map out as a read-only view
+that keeps its identity while the stored items it was merged from do,
+and a planner over a store with an answer memo replays what was
+computed from those very views.  Pinned here, for every strategy on a
+sharded, cached router: the replay is indistinguishable from a
+recomputation (URIs, rows, per-operator charges, spans, cache counters)
+except that no join runs, whether the read was a cache hit, a miss or
+partly both; only a write that changes the items — a repair, another
+epoch's data, another tenant's tables — makes the next look-up compute
+again, while an eviction or an invalidation re-reads the same views and
+replays; every answer agrees with a planner over a cache-less router
+with no memo on the same tables; callers cannot poison it; the memo is
+bounded and weighs nothing against the byte budget.
 """
 
 import pytest
@@ -21,8 +23,8 @@ from repro.indexing.mapper import DynamoIndexStore
 from repro.indexing.registry import (ALL_STRATEGY_NAMES, all_strategies,
                                      strategy as strategy_named)
 from repro.query.workload import workload
-from repro.store import StoreConfig, StoreRouter
-from repro.store.cache import ANSWER_MEMO_ENTRIES, IndexCache
+from repro.store import AnswerMemo, IndexCache, StoreConfig, StoreRouter
+from repro.store.cache import ANSWER_MEMO_ENTRIES
 from repro.xmldb.parser import parse_document
 
 pytestmark = pytest.mark.store
@@ -35,13 +37,17 @@ PATTERNS = [pattern for query in workload() for pattern in query.patterns]
 PLANNER_SPANS = ("lup-prefilter", "twig-join")
 
 
+def questions(strategy):
+    """Answers one look-up asks for (2LUPI: its LUP pre-filter's too)."""
+    return 2 if strategy == "2LUPI" else 1
+
+
 class Probe:
     """What one look-up did, as a query worker and a trace would see it."""
 
     def __init__(self):
         self.opened = []       # planner-level PlanStats of the look-up
         self.twig_calls = 0
-        self.answering = False
 
     def install(self, monkeypatch):
         probe = self
@@ -49,28 +55,17 @@ class Probe:
         class Recording(lookup_plans.PlanStats):
             def __init__(self):
                 super().__init__()
-                # The scratch stats an answer is first computed into is
-                # replayed into the planner's: not a second account.
-                if not probe.answering:
-                    probe.opened.append(self)
+                probe.opened.append(self)
 
-        twig_exists, answer = lookup_plans.twig_exists, IndexCache.answer
+        twig_exists = lookup_plans.twig_exists
 
         def counting_twig_exists(children, streams):
             probe.twig_calls += 1
             return twig_exists(children, streams)
 
-        def flagged_answer(cache, question, compute):
-            probe.answering = True
-            try:
-                return answer(cache, question, compute)
-            finally:
-                probe.answering = False
-
         monkeypatch.setattr(lookup_plans, "PlanStats", Recording)
         monkeypatch.setattr(lookup_plans, "twig_exists",
                             counting_twig_exists)
-        monkeypatch.setattr(IndexCache, "answer", flagged_answer)
         return self
 
 
@@ -81,18 +76,20 @@ def probe(monkeypatch):
 
 class Deployment:
     """All four indexes in one DynamoDB behind a sharded, cached router
-    — and, over the same tables, the cache-less router whose planners
-    are the reference."""
+    carrying an answer memo — and, over the same tables, the cache-less
+    router without one whose planners are the reference."""
 
     def __init__(self, documents, probe, cache_bytes=BUDGET):
         self.cloud = CloudProvider()
         self.probe = probe
         self.base = DynamoIndexStore(self.cloud.dynamodb, seed=2)
         self.cache = IndexCache(cache_bytes)
+        self.memo = AnswerMemo()
         self.config = StoreConfig(shards=SHARDS, cache_bytes=cache_bytes)
         self.router = StoreRouter(self.base, config=self.config,
                                   cache=self.cache,
-                                  telemetry=self.cloud.telemetry)
+                                  telemetry=self.cloud.telemetry,
+                                  answer_memo=self.memo)
         self.tables = {
             strategy.name: {logical: "{}-{}".format(strategy.name, logical)
                             for logical in strategy.logical_tables}
@@ -117,11 +114,13 @@ class Deployment:
         self.cloud.env.run_process(scenario())
 
     def uncached(self, router=None):
-        """A cache-less router over the same tables as ``router``."""
+        """A cache-less router without a memo over ``router``'s tables,
+        reading through a fresh store (no views held)."""
         router = router or self.router
-        return StoreRouter(self.base, self.cloud.telemetry,
-                           config=StoreConfig(shards=SHARDS),
-                           epoch=router.epoch, tenant=router.tenant)
+        return StoreRouter(
+            DynamoIndexStore(self.cloud.dynamodb), self.cloud.telemetry,
+            config=StoreConfig(shards=SHARDS), epoch=router.epoch,
+            tenant=router.tenant)
 
     def lookup(self, strategy, router=None):
         return strategy_named(strategy).make_lookup(
@@ -135,10 +134,10 @@ class Deployment:
         probe.twig_calls = 0
         spans_from = len(tracer.spans)
         before = (self.cache.hits, self.cache.misses,
-                  self.cache.answer_hits, self.cache.answer_misses)
+                  self.memo.hits, self.memo.misses)
         outcome = self.cloud.env.run_process(lookup.lookup_pattern(pattern))
         after = (self.cache.hits, self.cache.misses,
-                 self.cache.answer_hits, self.cache.answer_misses)
+                 self.memo.hits, self.memo.misses)
         spans = [(span.name, dict(span.attributes))
                  for span in tracer.spans[spans_from:]]
         return {
@@ -182,6 +181,13 @@ def patterns_answered(deployment, strategy, uri):
             if uri in deployment.run(lookup, pattern)["uris"]]
 
 
+def assert_replayed(observed, strategy):
+    """Every question of the look-up was answered from the memo."""
+    assert observed["answer_misses"] == 0
+    assert observed["answer_hits"] == questions(strategy)
+    assert observed["twig_calls"] == 0
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_repeat_replays_the_first_outcome(small_corpus, probe, strategy):
     deployment = Deployment(small_corpus.documents, probe)
@@ -195,16 +201,20 @@ def test_a_repeat_replays_the_first_outcome(small_corpus, probe, strategy):
         first = deployment.run(lookup, pattern)
         again = deployment.run(lookup, pattern)
         # A fresh worker's planner (``run_query`` builds one per call)
-        # is served by the same table: the cache owns it.
+        # is served by the same memo: the router carries it.
         other = deployment.run(deployment.lookup(strategy), pattern)
 
-        assert cold["index_gets"] > 0 and cold["answer_misses"] == 0
+        # The cold read misses every key and is billed for it; it asks
+        # the memo all the same (a pattern met before replays here).
+        assert cold["index_gets"] > 0 and cold["hits"] == 0
+        assert cold["answer_hits"] + cold["answer_misses"] == \
+            questions(strategy)
+        if not cold["answer_hits"]:
+            assert cold["twig_calls"] == expected["twig_calls"]
+        joins_run += cold["twig_calls"]
         assert first["index_gets"] == 0 and first["misses"] == 0
-        assert first["answer_misses"] > 0 and first["answer_hits"] == 0
-        for repeat in (again, other):
-            assert repeat["answer_misses"] == 0
-            assert repeat["answer_hits"] == first["answer_misses"]
-            assert repeat["twig_calls"] == 0
+        for repeat in (first, again, other):
+            assert_replayed(repeat, strategy)
             # Field by field the same look-up, store.read spans and
             # cache traffic (hits +k, misses +0) included.
             for name in COMPUTED + ("spans", "index_gets", "hits",
@@ -215,10 +225,27 @@ def test_a_repeat_replays_the_first_outcome(small_corpus, probe, strategy):
             if name == "store.read")
         for served in (cold, first, again):
             assert computed(served) == computed(expected)
-        assert first["twig_calls"] == expected["twig_calls"]
-        joins_run += first["twig_calls"]
     # The columnar existence check is what LUI and 2LUPI replay.
     assert (joins_run > 0) == (strategy in ("LUI", "2LUPI"))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_repeat_over_unchanged_items_replays_after_eviction(
+        small_corpus, probe, strategy):
+    """An evicted key is read again, billed, and handed out as the very
+    view it was before — the store kept it — so the look-up replays
+    with ``twig_exists`` never called."""
+    deployment = Deployment(small_corpus.documents, probe)
+    lookup = deployment.lookup(strategy)
+    reference = deployment.lookup(strategy, deployment.uncached())
+    for pattern in PATTERNS:
+        first = deployment.run(lookup, pattern)
+        _evict(deployment, small_corpus)
+        reread = deployment.run(lookup, pattern)
+        assert reread["index_gets"] > 0 and reread["hits"] == 0
+        assert_replayed(reread, strategy)
+        assert computed(reread) == computed(first) == computed(
+            deployment.run(reference, pattern))
 
 
 def _repair(deployment, corpus, router=None):
@@ -250,6 +277,8 @@ def _invalidate_all(deployment, corpus):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_replaced_entry_is_looked_up_again(small_corpus, probe, strategy,
                                              event):
+    """Every event makes the next look-up read its keys again; only a
+    write that changed the items (the repair) makes it compute again."""
     budget = 256 * 1024 if event is _evict else BUDGET
     deployment = Deployment(small_corpus.documents, probe, cache_bytes=budget)
     original = small_corpus.documents[0].uri
@@ -258,25 +287,27 @@ def test_a_replaced_entry_is_looked_up_again(small_corpus, probe, strategy,
     lookup = deployment.lookup(strategy)
     for pattern in patterns:
         deployment.run(lookup, pattern)
-        assert deployment.run(lookup, pattern)["answer_misses"] > 0
-        assert deployment.run(lookup, pattern)["answer_hits"] > 0
+        assert_replayed(deployment.run(lookup, pattern), strategy)
 
     event(deployment, small_corpus)
 
     reference = deployment.lookup(strategy, deployment.uncached())
     for pattern in patterns:
         expected = deployment.run(reference, pattern)
-        if event is _repair:
-            assert "zz-copy.xml" in expected["uris"]
         reread = deployment.run(lookup, pattern)
-        refilled = deployment.run(lookup, pattern)
-        replayed = deployment.run(lookup, pattern)
-        # Nothing computed before the event is served after it.
-        assert reread["index_gets"] > 0 and reread["answer_hits"] == 0
-        assert refilled["index_gets"] == 0
-        assert refilled["answer_misses"] > 0
-        assert replayed["answer_misses"] == 0
-        for served in (reread, refilled, replayed):
+        again = deployment.run(lookup, pattern)
+        assert reread["index_gets"] > 0
+        if event is _repair:
+            # Nothing computed before the write is served after it.
+            assert "zz-copy.xml" in expected["uris"]
+            assert reread["answer_hits"] == 0
+            assert reread["answer_misses"] == questions(strategy)
+        else:
+            # The same items, so the same views: a replay.
+            assert_replayed(reread, strategy)
+        assert again["index_gets"] == 0
+        assert_replayed(again, strategy)
+        for served in (reread, again):
             assert computed(served) == computed(expected)
 
 
@@ -297,10 +328,12 @@ def test_another_epoch_or_tenant_is_another_question(small_corpus, probe,
     bumped = StoreRouter(deployment.base, config=deployment.config,
                          cache=deployment.cache,
                          telemetry=deployment.cloud.telemetry,
-                         epoch=deployment.router.epoch + 1)
+                         epoch=deployment.router.epoch + 1,
+                         answer_memo=deployment.memo)
     _repair(deployment, small_corpus, router=bumped)
     # Another tenant's namespace, holding the other half of the corpus.
     tenant = deployment.router.for_tenant("other")
+    assert tenant.answer_memo is deployment.memo
     deployment.load(tenant, small_corpus.documents[1::2])
 
     for router, added, absent in ((bumped, "zz-copy.xml", None),
@@ -313,42 +346,37 @@ def test_another_epoch_or_tenant_is_another_question(small_corpus, probe,
             assert absent not in expected["uris"]
             reread = deployment.run(scoped, pattern)
             assert reread["index_gets"] > 0 and reread["answer_hits"] == 0
-            refilled = deployment.run(scoped, pattern)
-            assert refilled["answer_misses"] > 0
             replayed = deployment.run(scoped, pattern)
-            assert replayed["answer_misses"] == 0
-            for served in (reread, refilled, replayed):
+            assert_replayed(replayed, strategy)
+            for served in (reread, replayed):
                 assert computed(served) == computed(expected)
     # The original router still replays its own epoch's answers.
     for pattern in patterns:
-        assert deployment.run(lookup, pattern)["answer_misses"] == 0
+        assert_replayed(deployment.run(lookup, pattern), strategy)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_partly_missed_read_stays_out_of_the_table(small_corpus, probe,
                                                      strategy):
+    """A read that hit some keys and missed one over unchanged items is
+    billed its miss and replays: it adds nothing to the memo."""
     deployment = Deployment(small_corpus.documents, probe)
     lookup = deployment.lookup(strategy)
-    cache = deployment.cache
+    cache, memo = deployment.cache, deployment.memo
     reference = deployment.lookup(strategy, deployment.uncached())
     for pattern in PATTERNS:
         deployment.run(lookup, pattern)
         deployment.run(lookup, pattern)
-        # Drop the entry read last: the next read bills one get, so it
-        # neither consults nor fills the table.
+        # Drop the entry read last: the next read bills one get.
         tenant, table, key, epoch = next(reversed(cache._entries))
         cache.discard(table, key, epoch, tenant)
-        answers = set(cache._answers)
+        answers = set(memo._answers)
         partly = deployment.run(lookup, pattern)
         assert partly["index_gets"] == partly["misses"] == 1
-        assert partly["answer_misses"] == 0
-        # 2LUPI asks two questions; its first read (LUP's) still hit.
-        assert partly["answer_hits"] == (strategy == "2LUPI")
-        assert set(cache._answers) == answers
+        assert_replayed(partly, strategy)
+        assert set(memo._answers) == answers
         assert computed(partly) == computed(
             deployment.run(reference, pattern))
-        # The re-read entry has a new ordinal: a new question.
-        assert deployment.run(lookup, pattern)["answer_misses"] == 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -368,10 +396,11 @@ def test_callers_cannot_poison_an_answer(small_corpus, probe, strategy):
         expected = list(first["uris"])
         first["uris"].append("poison.xml")
         del first["uris"][:1]
-        # The maps a read hands out are copies too (the router's copy
-        # protection): emptying them changes neither entry nor answer.
+        # The maps a read hands out are the entries themselves, and
+        # they refuse mutation: nothing a caller does reaches an answer.
         for tenant, table, key, epoch in list(deployment.cache._entries):
-            read(table, [key])[key].clear()
+            with pytest.raises(TypeError):
+                read(table, [key])[key]["poison.xml"] = None
         again = deployment.run(lookup, pattern)
         assert again["uris"] == expected
         assert again["uris"] is not first["uris"]
@@ -388,28 +417,29 @@ def test_the_table_is_bounded_and_outside_the_byte_budget(small_corpus,
         for pattern in PATTERNS:
             for _ in range(3):
                 with_table.run(lookup, pattern)
-    cache = with_table.cache
-    assert 0 < len(cache._answers) <= ANSWER_MEMO_ENTRIES
-    remembered = cache.answer_misses
+    memo, cache = with_table.memo, with_table.cache
+    assert 0 < len(memo) <= ANSWER_MEMO_ENTRIES
+    assert memo.hits > 0
+    remembered = memo.misses
 
-    # The same reads with nothing remembered: same bytes, same entries.
+    # The same reads through a router with no memo: same bytes, same
+    # entries.
     without = Deployment(small_corpus.documents, probe)
+    without.router.answer_memo = None
     for strategy in STRATEGIES:
         lookup = without.lookup(strategy)
         for pattern in PATTERNS:
             for _ in range(3):
-                without.cache._answers.clear()
                 without.run(lookup, pattern)
-    assert without.cache.answer_hits == 0
-    assert with_table.cache.answer_hits > 0
+    assert without.memo.hits == without.memo.misses == 0
     assert cache.current_bytes == without.cache.current_bytes
     assert cache.stats() == without.cache.stats()
     assert list(cache._entries) == list(without.cache._entries)
 
     # Past the bound the least recently asked answer goes first.
     for extra in range(ANSWER_MEMO_ENTRIES + 5):
-        cache.answer(("extra", extra), lambda: (extra,))
-    assert len(cache._answers) == ANSWER_MEMO_ENTRIES
-    assert cache.answer_misses == remembered + ANSWER_MEMO_ENTRIES + 5
-    assert ("extra", 4) not in cache._answers
-    assert cache.answer(("extra", 5), lambda: None) == (5,)
+        memo.put(("extra", extra), (extra,))
+    assert len(memo) == ANSWER_MEMO_ENTRIES
+    assert memo.misses == remembered + ANSWER_MEMO_ENTRIES + 5
+    assert memo.get(("extra", 4)) is None
+    assert memo.get(("extra", 5)) == (5,)

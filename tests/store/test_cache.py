@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.store import ENTRY_OVERHEAD_BYTES, IndexCache, payload_weight
+from repro.store import (ENTRY_OVERHEAD_BYTES, AnswerMemo, IndexCache,
+                         payload_weight)
+from repro.store.cache import ANSWER_MEMO_ENTRIES
 
 pytestmark = pytest.mark.store
 
@@ -145,50 +147,25 @@ def test_hit_ratio_and_stats_snapshot():
     assert stats["hits"] == 1.0 and stats["misses"] == 1.0
 
 
-def test_ordinals_name_stored_entries_without_touching_them():
-    """Each put stamps a fresh ordinal; the peek counts and moves nothing."""
-    cache = IndexCache(4096)
-    cache.put("idx", "a", 1, {})
-    cache.put("idx", "b", 1, {})
-    cache.put("idx", "a", 1, {"x.xml": None}, tenant="t")
-    assert cache.ordinals("idx", ["a", "b"], 1) == (1, 2)
-    assert cache.ordinals("idx", ["b", "a", "b"], 1) == (2, 1, 2)
-    assert cache.ordinals("idx", ["a"], 1, tenant="t") == (3,)
-    assert cache.ordinals("idx", [], 1) == ()
-    assert cache.ordinals("idx", ["a", "gone"], 1) is None
-    assert cache.ordinals("idx", ["a"], 2) is None
-    assert cache.hits == cache.misses == 0
-    assert next(iter(cache._entries))[2] == "a"  # LRU order untouched
-    # Re-put, discard + re-put: never the same ordinal twice.
-    cache.put("idx", "a", 1, {})
-    cache.discard("idx", "b", 1)
-    cache.put("idx", "b", 1, {})
-    assert cache.ordinals("idx", ["a", "b"], 1) == (4, 5)
-
-
 def test_answers_are_computed_once_and_kept_out_of_stats():
-    """The answer table computes on first ask and counts beside stats()."""
+    """The answer memo keeps what was put, counts replays (hits) and
+    answers kept (misses), drops the least recently asked past its
+    bound, and is no part of any cache's entries, bytes or stats."""
     cache = IndexCache(4096)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return ("a.xml",)
-
+    memo = AnswerMemo()
     before = cache.stats()
-    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
-    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
-    assert cache.answer(("q", (1, 3)), compute) == ("a.xml",)
-    assert len(calls) == 2
-    assert (cache.answer_hits, cache.answer_misses) == (1, 2)
+    assert memo.get(("q", (1, 2))) is None
+    memo.put(("q", (1, 2)), ("a.xml",))
+    memo.put(("q", (1, 3)), ("b.xml",))
+    assert memo.get(("q", (1, 2))) == ("a.xml",)
+    assert memo.get(("q", (1, 2))) is memo.get(("q", (1, 2)))
+    assert len(memo) == 2 and (memo.hits, memo.misses) == (3, 2)
     assert cache.stats() == before and cache.current_bytes == 0
-
-    def broken():
-        raise ValueError("damaged block")
-
-    with pytest.raises(ValueError):
-        cache.answer("bad", broken)
-    assert cache.answer("bad", compute) == ("a.xml",)  # nothing was stored
-    cache.invalidate_all()
-    assert cache.answer(("q", (1, 2)), compute) == ("a.xml",)
-    assert len(calls) == 4
+    for extra in range(ANSWER_MEMO_ENTRIES):
+        memo.put(("extra", extra), (extra,))
+    # Two over the bound: ("q", (1, 3)), asked least recently, went
+    # first, then ("q", (1, 2)); every extra is kept.
+    assert len(memo) == ANSWER_MEMO_ENTRIES
+    assert memo.get(("q", (1, 3))) is None
+    assert memo.get(("q", (1, 2))) is None
+    assert memo.get(("extra", 0)) == (0,)

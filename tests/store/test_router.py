@@ -192,13 +192,21 @@ class TestCache:
         assert router.cache.hits == 1
 
     def test_cached_payloads_are_copy_protected(self, cloud):
-        """A caller mutating its result must not poison the cache."""
+        """A caller cannot poison the cache: what a read hands out —
+        the stored view, miss or hit, point or batched — refuses
+        mutation, so the router hands out the entry itself."""
         router = self._cached_router(cloud)
         _write(cloud, router, "idx", _entries(2))
         first, _ = _read_key(cloud, router, "idx", "k1")
-        first["poison.xml"] = ()
-        second, _ = _read_key(cloud, router, "idx", "k1")
-        assert "poison.xml" not in second
+        second, gets = _read_key(cloud, router, "idx", "k1")
+        batched, _ = _read_keys(cloud, router, "idx", ["k0", "k1"])
+        assert gets == 0 and second is first and batched["k1"] is first
+        for payloads in (first, batched["k0"]):
+            with pytest.raises(TypeError):
+                payloads["poison.xml"] = ()
+            with pytest.raises(AttributeError):
+                payloads.clear()
+        assert dict(second) == {"d.xml": None}
 
     def test_negative_read_is_cached(self, cloud):
         router = self._cached_router(cloud)
