@@ -180,13 +180,11 @@ class BuildCoordinator:
         self._store = store
         db = self._cloud.resilient.dynamodb
         existing = set(db.table_names())
-        creator = getattr(store, "create_physical_table",
-                          store.create_table)
         for physical in self.plan.table_names.values():
             for shard_table in shard_table_names(physical,
                                                  self.plan.shards):
                 if shard_table not in existing:
-                    creator(shard_table)
+                    store.create_physical_table(shard_table)
         self.ledger.ensure_table()
         if META_BUCKET not in self._cloud.s3.bucket_names():
             self._cloud.s3.create_bucket(META_BUCKET)

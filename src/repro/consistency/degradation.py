@@ -94,9 +94,8 @@ class DegradingLookup(BaseLookup):
         """The chain's shared read cache (every candidate store of one
         warehouse holds the same cache object), or ``None``."""
         for built in self._candidates:
-            cache = getattr(built.store, "cache", None)
-            if cache is not None:
-                return cache
+            if built.store.cache is not None:
+                return built.store.cache
         return None
 
     def _note_downgrade(self, skipped: str, reason: str) -> None:
@@ -134,7 +133,7 @@ class DegradingLookup(BaseLookup):
                 # reads of the quarantined tables are dropped so the
                 # post-repair index is re-read, never masked by
                 # pre-damage entries.
-                cache = getattr(built.store, "cache", None)
+                cache = built.store.cache
                 for table in tables:
                     self._health.mark(table, "suspect")
                     if cache is not None:
@@ -198,8 +197,7 @@ class DegradedIndexChain:
         self._all_uris = list(all_uris)
         self.health = health if health is not None else HealthRegistry()
         for built in self._candidates:
-            if hasattr(built.store, "verify_reads"):
-                built.store.verify_reads = True
+            built.store.verify_reads = True
 
     @property
     def strategy(self):

@@ -30,11 +30,12 @@ Live mutation (``repro.mutations``) adds a third key per index:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
 
 from repro.cloud.dynamodb import DynamoItem
-from repro.errors import BuildStateError, ConditionalCheckFailed, NoSuchTable
+from repro.errors import (BuildStateError, ConditionalCheckFailed,
+                          IntegrityError, NoSuchTable)
 
 #: The hash-only DynamoDB table holding committed/pending epoch records.
 MANIFEST_TABLE = "index-manifest"
@@ -44,6 +45,24 @@ PENDING_SUFFIX = "#pending"
 
 #: Key suffix under which an index's live delta chain is recorded.
 LIVE_SUFFIX = "#live"
+
+#: What decoding a damaged record can raise: a missing attribute or
+#: field, a non-integer number, bytes or JSON that do not decode, JSON
+#: of the wrong shape.
+_DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError,
+                  AttributeError, RecursionError)
+
+
+def _text(attrs: Mapping[str, Tuple[Any, ...]], attr: str) -> str:
+    """One stored attribute's first value, as text."""
+    value = attrs[attr][0]
+    return value if isinstance(value, str) else value.decode("utf-8")
+
+
+def _damaged(item: DynamoItem, exc: Exception) -> IntegrityError:
+    """The typed error for a manifest record that does not decode."""
+    return IntegrityError("manifest record {!r} does not decode: {}: {}"
+                          .format(item.hash_key, type(exc).__name__, exc))
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,20 @@ class LiveHead:
         """Sequence number the next published delta takes."""
         return max((delta.seq for delta in self.deltas), default=0) + 1
 
+    @staticmethod
+    def from_item(name: str, item: DynamoItem) -> "LiveHead":
+        """Rebuild ``name``'s chain from its stored ``<name>#live``
+        item; a record that does not decode raises
+        :class:`~repro.errors.IntegrityError` naming it."""
+        try:
+            attrs = item.attributes
+            return LiveHead(
+                name=name, version=int(_text(attrs, "version")),
+                deltas=tuple(DeltaRecord.from_dict(entry) for entry
+                             in json.loads(_text(attrs, "chain"))))
+        except _DECODE_ERRORS as exc:
+            raise _damaged(item, exc) from exc
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -143,26 +176,27 @@ class EpochRecord:
 
     @staticmethod
     def from_item(name: str, item: DynamoItem) -> "EpochRecord":
-        """Rebuild a record from its stored item."""
+        """Rebuild a record from its stored item; a record that does
+        not decode raises :class:`~repro.errors.IntegrityError` naming
+        it."""
         attrs = item.attributes
-
-        def one(attr: str) -> str:
-            value = attrs[attr][0]
-            return value if isinstance(value, str) else value.decode("utf-8")
-
-        return EpochRecord(
-            name=name,
-            epoch=int(one("epoch")),
-            status=one("status"),
-            strategy=one("strategy"),
-            tables=json.loads(one("tables")),
-            ledger_table=one("ledger"),
-            batches=int(one("batches")),
-            digest=one("digest"),
-            batch_size=(int(one("batch_size"))
-                        if "batch_size" in attrs else 0),
-            shards=(int(one("shards")) if "shards" in attrs else 1),
-        )
+        try:
+            return EpochRecord(
+                name=name,
+                epoch=int(_text(attrs, "epoch")),
+                status=_text(attrs, "status"),
+                strategy=_text(attrs, "strategy"),
+                tables=dict(json.loads(_text(attrs, "tables"))),
+                ledger_table=_text(attrs, "ledger"),
+                batches=int(_text(attrs, "batches")),
+                digest=_text(attrs, "digest"),
+                batch_size=(int(_text(attrs, "batch_size"))
+                            if "batch_size" in attrs else 0),
+                shards=(int(_text(attrs, "shards"))
+                        if "shards" in attrs else 1),
+            )
+        except _DECODE_ERRORS as exc:
+            raise _damaged(item, exc) from exc
 
 
 class Manifest:
@@ -227,12 +261,7 @@ class Manifest:
         item = yield from self._read(name + LIVE_SUFFIX)
         if item is None:
             return LiveHead(name=name, version=0, deltas=())
-        attrs = item.attributes
-        chain = json.loads(attrs["chain"][0])
-        return LiveHead(
-            name=name,
-            version=int(attrs["version"][0]),
-            deltas=tuple(DeltaRecord.from_dict(entry) for entry in chain))
+        return LiveHead.from_item(name, item)
 
     # -- writes ------------------------------------------------------------
 
@@ -321,12 +350,7 @@ class Manifest:
         for _ in range(attempts):
             head = yield from self.live_head(name)
             survivors = tuple(
-                DeltaRecord(name=delta.name, base_epoch=base_epoch,
-                            seq=delta.seq, tables=delta.tables,
-                            tombstones=delta.tombstones,
-                            documents=delta.documents,
-                            ledger_table=delta.ledger_table,
-                            digest=delta.digest)
+                replace(delta, base_epoch=base_epoch)
                 for delta in head.deltas if delta.seq not in seqs)
             updated = LiveHead(name=name, version=head.version + 1,
                                deltas=survivors)

@@ -38,8 +38,8 @@ from typing import Any, Dict, Generator, List, Optional, Set
 
 from repro.cloud.dynamodb import BATCH_PUT_LIMIT, DynamoItem
 from repro.consistency.manifest import (LIVE_SUFFIX, MANIFEST_TABLE,
-                                        PENDING_SUFFIX, DeltaRecord,
-                                        EpochRecord)
+                                        PENDING_SUFFIX, EpochRecord,
+                                        LiveHead)
 from repro.errors import ProcessInterrupted
 from repro.store.sharding import SHARD_SEPARATOR
 
@@ -177,7 +177,7 @@ class ReplicatedManifest:
         for item in items:
             if item.hash_key.endswith(LIVE_SUFFIX):
                 name = item.hash_key[:-len(LIVE_SUFFIX)]
-                versions[name] = int(item.attributes["version"][0])
+                versions[name] = LiveHead.from_item(name, item).version
         return versions
 
     def _referenced_tables(self, items: List[DynamoItem]) -> List[str]:
@@ -187,9 +187,8 @@ class ReplicatedManifest:
         for item in items:
             name = item.hash_key
             if name.endswith(LIVE_SUFFIX):
-                chain = json.loads(item.attributes["chain"][0])
-                for entry in chain:
-                    delta = DeltaRecord.from_dict(entry)
+                head = LiveHead.from_item(name[:-len(LIVE_SUFFIX)], item)
+                for delta in head.deltas:
                     bases.update(delta.tables.values())
                 continue
             if name.endswith(PENDING_SUFFIX):

@@ -174,7 +174,7 @@ class Scrubber:
         for logical in sorted(self._table_names):
             physical = self._table_names[logical]
             good = []
-            for shard_table in self._shard_tables(physical):
+            for shard_table in self._store.shard_tables(physical):
                 base_of[shard_table] = physical
                 try:
                     shard_items = yield from db.scan(shard_table)
@@ -184,7 +184,7 @@ class Scrubber:
                     self._mark(physical, "missing")
                     shard_items = []
                     if repair:
-                        self._create_shard_table(shard_table)
+                        self._store.create_physical_table(shard_table)
                     report.note("missing table: {}".format(shard_table))
                 report.items_scanned += len(shard_items)
                 for item in shard_items:
@@ -264,7 +264,7 @@ class Scrubber:
                 if inventory is None:
                     continue
                 items = []
-                for shard_table in self._shard_tables(
+                for shard_table in self._store.shard_tables(
                         self._table_names[logical]):
                     shard_items = yield from db.scan(shard_table)
                     items.extend(shard_items)
@@ -328,23 +328,6 @@ class Scrubber:
         grouped = {uri for group in groups for uri in group}
         groups.extend([uri] for uri in sorted(damaged_set - grouped))
         return groups
-
-    def _shard_tables(self, physical: str) -> List[str]:
-        """The physical shard tables behind one logical table.
-
-        Asks the store for its routing (a
-        :class:`~repro.store.router.StoreRouter` expands to its shard
-        layout); plain stores scrub the single unsuffixed table — the
-        pre-sharding behaviour.
-        """
-        from repro.store.sharding import expand_physical
-        return expand_physical(self._store, physical)
-
-    def _create_shard_table(self, shard_table: str) -> None:
-        """Recreate one missing (already-routed) shard table."""
-        creator = getattr(self._store, "create_physical_table",
-                          self._store.create_table)
-        creator(shard_table)
 
     def _mark(self, physical: str, state: str) -> None:
         if self._health is not None:

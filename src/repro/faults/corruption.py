@@ -42,12 +42,11 @@ class CorruptionMonkey:
         index exposes every physical shard as a separate target, so
         damage can land on any one shard.
         """
-        from repro.store.sharding import expand_physical
         before = len(self.applied)
         tables = sorted(
             shard_table
             for physical in built.physical_tables
-            for shard_table in expand_physical(built.store, physical))
+            for shard_table in built.store.shard_tables(physical))
         if not tables:
             return []
         for spec in specs:

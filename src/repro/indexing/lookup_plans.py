@@ -289,6 +289,10 @@ class BaseLookup:
     they nest under the query worker's ``index-lookup`` span.
     """
 
+    #: How the last query was resolved: the index itself here; the
+    #: degradation ladder names the rung it took.
+    query_resolution = "index"
+
     def __init__(self, store: IndexStore, tracer: Tracer,
                  include_words: bool = True) -> None:
         self._store = store
@@ -302,7 +306,7 @@ class BaseLookup:
         Query workers read its hit counter around a look-up to report
         per-query cache effectiveness; ``None`` for plain stores.
         """
-        return getattr(self._store, "cache", None)
+        return self._store.cache
 
     def _once(self, data: Mapping[str, Any], keys: Sequence[str],
               question: tuple, stats: PlanStats, compute: Any) -> Any:
@@ -315,7 +319,7 @@ class BaseLookup:
         operator — is replayed, whether the read was cached, uncached
         or partly cached.  The memo entry holds the views, so their ids
         stay theirs.  A store without a memo computes as ever."""
-        memo = getattr(self._store, "answer_memo", None)
+        memo = self._store.answer_memo
         if memo is None:
             return compute(stats)
         views = tuple(map(data.get, keys))
@@ -404,7 +408,7 @@ class LUPLookup(BaseLookup):
         stats = PlanStats()
         unique_keys = plan.path_keys
         gets = 0
-        if getattr(self._store, "coalesce_reads", False):
+        if self._store.coalesce_reads:
             data, gets = yield from self._store.read_keys(
                 self._table, unique_keys, "paths")
         else:

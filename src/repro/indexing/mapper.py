@@ -33,8 +33,8 @@ import random
 from dataclasses import dataclass
 from operator import is_
 from types import MappingProxyType
-from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES, attribute_size,
@@ -83,9 +83,26 @@ class WriteStats:
 
 
 class IndexStore(abc.ABC):
-    """Backend-independent index storage interface."""
+    """Backend-independent index storage interface.
+
+    The class attributes below are what a store offers its readers;
+    every store honours them, so callers read them directly (DESIGN
+    §11, "The store contract").
+    """
 
     backend_name: str = ""
+    #: The shared read cache below this store, if any.
+    cache: Optional[Any] = None
+    #: Whether look-up planners should hand this store batched reads.
+    coalesce_reads: bool = False
+    #: Whether reads check each item's checksum.
+    verify_reads: bool = False
+    #: How items are addressed: "uuid", "attribute" or "content".
+    range_key_mode: str = "uuid"
+    #: The answer memo planners over this store replay from, if any.
+    answer_memo: Optional[Any] = None
+    #: The index epoch reads are cached under.
+    epoch: int = 0
     #: A backend's read memo: (physical table, key, kind) -> (the items
     #: merged, the read-only view over their merged map).
     _views: Dict[Tuple[str, str, str], Tuple[tuple, Mapping[str, Payload]]]
@@ -107,9 +124,17 @@ class IndexStore(abc.ABC):
         self._views[memo_key] = (tuple(items), view)
         return view
 
+    def shard_tables(self, physical: str) -> List[str]:
+        """The physical tables behind one logical table."""
+        return [physical]
+
     @abc.abstractmethod
     def create_table(self, physical_name: str) -> None:
         """Create the physical table/domain (idempotence not required)."""
+
+    def create_physical_table(self, shard_table: str) -> None:
+        """Create one table already named by :meth:`shard_tables`."""
+        self.create_table(shard_table)
 
     @abc.abstractmethod
     def write_entries(self, physical_name: str, entries: Entries,

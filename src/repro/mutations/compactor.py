@@ -176,7 +176,7 @@ class Compactor:
                 to_epoch=base_record.epoch, folded_seqs=())
         to_epoch = base_record.epoch + 1
         slug = live.name.lower()
-        shards = warehouse.store_config.shards
+        shards = warehouse.deployment.shards
         new_tables = {
             logical: "idx-{}-{}-e{}".format(slug, logical, to_epoch)
             for logical in live.strategy.logical_tables}
@@ -195,9 +195,7 @@ class Compactor:
                              to_epoch=to_epoch,
                              deltas=len(live.deltas)) as span:
             report.span_id = span.span_id
-            store = warehouse._make_store("dynamodb", seed=to_epoch,
-                                          range_key_mode="content",
-                                          epoch=to_epoch)
+            store = live._store_for(to_epoch)
             yield from coordinator.prepare(store)
             deltas = yield from self._pin_chain(coordinator, to_epoch)
             report.folded_seqs = tuple(delta.seq for delta in deltas)
@@ -308,7 +306,7 @@ class Compactor:
         live = self.live
         cloud = self.warehouse.cloud
         kind = live.strategy.table_kind(logical)
-        shards = self.warehouse.store_config.shards
+        shards = self.warehouse.deployment.shards
 
         # The base epoch's tables are laid out under its *own* routing
         # metadata (the record may predate this deployment's shard

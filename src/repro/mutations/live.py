@@ -48,7 +48,6 @@ from repro.consistency.ledger import BatchLedger
 from repro.consistency.manifest import DeltaRecord, LiveHead, Manifest
 from repro.errors import BuildStateError, WarehouseError
 from repro.mutations.merge import MergingStore, alias_table
-from repro.store.sharding import shard_table_names
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import check_document_uris
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
@@ -195,6 +194,9 @@ class LiveIndex:
         self.table_names = {
             logical: alias_table(self.name, logical)
             for logical in strategy.logical_tables}
+        #: Whether every layer store checks item checksums on read
+        #: (set through ``store.verify_reads``).
+        self.verify_reads = False
         #: Content-mode router over the committed base tables.
         self.base_store = self._store_for(record.epoch)
         self._delta_stores: Dict[int, Any] = {}
@@ -260,9 +262,11 @@ class LiveIndex:
 
     def _store_for(self, seed: int) -> Any:
         """A content-mode read/write router keyed under ``seed``."""
-        return self.warehouse._make_store("dynamodb", seed=seed,
-                                          range_key_mode="content",
-                                          epoch=seed)
+        store = self.warehouse._make_store("dynamodb", seed=seed,
+                                           range_key_mode="content",
+                                           epoch=seed)
+        store.verify_reads = self.verify_reads
+        return store
 
     def _sync_head(self, head: LiveHead) -> None:
         """Adopt a freshly-read (or freshly-put) delta chain."""
@@ -452,9 +456,8 @@ class LiveIndex:
                 stats = [worker.stats for worker in workers]
                 scanned = []
                 for logical in sorted(tables):
-                    for shard_table in shard_table_names(
-                            tables[logical],
-                            warehouse.store_config.shards):
+                    for shard_table in delta_store.shard_tables(
+                            tables[logical]):
                         scanned.extend(
                             cloud.dynamodb.table(shard_table).all_items())
                 digest = items_digest(scanned, delta_store.take_written())

@@ -83,12 +83,28 @@ class MergingStore(IndexStore):
         names of each layer, never by the alias, so a flip needs no
         wholesale invalidation: post-flip reads key under fresh names.
         """
-        return getattr(self._live.base_store, "cache", None)
+        return self._live.base_store.cache
 
     @property
     def coalesce_reads(self) -> bool:
         """Whether planners should hand this store batched reads."""
-        return getattr(self._live.base_store, "coalesce_reads", False)
+        return self._live.base_store.coalesce_reads
+
+    @property
+    def verify_reads(self) -> bool:
+        """Whether every layer's reads check item checksums."""
+        return self._live.base_store.verify_reads
+
+    @verify_reads.setter
+    def verify_reads(self, value: bool) -> None:
+        # The live handle keeps the flag, so layer stores it attaches
+        # later (a delta, a compacted base) verify alike.
+        live = self._live
+        live.verify_reads = value
+        live.base_store.verify_reads = value
+        for _, store in live.delta_layers():
+            if store is not None:
+                store.verify_reads = value
 
     # -- lifecycle (delta publication owns all writes) ---------------------
 

@@ -1,10 +1,10 @@
 """Autoscaling and admission policies.
 
-Both are frozen value objects in the :class:`~repro.store.config.
-StoreConfig` mould: validated at construction, hashable, safe to embed
-in a :class:`~repro.warehouse.deployment.DeploymentConfig`.  This
-module deliberately imports nothing from the warehouse or cloud layers
-so the deployment config can depend on it without cycles.
+Each is a frozen value object: validated at construction, hashable,
+safe to embed in a :class:`~repro.warehouse.deployment.
+DeploymentConfig`.  This module deliberately imports nothing from the
+warehouse or cloud layers so the deployment config can depend on it
+without cycles.
 """
 
 from __future__ import annotations

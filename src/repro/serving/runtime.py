@@ -82,7 +82,7 @@ class ServingRuntime:
         self.strategy_name = index.strategy.name if index else "none"
         self.tag = tag or "serve:{}:{}:{}".format(
             self.strategy_name, profile.arrival, next(warehouse._serve_ids))
-        self.tenancy = getattr(deployment, "tenancy", None)
+        self.tenancy = deployment.tenancy
         if queries is not None:
             self._queries: Dict[str, Query] = dict(queries)
         else:
@@ -143,20 +143,13 @@ class ServingRuntime:
 
     def _switched_index(self, switch: Any) -> Any:
         """A clone of the serving index whose store reads through the
-        region switch (same shared cache, config and epoch, so cache
-        keys line up with the primary-bound store's)."""
-        from repro.indexing.mapper import DynamoIndexStore
-        from repro.store import StoreRouter
+        region switch (the warehouse's router under the same epoch, so
+        cache keys line up with the primary-bound store's)."""
         from repro.warehouse.warehouse import BuiltIndex
-        warehouse = self.warehouse
         index = self.index
-        base = DynamoIndexStore(switch)
-        router = StoreRouter(base, config=warehouse.store_config,
-                             cache=warehouse.index_cache,
-                             telemetry=warehouse.telemetry,
-                             epoch=getattr(index.store, "epoch", 0),
-                             answer_memo=warehouse.answer_memo)
-        return BuiltIndex(strategy=index.strategy, store=router,
+        store = self.warehouse._make_store(
+            "dynamodb", seed=0, epoch=index.store.epoch, dynamodb=switch)
+        return BuiltIndex(strategy=index.strategy, store=store,
                           table_names=dict(index.table_names),
                           report=index.report)
 
@@ -180,7 +173,7 @@ class ServingRuntime:
             strategy=index.strategy.name,
             tables=dict(index.table_names), ledger_table="",
             batches=index.report.batches,
-            shards=warehouse.store_config.shards)
+            shards=warehouse.deployment.shards)
         yield from manifest.commit(record, expected_epoch=None)
 
     @staticmethod

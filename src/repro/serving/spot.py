@@ -134,8 +134,7 @@ class SpotMarket:
         hub.counter("spot_interruptions_total",
                     "Spot interruption notices issued.").inc()
         worker = member.worker
-        if getattr(worker, "request_drain", None) is not None:
-            worker.request_drain(notice)
+        worker.request_drain(notice)
         if not worker.busy:
             # Idle at notice time: nothing to drain, retire on the spot.
             self._finish(member, reclaimed=False)

@@ -7,19 +7,18 @@ and the simulated cloud backends.  Its single entry point is the
 adds hash-key sharding across physical tables
 (:mod:`~repro.store.sharding`), dedupe + ``batch_get`` coalescing of
 point reads (:mod:`~repro.store.batch`) and an epoch-aware
-read-through cache (:mod:`~repro.store.cache`), all governed by one
-:class:`~repro.store.config.StoreConfig`.  The default configuration
-is a pure passthrough that preserves the seed's byte-identical traces.
+read-through cache (:mod:`~repro.store.cache`), governed by two
+inputs: a shard count and the cache it is handed.  One shard and no
+cache is a pure passthrough that preserves the seed's byte-identical
+traces.
 """
 
 from repro.store.batch import BatchPipeline
 from repro.store.cache import (ENTRY_OVERHEAD_BYTES, AnswerMemo, IndexCache,
                                payload_weight)
-from repro.store.config import StoreConfig
 from repro.store.router import StoreRouter
-from repro.store.sharding import (SHARD_SEPARATOR, expand_physical,
-                                  shard_of, shard_table_for,
-                                  shard_table_names)
+from repro.store.sharding import (SHARD_SEPARATOR, shard_of,
+                                  shard_table_for, shard_table_names)
 
 __all__ = [
     "AnswerMemo",
@@ -27,10 +26,8 @@ __all__ = [
     "ENTRY_OVERHEAD_BYTES",
     "IndexCache",
     "payload_weight",
-    "StoreConfig",
     "StoreRouter",
     "SHARD_SEPARATOR",
-    "expand_physical",
     "shard_of",
     "shard_table_for",
     "shard_table_names",

@@ -85,11 +85,12 @@ def payload_weight(payloads: Mapping[str, Any]) -> int:
 class IndexCache:
     """Bounded LRU over index reads, keyed ``(tenant, table, key, epoch)``.
 
-    ``max_bytes`` is the budget from configuration
-    (:class:`~repro.store.config.StoreConfig`); entries larger than the
-    whole budget are simply not cached.  Negative results (a key absent
-    from the index: an empty payload map) are cached too — repeat
-    look-ups of a missing key are billed requests like any other.
+    ``max_bytes`` is the deployment's ``cache_bytes`` budget
+    (:class:`~repro.warehouse.deployment.DeploymentConfig`); entries
+    larger than the whole budget are simply not cached.  Negative
+    results (a key absent from the index: an empty payload map) are
+    cached too — repeat look-ups of a missing key are billed requests
+    like any other.
 
     The tenant dimension (default ``""``, the single-owner namespace)
     keeps invalidation exact under multi-tenancy: two tenants' entries

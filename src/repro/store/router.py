@@ -8,7 +8,7 @@ three storage-access concerns the CloudTree/Airphant line of work
 argues belong in a dedicated layer:
 
 - **sharding** — each logical table is hash-partitioned over
-  ``config.shards`` physical tables (:mod:`~repro.store.sharding`);
+  ``shards`` physical tables (:mod:`~repro.store.sharding`);
 - **batching** — multi-key reads dedupe and coalesce into per-shard
   ``batch_get`` chunks (:mod:`~repro.store.batch`);
 - **caching** — reads flow through the epoch-aware
@@ -18,10 +18,10 @@ Every router of a warehouse also carries the warehouse's
 :class:`~repro.store.cache.AnswerMemo`, which look-up planners replay
 answers from (DESIGN §10, "Looked up once").
 
-With the default configuration (one shard, no cache) every method is
-a pure delegation — same requests, same simulated latency, same meter
-records, byte-identical traces — so the refactor is behaviour-
-preserving until configuration says otherwise.  When active, the
+With one shard and no cache every method is a pure delegation — same
+requests, same simulated latency, same meter records, byte-identical
+traces — so the layer is behaviour-preserving until a deployment says
+otherwise.  When active, the
 router opens ``store.read`` telemetry spans and feeds hit/miss,
 coalescing and per-shard balance counters to the metrics registry, so
 the savings are visible in traces, metrics and priced costs alike.
@@ -37,7 +37,6 @@ from repro.indexing.mapper import IndexStore, Payload, WriteStats
 
 from repro.store.batch import BatchPipeline
 from repro.store.cache import AnswerMemo, IndexCache
-from repro.store.config import StoreConfig
 from repro.store.sharding import shard_of, shard_table_names
 
 
@@ -52,13 +51,14 @@ class StoreRouter(IndexStore):
     telemetry:
         The deployment's :class:`~repro.telemetry.TelemetryHub`, used
         for ``store.read`` spans and the store metrics when active.
-    config:
-        The :class:`~repro.store.config.StoreConfig`; default preserves
-        seed behaviour exactly.
+    shards:
+        Physical tables per logical table (≥ 1); 1 keeps the seed's
+        unsuffixed single-table layout.
     cache:
-        A shared :class:`~repro.store.cache.IndexCache` (the warehouse
-        passes one cache to every router so repeated workload runs hit
-        across builds); ignored unless the config enables caching.
+        The shared :class:`~repro.store.cache.IndexCache` reads go
+        through (the warehouse passes one cache to every router so
+        repeated workload runs hit across builds); ``None`` reads
+        uncached.
     epoch:
         The index epoch reads are keyed under in the cache (0 for
         legacy, non-epoch builds whose table names are build-scoped).
@@ -75,18 +75,14 @@ class StoreRouter(IndexStore):
     """
 
     def __init__(self, base: IndexStore, telemetry: Any,
-                 config: Optional[StoreConfig] = None,
+                 shards: int = 1,
                  cache: Optional[IndexCache] = None,
                  epoch: int = 0, tenant: str = "",
                  answer_memo: Optional[AnswerMemo] = None) -> None:
         self._base = base
         self.answer_memo = answer_memo
-        self.config = config or StoreConfig()
-        if self.config.cache_enabled:
-            self.cache = cache if cache is not None \
-                else IndexCache(self.config.cache_bytes)
-        else:
-            self.cache = None
+        self.shards = shards
+        self.cache = cache
         self._telemetry = telemetry
         self.epoch = epoch
         self.tenant = tenant
@@ -98,11 +94,11 @@ class StoreRouter(IndexStore):
     def for_tenant(self, tenant: str) -> "StoreRouter":
         """A router over the same backend scoped to one tenant.
 
-        Shares the backend, config, cache, answer memo and telemetry —
+        Shares the backend, shards, cache, answer memo and telemetry —
         only the namespace differs — so tenant routers cost nothing to
         mint per request.
         """
-        return StoreRouter(self._base, self._telemetry, config=self.config,
+        return StoreRouter(self._base, self._telemetry, shards=self.shards,
                            cache=self.cache, epoch=self.epoch, tenant=tenant,
                            answer_memo=self.answer_memo)
 
@@ -127,21 +123,21 @@ class StoreRouter(IndexStore):
     @property
     def range_key_mode(self) -> str:
         """The wrapped store's range-key discipline."""
-        return getattr(self._base, "range_key_mode", "uuid")
+        return self._base.range_key_mode
 
     @property
     def verify_reads(self) -> bool:
         """Whether the wrapped store checks item checksums on read."""
-        return getattr(self._base, "verify_reads", False)
+        return self._base.verify_reads
 
     @verify_reads.setter
     def verify_reads(self, value: bool) -> None:
-        setattr(self._base, "verify_reads", value)
+        self._base.verify_reads = value
 
     @property
     def passthrough(self) -> bool:
         """True when the router adds nothing (seed behaviour)."""
-        return self.config.shards == 1 and self.cache is None
+        return self.shards == 1 and self.cache is None
 
     @property
     def coalesce_reads(self) -> bool:
@@ -159,12 +155,12 @@ class StoreRouter(IndexStore):
     def shard_tables(self, physical: str) -> List[str]:
         """All physical shard tables behind one logical table."""
         return shard_table_names(self._physical(physical),
-                                 self.config.shards)
+                                 self.shards)
 
     def shard_table_for(self, physical: str, key: str) -> str:
         """The shard table one hash key routes to."""
         return self.shard_tables(physical)[
-            shard_of(key, self.config.shards)]
+            shard_of(key, self.shards)]
 
     # -- telemetry ---------------------------------------------------------
 
@@ -217,11 +213,11 @@ class StoreRouter(IndexStore):
             return stats
         names = self.shard_tables(physical_name)
         by_shard: Dict[int, Entries] = {0: entries}  # one shard: whole
-        if self.config.shards > 1:
+        if self.shards > 1:
             by_shard = {}
             for entry in entries:
                 by_shard.setdefault(
-                    shard_of(entry.key, self.config.shards), []).append(entry)
+                    shard_of(entry.key, self.shards), []).append(entry)
         stats = WriteStats()
         for shard in sorted(by_shard):
             shard_stats = yield from self._base.write_entries(
@@ -255,7 +251,7 @@ class StoreRouter(IndexStore):
             if cached is not None:
                 self._note_cache(1, 0)
                 return cached, 0
-        shard = shard_of(key, self.config.shards)
+        shard = shard_of(key, self.shards)
         payloads, gets = yield from self._base.read_key(
             self.shard_tables(physical_name)[shard], key, kind)
         self._note_shard_read(shard, gets)
@@ -273,7 +269,7 @@ class StoreRouter(IndexStore):
             result = yield from self._base.read_keys(
                 self._physical(physical_name), keys, kind)
             return result
-        pipeline = BatchPipeline(shards=self.config.shards)
+        pipeline = BatchPipeline(shards=self.shards)
         result: Dict[str, Mapping[str, Payload]] = {}
         hits = 0
         for key in dict.fromkeys(keys):

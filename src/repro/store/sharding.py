@@ -17,7 +17,7 @@ preserves the seed's byte-identical traces.
 from __future__ import annotations
 
 import zlib
-from typing import Any, List
+from typing import List
 
 #: Separator between a logical table name and its shard ordinal.
 SHARD_SEPARATOR = ".s"
@@ -46,17 +46,3 @@ def shard_table_for(physical: str, key: str, shards: int) -> str:
     """The physical shard table one hash key lives in."""
     return shard_table_names(physical, shards)[shard_of(key, shards)]
 
-
-def expand_physical(store: Any, physical: str) -> List[str]:
-    """Shard tables backing ``physical`` under ``store``'s routing.
-
-    Consistency code (build commit, scrubber, damage injection) holds
-    logical table names; this helper asks the store — a
-    :class:`~repro.store.router.StoreRouter` or a plain backend store —
-    for the actual tables, falling back to the name itself when the
-    store does no routing.
-    """
-    expand = getattr(store, "shard_tables", None)
-    if expand is None:
-        return [physical]
-    return list(expand(physical))

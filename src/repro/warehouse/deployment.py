@@ -31,7 +31,6 @@ from repro.config import instance_type
 from repro.errors import ConfigError
 from repro.serving.policy import (AdmissionPolicy, AutoscalePolicy,
                                   FailoverPolicy, SpotPolicy)
-from repro.store import StoreConfig
 
 __all__ = ["DeploymentConfig"]
 
@@ -59,8 +58,13 @@ class DeploymentConfig:
         Index store: "dynamodb" or "simpledb" (the [8] baseline).
     batch_size:
         Loader write-batch size (documents per index batch).
-    shards / cache_bytes:
-        Storage-access layer (see :class:`~repro.store.StoreConfig`).
+    shards:
+        Physical tables per logical index table (≥ 1); 1 keeps the
+        seed's unsuffixed single-table layout.
+    cache_bytes:
+        Byte budget of the one epoch-aware
+        :class:`~repro.store.cache.IndexCache` every index store of the
+        deployment reads through; 0 deploys no cache.
     visibility_timeout:
         SQS lease length for the work queues (seconds).
     faults:
@@ -128,8 +132,14 @@ class DeploymentConfig:
             raise ConfigError(
                 "DeploymentConfig.visibility_timeout must be > 0, got "
                 "{}".format(self.visibility_timeout))
-        # Delegate shard/cache validation to StoreConfig.
-        StoreConfig(shards=self.shards, cache_bytes=self.cache_bytes)
+        if self.shards < 1:
+            raise ConfigError(
+                "DeploymentConfig.shards must be >= 1, got {}".format(
+                    self.shards))
+        if self.cache_bytes < 0:
+            raise ConfigError(
+                "DeploymentConfig.cache_bytes must be >= 0, got {}".format(
+                    self.cache_bytes))
         if self.tenancy is not None:
             # Lazy import: repro.tenancy sits above this module in the
             # layering (it imports serving.traffic), so the type check
@@ -139,11 +149,6 @@ class DeploymentConfig:
                 raise ConfigError(
                     "DeploymentConfig.tenancy must be a TenancyConfig, "
                     "got {!r}".format(type(self.tenancy).__name__))
-
-    @property
-    def store_config(self) -> StoreConfig:
-        """The storage-access layer slice of this deployment."""
-        return StoreConfig(shards=self.shards, cache_bytes=self.cache_bytes)
 
     @property
     def elastic(self) -> bool:

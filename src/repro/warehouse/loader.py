@@ -87,7 +87,7 @@ class IndexerWorker:
         self._ledger = ledger
         #: Postings are born with their canonical piece exactly when
         #: the store addresses items by content (and so reads it).
-        self._canonical = getattr(store, "range_key_mode", "") == "content"
+        self._canonical = store.range_key_mode == "content"
         self.stats = LoaderWorkerStats()
 
     def _visibility_timeout(self) -> float:

@@ -239,13 +239,13 @@ def resource_report(warehouse) -> ResourceReport:
         report.index_epochs = [
             "{} e{} {}".format(record.name, record.epoch, record.status)
             for record in manifest.list_records()]
-    health = getattr(warehouse, "_health", None)
+    health = warehouse._health
     if health is not None:
         report.table_health = health.suspect_tables()
         report.downgrades = counter_dict(registry, "downgrades_total")
     # Storage-access layer state: the shared cache's counters and the
     # per-shard item balance over the deployment's index tables.
-    cache = getattr(warehouse, "index_cache", None)
+    cache = warehouse.index_cache
     if cache is not None:
         report.store_cache = cache.stats()
     from repro.store.sharding import SHARD_SEPARATOR

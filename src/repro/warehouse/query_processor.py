@@ -229,7 +229,7 @@ class QueryWorker:
         tracer = self._cloud.telemetry.tracer
         stats = QueryWorkStats(query_id=request.query_id, name=request.name,
                                received_at=env.now,
-                               tenant=getattr(request, "tenant", ""))
+                               tenant=request.tenant)
         parsed = self._parsed_queries
         query = parsed.get((request.text, request.name))
         if query is None:
@@ -238,8 +238,7 @@ class QueryWorker:
             query = parsed[request.text, request.name] = parse_query(
                 request.text, name=request.name)
         lookup = self._lookup
-        if getattr(request, "degraded", False) \
-                and self._degraded_lookup is not None:
+        if request.degraded and self._degraded_lookup is not None:
             lookup = self._degraded_lookup
 
         # Tenant-labelled processing spans are what per-tenant billing
@@ -252,7 +251,7 @@ class QueryWorker:
 
             # Steps 9-10: index look-up (or the no-index full scan list).
             if lookup is not None:
-                cache = getattr(lookup, "store_cache", None)
+                cache = lookup.store_cache
                 hits_before = cache.hits if cache is not None else 0
                 lookup_start = env.now
                 with tracer.span("index-lookup"):
@@ -278,8 +277,7 @@ class QueryWorker:
                     yield from self._instance.run(
                         outcome.rows_processed * profile.plan_ecu_s_per_row)
                 stats.lookup_plan_s = env.now - plan_start
-                stats.index_mode = getattr(lookup, "query_resolution",
-                                           "index") or "index"
+                stats.index_mode = lookup.query_resolution or "index"
             else:
                 per_pattern_uris = [list(self._all_uris)
                                     for _ in query.patterns]

@@ -33,7 +33,7 @@ from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
 from repro.indexing.registry import strategy as strategy_by_name
 from repro.query.pattern import Query
-from repro.store import AnswerMemo, IndexCache, StoreRouter, expand_physical
+from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import Frontend, check_document_uris
@@ -268,17 +268,13 @@ class Warehouse:
         #: layout, queue lease, optional fault/autoscale/admission
         #: policies.  Per-call ``config=`` arguments override it.
         self.deployment = resolved
-        self.visibility_timeout = resolved.visibility_timeout
-        #: Storage-access layer configuration (sharding + caching); the
-        #: default is the seed's single-table, uncached behaviour.
-        self.store_config = resolved.store_config
         visibility_timeout = resolved.visibility_timeout
         #: One epoch-aware read cache shared by every index store of
         #: the deployment, so repeated workload runs hit across builds;
         #: ``None`` unless the configuration grants it a byte budget.
         self.index_cache: Optional[IndexCache] = (
-            IndexCache(self.store_config.cache_bytes)
-            if self.store_config.cache_enabled else None)
+            IndexCache(resolved.cache_bytes)
+            if resolved.cache_bytes > 0 else None)
         self.cloud.s3.create_bucket(DOCUMENT_BUCKET)
         self.cloud.s3.create_bucket(RESULTS_BUCKET)
         # Dead-letter queues exist only on chaos deployments, so a
@@ -493,7 +489,7 @@ class Warehouse:
         """
         freed = built.store.stored_bytes(built.physical_tables)
         for physical in built.physical_tables:
-            for shard_table in expand_physical(built.store, physical):
+            for shard_table in built.store.shard_tables(physical):
                 if built.store.backend_name == "dynamodb":
                     self.cloud.dynamodb.delete_table(shard_table)
                 else:
@@ -501,16 +497,19 @@ class Warehouse:
         return freed
 
     def _make_store(self, backend: str, seed: int,
-                    range_key_mode: str = "uuid",
-                    epoch: int = 0) -> IndexStore:
-        # Stores talk to the resilient facade: the raw service on a
-        # fault-free cloud, the retry/breaker proxy under chaos.  Every
-        # store is handed out behind a StoreRouter; with the default
-        # configuration the router is a pure passthrough.
+                    range_key_mode: str = "uuid", epoch: int = 0,
+                    dynamodb: Optional[Any] = None) -> IndexStore:
+        # Stores talk to the resilient facade (the raw service on a
+        # fault-free cloud, the retry/breaker proxy under chaos) unless
+        # handed another ``dynamodb`` client, such as a region switch.
+        # Every store is handed out behind the one StoreRouter this
+        # deployment's shards, cache and answer memo describe; with one
+        # shard and no cache the router is a pure passthrough.
+        if dynamodb is None:
+            dynamodb = self.cloud.resilient.dynamodb
         if backend == "dynamodb":
             base: IndexStore = DynamoIndexStore(
-                self.cloud.resilient.dynamodb, seed=seed,
-                range_key_mode=range_key_mode)
+                dynamodb, seed=seed, range_key_mode=range_key_mode)
         elif backend == "simpledb":
             if range_key_mode != "uuid":
                 raise WarehouseError(
@@ -522,9 +521,9 @@ class Warehouse:
             raise WarehouseError(
                 "unknown index backend {!r} (dynamodb or simpledb)".format(
                     backend))
-        return StoreRouter(base, config=self.store_config,
-                           cache=self.index_cache,
-                           telemetry=self.telemetry, epoch=epoch,
+        return StoreRouter(base, self.telemetry,
+                           shards=self.deployment.shards,
+                           cache=self.index_cache, epoch=epoch,
                            answer_memo=self.answer_memo)
 
     # -- crash-consistent builds (repro.consistency) -----------------------------
@@ -578,7 +577,7 @@ class Warehouse:
         return BuildPlan(
             name=name, strategy=strategy, epoch=epoch,
             batch_size=batch_size,
-            shards=self.store_config.shards,
+            shards=self.deployment.shards,
             batches=partition_batches(name, epoch, self._all_uris,
                                       batch_size),
             table_names={

@@ -23,7 +23,7 @@ from repro.indexing.mapper import DynamoIndexStore
 from repro.indexing.registry import (ALL_STRATEGY_NAMES, all_strategies,
                                      strategy as strategy_named)
 from repro.query.workload import workload
-from repro.store import AnswerMemo, IndexCache, StoreConfig, StoreRouter
+from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.store.cache import ANSWER_MEMO_ENTRIES
 from repro.xmldb.parser import parse_document
 
@@ -85,8 +85,7 @@ class Deployment:
         self.base = DynamoIndexStore(self.cloud.dynamodb, seed=2)
         self.cache = IndexCache(cache_bytes)
         self.memo = AnswerMemo()
-        self.config = StoreConfig(shards=SHARDS, cache_bytes=cache_bytes)
-        self.router = StoreRouter(self.base, config=self.config,
+        self.router = StoreRouter(self.base, shards=SHARDS,
                                   cache=self.cache,
                                   telemetry=self.cloud.telemetry,
                                   answer_memo=self.memo)
@@ -119,7 +118,7 @@ class Deployment:
         router = router or self.router
         return StoreRouter(
             DynamoIndexStore(self.cloud.dynamodb), self.cloud.telemetry,
-            config=StoreConfig(shards=SHARDS), epoch=router.epoch,
+            shards=SHARDS, epoch=router.epoch,
             tenant=router.tenant)
 
     def lookup(self, strategy, router=None):
@@ -325,7 +324,7 @@ def test_another_epoch_or_tenant_is_another_question(small_corpus, probe,
 
     # An epoch bump over the same tables whose data then moves on: the
     # old epoch's entries (and answers) are still cached, never served.
-    bumped = StoreRouter(deployment.base, config=deployment.config,
+    bumped = StoreRouter(deployment.base, shards=SHARDS,
                          cache=deployment.cache,
                          telemetry=deployment.cloud.telemetry,
                          epoch=deployment.router.epoch + 1,

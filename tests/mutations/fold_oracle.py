@@ -62,7 +62,7 @@ class ReferenceCompactor(Compactor):
         live = self.live
         cloud = self.warehouse.cloud
         kind = live.strategy.table_kind(logical)
-        shards = self.warehouse.store_config.shards
+        shards = self.warehouse.deployment.shards
 
         base_tables = shard_table_names(base_record.tables[logical],
                                         base_record.shards)

@@ -13,7 +13,6 @@ from repro.config import ScaleProfile
 from repro.engine.evaluator import evaluate_query
 from repro.mutations import CompactionPolicy
 from repro.query.workload import workload_query
-from repro.store import expand_physical
 from repro.store.sharding import shard_table_names
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -175,7 +174,6 @@ def test_fold_uses_base_epochs_own_shard_routing():
     """
     warehouse, live = fresh_live()  # base epoch laid out at shards=1
     warehouse.deployment = warehouse.deployment.override(shards=2)
-    warehouse.store_config = warehouse.deployment.store_config
     handle = warehouse.live_index(live.name)
     assert handle.record.shards == 1
 

@@ -193,7 +193,6 @@ def test_fold_of_a_base_built_under_another_shard_count(monkeypatch):
     for reference in (False, True):
         warehouse, live = fresh_live("2LUPI", shards=1)
         warehouse.deployment = warehouse.deployment.override(shards=3)
-        warehouse.store_config = warehouse.deployment.store_config
         live = warehouse.live_index(live.name)
         mutate(warehouse, live, 31, steps=3)
         reports.append(compact(warehouse, live, monkeypatch, reference))

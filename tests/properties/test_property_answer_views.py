@@ -35,7 +35,7 @@ from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.indexing.lookup_plans import pattern_plan
 from repro.indexing.mapper import DynamoIndexStore
 from repro.indexing.registry import strategy as strategy_named
-from repro.store import AnswerMemo, IndexCache, StoreConfig, StoreRouter
+from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.xmark import generate_corpus
 
 pytestmark = pytest.mark.store
@@ -81,10 +81,9 @@ class AnswerViewMachine(RuleBasedStateMachine):
                                      range_key_mode="content")
         self.cache = IndexCache(BUDGET)
         self.memo = AnswerMemo()
-        self.config = StoreConfig(shards=SHARDS, cache_bytes=BUDGET)
         self.routers = {
             "cached": StoreRouter(self.base, self.cloud.telemetry,
-                                  config=self.config, cache=self.cache,
+                                  shards=SHARDS, cache=self.cache,
                                   answer_memo=self.memo),
             "passthrough": StoreRouter(self.base, self.cloud.telemetry,
                                        answer_memo=self.memo)}
@@ -128,7 +127,7 @@ class AnswerViewMachine(RuleBasedStateMachine):
             router, tables = self.routers[route], self.tables[route]
             fresh = StoreRouter(
                 DynamoIndexStore(self.cloud.dynamodb), self.cloud.telemetry,
-                config=StoreConfig(shards=router.config.shards),
+                shards=router.shards,
                 epoch=router.epoch)
             pattern = self.patterns[which]
             served = _observe(self.cloud, planner.make_lookup(
@@ -220,7 +219,7 @@ class AnswerViewMachine(RuleBasedStateMachine):
         tables: the old epoch's entries are never served again."""
         old = self.routers["cached"]
         self.routers["cached"] = StoreRouter(
-            self.base, self.cloud.telemetry, config=self.config,
+            self.base, self.cloud.telemetry, shards=SHARDS,
             cache=self.cache, epoch=old.epoch + 1, answer_memo=self.memo)
         self._check(route, which)
 

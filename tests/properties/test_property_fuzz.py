@@ -2,8 +2,9 @@
 bare crash.
 
 Every entry point that takes stored or fetched bytes — the model parse,
-each strategy's extraction, the ID codec and the lazy ID block with its
-column access — may only let a :class:`~repro.errors.ReproError` escape.
+each strategy's extraction, the ID codec, the lazy ID block with its
+column access and the manifest's epoch-record and live-head decoders —
+may only let a :class:`~repro.errors.ReproError` escape.
 Inputs are raw bytes, and valid documents and ID blobs with bytes
 flipped, cut and inserted; each test also replays the inputs that once
 escaped untyped: an unknown encoding declaration (``LookupError``), a
@@ -11,13 +12,17 @@ document nested deeper than the recursion limit (``RecursionError``)
 and an ID past the block's 64-bit columns (``OverflowError``).
 """
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.properties.strategies import documents, sorted_node_ids
 
-from repro.errors import ReproError
+from repro.cloud.dynamodb import DynamoItem
+from repro.consistency.manifest import DeltaRecord, EpochRecord, LiveHead
+from repro.errors import IntegrityError, ReproError
 from repro.indexing.registry import ALL_STRATEGY_NAMES, strategy
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, encode_ids
@@ -58,6 +63,36 @@ XML_BYTES = st.one_of(
     st.tuples(DECLARED, documents().map(serialize)).map(b"".join))
 ID_BYTES = st.one_of(st.binary(max_size=64),
                      mangled(sorted_node_ids().map(encode_ids)))
+
+
+#: A committed record's attributes, and a two-delta live head's.
+EPOCH_ATTRS = EpochRecord(
+    name="LUP", epoch=3, status="committed", strategy="LUP",
+    tables={"lup": "idx-lup-lup-e3"}, ledger_table="ldg-lup-e3",
+    batches=4, digest="9f2c", batch_size=8, shards=2).to_attributes()
+LIVE_ATTRS = {
+    "version": ("4",),
+    "chain": (json.dumps([DeltaRecord(
+        name="LUP", base_epoch=3, seq=seq, tables={"lup": "dlt-lup-s1"},
+        tombstones=("gone.xml",), documents=2).to_dict()
+        for seq in (1, 2)], sort_keys=True),)}
+
+
+@st.composite
+def damaged(draw, attrs):
+    """``attrs`` with attributes dropped, emptied or their bytes mangled
+    (a mangled value is stored as bytes, as a binary attribute is)."""
+    result = dict(attrs)
+    for attr in sorted(attrs):
+        action = draw(st.sampled_from(["keep", "drop", "empty", "mangle"]))
+        if action == "drop":
+            del result[attr]
+        elif action == "empty":
+            result[attr] = ()
+        elif action == "mangle":
+            result[attr] = (draw(mangled(st.just(
+                attrs[attr][0].encode("utf-8")))),)
+    return result
 
 
 def _typed_or_nothing(call, *args):
@@ -102,6 +137,50 @@ def test_id_block_raises_only_typed_errors(data):
         return block.pres, block.posts, block.depths, list(block)
 
     _typed_or_nothing(columns, data)
+
+
+def _epoch_record(attrs):
+    return EpochRecord.from_item("LUP", DynamoItem("LUP", None, attrs))
+
+
+def _live_head(attrs):
+    return LiveHead.from_item("LUP", DynamoItem("LUP#live", None, attrs))
+
+
+@given(damaged(EPOCH_ATTRS))
+@settings(max_examples=300, deadline=None)
+def test_epoch_record_decoding_raises_only_typed_errors(attrs):
+    _typed_or_nothing(_epoch_record, attrs)
+
+
+@given(damaged(LIVE_ATTRS))
+@settings(max_examples=300, deadline=None)
+def test_live_head_decoding_raises_only_typed_errors(attrs):
+    _typed_or_nothing(_live_head, attrs)
+
+
+def test_manifest_decoders_read_back_what_was_stored():
+    record = _epoch_record(EPOCH_ATTRS)
+    assert record.to_attributes() == EPOCH_ATTRS
+    head = _live_head(LIVE_ATTRS)
+    assert (head.version, [delta.seq for delta in head.deltas]) == (4, [1, 2])
+
+
+@pytest.mark.parametrize("decode, attrs, record", [
+    (_epoch_record, {**EPOCH_ATTRS, "epoch": ("three",)}, "'LUP'"),
+    (_epoch_record, {**EPOCH_ATTRS, "tables": ("{lup",)}, "'LUP'"),
+    (_epoch_record, {attr: values for attr, values in EPOCH_ATTRS.items()
+                     if attr != "ledger"}, "'LUP'"),
+    (_live_head, {**LIVE_ATTRS, "version": ("v4",)}, "'LUP#live'"),
+    (_live_head, {**LIVE_ATTRS, "chain": ("[{",)}, "'LUP#live'"),
+    (_live_head, {"version": ("4",)}, "'LUP#live'"),
+    (_live_head, {**LIVE_ATTRS, "chain": ('[{"seq": 1}]',)}, "'LUP#live'"),
+], ids=["epoch-not-int", "tables-not-json", "ledger-missing",
+        "version-not-int", "chain-not-json", "chain-missing",
+        "delta-fields-missing"])
+def test_a_damaged_manifest_record_is_named(decode, attrs, record):
+    with pytest.raises(IntegrityError, match=record):
+        decode(attrs)
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)

@@ -93,7 +93,11 @@ def test_two_lupi_is_lup_plus_lui_entry_for_entry(document, include_words):
 
 
 class _PathStore:
-    """The least store an LUP look-up reads: key -> uri -> data paths."""
+    """The least store an LUP look-up reads: key -> uri -> data paths,
+    answering the store contract's two questions the look-up asks."""
+
+    coalesce_reads = False
+    answer_memo = None
 
     def __init__(self, data):
         self._data = data

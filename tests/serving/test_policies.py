@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serving import AdmissionPolicy, AutoscalePolicy
-from repro.store import StoreConfig
 from repro.warehouse.deployment import DeploymentConfig
 
 pytestmark = pytest.mark.serving
@@ -55,7 +54,7 @@ class TestDeploymentConfig:
         assert (cfg.loaders, cfg.loader_type) == (8, "l")
         assert (cfg.workers, cfg.worker_type) == (1, "xl")
         assert cfg.backend == "dynamodb"
-        assert cfg.store_config == StoreConfig(shards=1, cache_bytes=0)
+        assert (cfg.shards, cfg.cache_bytes) == (1, 0)
         assert not cfg.elastic
 
     def test_elastic_iff_autoscale_policy_present(self):
@@ -89,3 +88,11 @@ class TestDeploymentConfig:
             DeploymentConfig(batch_size=0)
         with pytest.raises(ConfigError):
             DeploymentConfig(visibility_timeout=0.0)
+
+    def test_store_layout_validation(self):
+        with pytest.raises(ConfigError, match="shards must be >= 1"):
+            DeploymentConfig(shards=0)
+        with pytest.raises(ConfigError, match="cache_bytes must be >= 0"):
+            DeploymentConfig(cache_bytes=-1)
+        with pytest.raises(ConfigError, match="shards must be >= 1"):
+            DeploymentConfig().override(shards=0)

@@ -14,7 +14,7 @@ from repro.indexing.keys import element_key
 from repro.indexing.lookup_plans import LUPLookup, pattern_query_paths
 from repro.indexing.mapper import DynamoIndexStore
 from repro.query.parser import parse_pattern
-from repro.store import StoreConfig, StoreRouter
+from repro.store import StoreRouter
 
 pytestmark = pytest.mark.store
 
@@ -72,7 +72,7 @@ def test_plain_store_reads_duplicate_key_once(cloud):
 def test_coalescing_router_reads_duplicate_key_once(cloud):
     """Router read path (batched gets): same single billed get."""
     store = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                        cloud.telemetry, config=StoreConfig(shards=2))
+                        cloud.telemetry, shards=2)
     _seed_store(cloud, store)
     outcome = _lookup(cloud, store)
     assert outcome.index_gets == 1

@@ -18,7 +18,6 @@ from repro.config import ScaleProfile
 from repro.faults import FaultPlan
 from repro.faults.corruption import CorruptionMonkey
 from repro.query.workload import workload_query
-from repro.store import expand_physical
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -131,8 +130,8 @@ def _sharded_snapshot(warehouse, built):
     cloud = warehouse.cloud
     snapshot = {}
     for logical in sorted(built.table_names):
-        for shard_table in expand_physical(built.store,
-                                           built.table_names[logical]):
+        for shard_table in built.store.shard_tables(
+                built.table_names[logical]):
             snapshot[shard_table] = sorted(
                 (item.hash_key, item.range_key,
                  tuple(sorted((name, tuple(values))
@@ -151,8 +150,7 @@ def test_scrubber_repairs_damage_across_shard_tables(corpus):
         "2LUPI", config={"loaders": 2, "batch_size": 4})
     shard_tables = [shard_table
                     for physical in built.table_names.values()
-                    for shard_table in expand_physical(built.store,
-                                                       physical)]
+                    for shard_table in built.store.shard_tables(physical)]
     assert len(shard_tables) == 2 * len(built.table_names)
     pristine = _sharded_snapshot(warehouse, built)
 

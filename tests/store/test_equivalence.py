@@ -54,7 +54,8 @@ def test_default_router_is_byte_identical_to_raw_stores(monkeypatch):
 
 
 def test_explicit_default_config_matches_implicit():
-    """``StoreConfig()`` spelled out changes nothing either."""
+    """The default ``shards`` and ``cache_bytes`` spelled out change
+    nothing either."""
     implicit = _pipeline(Warehouse)
     explicit = _pipeline(
         lambda: Warehouse(deployment={"shards": 1, "cache_bytes": 0}))

@@ -16,7 +16,7 @@ from repro.cloud.dynamodb import BATCH_GET_LIMIT
 from repro.faults import FaultPlan
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import DynamoIndexStore
-from repro.store import StoreConfig, StoreRouter
+from repro.store import IndexCache, StoreRouter
 
 pytestmark = pytest.mark.store
 
@@ -65,9 +65,9 @@ class TestPassthrough:
     def test_active_configs_disable_passthrough(self, cloud):
         base = DynamoIndexStore(cloud.dynamodb, seed=1)
         assert not StoreRouter(base, cloud.telemetry,
-                               config=StoreConfig(shards=2)).passthrough
+                               shards=2).passthrough
         cached = StoreRouter(base, cloud.telemetry,
-                             config=StoreConfig(cache_bytes=4096))
+                             cache=IndexCache(4096))
         assert not cached.passthrough
         assert cached.coalesce_reads
 
@@ -108,7 +108,7 @@ class TestSharding:
 
     def test_create_table_creates_every_shard(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             cloud.telemetry, config=StoreConfig(shards=3))
+                             cloud.telemetry, shards=3)
         router.create_table("idx")
         assert cloud.dynamodb.table_names() == \
             ["idx.s0", "idx.s1", "idx.s2"]
@@ -122,7 +122,7 @@ class TestSharding:
             cloud = CloudProvider()
             router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                                  cloud.telemetry,
-                                 config=StoreConfig(shards=shards))
+                                 shards=shards)
             router.create_table("idx")
             stats = _write(cloud, router, "idx", entries)
             data, gets = _read_keys(cloud, router, "idx", keys)
@@ -136,7 +136,7 @@ class TestSharding:
 
     def test_writes_balance_across_shards(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             cloud.telemetry, config=StoreConfig(shards=3))
+                             cloud.telemetry, shards=3)
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(60))
         assert set(router.shard_writes) == {0, 1, 2}
@@ -146,7 +146,7 @@ class TestSharding:
 
     def test_read_key_routes_to_owning_shard_only(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             cloud.telemetry, config=StoreConfig(shards=4))
+                             cloud.telemetry, shards=4)
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(8))
         payloads, gets = _read_key(cloud, router, "idx", "k5")
@@ -160,7 +160,7 @@ class TestSharding:
             cloud = CloudProvider()
             router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                                  cloud.telemetry,
-                                 config=StoreConfig(shards=shards))
+                                 shards=shards)
             router.create_table("idx")
             _write(cloud, router, "idx", _entries(50))
             return (router.raw_bytes(["idx"]),
@@ -175,10 +175,22 @@ class TestCache:
     def _cached_router(self, cloud, cache_bytes=256 * 1024, epoch=0):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                              cloud.telemetry,
-                             config=StoreConfig(cache_bytes=cache_bytes),
+                             cache=IndexCache(cache_bytes),
                              epoch=epoch)
         router.create_table("idx")
         return router
+
+    def test_a_router_reads_through_the_cache_it_is_handed(self, cloud):
+        cache = IndexCache(256 * 1024)
+        router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
+                             cloud.telemetry, cache=cache)
+        assert router.cache is cache and not router.passthrough
+        router.create_table("idx")
+        _write(cloud, router, "idx", _entries(2))
+        first, _ = _read_key(cloud, router, "idx", "k1")
+        assert cache.get("idx", "k1", 0) is first
+        _, gets = _read_key(cloud, router, "idx", "k1")
+        assert gets == 0
 
     def test_repeat_point_read_bills_nothing(self, cloud):
         router = self._cached_router(cloud)
@@ -231,7 +243,6 @@ class TestCache:
         _read_key(cloud, cache_holder, "idx", "k1")
         successor = StoreRouter(
             DynamoIndexStore(cloud.dynamodb, seed=1), cloud.telemetry,
-            config=StoreConfig(cache_bytes=256 * 1024),
             cache=cache_holder.cache, epoch=2)
         payloads, gets = _read_key(cloud, successor, "idx", "k1")
         assert gets == 1  # epoch 2 never sees epoch 1's entry
@@ -244,7 +255,7 @@ class TestBatchedReads:
     def test_duplicate_keys_billed_once(self, cloud):
         """The dedupe audit: same hash key twice → one store hit."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                             cloud.telemetry, config=StoreConfig(shards=2))
+                             cloud.telemetry, shards=2)
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(4))
         data, gets = _read_keys(cloud, router, "idx",
@@ -258,7 +269,7 @@ class TestBatchedReads:
         (one oversized ``batch_get`` would raise ValidationError)."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                              cloud.telemetry,
-                             config=StoreConfig(cache_bytes=1 << 20))
+                             cache=IndexCache(1 << 20))
         router.create_table("idx")
         count = BATCH_GET_LIMIT + 1
         _write(cloud, router, "idx", _entries(count))
@@ -271,7 +282,7 @@ class TestBatchedReads:
         """A fully cached batch must not issue an empty ``batch_get``."""
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                              cloud.telemetry,
-                             config=StoreConfig(cache_bytes=1 << 20))
+                             cache=IndexCache(1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(6))
         keys = ["k{}".format(i) for i in range(6)]
@@ -285,7 +296,7 @@ class TestBatchedReads:
     def test_missing_keys_come_back_empty_and_cached(self, cloud):
         router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
                              cloud.telemetry,
-                             config=StoreConfig(cache_bytes=1 << 20))
+                             cache=IndexCache(1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(2))
         data, _ = _read_keys(cloud, router, "idx", ["k0", "ghost"])
@@ -305,7 +316,7 @@ class TestResilienceInterplay:
         router = StoreRouter(
             DynamoIndexStore(cloud.resilient.dynamodb, seed=1),
             cloud.telemetry,
-            config=StoreConfig(shards=2, cache_bytes=1 << 20))
+            shards=2, cache=IndexCache(1 << 20))
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(40))
         keys = ["k{}".format(i) for i in range(40)]
@@ -326,7 +337,7 @@ class TestMetrics:
     def test_cache_shard_and_coalescing_counters(self, cloud):
         router = StoreRouter(
             DynamoIndexStore(cloud.dynamodb, seed=1),
-            config=StoreConfig(shards=2, cache_bytes=1 << 20),
+            shards=2, cache=IndexCache(1 << 20),
             telemetry=cloud.telemetry)
         router.create_table("idx")
         _write(cloud, router, "idx", _entries(10))

@@ -5,8 +5,8 @@ import zlib
 import pytest
 
 from repro.indexing.mapper import DynamoIndexStore
-from repro.store import (SHARD_SEPARATOR, StoreConfig, StoreRouter,
-                         expand_physical, shard_of, shard_table_names)
+from repro.store import (SHARD_SEPARATOR, StoreRouter, shard_of,
+                         shard_table_names)
 
 pytestmark = pytest.mark.store
 
@@ -46,19 +46,18 @@ def test_shard_table_names_sharded_suffixes():
 def test_router_routes_key_to_named_shard(cloud):
     """``shard_table_for`` agrees with ``shard_of`` on the shard ring."""
     router = StoreRouter(DynamoIndexStore(cloud.dynamodb, seed=1),
-                         cloud.telemetry, config=StoreConfig(shards=4))
+                         cloud.telemetry, shards=4)
     for key in ("ename", "aid", "w-gold"):
         expected = router.shard_tables("idx")[shard_of(key, 4)]
         assert router.shard_table_for("idx", key) == expected
 
 
-def test_expand_physical_uses_router_shards(cloud):
+def test_shard_tables_come_from_the_store(cloud):
     """Consumers expand a logical table through the store they hold."""
     base = DynamoIndexStore(cloud.dynamodb, seed=1)
-    sharded = StoreRouter(base, cloud.telemetry, config=StoreConfig(shards=2))
-    assert expand_physical(sharded, "idx") == \
+    sharded = StoreRouter(base, cloud.telemetry, shards=2)
+    assert sharded.shard_tables("idx") == \
         ["idx" + SHARD_SEPARATOR + "0", "idx" + SHARD_SEPARATOR + "1"]
-    # Plain stores (and passthrough routers) fall back to the name.
-    assert expand_physical(base, "idx") == ["idx"]
-    assert expand_physical(StoreRouter(base, cloud.telemetry),
-                           "idx") == ["idx"]
+    # Plain stores (and passthrough routers) name the table itself.
+    assert base.shard_tables("idx") == ["idx"]
+    assert StoreRouter(base, cloud.telemetry).shard_tables("idx") == ["idx"]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import DynamoIndexStore
-from repro.store import StoreConfig, StoreRouter
+from repro.store import StoreRouter
 from repro.store.cache import IndexCache
 
 pytestmark = pytest.mark.tenancy
@@ -60,11 +60,12 @@ def test_tenant_router_prefixes_every_table(cloud, base):
 
 
 def test_for_tenant_shares_backend_and_config(cloud, base):
-    config = StoreConfig(shards=2)
-    router = StoreRouter(base, cloud.telemetry, config=config)
+    cache = IndexCache(1 << 20)
+    router = StoreRouter(base, cloud.telemetry, shards=2, cache=cache)
     scoped = router.for_tenant("acme")
     assert scoped.base_store is base
-    assert scoped.config is config
+    assert scoped.shards == 2
+    assert scoped.cache is cache
     assert scoped.tenant == "acme"
     assert router.tenant == ""
 
@@ -84,7 +85,7 @@ def test_tenants_cannot_read_each_other(cloud, base):
 
 
 def test_shard_tables_are_prefixed_once(cloud, base):
-    router = StoreRouter(base, cloud.telemetry, config=StoreConfig(shards=2))
+    router = StoreRouter(base, cloud.telemetry, shards=2)
     scoped = router.for_tenant("acme")
     tables = scoped.shard_tables("labels")
     assert len(tables) == 2
@@ -97,10 +98,9 @@ class TestCacheIsolation:
         return IndexCache(1 << 20)
 
     def test_cache_keys_carry_the_tenant(self, cloud, base, cache):
-        config = StoreConfig(cache_bytes=1 << 20)
-        acme = StoreRouter(base, cloud.telemetry, config=config,
+        acme = StoreRouter(base, cloud.telemetry,
                            cache=cache).for_tenant("acme")
-        globex = StoreRouter(base, cloud.telemetry, config=config,
+        globex = StoreRouter(base, cloud.telemetry,
                              cache=cache).for_tenant("globex")
         acme.create_table("labels")
         globex.create_table("labels")
