@@ -21,8 +21,8 @@ Every subcommand is a plain function taking parsed args and returning
 an exit code, so the test suite drives them directly.  The deployment
 flags (``--strategy``, ``--backend``, ``--instances``, ``--workers``,
 ``--instance-type``, ``--batch-size``, ``--shards``, ``--cache-bytes``,
-and on ``serve``/``ingest`` also ``--spot-fraction``,
-``--interruption-rate``, ``--failover``) come from shared parsers and
+on ``serve``/``ingest`` also ``--spot-fraction``, ``--interruption-rate``
+and on ``serve`` ``--failover``) come from shared parsers and
 are folded into a single :class:`~repro.warehouse.deployment.
 DeploymentConfig` by :func:`_deployment`; :func:`_deployed` then
 provisions the warehouse and uploads the corpus the same way for every
@@ -651,15 +651,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queries",
                        help="comma-separated q1..q10 (default: all)")
 
-    def add_resilience_args(p):
+    def add_resilience_args(p, failover=True):
         # Spot capacity and failover shape a serving fleet, so only the
-        # subcommands that serve traffic take them.
+        # subcommands that serve traffic take them (``ingest`` no failover).
         p.add_argument("--spot-fraction", type=float, default=0.0,
                        help="target share of the query fleet bought "
                             "from the spot market (0 disables)")
         p.add_argument("--interruption-rate", type=float, default=0.0,
                        help="seeded spot interruptions per VM-hour "
                             "(0 disables)")
+        if not failover:
+            return
         p.add_argument("--failover", nargs="?", const="", default=None,
                        metavar="AFTER:DURATION",
                        help="serve with a replicated secondary region; "
@@ -787,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help=cmd_ingest.__doc__)
     add_corpus_args(p_ingest, documents=24)
     add_deployment_args(p_ingest, instances=2, workers=1)
-    add_resilience_args(p_ingest)
+    add_resilience_args(p_ingest, failover=False)
     p_ingest.add_argument("--increments", type=int, default=3,
                           help="growth increments to publish as deltas")
     p_ingest.add_argument("--increment-documents", type=int, default=8,

@@ -221,10 +221,6 @@ class DynamoDB:
             raise ConfigError("max_backlog_s must be non-negative")
         self._throttle_max_backlog_s = max_backlog_s
 
-    def disable_throttle_mode(self) -> None:
-        """Restore the default fluid-queueing behaviour."""
-        self._throttle_max_backlog_s = None
-
     @property
     def throttle_mode(self) -> bool:
         """Whether throttle mode is active."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.config import PerformanceProfile
-from repro.errors import (BucketAlreadyExists, BucketNotEmpty, NoSuchBucket,
+from repro.errors import (BucketAlreadyExists, NoSuchBucket,
                           NoSuchKey)
 from repro.sim import Environment, Meter
 
@@ -82,13 +82,6 @@ class S3:
         if name in self._buckets:
             raise BucketAlreadyExists(name)
         self._buckets[name] = _Bucket(name)
-
-    def delete_bucket(self, name: str) -> None:
-        """Delete an *empty* bucket."""
-        bucket = self._bucket(name)
-        if bucket.objects:
-            raise BucketNotEmpty(name)
-        del self._buckets[name]
 
     def bucket_names(self) -> List[str]:
         """Names of all buckets, sorted."""

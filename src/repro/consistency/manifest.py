@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Mapping, Optional,
+                    Tuple)
 
 from repro.cloud.dynamodb import DynamoItem
 from repro.errors import (BuildStateError, ConditionalCheckFailed,
@@ -59,10 +60,22 @@ def _text(attrs: Mapping[str, Tuple[Any, ...]], attr: str) -> str:
     return value if isinstance(value, str) else value.decode("utf-8")
 
 
-def _damaged(item: DynamoItem, exc: Exception) -> IntegrityError:
-    """The typed error for a manifest record that does not decode."""
-    return IntegrityError("manifest record {!r} does not decode: {}: {}"
-                          .format(item.hash_key, type(exc).__name__, exc))
+def _damaged(record: str, exc: Exception) -> IntegrityError:
+    """The typed error for a control-plane record that does not decode."""
+    return IntegrityError("record {!r} does not decode: {}: {}".format(
+        record, type(exc).__name__, exc))
+
+
+def decode_json(record: str, data: Any, shape: Callable[[Any], bool]) -> Any:
+    """A stored control-plane record's JSON (text or bytes), if ``shape``
+    accepts it; else :class:`~repro.errors.IntegrityError` naming it."""
+    try:
+        value = json.loads(data)
+        if not shape(value):
+            raise ValueError("not the shape it is stored in")
+    except (ValueError, RecursionError) as exc:
+        raise _damaged(record, exc) from exc
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,7 @@ class LiveHead:
                 deltas=tuple(DeltaRecord.from_dict(entry) for entry
                              in json.loads(_text(attrs, "chain"))))
         except _DECODE_ERRORS as exc:
-            raise _damaged(item, exc) from exc
+            raise _damaged(item.hash_key, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -196,7 +209,7 @@ class EpochRecord:
                         if "shards" in attrs else 1),
             )
         except _DECODE_ERRORS as exc:
-            raise _damaged(item, exc) from exc
+            raise _damaged(item.hash_key, exc) from exc
 
 
 class Manifest:

@@ -24,13 +24,13 @@ table is byte-identical to an undamaged one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cloud.provider import CloudProvider
 from repro.consistency.build import (META_BUCKET, coverage_of_items,
                                      inventory_key)
+from repro.consistency.manifest import decode_json
 from repro.errors import EncodingError, NoSuchKey, NoSuchTable
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.checksums import CHECKSUM_ATTR, item_checksum
@@ -38,6 +38,14 @@ from repro.xmldb.encoding import decode_ids
 
 #: Cap on per-problem detail strings kept in a report.
 MAX_DETAILS = 20
+
+
+def decode_inventory(record: str, data: bytes) -> Dict[str, List[str]]:
+    """A stored table inventory (key → URIs), checked for that shape."""
+    return decode_json(record, data, lambda inventory: isinstance(
+        inventory, dict) and all(isinstance(uris, list) and all(
+            isinstance(uri, str) for uri in uris)
+            for uris in inventory.values()))
 
 
 @dataclass
@@ -150,7 +158,8 @@ class Scrubber:
                 inventory_key(self._index_name, self._epoch, logical))
         except NoSuchKey:
             return None
-        return json.loads(data.decode("utf-8"))
+        return decode_inventory(
+            inventory_key(self._index_name, self._epoch, logical), data)
 
     # -- the scrub ---------------------------------------------------------
 

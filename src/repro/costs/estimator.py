@@ -38,11 +38,6 @@ class CostBreakdown:
         return (self.s3 + self.dynamodb + self.simpledb + self.ec2
                 + self.sqs + self.egress)
 
-    @property
-    def index_store(self) -> float:
-        """Whichever key-value store the run used."""
-        return self.dynamodb + self.simpledb
-
     def add(self, other: "CostBreakdown") -> "CostBreakdown":
         """Component-wise sum of two breakdowns."""
         return CostBreakdown(

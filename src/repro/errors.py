@@ -56,10 +56,6 @@ class BucketAlreadyExists(CloudServiceError):
     """An S3 CreateBucket used a name that is already taken."""
 
 
-class BucketNotEmpty(CloudServiceError):
-    """An S3 DeleteBucket targeted a bucket that still holds objects."""
-
-
 class TableError(CloudServiceError):
     """Base class for key-value store (DynamoDB/SimpleDB) errors."""
 

@@ -262,13 +262,6 @@ class QueryLookupOutcome:
     per_pattern: List[LookupOutcome]
 
     @property
-    def total_document_ids(self) -> int:
-        """Table 5 convention: "for queries featuring value joins,
-        Table 5 sums the numbers of document IDs retrieved for each
-        tree pattern"."""
-        return sum(len(outcome.uris) for outcome in self.per_pattern)
-
-    @property
     def index_gets(self) -> int:
         """Total billable index gets across patterns."""
         return sum(outcome.index_gets for outcome in self.per_pattern)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.consistency.build import BuildCoordinator, BuildPlan
+from repro.consistency.manifest import decode_json
 from repro.errors import BuildStateError
 from repro.indexing.entries import Posting
 from repro.indexing.mapper import DynamoIndexStore, batch_entries_hash
@@ -141,6 +142,12 @@ class CompactionReport:
         if self.estimator_cost is not None:
             payload["estimator_dollars"] = self.estimator_cost.total
         return payload
+
+
+def decode_pinned_chain(record: str, data: str) -> List[int]:
+    """A compaction's pinned chain (the seqs it folds), shape-checked."""
+    return decode_json(record, data, lambda seqs: isinstance(
+        seqs, list) and all(type(seq) is int for seq in seqs))
 
 
 class Compactor:
@@ -280,7 +287,7 @@ class Compactor:
                 pin_id, json.dumps([delta.seq for delta in snapshot]))
             return snapshot
         by_seq = {delta.seq: delta for delta in live.deltas}
-        pinned_seqs = json.loads(pinned)
+        pinned_seqs = decode_pinned_chain(pin_id, pinned)
         missing = [seq for seq in pinned_seqs if seq not in by_seq]
         if missing:
             raise BuildStateError(

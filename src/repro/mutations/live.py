@@ -197,8 +197,8 @@ class LiveIndex:
         #: Whether every layer store checks item checksums on read
         #: (set through ``store.verify_reads``).
         self.verify_reads = False
-        #: Content-mode router over the committed base tables.
-        self.base_store = self._store_for(record.epoch)
+        #: Content-mode router over the base tables, as they are sharded.
+        self.base_store = self._store_for(record.epoch, record.shards)
         self._delta_stores: Dict[int, Any] = {}
         self._alias_to_logical = {alias: logical for logical, alias
                                   in self.table_names.items()}
@@ -260,11 +260,11 @@ class LiveIndex:
 
     # -- state maintenance ---------------------------------------------------
 
-    def _store_for(self, seed: int) -> Any:
-        """A content-mode read/write router keyed under ``seed``."""
+    def _store_for(self, seed: int, shards: Optional[int] = None) -> Any:
+        """A content-mode router keyed under ``seed`` over ``shards``."""
         store = self.warehouse._make_store("dynamodb", seed=seed,
                                            range_key_mode="content",
-                                           epoch=seed)
+                                           epoch=seed, shards=shards)
         store.verify_reads = self.verify_reads
         return store
 
@@ -290,7 +290,7 @@ class LiveIndex:
             raise WarehouseError(
                 "index {} is no longer committed".format(self.name))
         if record.epoch != self.record.epoch:
-            self.base_store = self._store_for(record.epoch)
+            self.base_store = self._store_for(record.epoch, record.shards)
         self.record = record
         head = yield from manifest.live_head(self.name)
         self._sync_head(head)

@@ -18,11 +18,18 @@ delete-then-readd resolves to the re-added payload; an update (one
 delta carrying both the tombstone and the re-extracted entries)
 resolves to the new extraction.  Billable gets accumulate across all
 layers — the read amplification that motivates compaction.
+
+A read takes one consistent layer stack and hands each key's merged map
+out as a read-only view that keeps its identity while every layer's view
+and tombstones do (DESIGN §10), so the warehouse's answer memo replays
+look-ups over an unchanged stack.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Generator, Iterable, Iterator, List,
+                    Mapping, Sequence, Tuple)
 
 from repro.errors import IndexingError
 from repro.indexing.entries import Entries
@@ -30,14 +37,17 @@ from repro.indexing.mapper import IndexStore, Payload, WriteStats
 
 __all__ = ["MergingStore", "alias_table", "overlay_payloads"]
 
+#: Every absent layer (no table, no entry for a key): one identity.
+_ABSENT: Mapping[str, Any] = MappingProxyType({})
+
 
 def alias_table(name: str, logical: str) -> str:
     """The stable alias a live index's logical table is looked up under."""
     return "live-{}-{}".format(name.lower(), logical)
 
 
-def overlay_payloads(base: Dict[str, Payload],
-                     layers: Sequence[Tuple[Dict[str, Payload],
+def overlay_payloads(base: Mapping[str, Payload],
+                     layers: Iterable[Tuple[Mapping[str, Payload],
                                             Iterable[str]]],
                      ) -> Dict[str, Payload]:
     """Merge one key's base payload map with its delta layers.
@@ -69,11 +79,10 @@ class MergingStore(IndexStore):
 
     def __init__(self, live: Any) -> None:
         self._live = live
-
-    @property
-    def backend_name(self) -> str:
-        """The base store's backend name."""
-        return self._live.base_store.backend_name
+        self._views = {}
+        self.backend_name = live.base_store.backend_name
+        #: The base store's answer memo (the warehouse's).
+        self.answer_memo = live.base_store.answer_memo
 
     @property
     def cache(self) -> Any:
@@ -124,72 +133,76 @@ class MergingStore(IndexStore):
 
     # -- reads -------------------------------------------------------------
 
-    def read_key(self, physical_name: str, key: str, kind: str,
-                 ) -> Generator[Any, Any, Tuple[Dict[str, Payload], int]]:
-        """One key's merged payload map across base + deltas."""
+    @staticmethod
+    def _merge_items(items: Sequence[Any], kind: str) -> Dict[str, Payload]:
+        """One key's layer stack — its base view, then each delta's view
+        and tombstones — overlaid (the ``items`` of :meth:`_view`)."""
+        return overlay_payloads(items[0], zip(items[1::2], items[2::2]))
+
+    def _walk(self, physical_name: str, keys: Sequence[str], kind: str,
+              read: Callable[[IndexStore, str], Any],
+              ) -> Generator[Any, Any,
+                             Tuple[Dict[str, Mapping[str, Payload]], int]]:
+        """Each of ``keys``' merged view, ``read(store, table)`` reading
+        one layer (key → view, gets).  A base that a compaction flipped
+        while it was read is read again; only then is the chain taken,
+        so the folded deltas are neither lost nor resurrected."""
         live = self._live
         logical = live.logical_of(physical_name)
-        payloads, gets = yield from live.base_store.read_key(
-            live.base_table(logical), key, kind)
-        layers: List[Tuple[Dict[str, Payload], Tuple[str, ...]]] = []
+        store, gets = None, 0
+        while store is not live.base_store:
+            store = live.base_store
+            base, base_gets = yield from read(store, live.base_table(logical))
+            gets += base_gets
+        stacks = {key: [base.get(key) or _ABSENT] for key in keys}
         for delta, store in live.delta_layers():
-            table = delta.tables.get(logical)
-            if table is None:
-                layers.append(({}, delta.tombstones))
-                continue
-            delta_payloads, delta_gets = yield from store.read_key(
-                table, key, kind)
+            got, delta_gets = _ABSENT, 0
+            if logical in delta.tables:
+                got, delta_gets = yield from read(store, delta.tables[logical])
             gets += delta_gets
-            layers.append((delta_payloads, delta.tombstones))
-        return overlay_payloads(payloads, layers), gets
+            for key, stack in stacks.items():
+                stack += (got.get(key) or _ABSENT, delta.tombstones)
+        return {key: self._view(physical_name, key, kind, stack)
+                for key, stack in stacks.items()}, gets
+
+    def read_key(self, physical_name: str, key: str, kind: str,
+                 ) -> Generator[Any, Any, Tuple[Mapping[str, Payload], int]]:
+        """One key's merged payload map across base + deltas."""
+        def read(store: IndexStore, table: str) -> Generator[Any, Any, Any]:
+            payloads, gets = yield from store.read_key(table, key, kind)
+            return {key: payloads}, gets
+        views, gets = yield from self._walk(physical_name, (key,), kind, read)
+        return views[key], gets
 
     def read_keys(self, physical_name: str, keys: Sequence[str], kind: str,
-                  ) -> Generator[Any, Any,
-                                 Tuple[Dict[str, Dict[str, Payload]], int]]:
+                  ) -> Generator[
+                      Any, Any, Tuple[Dict[str, Mapping[str, Payload]], int]]:
         """Batched merged reads: every layer is read once per key set."""
-        live = self._live
-        logical = live.logical_of(physical_name)
-        base_map, gets = yield from live.base_store.read_keys(
-            live.base_table(logical), keys, kind)
-        layer_maps: List[Tuple[Dict[str, Dict[str, Payload]],
-                               Tuple[str, ...]]] = []
-        for delta, store in live.delta_layers():
-            table = delta.tables.get(logical)
-            if table is None:
-                layer_maps.append(({}, delta.tombstones))
-                continue
-            got, delta_gets = yield from store.read_keys(table, keys, kind)
-            gets += delta_gets
-            layer_maps.append((got, delta.tombstones))
-        result: Dict[str, Dict[str, Payload]] = {}
-        for key in dict.fromkeys(keys):
-            result[key] = overlay_payloads(
-                base_map.get(key, {}),
-                [(layer.get(key, {}), tombstones)
-                 for layer, tombstones in layer_maps])
-        return result, gets
+        return (yield from self._walk(
+            physical_name, list(dict.fromkeys(keys)), kind,
+            lambda store, table: store.read_keys(table, keys, kind)))
 
     # -- storage accounting ------------------------------------------------
 
-    def _layer_tables(self, physical_names: Iterable[str]) -> List[str]:
-        """Physical tables of every layer behind the given aliases."""
+    def _layers(self, physical_names: Iterable[str],
+                ) -> Iterator[Tuple[IndexStore, List[str]]]:
+        """Each layer's store with its physical table behind the given
+        aliases (a store routes its own tables: the base epoch may be
+        laid out under another shard count than the deltas)."""
         live = self._live
-        tables: List[str] = []
         for physical_name in physical_names:
             logical = live.logical_of(physical_name)
-            tables.append(live.base_table(logical))
-            for delta, _ in live.delta_layers():
-                table = delta.tables.get(logical)
-                if table is not None:
-                    tables.append(table)
-        return tables
+            yield live.base_store, [live.base_table(logical)]
+            for delta, store in live.delta_layers():
+                if logical in delta.tables:
+                    yield store, [delta.tables[logical]]
 
     def raw_bytes(self, physical_names: Iterable[str]) -> int:
         """User-data bytes across base + delta tables of the aliases."""
-        return self._live.base_store.raw_bytes(
-            self._layer_tables(physical_names))
+        return sum(store.raw_bytes(tables)
+                   for store, tables in self._layers(physical_names))
 
     def overhead_bytes(self, physical_names: Iterable[str]) -> int:
         """Overhead bytes across base + delta tables of the aliases."""
-        return self._live.base_store.overhead_bytes(
-            self._layer_tables(physical_names))
+        return sum(store.overhead_bytes(tables)
+                   for store, tables in self._layers(physical_names))

@@ -110,11 +110,6 @@ class TreePattern:
         """Number of pattern nodes."""
         return sum(1 for _ in self.iter_nodes())
 
-    def returned_nodes(self) -> List[PatternNode]:
-        """Nodes annotated ``val`` or ``cont``, in pre-order — the
-        projection list of the pattern's results."""
-        return [n for n in self.iter_nodes() if n.want_val or n.want_cont]
-
     def root_to_leaf_paths(self) -> List[List[Tuple[Axis, PatternNode]]]:
         """Every root-to-leaf branch as a list of (incoming axis, node).
 

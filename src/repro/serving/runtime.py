@@ -32,7 +32,8 @@ import functools
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.costs.estimator import CostBreakdown, price_records
-from repro.errors import ProcessInterrupted
+from repro.errors import ConfigError, ProcessInterrupted
+from repro.mutations.live import LiveIndex
 from repro.query.pattern import Query
 from repro.query.workload import workload_query
 from repro.serving.admission import DEGRADE, SHED, AdmissionController
@@ -70,6 +71,9 @@ class ServingRuntime:
                  queries: Optional[Mapping[str, Query]] = None,
                  background: Optional[Sequence[Any]] = None,
                  tag: Optional[str] = None) -> None:
+        if deployment.failover is not None and isinstance(index, LiveIndex):
+            raise ConfigError("a live index cannot fail over yet: the "
+                              "secondary region replicates no delta chain")
         self.warehouse = warehouse
         self.profile = profile
         self.index = index
@@ -423,6 +427,11 @@ class ServingRuntime:
                         - dead_before)
                 return admission.admitted - dead - len(fetched)
             while outstanding() > 0:
+                # A member still in the fleet (retirement and reclaim
+                # remove theirs) that died of an error ends the run.
+                for member in fleet.members:
+                    if not (member.proc.is_alive or member.proc.ok):
+                        yield member.proc
                 yield env.timeout(COMPLETION_POLL_S)
             for proc in (auto_proc, repl_proc, ctrl_proc):
                 if proc is not None and proc.is_alive:

@@ -8,7 +8,7 @@ logs over its price book.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
@@ -142,11 +142,6 @@ class Meter:
             tag = tag.tag
         return _TagScope(self, tag)
 
-    @property
-    def current_tag(self) -> str:
-        """The innermost active attribution tag ("" if none)."""
-        return self._tag_stack[-1] if self._tag_stack else ""
-
     # -- querying ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -216,13 +211,6 @@ class Meter:
             totals.bytes_in[key] += rec.bytes_in
             totals.bytes_out[key] += rec.bytes_out
         return totals
-
-    def by_tag(self) -> Dict[str, List[MeterRecord]]:
-        """Group records by their attribution tag."""
-        grouped: Dict[str, List[MeterRecord]] = defaultdict(list)
-        for rec in self._records:
-            grouped[rec.tag].append(rec)
-        return dict(grouped)
 
     def clear(self) -> None:
         """Drop all records (tag stack is preserved)."""

@@ -16,7 +16,7 @@ These are the building blocks of the cloud service models:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Tuple
+from typing import Any, Deque, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -71,14 +71,6 @@ class Resource:
             waiter.succeed(self)
         else:
             self._in_use -= 1
-
-    def acquire(self, work: float) -> Generator[Event, Any, None]:
-        """Process helper: hold a slot for ``work`` simulated seconds."""
-        yield self.request()
-        try:
-            yield self.env.timeout(work)
-        finally:
-            self.release()
 
 
 class Store:

@@ -129,10 +129,6 @@ class Gauge(_Metric):
         """Add ``amount`` (may be negative) to one series."""
         self._series_for(labels)[0] += amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        """Subtract ``amount`` from one series."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         """Current value of one series (0.0 if never set)."""
         key = _label_key(self.labelnames, labels)

@@ -498,13 +498,14 @@ class Warehouse:
 
     def _make_store(self, backend: str, seed: int,
                     range_key_mode: str = "uuid", epoch: int = 0,
-                    dynamodb: Optional[Any] = None) -> IndexStore:
+                    dynamodb: Optional[Any] = None,
+                    shards: Optional[int] = None) -> IndexStore:
         # Stores talk to the resilient facade (the raw service on a
         # fault-free cloud, the retry/breaker proxy under chaos) unless
         # handed another ``dynamodb`` client, such as a region switch.
         # Every store is handed out behind the one StoreRouter this
-        # deployment's shards, cache and answer memo describe; with one
-        # shard and no cache the router is a pure passthrough.
+        # deployment's shards (or an epoch's own), cache and answer memo
+        # describe; with one shard and no cache it is a pure passthrough.
         if dynamodb is None:
             dynamodb = self.cloud.resilient.dynamodb
         if backend == "dynamodb":
@@ -522,7 +523,7 @@ class Warehouse:
                 "unknown index backend {!r} (dynamodb or simpledb)".format(
                     backend))
         return StoreRouter(base, self.telemetry,
-                           shards=self.deployment.shards,
+                           shards=shards or self.deployment.shards,
                            cache=self.index_cache, epoch=epoch,
                            answer_memo=self.answer_memo)
 

@@ -86,15 +86,3 @@ def test_requests_under_the_bound_pass(cloud, db):
     assert db.throttled_total == 0
     assert db.table("idx").item_count() == 1
 
-
-def test_disable_restores_fluid_queueing(cloud, db):
-    db.enable_throttle_mode(max_backlog_s=0.0)
-    db.disable_throttle_mode()
-    assert not db.throttle_mode
-    _backlog(db, 10.0)
-
-    def scenario():
-        yield from db.put("idx", _item("k"))
-
-    cloud.env.run_process(scenario())
-    assert db.throttled_total == 0

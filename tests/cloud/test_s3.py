@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import (BucketAlreadyExists, BucketNotEmpty, NoSuchBucket,
+from repro.errors import (BucketAlreadyExists, NoSuchBucket,
                           NoSuchKey)
 
 
@@ -114,10 +114,3 @@ def test_bucket_accounting(cloud, s3):
     assert s3.object_count("docs") == 2
     assert s3.bucket_bytes("docs") == 5
 
-
-def test_delete_bucket_requires_empty(cloud, s3):
-    def scenario():
-        yield from s3.put("docs", "a", b"x")
-    cloud.env.run_process(scenario())
-    with pytest.raises(BucketNotEmpty):
-        s3.delete_bucket("docs")

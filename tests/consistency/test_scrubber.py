@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import ScaleProfile
+from repro.consistency.build import META_BUCKET, inventory_key
+from repro.errors import IntegrityError
 from repro.faults import FaultPlan
 from repro.faults.corruption import CorruptionMonkey
 from repro.faults.scenarios import physical_snapshot
@@ -90,6 +92,52 @@ def test_dropped_partition_detected_and_repaired(corpus):
                                    repair=False)
     assert verify.clean
     assert physical_snapshot(warehouse, built) == pristine
+
+
+def _rewrite_inventory(warehouse, record, logical, data):
+    warehouse.cloud.env.run_process(warehouse.cloud.s3.put(
+        META_BUCKET, inventory_key(record.name, record.epoch, logical),
+        data))
+
+
+@pytest.mark.scrub
+@pytest.mark.parametrize("data", [b"\xff\xfe{", b'{"k": 5}'],
+                         ids=["not-utf8", "not-lists"])
+def test_a_damaged_inventory_fails_the_scrub_typed(corpus, data):
+    warehouse, built, record = checkpointed(corpus, "LUP")
+    _rewrite_inventory(warehouse, record, "lup", data)
+    with pytest.raises(IntegrityError, match=inventory_key(
+            record.name, record.epoch, "lup")):
+        warehouse.scrub_index(built, record.name, record.epoch,
+                              repair=False)
+
+
+def _lose_three_partitions(corpus):
+    warehouse, built, record = checkpointed(corpus, "LUP")
+    plan = FaultPlan(seed=SEED).drop_table_partition(table=0, count=3)
+    CorruptionMonkey(warehouse.cloud, seed=SEED).damage_index(
+        built, plan.damage)
+    return warehouse, built, record
+
+
+@pytest.mark.scrub
+def test_lost_partitions_show_against_the_true_inventory(corpus):
+    warehouse, built, record = _lose_three_partitions(corpus)
+    report = warehouse.scrub_index(built, record.name, record.epoch,
+                                   repair=False)
+    assert report.missing_entries == 12
+
+
+@pytest.mark.scrub
+@pytest.mark.xfail(strict=True, reason=(
+    "an inventory that still decodes is trusted: catching one rewritten "
+    "to {} needs a digest on the control-plane record"))
+def test_an_emptied_inventory_still_exposes_lost_partitions(corpus):
+    warehouse, built, record = _lose_three_partitions(corpus)
+    _rewrite_inventory(warehouse, record, "lup", b"{}")
+    emptied = warehouse.scrub_index(built, record.name, record.epoch,
+                                    repair=False)
+    assert not emptied.clean
 
 
 @pytest.mark.scrub

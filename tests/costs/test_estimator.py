@@ -31,7 +31,6 @@ class TestCostBreakdown:
         breakdown = CostBreakdown(s3=1, dynamodb=2, simpledb=3, ec2=4,
                                   sqs=5, egress=6)
         assert breakdown.total == 21
-        assert breakdown.index_store == 5
 
     def test_add(self):
         combined = CostBreakdown(s3=1).add(CostBreakdown(s3=2, ec2=3))

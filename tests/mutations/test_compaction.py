@@ -9,8 +9,10 @@ missing, rewriting byte-identical items (content-addressed keys).
 
 import pytest
 
+from repro.cloud.dynamodb import DynamoItem
 from repro.config import ScaleProfile
 from repro.engine.evaluator import evaluate_query
+from repro.errors import IntegrityError
 from repro.mutations import CompactionPolicy
 from repro.query.workload import workload_query
 from repro.store.sharding import shard_table_names
@@ -152,6 +154,23 @@ def test_delta_published_between_crash_and_resume_survives():
         assert e.result_rows == len(direct), name
 
 
+def test_a_damaged_pinned_chain_fails_the_resume_typed():
+    """The pin a resumed pass folds is checked for its shape: damage
+    raises ``IntegrityError`` naming the record, not a bare error."""
+    warehouse, live = fresh_live(deployment={"shards": 2})
+    mutate(warehouse, live)
+    assert warehouse.compact_index(live, max_units=1).interrupted
+    to_epoch = live.record.epoch + 1
+    pin_id = "{}-e{}-cmp-chain".format(live.name, to_epoch)
+    ledger = "ldg-{}-e{}-cmp".format(live.name.lower(), to_epoch)
+    for damage in ('{"seq": 1}', '["1"]', "[1, 2"):
+        warehouse.cloud.env.run_process(warehouse.cloud.dynamodb.put(
+            ledger, DynamoItem(pin_id, None, {"hash": (damage,)})))
+        with pytest.raises(IntegrityError, match=pin_id):
+            warehouse.compact_index(live)
+        assert live.record.epoch == to_epoch - 1
+
+
 def test_interrupted_pass_is_accounted_in_the_ingestion_report():
     """Writes billed by a partial pass appear in the golden accounting."""
     warehouse, live = fresh_live(deployment={"shards": 2})
@@ -166,27 +185,39 @@ def test_interrupted_pass_is_accounted_in_the_ingestion_report():
 
 
 def test_fold_uses_base_epochs_own_shard_routing():
-    """A base epoch predating a reshard folds under its own routing.
+    """A base epoch predating a reshard is read and folded under its
+    own routing.
 
     The committed record's ``shards`` metadata — not the attaching
     deployment's store config — names the base epoch's physical shard
-    tables; the new epoch and the deltas use the current config.
+    tables, for the live handle's reads as for the fold; the new epoch
+    and the deltas use the current config.
     """
     warehouse, live = fresh_live()  # base epoch laid out at shards=1
     warehouse.deployment = warehouse.deployment.override(shards=2)
     handle = warehouse.live_index(live.name)
     assert handle.record.shards == 1
 
+    def answers_match():
+        db = warehouse.cloud.dynamodb
+        assert handle.stored_bytes() == db.stored_bytes(
+            [table for table in db.table_names()
+             if table.startswith(("idx-", "dlt-"))
+             and "-e{}".format(handle.record.epoch) in table])
+        for name in ("q2", "q6"):
+            direct = evaluate_query(workload_query(name),
+                                    warehouse.corpus.documents)
+            e = warehouse.run_query(workload_query(name), handle)
+            assert e.result_rows == len(direct), name
+
+    answers_match()
     warehouse.add_documents(handle, make_increment(1),
                             config={"loaders": 2})
+    answers_match()
     report = warehouse.compact_index(handle)
     assert report.committed
     assert handle.record.shards == 2  # the fold re-sharded the base
-    for name in ("q2", "q6"):
-        direct = evaluate_query(workload_query(name),
-                                warehouse.corpus.documents)
-        e = warehouse.run_query(workload_query(name), handle)
-        assert e.result_rows == len(direct), name
+    answers_match()
 
 
 def test_compaction_policy_thresholds():

@@ -247,3 +247,19 @@ def test_cost_tie_out_is_exact_to_the_last_bit(make_report):
     assert report.cost_tied_out is True
     report.span_cost = CostBreakdown(s3=math.nextafter(0.3, 1.0))
     assert report.cost_tied_out is False
+
+
+def test_a_repeated_live_lookup_replays_its_answer():
+    warehouse, live = fresh_live()
+    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.delete_documents(live, [warehouse.corpus.documents[0].uri])
+    memo = live.store.answer_memo
+    assert memo is warehouse.answer_memo
+    lookup = live.make_lookup(warehouse.telemetry.tracer)
+    pattern = workload_query("q6").patterns[0]
+    first = warehouse.cloud.env.run_process(lookup.lookup_pattern(pattern))
+    hits = memo.hits
+    again = warehouse.cloud.env.run_process(lookup.lookup_pattern(pattern))
+    assert memo.hits > hits
+    assert (again.uris, again.rows_processed) == (first.uris,
+                                                  first.rows_processed)

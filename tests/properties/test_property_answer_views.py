@@ -17,8 +17,16 @@ machine quarantines a damaged table's cache entries as the degradation
 ladder does (``IndexCache.invalidate_table``).  What the property is
 about lies below the cache: the store's payload views and the memo
 keyed by their identities.  A failing sequence shrinks to a minimal one.
+
+A live index reads under the same rule: its merging store's views keep
+their identity while every layer's view and tombstones do.  The live
+layer publishes an add, a tombstone and an update, then flips to a
+compacted base; after each step every look-up equals a fresh planner
+over a fresh merging store with no memo, and a chain rewritten to other
+tombstones over the very same views is computed again, not replayed.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -27,6 +35,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from tests.indexing.test_lookup_memo import PATTERNS, STRATEGIES, Probe
+from tests.mutations.test_live import fresh_live, make_increment
 
 from repro.cloud import CloudProvider
 from repro.config import ScaleProfile
@@ -35,6 +44,7 @@ from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.indexing.lookup_plans import pattern_plan
 from repro.indexing.mapper import DynamoIndexStore
 from repro.indexing.registry import strategy as strategy_named
+from repro.mutations.merge import MergingStore
 from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.xmark import generate_corpus
 
@@ -228,3 +238,52 @@ AnswerViewMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=10, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestAnswerViewMachine = AnswerViewMachine.TestCase
+
+
+def _unmemoized(live):
+    """The reference: a merging store whose planners compute every time."""
+    store = MergingStore(live)
+    store.answer_memo = None
+    return store
+
+
+def _check_live(warehouse, live):
+    """Every pattern, twice, through the live handle's planner: each
+    equals a fresh planner over a fresh merging store with no memo."""
+    tracer = warehouse.telemetry.tracer
+    for pattern in PATTERNS:
+        expected = _observe(warehouse.cloud, live.strategy.make_lookup(
+            _unmemoized(live), live.table_names, tracer), pattern)
+        for _ in range(2):
+            assert _observe(warehouse.cloud, live.make_lookup(tracer),
+                            pattern) == expected, pattern
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_live_lookups_replay_only_over_the_same_layer_stack(strategy):
+    warehouse, live = fresh_live(strategy)
+    memo = live.store.answer_memo
+    assert memo is warehouse.answer_memo
+    _check_live(warehouse, live)
+    documents = warehouse.corpus.documents
+    warehouse.add_documents(live, make_increment(1, documents=3),
+                            config={"loaders": 1})
+    _check_live(warehouse, live)
+    warehouse.delete_documents(live, [documents[0].uri])
+    _check_live(warehouse, live)
+    warehouse.update_document(live, documents[1].uri,
+                              warehouse.corpus.data[documents[2].uri],
+                              config={"loaders": 1})
+    _check_live(warehouse, live)
+    assert warehouse.compact_index(live).committed
+    _check_live(warehouse, live)
+    assert memo.hits and memo.misses
+
+    # Two chains of one length over the same views, different
+    # tombstones: the second is no replay of the first.
+    warehouse.delete_documents(live, [documents[3].uri])
+    _check_live(warehouse, live)
+    (delta,) = live.deltas
+    live.deltas = [dataclasses.replace(delta,
+                                       tombstones=(documents[4].uri,))]
+    _check_live(warehouse, live)

@@ -3,8 +3,9 @@ bare crash.
 
 Every entry point that takes stored or fetched bytes — the model parse,
 each strategy's extraction, the ID codec, the lazy ID block with its
-column access and the manifest's epoch-record and live-head decoders —
-may only let a :class:`~repro.errors.ReproError` escape.
+column access, the manifest's epoch-record and live-head decoders, the
+scrubber's table inventory and a compaction's pinned chain — may only
+let a :class:`~repro.errors.ReproError` escape.
 Inputs are raw bytes, and valid documents and ID blobs with bytes
 flipped, cut and inserted; each test also replays the inputs that once
 escaped untyped: an unknown encoding declaration (``LookupError``), a
@@ -22,8 +23,10 @@ from tests.properties.strategies import documents, sorted_node_ids
 
 from repro.cloud.dynamodb import DynamoItem
 from repro.consistency.manifest import DeltaRecord, EpochRecord, LiveHead
+from repro.consistency.scrubber import decode_inventory
 from repro.errors import IntegrityError, ReproError
 from repro.indexing.registry import ALL_STRATEGY_NAMES, strategy
+from repro.mutations.compactor import decode_pinned_chain
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, encode_ids
 from repro.xmldb.parser import parse_document
@@ -181,6 +184,63 @@ def test_manifest_decoders_read_back_what_was_stored():
 def test_a_damaged_manifest_record_is_named(decode, attrs, record):
     with pytest.raises(IntegrityError, match=record):
         decode(attrs)
+
+
+#: A table inventory (key → URIs) and a pinned chain, as stored.
+INVENTORY = json.dumps({"name": ["a.xml", "b.xml"], "/site": ["a.xml"],
+                        "gone": []}).encode("utf-8")
+PIN = json.dumps([1, 2, 5])
+INVENTORY_RECORD = "LUP/e1/lup.json"
+PIN_RECORD = "LUP-e2-cmp-chain"
+
+
+def _control_record(decode, record, data):
+    """``decode(record, data)``, or the name-bearing typed error."""
+    try:
+        return decode(record, data)
+    except IntegrityError as error:
+        assert record in str(error)
+        return None
+
+
+@given(st.one_of(st.binary(max_size=64), mangled(st.just(INVENTORY))))
+@example(b"\xff\xfe\x00{")
+@example(b'{"k": 5}')
+@example(b'{"k": [5]}')
+@example(b"[" * 5000)
+@settings(max_examples=300, deadline=None)
+def test_inventory_decoding_raises_only_integrity_errors(data):
+    _control_record(decode_inventory, INVENTORY_RECORD, data)
+
+
+@given(st.one_of(st.text(max_size=32), mangled(st.just(
+    PIN.encode("utf-8"))).map(lambda data: data.decode("latin-1"))))
+@example('{"seq": 1}')
+@example("[1, true]")
+@example('["1"]')
+@example("[1.5]")
+@settings(max_examples=300, deadline=None)
+def test_pinned_chain_decoding_raises_only_integrity_errors(data):
+    _control_record(decode_pinned_chain, PIN_RECORD, data)
+
+
+def test_control_records_read_back_what_was_stored():
+    assert decode_inventory(INVENTORY_RECORD, INVENTORY) == json.loads(
+        INVENTORY)
+    assert decode_pinned_chain(PIN_RECORD, PIN) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("decode, record, data", [
+    (decode_inventory, INVENTORY_RECORD, b"\xff{"),
+    (decode_inventory, INVENTORY_RECORD, b'{"k": 5}'),
+    (decode_pinned_chain, PIN_RECORD, "[1, 2"),
+    (decode_pinned_chain, PIN_RECORD, '{"1": 2}'),
+    (decode_pinned_chain, PIN_RECORD, '["1"]'),
+], ids=["inventory-not-utf8", "inventory-not-lists", "pin-not-json",
+        "pin-not-a-list", "pin-not-ints"])
+def test_a_damaged_control_record_is_named(decode, record, data):
+    with pytest.raises(IntegrityError, match=record):
+        decode(record, data)
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)

@@ -51,11 +51,6 @@ class TestTreePattern:
         labels = [n.label for n in _q1_pattern().iter_nodes()]
         assert labels == ["painting", "name", "painter", "name"]
 
-    def test_returned_nodes(self):
-        returned = _q1_pattern().returned_nodes()
-        assert len(returned) == 2
-        assert all(n.label == "name" for n in returned)
-
     def test_root_to_leaf_paths(self):
         paths = _q1_pattern().root_to_leaf_paths()
         rendered = ["".join(axis.value + node.label for axis, node in path)

@@ -3,15 +3,21 @@
 ``serve(background=[...])`` waits for its mutation feeds and compaction
 tickers before it reports.  One that has already raised by then must
 re-raise, not be dropped: otherwise the report reads 8 of 8 completed
-while a compaction silently never committed.
+while a compaction silently never committed.  So must a query worker
+that died of an error: nobody answers its queries, and the completion
+poll would wait for them forever.  A live index under a failover policy
+is refused before any process starts: the secondary region holds no
+delta chain.  Each test bounds simulated time, so a regression fails
+instead of polling forever.
 """
 
 import pytest
 
 from repro.config import ScaleProfile
-from repro.errors import IntegrityError
+from repro.errors import ConfigError, IndexingError, IntegrityError
 from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.mutations import CompactionPolicy, compaction_ticker
+from repro.serving import FailoverPolicy
 from repro.store.sharding import shard_table_names
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -60,3 +66,45 @@ def test_a_compaction_refusing_corruption_under_serve_fails_serve():
     with pytest.raises(IntegrityError, match="checksum mismatch"):
         warehouse.serve(TRAFFIC, live, background=[ticker])
     assert live.compactions == [] and live.record.epoch == 1
+
+
+def _bounded(monkeypatch, env, limit_s=3600.0):
+    """Fail, rather than run on, past ``limit_s`` simulated seconds."""
+    step = env.step
+
+    def bounded_step():
+        assert env.now <= limit_s, "serve() still polling at {:.0f} s".format(
+            env.now)
+        step()
+    monkeypatch.setattr(env, "step", bounded_step)
+
+
+def test_a_query_worker_that_died_fails_serve(monkeypatch):
+    warehouse = Warehouse(deployment={"workers": 1})
+    warehouse.upload_corpus(generate_corpus(
+        ScaleProfile(documents=8, seed=77)))
+    index = warehouse.build_index("LU")
+
+    def vanished(*args):
+        raise IndexingError("the index store vanished")
+        yield  # pragma: no cover - makes this a generator
+    monkeypatch.setattr(index.store, "read_key", vanished)
+    monkeypatch.setattr(index.store, "read_keys", vanished)
+    _bounded(monkeypatch, warehouse.cloud.env)
+    with pytest.raises(IndexingError, match="vanished"):
+        warehouse.serve(TRAFFIC, index)
+
+
+def test_a_live_index_under_failover_is_refused_before_serving(monkeypatch):
+    warehouse = Warehouse(deployment={"failover": FailoverPolicy(),
+                                      "loaders": 2, "batch_size": 4})
+    warehouse.upload_corpus(generate_corpus(
+        ScaleProfile(documents=12, seed=77)))
+    _, record = warehouse.build_index_checkpointed("LUP")
+    live = warehouse.live_index(record.name)
+    env = warehouse.cloud.env
+    _bounded(monkeypatch, env)
+    started = env.now
+    with pytest.raises(ConfigError, match="cannot fail over"):
+        warehouse.serve({**TRAFFIC, "queries": 10}, live)
+    assert env.now == started

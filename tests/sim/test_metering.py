@@ -40,7 +40,6 @@ def test_tag_scope_nesting():
     assert len(meter.records(tag="outer:inner")) == 1
     assert len(meter.records(tag_prefix="outer")) == 3
     assert len(meter.records(tag="")) == 1
-    assert meter.current_tag == ""
 
 
 def test_explicit_tag_overrides_stack():
@@ -59,18 +58,6 @@ def test_totals_aggregation():
     totals = meter.totals()
     assert totals.requests[("sqs", "send_message")] == 2
     assert totals.requests[("sqs", "delete_message")] == 1
-
-
-def test_by_tag_grouping():
-    meter = Meter()
-    with meter.tagged("a"):
-        meter.record(0.0, "s3", "put")
-    with meter.tagged("b"):
-        meter.record(0.0, "s3", "put")
-        meter.record(0.0, "s3", "get")
-    grouped = meter.by_tag()
-    assert len(grouped["a"]) == 1
-    assert len(grouped["b"]) == 2
 
 
 def test_clear_preserves_tag_stack():

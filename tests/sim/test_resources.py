@@ -46,7 +46,9 @@ class TestResource:
         done = []
 
         def worker(env):
-            yield from resource.acquire(4.0)
+            yield resource.request()
+            yield env.timeout(4.0)
+            resource.release()
             done.append(env.now)
 
         for _ in range(6):

@@ -60,7 +60,7 @@ def test_metric_redeclaration_with_other_shape_fails():
 def test_gauge_moves_both_ways():
     gauge = MetricsRegistry().gauge("depth", "", ("queue",))
     gauge.set(5, queue="q")
-    gauge.dec(2, queue="q")
+    gauge.inc(-2, queue="q")
     gauge.inc(queue="q")
     assert gauge.value(queue="q") == 4
 

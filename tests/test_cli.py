@@ -185,8 +185,11 @@ def test_ingest_command_under_serving_traffic(capsys):
 
 
 def test_resilience_flags_belong_to_serving_subcommands():
-    """Only serve and ingest act on spot/failover flags; elsewhere they
+    """Only serve and ingest act on spot flags, and only serve on
+    ``--failover`` (a live index cannot fail over yet); elsewhere they
     are usage errors rather than silently ignored."""
-    with pytest.raises(SystemExit) as excinfo:
-        main(["demo", "--documents", "10", "--failover", "1:1"])
-    assert excinfo.value.code == 2
+    for argv in (["demo", "--documents", "10", "--failover", "1:1"],
+                 ["ingest", "--documents", "10", "--failover"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
