@@ -244,8 +244,9 @@ def cmd_chaos(args) -> int:
     Exit status 0 iff the recovery invariants hold — identical index,
     identical answers, bounded cost overhead.
     """
-    _require_checkpoint_backend(args)
     if args.scenario == "scrub-repair":
+        # Damage and repair run on checkpointed builds.
+        _require_checkpoint_backend(args)
         report = run_scrub_repair_scenario(
             documents=args.documents, seed=args.seed,
             strategy=args.strategy, instances=args.instances)
@@ -253,7 +254,8 @@ def cmd_chaos(args) -> int:
         report = run_scenario(
             args.scenario, documents=args.documents, seed=args.seed,
             strategy=args.strategy, instances=args.instances,
-            error_rate=args.error_rate, crash_after_s=args.crash_after)
+            backend=args.backend, error_rate=args.error_rate,
+            crash_after_s=args.crash_after)
     out.line(report.render())
     return 0 if report.invariant_holds else 1
 

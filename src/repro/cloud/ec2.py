@@ -109,10 +109,6 @@ class EC2:
         self._meter.record(self._env.now, SERVICE, "launch")
         return instance
 
-    def launch_fleet(self, type_name: str, count: int) -> List[Instance]:
-        """Launch ``count`` identical instances."""
-        return [self.launch(type_name) for _ in range(count)]
-
     def stop(self, instance: Instance) -> None:
         """Stop an instance, fixing its billing end time."""
         if instance.instance_id not in self._instances:
@@ -129,8 +125,8 @@ class EC2:
         Billing still runs to the crash instant — a machine that died
         mid-task was rented until it died.  The caller is responsible
         for interrupting any simulated process that was "running on"
-        the instance (the kernel has no notion of placement); the
-        warehouse's chaos monkey does both in one step.
+        the instance (the kernel has no notion of placement);
+        :meth:`repro.warehouse.fleet.Fleet.crash` does both in one step.
         """
         if instance.instance_id not in self._instances:
             raise NoSuchInstance(instance.instance_id)
@@ -140,12 +136,6 @@ class EC2:
         instance.stopped_at = self._env.now
         instance.crashed = True
         self._meter.record(self._env.now, SERVICE, "crash")
-
-    def stop_all(self) -> None:
-        """Stop every running instance."""
-        for instance in self._instances.values():
-            if instance.running:
-                self.stop(instance)
 
     def get(self, instance_id: str) -> Instance:
         """Look an instance up by id."""

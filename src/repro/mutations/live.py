@@ -50,8 +50,8 @@ from repro.errors import BuildStateError, WarehouseError
 from repro.mutations.merge import MergingStore, alias_table
 from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import check_document_uris
-from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
-from repro.warehouse.messages import LOADER_QUEUE, StopWorker
+from repro.warehouse.loader import LoaderWorkerStats
+from repro.warehouse.messages import LOADER_QUEUE
 from repro.xmark.corpus import Corpus
 from repro.xmldb.parser import parse_document
 
@@ -429,31 +429,19 @@ class LiveIndex:
                 batches = partition_batches(
                     "{}-s{}".format(self.name, seq), self.record.epoch,
                     [uri for uri, _ in additions], cfg.batch_size)
-                count = max(1, min(cfg.loaders, len(batches)))
-                fleet = cloud.ec2.launch_fleet(cfg.loader_type, count)
-                workers = [IndexerWorker(cloud, instance, delta_store,
-                                         self.strategy, tables,
-                                         DOCUMENT_BUCKET,
-                                         batch_size=cfg.batch_size,
-                                         ledger=ledger)
-                           for instance in fleet]
-                procs = [env.process(
-                    worker.run(),
-                    name="delta-loader-s{}-{}".format(seq, i))
-                    for i, worker in enumerate(workers)]
+                fleet = warehouse._loader_fleet(
+                    delta_store, self.strategy, tables, cfg.loader_type,
+                    cfg.batch_size, ledger=ledger,
+                    name="delta-loader-s{}".format(seq))
+                # Crashes from the fault plan are not injected here: a
+                # publication never drains its queue before the pills.
+                fleet.launch(max(1, min(cfg.loaders, len(batches))))
                 for batch in batches:
                     yield from cloud.resilient.sqs.send(LOADER_QUEUE, batch)
-                for _ in procs:
-                    yield from cloud.resilient.sqs.send(
-                        LOADER_QUEUE, StopWorker())
-                for proc in procs:
-                    yield proc
-                # Stop only this publication's instances — a serving
+                # Stops only this publication's instances — a serving
                 # fleet may be running on the same cloud.
-                for instance in fleet:
-                    if instance.running:
-                        cloud.ec2.stop(instance)
-                stats = [worker.stats for worker in workers]
+                yield from fleet.stop(LOADER_QUEUE)
+                stats = [member.worker.stats for member in fleet.launched]
                 scanned = []
                 for logical in sorted(tables):
                     for shard_table in delta_store.shard_tables(

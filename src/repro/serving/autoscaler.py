@@ -1,11 +1,12 @@
-"""The query-fleet autoscaler and its fleet bookkeeping.
+"""The query-fleet autoscaler.
 
 The paper's core economic observation — instance count trades time for
 (roughly) constant cost — only pays off continuously if something
 *changes* the instance count as load changes.  The :class:`Autoscaler`
 is that something: a tick-driven policy loop over two queue signals
 (visible backlog per worker, age of the oldest waiting message) that
-launches and retires EC2 instances inside a :class:`Fleet`.
+launches and retires EC2 instances inside a :class:`Fleet` (the one
+fleet lifecycle, :mod:`repro.warehouse.fleet`, re-exported here).
 
 Retirement reuses the §3 fault-tolerance contract instead of inventing
 a hand-off protocol: the worker's process is interrupted with
@@ -19,139 +20,14 @@ at-least-once tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Optional
 
-from repro.errors import ConfigError, InstanceRetired, ProcessInterrupted
+from repro.errors import ConfigError, ProcessInterrupted
 from repro.serving.policy import AutoscalePolicy, SpotPolicy
+from repro.warehouse.fleet import MARKET_ON_DEMAND, MARKET_SPOT, Fleet
 from repro.warehouse.messages import QUERY_QUEUE
 
 __all__ = ["Fleet", "Autoscaler", "MARKET_ON_DEMAND", "MARKET_SPOT"]
-
-#: Capacity markets a fleet member may be bought from.
-MARKET_ON_DEMAND = "on-demand"
-MARKET_SPOT = "spot"
-
-
-@dataclass
-class _Member:
-    """One fleet slot: instance + worker + the worker's process."""
-
-    instance: Any
-    worker: Any
-    proc: Any
-    market: str = MARKET_ON_DEMAND
-
-
-class Fleet:
-    """Live query-processor fleet: launch, retire, timeline.
-
-    ``worker_factory(instance)`` builds a worker object exposing
-    ``run()`` (the process generator) and a ``busy`` flag; the fleet
-    stays agnostic of the worker's actual type.
-    """
-
-    def __init__(self, cloud: Any, instance_type: str,
-                 worker_factory: Callable[[Any], Any],
-                 spot_market: Optional[Any] = None) -> None:
-        self._cloud = cloud
-        self._instance_type = instance_type
-        self._factory = worker_factory
-        #: Optional :class:`~repro.serving.spot.SpotMarket` watching
-        #: spot members for seeded interruptions.
-        self.spot_market = spot_market
-        self.members: List[_Member] = []
-        #: Every instance the fleet ever launched, in launch order
-        #: (retired ones included — their uptime is still billed).
-        self.instances_ever: List[Any] = []
-        #: Market each instance was bought from, by instance id.
-        self.markets: Dict[str, str] = {}
-        #: Every size change as ``(simulated time, new size)``.
-        self.timeline: List[Tuple[float, int]] = []
-        self.launched_total = 0
-        self.retired_total = 0
-        self.retired_busy_total = 0
-        self._serial = 0
-
-    @property
-    def size(self) -> int:
-        """Current fleet size."""
-        return len(self.members)
-
-    @property
-    def instance_type(self) -> str:
-        """Instance type every member runs on."""
-        return self._instance_type
-
-    @property
-    def spot_size(self) -> int:
-        """Current number of spot members."""
-        return sum(1 for m in self.members if m.market == MARKET_SPOT)
-
-    def idle_members(self) -> List[_Member]:
-        """Members whose worker holds no query right now."""
-        return [m for m in self.members if not m.worker.busy]
-
-    def _mark(self) -> None:
-        now = self._cloud.env.now
-        if self.timeline and self.timeline[-1][0] == now:
-            self.timeline[-1] = (now, self.size)
-        else:
-            self.timeline.append((now, self.size))
-
-    def launch(self, count: int,
-               market: str = MARKET_ON_DEMAND) -> List[_Member]:
-        """Grow the fleet by ``count`` instances bought from ``market``."""
-        added: List[_Member] = []
-        for _ in range(count):
-            self._serial += 1
-            instance = self._cloud.ec2.launch(self._instance_type)
-            self.instances_ever.append(instance)
-            self.markets[instance.instance_id] = market
-            worker = self._factory(instance)
-            proc = self._cloud.env.process(
-                worker.run(), name="serve-worker-{}".format(self._serial))
-            member = _Member(instance=instance, worker=worker, proc=proc,
-                             market=market)
-            self.members.append(member)
-            added.append(member)
-            if market == MARKET_SPOT and self.spot_market is not None:
-                self.spot_market.watch(member)
-        self.launched_total += count
-        self._mark()
-        return added
-
-    def retire(self, member: _Member) -> None:
-        """Remove one member: interrupt its process, stop its instance.
-
-        An idle member is blocked in ``receive`` and holds no message
-        (the kernel's Store skips dead getters, so nothing is lost); a
-        busy member's lease lapses and SQS redelivers its query.
-        """
-        if member.worker.busy:
-            self.retired_busy_total += 1
-        self.members.remove(member)
-        if member.proc.is_alive:
-            member.proc.interrupt(
-                InstanceRetired(member.instance.instance_id))
-        if member.instance.running:
-            self._cloud.ec2.stop(member.instance)
-        self.retired_total += 1
-        self._mark()
-
-    def uptime_hours(self, market: Optional[str] = None) -> float:
-        """Fractional instance-hours over every member that ever ran.
-
-        Retired members are included (their clocks stopped at
-        retirement), so this is exactly what §7's ``VM$h`` multiplies.
-        With ``market`` the sum covers only instances bought from that
-        market — spot hours are billed at the book's spot price.
-        """
-        if market is None:
-            return sum(i.uptime_hours for i in self.instances_ever)
-        return sum(i.uptime_hours for i in self.instances_ever
-                   if self.markets.get(i.instance_id,
-                                       MARKET_ON_DEMAND) == market)
 
 
 class Autoscaler:

@@ -46,9 +46,8 @@ from repro.tenancy import (DEFAULT_TENANT, SCHEDULER_FAIR, SHARED_TENANT,
 from repro.tenancy import QueryRequest as TenantQueryRequest
 from repro.telemetry.costing import inclusive_costs
 from repro.tenancy.billing import partition_costs, reconcile
-from repro.warehouse.messages import QUERY_QUEUE, StopWorker
-from repro.warehouse.query_processor import QueryWorker, QueryWorkStats
-from repro.warehouse.warehouse import DOCUMENT_BUCKET, RESULTS_BUCKET
+from repro.warehouse.messages import QUERY_QUEUE
+from repro.warehouse.query_processor import QueryWorkStats
 
 __all__ = ["ServingRuntime"]
 
@@ -100,50 +99,30 @@ class ServingRuntime:
 
     # -- pieces ------------------------------------------------------------
 
-    def _worker_factory(self, stats_sink: Dict[int, QueryWorkStats],
-                        index: Optional[Any] = None):
-        """Factory building one QueryWorker per launched instance.
-
-        ``index`` overrides the runtime's own (the failover path passes
-        the region-switched clone so workers follow the active region).
-        """
+    def _degraded_lookups(self) -> Optional[Any]:
+        """What makes each worker's degraded look-up, when admission or
+        a tenant's quota can degrade arrivals; ``None`` otherwise."""
         warehouse = self.warehouse
-        if index is None:
-            index = self.index
         admission = self.deployment.admission
-        degraded_factory = None
         degradation_wanted = (
             admission is not None and admission.degradation_enabled) or (
             self.tenancy is not None and any(
                 spec.over_quota == "degrade"
                 for spec in self.tenancy.tenants))
-        if degradation_wanted:
-            if self.degraded_indexes:
-                from repro.consistency import DegradedIndexChain
-                chain = DegradedIndexChain(
-                    warehouse.cloud, self.degraded_indexes,
-                    warehouse._all_uris, health=warehouse.health)
-                degraded_factory = chain.make_lookup
-            else:
-                # No fallback indexes: degraded queries take the ladder's
-                # last rung — the full S3 scan, the paper's no-index path.
-                from repro.consistency.degradation import DegradingLookup
-                degraded_factory = functools.partial(
-                    DegradingLookup, warehouse.cloud, [],
-                    warehouse._all_uris, warehouse.health)
-        tracer = warehouse.telemetry.tracer
-
-        def factory(instance: Any) -> QueryWorker:
-            return QueryWorker(
-                warehouse.cloud, instance,
-                index.make_lookup(tracer) if index else None,
-                DOCUMENT_BUCKET, RESULTS_BUCKET,
-                warehouse._all_uris, stats_sink,
-                parsed_documents=warehouse._parse_cache,
-                parsed_queries=warehouse._parsed_queries,
-                degraded_lookup=(degraded_factory(tracer)
-                                 if degraded_factory is not None else None))
-        return factory
+        if not degradation_wanted:
+            return None
+        if self.degraded_indexes:
+            from repro.consistency import DegradedIndexChain
+            chain = DegradedIndexChain(
+                warehouse.cloud, self.degraded_indexes,
+                warehouse._all_uris, health=warehouse.health)
+            return chain.make_lookup
+        # No fallback indexes: degraded queries take the ladder's last
+        # rung — the full S3 scan, the paper's no-index path.
+        from repro.consistency.degradation import DegradingLookup
+        return functools.partial(
+            DegradingLookup, warehouse.cloud, [],
+            warehouse._all_uris, warehouse.health)
 
     def _switched_index(self, switch: Any) -> Any:
         """A clone of the serving index whose store reads through the
@@ -272,8 +251,11 @@ class ServingRuntime:
                 switch=switch, replicator=replicator,
                 cache=warehouse.index_cache)
 
-        fleet = Fleet(cloud, deployment.worker_type,
-                      self._worker_factory(stats_sink, serving_index))
+        # The failover path serves the region-switched clone, so the
+        # workers follow the active region.
+        fleet = warehouse._query_fleet(
+            deployment.worker_type, serving_index, stats_sink,
+            degraded=self._degraded_lookups(), name="serve-worker")
         spot_market = None
         if spot_policy is not None and spot_specs:
             from repro.serving.spot import SpotMarket
@@ -440,18 +422,11 @@ class ServingRuntime:
             if collect_proc.is_alive:
                 collect_proc.interrupt(
                     ProcessInterrupted("serving complete"))
-            # Drain the fleet through the usual poison pills.
-            pills = sum(1 for m in fleet.members if m.proc.is_alive)
-            for _ in range(pills):
-                yield from cloud.resilient.sqs.send(
-                    QUERY_QUEUE, StopWorker())
-            for member in list(fleet.members):
-                yield member.proc
-            # Mutation feeds / compaction tickers may outlive traffic;
-            # the run is not over until they are.  Every one is joined,
-            # so one that already failed re-raises here.
-            for proc in background_procs:
-                yield proc
+            # Drain the fleet through the usual poison pills.  Mutation
+            # feeds / compaction tickers may outlive traffic; the run
+            # (and the fleet's rent) is not over until they are.  Every
+            # one is joined, so one that already failed re-raises here.
+            yield from fleet.stop(QUERY_QUEUE, outliving=background_procs)
 
         mark = cloud.meter.mark()
         with warehouse._span("serve", strategy=self.strategy_name,
@@ -462,9 +437,6 @@ class ServingRuntime:
                 env.run_process(driver(), name="serve")
         start_at = start_holder[0]
         end_at = env.now
-        for instance in fleet.instances_ever:
-            if instance.running:
-                cloud.ec2.stop(instance)
 
         retries = outage_retries.value() - retries_before
         return self._build_report(
@@ -579,15 +551,15 @@ class ServingRuntime:
             initial_workers=initial,
             peak_workers=max((n for _, n in fleet.timeline), default=0),
             mean_workers=self._mean_fleet(fleet.timeline, start_at, end_at),
-            launched=fleet.launched_total,
+            launched=len(fleet.launched),
             retired=fleet.retired_total,
             retired_busy=fleet.retired_busy_total,
             scale_outs=autoscaler.scale_outs if autoscaler else 0,
             scale_ins=autoscaler.scale_ins if autoscaler else 0,
             fleet_timeline=timeline,
             spot_launched=sum(
-                1 for market in fleet.markets.values()
-                if market == MARKET_SPOT),
+                1 for member in fleet.launched
+                if member.market == MARKET_SPOT),
             spot_interruptions=(spot_market.interrupted_total
                                 if spot_market else 0),
             spot_drained=spot_market.drained_total if spot_market else 0,

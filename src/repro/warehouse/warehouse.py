@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Any, Dict, Generator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sqs import RedrivePolicy
-from repro.errors import InstanceCrashed, WarehouseError
+from repro.errors import WarehouseError
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
@@ -36,10 +36,10 @@ from repro.query.pattern import Query
 from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
+from repro.warehouse.fleet import Fleet
 from repro.warehouse.frontend import Frontend, check_document_uris
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
-from repro.warehouse.messages import (LOADER_QUEUE, QUERY_QUEUE,
-                                      RESPONSE_QUEUE, StopWorker)
+from repro.warehouse.messages import LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE
 from repro.warehouse.query_processor import QueryWorker, QueryWorkStats
 from repro.xmark.corpus import Corpus
 
@@ -49,10 +49,6 @@ RESULTS_BUCKET = "results"
 #: Suffix of the dead-letter queues created alongside the work queues
 #: when the cloud carries a fault plan.
 DLQ_SUFFIX = "-dlq"
-
-#: How often a chaos build polls the loader queue for drain before
-#: sending the poison pills (simulated seconds).
-DRAIN_POLL_INTERVAL_S = 0.25
 
 
 @dataclass
@@ -373,10 +369,6 @@ class Warehouse:
         deployment's config; a mapping overrides individual fields.
         """
         cfg = DeploymentConfig.resolve(self.deployment, config)
-        instances = cfg.loaders
-        instance_type = cfg.loader_type
-        batch_size = cfg.batch_size
-        backend = cfg.backend
         if self.corpus is None:
             raise WarehouseError("upload_corpus() must run before build_index()")
         if isinstance(strategy, str):
@@ -384,7 +376,7 @@ class Warehouse:
         build_id = next(self._build_ids)
         tag = tag or "index-build:{}:{}".format(strategy.name, build_id)
 
-        store = self._make_store(backend, seed=build_id)
+        store = self._make_store(cfg.backend, seed=build_id)
         table_names = {
             logical: "idx-{}-{}-{}".format(
                 strategy.name.lower(), logical, build_id)
@@ -392,45 +384,11 @@ class Warehouse:
         for physical in table_names.values():
             store.create_table(physical)
 
-        fleet = self.cloud.ec2.launch_fleet(instance_type, instances)
-        workers = [IndexerWorker(self.cloud, instance, store, strategy,
-                                 table_names, DOCUMENT_BUCKET,
-                                 batch_size=batch_size)
-                   for instance in fleet]
-        crashes = (self.cloud.faults.plan.crashes_for("loader")
-                   if self.cloud.faults is not None else [])
+        fleet = self._loader_fleet(store, strategy, table_names,
+                                   cfg.loader_type, cfg.batch_size)
 
-        def driver() -> Generator[Any, Any, List[LoaderWorkerStats]]:
-            procs = [self.cloud.env.process(worker.run(),
-                                            name="loader-{}".format(i))
-                     for i, worker in enumerate(workers)]
-
-            def chaos_monkey(spec) -> Generator[Any, Any, None]:
-                # Kill one worker instance mid-build: the §3 recovery
-                # path (lease lapse → SQS redelivery) must finish the
-                # job on a freshly launched replacement.
-                yield self.cloud.env.timeout(spec.after_s)
-                victim = spec.worker
-                if victim >= len(fleet) or not procs[victim].is_alive:
-                    return
-                if not fleet[victim].running:
-                    return
-                self.cloud.ec2.crash(fleet[victim])
-                procs[victim].interrupt(InstanceCrashed(
-                    fleet[victim].instance_id))
-                replacement = self.cloud.ec2.launch(instance_type)
-                worker = IndexerWorker(self.cloud, replacement, store,
-                                       strategy, table_names,
-                                       DOCUMENT_BUCKET,
-                                       batch_size=batch_size)
-                workers.append(worker)
-                procs.append(self.cloud.env.process(
-                    worker.run(),
-                    name="loader-replacement-{}".format(victim)))
-
-            for index, spec in enumerate(crashes):
-                self.cloud.env.process(chaos_monkey(spec),
-                                       name="chaos-monkey-{}".format(index))
+        def driver() -> Generator[Any, Any, None]:
+            self._launch_loaders(fleet, cfg.loaders)
             # Load requests are posted concurrently (documents "arrive"
             # independently at the scalable front end) so the loader
             # fleet — not the request rate — bounds indexing time.
@@ -440,46 +398,70 @@ class Warehouse:
             for send in sends:
                 yield send
             if self.cloud.faults is not None:
-                # A crashed worker's messages sit in flight until its
-                # lease lapses; declaring the build done (pills) before
-                # the queue fully drains would lose them.  Fault-free
-                # builds skip this — workers always drain the queue
-                # before their pill, so timing stays seed-identical.
-                while (self.cloud.sqs.approximate_depth(LOADER_QUEUE)
-                       + self.cloud.sqs.in_flight_count(LOADER_QUEUE)) > 0:
-                    yield self.cloud.env.timeout(DRAIN_POLL_INTERVAL_S)
-            pills = sum(1 for proc in procs if proc.is_alive)
-            for _ in range(pills):
-                yield from self.cloud.resilient.sqs.send(
-                    LOADER_QUEUE, StopWorker())
-            results: List[LoaderWorkerStats] = []
-            index = 0
-            # procs can grow while we wait (replacements for crashed
-            # workers), hence the index loop.
-            while index < len(procs):
-                try:
-                    results.append((yield procs[index]))
-                except InstanceCrashed:
-                    pass  # its replacement finishes the work
-                index += 1
-            return results
+                # Fault-free builds skip the drain: their workers always
+                # empty the queue before their pill, so timing stays
+                # seed-identical.
+                yield from fleet.drain(LOADER_QUEUE)
+            yield from fleet.stop(LOADER_QUEUE)
 
         started_at = self.cloud.env.now
         with self._span("index-build", strategy=strategy.name,
-                        backend=backend, instances=instances):
+                        backend=cfg.backend, instances=cfg.loaders):
             with self.cloud.meter.tagged(tag):
                 self.cloud.env.run_process(
                     driver(), name="build-{}".format(strategy.name))
-        self.cloud.ec2.stop_all()
-        phase = PhaseRecord(tag=tag, instance_type=instance_type,
-                            instances=instances, started_at=started_at,
+        phase = PhaseRecord(tag=tag, instance_type=cfg.loader_type,
+                            instances=cfg.loaders, started_at=started_at,
                             ended_at=self.cloud.env.now)
         self.phases.append(phase)
         # Aggregate over every worker that ran, including crashed ones
         # and their replacements: redone work is real work (and real
         # cost), and a crashed worker's partial stats describe it.
         return _built_index(strategy, store, table_names, phase,
-                            [w.stats for w in workers])
+                            [member.worker.stats
+                             for member in fleet.launched])
+
+    def _loader_fleet(self, store: IndexStore, strategy: IndexingStrategy,
+                      table_names: Dict[str, str], instance_type: str,
+                      batch_size: int, ledger: Optional[Any] = None,
+                      name: str = "loader") -> Fleet:
+        """A loader fleet writing ``strategy``'s index into ``store``
+        (through ``ledger``, the batch ledger of a checkpointed run)."""
+        def worker(instance: Any) -> IndexerWorker:
+            return IndexerWorker(self.cloud, instance, store, strategy,
+                                 table_names, DOCUMENT_BUCKET,
+                                 batch_size=batch_size, ledger=ledger)
+        return Fleet(self.cloud, instance_type, worker, name=name)
+
+    def _launch_loaders(self, fleet: Fleet, count: int) -> None:
+        """Launch a build's loaders and arm the fault plan's loader
+        crashes: each replaces its victim, and the §3 recovery (lease
+        lapse, SQS redelivery) finishes the job on the fresh instance."""
+        fleet.launch(count)
+        if self.cloud.faults is not None:
+            for spec in self.cloud.faults.plan.crashes_for("loader"):
+                fleet.crash_later(spec.after_s, victim=spec.worker,
+                                  replace=True)
+
+    def _query_fleet(self, instance_type: str, index: Optional[Any],
+                     stats_sink: Dict[int, QueryWorkStats],
+                     degraded: Optional[Callable[[Any], Any]] = None,
+                     name: str = "qworker") -> Fleet:
+        """A query-processor fleet answering over ``index`` (``None``:
+        the no-index scan) into ``stats_sink``; ``degraded(tracer)``
+        makes each worker's degraded look-up."""
+        tracer = self.telemetry.tracer
+
+        def worker(instance: Any) -> QueryWorker:
+            return QueryWorker(
+                self.cloud, instance,
+                index.make_lookup(tracer) if index else None,
+                DOCUMENT_BUCKET, RESULTS_BUCKET, self._all_uris, stats_sink,
+                parsed_documents=self._parse_cache,
+                parsed_queries=self._parsed_queries,
+                degraded_lookup=(degraded(tracer)
+                                 if degraded is not None else None))
+        return Fleet(self.cloud, instance_type, worker, name=name)
 
     def drop_index(self, built: BuiltIndex) -> int:
         """Delete an index's tables, ending its storage rent.
@@ -595,8 +577,10 @@ class Warehouse:
         ``interrupt_after_s`` crashes the whole fleet that many
         simulated seconds after it starts — the crash-consistency test
         hook; the run then returns with ``interrupted=True`` and
-        whatever the ledger managed to record.  ``purge_stale`` drops
-        pre-crash queue deliveries first (a resume must not race them).
+        whatever the ledger managed to record.  The fault plan's loader
+        crashes land here as in :meth:`build_index`.  ``purge_stale``
+        drops pre-crash queue deliveries first (a resume must not race
+        them).
         """
         from repro.consistency.build import BuildCoordinator, BuildRunResult
         tag = tag or plan.tag or "index-build:{}:e{}".format(
@@ -606,77 +590,45 @@ class Warehouse:
         store = self._make_store("dynamodb", seed=plan.epoch,
                                  range_key_mode="content",
                                  epoch=plan.epoch)
-        fleet = self.cloud.ec2.launch_fleet(plan.instance_type,
-                                            plan.instances)
-        workers = [IndexerWorker(self.cloud, instance, store, plan.strategy,
-                                 plan.table_names, DOCUMENT_BUCKET,
-                                 batch_size=plan.batch_size,
-                                 ledger=coordinator.ledger)
-                   for instance in fleet]
-        interrupted = [False]
-        counters = {"enqueued": 0, "applied": 0}
+        fleet = self._loader_fleet(store, plan.strategy, plan.table_names,
+                                   plan.instance_type, plan.batch_size,
+                                   ledger=coordinator.ledger,
+                                   name="ckpt-loader")
 
-        def driver() -> Generator[Any, Any, List[LoaderWorkerStats]]:
-            env = self.cloud.env
+        def driver() -> Generator[Any, Any, Tuple[int, int, Any]]:
             yield from coordinator.prepare(store)
             if purge_stale:
                 yield from coordinator.purge_loader_queue()
             missing = yield from coordinator.missing_batches()
-            counters["enqueued"] = yield from coordinator.enqueue(missing)
-            procs = [env.process(worker.run(),
-                                 name="ckpt-loader-{}".format(i))
-                     for i, worker in enumerate(workers)]
-
-            def bomb() -> Generator[Any, Any, None]:
-                yield env.timeout(interrupt_after_s)
-                alive = [i for i, proc in enumerate(procs) if proc.is_alive]
-                if not alive:
-                    return  # the build already finished
-                interrupted[0] = True
-                for i in alive:
-                    if fleet[i].running:
-                        self.cloud.ec2.crash(fleet[i])
-                    procs[i].interrupt(
-                        InstanceCrashed(fleet[i].instance_id))
-
-            if interrupt_after_s is not None:
-                env.process(bomb(), name="build-interrupt")
-            while (not interrupted[0]
-                   and (self.cloud.sqs.approximate_depth(LOADER_QUEUE)
-                        + self.cloud.sqs.in_flight_count(LOADER_QUEUE)) > 0):
-                yield env.timeout(DRAIN_POLL_INTERVAL_S)
-            if not interrupted[0]:
-                pills = sum(1 for proc in procs if proc.is_alive)
-                for _ in range(pills):
-                    yield from self.cloud.resilient.sqs.send(
-                        LOADER_QUEUE, StopWorker())
-            results: List[LoaderWorkerStats] = []
-            for proc in procs:
-                try:
-                    results.append((yield proc))
-                except InstanceCrashed:
-                    pass  # the ledger remembers what it finished
-            counters["applied"] = yield from coordinator.applied_count()
-            return results
+            enqueued = yield from coordinator.enqueue(missing)
+            self._launch_loaders(fleet, plan.instances)
+            bomb = (fleet.crash_later(interrupt_after_s)
+                    if interrupt_after_s is not None else None)
+            # Always drained: the wait ends early once the bomb leaves
+            # no loader running, and the stop then sends no pill.
+            yield from fleet.drain(LOADER_QUEUE)
+            yield from fleet.stop(LOADER_QUEUE)
+            applied = yield from coordinator.applied_count()
+            return enqueued, applied, bomb
 
         started_at = self.cloud.env.now
         with self._span("index-build", strategy=plan.strategy.name,
                         index=plan.name, epoch=plan.epoch,
                         checkpointed=True):
             with self.cloud.meter.tagged(tag):
-                self.cloud.env.run_process(
+                enqueued, applied, bomb = self.cloud.env.run_process(
                     driver(), name="ckpt-build-{}".format(plan.name))
-        stats = [worker.stats for worker in workers]
-        self.cloud.ec2.stop_all()
+        stats = [member.worker.stats for member in fleet.launched]
         phase = PhaseRecord(
             tag=tag, instance_type=plan.instance_type,
             instances=plan.instances, started_at=started_at,
             ended_at=self.cloud.env.now)
         self.phases.append(phase)
         return BuildRunResult(
-            plan=plan, interrupted=interrupted[0],
-            enqueued=counters["enqueued"],
-            applied_batches=counters["applied"],
+            plan=plan,
+            interrupted=bomb is not None and not bomb.is_alive
+            and bomb.value > 0,
+            enqueued=enqueued, applied_batches=applied,
             skipped_batches=sum(s.skipped_batches for s in stats),
             worker_stats=stats, store=store, phase=phase)
 
@@ -836,16 +788,8 @@ class Warehouse:
         tag = tag or "workload:{}:{}x{}".format(
             strategy_name, instances, instance_type)
 
-        fleet = self.cloud.ec2.launch_fleet(instance_type, instances)
         stats_sink: Dict[int, QueryWorkStats] = {}
-        workers = [QueryWorker(self.cloud, instance,
-                               index.make_lookup(self.telemetry.tracer)
-                               if index else None,
-                               DOCUMENT_BUCKET, RESULTS_BUCKET,
-                               self._all_uris, stats_sink,
-                               parsed_documents=self._parse_cache,
-                               parsed_queries=self._parsed_queries)
-                   for instance in fleet]
+        fleet = self._query_fleet(instance_type, index, stats_sink)
 
         submitted: Dict[int, float] = {}
         fetched: Dict[int, float] = {}
@@ -868,9 +812,7 @@ class Warehouse:
             fetched.setdefault(result.query_id, result.fetched_at)
 
         def driver() -> Generator[Any, Any, None]:
-            procs = [self.cloud.env.process(worker.run(),
-                                            name="qworker-{}".format(i))
-                     for i, worker in enumerate(workers)]
+            fleet.launch(instances)
             plan = [query for _ in range(repeats) for query in queries]
             if pipeline:
                 for query in plan:
@@ -883,11 +825,7 @@ class Warehouse:
                     pending = [q for q in submitted if q not in fetched]
                     while any(qid not in fetched for qid in pending):
                         yield from collect()
-            for _ in workers:
-                yield from self.cloud.resilient.sqs.send(
-                    QUERY_QUEUE, StopWorker())
-            for proc in procs:
-                yield proc
+            yield from fleet.stop(QUERY_QUEUE)
 
         started_at = self.cloud.env.now
         mark = self.cloud.meter.mark()
@@ -896,7 +834,6 @@ class Warehouse:
                         instance_type=instance_type) as workload_span:
             with self.cloud.meter.tagged(tag):
                 self.cloud.env.run_process(driver(), name="workload")
-        self.cloud.ec2.stop_all()
         self.phases.append(PhaseRecord(
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))

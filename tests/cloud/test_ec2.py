@@ -105,17 +105,11 @@ def test_billable_hours_exact_boundary(cloud):
 
 
 def test_launch_fleet_and_filters(cloud):
-    cloud.ec2.launch_fleet("l", 3)
-    cloud.ec2.launch_fleet("xl", 2)
+    for type_name in ("l", "l", "l", "xl", "xl"):
+        cloud.ec2.launch(type_name)
     assert len(cloud.ec2.instances()) == 5
     assert len(cloud.ec2.instances("l")) == 3
     assert len(cloud.ec2.instances("xl")) == 2
-
-
-def test_stop_all(cloud):
-    cloud.ec2.launch_fleet("l", 3)
-    cloud.ec2.stop_all()
-    assert all(not i.running for i in cloud.ec2.instances())
 
 
 def test_busy_accounting(cloud):

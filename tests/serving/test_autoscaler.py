@@ -141,7 +141,7 @@ def test_fleet_timeline_and_uptime(cloud):
     fleet.retire(retired)
     assert [size for _, size in fleet.timeline] == [2, 1]
     assert not retired.instance.running
-    assert len(fleet.instances_ever) == 2
+    assert len(fleet.launched) == 2
     assert fleet.uptime_hours() > 0.0
 
 

@@ -111,6 +111,33 @@ def test_scrub_command_rejects_unknown_damage():
         main(["scrub", "--documents", "10", "--damage", "gamma-rays"])
 
 
+@pytest.mark.chaos
+def test_chaos_command_runs_a_scenario_on_the_chosen_backend(
+        capsys, monkeypatch):
+    import repro.cli as cli
+    backends = []
+    run_scenario = cli.run_scenario
+
+    def recording(*args, **kwargs):
+        backends.append(kwargs.get("backend"))
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    assert main(["chaos", "--scenario", "loader-crash", "--backend",
+                 "simpledb", "--documents", "12"]) == 0
+    assert backends == ["simpledb"]
+    out = capsys.readouterr().out
+    assert "crashed instances: 1" in out
+    assert "verdict: PASS" in out
+
+
+def test_chaos_command_refuses_simpledb_only_for_scrub_repair():
+    with pytest.raises(SystemExit) as refused:
+        main(["chaos", "--scenario", "scrub-repair", "--backend",
+              "simpledb"])
+    assert "only the dynamodb backend" in str(refused.value)
+
+
 @pytest.mark.scrub
 def test_resume_command_recovers_interrupted_build(capsys):
     assert main(["resume", "--documents", "12", "--seed", "7",

@@ -79,3 +79,29 @@ def test_recovery_bills_the_extra_work():
     for service, operation in (("dynamodb", "put"), ("sqs", None)):
         assert (chaos_cloud.meter.request_count(service, operation)
                 >= baseline_cloud.meter.request_count(service, operation))
+
+
+def build_checkpointed(plan):
+    corpus = generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED))
+    cloud = CloudProvider(fault_plan=plan)
+    warehouse = Warehouse(cloud, deployment={"visibility_timeout": 5.0})
+    warehouse.upload_corpus(corpus)
+    _, record = warehouse.build_index_checkpointed("LU", config={
+        "loaders": 2, "loader_type": "l", "batch_size": 2})
+    return cloud, record
+
+
+def test_checkpointed_build_honours_the_plans_loader_crash():
+    """Both builds run their loaders through one fleet, so the plan's
+    loader crash lands on the checkpointed build too — and content
+    addressing plus the ledger make the recovered epoch identical."""
+    plan = FaultPlan(seed=5).crash(role="loader", after_s=0.5, worker=0)
+    baseline_cloud, baseline_record = build_checkpointed(None)
+    chaos_cloud, chaos_record = build_checkpointed(plan)
+
+    assert [i.crashed for i in chaos_cloud.ec2.instances()] \
+        == [True, False, False]
+    assert chaos_cloud.sqs.redelivered_count(LOADER_QUEUE) >= 1
+    assert not any(i.running for i in chaos_cloud.ec2.instances())
+    assert len(baseline_cloud.ec2.instances()) == 2
+    assert chaos_record.digest == baseline_record.digest

@@ -69,10 +69,12 @@ def test_run_query_prices_only_its_own_records(priced):
         mark = meter.mark()
         priced.clear()
         execution = warehouse.run_query(queries[call % 3], index)
-        # All the call appended, bar the one worker's (unpriced)
-        # launch marker, which precedes the workload span.
-        launch, *appended = meter.since(mark)
-        assert (launch.service, launch.operation) == ("ec2", "launch")
+        # All the call appended, its worker's (unpriced) launch and stop
+        # markers included: the fleet lives inside the workload span.
+        appended = list(meter.since(mark))
+        assert [(r.service, r.operation)
+                for r in (appended[0], appended[-1])] \
+            == [("ec2", "launch"), ("ec2", "stop")]
         assert priced == appended, "call {}".format(call + 1)
     assert 0 < len(appended) < len(meter) // 30
     assert execution.cost == _whole_meter_slot(warehouse, execution.span_id)
