@@ -39,7 +39,7 @@ from typing import List, Optional
 
 from repro.bench.reporting import ExperimentResult
 from repro.faults import FaultPlan
-from repro.serving import AutoscalePolicy, FailoverPolicy, SpotPolicy
+from repro.serving import AutoscalePolicy, SpotPolicy
 from repro.warehouse import Warehouse
 
 #: Mean offered rate (queries per simulated second) outside the burst.
@@ -119,7 +119,7 @@ def run(ctx) -> ExperimentResult:
             STORM_RATE, warning_s=STORM_WARNING_S))
     reports["outage"] = _serve(
         ctx, "outage", {"autoscale": autoscale,
-                        "failover": FailoverPolicy()},
+                        "failover": True},
         faults=FaultPlan(seed=SEED).region_outage(OUTAGE_AFTER_S,
                                                   OUTAGE_DURATION_S))
 

@@ -67,8 +67,7 @@ def _tenancy(scheduler: str) -> TenancyConfig:
             TenantSpec(name="steady", weight=4.0, traffic=STEADY),
             TenantSpec(name="storm", weight=1.0, traffic=STORM),
         ),
-        scheduler=scheduler,
-        p95_bound_s=P95_BOUND_S)
+        scheduler=scheduler)
 
 
 def _serve(ctx, scheduler: str):

@@ -113,13 +113,14 @@ def _deployed(args, deployment: Optional[dict] = None,
 def _apply_resilience(args, deployment: dict) -> None:
     """Fold the spot / failover flags into a deployment-override dict.
 
-    ``--spot-fraction`` and ``--failover`` set policies;
+    ``--spot-fraction`` sets a spot policy and ``--failover`` the
+    failover switch;
     ``--interruption-rate`` and a ``--failover AFTER:DURATION`` value
     also grow a seeded :class:`~repro.faults.FaultPlan` so the chaos
     actually happens.  Subcommands without the flags get neither.
     """
     from repro.faults import FaultPlan
-    from repro.serving import FailoverPolicy, SpotPolicy
+    from repro.serving import SpotPolicy
 
     plan = None
     spot_fraction = getattr(args, "spot_fraction", 0.0)
@@ -131,7 +132,7 @@ def _apply_resilience(args, deployment: dict) -> None:
         plan = plan if plan is not None else FaultPlan(seed=args.seed)
         plan.spot_interruptions(rate=rate)
     if failover is not None:
-        deployment["failover"] = FailoverPolicy()
+        deployment["failover"] = True
         if failover:
             try:
                 after_s, duration_s = (float(part)
@@ -467,8 +468,7 @@ def cmd_serve(args) -> int:
         deployment["tenancy"] = TenancyConfig(
             tenants=tuple(parse_tenant_spec(part)
                           for part in args.tenants.split(",")),
-            scheduler=args.scheduler,
-            p95_bound_s=args.p95_bound or None)
+            scheduler=args.scheduler)
     warehouse, _ = _deployed(args, deployment)
     index = warehouse.build_index(args.strategy)
 
@@ -781,9 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--scheduler", default="fair",
                          choices=("fair", "fifo"),
                          help="multi-tenant dispatch order (needs --tenants)")
-    p_serve.add_argument("--p95-bound", type=float, default=0.0,
-                         help="per-tenant p95 bound recorded in the "
-                              "tenancy config (0 leaves it unset)")
     p_serve.add_argument("--report-out",
                          help="write the JSON serving report here")
     p_serve.set_defaults(func=cmd_serve)

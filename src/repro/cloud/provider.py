@@ -39,13 +39,9 @@ class CloudProvider:
     fault_plan:
         Optional chaos plan.  When given, every service gets a seeded
         fault injector and :attr:`resilient` wraps the services in the
-        retry/breaker layer.  When omitted, nothing changes: the
-        services carry no injector and :attr:`resilient` exposes the
-        raw services themselves.
-    retry_policy:
-        Retry behaviour for :attr:`resilient`.  Defaults to a
-        :class:`RetryPolicy` seeded from the fault plan; pass one
-        explicitly to enable retries without any injected faults.
+        retry/breaker layer, its jitter seeded from the plan.  When
+        omitted, nothing changes: the services carry no injector and
+        :attr:`resilient` exposes the raw services themselves.
     """
 
     def __init__(self,
@@ -53,8 +49,7 @@ class CloudProvider:
                  price_book: Optional[PriceBook] = None,
                  env: Optional[Environment] = None,
                  meter: Optional[Meter] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 fault_plan: Optional[FaultPlan] = None) -> None:
         self.profile = profile or DEFAULT_PROFILE
         self.price_book = price_book or AWS_SINGAPORE
         self.env = env or Environment()
@@ -75,11 +70,8 @@ class CloudProvider:
                 injector = self.faults.injector_for(name)
                 if injector is not None:
                     getattr(self, name).attach_faults(injector)
-            if retry_policy is None:
-                retry_policy = RetryPolicy(seed=fault_plan.seed)
-
-        if retry_policy is not None:
-            client = ResilientClient(self.env, self.meter, retry_policy)
+            client = ResilientClient(self.env, self.meter,
+                                     RetryPolicy(seed=fault_plan.seed))
             self.resilient = ResilientServices.wrapping(
                 client, self.s3, self.dynamodb, self.simpledb, self.sqs)
         else:

@@ -15,7 +15,9 @@ yields exactly-once effects from at-least-once delivery:
   and is *skipped* entirely.
 
 A ``resume`` reads the ledger to learn which batches survived the
-crash and re-enqueues only the missing ones.
+crash and re-enqueues only the missing ones.  An entry whose hash does
+not decode raises :class:`~repro.errors.IntegrityError` naming the
+ledger table and the batch.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro.cloud.dynamodb import DynamoItem
+from repro.consistency.manifest import decode_text
 from repro.errors import BuildStateError, NoSuchTable
 
 
@@ -52,8 +55,7 @@ class BatchLedger:
             return None
         if not items:
             return None
-        value = items[0].attributes["hash"][0]
-        return value if isinstance(value, str) else value.decode("utf-8")
+        return self._hash(items[0])
 
     def record(self, batch_id: str, content_hash: str,
                ) -> Generator[Any, Any, None]:
@@ -82,9 +84,11 @@ class BatchLedger:
             items = yield from self._db.scan(self.table_name)
         except NoSuchTable:
             return {}
-        result: Dict[str, str] = {}
-        for item in items:
-            value = item.attributes["hash"][0]
-            result[item.hash_key] = (value if isinstance(value, str)
-                                     else value.decode("utf-8"))
-        return result
+        return {item.hash_key: self._hash(item) for item in items}
+
+    def _hash(self, item: DynamoItem) -> str:
+        """One entry's recorded hash; a damaged one raises
+        :class:`~repro.errors.IntegrityError` naming
+        ``<ledger table>/<batch>``."""
+        return decode_text("{}/{}".format(self.table_name, item.hash_key),
+                           item.attributes, "hash")

@@ -66,6 +66,17 @@ def _damaged(record: str, exc: Exception) -> IntegrityError:
         record, type(exc).__name__, exc))
 
 
+def decode_text(record: str, attrs: Mapping[str, Tuple[Any, ...]],
+                attr: str) -> str:
+    """One stored attribute of a control-plane record, as text; a value
+    that is missing, empty or not UTF-8 raises
+    :class:`~repro.errors.IntegrityError` naming ``record``."""
+    try:
+        return _text(attrs, attr)
+    except _DECODE_ERRORS as exc:
+        raise _damaged(record, exc) from exc
+
+
 def decode_json(record: str, data: Any, shape: Callable[[Any], bool]) -> Any:
     """A stored control-plane record's JSON (text or bytes), if ``shape``
     accepts it; else :class:`~repro.errors.IntegrityError` naming it."""

@@ -22,8 +22,8 @@ cross-region replication:
   single time; only the (tiny) manifest head items are re-shipped when
   they change.
 - **Staleness is snapshot age.**  ``staleness(now)`` is the time since
-  the snapshot instant of the last *applied* ship — the bound the
-  failover controller compares against its policy before serving from
+  the snapshot instant of the last *applied* ship — what the failover
+  controller compares against its staleness bound before serving from
   the replica.
 
 While the primary region is blacked out the replicator idles (there is
@@ -45,23 +45,27 @@ from repro.store.sharding import SHARD_SEPARATOR
 
 __all__ = ["ReplicatedManifest"]
 
+#: How often the replicator ships the manifest head (simulated seconds).
+REPLICATION_INTERVAL_S = 5.0
+
+#: Transit delay before a shipped head applies remotely.
+REPLICATION_LAG_S = 2.0
+
 
 class ReplicatedManifest:
     """Ships the primary manifest (and its tables) to a secondary region.
 
-    ``run()`` is a simulated process: every ``interval_s`` it snapshots
-    the primary manifest, waits ``lag_s`` (the replication lag), then
-    applies the snapshot to the secondary region.  Both providers must
-    share one environment and meter.
+    ``run()`` is a simulated process: every
+    :data:`REPLICATION_INTERVAL_S` it snapshots the primary manifest,
+    waits :data:`REPLICATION_LAG_S` (the replication lag), then applies
+    the snapshot to the secondary region.  Both providers must share
+    one environment and meter.
     """
 
     def __init__(self, primary: Any, secondary: Any,
-                 interval_s: float = 5.0, lag_s: float = 2.0,
                  table_name: str = MANIFEST_TABLE) -> None:
         self._primary = primary
         self._secondary = secondary
-        self._interval_s = interval_s
-        self._lag_s = lag_s
         self._table = table_name
         #: Physical index tables fully copied to the secondary region.
         self.replicated_tables: Set[str] = set()
@@ -94,7 +98,7 @@ class ReplicatedManifest:
         env = self._primary.env
         try:
             while True:
-                yield env.timeout(self._interval_s)
+                yield env.timeout(REPLICATION_INTERVAL_S)
                 if not self._primary.dynamodb.available:
                     continue  # the stream source is blacked out
                 yield from self.replicate_once()
@@ -118,7 +122,7 @@ class ReplicatedManifest:
         snapshot_at = env.now
         versions = self._head_versions(items)
 
-        yield env.timeout(self._lag_s)
+        yield env.timeout(REPLICATION_LAG_S)
 
         changed = bool(missing) or digest != self._last_digest
         if changed:

@@ -103,6 +103,17 @@ def _price_requests(meter: Meter, book: PriceBook, tag_prefix: str = "",
     return out
 
 
+def tag_cost(records: Iterable, book: PriceBook, tag: str) -> CostBreakdown:
+    """Request cost of the ``records`` tagged exactly ``tag``: a phase
+    whose tag prefixes another's (``index-build:LU:1`` of
+    ``index-build:LU:10``) prices only its own records."""
+    out = CostBreakdown()
+    for record in records:
+        if record.tag == tag:
+            out.accumulate(price_record(record, book))
+    return out
+
+
 def activity_cost(meter: Meter, book: PriceBook,
                   activity: str) -> CostBreakdown:
     """Request cost of one structured activity (``"query"``,
@@ -151,7 +162,9 @@ def scrub_cost(warehouse, book: Optional[PriceBook] = None,
 
 def build_phase_cost(warehouse, built_index, book: Optional[PriceBook] = None,
                      ) -> CostBreakdown:
-    """Measured cost of one index build (a Table 6 row)."""
+    """Measured cost of one index build (a Table 6 row): the records
+    tagged exactly with its tag across the whole meter (a resumed
+    build's attempts share one tag) plus its phases' instance-hours."""
     book = book or warehouse.cloud.price_book
     tag = built_index.report.tag
     phases = [p for p in warehouse.phases if p.tag == tag]
@@ -159,8 +172,10 @@ def build_phase_cost(warehouse, built_index, book: Optional[PriceBook] = None,
     for phase in phases:
         vm_hours[phase.instance_type] = (
             vm_hours.get(phase.instance_type, 0.0) + phase.vm_hours)
-    return phase_cost(warehouse.cloud.meter, book, tag,
-                      vm_hours_by_type=vm_hours)
+    out = tag_cost(warehouse.cloud.meter, book, tag)
+    for type_name, hours in vm_hours.items():
+        out.ec2 += book.vm_hourly(type_name) * hours
+    return out
 
 
 def query_cost(execution, dataset: DatasetMetrics,

@@ -433,11 +433,17 @@ class LiveIndex:
                     delta_store, self.strategy, tables, cfg.loader_type,
                     cfg.batch_size, ledger=ledger,
                     name="delta-loader-s{}".format(seq))
-                # Crashes from the fault plan are not injected here: a
-                # publication never drains its queue before the pills.
-                fleet.launch(max(1, min(cfg.loaders, len(batches))))
+                # The fault plan's loader crashes land here as on a
+                # build, so under a plan the queue drains before the
+                # pills: a crashed loader's batch sits in flight until
+                # its lease lapses.  Fault-free publications skip the
+                # drain, as fault-free builds do.
+                warehouse._launch_loaders(
+                    fleet, max(1, min(cfg.loaders, len(batches))))
                 for batch in batches:
                     yield from cloud.resilient.sqs.send(LOADER_QUEUE, batch)
+                if cloud.faults is not None:
+                    yield from fleet.drain(LOADER_QUEUE)
                 # Stops only this publication's instances — a serving
                 # fleet may be running on the same cloud.
                 yield from fleet.stop(LOADER_QUEUE)

@@ -15,26 +15,22 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import ConfigError
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: Consecutive failures that trip a breaker open.
+FAILURE_THRESHOLD = 8
+
+#: Simulated seconds an open breaker holds calls before a probe.
+RESET_TIMEOUT_S = 2.0
 
 
 class CircuitBreaker:
     """Consecutive-failure circuit breaker (closed → open → half-open)."""
 
-    def __init__(self, clock: Callable[[], float],
-                 failure_threshold: int = 5,
-                 reset_timeout_s: float = 1.0) -> None:
-        if failure_threshold < 1:
-            raise ConfigError("failure_threshold must be >= 1")
-        if reset_timeout_s <= 0:
-            raise ConfigError("reset_timeout_s must be positive")
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._failure_threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
         self._consecutive_failures = 0
         self._opened_at: float = 0.0
         self._state = CLOSED
@@ -53,7 +49,7 @@ class CircuitBreaker:
         if self._state != OPEN:
             return 0.0
         elapsed = self._clock() - self._opened_at
-        return max(0.0, self._reset_timeout_s - elapsed)
+        return max(0.0, RESET_TIMEOUT_S - elapsed)
 
     def record_success(self) -> None:
         """Note a successful call; closes the breaker."""
@@ -63,7 +59,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         """Note a failed call; may trip the breaker open."""
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self._failure_threshold:
+        if self._consecutive_failures >= FAILURE_THRESHOLD:
             # A half-open probe failing re-opens immediately; a fresh
             # open restarts the reset clock either way.
             self._state = OPEN

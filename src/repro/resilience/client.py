@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.retry import RetryPolicy, is_retryable
+from repro.resilience.retry import MAX_ATTEMPTS, RetryPolicy, is_retryable
 from repro.sim import Environment, Meter
 
 #: Per-service data-path operations that go through the retry loop.
@@ -43,14 +43,10 @@ class ResilientClient:
     """Shared retry loop + per-service circuit breakers."""
 
     def __init__(self, env: Environment, meter: Meter,
-                 policy: RetryPolicy,
-                 breaker_failure_threshold: int = 8,
-                 breaker_reset_timeout_s: float = 2.0) -> None:
+                 policy: RetryPolicy) -> None:
         self._env = env
         self._meter = meter
         self._policy = policy
-        self._breaker_failure_threshold = breaker_failure_threshold
-        self._breaker_reset_timeout_s = breaker_reset_timeout_s
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._rngs: Dict[str, Any] = {}
         #: Retries performed, keyed by service.
@@ -67,9 +63,7 @@ class ResilientClient:
         """The (lazily created) circuit breaker for ``service``."""
         if service not in self._breakers:
             self._breakers[service] = CircuitBreaker(
-                clock=lambda: self._env.now,
-                failure_threshold=self._breaker_failure_threshold,
-                reset_timeout_s=self._breaker_reset_timeout_s)
+                clock=lambda: self._env.now)
         return self._breakers[service]
 
     def _rng(self, service: str):
@@ -105,7 +99,7 @@ class ResilientClient:
                 if not is_retryable(exc):
                     raise
                 breaker.record_failure()
-                if attempt >= self._policy.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     self.exhausted[service] += 1
                     raise
                 self.retries[service] += 1

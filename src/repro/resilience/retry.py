@@ -1,11 +1,11 @@
 """Retry policies mirroring the AWS SDK retry behaviour.
 
 The policy is pure data plus pure functions: which errors are worth
-retrying, how many attempts to make, and how long to back off.  Delays
-use *decorrelated jitter* (the variant AWS recommends for thundering-
-herd avoidance): each delay is drawn uniformly from ``[base, prev * 3]``
-and capped, so consecutive retries spread out without synchronising
-across clients.  All randomness comes from a caller-supplied seeded RNG,
+retrying, how many attempts to make (:data:`MAX_ATTEMPTS`), and how
+long to back off.  Delays use *decorrelated jitter* (the variant AWS
+recommends for thundering-herd avoidance): each delay is drawn
+uniformly from ``[base, prev * 3]`` and capped, so consecutive retries
+spread out without synchronising across clients.  All randomness comes from a caller-supplied seeded RNG,
 keeping chaos runs deterministic.
 """
 
@@ -14,14 +14,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.errors import (ConfigError, ThroughputExceeded,
-                          TransientServiceError)
+from repro.errors import ThroughputExceeded, TransientServiceError
 
 #: Error classes the AWS SDKs retry: 500/503-style transient failures
 #: and throttling rejections.  Validation errors, missing keys and
 #: stale receipt handles are *not* retryable — repeating them cannot
 #: succeed.
 RETRYABLE_ERRORS = (TransientServiceError, ThroughputExceeded)
+
+#: Total tries including the first (AWS SDK "standard" mode defaults to
+#: 3; the simulation's is higher because chaos scenarios push error
+#: rates far beyond production).
+MAX_ATTEMPTS = 6
+
+#: Floor of every backoff delay (simulated seconds).
+BASE_DELAY_S = 0.05
+
+#: Cap on any single backoff delay (simulated seconds).
+MAX_DELAY_S = 2.0
 
 
 def is_retryable(exc: BaseException) -> bool:
@@ -31,34 +41,16 @@ def is_retryable(exc: BaseException) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with decorrelated jitter.
+    """Exponential backoff with decorrelated jitter between
+    :data:`BASE_DELAY_S` and :data:`MAX_DELAY_S`.
 
     Attributes
     ----------
-    max_attempts:
-        Total tries including the first (AWS SDK "standard" mode
-        defaults to 3; the simulated default is higher because chaos
-        scenarios push error rates far beyond production).
-    base_delay_s:
-        Floor of every backoff delay.
-    max_delay_s:
-        Cap on any single backoff delay.
     seed:
         Seed for the per-client jitter stream.
     """
 
-    max_attempts: int = 6
-    base_delay_s: float = 0.05
-    max_delay_s: float = 2.0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.base_delay_s <= 0:
-            raise ConfigError("base_delay_s must be positive")
-        if self.max_delay_s < self.base_delay_s:
-            raise ConfigError("max_delay_s must be >= base_delay_s")
 
     def make_rng(self, stream: str) -> random.Random:
         """A deterministic jitter RNG for one client stream."""
@@ -69,6 +61,5 @@ class RetryPolicy:
 
         Pass ``previous=0.0`` for the first retry.
         """
-        anchor = max(previous, self.base_delay_s)
-        return min(self.max_delay_s,
-                   rng.uniform(self.base_delay_s, anchor * 3.0))
+        anchor = max(previous, BASE_DELAY_S)
+        return min(MAX_DELAY_S, rng.uniform(BASE_DELAY_S, anchor * 3.0))

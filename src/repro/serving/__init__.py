@@ -20,7 +20,7 @@ from repro.serving.autoscaler import (MARKET_ON_DEMAND, MARKET_SPOT,
                                       Autoscaler, Fleet)
 from repro.serving.failover import (FailoverController, RegionSwitch)
 from repro.serving.policy import (AdmissionPolicy, AutoscalePolicy,
-                                  FailoverPolicy, SpotPolicy)
+                                  SpotPolicy)
 from repro.serving.report import ServingReport, percentile
 from repro.serving.spot import InterruptionNotice, SpotMarket
 from repro.serving.traffic import TrafficGenerator, TrafficProfile
@@ -31,7 +31,6 @@ __all__ = [
     "Autoscaler",
     "AutoscalePolicy",
     "FailoverController",
-    "FailoverPolicy",
     "Fleet",
     "InterruptionNotice",
     "MARKET_ON_DEMAND",

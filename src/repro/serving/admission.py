@@ -17,9 +17,9 @@ query queue — the one signal a real front end can read cheaply (the
 Multi-tenant deployments add *per-tenant* bounds on top: a token
 bucket enforces each tenant's qps quota and a spend probe (wired by
 the serving runtime to the incremental bill) enforces its dollar
-budget; an over-quota tenant's arrivals take its configured action
-(shed or degrade) while in-quota tenants are untouched.  Queue-depth
-outcomes still dominate — a full queue sheds everyone.
+budget; an over-quota tenant's arrivals are shed while in-quota
+tenants are untouched.  Queue-depth outcomes still apply to everyone —
+a full queue sheds every tenant.
 
 Decisions are counted on the metrics registry
 (``serving_admission_total{decision,strategy}``, and
@@ -70,7 +70,7 @@ class AdmissionController:
 
     ``tenancy`` is an optional :class:`~repro.tenancy.tenant.
     TenancyConfig` (duck-typed: ``spec(name)`` returning objects with
-    ``qps_quota``/``dollar_budget``/``over_quota``).  ``strategy``
+    ``qps_quota``/``dollar_budget``).  ``strategy``
     labels the decision counters with the serving strategy.
     ``spend_lookup`` — set by the runtime — maps a tenant to its
     request dollars so far, for budget enforcement mid-run.
@@ -97,26 +97,23 @@ class AdmissionController:
         self.over_quota_by: Dict[str, int] = {}
         self._buckets: Dict[str, _TokenBucket] = {}
 
-    def _quota_action(self, tenant: str) -> Optional[str]:
-        """The over-quota action for this arrival, or None if in quota."""
+    def _over_quota(self, tenant: str) -> bool:
+        """Whether this arrival exceeds its tenant's qps or dollar quota."""
         if self._tenancy is None:
-            return None
+            return False
         spec = self._tenancy.spec(tenant)
         if spec is None:
-            return None
-        action: Optional[str] = None
+            return False
         if spec.qps_quota is not None:
             bucket = self._buckets.get(tenant)
             if bucket is None:
                 bucket = self._buckets[tenant] = _TokenBucket(
                     spec.qps_quota, self._cloud.env.now)
             if not bucket.take(self._cloud.env.now):
-                action = spec.over_quota
-        if action is None and spec.dollar_budget is not None and \
-                self.spend_lookup is not None:
-            if self.spend_lookup(tenant) >= spec.dollar_budget:
-                action = spec.over_quota
-        return action
+                return True
+        return (spec.dollar_budget is not None
+                and self.spend_lookup is not None
+                and self.spend_lookup(tenant) >= spec.dollar_budget)
 
     def decide(self, tenant: str = _DEFAULT_TENANT) -> str:
         """Judge one arrival now; returns ``admit``/``degrade``/``shed``."""
@@ -130,15 +127,10 @@ class AdmissionController:
             elif (self.policy.degradation_enabled
                   and depth >= self.policy.degrade_queue_depth):
                 decision = DEGRADE
-        if decision != SHED:
-            quota_action = self._quota_action(tenant)
-            if quota_action is not None:
-                self.over_quota_by[tenant] = \
-                    self.over_quota_by.get(tenant, 0) + 1
-                if quota_action == SHED:
-                    decision = SHED
-                elif decision == ADMIT:
-                    decision = DEGRADE
+        if decision != SHED and self._over_quota(tenant):
+            self.over_quota_by[tenant] = \
+                self.over_quota_by.get(tenant, 0) + 1
+            decision = SHED
         if decision == SHED:
             self.shed += 1
             self.shed_by[tenant] = self.shed_by.get(tenant, 0) + 1

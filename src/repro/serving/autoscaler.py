@@ -29,6 +29,31 @@ from repro.warehouse.messages import QUERY_QUEUE
 
 __all__ = ["Fleet", "Autoscaler", "MARKET_ON_DEMAND", "MARKET_SPOT"]
 
+#: Policy evaluation period (simulated seconds).
+AUTOSCALE_TICK_S = 5.0
+
+#: Scale out when visible backlog per worker exceeds this ...
+SCALE_OUT_DEPTH = 4.0
+
+#: ... or when the oldest visible message has waited longer than this
+#: (the latency-SLO guard: depth alone misses a slow trickle).
+MAX_QUEUE_AGE_S = 30.0
+
+#: Instances added per scale-out decision.
+SCALE_OUT_STEP = 1
+
+#: Consecutive idle ticks (an empty queue and an idle candidate worker)
+#: before one instance is retired.
+SCALE_IN_IDLE_TICKS = 3
+
+#: Minimum simulated seconds between scaling actions, in either
+#: direction — the standard guard against flapping.
+COOLDOWN_S = 15.0
+
+#: Observed interruptions per spot VM-hour above which scale-out stops
+#: buying spot.
+MAX_SPOT_INTERRUPTION_RATE = 2.0
+
 
 class Autoscaler:
     """Tick-driven scaling loop over a :class:`Fleet`.
@@ -56,9 +81,10 @@ class Autoscaler:
         The price-aware decision: buy spot while (a) a spot policy is
         set and the book actually discounts the instance type, (b) the
         fleet's spot share is below the policy's target fraction, and
-        (c) the market's *observed* interruption rate stays under the
-        policy bound.  Anything else — no policy, no discount, storm in
-        progress, share already met — buys on-demand.
+        (c) the market's *observed* interruption rate stays under
+        :data:`MAX_SPOT_INTERRUPTION_RATE`.  Anything else — no policy,
+        no discount, storm in progress, share already met — buys
+        on-demand.
         """
         spot = self.spot
         if spot is None or spot.spot_fraction <= 0:
@@ -74,7 +100,7 @@ class Autoscaler:
             return MARKET_ON_DEMAND
         market = fleet.spot_market
         if market is not None and (market.observed_rate()
-                                   > spot.max_interruption_rate):
+                                   > MAX_SPOT_INTERRUPTION_RATE):
             return MARKET_ON_DEMAND
         if fleet.spot_size < spot.spot_fraction * (fleet.size + 1):
             return MARKET_SPOT
@@ -85,7 +111,7 @@ class Autoscaler:
         env = self._cloud.env
         try:
             while True:
-                yield env.timeout(self.policy.tick_s)
+                yield env.timeout(AUTOSCALE_TICK_S)
                 self.evaluate()
         except ProcessInterrupted:
             return
@@ -98,20 +124,19 @@ class Autoscaler:
         depth = cloud.sqs.approximate_depth(self._queue_name)
         age = cloud.sqs.oldest_message_age(self._queue_name)
         size = self.fleet.size
-        cooling = now - self._last_action_at < policy.cooldown_s
+        cooling = now - self._last_action_at < COOLDOWN_S
         hub = cloud.telemetry
         hub.gauge("serving_fleet_size",
                   "Query-processor fleet size.").set(size)
         hub.gauge("serving_queue_depth",
                   "Visible query-queue backlog.").set(depth)
 
-        pressed = (depth / max(size, 1) > policy.scale_out_depth
-                   or age > policy.max_queue_age_s)
+        pressed = (depth / max(size, 1) > SCALE_OUT_DEPTH
+                   or age > MAX_QUEUE_AGE_S)
         if pressed:
             self._idle_ticks = 0
             if size < policy.max_workers and not cooling:
-                step = min(policy.scale_out_step,
-                           policy.max_workers - size)
+                step = min(SCALE_OUT_STEP, policy.max_workers - size)
                 for _ in range(step):
                     self.fleet.launch(1, market=self.scale_out_market())
                 self.scale_outs += 1
@@ -127,7 +152,7 @@ class Autoscaler:
             return
         self._idle_ticks += 1
         if (size > policy.min_workers
-                and self._idle_ticks >= policy.scale_in_idle_ticks
+                and self._idle_ticks >= SCALE_IN_IDLE_TICKS
                 and not cooling):
             # Prefer an idle victim even when drain is disabled — a
             # busy worker is reclaimed only as a last resort, and its

@@ -10,10 +10,11 @@ Two small pieces turn the replicated manifest into availability:
   invalidate exactly those from the shared cache;
 - a :class:`FailoverController` schedules the fault plan's
   :class:`~repro.faults.OutageSpec` blackouts against the primary
-  store, probes replica staleness while the primary is down, flips the
-  switch when the replica is inside the policy's staleness bound
-  (refusing — and leaving queries to the retry/degrade ladder — when
-  it is not), and flips back when the primary returns.
+  store, probes replica staleness every :data:`PROBE_INTERVAL_S` while
+  the primary is down, flips the switch when the replica is at most
+  :data:`MAX_STALENESS_S` behind (refusing — and leaving queries to
+  the retry/degrade ladder — when it is not), and flips back when the
+  primary returns.
 
 Failback re-convergence is trivial by construction: the primary's
 manifest head never moved (an unreachable region accepts no writes),
@@ -28,13 +29,21 @@ from typing import Any, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProcessInterrupted
 from repro.faults.plan import OutageSpec
-from repro.serving.policy import FailoverPolicy
 from repro.store.sharding import SHARD_SEPARATOR
 
 __all__ = ["RegionSwitch", "FailoverController", "PRIMARY", "SECONDARY"]
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
+
+#: How often the controller probes primary health during an outage
+#: (and, once failed over, for recovery), in simulated seconds.
+PROBE_INTERVAL_S = 1.0
+
+#: Upper bound on replica staleness for a failover to proceed; beyond
+#: it the controller refuses to flip and serving rides the degradation
+#: ladder instead.
+MAX_STALENESS_S = 60.0
 
 #: Store calls that count as (potentially stale) index reads when the
 #: switch is flipped to the replica.
@@ -90,13 +99,11 @@ class FailoverController:
     ladder until the region returns.
     """
 
-    def __init__(self, cloud: Any, policy: FailoverPolicy,
-                 outages: Sequence[OutageSpec],
+    def __init__(self, cloud: Any, outages: Sequence[OutageSpec],
                  switch: Optional[RegionSwitch] = None,
                  replicator: Optional[Any] = None,
                  cache: Optional[Any] = None) -> None:
         self._cloud = cloud
-        self._policy = policy
         self._outages = sorted(outages, key=lambda spec: spec.after_s)
         self._switch = switch
         self._replicator = replicator
@@ -144,8 +151,7 @@ class FailoverController:
         end_at = started_at + spec.duration_s
         while env.now < end_at:
             self._probe(env.now)
-            yield env.timeout(min(self._policy.probe_interval_s,
-                                  end_at - env.now))
+            yield env.timeout(min(PROBE_INTERVAL_S, end_at - env.now))
         primary_db.set_available(True)
         self.outage_log.append((started_at, env.now))
         self._outage_started = None
@@ -157,7 +163,7 @@ class FailoverController:
             return
         staleness = (self._replicator.staleness(now)
                      if self._replicator is not None else float("inf"))
-        if staleness <= self._policy.max_staleness_s:
+        if staleness <= MAX_STALENESS_S:
             self._failover(staleness)
         else:
             self.refusals += 1

@@ -38,7 +38,6 @@ from repro.query.pattern import Query
 from repro.query.workload import workload_query
 from repro.serving.admission import DEGRADE, SHED, AdmissionController
 from repro.serving.autoscaler import MARKET_SPOT, Autoscaler, Fleet
-from repro.serving.policy import FailoverPolicy
 from repro.serving.report import QueryOutcome, ServingReport, percentile
 from repro.serving.traffic import TrafficGenerator, TrafficProfile
 from repro.tenancy import (DEFAULT_TENANT, SCHEDULER_FAIR, SHARED_TENANT,
@@ -60,6 +59,12 @@ COMPLETION_POLL_S = 0.25
 #: seconds).  Bookkeeping only — no metered requests.
 DISPATCH_POLL_S = 0.05
 
+#: How many visible messages the fair-share dispatcher keeps on the
+#: query queue.  A small window keeps the backlog at the controller,
+#: where ordering is still a choice; the dispatcher widens it to the
+#: live fleet size so it never starves the workers.
+DISPATCH_WINDOW = 2
+
 
 class ServingRuntime:
     """Orchestrates one open-workload serving run."""
@@ -70,7 +75,7 @@ class ServingRuntime:
                  queries: Optional[Mapping[str, Query]] = None,
                  background: Optional[Sequence[Any]] = None,
                  tag: Optional[str] = None) -> None:
-        if deployment.failover is not None and isinstance(index, LiveIndex):
+        if deployment.failover and isinstance(index, LiveIndex):
             raise ConfigError("a live index cannot fail over yet: the "
                               "secondary region replicates no delta chain")
         self.warehouse = warehouse
@@ -100,16 +105,11 @@ class ServingRuntime:
     # -- pieces ------------------------------------------------------------
 
     def _degraded_lookups(self) -> Optional[Any]:
-        """What makes each worker's degraded look-up, when admission or
-        a tenant's quota can degrade arrivals; ``None`` otherwise."""
+        """What makes each worker's degraded look-up, when admission can
+        degrade arrivals; ``None`` otherwise."""
         warehouse = self.warehouse
         admission = self.deployment.admission
-        degradation_wanted = (
-            admission is not None and admission.degradation_enabled) or (
-            self.tenancy is not None and any(
-                spec.over_quota == "degrade"
-                for spec in self.tenancy.tenants))
-        if not degradation_wanted:
+        if admission is None or not admission.degradation_enabled:
             return None
         if self.degraded_indexes:
             from repro.consistency import DegradedIndexChain
@@ -222,13 +222,12 @@ class ServingRuntime:
         spot_specs = plan.spot_specs if plan is not None else []
         outage_specs = plan.outages if plan is not None else []
         spot_policy = deployment.spot
-        failover_policy = deployment.failover
 
         # Multi-region stack: a secondary provider on the same
         # simulation, a switchable store facade, and the replicator.
         switch = replicator = controller = None
         serving_index = self.index
-        if failover_policy is not None and self.index is not None:
+        if deployment.failover and self.index is not None:
             from repro.cloud.provider import CloudProvider
             from repro.consistency.replication import ReplicatedManifest
             from repro.serving.failover import RegionSwitch
@@ -239,16 +238,12 @@ class ServingRuntime:
             switch = RegionSwitch(cloud.resilient.dynamodb,
                                   secondary.resilient.dynamodb,
                                   telemetry=cloud.telemetry)
-            replicator = ReplicatedManifest(
-                cloud, secondary,
-                interval_s=failover_policy.replication_interval_s,
-                lag_s=failover_policy.replication_lag_s)
+            replicator = ReplicatedManifest(cloud, secondary)
             serving_index = self._switched_index(switch)
         if outage_specs:
             from repro.serving.failover import FailoverController
             controller = FailoverController(
-                cloud, failover_policy or FailoverPolicy(), outage_specs,
-                switch=switch, replicator=replicator,
+                cloud, outage_specs, switch=switch, replicator=replicator,
                 cache=warehouse.index_cache)
 
         # The failover path serves the region-switched clone, so the
@@ -339,7 +334,7 @@ class ServingRuntime:
                     yield env.timeout(DISPATCH_POLL_S)
                     continue
                 alive = sum(1 for m in fleet.members if m.proc.is_alive)
-                window = max(tenancy.dispatch_window, alive)
+                window = max(DISPATCH_WINDOW, alive)
                 if cloud.sqs.approximate_depth(QUERY_QUEUE) >= window:
                     yield env.timeout(DISPATCH_POLL_S)
                     continue

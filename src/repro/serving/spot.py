@@ -74,7 +74,8 @@ class SpotMarket:
         """Interruptions per spot VM-hour seen so far.
 
         The signal the price-aware autoscaler compares against
-        ``SpotPolicy.max_interruption_rate``: during a storm the
+        :data:`~repro.serving.autoscaler.MAX_SPOT_INTERRUPTION_RATE`:
+        during a storm the
         observed rate spikes and scale-out falls back to on-demand.
         """
         hours = self._fleet.uptime_hours(MARKET_SPOT)

@@ -14,12 +14,12 @@ Arrival processes (all driven by one ``random.Random(seed)`` stream):
 ``poisson``
     Homogeneous Poisson arrivals at ``rate_qps``.
 ``burst``
-    Square-wave rate: ``rate_qps * burst_factor`` during the first
-    ``burst_fraction`` of each ``period_s`` cycle, ``rate_qps``
+    Square-wave rate: ``rate_qps * BURST_FACTOR`` during the first
+    ``BURST_FRACTION`` of each ``PERIOD_S`` cycle, ``rate_qps``
     otherwise.  The mean offered rate therefore *exceeds* ``rate_qps``
     — bursts are extra load, not redistributed load.
 ``diurnal``
-    Sinusoidal rate ``rate_qps * (1 + A sin(2πt/period_s))`` with
+    Sinusoidal rate ``rate_qps * (1 + A sin(2πt/PERIOD_S))`` with
     amplitude ``A = 0.8`` — a compressed day/night cycle.
 
 Time-varying processes use Lewis–Shedler thinning against the peak
@@ -37,13 +37,23 @@ from repro.errors import ConfigError
 from repro.query.workload import WORKLOAD_ORDER
 
 __all__ = ["TrafficProfile", "TrafficGenerator", "ARRIVAL_PROCESSES",
-           "DIURNAL_AMPLITUDE"]
+           "DIURNAL_AMPLITUDE", "BURST_FACTOR", "BURST_FRACTION",
+           "PERIOD_S"]
 
 #: Recognised arrival-process names.
 ARRIVAL_PROCESSES: Tuple[str, ...] = ("poisson", "burst", "diurnal")
 
 #: Fixed relative amplitude of the diurnal sinusoid.
 DIURNAL_AMPLITUDE = 0.8
+
+#: Rate multiplier during a ``burst`` cycle's burst.
+BURST_FACTOR = 4.0
+
+#: Share of each ``burst`` cycle spent bursting.
+BURST_FRACTION = 0.25
+
+#: Cycle length of ``burst`` and ``diurnal`` (simulated seconds).
+PERIOD_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -63,9 +73,10 @@ class TrafficProfile:
         ten-query workload).
     seed:
         Seeds the single RNG stream behind times *and* mix draws.
-    burst_factor / burst_fraction / period_s:
-        Square-wave shape for ``burst``; ``period_s`` also sets the
-        ``diurnal`` cycle length.
+
+    The ``burst`` square wave and the ``diurnal`` cycle have a fixed
+    shape: :data:`BURST_FACTOR`, :data:`BURST_FRACTION`,
+    :data:`PERIOD_S` and :data:`DIURNAL_AMPLITUDE`.
     """
 
     arrival: str = "poisson"
@@ -73,9 +84,6 @@ class TrafficProfile:
     queries: int = 500
     mix: Tuple[str, ...] = field(default_factory=lambda: WORKLOAD_ORDER)
     seed: int = 20130318
-    burst_factor: float = 4.0
-    burst_fraction: float = 0.25
-    period_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.arrival not in ARRIVAL_PROCESSES:
@@ -92,18 +100,6 @@ class TrafficProfile:
                     self.queries))
         if not self.mix:
             raise ConfigError("TrafficProfile.mix must not be empty")
-        if self.burst_factor < 1:
-            raise ConfigError(
-                "TrafficProfile.burst_factor must be >= 1, got {}".format(
-                    self.burst_factor))
-        if not 0 < self.burst_fraction < 1:
-            raise ConfigError(
-                "TrafficProfile.burst_fraction must be in (0, 1), got "
-                "{}".format(self.burst_fraction))
-        if self.period_s <= 0:
-            raise ConfigError(
-                "TrafficProfile.period_s must be > 0, got {}".format(
-                    self.period_s))
         # Tuples only: the profile must stay hashable/frozen even when a
         # caller passes a list for the mix.
         object.__setattr__(self, "mix", tuple(self.mix))
@@ -112,7 +108,7 @@ class TrafficProfile:
     def peak_rate(self) -> float:
         """The largest instantaneous rate the process can reach."""
         if self.arrival == "burst":
-            return self.rate_qps * self.burst_factor
+            return self.rate_qps * BURST_FACTOR
         if self.arrival == "diurnal":
             return self.rate_qps * (1.0 + DIURNAL_AMPLITUDE)
         return self.rate_qps
@@ -120,14 +116,14 @@ class TrafficProfile:
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at simulated time ``t``."""
         if self.arrival == "burst":
-            phase = t % self.period_s
-            if phase < self.burst_fraction * self.period_s:
-                return self.rate_qps * self.burst_factor
+            phase = t % PERIOD_S
+            if phase < BURST_FRACTION * PERIOD_S:
+                return self.rate_qps * BURST_FACTOR
             return self.rate_qps
         if self.arrival == "diurnal":
             return self.rate_qps * (
                 1.0 + DIURNAL_AMPLITUDE *
-                math.sin(2.0 * math.pi * t / self.period_s))
+                math.sin(2.0 * math.pi * t / PERIOD_S))
         return self.rate_qps
 
 

@@ -22,14 +22,14 @@ from repro.tenancy.envelope import (MutationResponse, QueryRequest,
                                     QueryResponse)
 from repro.tenancy.facade import MUTATION_KINDS, TenantFacade
 from repro.tenancy.fairshare import FairShareQueue
-from repro.tenancy.tenant import (DEFAULT_TENANT, OVER_QUOTA_ACTIONS,
-                                  SCHEDULER_FAIR, SCHEDULER_FIFO,
-                                  SHARED_TENANT, TenancyConfig,
-                                  TenantSpec, parse_tenant_spec)
+from repro.tenancy.tenant import (DEFAULT_TENANT, SCHEDULER_FAIR,
+                                  SCHEDULER_FIFO, SHARED_TENANT,
+                                  TenancyConfig, TenantSpec,
+                                  parse_tenant_spec)
 
 __all__ = [
     "DEFAULT_TENANT", "SHARED_TENANT", "SCHEDULER_FAIR", "SCHEDULER_FIFO",
-    "OVER_QUOTA_ACTIONS", "TenantSpec", "TenancyConfig",
+    "TenantSpec", "TenancyConfig",
     "parse_tenant_spec", "QueryRequest", "QueryResponse",
     "MutationResponse", "FairShareQueue", "TenantBill", "tenant_costs",
     "tenant_of_span", "reconcile", "SpendTracker", "TenantFacade",

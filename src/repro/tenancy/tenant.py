@@ -8,11 +8,10 @@ in the :class:`~repro.serving.policy.AdmissionPolicy` mould: validated
 at construction, hashable, safe to embed in a
 :class:`~repro.warehouse.deployment.DeploymentConfig`.
 
-A :class:`TenantSpec` names one tenant with its fair-share weight, its
-quotas (queries per second, dollars per run) and what happens when it
-exceeds them; a :class:`TenancyConfig` is the full ring: the tenants,
-the scheduler arm (weighted deficit-round-robin or plain FIFO) and the
-latency bound the fair-share arm is expected to defend.
+A :class:`TenantSpec` names one tenant with its fair-share weight and
+its quotas (queries per second, dollars per run); arrivals over a quota
+are shed.  A :class:`TenancyConfig` is the full ring: the tenants and
+the scheduler arm (weighted deficit-round-robin or plain FIFO).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.errors import ConfigError
 
 __all__ = ["DEFAULT_TENANT", "SHARED_TENANT", "TenantSpec",
            "TenancyConfig", "parse_tenant_spec", "SCHEDULER_FAIR",
-           "SCHEDULER_FIFO", "OVER_QUOTA_ACTIONS"]
+           "SCHEDULER_FIFO"]
 
 #: The tenant every un-labelled request belongs to (single-owner runs).
 DEFAULT_TENANT = "default"
@@ -36,9 +35,6 @@ SHARED_TENANT = "shared"
 SCHEDULER_FAIR = "fair"
 SCHEDULER_FIFO = "fifo"
 _SCHEDULERS = (SCHEDULER_FAIR, SCHEDULER_FIFO)
-
-#: What happens to an over-quota tenant's arrivals.
-OVER_QUOTA_ACTIONS = ("shed", "degrade")
 
 
 @dataclass(frozen=True)
@@ -55,14 +51,12 @@ class TenantSpec:
         service share converges to ``weight / sum(weights)``.
     qps_quota:
         Token-bucket admission quota (queries per simulated second,
-        burst of one second's worth); ``None`` means unmetered.
+        burst of one second's worth); arrivals over it are shed.
+        ``None`` means unmetered.
     dollar_budget:
         Request-dollar budget for one serving run; once the tenant's
-        attributed spend crosses it, further arrivals take the
-        ``over_quota`` action.  ``None`` means unmetered.
-    over_quota:
-        ``"shed"`` rejects over-quota arrivals outright; ``"degrade"``
-        admits them onto the coarser access path.
+        attributed spend crosses it, further arrivals are shed.
+        ``None`` means unmetered.
     traffic:
         Optional per-tenant :class:`~repro.serving.traffic.
         TrafficProfile`; tenants without one replay the serve call's
@@ -73,7 +67,6 @@ class TenantSpec:
     weight: float = 1.0
     qps_quota: Optional[float] = None
     dollar_budget: Optional[float] = None
-    over_quota: str = "shed"
     traffic: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -97,10 +90,6 @@ class TenantSpec:
             raise ConfigError(
                 "TenantSpec.dollar_budget must be > 0, got {}".format(
                     self.dollar_budget))
-        if self.over_quota not in OVER_QUOTA_ACTIONS:
-            raise ConfigError(
-                "TenantSpec.over_quota must be one of {}, got {!r}".format(
-                    "/".join(OVER_QUOTA_ACTIONS), self.over_quota))
         if self.traffic is not None:
             from repro.serving.traffic import TrafficProfile
             if not isinstance(self.traffic, TrafficProfile):
@@ -121,23 +110,12 @@ class TenancyConfig:
         ``"fair"`` holds admitted arrivals at the front door and
         releases them in weighted deficit-round-robin order;
         ``"fifo"`` submits them in arrival order (the noisy-neighbour
-        baseline).
-    dispatch_window:
-        Fair-share arm only: how many visible messages the dispatcher
-        keeps on the query queue.  Small windows keep the backlog at
-        the controller (where ordering is still a choice); the runtime
-        never lets the window starve the worker fleet.
-    p95_bound_s:
-        The per-tenant latency bound the fair-share arm defends for
-        in-quota tenants; reported on the bill, asserted by the bench.
-        ``None`` disables the bound (nothing in the runtime enforces
-        it — it is the SLO the scheduler is measured against).
+        baseline).  The fair arm's dispatch window is
+        :data:`~repro.serving.runtime.DISPATCH_WINDOW`.
     """
 
     tenants: Tuple[TenantSpec, ...] = field(default_factory=tuple)
     scheduler: str = SCHEDULER_FAIR
-    dispatch_window: int = 2
-    p95_bound_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tenants", tuple(self.tenants))
@@ -152,14 +130,6 @@ class TenancyConfig:
             raise ConfigError(
                 "TenancyConfig.scheduler must be one of {}, got "
                 "{!r}".format("/".join(_SCHEDULERS), self.scheduler))
-        if self.dispatch_window < 1:
-            raise ConfigError(
-                "TenancyConfig.dispatch_window must be >= 1, got "
-                "{}".format(self.dispatch_window))
-        if self.p95_bound_s is not None and self.p95_bound_s <= 0:
-            raise ConfigError(
-                "TenancyConfig.p95_bound_s must be > 0, got {}".format(
-                    self.p95_bound_s))
 
     def spec(self, name: str) -> Optional[TenantSpec]:
         """The named tenant's spec (None when unknown)."""

@@ -30,7 +30,7 @@ from typing import Any, Mapping, Optional
 from repro.config import instance_type
 from repro.errors import ConfigError
 from repro.serving.policy import (AdmissionPolicy, AutoscalePolicy,
-                                  FailoverPolicy, SpotPolicy)
+                                  SpotPolicy)
 
 __all__ = ["DeploymentConfig"]
 
@@ -82,10 +82,10 @@ class DeploymentConfig:
         price- and interruption-aware scale-out; ``None`` buys
         everything on-demand.
     failover:
-        Optional :class:`~repro.serving.policy.FailoverPolicy`: stand
-        up a secondary region with an asynchronously replicated
-        manifest and flip serving onto it (bounded staleness) when the
-        primary region blacks out; ``None`` serves single-region.
+        If true, stand up a secondary region with an asynchronously
+        replicated manifest and flip serving onto it (bounded
+        staleness) when the primary region blacks out; false (default)
+        serves single-region.
     tenancy:
         Optional :class:`~repro.tenancy.TenancyConfig`: serve many
         tenants over the one deployment with weighted fair-share
@@ -106,7 +106,7 @@ class DeploymentConfig:
     autoscale: Optional[AutoscalePolicy] = None
     admission: Optional[AdmissionPolicy] = None
     spot: Optional[SpotPolicy] = None
-    failover: Optional[FailoverPolicy] = None
+    failover: bool = False
     tenancy: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -140,6 +140,10 @@ class DeploymentConfig:
             raise ConfigError(
                 "DeploymentConfig.cache_bytes must be >= 0, got {}".format(
                     self.cache_bytes))
+        if not isinstance(self.failover, bool):
+            raise ConfigError(
+                "DeploymentConfig.failover must be a bool, got "
+                "{!r}".format(type(self.failover).__name__))
         if self.tenancy is not None:
             # Lazy import: repro.tenancy sits above this module in the
             # layering (it imports serving.traffic), so the type check

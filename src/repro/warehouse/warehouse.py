@@ -1061,12 +1061,15 @@ class Warehouse:
 
         ``span_cost`` rolls up every meter record inside the mutation's
         span subtree (workers spawned under it inherit it), all of them
-        after ``mark``; the estimator side prices the phase tag.  The two
-        must agree to the last float bit — the report's ``cost_tied_out``.
+        after ``mark``; the estimator side prices the records after
+        ``mark`` tagged exactly ``tag`` (a tenant's mutations share one
+        tag, and one tag may prefix another's).  The two must agree to
+        the last float bit — the report's ``cost_tied_out``.
         """
-        from repro.costs.estimator import phase_cost
+        from repro.costs.estimator import tag_cost
+        records = self.cloud.meter.since(mark)
         report.span_cost = span_inclusive_costs(
-            self.telemetry.tracer, self.cloud.meter.since(mark),
-            self.cloud.price_book, {report.span_id}).get(report.span_id)
-        report.estimator_cost = phase_cost(self.cloud.meter,
-                                           self.cloud.price_book, tag)
+            self.telemetry.tracer, records, self.cloud.price_book,
+            {report.span_id}).get(report.span_id)
+        report.estimator_cost = tag_cost(records, self.cloud.price_book,
+                                         tag)

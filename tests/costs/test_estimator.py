@@ -91,6 +91,18 @@ class TestBuildPhaseCost:
             breakdown.s3 + breakdown.dynamodb + breakdown.ec2
             + breakdown.sqs)
 
+    def test_prices_only_its_own_build_tag(self):
+        # Build 1's tag "index-build:LU:1" prefixes builds 10-19's: later
+        # builds of the same strategy must not move its price.
+        warehouse = Warehouse(deployment={"loaders": 1})
+        warehouse.upload_corpus(
+            generate_corpus(ScaleProfile(documents=2, seed=41)))
+        first = warehouse.build_index("LU")
+        before = build_phase_cost(warehouse, first)
+        later = [warehouse.build_index("LU") for _ in range(9)]
+        assert later[-1].report.tag == "index-build:LU:10"
+        assert build_phase_cost(warehouse, first) == before
+
 
 class TestQueryCosts:
     def test_indexed_vs_scan_formula_choice(self, warehouse, lu_index):

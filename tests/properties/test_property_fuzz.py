@@ -4,8 +4,9 @@ bare crash.
 Every entry point that takes stored or fetched bytes — the model parse,
 each strategy's extraction, the ID codec, the lazy ID block with its
 column access, the manifest's epoch-record and live-head decoders, the
-scrubber's table inventory and a compaction's pinned chain — may only
-let a :class:`~repro.errors.ReproError` escape.
+scrubber's table inventory, a compaction's pinned chain and the batch
+ledger's entries — may only let a :class:`~repro.errors.ReproError`
+escape.
 Inputs are raw bytes, and valid documents and ID blobs with bytes
 flipped, cut and inserted; each test also replays the inputs that once
 escaped untyped: an unknown encoding declaration (``LookupError``), a
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from tests.properties.strategies import documents, sorted_node_ids
 
 from repro.cloud.dynamodb import DynamoItem
+from repro.consistency.ledger import BatchLedger
 from repro.consistency.manifest import DeltaRecord, EpochRecord, LiveHead
 from repro.consistency.scrubber import decode_inventory
 from repro.errors import IntegrityError, ReproError
@@ -241,6 +243,73 @@ def test_control_records_read_back_what_was_stored():
 def test_a_damaged_control_record_is_named(decode, record, data):
     with pytest.raises(IntegrityError, match=record):
         decode(record, data)
+
+
+#: One ledger entry (batch id → content hash) as stored.
+LEDGER_TABLE = "ldg-lup-e3"
+LEDGER_BATCH = "LUP-e3-b0001"
+LEDGER_ATTRS = {"hash": ("9f2c41d0",)}
+
+
+class _OneEntryLedgerTable:
+    """A DynamoDB stand-in whose ledger table holds one entry."""
+
+    def __init__(self, attrs):
+        self.item = DynamoItem(LEDGER_BATCH, None, attrs)
+
+    def get(self, table, key):
+        return [self.item]
+        yield  # pragma: no cover - makes this a generator
+
+    def scan(self, table):
+        return [self.item]
+        yield  # pragma: no cover - makes this a generator
+
+
+def _finished(generator):
+    """A generator that never yields, run to its return value."""
+    with pytest.raises(StopIteration) as stop:
+        next(generator)
+    return stop.value.value
+
+
+def _ledger_reads(attrs):
+    """The entry as ``lookup`` and as ``entries`` read it, or the typed
+    error naming the ledger table and the batch."""
+    ledger = BatchLedger(_OneEntryLedgerTable(attrs), LEDGER_TABLE)
+    try:
+        return (_finished(ledger.lookup(LEDGER_BATCH)),
+                _finished(ledger.entries()))
+    except IntegrityError as error:
+        assert "{}/{}".format(LEDGER_TABLE, LEDGER_BATCH) in str(error)
+        return None
+
+
+@given(st.one_of(damaged(LEDGER_ATTRS), st.dictionaries(
+    st.just("hash"), st.tuples(st.one_of(st.binary(max_size=8),
+                                         st.integers())))))
+@example({"hash": (b"\xff\xfe",)})
+@example({})
+@example({"hash": ()})
+@settings(max_examples=300, deadline=None)
+def test_ledger_decoding_raises_only_integrity_errors(attrs):
+    _ledger_reads(attrs)
+
+
+def test_ledger_reads_back_what_was_stored():
+    assert _ledger_reads(LEDGER_ATTRS) == (
+        "9f2c41d0", {LEDGER_BATCH: "9f2c41d0"})
+
+
+@pytest.mark.parametrize("attrs", [
+    {"hash": (b"\xff\xfe",)}, {}, {"hash": ()}],
+    ids=["hash-not-utf8", "hash-missing", "hash-empty"])
+def test_a_damaged_ledger_entry_is_named(attrs):
+    ledger = BatchLedger(_OneEntryLedgerTable(attrs), LEDGER_TABLE)
+    for read in (ledger.lookup(LEDGER_BATCH), ledger.entries()):
+        with pytest.raises(IntegrityError,
+                           match="{}/{}".format(LEDGER_TABLE, LEDGER_BATCH)):
+            next(read)
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)

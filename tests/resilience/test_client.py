@@ -5,18 +5,18 @@ import pytest
 from repro.errors import TransientServiceError, ValidationError
 from repro.resilience import (RESILIENCE_SERVICE, ResilientClient,
                               ResilientServices, RetryPolicy, ServiceProxy)
+from repro.resilience.breaker import FAILURE_THRESHOLD, RESET_TIMEOUT_S
+from repro.resilience.retry import MAX_ATTEMPTS
 from repro.sim import Environment, Meter
 from repro.telemetry import TelemetryHub
 
 
-def make_client(env=None, meter=None, **policy_kwargs):
+def make_client(env=None, meter=None):
     if env is None:
         env = Environment()
         TelemetryHub(env)
     meter = meter or Meter()
-    policy_kwargs.setdefault("base_delay_s", 0.01)
-    policy_kwargs.setdefault("max_delay_s", 0.1)
-    client = ResilientClient(env, meter, RetryPolicy(**policy_kwargs))
+    client = ResilientClient(env, meter, RetryPolicy())
     return client, env, meter
 
 
@@ -56,11 +56,11 @@ def test_succeeds_after_transient_failures():
 
 
 def test_exhaustion_reraises_the_last_error():
-    client, env, _ = make_client(max_attempts=3)
+    client, env, _ = make_client()
     op = FlakyOp(failures=99)
     with pytest.raises(TransientServiceError):
         run_call(client, env, "s3", "get", op)
-    assert op.attempts == 3
+    assert op.attempts == MAX_ATTEMPTS
     assert client.exhausted["s3"] == 1
 
 
@@ -75,15 +75,15 @@ def test_non_retryable_errors_raise_immediately():
 
 
 def test_open_breaker_holds_calls_instead_of_failing_them():
-    client, env, _ = make_client(max_attempts=2)
+    client, env, _ = make_client()
     breaker = client.breaker("sqs")
-    for _ in range(8):  # default failure threshold
+    for _ in range(FAILURE_THRESHOLD):
         breaker.record_failure()
     assert breaker.seconds_until_allowed() > 0.0
     op = FlakyOp(failures=0)
     assert run_call(client, env, "sqs", "receive", op) == "ok"
     # The call waited out the breaker's reset timeout before running.
-    assert env.now >= 2.0
+    assert env.now >= RESET_TIMEOUT_S
 
 
 class FakeService:

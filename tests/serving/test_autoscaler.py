@@ -6,6 +6,8 @@ import pytest
 
 from repro.cloud import CloudProvider
 from repro.serving import Autoscaler, AutoscalePolicy, Fleet
+from repro.serving.autoscaler import (COOLDOWN_S, SCALE_IN_IDLE_TICKS,
+                                      SCALE_OUT_DEPTH)
 
 pytestmark = pytest.mark.serving
 
@@ -39,19 +41,28 @@ def _push(cloud, count):
 
 
 def _scaler(cloud, fleet, **policy):
-    defaults = dict(min_workers=1, max_workers=4, tick_s=1.0,
-                    scale_out_depth=2.0, max_queue_age_s=1e9,
-                    scale_in_idle_ticks=2, cooldown_s=0.0)
+    defaults = dict(min_workers=1, max_workers=4)
     defaults.update(policy)
     return Autoscaler(cloud, AutoscalePolicy(**defaults), fleet,
                       queue_name=QUEUE)
+
+
+def _wait(cloud, seconds):
+    def wait():
+        yield cloud.env.timeout(seconds)
+    cloud.env.run_process(wait())
+
+
+def _idle_ticks(scaler, ticks=SCALE_IN_IDLE_TICKS):
+    for _ in range(ticks):
+        scaler.evaluate()
 
 
 def test_backlog_pressure_scales_out(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(1)
     scaler = _scaler(cloud, fleet)
-    _push(cloud, 5)                    # depth/worker = 5 > 2
+    _push(cloud, int(SCALE_OUT_DEPTH) + 1)   # depth/worker over the bar
     scaler.evaluate()
     assert fleet.size == 2
     assert scaler.scale_outs == 1
@@ -60,23 +71,28 @@ def test_backlog_pressure_scales_out(cloud):
 def test_scale_out_respects_max_workers_and_cooldown(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(1)
-    scaler = _scaler(cloud, fleet, max_workers=2, cooldown_s=60.0,
-                     scale_out_step=4)
-    _push(cloud, 20)
+    scaler = _scaler(cloud, fleet, max_workers=3)
+    _push(cloud, 40)
     scaler.evaluate()
-    assert fleet.size == 2             # step clamped to the ceiling
+    assert fleet.size == 2             # one instance per decision
     scaler.evaluate()
     assert fleet.size == 2             # cooling: no second action
-    assert scaler.scale_outs == 1
+    _wait(cloud, COOLDOWN_S)
+    scaler.evaluate()
+    assert fleet.size == 3             # cooled down: the ceiling
+    _wait(cloud, COOLDOWN_S)
+    scaler.evaluate()
+    assert fleet.size == 3             # never past max_workers
+    assert scaler.scale_outs == 2
 
 
 def test_idle_queue_scales_in_after_consecutive_ticks(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(3)
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=2)
-    scaler.evaluate()                  # idle tick 1: no action yet
-    assert fleet.size == 3
-    scaler.evaluate()                  # idle tick 2: retire one
+    scaler = _scaler(cloud, fleet)
+    _idle_ticks(scaler, SCALE_IN_IDLE_TICKS - 1)
+    assert fleet.size == 3             # streak too short: no action yet
+    scaler.evaluate()                  # the streak completes: retire one
     assert fleet.size == 2
     assert scaler.scale_ins == 1
 
@@ -84,9 +100,8 @@ def test_idle_queue_scales_in_after_consecutive_ticks(cloud):
 def test_scale_in_never_goes_below_the_floor(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(1)
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=1)
-    for _ in range(5):
-        scaler.evaluate()
+    scaler = _scaler(cloud, fleet)
+    _idle_ticks(scaler, 2 * SCALE_IN_IDLE_TICKS)
     assert fleet.size == 1
     assert scaler.scale_ins == 0
 
@@ -96,9 +111,8 @@ def test_drain_blocks_retiring_a_busy_worker(cloud):
     fleet.launch(2)
     for member in fleet.members:
         member.worker.busy = True
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=1, drain=True)
-    scaler.evaluate()
-    scaler.evaluate()
+    scaler = _scaler(cloud, fleet, drain=True)
+    _idle_ticks(scaler, 2 * SCALE_IN_IDLE_TICKS)
     assert fleet.size == 2             # drain: nobody idle to retire
     assert fleet.retired_busy_total == 0
 
@@ -108,8 +122,8 @@ def test_no_drain_reclaims_a_busy_worker(cloud):
     fleet.launch(2)
     for member in fleet.members:
         member.worker.busy = True
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=1, drain=False)
-    scaler.evaluate()
+    scaler = _scaler(cloud, fleet, drain=False)
+    _idle_ticks(scaler)
     assert fleet.size == 1
     assert fleet.retired_busy_total == 1
 
@@ -122,8 +136,8 @@ def test_no_drain_prefers_an_idle_victim(cloud):
     fleet.launch(2)
     busy_member = fleet.members[0]
     busy_member.worker.busy = True
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=1, drain=False)
-    scaler.evaluate()
+    scaler = _scaler(cloud, fleet, drain=False)
+    _idle_ticks(scaler)
     assert fleet.size == 1
     assert fleet.members == [busy_member]  # the idle one was retired
     assert fleet.retired_busy_total == 0
@@ -134,9 +148,7 @@ def test_fleet_timeline_and_uptime(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(2)
 
-    def wait():
-        yield cloud.env.timeout(5.0)
-    cloud.env.run_process(wait())
+    _wait(cloud, 5.0)
     retired = fleet.members[-1]
     fleet.retire(retired)
     assert [size for _, size in fleet.timeline] == [2, 1]
@@ -148,8 +160,8 @@ def test_fleet_timeline_and_uptime(cloud):
 def test_pressure_resets_the_idle_streak(cloud):
     fleet = Fleet(cloud, "xl", lambda instance: DummyWorker(cloud.env))
     fleet.launch(2)
-    scaler = _scaler(cloud, fleet, scale_in_idle_ticks=2, max_workers=2)
-    scaler.evaluate()                  # idle tick 1
+    scaler = _scaler(cloud, fleet, max_workers=2)
+    _idle_ticks(scaler, SCALE_IN_IDLE_TICKS - 1)   # one tick short
     _push(cloud, 10)                   # pressure arrives
     scaler.evaluate()                  # resets the streak (fleet at max)
     assert fleet.size == 2

@@ -17,7 +17,6 @@ from repro.config import ScaleProfile
 from repro.errors import ConfigError, IndexingError, IntegrityError
 from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.mutations import CompactionPolicy, compaction_ticker
-from repro.serving import FailoverPolicy
 from repro.store.sharding import shard_table_names
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -96,7 +95,7 @@ def test_a_query_worker_that_died_fails_serve(monkeypatch):
 
 
 def test_a_live_index_under_failover_is_refused_before_serving(monkeypatch):
-    warehouse = Warehouse(deployment={"failover": FailoverPolicy(),
+    warehouse = Warehouse(deployment={"failover": True,
                                       "loaders": 2, "batch_size": 4})
     warehouse.upload_corpus(generate_corpus(
         ScaleProfile(documents=12, seed=77)))

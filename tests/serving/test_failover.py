@@ -11,8 +11,8 @@ from repro.config import ScaleProfile
 from repro.consistency.manifest import MANIFEST_TABLE
 from repro.consistency.replication import ReplicatedManifest
 from repro.faults import FaultPlan
-from repro.serving import FailoverController, FailoverPolicy, RegionSwitch
-from repro.serving.failover import PRIMARY, SECONDARY
+from repro.serving import FailoverController, RegionSwitch
+from repro.serving.failover import MAX_STALENESS_S, PRIMARY, SECONDARY
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -98,8 +98,7 @@ def _controller(cloud, replicator, cache=None):
     switch = RegionSwitch(FakeStore("primary"), FakeStore("secondary"),
                           cloud.telemetry)
     controller = FailoverController(
-        cloud, FailoverPolicy(max_staleness_s=60.0), [], switch=switch,
-        replicator=replicator, cache=cache)
+        cloud, [], switch=switch, replicator=replicator, cache=cache)
     return controller, switch
 
 
@@ -115,13 +114,13 @@ def test_probe_refuses_when_the_replica_never_converged():
 def test_probe_refuses_beyond_the_staleness_bound():
     cloud = CloudProvider()
     controller, switch = _controller(cloud, FakeReplicator(applied_at=0.0))
-    controller._probe(61.0)                # staleness 61 > 60
+    controller._probe(MAX_STALENESS_S + 1)     # past the bound
     assert controller.refusals == 1
     assert switch.active == PRIMARY
-    controller._probe(59.0)                # staleness 59 <= 60
+    controller._probe(MAX_STALENESS_S)         # at the bound: flips
     assert controller.failovers == 1
     assert switch.active == SECONDARY
-    controller._probe(59.5)                # already flipped: no-op
+    controller._probe(MAX_STALENESS_S - 1)     # already flipped: no-op
     assert controller.failovers == 1
 
 
@@ -151,7 +150,7 @@ def _serve_outage(outage=True, tag="serve-outage-test"):
         plan.region_outage(4.0, 6.0)
     warehouse = Warehouse.deploy({
         "loaders": 2, "batch_size": 4, "workers": 2,
-        "failover": FailoverPolicy(),
+        "failover": True,
         "faults": plan})
     warehouse.upload_corpus(generate_corpus(
         ScaleProfile(documents=16, seed=77)))

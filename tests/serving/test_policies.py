@@ -25,12 +25,6 @@ class TestAutoscalePolicy:
             AutoscalePolicy(min_workers=0)
         with pytest.raises(ConfigError):
             AutoscalePolicy(min_workers=3, max_workers=2)
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(tick_s=0.0)
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(scale_out_step=0)
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(cooldown_s=-1.0)
 
 
 class TestAdmissionPolicy:
@@ -88,6 +82,8 @@ class TestDeploymentConfig:
             DeploymentConfig(batch_size=0)
         with pytest.raises(ConfigError):
             DeploymentConfig(visibility_timeout=0.0)
+        with pytest.raises(ConfigError, match="failover must be a bool"):
+            DeploymentConfig(failover="yes")
 
     def test_store_layout_validation(self):
         with pytest.raises(ConfigError, match="shards must be >= 1"):

@@ -82,11 +82,9 @@ class TestAutoscaledFleet:
     def report(self):
         warehouse = _warehouse()
         index = warehouse.build_index("LUI")
-        autoscale = AutoscalePolicy(min_workers=1, max_workers=4,
-                                    tick_s=2.0, scale_out_depth=2.0,
-                                    cooldown_s=4.0)
+        autoscale = AutoscalePolicy(min_workers=1, max_workers=4)
         return warehouse.serve(
-            {"arrival": "burst", "rate_qps": 2.0, "queries": 80,
+            {"arrival": "burst", "rate_qps": 4.0, "queries": 80,
              "seed": 13}, index, config={"autoscale": autoscale})
 
     def test_fleet_scales_out_under_burst(self, report):
@@ -149,8 +147,7 @@ class TestDeterminism:
             {"arrival": "burst", "rate_qps": 2.0, "queries": 25,
              "seed": 42}, index,
             config={"autoscale": AutoscalePolicy(min_workers=1,
-                                                 max_workers=3,
-                                                 tick_s=2.0)},
+                                                 max_workers=3)},
             tag="serve:golden")
         trace = chrome_trace_json(warehouse.telemetry.tracer)
         return report, trace

@@ -12,6 +12,7 @@ from repro.faults import FaultPlan
 from repro.faults.plan import SpotSpec
 from repro.serving import (MARKET_ON_DEMAND, MARKET_SPOT, Autoscaler,
                            AutoscalePolicy, Fleet, SpotMarket, SpotPolicy)
+from repro.serving.autoscaler import MAX_SPOT_INTERRUPTION_RATE
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -154,7 +155,7 @@ def test_observed_rate_counts_interruptions_per_spot_hour(cloud):
 
 
 def _scaler(cloud, fleet, spot=None):
-    policy = AutoscalePolicy(min_workers=1, max_workers=4, tick_s=1.0)
+    policy = AutoscalePolicy(min_workers=1, max_workers=4)
     return Autoscaler(cloud, policy, fleet, queue_name=QUEUE, spot=spot)
 
 
@@ -177,16 +178,18 @@ def test_scale_out_buys_spot_until_the_target_share_is_met(cloud):
 
 def test_scale_out_falls_back_to_on_demand_during_a_storm(cloud):
     class StormyMarket:
+        rate = MAX_SPOT_INTERRUPTION_RATE * 50
+
         def observed_rate(self):
-            return 99.0
+            return self.rate
 
     fleet = _fleet(cloud)
     fleet.launch(1)
     fleet.spot_market = StormyMarket()
-    scaler = _scaler(cloud, fleet,
-                     spot=SpotPolicy(spot_fraction=0.5,
-                                     max_interruption_rate=2.0))
+    scaler = _scaler(cloud, fleet, spot=SpotPolicy(spot_fraction=0.5))
     assert scaler.scale_out_market() == MARKET_ON_DEMAND
+    StormyMarket.rate = MAX_SPOT_INTERRUPTION_RATE   # at the bound: calm
+    assert scaler.scale_out_market() == MARKET_SPOT
 
 
 # -- end to end through the serving runtime -------------------------------

@@ -7,7 +7,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.query.workload import WORKLOAD_ORDER
 from repro.serving import TrafficGenerator, TrafficProfile
-from repro.serving.traffic import DIURNAL_AMPLITUDE
+from repro.serving.traffic import (BURST_FACTOR, BURST_FRACTION,
+                                   DIURNAL_AMPLITUDE, PERIOD_S)
 
 pytestmark = pytest.mark.serving
 
@@ -40,9 +41,8 @@ def test_schedule_shape():
 
 
 def test_burst_peak_rate_and_rate_at():
-    profile = TrafficProfile(arrival="burst", rate_qps=2.0,
-                             burst_factor=4.0, burst_fraction=0.25,
-                             period_s=60.0)
+    assert (BURST_FACTOR, BURST_FRACTION, PERIOD_S) == (4.0, 0.25, 60.0)
+    profile = TrafficProfile(arrival="burst", rate_qps=2.0)
     assert profile.peak_rate == 8.0
     assert profile.rate_at(1.0) == 8.0          # inside the burst window
     assert profile.rate_at(30.0) == 2.0         # outside it
@@ -50,18 +50,18 @@ def test_burst_peak_rate_and_rate_at():
 
 
 def test_diurnal_rate_oscillates():
-    profile = TrafficProfile(arrival="diurnal", rate_qps=1.0,
-                             period_s=40.0)
+    profile = TrafficProfile(arrival="diurnal", rate_qps=1.0)
+    quarter = PERIOD_S / 4
     assert profile.peak_rate == pytest.approx(1.0 + DIURNAL_AMPLITUDE)
-    assert profile.rate_at(10.0) == pytest.approx(1.0 + DIURNAL_AMPLITUDE)
-    assert profile.rate_at(30.0) == pytest.approx(1.0 - DIURNAL_AMPLITUDE)
+    assert profile.rate_at(quarter) == pytest.approx(1.0 + DIURNAL_AMPLITUDE)
+    assert profile.rate_at(3 * quarter) == pytest.approx(
+        1.0 - DIURNAL_AMPLITUDE)
 
 
 def test_burst_schedule_is_front_loaded():
     """The burst window offers more arrivals than the quiet remainder."""
     profile = TrafficProfile(arrival="burst", rate_qps=1.0, queries=200,
-                             burst_factor=4.0, burst_fraction=0.25,
-                             period_s=60.0, seed=5)
+                             seed=5)
     schedule = TrafficGenerator(profile).schedule()
     in_burst = sum(1 for t, _ in schedule if t % 60.0 < 15.0)
     # 15 s at 4 qps vs 45 s at 1 qps: expect roughly 60:45 in-burst.
@@ -77,8 +77,6 @@ def test_profile_validation():
         TrafficProfile(queries=0)
     with pytest.raises(ConfigError):
         TrafficProfile(mix=())
-    with pytest.raises(ConfigError):
-        TrafficProfile(burst_fraction=1.0)
 
 
 def test_mix_is_normalised_to_a_tuple():

@@ -39,13 +39,21 @@ def test_tokens_refill_with_simulated_time(cloud):
     assert ctl.decide("acme") == SHED
 
 
-def test_degrade_action_downgrades_instead_of_shedding(cloud):
-    ctl = controller(cloud, [TenantSpec(name="acme", qps_quota=1.0,
-                                        over_quota="degrade")])
-    assert ctl.decide("acme") == ADMIT
-    assert ctl.decide("acme") == DEGRADE
-    assert ctl.shed_by.get("acme", 0) == 0
+def test_over_quota_sheds_inside_the_degrade_band(cloud):
+    from repro.warehouse.messages import QUERY_QUEUE
+    cloud.sqs.create_queue(QUERY_QUEUE)
+
+    def fill():
+        for i in range(2):
+            yield from cloud.sqs.send(QUERY_QUEUE, i)
+    cloud.env.run_process(fill())
+    ctl = controller(cloud, [TenantSpec(name="acme", qps_quota=1.0)],
+                     policy=AdmissionPolicy(max_queue_depth=4,
+                                            degrade_queue_depth=2))
+    assert ctl.decide("acme") == DEGRADE   # in quota: the depth's band
+    assert ctl.decide("acme") == SHED      # over quota: always shed
     assert ctl.degraded_by["acme"] == 1
+    assert ctl.shed_by["acme"] == ctl.over_quota_by["acme"] == 1
 
 
 def test_dollar_budget_uses_the_spend_lookup(cloud):

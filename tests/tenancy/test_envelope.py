@@ -82,10 +82,6 @@ class TestTenantSpec:
         with pytest.raises(ConfigError):
             TenantSpec(name="acme", dollar_budget=-1.0)
 
-    def test_rejects_unknown_over_quota_action(self):
-        with pytest.raises(ConfigError):
-            TenantSpec(name="acme", over_quota="explode")
-
     def test_rejects_non_profile_traffic(self):
         with pytest.raises(ConfigError):
             TenantSpec(name="acme", traffic={"arrival": "poisson"})

@@ -145,3 +145,33 @@ def test_unknown_mutation_kind_is_rejected(warehouse, live):
     facade = TenantFacade(warehouse, tenant="acme")
     with pytest.raises(ConfigError):
         facade.mutate(live, "truncate", if_match=facade.etag(live))
+
+
+def test_a_tenants_repeated_mutations_each_tie_out(warehouse, live):
+    # Both adds carry the tag "ingest:<index>:tenant:acme:add": each must
+    # price only its own records, not its predecessor's too.
+    facade = TenantFacade(warehouse, tenant="acme")
+    reports = []
+    for batch in (1, 2):
+        response = facade.mutate(live, "add", if_match=facade.etag(live),
+                                 increment=make_increment(batch),
+                                 config={"loaders": 2})
+        reports.append(response.report)
+    assert reports[0].tag == reports[1].tag
+    assert [report.cost_tied_out for report in reports] == [True, True]
+
+
+def test_a_tenant_tag_prefixing_another_prices_only_its_own(warehouse,
+                                                             live):
+    # acme's compaction tag "compact:<index>:tenant:acme" prefixes
+    # acme2's: acme's compaction must not price acme2's as well.
+    reports = []
+    for batch, tenant in enumerate(("acme2", "acme"), start=1):
+        facade = TenantFacade(warehouse, tenant=tenant)
+        facade.mutate(live, "add", if_match=facade.etag(live),
+                      increment=make_increment(batch),
+                      config={"loaders": 2})
+        reports.append(facade.mutate(
+            live, "compact", if_match=facade.etag(live)).report)
+    assert reports[0].tag.startswith(reports[1].tag)
+    assert [report.cost_tied_out for report in reports] == [True, True]

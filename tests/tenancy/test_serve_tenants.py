@@ -103,22 +103,6 @@ class TestQuotas:
         assert by_tenant["alpha"].shed == 0
         assert report.tenants_tied_out
 
-    def test_degrade_action_routes_to_the_degraded_path(self):
-        tenancy = TenancyConfig(tenants=(
-            TenantSpec(name="alpha", weight=1.0),
-            TenantSpec(name="beta", weight=1.0, qps_quota=0.5,
-                       over_quota="degrade"),
-        ))
-        report = _serve(tenancy, rate=4.0, queries=16)
-        by_tenant = {bill.tenant: bill for bill in report.tenant_bills}
-        assert by_tenant["beta"].degraded > 0
-        assert by_tenant["beta"].shed == 0
-        degraded = [q for q in report.queries if q.degraded]
-        assert degraded
-        assert all(q.tenant == "beta" for q in degraded)
-        assert all(q.index_mode == "s3-scan" for q in degraded)
-        assert report.tenants_tied_out
-
 
 class TestNoisyNeighbour:
     def _steady_p95(self, scheduler):

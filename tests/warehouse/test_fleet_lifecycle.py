@@ -116,3 +116,27 @@ def test_serving_run():
                                            config={"workers": 2}))
     assert (len(launched), phases) == (2, 0)
     assert report.completed == report.admitted
+
+
+@pytest.mark.ingest
+def test_delta_publication_under_a_loader_crash():
+    # The plan's loader crashes land on a publication as on a build, and
+    # the publication drains before its pills: the crashed loader's
+    # batch is redelivered, so the delta is the fault-free one.
+    def publish(plan):
+        warehouse = Warehouse(CloudProvider(fault_plan=plan),
+                              deployment=LOADERS)
+        warehouse.upload_corpus(_corpus(seed=41))
+        _, record = warehouse.build_index_checkpointed("LUI")
+        live = warehouse.live_index(record.name)
+        return _after(warehouse, lambda: warehouse.add_documents(
+            live, _corpus(seed=7001, documents=8, prefix="d-")))
+
+    calm, calm_launched, _ = publish(None)
+    report, launched, phases = publish(
+        FaultPlan(seed=5).crash(role="loader", after_s=0.5))
+    assert not any(instance.crashed for instance in calm_launched)
+    assert any(instance.crashed for instance in launched)
+    assert phases == 1
+    assert (report.digest, report.puts, report.documents) \
+        == (calm.digest, calm.puts, calm.documents)
