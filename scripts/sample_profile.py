@@ -63,12 +63,14 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # delta's), one query end to end (the serve-side names above
           # are nested in it and win), one document's fetch + extract,
           # the key walk over its parsed bytes inside that (and the
-          # query side's model parse), then the packer and the put of
-          # its batch (innermost wins, so ``_extract`` is what is left
-          # of it without the walk: encoding and sizing the postings).
+          # query side's model parse), then the packer, the building of
+          # each item it closes (join, checksum, range key, sizing) and
+          # the put of its batch (innermost wins, so ``_extract`` is
+          # what is left of it without the walk: encoding and sizing the
+          # postings, and ``_pack_items`` the packer's own grouping).
           "_fold_unit", "_stored_postings", "commit", "items_digest",
           "_process", "_extract", "collect_occurrences", "parse_document",
-          "_pack_items", "batch_put",
+          "_pack_items", "_finish_item", "batch_put",
           # The read side's host work per call: the pattern's plan (its
           # compile nests in the memo), one key's items decoded to
           # payloads, and the report builders' cost folds.

@@ -53,6 +53,12 @@ BATCH_PUT_LIMIT = 25
 AttrValue = Union[str, bytes]
 
 
+def key_size(key: str) -> int:
+    """Size in bytes of a key in utf-8: its length when it is ASCII,
+    as every UUID and most index keys are."""
+    return len(key) if key.isascii() else len(key.encode("utf-8"))
+
+
 def value_size(value: AttrValue) -> int:
     """Size in bytes of one attribute value."""
     if isinstance(value, bytes):
@@ -88,9 +94,9 @@ class DynamoItem:
         return item
 
     def _remember_size(self, attribute_bytes: int) -> int:
-        size = attribute_bytes + len(self.hash_key.encode("utf-8"))
+        size = attribute_bytes + key_size(self.hash_key)
         if self.range_key is not None:
-            size += len(self.range_key.encode("utf-8"))
+            size += key_size(self.range_key)
         object.__setattr__(self, "_size_bytes", size)
         return size
 
@@ -277,14 +283,14 @@ class DynamoDB:
 
     def _validate_item(self, table: DynamoTable, item: DynamoItem) -> int:
         """Check the §6 limits; returns the item's size in bytes."""
-        if len(item.hash_key.encode("utf-8")) > MAX_HASH_KEY_BYTES:
+        if key_size(item.hash_key) > MAX_HASH_KEY_BYTES:
             raise ValidationError(
                 "hash key exceeds {} bytes".format(MAX_HASH_KEY_BYTES))
         if table.has_range_key:
             if item.range_key is None:
                 raise ValidationError(
                     "table {!r} requires a range key".format(table.name))
-            if len(item.range_key.encode("utf-8")) > MAX_RANGE_KEY_BYTES:
+            if key_size(item.range_key) > MAX_RANGE_KEY_BYTES:
                 raise ValidationError(
                     "range key exceeds {} bytes".format(MAX_RANGE_KEY_BYTES))
         elif item.range_key is not None:

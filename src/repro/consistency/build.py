@@ -69,8 +69,9 @@ def coverage_of_items(items: List[DynamoItem]) -> Dict[str, List[str]]:
     """
     coverage: Dict[str, set] = {}
     for item in items:
-        coverage.setdefault(item.hash_key, set()).update(
-            name for name in item.attributes if name != CHECKSUM_ATTR)
+        coverage.setdefault(item.hash_key, set()).update(item.attributes)
+    for uris in coverage.values():
+        uris.discard(CHECKSUM_ATTR)
     return {key: sorted(uris) for key, uris in sorted(coverage.items())}
 
 

@@ -54,10 +54,14 @@ _DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError,
                   AttributeError, RecursionError)
 
 
+def _as_text(value: Any) -> str:
+    """One stored value (text, or UTF-8 bytes) as text."""
+    return value if isinstance(value, str) else value.decode("utf-8")
+
+
 def _text(attrs: Mapping[str, Tuple[Any, ...]], attr: str) -> str:
     """One stored attribute's first value, as text."""
-    value = attrs[attr][0]
-    return value if isinstance(value, str) else value.decode("utf-8")
+    return _as_text(attrs[attr][0])
 
 
 def _damaged(record: str, exc: Exception) -> IntegrityError:
@@ -73,6 +77,16 @@ def decode_text(record: str, attrs: Mapping[str, Tuple[Any, ...]],
     :class:`~repro.errors.IntegrityError` naming ``record``."""
     try:
         return _text(attrs, attr)
+    except _DECODE_ERRORS as exc:
+        raise _damaged(record, exc) from exc
+
+
+def decode_values(record: str, values: Tuple[Any, ...]) -> List[str]:
+    """Every value of one stored attribute of a control-plane record, as
+    text; a value that is not text or UTF-8 bytes raises
+    :class:`~repro.errors.IntegrityError` naming ``record``."""
+    try:
+        return [_as_text(value) for value in values]
     except _DECODE_ERRORS as exc:
         raise _damaged(record, exc) from exc
 

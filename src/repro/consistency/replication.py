@@ -39,7 +39,7 @@ from typing import Any, Dict, Generator, List, Optional, Set
 from repro.cloud.dynamodb import BATCH_PUT_LIMIT, DynamoItem
 from repro.consistency.manifest import (LIVE_SUFFIX, MANIFEST_TABLE,
                                         PENDING_SUFFIX, EpochRecord,
-                                        LiveHead)
+                                        LiveHead, decode_values)
 from repro.errors import ProcessInterrupted
 from repro.store.sharding import SHARD_SEPARATOR
 
@@ -62,11 +62,9 @@ class ReplicatedManifest:
     one environment and meter.
     """
 
-    def __init__(self, primary: Any, secondary: Any,
-                 table_name: str = MANIFEST_TABLE) -> None:
+    def __init__(self, primary: Any, secondary: Any) -> None:
         self._primary = primary
         self._secondary = secondary
-        self._table = table_name
         #: Physical index tables fully copied to the secondary region.
         self.replicated_tables: Set[str] = set()
         #: Completed ships (snapshot → applied), heartbeats included.
@@ -112,10 +110,10 @@ class ReplicatedManifest:
         for cycles where the primary has no manifest yet).
         """
         primary_db = self._primary.dynamodb
-        if self._table not in primary_db.table_names():
+        if MANIFEST_TABLE not in primary_db.table_names():
             return False
         env = self._primary.env
-        items = primary_db.table(self._table).all_items()
+        items = primary_db.table(MANIFEST_TABLE).all_items()
         digest = self._digest(items)
         tables = self._referenced_tables(items)
         missing = [t for t in tables if t not in self.replicated_tables]
@@ -158,21 +156,21 @@ class ReplicatedManifest:
                     chunk = rows[start:start + BATCH_PUT_LIMIT]
                     yield from secondary_db.batch_put(name, chunk)
                 self.replicated_tables.add(name)
-            if self._table not in admin.table_names():
-                admin.create_table(self._table, has_range_key=False)
+            if MANIFEST_TABLE not in admin.table_names():
+                admin.create_table(MANIFEST_TABLE, has_range_key=False)
             for item in items:
-                yield from secondary_db.put(self._table, item)
+                yield from secondary_db.put(MANIFEST_TABLE, item)
 
     # -- snapshot inspection -----------------------------------------------
 
     @staticmethod
     def _digest(items: List[DynamoItem]) -> str:
-        """Deterministic signature of a manifest snapshot."""
+        """Deterministic signature of a manifest snapshot; a value that
+        does not decode raises :class:`~repro.errors.IntegrityError`
+        naming its record."""
         return json.dumps(
             [[item.hash_key,
-              {attr: [value if isinstance(value, str)
-                      else value.decode("utf-8")
-                      for value in values]
+              {attr: decode_values(item.hash_key, values)
                for attr, values in sorted(item.attributes.items())}]
              for item in items], sort_keys=True)
 

@@ -18,8 +18,6 @@ from repro.costs.metrics import DatasetMetrics, QueryMetrics
 from repro.costs.pricing import PriceBook
 from repro.sim import Meter
 
-GB = 1024.0 ** 3
-
 
 @dataclass
 class CostBreakdown:
@@ -121,10 +119,9 @@ def activity_cost(meter: Meter, book: PriceBook,
     return _price_requests(meter, book, activity=activity)
 
 
-def phase_cost(meter: Meter, book: PriceBook, tag_prefix: str,
-               vm_hours_by_type: Optional[dict] = None,
-               result_bytes: int = 0) -> CostBreakdown:
-    """Total measured cost of one tagged phase.
+def phase_cost(meter: Meter, book: PriceBook,
+               tag_prefix: str) -> CostBreakdown:
+    """Total measured request cost of one tagged phase.
 
     Parameters
     ----------
@@ -132,18 +129,8 @@ def phase_cost(meter: Meter, book: PriceBook, tag_prefix: str,
         The run's meter and the provider's prices.
     tag_prefix:
         Which records to price (phase tags are hierarchical).
-    vm_hours_by_type:
-        Instance-hours by type for the phase (from
-        :class:`~repro.warehouse.warehouse.PhaseRecord`).
-    result_bytes:
-        Bytes of results transferred out of the cloud during the phase
-        (priced as egress / "AWSDown").
     """
-    out = _price_requests(meter, book, tag_prefix)
-    for type_name, hours in (vm_hours_by_type or {}).items():
-        out.ec2 += book.vm_hourly(type_name) * hours
-    out.egress = book.egress_gb * result_bytes / GB
-    return out
+    return _price_requests(meter, book, tag_prefix)
 
 
 def scrub_cost(warehouse, book: Optional[PriceBook] = None,

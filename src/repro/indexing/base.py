@@ -22,6 +22,7 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.indexing.checksums import attribute_head
 from repro.indexing.entries import IndexEntry, Posting, collect_occurrences
 from repro.xmldb.encoding import decode_ids, encode_id_rows
 from repro.xmldb.model import Document
@@ -97,15 +98,16 @@ class IndexingStrategy(abc.ABC):
         (``canonical`` as for ``Posting``), and its work accounting.
 
         One walk feeds every table, and each posting is sized from it:
-        the URI's bytes once per document, paths by one encode of them
-        joined, an ID blob by its length — blobs are encoded once per
-        distinct ID list of the document (the codec refuses a list not
-        strictly sorted by ``pre``, §5.3).
+        the URI's bytes (and its pieces' head) once per document, paths
+        by one encode of them joined, an ID blob by its length — blobs
+        are encoded once per distinct ID list of the document (the
+        codec refuses a list not strictly sorted by ``pre``, §5.3).
         """
         groups, rows = collect_occurrences(data, uri, self.include_words)
         keys = sorted(groups)
         found = [groups[key] for key in keys]
         uri_bytes = len(uri.encode())
+        head = attribute_head(uri) if canonical else None
         by_table: Dict[str, List[Posting]] = {}
         stats = ExtractionStats(entries=len(keys) * len(self.logical_tables))
         for table in self.logical_tables:
@@ -126,7 +128,7 @@ class IndexingStrategy(abc.ABC):
             else:
                 values, sizes = [()] * len(keys), [0] * len(keys)
             by_table[table] = [
-                Posting(key, uri, value, canonical, uri_bytes + size)
+                Posting(key, uri, value, canonical, uri_bytes + size, head)
                 for key, value, size in zip(keys, values, sizes)]
         return by_table, stats
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 AttrValue = Union[str, bytes]
 
@@ -35,27 +35,37 @@ def key_prefix(hash_key: str) -> bytes:
     return b"k%d:%b" % (len(hash_key), hash_key.encode("utf-8"))
 
 
+def attribute_head(name: str) -> Tuple[bytes, int]:
+    """An attribute piece's leading field, ``a<len>:<name>``, and the
+    name's billable bytes: one utf-8 encode, which a caller writing
+    many pieces under one name (a scanned table's URI) does once."""
+    encoded = name.encode()
+    return b"a%d:%b" % (len(encoded), encoded), len(encoded)
+
+
 def attribute_piece(name: str, values: Sequence[AttrValue],
+                    head: Optional[Tuple[bytes, int]] = None,
                     ) -> Tuple[bytes, int]:
     """One attribute's *piece* of the canonical form, ``a<len>:<name>``
     then ``v<len>:<value>`` per value, and its billable bytes
     (:func:`repro.cloud.dynamodb.attribute_size`), both from one utf-8
-    encode per string.  The checksum attribute has an empty piece: the
-    form is stable under stamping it.  The
-    piece is allocated once: one format for a single value (a path, an
-    ID blob), one join for any other count."""
-    encoded = name.encode()
+    encode per string (``head``, the name's :func:`attribute_head`,
+    when the caller holds it).  The checksum attribute has an empty
+    piece: the form is stable under stamping it.  The piece is
+    allocated once: one format for a single value (a path, an ID
+    blob), one join for any other count."""
+    prefix, size = head or attribute_head(name)
     if len(values) == 1:
         raw = values[0]
         raw = raw if isinstance(raw, bytes) else raw.encode()
-        piece = b"a%d:%bv%d:%b" % (len(encoded), encoded, len(raw), raw)
-        size = len(encoded) + len(raw)
+        piece = b"%bv%d:%b" % (prefix, len(raw), raw)
+        size += len(raw)
     else:
         raws = [value if isinstance(value, bytes) else value.encode()
                 for value in values]
-        piece = b"".join([b"a%d:%b" % (len(encoded), encoded)]
+        piece = b"".join([prefix]
                          + [b"v%d:%b" % (len(raw), raw) for raw in raws])
-        size = len(encoded) + sum(map(len, raws))
+        size += sum(map(len, raws))
     return (b"" if name == CHECKSUM_ATTR else piece), size
 
 
@@ -76,7 +86,7 @@ def canonical_item_bytes(hash_key: str,
 
 def checksum_of(canonical: bytes) -> str:
     """CRC-32 (8 hex digits) of one canonical byte form."""
-    return "{:08x}".format(zlib.crc32(canonical) & 0xFFFFFFFF)
+    return "%08x" % zlib.crc32(canonical)
 
 
 _UUID4_CLEAR = ~((0xC000 << 48) | (0xF000 << 64))
@@ -91,10 +101,20 @@ def uuid4_text(value: int) -> str:
                                text[16:20], text[20:])
 
 
+#: The UUID variant digit (``10xx``) that :func:`uuid4_text` makes of
+#: each hex digit in its position.
+_VARIANT_DIGIT = {digit: "89ab"[int(digit, 16) & 3]
+                  for digit in "0123456789abcdef"}
+
+
 def range_key_of(canonical: bytes) -> str:
-    """UUID-shaped range key (SHA-256) of one canonical byte form."""
-    digest = hashlib.sha256(canonical).digest()
-    return uuid4_text(int.from_bytes(digest[:16], "big"))
+    """UUID-shaped range key (SHA-256) of one canonical byte form:
+    :func:`uuid4_text` of the digest's first 16 bytes, set straight on
+    its hex text (version digit ``4``, variant digit ``8``-``b``)."""
+    text = hashlib.sha256(canonical).hexdigest()
+    return "%s-%s-4%s-%s%s-%s" % (text[:8], text[8:12], text[13:16],
+                                  _VARIANT_DIGIT[text[16]], text[17:20],
+                                  text[20:32])
 
 
 def item_checksum(hash_key: str,

@@ -61,7 +61,10 @@ class Posting:
     hashes this shape, and a compaction carries it from scan to put.
 
     A ``canonical`` posting is born with its :func:`attribute_piece`
-    and its billable ``attr_bytes`` from one utf-8 encode per value;
+    and its billable ``attr_bytes`` from one utf-8 encode per value
+    (given ``head``, the URI's
+    :func:`~repro.indexing.checksums.attribute_head`, the URI is not
+    encoded again for each posting of one document or scanned table);
     one for a store that stamps no checksum is only sized, or takes the
     ``attr_bytes`` its extraction already counted.
     """
@@ -70,12 +73,13 @@ class Posting:
 
     def __init__(self, key: str, uri: str, values: Tuple[AttrValue, ...],
                  canonical: bool = True,
-                 attr_bytes: Optional[int] = None) -> None:
+                 attr_bytes: Optional[int] = None,
+                 head: Optional[Tuple[bytes, int]] = None) -> None:
         self.key = key
         self.uri = uri
         self.values = values
         if canonical:
-            self.piece, self.attr_bytes = attribute_piece(uri, values)
+            self.piece, self.attr_bytes = attribute_piece(uri, values, head)
         else:
             self.piece = None
             self.attr_bytes = (attribute_size(uri, values)

@@ -31,7 +31,7 @@ import abc
 import hashlib
 import random
 from dataclasses import dataclass
-from operator import is_
+from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
@@ -43,9 +43,9 @@ from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
-from repro.indexing.checksums import (CHECKSUM_ATTR, checksum_of,
-                                      item_checksum, key_prefix,
-                                      range_key_of, uuid4_text)
+from repro.indexing.checksums import (CHECKSUM_ATTR, attribute_head,
+                                      checksum_of, item_checksum,
+                                      key_prefix, range_key_of, uuid4_text)
 from repro.indexing.entries import Entries, IndexEntry, Posting
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
@@ -61,6 +61,10 @@ Payload = Any
 
 #: Safety margin under the DynamoDB item limit for key bytes.
 _ITEM_BUDGET = MAX_ITEM_BYTES - 4096
+#: Billable bytes of the checksum attribute (its name, 8 hex digits).
+_CHECKSUM_BYTES = attribute_size(CHECKSUM_ATTR, ("0" * 8,))
+#: A posting's index key: the packer's grouping order.
+_BY_KEY = attrgetter("key")
 #: Chunk budget for SimpleDB textual values (sequence prefix included).
 _SDB_CHUNK_BUDGET = MAX_VALUE_BYTES - 24
 
@@ -196,6 +200,15 @@ def _canonical(hash_key: str, held: Mapping[str, Posting]) -> bytes:
         [held[name].piece for name in sorted(held)])
 
 
+class _Heads(dict):
+    """URI -> :func:`attribute_head`, each encoded on first sight: one
+    per URI of a scanned table, not one per posting."""
+
+    def __missing__(self, name: str) -> Tuple[bytes, int]:
+        head = self[name] = attribute_head(name)
+        return head
+
+
 def _check_stamp(physical_name: str, item: DynamoItem, actual: str) -> None:
     """Raise unless the item's stamped checksum is ``actual``."""
     stamped = item.attributes[CHECKSUM_ATTR][0]
@@ -279,11 +292,9 @@ class DynamoIndexStore(IndexStore):
             return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
         if self.range_key_mode == "content":
             canonical = _canonical(hash_key, held)
-            checksum = (checksum_of(canonical),)
-            attrs[CHECKSUM_ATTR] = checksum
-            item = DynamoItem.sized(
-                hash_key, range_key_of(canonical), attrs,
-                attr_bytes + attribute_size(CHECKSUM_ATTR, checksum))
+            attrs[CHECKSUM_ATTR] = (checksum_of(canonical),)
+            item = DynamoItem.sized(hash_key, range_key_of(canonical), attrs,
+                                    attr_bytes + _CHECKSUM_BYTES)
             self._written[id(item)] = (item, canonical)
             return item
         return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes)
@@ -342,30 +353,35 @@ class DynamoIndexStore(IndexStore):
         its own item (range key = URI), which is the ablation baseline.
         Each entry is encoded and sized once, here or by its sender.
         """
-        canonical = self.range_key_mode == "content"
+        postings = stored_postings(entries, self.range_key_mode == "content")
         if self.range_key_mode == "attribute":
-            return [item for posting in stored_postings(entries, canonical)
+            return [item for posting in postings
                     for item in self._posting_items(posting)]
-        by_key: Dict[str, List[Posting]] = {}
-        for posting in stored_postings(entries, canonical):
-            by_key.setdefault(posting.key, []).append(posting)
+        # Stable, so a key's postings keep their order; a batch already
+        # in key order (a fold's) is only checked, not moved.
+        postings.sort(key=_BY_KEY)
         items: List[DynamoItem] = []
-        for key in sorted(by_key):
-            held: Dict[str, Posting] = {}
-            size = 0
-            for posting in by_key[key]:
-                attr_bytes = posting.attr_bytes
-                if attr_bytes > _ITEM_BUDGET:
-                    # Oversized single posting: dedicated split items.
-                    items.extend(self._posting_items(posting))
-                    continue
-                if held and size + attr_bytes > _ITEM_BUDGET:
+        key = None
+        held: Dict[str, Posting] = {}
+        size = 0
+        for posting in postings:
+            if posting.key != key:
+                if held:
                     items.append(self._finish_item(key, held, size))
                     held, size = {}, 0
-                held[posting.uri] = posting
-                size += attr_bytes
-            if held:
+                key = posting.key
+            attr_bytes = posting.attr_bytes
+            if attr_bytes > _ITEM_BUDGET:
+                # Oversized single posting: dedicated split items.
+                items.extend(self._posting_items(posting))
+                continue
+            if held and size + attr_bytes > _ITEM_BUDGET:
                 items.append(self._finish_item(key, held, size))
+                held, size = {}, 0
+            held[posting.uri] = posting
+            size += attr_bytes
+        if held:
+            items.append(self._finish_item(key, held, size))
         return items
 
     def write_entries(self, physical_name: str, entries: Entries,
@@ -420,8 +436,9 @@ class DynamoIndexStore(IndexStore):
         scanned table: key → URI → the posting a rewrite would store
         (the compaction fold's regroup step).
 
-        Each attribute becomes a posting once, and its piece serves
-        twice.  Joined per item, the pieces are the canonical form the
+        Each attribute becomes a posting once (its URI encoded once per
+        table, see :class:`_Heads`), and its piece serves twice.
+        Joined per item, the pieces are the canonical form the
         stamped checksum is verified against: carrying bytes means
         vouching for them.  And a posting that is its URI's only
         sighting, checksummed and already in merged form, is carried as
@@ -432,25 +449,34 @@ class DynamoIndexStore(IndexStore):
         """
         by_key: Dict[str, Dict[str, Posting]] = {}
         again = set()
+        heads = _Heads()
+        presence, paths = kind == "presence", kind == "paths"
         for item in items:
             key = item.hash_key
-            merged = by_key.setdefault(key, {})
-            held = {name: Posting(key, name, values)
-                    for name, values in item.attributes.items()
-                    if name != CHECKSUM_ATTR}
-            stamped = CHECKSUM_ATTR in item.attributes
-            if stamped:
+            attributes = item.attributes
+            held: Dict[str, Posting] = {}
+            merged_form = True
+            for name, values in attributes.items():
+                if name != CHECKSUM_ATTR:
+                    held[name] = Posting(key, name, values, True, None,
+                                         heads[name])
+                    # Merged form: nothing under a presence key, at
+                    # most one blob, paths distinct.
+                    if values and (presence or len(values) > 1 and (
+                            not paths or len(set(values)) != len(values))):
+                        merged_form = False
+            if CHECKSUM_ATTR in attributes:
                 _check_stamp(physical_name, item,
                              checksum_of(_canonical(key, held)))
-            for name, posting in held.items():
-                values = posting.values
-                is_merged = (not values if kind == "presence" else
-                             len(values) < 2 or (
-                                 kind == "paths"
-                                 and len(set(values)) == len(values)))
-                if not stamped or not is_merged or name in merged:
+            else:
+                merged_form = False  # no checksum vouches for it
+            if not merged_form:
+                again.add(key)
+            merged = by_key.setdefault(key, held)
+            if merged is not held:  # the key's second item or later
+                if not merged.keys().isdisjoint(held):
                     again.add(key)
-                merged[name] = posting
+                merged.update(held)
         for key in again:  # the whole key takes the decode route
             payloads = DynamoIndexStore._merge_items(
                 [item for item in items if item.hash_key == key], kind)

@@ -348,15 +348,19 @@ class Compactor:
                     delta.tables[logical], shards)[shard])
             layers.append((payloads, delta.tombstones))
 
-        keys = set(base)
-        for payloads, _ in layers:
-            keys.update(payloads)
+        touched = set().union(*(payloads for payloads, _ in layers))
+        tombstoned = set().union(*(tombstones for _, tombstones in layers))
+        # In key order, then URI order: the packer's grouping order, so
+        # it packs the list as it stands.  A base key no layer touches
+        # is carried as scanned.
         postings: List[Posting] = []
-        for key in sorted(keys):
-            merged = overlay_payloads(
-                base.get(key, {}), [(payloads.get(key, {}), tombstones)
-                                    for payloads, tombstones in layers])
-            postings.extend(merged[uri] for uri in sorted(merged))
+        for key in sorted(touched.union(base)):
+            merged = base.get(key, {})
+            if key in touched or not tombstoned.isdisjoint(merged):
+                merged = overlay_payloads(
+                    merged, [(payloads.get(key, {}), tombstones)
+                             for payloads, tombstones in layers])
+            postings.extend(map(merged.__getitem__, sorted(merged)))
         if postings:
             stats = yield from store.write_entries(new_table, postings)
             report.entries_written += len(postings)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.cloud import CloudProvider
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT,
-                                  DynamoItem, MAX_ITEM_BYTES, value_size)
+                                  DynamoItem, MAX_HASH_KEY_BYTES,
+                                  MAX_ITEM_BYTES, MAX_RANGE_KEY_BYTES,
+                                  attribute_size, value_size)
 from repro.errors import (ItemTooLarge, NoSuchTable, TableAlreadyExists,
                           ValidationError)
 
@@ -116,6 +118,50 @@ def _fresh_size(item):
     for name, values in item.attributes.items():
         size += len(name.encode("utf-8")) + sum(map(value_size, values))
     return size
+
+
+#: A seeded UUID range key and a key of each kind: ASCII, a non-ASCII
+#: word key, and ASCII and non-ASCII hash keys at the limit, counted
+#: in encoded bytes (``é`` is two).
+UUID_KEY = "060e74c3-aa00-4523-a0b8-ff81f16dfa7f"
+KEYS = ["ename", "wcafé", "k" * MAX_HASH_KEY_BYTES,
+        "é" * (MAX_HASH_KEY_BYTES // 2)]
+
+
+@pytest.mark.parametrize("hash_key", KEYS,
+                         ids=["ascii", "non-ascii", "ascii-at-limit",
+                              "non-ascii-at-limit"])
+def test_born_size_counts_key_bytes(hash_key):
+    attributes = {"vangogh.xml": ("/epainting/ename",)}
+    item = DynamoItem.sized(hash_key, UUID_KEY, attributes, attribute_size(
+        "vangogh.xml", attributes["vangogh.xml"]))
+    assert item.size_bytes == _fresh_size(item) == (
+        len(hash_key.encode("utf-8")) + len(UUID_KEY.encode("utf-8"))
+        + len(b"vangogh.xml/epainting/ename"))
+
+
+@pytest.mark.parametrize("hash_key, range_key", [
+    (key, UUID_KEY) for key in KEYS] + [
+    ("k", "r" * MAX_RANGE_KEY_BYTES),
+    ("k", "é" * (MAX_RANGE_KEY_BYTES // 2))],
+    ids=["ascii", "non-ascii", "ascii-at-limit", "non-ascii-at-limit",
+         "ascii-range-at-limit", "non-ascii-range-at-limit"])
+def test_key_limits_count_encoded_bytes(cloud, db, hash_key, range_key):
+    def put(item):
+        def scenario():
+            yield from db.put("idx", item)
+        cloud.env.run_process(scenario())
+
+    put(_item(hash_key, range_key))  # within the limits (or at them)
+    # One more byte over either limit is refused, whatever the
+    # character count.
+    for longer in (_item(hash_key + "x" * (
+            MAX_HASH_KEY_BYTES + 1 - len(hash_key.encode("utf-8"))),
+            range_key), _item(hash_key, range_key + "x" * (
+                MAX_RANGE_KEY_BYTES + 1
+                - len(range_key.encode("utf-8"))))):
+        with pytest.raises(ValidationError):
+            put(longer)
 
 
 _texts = st.text(max_size=12)

@@ -47,14 +47,12 @@ class TestPhaseCost:
             meter.record(0.0, "dynamodb", "put", count=1000)
             meter.record(0.0, "dynamodb", "get", count=50)
             meter.record(0.0, "sqs", "send_message", count=30)
-        out = phase_cost(meter, AWS_SINGAPORE, "phase",
-                         vm_hours_by_type={"l": 2.0}, result_bytes=0)
+        out = phase_cost(meter, AWS_SINGAPORE, "phase")
         book = AWS_SINGAPORE
         assert out.s3 == pytest.approx(10 * book.st_put + 100 * book.st_get)
         assert out.dynamodb == pytest.approx(
             1000 * book.idx_put + 50 * book.idx_get)
         assert out.sqs == pytest.approx(30 * book.qs_request)
-        assert out.ec2 == pytest.approx(2.0 * 0.34)
 
     def test_tag_filtering(self):
         meter = Meter()
@@ -64,11 +62,6 @@ class TestPhaseCost:
             meter.record(0.0, "s3", "put", count=5)
         assert phase_cost(meter, AWS_SINGAPORE, "a").s3 == \
             pytest.approx(AWS_SINGAPORE.st_put)
-
-    def test_egress_priced_per_gb(self):
-        out = phase_cost(Meter(), AWS_SINGAPORE, "x",
-                         result_bytes=1024 ** 3)
-        assert out.egress == pytest.approx(0.19)
 
     def test_simpledb_priced_separately(self):
         meter = Meter()

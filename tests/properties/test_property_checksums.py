@@ -1,5 +1,6 @@
-"""Property-based tests: the one-allocation piece and the streamed
-ledger hash are byte-identical to their field-by-field references.
+"""Property-based tests: the one-allocation piece, the streamed ledger
+hash and the range key set on the digest's hex text are byte-identical
+to their field-by-field references.
 
 Every stored range key, ``#crc`` stamp and batch-ledger entry is a
 function of these bytes, so "faster" may not mean "different": over
@@ -8,13 +9,16 @@ bookkeeping names and non-ASCII names and values, the production
 functions must agree with ``tests/indexing/checksum_oracle.py``.
 """
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.indexing.checksum_oracle import (reference_attribute_piece,
                                             reference_batch_entries_hash)
 
-from repro.indexing.checksums import attribute_piece
+from repro.indexing.checksums import (attribute_head, attribute_piece,
+                                      range_key_of, uuid4_text)
 from repro.indexing.entries import Posting
 from repro.indexing.mapper import batch_entries_hash
 
@@ -48,8 +52,19 @@ FIXED_BATCH_HASH = (
 @given(names, values)
 @settings(max_examples=300, deadline=None)
 def test_attribute_piece_matches_its_reference(name, attr_values):
-    assert attribute_piece(name, attr_values) == \
-        reference_attribute_piece(name, attr_values)
+    reference = reference_attribute_piece(name, attr_values)
+    assert attribute_piece(name, attr_values) == reference
+    # ... and so does the piece written under a head encoded beforehand.
+    assert attribute_piece(name, attr_values,
+                           attribute_head(name)) == reference
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_range_key_is_the_uuid4_of_the_digest(canonical):
+    digest = hashlib.sha256(canonical).digest()
+    assert range_key_of(canonical) == uuid4_text(
+        int.from_bytes(digest[:16], "big"))
 
 
 @given(st.dictionaries(st.text(max_size=4), st.lists(postings, max_size=8),

@@ -4,9 +4,9 @@ bare crash.
 Every entry point that takes stored or fetched bytes — the model parse,
 each strategy's extraction, the ID codec, the lazy ID block with its
 column access, the manifest's epoch-record and live-head decoders, the
-scrubber's table inventory, a compaction's pinned chain and the batch
-ledger's entries — may only let a :class:`~repro.errors.ReproError`
-escape.
+manifest replicator's snapshot digest, the scrubber's table inventory,
+a compaction's pinned chain and the batch ledger's entries — may only
+let a :class:`~repro.errors.ReproError` escape.
 Inputs are raw bytes, and valid documents and ID blobs with bytes
 flipped, cut and inserted; each test also replays the inputs that once
 escaped untyped: an unknown encoding declaration (``LookupError``), a
@@ -25,6 +25,7 @@ from tests.properties.strategies import documents, sorted_node_ids
 from repro.cloud.dynamodb import DynamoItem
 from repro.consistency.ledger import BatchLedger
 from repro.consistency.manifest import DeltaRecord, EpochRecord, LiveHead
+from repro.consistency.replication import ReplicatedManifest
 from repro.consistency.scrubber import decode_inventory
 from repro.errors import IntegrityError, ReproError
 from repro.indexing.registry import ALL_STRATEGY_NAMES, strategy
@@ -186,6 +187,39 @@ def test_manifest_decoders_read_back_what_was_stored():
 def test_a_damaged_manifest_record_is_named(decode, attrs, record):
     with pytest.raises(IntegrityError, match=record):
         decode(attrs)
+
+
+def _snapshot_digest(attrs):
+    """The replicator's signature of a snapshot holding one record with
+    ``attrs``, or the typed error naming that record."""
+    try:
+        return ReplicatedManifest._digest([DynamoItem("LUP", None, attrs)])
+    except IntegrityError as error:
+        assert "'LUP'" in str(error)
+        return None
+
+
+@given(st.one_of(damaged(EPOCH_ATTRS), damaged(LIVE_ATTRS),
+                 st.dictionaries(st.text(max_size=8), st.tuples(st.one_of(
+                     st.binary(max_size=8), st.text(max_size=8),
+                     st.integers())))))
+@example({"status": (b"\xff\xfe",)})
+@settings(max_examples=300, deadline=None)
+def test_snapshot_digest_raises_only_integrity_errors(attrs):
+    _snapshot_digest(attrs)
+
+
+def test_snapshot_digest_reads_back_what_was_stored():
+    assert json.loads(_snapshot_digest(EPOCH_ATTRS)) == [
+        ["LUP", {attr: list(values) for attr, values in EPOCH_ATTRS.items()}]]
+
+
+@pytest.mark.parametrize("attrs", [
+    {**EPOCH_ATTRS, "status": (b"\xff\xfe",)}, {**LIVE_ATTRS, "chain": (5,)}],
+    ids=["status-not-utf8", "chain-not-text"])
+def test_a_damaged_snapshot_record_is_named(attrs):
+    with pytest.raises(IntegrityError, match="'LUP'"):
+        ReplicatedManifest._digest([DynamoItem("LUP", None, attrs)])
 
 
 #: A table inventory (key → URIs) and a pinned chain, as stored.
