@@ -4,6 +4,7 @@
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants [SEED]
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py serve-tenants --garbage
     PYTHONHASHSEED=0 python3 scripts/sample_profile.py ingest-live --rounds 1
+    PYTHONHASHSEED=0 python3 scripts/sample_profile.py build-2lupi --memory
 
 Runs the workload's ``setup`` (unsampled) and its timed ``main`` under
 ``signal.setitimer(ITIMER_PROF)``, ``--rounds`` times (default 5) on
@@ -38,6 +39,14 @@ before and after the section (one that outlives its generator is held
 by something).  It exits 1 when the round left any unreachable object:
 with the collector paused inside every run, that garbage would pile up
 until a pass outside one.
+
+``--memory`` runs one more round under ``tracemalloc``: it reports the
+bytes still allocated once ``main`` returns (and collected), by the
+layer that allocated them (the innermost ``repro`` frame's package, as
+the samples are filed), the section's traced peak, and both per
+document of the workload's corpus.  What is live after ``main`` is
+what the workload's state holds, the index store above all on
+``build-2lupi``.
 """
 
 import argparse
@@ -46,6 +55,7 @@ import gc
 import signal
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -78,6 +88,46 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           "partition_costs")
 INTERVAL_S = 0.001
 ROUNDS = 5
+
+
+def layer_of(filename):
+    """The ``repro`` package a frame's file belongs to, or None."""
+    if "/repro/" not in filename:
+        return None
+    return filename.split("/repro/")[1].split("/")[0]
+
+
+def memory_report(workload):
+    """One round under ``tracemalloc``: which layer allocated what
+    ``main`` leaves live, and the section's traced peak."""
+    state = workload.setup()
+    gc.collect()
+    tracemalloc.start(32)
+    try:
+        workload.main(state)
+        gc.collect()
+        _, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    by_layer = collections.Counter()
+    for stat in snapshot.statistics("traceback"):
+        frames = reversed(stat.traceback)  # innermost first
+        layer = next(filter(None, (layer_of(f.filename) for f in frames)),
+                     "(outside repro)")
+        by_layer[layer] += stat.size
+    live = sum(by_layer.values())
+    documents = workload.sizes.get("documents") or 1
+    print("-- memory: one round of main under tracemalloc ({} documents)"
+          .format(documents))
+    print("live after main {:.2f} MB ({:.0f} B per document); traced "
+          "peak {:.2f} MB ({:.0f} B per document)".format(
+              live / 2 ** 20, live / documents, peak / 2 ** 20,
+              peak / documents))
+    print("-- live bytes by layer")
+    for name, size in by_layer.most_common():
+        print("{:6.1%}  {:8.2f} MB  {:8.0f} B/doc  {}".format(
+            size / live, size / 2 ** 20, size / documents, name))
 
 
 def live_processes():
@@ -128,6 +178,8 @@ def main(argv):
                         help="timed rounds on fresh state")
     parser.add_argument("--garbage", action="store_true",
                         help="one more round with the collector off")
+    parser.add_argument("--memory", action="store_true",
+                        help="one more round under tracemalloc")
     args = parser.parse_args(argv[1:])
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -144,7 +196,7 @@ def main(argv):
             by_phase["(outside repro)"] += 1
             return
         code = frame.f_code
-        package = code.co_filename.split("/repro/")[1].split("/")[0]
+        package = layer_of(code.co_filename)
         by_function["{}:{}".format(package, code.co_name)] += 1
         while frame and frame.f_code.co_name not in PHASES:
             frame = frame.f_back
@@ -201,8 +253,10 @@ def main(argv):
         print("-- self time by {}".format(title))
         for name, count in counts.most_common(top):
             print("{:6.1%}  {}".format(count / total, name))
+    state = None  # the last round's state is not the next round's
+    if args.memory:
+        memory_report(workload)
     if args.garbage:
-        state = None  # the last round's processes are not this round's
         return 1 if garbage_report(workload) else 0
     return 0
 

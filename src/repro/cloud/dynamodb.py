@@ -79,6 +79,7 @@ def attribute_size(name: str, values: Sequence[AttrValue]) -> int:
 class DynamoItem:
     """One stored item: primary key plus named, multi-valued attributes."""
 
+    __slots__ = ("hash_key", "range_key", "attributes", "_size_bytes")
     hash_key: str
     range_key: Optional[str]
     attributes: Mapping[str, Tuple[AttrValue, ...]]
@@ -88,8 +89,12 @@ class DynamoItem:
               attributes: Mapping[str, Tuple[AttrValue, ...]],
               attribute_bytes: int) -> "DynamoItem":
         """An item born with its size: ``attribute_bytes`` must be the
-        sum of :func:`attribute_size` over ``attributes``."""
-        item = cls(hash_key, range_key, attributes)
+        sum of :func:`attribute_size` over ``attributes`` (set slot by
+        slot, not through the frozen ``__init__``)."""
+        item = object.__new__(cls)
+        _set_hash_key(item, hash_key)
+        _set_range_key(item, range_key)
+        _set_attributes(item, attributes)
         item._remember_size(attribute_bytes)
         return item
 
@@ -97,7 +102,7 @@ class DynamoItem:
         size = attribute_bytes + key_size(self.hash_key)
         if self.range_key is not None:
             size += key_size(self.range_key)
-        object.__setattr__(self, "_size_bytes", size)
+        _set_size_bytes(self, size)
         return size
 
     @property
@@ -111,6 +116,10 @@ class DynamoItem:
             return self._remember_size(sum(
                 attribute_size(name, values)
                 for name, values in self.attributes.items()))
+
+
+_set_hash_key, _set_range_key, _set_attributes, _set_size_bytes = (
+    DynamoItem.__dict__[name].__set__ for name in DynamoItem.__slots__)
 
 
 @dataclass

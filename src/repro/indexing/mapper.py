@@ -265,6 +265,8 @@ class DynamoIndexStore(IndexStore):
         #: The item is held beside its form so its id stays its own.
         self._written: Dict[int, Tuple[DynamoItem, bytes]] = {}
         self._views = {}
+        #: Each distinct hash key and value tuple written, held once.
+        self._interned: Dict[Any, Any] = {}
 
     def take_written(self) -> Dict[int, Tuple[DynamoItem, bytes]]:
         """See :meth:`IndexStore.take_written`."""
@@ -287,7 +289,10 @@ class DynamoIndexStore(IndexStore):
         for the digest that scans the item back); ``attribute`` uses
         ``uri_key``.  The item is born with the size budgeted.
         """
-        attrs = {uri: posting.values for uri, posting in held.items()}
+        intern = self._interned.setdefault
+        hash_key = intern(hash_key, hash_key)
+        attrs = {uri: intern(posting.values, posting.values)
+                 for uri, posting in held.items()}
         if self.range_key_mode == "attribute":
             return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
         if self.range_key_mode == "content":

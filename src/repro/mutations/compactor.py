@@ -362,7 +362,8 @@ class Compactor:
                              for payloads, tombstones in layers])
             postings.extend(map(merged.__getitem__, sorted(merged)))
         if postings:
-            stats = yield from store.write_entries(new_table, postings)
+            stats = yield from store.write_entries(new_table, postings,
+                                                   fresh=True)
             report.entries_written += len(postings)
             report.puts += stats.puts
             report.items += stats.items

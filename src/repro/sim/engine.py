@@ -62,6 +62,7 @@ class Environment:
         #: Optional telemetry hook (a ``TelemetryHub``); when set, every
         #: spawned process is announced so it inherits the spawner's span.
         self.telemetry: Optional[Any] = None
+        self._broken: Optional[BaseException] = None
 
     @property
     def now(self) -> float:
@@ -107,8 +108,20 @@ class Environment:
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
-            for callback in callbacks:
-                callback(event)
+            try:
+                for callback in callbacks:
+                    callback(event)
+            except BaseException as exc:
+                # Later callbacks never ran: their waiters would hang.
+                self._broken = exc
+                raise
+
+    def _check_intact(self) -> None:
+        """Refuse to run once an exception escaped a :meth:`step`."""
+        broken = self._broken
+        if broken is not None:
+            raise SimulationError("a step raised {!r}; the simulation cannot "
+                                  "run again".format(broken)) from broken
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if queue is empty."""
@@ -122,6 +135,7 @@ class Environment:
         exactly ``until`` are *not* processed) and then sets ``now`` to
         ``until``.
         """
+        self._check_intact()
         if until is not None and until < self._now:
             raise SimulationError(
                 "run(until={}) is in the past (now={})".format(until, self._now))
@@ -143,8 +157,10 @@ class Environment:
         stay queued and do **not** advance the clock past the process's
         completion time.  Raises :class:`SimulationDeadlock` if the
         event queue drains before the process finishes (it is waiting on
-        an event nobody will ever trigger).
+        an event nobody will ever trigger) and, as :meth:`run` does,
+        :class:`SimulationError` once an exception escaped a step.
         """
+        self._check_intact()
         proc = self.process(generator, name=name)
         with _collector_paused():
             while not proc._triggered:  # noqa: SLF001 - is_alive, no call

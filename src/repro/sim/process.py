@@ -104,9 +104,16 @@ class Process(Event):
                     throw_exc = SimulationError(
                         "process yielded an event from another environment")
                     continue
-                break
+                if target.callbacks is not None:
+                    break
+                # Already processed: step on with its outcome in this
+                # frame, as ``add_callback`` would have in a new one.
+                event, throw_exc = target, target._exception  # noqa: SLF001
+                if pending is not None:  # handled: see ``finally``
+                    pending.__traceback__ = origin
+                    pending = None
             self._waiting_on = target
-            target.add_callback(self._resume)
+            target.callbacks.append(self._resume)
         finally:
             env.active_process = previous
             if pending is not None and pending is not self._exception:

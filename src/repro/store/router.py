@@ -205,8 +205,9 @@ class StoreRouter(IndexStore):
     # -- writes ------------------------------------------------------------
 
     def write_entries(self, physical_name: str, entries: Entries,
-                      ) -> Generator[Any, Any, WriteStats]:
-        """Persist a batch, partitioned to its shards; merged stats."""
+                      fresh: bool = False) -> Generator[Any, Any, WriteStats]:
+        """Persist a batch, partitioned to its shards; merged stats.
+        ``fresh``: no reader can have read the tables (a fold's epoch)."""
         if self.passthrough:
             stats = yield from self._base.write_entries(
                 self._physical(physical_name), entries)
@@ -224,7 +225,7 @@ class StoreRouter(IndexStore):
                 names[shard], by_shard[shard])
             stats.merge(shard_stats)
             self._note_shard_write(shard, shard_stats.items)
-        if self.cache is not None:
+        if self.cache is not None and not fresh:
             # Write-through coherence: an ingest or repair into a live
             # table must not leave stale payloads behind.
             for key in dict.fromkeys([entry.key for entry in entries]):

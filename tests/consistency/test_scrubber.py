@@ -8,6 +8,7 @@ from repro.errors import IntegrityError
 from repro.faults import FaultPlan
 from repro.faults.corruption import CorruptionMonkey
 from repro.faults.scenarios import physical_snapshot
+from repro.store import IndexCache
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -67,6 +68,31 @@ def test_corrupt_items_detected_and_repaired(corpus):
     # Repair restored the table byte-for-byte, and health cleared.
     assert physical_snapshot(warehouse, built) == pristine
     assert not warehouse.health.suspect_tables()
+
+
+@pytest.mark.scrub
+def test_a_repair_discards_the_cached_keys_it_rewrites(corpus, monkeypatch):
+    """A repair writes into a live table that readers may have cached:
+    its write-through discard stays."""
+    warehouse = Warehouse(deployment={"cache_bytes": 1 << 20})
+    warehouse.upload_corpus(corpus)
+    built, record = warehouse.build_index_checkpointed(
+        "LU", config={"loaders": 2, "batch_size": 4})
+    plan = FaultPlan(seed=SEED).corrupt_item(table=0, count=3)
+    CorruptionMonkey(warehouse.cloud, seed=SEED).damage_index(
+        built, plan.damage)
+    discarded = []
+    real = IndexCache.discard
+
+    def spy(cache, table, key, *args):
+        discarded.append((table, key))
+        return real(cache, table, key, *args)
+
+    monkeypatch.setattr(IndexCache, "discard", spy)
+    repair = warehouse.scrub_index(built, record.name, record.epoch)
+    assert repair.repaired and repair.repairs
+    assert discarded
+    assert {table for table, _ in discarded} <= set(built.physical_tables)
 
 
 @pytest.mark.scrub

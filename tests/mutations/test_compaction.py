@@ -15,6 +15,7 @@ from repro.engine.evaluator import evaluate_query
 from repro.errors import IntegrityError
 from repro.mutations import CompactionPolicy
 from repro.query.workload import workload_query
+from repro.store import IndexCache
 from repro.store.sharding import shard_table_names
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
@@ -79,6 +80,28 @@ def test_compaction_preserves_query_results_byte_identically():
                                 warehouse.corpus.documents)
         row = dict((r[0], r[5]) for r in after)
         assert row[name] == len(direct)
+
+
+def test_a_fold_discards_no_cached_key(monkeypatch):
+    """A fold writes a new epoch's tables, which no reader can have
+    cached before the commit flips to them: it discards nothing per
+    key, and the answers stay the same."""
+    warehouse, live = fresh_live(deployment={"cache_bytes": 1 << 20})
+    mutate(warehouse, live)
+    before = execution_fingerprint(warehouse, live)
+    assert warehouse.index_cache.puts  # the reads went through it
+    discarded = []
+    real = IndexCache.discard
+
+    def spy(cache, *args):
+        discarded.append(args)
+        return real(cache, *args)
+
+    monkeypatch.setattr(IndexCache, "discard", spy)
+    report = warehouse.compact_index(live)
+    assert report.committed and report.entries_written
+    assert discarded == []
+    assert execution_fingerprint(warehouse, live) == before
 
 
 def test_compaction_reduces_per_query_read_amplification():

@@ -113,3 +113,70 @@ def test_immediate_return_process(env):
         return 5
         yield  # pragma: no cover - makes this a generator
     assert env.run_process(instant(env)) == 5
+
+
+def _join_after(env, events, delay, log):
+    """Sleep ``delay``, then wait on every event in order (each one
+    already finished by then), logging what each wait returned."""
+    yield env.timeout(delay)
+    for event in events:
+        try:
+            log.append((env.now, (yield event)))
+        except ValueError as exc:
+            log.append((env.now, str(exc)))
+    log.append((env.now, "joined"))
+
+
+def _child(env, value):
+    yield env.timeout(1.0)
+    return value
+
+
+def test_joining_ten_thousand_finished_events_uses_no_stack(env):
+    """A run of already-processed events resumes the joiner in one
+    frame: each used to cost two stack frames, so 500 overflowed."""
+    events = [env.timeout(0.5, index) for index in range(10_000)]
+    log = []
+    env.process(_join_after(env, events, 1.0, log))
+    env.run()
+    assert log[:-1] == [(1.0, index) for index in range(10_000)]
+    assert log[-1] == (1.0, "joined")
+
+
+def test_a_parent_joins_five_hundred_finished_children(env):
+    log = []
+    children = [env.process(_child(env, index)) for index in range(500)]
+    env.process(_join_after(env, children, 2.0, log))
+    env.run()
+    assert [value for _, value in log] == list(range(500)) + ["joined"]
+    assert {when for when, _ in log} == {2.0}
+
+
+def test_finished_events_are_joined_in_the_step_that_woke_the_joiner(env):
+    """Joining finished events takes no step of its own: the joiner is
+    done before an event queued after its wake-up at the same time."""
+    log = []
+    failed = env.event().fail(ValueError("child failed"))
+    done = [env.timeout(0.5, "a"), failed, env.timeout(0.5, "b")]
+    env.process(_join_after(env, done, 1.0, log))
+    env.process(_join_after(env, [], 1.0, log))  # wakes right after
+    env.run()
+    assert log == [(1.0, "a"), (1.0, "child failed"), (1.0, "b"),
+                   (1.0, "joined"), (1.0, "joined")]
+
+
+def test_an_exception_that_escaped_a_step_stops_later_runs(env):
+    """A callback that raises leaves the rest of its event's callbacks
+    unrun, so their waiters would wait forever: the kernel refuses to
+    run again rather than hang."""
+    def boom(_event):
+        raise RuntimeError("boom")
+
+    env.timeout(1.0).add_callback(boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    with pytest.raises(SimulationError, match="boom") as raised:
+        env.run()
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    with pytest.raises(SimulationError, match="cannot run again"):
+        env.run_process(_child(env, 1))

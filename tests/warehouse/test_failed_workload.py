@@ -1,0 +1,63 @@
+"""A workload whose process raised leaves the warehouse usable or fails
+typed, never hangs.
+
+At 4,000 documents a kernel stack overflow once escaped a query
+worker's step: the worker was left mid-query with its lease keeper
+renewing forever, and the next ``run_workload`` on that warehouse
+never returned.  Two shapes of a raised process are pinned here: one
+the kernel feeds to its waiters (the warehouse answers the next
+workload) and one that escapes a step (every later run raises
+:class:`~repro.errors.SimulationError` at once).
+"""
+
+import pytest
+
+from repro.config import ScaleProfile
+from repro.engine.evaluator import evaluate_query
+from repro.errors import SimulationDeadlock, SimulationError
+from repro.query.workload import workload_query
+from repro.warehouse import Warehouse, query_processor
+from repro.xmark import generate_corpus
+
+
+@pytest.fixture
+def deployed():
+    warehouse = Warehouse()
+    warehouse.upload_corpus(generate_corpus(
+        ScaleProfile(documents=20, document_bytes=4096, seed=13)))
+    return warehouse, warehouse.build_index("LUP")
+
+
+def _raising(error):
+    def join_query_rows(*_args):
+        raise error
+    return join_query_rows
+
+
+def test_a_failed_worker_fails_the_workload_typed_and_the_next_answers(
+        deployed, monkeypatch):
+    warehouse, index = deployed
+    real = query_processor.join_query_rows
+    monkeypatch.setattr(query_processor, "join_query_rows",
+                        _raising(RuntimeError("worker bug")))
+    with pytest.raises(SimulationDeadlock):
+        warehouse.run_workload([workload_query("q1")], index)
+    monkeypatch.setattr(query_processor, "join_query_rows", real)
+    query = workload_query("q1")
+    execution = warehouse.run_query(query, index)
+    assert execution.result_rows == len(
+        evaluate_query(query, warehouse.corpus.documents))
+
+
+def test_an_error_that_escaped_a_step_fails_every_later_run_typed(
+        deployed, monkeypatch):
+    warehouse, index = deployed
+    # SystemExit is the one kind a process step does not catch, so it
+    # leaves the worker mid-query as the stack overflow did.
+    monkeypatch.setattr(query_processor, "join_query_rows",
+                        _raising(SystemExit("escaped")))
+    with pytest.raises(SystemExit):
+        warehouse.run_workload([workload_query("q1")], index)
+    monkeypatch.undo()
+    with pytest.raises(SimulationError, match="cannot run again"):
+        warehouse.run_workload([workload_query("q1")], index)
