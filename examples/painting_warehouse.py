@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """The paper's running example, end to end.
 
-Builds Figure 3's "delacroix.xml" / "manet.xml", prints the §5 index
-tuples each strategy extracts (compare with the paper's tables), then
+Builds Figure 3's "delacroix.xml" / "manet.xml", prints manet.xml's
+(pre, post, depth) identifiers and label paths (a document stores
+neither: one walk numbers it), then the §5 index tuples each strategy
+extracts (compare with the paper's tables), then
 runs the five Figure 2 queries through a real warehouse deployment —
 including q5's value join across documents — and shows the XQuery each
 pattern abbreviates.
@@ -13,7 +15,7 @@ from repro.indexing.registry import all_strategies
 from repro.query.xquery import to_xquery
 from repro.xmark.corpus import Corpus
 from repro.xmldb.encoding import encode_ids_text
-from repro.xmldb.model import Document, Element, Text, assign_identifiers
+from repro.xmldb.model import Attribute, Document, Element, Text, number_nodes
 from repro.xmldb.serializer import serialize
 
 
@@ -36,7 +38,6 @@ def painting(uri, painting_id, name, first, last, year=None):
     painter.add(painter_name)
     root.add(painter)
     document = Document(uri=uri, root=root)
-    assign_identifiers(document)
     document.size_bytes = len(serialize(document))
     return document
 
@@ -51,9 +52,21 @@ def museum(uri, name, painting_ids):
         ref.set_attribute("id", painting_id)
         root.add(ref)
     document = Document(uri=uri, root=root)
-    assign_identifiers(document)
     document.size_bytes = len(serialize(document))
     return document
+
+
+def show_numbering(document) -> None:
+    print("=" * 68)
+    print("Figure 3's numbering of {}: ID, label path, node".format(document.uri))
+    for node, node_id, path in number_nodes(document):
+        if isinstance(node, Element):
+            shown = "<{}>".format(node.label)
+        elif isinstance(node, Attribute):
+            shown = "@{}={}".format(node.name, node.value)
+        else:
+            shown = repr(node.value)
+        print("  {:<12} {:<34} {}".format(node_id.as_text(), path, shown))
 
 
 def show_extraction(documents) -> None:
@@ -86,6 +99,7 @@ def main() -> None:
         museum("louvre.xml", "Louvre", ["1854-1"]),
         museum("orsay.xml", "Musee d'Orsay", ["1863-1"]),
     ]
+    show_numbering(documents[1])
     show_extraction(documents)
 
     corpus = Corpus(documents=documents,

@@ -41,12 +41,14 @@ with the collector paused inside every run, that garbage would pile up
 until a pass outside one.
 
 ``--memory`` runs one more round under ``tracemalloc``: it reports the
-bytes still allocated once ``main`` returns (and collected), by the
-layer that allocated them (the innermost ``repro`` frame's package, as
-the samples are filed), the section's traced peak, and both per
-document of the workload's corpus.  What is live after ``main`` is
-what the workload's state holds, the index store above all on
-``build-2lupi``.
+bytes ``setup`` leaves live (and collected) and then the bytes ``main``
+allocated that are still live once it returns, each by the layer that
+allocated them (the innermost ``repro`` frame's package, as the samples
+are filed), the section's traced peak, and all per document of the
+workload's corpus.  What ``setup`` leaves is the corpus: its bytes and
+its document models (``xmark`` and ``xmldb``).  What is live after
+``main`` is what the workload's state holds, the index store above all
+on ``build-2lupi``.
 """
 
 import argparse
@@ -97,37 +99,53 @@ def layer_of(filename):
     return filename.split("/repro/")[1].split("/")[0]
 
 
-def memory_report(workload):
-    """One round under ``tracemalloc``: which layer allocated what
-    ``main`` leaves live, and the section's traced peak."""
-    state = workload.setup()
-    gc.collect()
-    tracemalloc.start(32)
-    try:
-        workload.main(state)
-        gc.collect()
-        _, peak = tracemalloc.get_traced_memory()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
+def live_by_layer(snapshot):
+    """A snapshot's live bytes by the layer that allocated them."""
     by_layer = collections.Counter()
     for stat in snapshot.statistics("traceback"):
         frames = reversed(stat.traceback)  # innermost first
         layer = next(filter(None, (layer_of(f.filename) for f in frames)),
                      "(outside repro)")
         by_layer[layer] += stat.size
-    live = sum(by_layer.values())
+    return by_layer
+
+
+def print_layers(title, by_layer, documents):
+    live = sum(by_layer.values()) or 1
+    print("-- {} by layer".format(title))
+    for name, size in by_layer.most_common():
+        print("{:6.1%}  {:8.2f} MB  {:8.0f} B/doc  {}".format(
+            size / live, size / 2 ** 20, size / documents, name))
+
+
+def memory_report(workload):
+    """One round under ``tracemalloc``: which layer allocated what
+    ``setup`` leaves live, then what ``main`` leaves live, and the
+    section's traced peak."""
+    tracemalloc.start(32)
+    try:
+        state = workload.setup()
+        gc.collect()
+        setup_layers = live_by_layer(tracemalloc.take_snapshot())
+        tracemalloc.clear_traces()  # main's lines count main's blocks only
+        workload.main(state)
+        gc.collect()
+        _, peak = tracemalloc.get_traced_memory()
+        main_layers = live_by_layer(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
     documents = workload.sizes.get("documents") or 1
-    print("-- memory: one round of main under tracemalloc ({} documents)"
-          .format(documents))
+    setup_live, live = sum(setup_layers.values()), sum(main_layers.values())
+    print("-- memory: one round of setup and main under tracemalloc ({} "
+          "documents)".format(documents))
+    print("live after setup {:.2f} MB ({:.0f} B per document)".format(
+        setup_live / 2 ** 20, setup_live / documents))
     print("live after main {:.2f} MB ({:.0f} B per document); traced "
           "peak {:.2f} MB ({:.0f} B per document)".format(
               live / 2 ** 20, live / documents, peak / 2 ** 20,
               peak / documents))
-    print("-- live bytes by layer")
-    for name, size in by_layer.most_common():
-        print("{:6.1%}  {:8.2f} MB  {:8.0f} B/doc  {}".format(
-            size / live, size / 2 ** 20, size / documents, name))
+    print_layers("live bytes after setup", setup_layers, documents)
+    print_layers("live bytes after main", main_layers, documents)
 
 
 def live_processes():

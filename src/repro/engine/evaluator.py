@@ -68,9 +68,9 @@ def _node_value(node: MatchedNode) -> str:
 
 
 def _descendant_elements(element: Element) -> Iterable[Element]:
-    for child in element.child_elements():
-        yield child
-        yield from _descendant_elements(child)
+    elements = element.iter_elements()
+    next(elements)  # the element itself
+    return elements
 
 
 def _candidates(context: Element, pattern_node: PatternNode,

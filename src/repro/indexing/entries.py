@@ -101,7 +101,7 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
     ``pre`` ordinals, sorted because the walk is a pre-order traversal
     (the LUI invariant, §5.3, for free), and to its distinct label paths
     in first-seen order.  ``rows[pre]`` is that node's (pre, post,
-    depth), numbered as :func:`~repro.xmldb.model.assign_identifiers`
+    depth), numbered as :func:`~repro.xmldb.model.number_nodes`
     numbers it: a node's post is the count of nodes completed by then,
     ``last pre of its subtree - depth + 1``.  Word keys take the *text
     node's* ordinal and its parent element's path plus the word step

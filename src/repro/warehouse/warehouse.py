@@ -27,7 +27,8 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sqs import RedrivePolicy
-from repro.errors import WarehouseError
+from repro.errors import (InstanceCrashed, InstanceRetired,
+                          SimulationDeadlock, WarehouseError)
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
@@ -833,7 +834,21 @@ class Warehouse:
                         instances=instances,
                         instance_type=instance_type) as workload_span:
             with self.cloud.meter.tagged(tag):
-                self.cloud.env.run_process(driver(), name="workload")
+                try:
+                    self.cloud.env.run_process(driver(), name="workload")
+                except SimulationDeadlock as deadlock:
+                    # Name the first worker whose step raised (a crash
+                    # or a retirement is not an error of its own).
+                    for proc in (m.proc for m in fleet.launched):
+                        try:
+                            proc.ok or proc.value  # a failed one raises
+                        except (InstanceCrashed, InstanceRetired):
+                            continue
+                        except Exception as error:
+                            raise SimulationDeadlock(
+                                "{}: worker {!r} failed: {!r}".format(
+                                    deadlock, proc.name, error)) from error
+                    raise
         self.phases.append(PhaseRecord(
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))

@@ -16,7 +16,7 @@ from repro.config import ScaleProfile
 from repro.errors import ConfigError
 from repro.xmark.generator import GeneratedDocument, XMarkGenerator
 from repro.xmark.heterogeneity import heterogenize, restructure
-from repro.xmldb.model import Document, assign_identifiers
+from repro.xmldb.model import Document
 from repro.xmldb.serializer import serialize
 from repro.xmldb.stats import CorpusStats, corpus_stats
 
@@ -119,7 +119,6 @@ def generate_corpus(scale: Optional[ScaleProfile] = None) -> Corpus:
             changed = heterogenize(document, item.kind, rng)
             heterogenized += int(changed)
         if changed:
-            assign_identifiers(document)
             payload = serialize(document)
             document.size_bytes = len(payload)
         else:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.config import ScaleProfile
 from repro.xmark.vocabulary import Vocabulary
-from repro.xmldb.model import Document, Element, Text, assign_identifiers
+from repro.xmldb.model import Document, Element, Text
 from repro.xmldb.serializer import serialize
 
 #: Document-kind mix (fractions of the corpus, in generation order —
@@ -86,7 +86,6 @@ class XMarkGenerator:
                     builders[kind](root)
                 uri = "{}-{:05d}.xml".format(kind, serial)
                 document = Document(uri=uri, root=root)
-                assign_identifiers(document)
                 data = serialize(document)
                 document.size_bytes = len(data)
                 out.append(GeneratedDocument(document=document, data=data,

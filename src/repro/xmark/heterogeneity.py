@@ -17,7 +17,7 @@ documents:
    any given query at all.
 
 Both return ``True`` when they changed the document; callers must then
-re-assign identifiers and re-serialize.
+re-serialize it.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ provides:
 
 - :class:`~repro.xmldb.ids.NodeID` — the (pre, post, depth) identifier;
 - :class:`~repro.xmldb.model.Element` / ``Attribute`` / ``Text`` /
-  :class:`~repro.xmldb.model.Document` — an ordered tree model where
-  every node carries its NodeID;
+  :class:`~repro.xmldb.model.Document` — an ordered tree model, and
+  :func:`~repro.xmldb.model.number_nodes`, the walk that gives each
+  node its NodeID and label path;
 - :func:`~repro.xmldb.parser.parse_document` — bytes → Document;
 - :func:`~repro.xmldb.serializer.serialize` — Document → bytes;
 - :mod:`~repro.xmldb.encoding` — the compact binary ID-list codec used

@@ -38,21 +38,9 @@ class NodeID(NamedTuple):
         """True if this node is a proper ancestor of ``other``."""
         return self.pre < other.pre and self.post > other.post
 
-    def is_descendant_of(self, other: "NodeID") -> bool:
-        """True if this node is a proper descendant of ``other``."""
-        return other.is_ancestor_of(self)
-
     def is_parent_of(self, other: "NodeID") -> bool:
         """True if this node is the parent of ``other``."""
         return self.is_ancestor_of(other) and self.depth + 1 == other.depth
-
-    def is_child_of(self, other: "NodeID") -> bool:
-        """True if this node is a child of ``other``."""
-        return other.is_parent_of(self)
-
-    def follows(self, other: "NodeID") -> bool:
-        """True if this node starts after ``other``'s subtree ends."""
-        return self.pre > other.pre and self.post > other.post
 
     def as_text(self) -> str:
         """The paper's display form, e.g. ``(3, 3, 2)``."""

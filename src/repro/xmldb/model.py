@@ -1,54 +1,76 @@
-"""Ordered XML tree model with structural identifiers.
+"""Ordered XML tree model: elements, attributes and text.
 
-The model covers what the paper's indexing and querying need: elements,
-attributes and text, each carrying a :class:`~repro.xmldb.ids.NodeID`
-and its root-to-node *label path* (``inPath(n)`` in §5).  Identifier
-assignment follows the paper's running example (Figure 3): a single
-pre/post numbering over elements, attributes and text nodes, attributes
-numbered before child content, attribute values folded into the
-attribute node, and each contiguous text run forming one node.
+A node holds only what evaluation and serialization read.  Its
+:class:`~repro.xmldb.ids.NodeID` and root-to-node *label path*
+(``inPath(n)`` in §5) are an index over the document, computed by one
+walk where needed (:func:`number_nodes`).  Every walk here keeps an
+explicit stack, so any nesting depth walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import XMLError
 from repro.xmldb.ids import NodeID
 
 
-@dataclass
-class Text:
+class _Node:
+    """Structural ``==`` and ``repr`` over ``__slots__``, as dataclasses
+    give (``dataclass(slots=True)`` needs Python 3.10)."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclasses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            "{}={!r}".format(name, getattr(self, name))
+            for name in self.__slots__))
+
+
+class Text(_Node):
     """A text node: one contiguous run of character data."""
 
-    value: str
-    node_id: Optional[NodeID] = None
-    #: Label path of the *parent element* (word paths append the word).
-    parent_path: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        self.value = value
 
 
-@dataclass
-class Attribute:
+class Attribute(_Node):
     """An attribute node; its value is part of the node, not a child."""
 
-    name: str
-    value: str
-    node_id: Optional[NodeID] = None
-    #: Root-to-attribute label path, e.g. ``/epainting/aid``.
-    path: str = ""
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: str) -> None:
+        self.name = name
+        self.value = value
 
 
-@dataclass
-class Element:
+#: The attributes of every element that has none (one shared tuple).
+_NO_ATTRIBUTES: Tuple[Attribute, ...] = ()
+
+
+class Element(_Node):
     """An element node with ordered attributes and mixed content."""
 
-    label: str
-    attributes: List[Attribute] = field(default_factory=list)
-    children: List[Union["Element", Text]] = field(default_factory=list)
-    node_id: Optional[NodeID] = None
-    #: Root-to-element label path, e.g. ``/epainting/epainter/ename``.
-    path: str = ""
+    __slots__ = ("label", "attributes", "children")
+
+    def __init__(self, label: str,
+                 attributes: Optional[Sequence[Attribute]] = None,
+                 children: Optional[List[Union["Element", Text]]] = None,
+                 ) -> None:
+        self.label = label
+        self.attributes: Sequence[Attribute] = attributes or _NO_ATTRIBUTES
+        self.children: List[Union[Element, Text]] = \
+            [] if children is None else children
 
     # -- construction helpers ------------------------------------------------
 
@@ -59,8 +81,10 @@ class Element:
 
     def set_attribute(self, name: str, value: str) -> Attribute:
         """Append an attribute and return it."""
-        attr = Attribute(name=name, value=value)
-        self.attributes.append(attr)
+        attr = Attribute(name, value)
+        if not self.attributes:
+            self.attributes = []
+        self.attributes.append(attr)  # type: ignore[attr-defined]
         return attr
 
     # -- navigation ------------------------------------------------------------
@@ -68,10 +92,6 @@ class Element:
     def child_elements(self) -> List["Element"]:
         """Element children, in document order."""
         return [c for c in self.children if isinstance(c, Element)]
-
-    def text_children(self) -> List[Text]:
-        """Text children, in document order."""
-        return [c for c in self.children if isinstance(c, Text)]
 
     def attribute(self, name: str) -> Optional[Attribute]:
         """First attribute with the given name, or None."""
@@ -82,38 +102,42 @@ class Element:
 
     def iter_subtree(self) -> Iterator[Union["Element", Attribute, Text]]:
         """All nodes of this subtree in document (pre-) order,
-        attributes before children — the ID assignment order."""
+        attributes before children — the numbering order."""
         yield self
-        for attr in self.attributes:
-            yield attr
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter_subtree()
-            else:
+        yield from self.attributes
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
                 yield child
+                if isinstance(child, Element):
+                    yield from child.attributes
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def iter_elements(self) -> Iterator["Element"]:
-        """All descendant-or-self elements in document order."""
+        """All descendant-or-self elements in document order.  Children
+        are read once their element has been yielded, so a caller may
+        rewire them in between."""
         yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter_elements()
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     # -- values -------------------------------------------------------------------
 
     def string_value(self) -> str:
         """The node's *value* per the XQuery spec (§4): the concatenation
         of all its text descendants, in document order."""
-        parts: List[str] = []
-        self._collect_text(parts)
-        return "".join(parts)
-
-    def _collect_text(self, parts: List[str]) -> None:
-        for child in self.children:
-            if isinstance(child, Text):
-                parts.append(child.value)
-            else:
-                child._collect_text(parts)
+        return "".join([node.value for node in self.iter_subtree()
+                        if isinstance(node, Text)])
 
 
 @dataclass
@@ -140,47 +164,47 @@ class Document:
         """Total number of nodes (elements + attributes + texts)."""
         return sum(1 for _ in self.iter_nodes())
 
-    def elements_by_label(self, label: str) -> List[Element]:
-        """All elements with the given label, in document order."""
-        return [e for e in self.iter_elements() if e.label == label]
 
-
-def assign_identifiers(document: Document) -> None:
-    """Assign (pre, post, depth) IDs and label paths to every node.
+def number_nodes(document: Document,
+                 ) -> Iterator[Tuple[Union[Element, Attribute, Text], NodeID,
+                                     str]]:
+    """Each node's (pre, post, depth) ID and label path, in document order.
 
     Numbering follows Figure 3: one counter pair over the whole document,
     the root at pre=1 / depth=1, each element visiting its attributes
-    first and then its children; post is assigned when a node's subtree
-    completes (leaves complete immediately).  The walk keeps an explicit
-    stack of open elements, so any nesting depth numbers.
+    first and then its children, each contiguous text run one node; post
+    is assigned when a node's subtree completes.  Paths read e.g.
+    ``/epainting/ename`` and ``/epainting/aid``; a text node's is its
+    parent element's (word paths append the word).
     """
-    pre = post = 0
-    open_elements: List[tuple] = []  # (element, its pre, depth, children)
+    rows: List[list] = []  # [node, depth, path, post], in pre order
+    post = 0
+    open_elements: List[tuple] = []  # (its row, its children left)
     element: Optional[Element] = document.root
     depth, parent_path = 1, ""
     while element is not None:
-        pre += 1
-        open_elements.append((element, pre, depth, iter(element.children)))
-        path = element.path = "{}/e{}".format(parent_path, element.label)
+        path = "{}/e{}".format(parent_path, element.label)
+        rows.append([element, depth, path, 0])  # post set on completion
+        open_elements.append((rows[-1], iter(element.children)))
         for attr in element.attributes:
-            pre += 1
             post += 1
-            attr.node_id = NodeID(pre, post, depth + 1)
-            attr.path = "{}/a{}".format(path, attr.name)
+            rows.append([attr, depth + 1, "{}/a{}".format(path, attr.name),
+                         post])
         element = None
         while open_elements and element is None:
-            parent, parent_pre, depth, children = open_elements[-1]
+            row, children = open_elements[-1]
+            depth, path = row[1], row[2]
             for child in children:
                 if isinstance(child, Element):
-                    element, depth, parent_path = child, depth + 1, parent.path
+                    element, depth, parent_path = child, depth + 1, path
                     break
                 if not isinstance(child, Text):
                     raise XMLError("unexpected child node {!r}".format(child))
-                pre += 1
                 post += 1
-                child.node_id = NodeID(pre, post, depth + 1)
-                child.parent_path = parent.path
+                rows.append([child, depth + 1, path, post])
             else:
                 open_elements.pop()
                 post += 1
-                parent.node_id = NodeID(parent_pre, post, depth)
+                row[3] = post
+    for pre, (node, depth, path, post) in enumerate(rows, 1):
+        yield node, NodeID(pre, post, depth), path

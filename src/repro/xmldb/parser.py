@@ -2,8 +2,7 @@
 
 Parsing uses the stdlib expat-backed :mod:`xml.etree.ElementTree` for
 well-formedness and then converts to our ordered model, preserving mixed
-content (``text`` / ``tail``) and attribute order, before assigning
-(pre, post, depth) identifiers.  The index write path walks the same
+content (``text`` / ``tail``) and attribute order.  The index write path walks the same
 parse's tree itself (:func:`parse_tree`) and builds no model.
 """
 
@@ -13,7 +12,7 @@ import xml.etree.ElementTree as ET
 from typing import Union
 
 from repro.errors import XMLParseError
-from repro.xmldb.model import Attribute, Document, Element, Text, assign_identifiers
+from repro.xmldb.model import Attribute, Document, Element, Text
 
 
 def parse_tree(data: bytes, uri: str) -> ET.Element:
@@ -51,13 +50,11 @@ def _convert(source: ET.Element) -> Element:
 
 
 def parse_document(data: Union[bytes, str], uri: str) -> Document:
-    """Parse XML ``data`` into a :class:`Document` with IDs assigned.
+    """Parse XML ``data`` into a :class:`Document`.
 
     Raises :class:`~repro.errors.XMLParseError` on malformed input.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    document = Document(uri=uri, root=_convert(parse_tree(data, uri)),
-                        size_bytes=len(data))
-    assign_identifiers(document)
-    return document
+    return Document(uri=uri, root=_convert(parse_tree(data, uri)),
+                    size_bytes=len(data))

@@ -2,13 +2,13 @@
 
 The serializer produces canonical-ish XML: attributes in model order,
 text exactly as stored, no insignificant whitespace added.  It is the
-inverse of :func:`repro.xmldb.parser.parse_document` up to ID
-re-assignment, a property the test suite checks with hypothesis.
+inverse of :func:`repro.xmldb.parser.parse_document`, a property the
+test suite checks with hypothesis.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.xmldb.model import Document, Element, Text
 
@@ -31,29 +31,33 @@ def escape_attr(value: str) -> str:
 
 
 def serialize_element(element: Element) -> str:
-    """Serialize one element subtree to an XML string."""
+    """Serialize one element subtree to an XML string (an explicit
+    stack of open elements, so any nesting depth serializes)."""
     parts: List[str] = []
-    _write(element, parts)
+    # (label to close, children left); the outer frame closes nothing.
+    stack: List[Tuple[str, Iterator[Union[Element, Text]]]] = [
+        ("", iter((element,)))]
+    while stack:
+        label, nodes = stack[-1]
+        for node in nodes:
+            if isinstance(node, Text):
+                parts.append(escape_text(node.value))
+                continue
+            parts.append("<")
+            parts.append(node.label)
+            for attr in node.attributes:
+                parts.append(' {}="{}"'.format(attr.name,
+                                               escape_attr(attr.value)))
+            if node.children:
+                parts.append(">")
+                stack.append((node.label, iter(node.children)))
+                break
+            parts.append("/>")
+        else:
+            stack.pop()
+            if stack:
+                parts.extend(("</", label, ">"))
     return "".join(parts)
-
-
-def _write(node: Union[Element, Text], parts: List[str]) -> None:
-    if isinstance(node, Text):
-        parts.append(escape_text(node.value))
-        return
-    parts.append("<")
-    parts.append(node.label)
-    for attr in node.attributes:
-        parts.append(' {}="{}"'.format(attr.name, escape_attr(attr.value)))
-    if not node.children:
-        parts.append("/>")
-        return
-    parts.append(">")
-    for child in node.children:
-        _write(child, parts)
-    parts.append("</")
-    parts.append(node.label)
-    parts.append(">")
 
 
 def serialize(document: Document) -> bytes:

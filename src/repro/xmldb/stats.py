@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Set
 
-from repro.xmldb.model import Attribute, Document, Element, Text
+from repro.xmldb.model import Attribute, Document, Element, Text, number_nodes
 
 
 @dataclass
@@ -43,16 +43,15 @@ def document_stats(document: Document) -> DocumentStats:
     from repro.query.predicates import tokenize
 
     stats = DocumentStats(uri=document.uri, size_bytes=document.size_bytes)
-    for node in document.iter_nodes():
+    for node, node_id, path in number_nodes(document):
         if isinstance(node, Element):
             stats.element_count += 1
             stats.label_counts[node.label] += 1
-            stats.distinct_paths.add(node.path)
-            if node.node_id is not None:
-                stats.max_depth = max(stats.max_depth, node.node_id.depth)
+            stats.distinct_paths.add(path)
+            stats.max_depth = max(stats.max_depth, node_id.depth)
         elif isinstance(node, Attribute):
             stats.attribute_count += 1
-            stats.distinct_paths.add(node.path)
+            stats.distinct_paths.add(path)
             stats.attribute_names.add(node.name)
         elif isinstance(node, Text):
             stats.text_count += 1

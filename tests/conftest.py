@@ -14,7 +14,7 @@ from repro.cloud import CloudProvider
 from repro.config import TEST_SCALE
 from repro.sim import Environment
 from repro.xmark import generate_corpus
-from repro.xmldb.model import Document, Element, Text, assign_identifiers
+from repro.xmldb.model import Document, Element, Text
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -62,7 +62,6 @@ def build_painting(uri: str, painting_id: str, name: str, first: str,
     painter.add(painter_name)
     painting.add(painter)
     document = Document(uri=uri, root=painting)
-    assign_identifiers(document)
     from repro.xmldb.serializer import serialize
     document.size_bytes = len(serialize(document))
     return document

@@ -4,6 +4,7 @@ oracle, and the columnar semi-join kernels on the paper's example."""
 import pytest
 
 from tests.engine.oracles import stack_tree_join
+from tests.model_helpers import element_ids, elements_by_label, node_ids
 
 from repro.engine.columnar import (block_semi_join_ancestors,
                                    block_semi_join_descendants)
@@ -12,7 +13,8 @@ from repro.xmldb.ids import NodeID
 
 
 def _ids(document, label):
-    return [e.node_id for e in document.elements_by_label(label)]
+    ids = node_ids(document)
+    return [ids[id(e)] for e in elements_by_label(document, label)]
 
 
 def test_simple_ancestor_descendant(manet):
@@ -92,9 +94,7 @@ def test_matches_naive_cross_product():
     from repro.xmark import generate_corpus
     corpus = generate_corpus(ScaleProfile(documents=6, seed=5))
     document = rng.choice(corpus.documents)
-    all_ids = sorted(
-        (e.node_id for e in document.iter_elements()),
-        key=lambda n: n.pre)
+    all_ids = sorted(element_ids(document), key=lambda n: n.pre)
     half_a = all_ids[::2]
     half_b = all_ids[1::2]
     expected = [(a, d) for d in half_b for a in half_a

@@ -4,7 +4,8 @@ The write path extracts postings from a document's bytes in one walk
 over the parser's tree (``repro.indexing.entries.collect_occurrences``)
 and builds no document model.  These are the forms it replaced: a walk
 over a parsed :class:`~repro.xmldb.model.Document` grouping its nodes'
-identifiers and label paths per key, and each strategy's projection of
+identifiers and label paths (from :func:`~repro.xmldb.model.number_nodes`)
+per key, and each strategy's projection of
 that walk into stored postings and entry objects.  The production path
 must produce the same postings (key order, values, ``attr_bytes``,
 ``piece``) and the same ``ExtractionStats`` for every document that
@@ -19,7 +20,7 @@ from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key, text_word_keys)
 from repro.xmldb.encoding import encode_ids
 from repro.xmldb.ids import NodeID
-from repro.xmldb.model import Attribute, Document, Element, Text
+from repro.xmldb.model import Attribute, Document, Element, Text, number_nodes
 
 
 class KeyOccurrences:
@@ -44,19 +45,17 @@ def collect_occurrences(document: Document, include_words: bool = True,
     (Figure 3/4: ``wOlympia`` → (4, 2, 3), ``/epainting/ename/wOlympia``).
     """
     groups: Dict[str, KeyOccurrences] = {}
-    for node in document.iter_nodes():
-        node_id = node.node_id
+    for node, node_id, path in number_nodes(document):
         if isinstance(node, Element):
-            occurrences = ((element_key(node.label), node.path),)
+            occurrences = ((element_key(node.label), path),)
         elif isinstance(node, Attribute):
             # Two keys per attribute: name-only and name+value (§5).
-            path = node.path
             value_key = attribute_value_key(node.name, node.value)
             occurrences = (
                 (attribute_key(node.name), path),
                 (value_key, path.rsplit("/", 1)[0] + "/" + value_key))
         elif include_words and isinstance(node, Text):
-            step = node.parent_path + "/"
+            step = path + "/"
             occurrences = [(key, step + key)
                            for key in text_word_keys(node.value)]
         else:

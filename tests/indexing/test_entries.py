@@ -13,6 +13,7 @@ from repro.errors import XMLParseError
 from repro.indexing import entries
 from repro.indexing.entries import IndexEntry
 from repro.xmldb.ids import NodeID
+from repro.xmldb.model import number_nodes
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
@@ -111,8 +112,8 @@ class TestCollectFromBytes:
                 small_corpus.data[document.uri], document.uri)
             model = parse_document(small_corpus.data[document.uri],
                                    document.uri)
-            assert rows[1:] == [tuple(node.node_id)
-                                for node in model.iter_nodes()]
+            assert rows[1:] == [tuple(node_id)
+                                for _, node_id, _ in number_nodes(model)]
 
     def test_text_is_numbered_without_words(self):
         """Word keys off, text nodes still take their ordinals: a tail

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from repro.query.pattern import Axis, PatternNode, TreePattern
 from repro.query.predicates import Contains, Equals
 from repro.xmldb.ids import NodeID
-from repro.xmldb.model import (Attribute, Document, Element, Text,
-                               assign_identifiers)
+from repro.xmldb.model import Document, Element, Text
 
 #: Small label/word alphabets keep collision probability high, which is
 #: what exercises the interesting index/join paths.
@@ -59,9 +58,8 @@ def elements(draw, max_depth: int = 3) -> Element:
 
 @st.composite
 def documents(draw) -> Document:
-    """A random identified document."""
+    """A random document."""
     document = Document(uri="doc.xml", root=draw(elements()))
-    assign_identifiers(document)
     from repro.xmldb.serializer import serialize
     document.size_bytes = len(serialize(document))
     return document

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from tests.engine.oracles import (HolisticTwigJoin, semi_join_ancestors,
                                   semi_join_descendants, stack_tree_join)
 from tests.indexing.extraction_oracle import collect_occurrences
+from tests.model_helpers import element_ids
 from tests.properties.strategies import documents, twig_patterns
 
 from repro.engine.columnar import (BlockTwigJoin, block_semi_join_ancestors,
@@ -27,6 +28,7 @@ from repro.indexing.lookup_plans import expand_pattern_for_twig
 from repro.query.parser import parse_pattern
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import encode_ids
+from repro.xmldb.model import number_nodes
 
 pytestmark = pytest.mark.engine
 
@@ -48,8 +50,7 @@ def _streams(document, pattern):
 
 
 def _halves(document):
-    ids = sorted((e.node_id for e in document.iter_elements()),
-                 key=lambda n: n.pre)
+    ids = element_ids(document)
     return ids[::2], ids[1::2]
 
 
@@ -116,8 +117,7 @@ def test_existence_checks_agree_on_random_sorted_streams(document, pattern,
     sorted subset of one document's node IDs, so about half the twigs
     have a witness and the memoised top-down search really runs."""
     rng = random.Random(seed)
-    ids = sorted((node.node_id for node in document.iter_nodes()),
-                 key=lambda nid: nid.pre)
+    ids = [nid for _, nid, _ in number_nodes(document)]
     keep = rng.choice((0.5, 0.9, 1.0))
     _assert_existence_checks_agree(pattern, [
         [nid for nid in ids if rng.random() < keep]
@@ -190,8 +190,7 @@ def test_degraded_resort_path_agrees(document, pattern_text, seed):
 @given(documents())
 @settings(max_examples=60)
 def test_lazy_round_trip_preserves_ids(document):
-    ids = sorted((e.node_id for e in document.iter_elements()),
-                 key=lambda n: n.pre)
+    ids = element_ids(document)
     block = IDBlock.from_encoded(encode_ids(ids))
     assert len(block) == len(ids)  # count without decode
     assert block.to_ids() == ids

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tests.engine.oracles import HolisticTwigJoin, stack_tree_join
 from tests.indexing.extraction_oracle import collect_occurrences
+from tests.model_helpers import element_ids
 from tests.properties.strategies import documents
 
 from repro.engine.evaluator import pattern_matches
@@ -40,8 +41,7 @@ def test_twig_join_agrees_with_evaluator(document, pattern_text):
 @given(documents())
 @settings(max_examples=60)
 def test_structural_join_matches_cross_product(document):
-    ids = sorted((e.node_id for e in document.iter_elements()),
-                 key=lambda n: n.pre)
+    ids = element_ids(document)
     left = ids[::2]
     right = ids[1::2]
     expected = sorted(
@@ -53,8 +53,7 @@ def test_structural_join_matches_cross_product(document):
 @given(documents())
 @settings(max_examples=60)
 def test_parent_child_join_is_subset_of_descendant_join(document):
-    ids = sorted((e.node_id for e in document.iter_elements()),
-                 key=lambda n: n.pre)
+    ids = element_ids(document)
     left, right = ids[::2], ids[1::2]
     loose = set(stack_tree_join(left, right))
     strict = set(stack_tree_join(left, right, parent_child=True))

@@ -4,11 +4,13 @@ degenerate inputs."""
 import pytest
 
 from repro.config import ScaleProfile
+from repro.engine.evaluator import evaluate_query, result_size_bytes
 from repro.query.parser import parse_query
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 from repro.xmark.corpus import Corpus
-from repro.xmldb.model import Document, Element, Text, assign_identifiers
+from repro.xmldb.model import Document, Element, Text
+from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
 
@@ -19,7 +21,6 @@ def _single_document_corpus():
     name.add(Text(value="Olympia"))
     root.add(name)
     document = Document(uri="only.xml", root=root)
-    assign_identifiers(document)
     data = serialize(document)
     document.size_bytes = len(data)
     return Corpus(documents=[document], data={"only.xml": data})
@@ -52,6 +53,41 @@ class TestOneDocumentWarehouse:
     def test_more_workers_than_documents(self, warehouse):
         built = warehouse.build_index("LU", config={"loaders": 6})
         assert built.report.documents == 1
+
+
+class TestDeepDocument:
+    """A document nested far below the interpreter's recursion limit is
+    stored, indexed, queried and serialized: every walk over the model
+    (``iter_elements``, ``iter_nodes``, ``string_value``, the
+    evaluator's descendant axis, ``serialize`` and ``subtree_xml``)
+    keeps an explicit stack."""
+
+    DEPTH = 5000
+    DATA = (b"<r>" + b'<a k="v">' * DEPTH + b"<leaf>gold</leaf>"
+            + b"</a>" * DEPTH + b"</r>")
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return parse_document(self.DATA, "deep.xml")
+
+    def test_round_trips_through_serialize(self, deep):
+        assert serialize(deep) == self.DATA
+        assert deep.node_count() == 2 * self.DEPTH + 3
+        assert sum(1 for _ in deep.iter_elements()) == self.DEPTH + 2
+
+    @pytest.mark.parametrize("text", [
+        "//r{val}", "//r{cont}", "//r//leaf{val}", "//a/leaf{cont}",
+        "//r//a/@k{val}"])
+    def test_queried_as_the_engine_answers(self, deep, text):
+        warehouse = Warehouse()
+        warehouse.upload_corpus(Corpus(documents=[deep],
+                                       data={deep.uri: self.DATA}))
+        index = warehouse.build_index("LUI", config={"loaders": 1})
+        query = parse_query(text, name="deep")
+        direct = evaluate_query(query, [deep])
+        execution = warehouse.run_query(query, index)
+        assert direct and execution.result_rows == len(direct)
+        assert execution.result_bytes == result_size_bytes(direct)
 
 
 class TestMinimalScale:

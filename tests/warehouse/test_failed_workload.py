@@ -38,10 +38,14 @@ def test_a_failed_worker_fails_the_workload_typed_and_the_next_answers(
         deployed, monkeypatch):
     warehouse, index = deployed
     real = query_processor.join_query_rows
-    monkeypatch.setattr(query_processor, "join_query_rows",
-                        _raising(RuntimeError("worker bug")))
-    with pytest.raises(SimulationDeadlock):
+    bug = RuntimeError("worker bug")
+    monkeypatch.setattr(query_processor, "join_query_rows", _raising(bug))
+    with pytest.raises(SimulationDeadlock) as raised:
         warehouse.run_workload([workload_query("q1")], index)
+    # The deadlock names the worker that failed and chains its error.
+    assert "'qworker-1'" in str(raised.value)
+    assert "worker bug" in str(raised.value)
+    assert raised.value.__cause__ is bug
     monkeypatch.setattr(query_processor, "join_query_rows", real)
     query = workload_query("q1")
     execution = warehouse.run_query(query, index)

@@ -1,8 +1,12 @@
 """Unit tests for corpus assembly and slicing."""
 
+import dataclasses
+import hashlib
+from collections import Counter
+
 import pytest
 
-from repro.config import ScaleProfile
+from repro.config import TEST_SCALE, ScaleProfile
 from repro.errors import ConfigError
 from repro.xmark import generate_corpus
 from repro.xmldb.parser import parse_document
@@ -33,6 +37,47 @@ def test_document_lookup(small_corpus):
     assert small_corpus.document(uri).uri == uri
     with pytest.raises(KeyError):
         small_corpus.document("missing.xml")
+
+
+def _stats_digest(stats):
+    fields = []
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if isinstance(value, Counter):
+            value = sorted(value.items())
+        elif isinstance(value, set):
+            value = sorted(value)
+        fields.append((field.name, value))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def _bytes_digest(corpus):
+    digest = hashlib.sha256()
+    for document in corpus.documents:
+        for part in (document.uri.encode(), corpus.data[document.uri]):
+            digest.update(part)
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+#: ``TEST_SCALE`` and a 400-document ``ScaleProfile()``: digests of the
+#: corpus bytes and of ``Corpus.stats()``, taken when every model node
+#: still stored its identifier and path.  Numbering moved to a walk;
+#: neither the bytes nor the statistics may move with it.
+_PINNED = {
+    40: ("0c62ec937fb370440d590aafe4c586a548ec167de74e25f49a4dbe62227fcfcf",
+         "75f028161e3a03e5c2ee0320efd8b53b5cfdc49be6cbcbefd5b94bb5cbfcfec9"),
+    400: ("afcae7766d838e255d059998ffe9d5cf55ef9afbdcad6ccdea840786c09b98a9",
+          "018e860e812bf88c585d91327620a646f039790a316eaf32293bb6cf1a9ce5de"),
+}
+
+
+@pytest.mark.parametrize("documents", sorted(_PINNED))
+def test_corpus_bytes_and_stats_are_pinned(documents):
+    corpus = generate_corpus(TEST_SCALE if documents == TEST_SCALE.documents
+                             else ScaleProfile(documents=documents))
+    assert (_bytes_digest(corpus), _stats_digest(corpus.stats())) == \
+        _PINNED[documents]
 
 
 def test_deterministic_generation():

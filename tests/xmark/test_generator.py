@@ -1,5 +1,7 @@
 """Unit tests for the XMark-style document generator."""
 
+from tests.model_helpers import elements_by_label
+
 from repro.config import ScaleProfile
 from repro.xmark.generator import KIND_MIX, XMarkGenerator
 from repro.xmldb.parser import parse_document
@@ -59,16 +61,16 @@ def test_cross_references_resolvable():
     person_ids = set()
     item_ids = set()
     for g in generated:
-        for person in g.document.elements_by_label("person"):
+        for person in elements_by_label(g.document, "person"):
             person_ids.add(person.attribute("id").value)
-        for item in g.document.elements_by_label("item"):
+        for item in elements_by_label(g.document, "item"):
             item_ids.add(item.attribute("id").value)
     referenced_persons = set()
     referenced_items = set()
     for g in generated:
-        for seller in g.document.elements_by_label("seller"):
+        for seller in elements_by_label(g.document, "seller"):
             referenced_persons.add(seller.attribute("person").value)
-        for itemref in g.document.elements_by_label("itemref"):
+        for itemref in elements_by_label(g.document, "itemref"):
             referenced_items.add(itemref.attribute("item").value)
     assert referenced_persons and referenced_persons <= person_ids
     assert referenced_items and referenced_items <= item_ids

@@ -7,7 +7,6 @@ import pytest
 from repro.config import ScaleProfile
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.heterogeneity import heterogenize, restructure
-from repro.xmldb.model import assign_identifiers
 from repro.xmldb.stats import document_stats
 
 
@@ -31,7 +30,6 @@ class TestRestructure:
         assert "/eitems/eitem/ename" in before.distinct_paths
         changed = restructure(document, "items", random.Random(0))
         assert changed
-        assign_identifiers(document)
         after = document_stats(document)
         # Labels preserved...
         assert after.label_counts["name"] >= 1
@@ -45,7 +43,6 @@ class TestRestructure:
         document = g.document
         before = document.node_count()
         restructure(document, "items", random.Random(0))
-        assign_identifiers(document)
         assert document.node_count() == before
 
     def test_people_address_moves_under_profile(self, generated):
@@ -54,7 +51,6 @@ class TestRestructure:
                 continue
             document = g.document
             if restructure(document, "people", random.Random(0)):
-                assign_identifiers(document)
                 stats = document_stats(document)
                 assert any("/eprofile/eaddress" in p
                            for p in stats.distinct_paths)
@@ -72,7 +68,6 @@ class TestHeterogenize:
         changed = heterogenize(document, "items", random.Random(1),
                                drop_probability=1.0)
         assert changed
-        assign_identifiers(document)
         after = document_stats(document)
         for label in ("payment", "location", "shipping"):
             assert after.label_counts[label] == 0, label

@@ -9,7 +9,6 @@ from repro.xmark.generator import XMarkGenerator
 from repro.xmark.heterogeneity import heterogenize, restructure
 from repro.xmark.schema import (SCHEMA, validate_document,
                                 validate_references)
-from repro.xmldb.model import assign_identifiers
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,6 @@ def test_restructuring_shows_as_violations(pristine):
             continue
         document = generated.document
         if restructure(document, "items", rng):
-            assign_identifiers(document)
             violations = validate_document(document, "items")
             kinds = {v.kind for v in violations}
             assert "missing-child" in kinds  # name left the item
@@ -58,7 +56,6 @@ def test_heterogenisation_shows_as_missing_children(pristine):
             continue
         document = generated.document
         if heterogenize(document, "items", rng, drop_probability=1.0):
-            assign_identifiers(document)
             violations = validate_document(document, "items")
             missing = {v.detail for v in violations
                        if v.kind == "missing-child"}
@@ -74,6 +71,5 @@ def test_schema_covers_all_generator_kinds(pristine):
 def test_wrong_root_reported():
     from repro.xmldb.model import Document, Element
     document = Document(uri="x", root=Element(label="zoo"))
-    assign_identifiers(document)
     violations = validate_document(document, "items")
     assert violations and violations[0].kind == "unknown-child"

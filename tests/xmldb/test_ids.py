@@ -1,5 +1,7 @@
 """Unit tests for (pre, post, depth) structural identifiers."""
 
+from tests.model_helpers import follows, is_child_of, is_descendant_of
+
 from repro.xmldb.ids import NodeID
 
 
@@ -8,7 +10,7 @@ def test_ancestor_relation():
     name = NodeID(3, 3, 2)
     text = NodeID(4, 2, 3)
     assert name.is_ancestor_of(text)
-    assert text.is_descendant_of(name)
+    assert is_descendant_of(text, name)
     assert not text.is_ancestor_of(name)
 
 
@@ -19,7 +21,7 @@ def test_parent_requires_adjacent_depth():
     assert painting.is_parent_of(name)
     assert not painting.is_parent_of(text)  # ancestor but not parent
     assert name.is_parent_of(text)
-    assert text.is_child_of(name)
+    assert is_child_of(text, name)
 
 
 def test_self_is_not_ancestor():
@@ -32,8 +34,8 @@ def test_siblings_not_related():
     second = NodeID(3, 2, 2)
     assert not first.is_ancestor_of(second)
     assert not second.is_ancestor_of(first)
-    assert second.follows(first)
-    assert not first.follows(second)
+    assert follows(second, first)
+    assert not follows(first, second)
 
 
 def test_sorting_is_document_order():

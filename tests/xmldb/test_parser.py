@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import XMLParseError
 from repro.xmldb.ids import NodeID
-from repro.xmldb.model import Text
+from repro.xmldb.model import Text, number_nodes
 from repro.xmldb.parser import parse_document
 
 
@@ -17,8 +17,9 @@ def test_parse_simple_document():
 
 
 def test_parse_assigns_identifiers():
+    """A parsed document numbers as Figure 3 does, through the walk."""
     doc = parse_document(b"<a><b/><c/></a>", "t.xml")
-    labels = {e.label: e.node_id for e in doc.iter_elements()}
+    labels = {node.label: node_id for node, node_id, _ in number_nodes(doc)}
     assert labels["a"] == NodeID(1, 3, 1)
     assert labels["b"] == NodeID(2, 1, 2)
     assert labels["c"] == NodeID(3, 2, 2)
@@ -79,10 +80,13 @@ def test_deep_document_parses():
     numbered like any other."""
     depth = 5000
     doc = parse_document(b"<a>" * depth + b"x" + b"</a>" * depth, "deep.xml")
-    assert doc.root.node_id == NodeID(1, depth + 1, 1)
+    numbered = list(number_nodes(doc))
+    assert numbered[0][:2] == (doc.root, NodeID(1, depth + 1, 1))
     element = doc.root
     for level in range(2, depth + 1):
         element = element.children[0]
-    assert element.node_id == NodeID(depth, 2, depth)
-    assert element.children[0].node_id == NodeID(depth + 1, 1, depth + 1)
-    assert element.path.count("/") == depth
+    node, node_id, path = numbered[depth - 1]
+    assert node is element and node_id == NodeID(depth, 2, depth)
+    assert numbered[depth][0] is element.children[0]
+    assert numbered[depth][1] == NodeID(depth + 1, 1, depth + 1)
+    assert path.count("/") == depth

@@ -1,6 +1,8 @@
 """Unit tests for serialization (and the parse round-trip)."""
 
-from repro.xmldb.model import Document, Element, Text, assign_identifiers
+from tests.model_helpers import elements_by_label
+
+from repro.xmldb.model import Document, Element, Text, number_nodes
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import (escape_attr, escape_text, serialize,
                                     serialize_element, subtree_xml)
@@ -36,12 +38,12 @@ def test_round_trip_paper_document(manet):
     reparsed = parse_document(data, manet.uri)
     assert serialize(reparsed) == data
     assert reparsed.node_count() == manet.node_count()
-    assert [n.node_id for n in reparsed.iter_nodes()] == \
-        [n.node_id for n in manet.iter_nodes()]
+    assert [(i, p) for _, i, p in number_nodes(reparsed)] == \
+        [(i, p) for _, i, p in number_nodes(manet)]
 
 
 def test_subtree_xml_is_cont_annotation(manet):
-    painter = manet.elements_by_label("painter")[0]
+    painter = elements_by_label(manet, "painter")[0]
     xml = subtree_xml(painter)
     assert xml.startswith("<painter>")
     assert "<last>Manet</last>" in xml
@@ -51,5 +53,4 @@ def test_serialize_returns_utf8_bytes():
     root = Element(label="a")
     root.add(Text(value="héllo"))
     document = Document(uri="t", root=root)
-    assign_identifiers(document)
     assert serialize(document) == "<a>héllo</a>".encode("utf-8")
