@@ -68,7 +68,7 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # (innermost wins): its reads, cached or billed, and the view
           # check of the items read.
           "read_keys",
-          "_build_report", "record",  # ``record`` is Meter.record
+          "_serving_report", "record",  # ``record`` is Meter.record
           # The write side (``ingest-live``, ``build-2lupi``): the
           # compaction fold and its regroup of the scanned items, the
           # epoch commit and the content digests (an epoch's, a

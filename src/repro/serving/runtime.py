@@ -1,52 +1,50 @@
-"""The serving runtime: traffic, admission, elastic fleet, report.
+"""The serving runtime: an open workload's arrival source and stages.
 
-One :class:`ServingRuntime` drives a complete open-workload run on an
-already-provisioned warehouse:
+A :class:`ServingRuntime` serves one open workload on an
+already-provisioned warehouse through the one query driver
+(:class:`~repro.warehouse.driver.QueryDriver`), which submits, collects,
+launches and drains the fleet, runs and prices.  What the runtime adds
+is what only an open workload needs:
 
-1. a :class:`~repro.serving.traffic.TrafficGenerator` materialises the
-   arrival schedule; a traffic process replays it against the front
-   end, consulting the :class:`~repro.serving.admission.
-   AdmissionController` at each arrival (shed arrivals never enqueue;
-   degraded ones carry the flag into their ``QueryRequest``);
-2. a :class:`~repro.serving.autoscaler.Fleet` of long-lived
-   :class:`~repro.warehouse.query_processor.QueryWorker` processes
-   consumes the query queue, grown and shrunk by the
-   :class:`~repro.serving.autoscaler.Autoscaler` (or held fixed when
-   the deployment has no autoscale policy);
-3. a collector process fetches responses as they appear (so measured
-   latency is the user's: arrival → results in hand), deduplicating
-   redelivered answers by query id;
-4. when every admitted query has answered, workers drain through the
-   usual poison pills, instances stop, and the run is folded into a
-   :class:`~repro.serving.report.ServingReport` with the exact
-   span-vs-estimator dollar tie-out.
-
-The whole run executes under one ``serve`` span and one meter tag, so
-the report's request dollars are attributable to the last float bit.
+1. the arrival source: a :class:`~repro.serving.traffic.TrafficGenerator`
+   schedule (one seeded stream per tenant, merged in time order) that a
+   traffic process replays against the front end, asking the
+   :class:`~repro.serving.admission.AdmissionController` at each arrival
+   (a shed arrival never enqueues; a degraded one carries the flag into
+   its ``QueryRequest``);
+2. the stages the deployment turns on: the fair-share dispatcher, the
+   :class:`~repro.serving.autoscaler.Autoscaler` (or a fixed fleet),
+   the spot market, the region switch with its replicator and failover
+   controller, and background feeds (live ingestion, compaction);
+3. the completion rule: a collector process fetches responses as they
+   appear (latency is the user's: arrival → results in hand), and the
+   run ends once every admitted query has answered;
+4. the :class:`~repro.serving.report.ServingReport`, folded from the
+   driver's records, with the exact span-versus-estimator dollar
+   tie-out (the run is one ``serve`` span under one meter tag).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.costs.estimator import CostBreakdown, price_records
+from repro.costs.estimator import CostBreakdown
 from repro.errors import ConfigError, ProcessInterrupted
 from repro.mutations.live import LiveIndex
 from repro.query.pattern import Query
 from repro.query.workload import workload_query
 from repro.serving.admission import DEGRADE, SHED, AdmissionController
-from repro.serving.autoscaler import MARKET_SPOT, Autoscaler, Fleet
+from repro.serving.autoscaler import Autoscaler
 from repro.serving.report import QueryOutcome, ServingReport, percentile
 from repro.serving.traffic import TrafficGenerator, TrafficProfile
 from repro.tenancy import (DEFAULT_TENANT, SCHEDULER_FAIR, SHARED_TENANT,
                            FairShareQueue, TenantBill)
-from repro.tenancy import QueryRequest as TenantQueryRequest
-from repro.telemetry.costing import inclusive_costs
 from repro.tenancy.billing import partition_costs, reconcile
+from repro.warehouse.driver import QueryDriver
+from repro.warehouse.fleet import MARKET_ON_DEMAND, MARKET_SPOT
 from repro.warehouse.messages import QUERY_QUEUE
-from repro.warehouse.query_processor import QueryWorkStats
 
 __all__ = ["ServingRuntime"]
 
@@ -67,12 +65,10 @@ DISPATCH_WINDOW = 2
 
 
 class ServingRuntime:
-    """Orchestrates one open-workload serving run."""
+    """Serves one open workload; its stages stay on it for the report."""
 
     def __init__(self, warehouse: Any, profile: TrafficProfile,
                  index: Optional[Any], deployment: Any,
-                 degraded_indexes: Optional[Sequence[Any]] = None,
-                 queries: Optional[Mapping[str, Query]] = None,
                  background: Optional[Sequence[Any]] = None,
                  tag: Optional[str] = None) -> None:
         if deployment.failover and isinstance(index, LiveIndex):
@@ -82,7 +78,6 @@ class ServingRuntime:
         self.profile = profile
         self.index = index
         self.deployment = deployment
-        self.degraded_indexes = list(degraded_indexes or [])
         #: Generator factories run alongside traffic (live-ingestion
         #: feeds, compaction tickers); the run waits for them to finish,
         #: and their metered requests bill into the serving tag/span.
@@ -91,34 +86,25 @@ class ServingRuntime:
         self.tag = tag or "serve:{}:{}:{}".format(
             self.strategy_name, profile.arrival, next(warehouse._serve_ids))
         self.tenancy = deployment.tenancy
-        if queries is not None:
-            self._queries: Dict[str, Query] = dict(queries)
-        else:
-            mix_names = set(profile.mix)
-            if self.tenancy is not None:
-                for spec in self.tenancy.tenants:
-                    if spec.traffic is not None:
-                        mix_names |= set(spec.traffic.mix)
-            self._queries = {name: workload_query(name)
-                             for name in sorted(mix_names)}
+        mix_names = set(profile.mix)
+        if self.tenancy is not None:
+            for spec in self.tenancy.tenants:
+                if spec.traffic is not None:
+                    mix_names |= set(spec.traffic.mix)
+        self._queries: Dict[str, Query] = {
+            name: workload_query(name) for name in sorted(mix_names)}
 
     # -- pieces ------------------------------------------------------------
 
     def _degraded_lookups(self) -> Optional[Any]:
         """What makes each worker's degraded look-up, when admission can
-        degrade arrivals; ``None`` otherwise."""
+        degrade arrivals; ``None`` otherwise.  A degraded query takes
+        the degradation ladder's last rung: the full S3 scan, the
+        paper's no-index path."""
         warehouse = self.warehouse
         admission = self.deployment.admission
         if admission is None or not admission.degradation_enabled:
             return None
-        if self.degraded_indexes:
-            from repro.consistency import DegradedIndexChain
-            chain = DegradedIndexChain(
-                warehouse.cloud, self.degraded_indexes,
-                warehouse._all_uris, health=warehouse.health)
-            return chain.make_lookup
-        # No fallback indexes: degraded queries take the ladder's last
-        # rung — the full S3 scan, the paper's no-index path.
         from repro.consistency.degradation import DegradingLookup
         return functools.partial(
             DegradingLookup, warehouse.cloud, [],
@@ -176,6 +162,30 @@ class ServingRuntime:
                 weighted += (t1 - t0) * size
         return weighted / (end - start)
 
+    def _schedule(self) -> List[Tuple[float, str, str]]:
+        """The arrivals as ``(offset, query name, tenant)``.
+
+        Under tenancy each tenant has its own seeded stream (its own
+        profile, or the shared one reseeded per tenant so streams
+        differ), merged in time order.  The merge is
+        scheduler-independent: the fair and FIFO arms replay identical
+        arrivals.
+        """
+        profile = self.profile
+        if self.tenancy is None:
+            return [(offset, name, DEFAULT_TENANT) for offset, name in
+                    TrafficGenerator(profile).schedule()]
+        schedule = []
+        for idx, spec in enumerate(self.tenancy.tenants):
+            tenant_profile = spec.traffic
+            if tenant_profile is None:
+                tenant_profile = dataclasses.replace(
+                    profile, seed=profile.seed + idx)
+            for offset, name in TrafficGenerator(tenant_profile).schedule():
+                schedule.append((offset, name, spec.name))
+        schedule.sort(key=lambda item: (item[0], item[2], item[1]))
+        return schedule
+
     # -- the run -----------------------------------------------------------
 
     def run(self) -> ServingReport:
@@ -184,31 +194,11 @@ class ServingRuntime:
         cloud = warehouse.cloud
         env = cloud.env
         deployment = self.deployment
-        profile = self.profile
-
         tenancy = self.tenancy
-        if tenancy is None:
-            schedule = [(offset, name, DEFAULT_TENANT)
-                        for offset, name in
-                        TrafficGenerator(profile).schedule()]
-        else:
-            # One seeded arrival stream per tenant (its own profile, or
-            # the shared profile reseeded per tenant so streams differ),
-            # merged in time order.  The merge is scheduler-independent:
-            # the fair and FIFO arms replay *identical* arrivals.
-            schedule = []
-            for idx, spec in enumerate(tenancy.tenants):
-                tenant_profile = spec.traffic
-                if tenant_profile is None:
-                    tenant_profile = dataclasses.replace(
-                        profile, seed=profile.seed + idx)
-                for offset, name in \
-                        TrafficGenerator(tenant_profile).schedule():
-                    schedule.append((offset, name, spec.name))
-            schedule.sort(key=lambda item: (item[0], item[2], item[1]))
-        admission = AdmissionController(cloud, deployment.admission,
-                                        tenancy=tenancy,
-                                        strategy=self.strategy_name)
+        schedule = self._schedule()
+        admission = self.admission = AdmissionController(
+            cloud, deployment.admission, tenancy=tenancy,
+            strategy=self.strategy_name)
         if tenancy is not None and any(
                 spec.dollar_budget is not None
                 for spec in tenancy.tenants):
@@ -216,7 +206,6 @@ class ServingRuntime:
             admission.spend_lookup = SpendTracker(
                 cloud.telemetry.tracer, cloud.meter, cloud.price_book,
                 tag_prefix=self.tag).spent
-        stats_sink: Dict[int, QueryWorkStats] = {}
 
         plan = cloud.faults.plan if cloud.faults is not None else None
         spot_specs = plan.spot_specs if plan is not None else []
@@ -245,51 +234,42 @@ class ServingRuntime:
             controller = FailoverController(
                 cloud, outage_specs, switch=switch, replicator=replicator,
                 cache=warehouse.index_cache)
+        self.switch, self.replicator, self.controller = \
+            switch, replicator, controller
 
         # The failover path serves the region-switched clone, so the
         # workers follow the active region.
-        fleet = warehouse._query_fleet(
-            deployment.worker_type, serving_index, stats_sink,
+        driver = self.driver = QueryDriver(
+            warehouse, deployment.worker_type, serving_index,
             degraded=self._degraded_lookups(), name="serve-worker")
-        spot_market = None
+        fleet = driver.fleet
         if spot_policy is not None and spot_specs:
             from repro.serving.spot import SpotMarket
-            spot_market = SpotMarket(cloud, fleet, spot_specs, plan.seed)
-            fleet.spot_market = spot_market
-        autoscaler = (Autoscaler(cloud, deployment.autoscale, fleet,
-                                 spot=spot_policy)
-                      if deployment.autoscale is not None else None)
-        initial = (deployment.autoscale.min_workers
-                   if deployment.autoscale is not None
-                   else deployment.workers)
+            fleet.spot_market = SpotMarket(cloud, fleet, spot_specs,
+                                           plan.seed)
+        autoscaler = self.autoscaler = (
+            Autoscaler(cloud, deployment.autoscale, fleet, spot=spot_policy)
+            if deployment.autoscale is not None else None)
+        initial = self.initial = (deployment.autoscale.min_workers
+                                  if deployment.autoscale is not None
+                                  else deployment.workers)
+        launches: Any = initial
+        if spot_policy is not None and spot_policy.spot_fraction > 0:
+            spot_initial = min(
+                initial, int(round(initial * spot_policy.spot_fraction)))
+            launches = [(count, market) for count, market in (
+                (initial - spot_initial, MARKET_ON_DEMAND),
+                (spot_initial, MARKET_SPOT)) if count]
 
-        arrivals: Dict[int, float] = {}
-        names: Dict[int, str] = {}
-        fetched: Dict[int, float] = {}
-        tenants: Dict[int, str] = {}
-        degraded_ids: Set[int] = set()
         redelivered_before = cloud.sqs.redelivered_count(QUERY_QUEUE)
         dead_before = cloud.sqs.dead_lettered_count(QUERY_QUEUE)
         outage_retries = cloud.telemetry.counter("outage_retries_total")
         retries_before = outage_retries.value()
         # The traffic baseline.  A failover deployment rebases it after
-        # the replica's warm-up ship (below), so arrival offsets — and
-        # the fault plan's serve-relative outage times — count from the
-        # moment the deployment is actually ready to take traffic.
-        start_holder = [env.now]
-
-        def submit_one(name: str, degraded: bool, arrived_at: float,
-                       tenant: str = DEFAULT_TENANT,
-                       ) -> Generator[Any, Any, None]:
-            query = self._queries[name]
-            query_id = yield from warehouse.frontend.submit(
-                TenantQueryRequest(query=query, tenant=tenant, name=name,
-                                   degraded=degraded))
-            arrivals[query_id] = arrived_at
-            names[query_id] = name
-            tenants[query_id] = tenant
-            if degraded:
-                degraded_ids.add(query_id)
+        # the replica's warm-up ship, so arrival offsets — and the fault
+        # plan's serve-relative outage times — count from the moment the
+        # deployment is actually ready to take traffic.
+        self.start_at = env.now
 
         traffic_done = [False]
         fair_queue: Optional[FairShareQueue] = None
@@ -298,7 +278,7 @@ class ServingRuntime:
 
         def traffic() -> Generator[Any, Any, None]:
             for seq, (offset, name, tenant) in enumerate(schedule):
-                delay = start_holder[0] + offset - env.now
+                delay = self.start_at + offset - env.now
                 if delay > 0:
                     yield env.timeout(delay)
                 decision = admission.decide(tenant)
@@ -315,8 +295,8 @@ class ServingRuntime:
                 # Submission runs in a child process so its SQS latency
                 # cannot delay (or reorder) later arrivals.
                 env.process(
-                    submit_one(name, decision == DEGRADE, env.now,
-                               tenant),
+                    driver.submit(self._queries[name], name, tenant,
+                                  decision == DEGRADE, env.now),
                     name="serve-submit-{}".format(seq))
             traffic_done[0] = True
 
@@ -336,61 +316,41 @@ class ServingRuntime:
                 alive = sum(1 for m in fleet.members if m.proc.is_alive)
                 window = max(DISPATCH_WINDOW, alive)
                 if cloud.sqs.approximate_depth(QUERY_QUEUE) >= window:
+                    failed = driver.failed_worker()
+                    if failed is not None:
+                        yield failed  # re-raises: the run fails with it
                     yield env.timeout(DISPATCH_POLL_S)
                     continue
                 tenant, (name, degraded, arrived_at) = fair_queue.pop()
-                yield from submit_one(name, degraded, arrived_at, tenant)
+                yield from driver.submit(self._queries[name], name, tenant,
+                                         degraded, arrived_at)
 
-        def collector() -> Generator[Any, Any, None]:
-            # Fetch responses as they appear; redelivered queries answer
-            # twice, so dedup by query id (first response wins — it is
-            # the one the user saw).
-            try:
-                while True:
-                    result = yield from warehouse.frontend.await_response()
-                    fetched.setdefault(result.query_id, result.fetched_at)
-            except ProcessInterrupted:
-                return
+        def warm_up() -> Generator[Any, Any, None]:
+            # The replica ships the manifest head, so make sure the
+            # served index has one; then converge the replica with one
+            # synchronous warm-up ship *before* taking traffic — the
+            # initial full-table copy is the expensive part, and a
+            # replica that never converged can never satisfy a
+            # bounded-staleness failover.
+            yield from self._register_manifest()
+            yield from replicator.replicate_once()
+            self.start_at = env.now
 
-        def driver() -> Generator[Any, Any, None]:
-            if replicator is not None:
-                # The replica ships the manifest head, so make sure the
-                # served index has one; then converge the replica with
-                # one synchronous warm-up ship *before* taking traffic
-                # — the initial full-table copy is the expensive part,
-                # and a replica that never converged can never satisfy
-                # a bounded-staleness failover.  Rebasing the baseline
-                # keeps arrival offsets (and the fault plan's
-                # serve-relative outage times) on the traffic clock.
-                yield from self._register_manifest()
-                yield from replicator.replicate_once()
-                start_holder[0] = env.now
-            if spot_policy is not None and spot_policy.spot_fraction > 0:
-                spot_initial = min(
-                    initial, int(round(initial * spot_policy.spot_fraction)))
-                if initial - spot_initial:
-                    fleet.launch(initial - spot_initial)
-                if spot_initial:
-                    fleet.launch(spot_initial, market=MARKET_SPOT)
-            else:
-                fleet.launch(initial)
-            repl_proc = (env.process(replicator.run(),
-                                     name="serve-replicator")
+        def source() -> Generator[Any, Any, List[Any]]:
+            spawn = driver.spawn
+            repl_proc = (spawn(replicator.run(), "serve-replicator")
                          if replicator is not None else None)
-            ctrl_proc = (env.process(controller.run(),
-                                     name="serve-failover")
+            ctrl_proc = (spawn(controller.run(), "serve-failover")
                          if controller is not None else None)
-            collect_proc = env.process(collector(), name="serve-collector")
-            auto_proc = (env.process(autoscaler.run(),
-                                     name="serve-autoscaler")
+            collect_proc = spawn(driver.collector(), "serve-collector")
+            auto_proc = (spawn(autoscaler.run(), "serve-autoscaler")
                          if autoscaler is not None else None)
-            traffic_proc = env.process(traffic(), name="serve-traffic")
-            dispatch_proc = (env.process(dispatcher(),
-                                         name="serve-dispatcher")
+            traffic_proc = spawn(traffic(), "serve-traffic")
+            dispatch_proc = (spawn(dispatcher(), "serve-dispatcher")
                              if fair_queue is not None else None)
             background_procs = [
-                env.process(factory() if callable(factory) else factory,
-                            name="serve-background-{}".format(i))
+                spawn(factory() if callable(factory) else factory,
+                      "serve-background-{}".format(i))
                 for i, factory in enumerate(self.background)]
             yield traffic_proc
             if dispatch_proc is not None:
@@ -402,87 +362,62 @@ class ServingRuntime:
             def outstanding() -> int:
                 dead = (cloud.sqs.dead_lettered_count(QUERY_QUEUE)
                         - dead_before)
-                return admission.admitted - dead - len(fetched)
+                return admission.admitted - dead - len(driver.fetched)
             while outstanding() > 0:
-                # A member still in the fleet (retirement and reclaim
-                # remove theirs) that died of an error ends the run.
-                for member in fleet.members:
-                    if not (member.proc.is_alive or member.proc.ok):
-                        yield member.proc
+                failed = driver.failed_worker()
+                if failed is not None:
+                    yield failed  # re-raises: the run fails with it
                 yield env.timeout(COMPLETION_POLL_S)
-            for proc in (auto_proc, repl_proc, ctrl_proc):
+            for proc in (auto_proc, repl_proc, ctrl_proc, collect_proc):
                 if proc is not None and proc.is_alive:
-                    proc.interrupt(
-                        ProcessInterrupted("serving complete"))
-            if collect_proc.is_alive:
-                collect_proc.interrupt(
-                    ProcessInterrupted("serving complete"))
-            # Drain the fleet through the usual poison pills.  Mutation
-            # feeds / compaction tickers may outlive traffic; the run
-            # (and the fleet's rent) is not over until they are.  Every
-            # one is joined, so one that already failed re-raises here.
-            yield from fleet.stop(QUERY_QUEUE, outliving=background_procs)
+                    proc.interrupt(ProcessInterrupted("serving complete"))
+            # Mutation feeds / compaction tickers may outlive traffic;
+            # the run (and the fleet's rent) is not over until they are.
+            # Every one is joined, so one that already failed re-raises.
+            return background_procs
 
-        mark = cloud.meter.mark()
-        with warehouse._span("serve", strategy=self.strategy_name,
-                             arrival=profile.arrival,
-                             rate_qps=profile.rate_qps,
-                             elastic=deployment.elastic) as serve_span:
-            with cloud.meter.tagged(self.tag):
-                env.run_process(driver(), name="serve")
-        start_at = start_holder[0]
-        end_at = env.now
-
-        retries = outage_retries.value() - retries_before
-        return self._build_report(
-            admission, fleet, autoscaler, arrivals, names, fetched,
-            degraded_ids, stats_sink, start_at, end_at,
-            redelivered_before, serve_span, initial, mark,
-            spot_market=spot_market, controller=controller,
-            replicator=replicator, switch=switch,
-            outage_retries=int(retries), tenants=tenants)
+        driver.drive("serve", self.tag, launches, source,
+                     warm_up=warm_up if replicator is not None else None,
+                     strategy=self.strategy_name,
+                     arrival=self.profile.arrival,
+                     rate_qps=self.profile.rate_qps,
+                     elastic=deployment.elastic)
+        self.end_at = env.now
+        return self._serving_report(
+            cloud.sqs.redelivered_count(QUERY_QUEUE) - redelivered_before,
+            int(outage_retries.value() - retries_before))
 
     # -- report assembly ---------------------------------------------------
 
-    def _build_report(self, admission: AdmissionController, fleet: Fleet,
-                      autoscaler: Optional[Autoscaler],
-                      arrivals: Dict[int, float], names: Dict[int, str],
-                      fetched: Dict[int, float], degraded_ids: Set[int],
-                      stats_sink: Dict[int, QueryWorkStats],
-                      start_at: float, end_at: float,
-                      redelivered_before: int, serve_span: Any,
-                      initial: int, mark: int,
-                      spot_market: Optional[Any] = None,
-                      controller: Optional[Any] = None,
-                      replicator: Optional[Any] = None,
-                      switch: Optional[Any] = None,
-                      outage_retries: int = 0,
-                      tenants: Optional[Dict[int, str]] = None,
-                      ) -> ServingReport:
-        warehouse = self.warehouse
-        cloud = warehouse.cloud
-        book = cloud.price_book
+    def _serving_report(self, redelivered: int,
+                        outage_retries: int) -> ServingReport:
+        """Fold the driver's records and the stages into the report."""
+        driver = self.driver
+        fleet = driver.fleet
+        admission = self.admission
+        autoscaler = self.autoscaler
+        spot_market = fleet.spot_market
+        controller = self.controller
+        start_at, end_at = self.start_at, self.end_at
+        book = self.warehouse.cloud.price_book
         deployment = self.deployment
+        trace = self.warehouse.telemetry.tracer
 
-        trace = warehouse.telemetry.tracer
-        # Everything the serve emitted follows ``mark`` and is priced
-        # once, for three folds (the span roll-up last: it keeps the
-        # prices as its slots).
-        priced = price_records(cloud.meter.since(mark), book)
-        tagged = [pair for pair in priced
-                  if pair[0].tag.startswith(self.tag)]
+        # Everything the serve emitted is priced once, for three folds
+        # (the span roll-up last: it keeps the prices as its slots).
         estimator_breakdown = CostBreakdown()
-        for _, price in tagged:
-            estimator_breakdown.accumulate(price)
-        costs = partition_costs(trace, tagged) \
-            if self.tenancy is not None else {}
-        # The slots the report reads — the serve span's and each query
-        # span's — all of spans opened after ``mark``.
-        serve_span_id = serve_span.span_id
-        inclusive = inclusive_costs(
-            trace, priced,
-            {serve_span_id} | {work.span_id for work in stats_sink.values()})
+        costs: Dict[str, Any] = {}
 
+        def fold(priced: list) -> None:
+            tagged = [pair for pair in priced
+                      if pair[0].tag.startswith(self.tag)]
+            for _, price in tagged:
+                estimator_breakdown.accumulate(price)
+            if self.tenancy is not None:
+                costs.update(partition_costs(trace, tagged))
+
+        inclusive = driver.price(fold)
+        arrivals, fetched = driver.arrivals, driver.fetched
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \
             else (end_at - start_at)
@@ -495,6 +430,7 @@ class ServingRuntime:
             * ondemand_hours
         ec2_cost = ondemand_ec2 + spot_ec2
 
+        serve_span_id = driver.span.span_id
         span_breakdown = inclusive.get(serve_span_id)
         request_cost = (span_breakdown.total
                         if span_breakdown is not None else 0.0)
@@ -503,23 +439,18 @@ class ServingRuntime:
 
         queries: List[QueryOutcome] = []
         for query_id in sorted(fetched):
-            work = stats_sink.get(query_id)
+            work = driver.stats.get(query_id)
             rollup = inclusive.get(work.span_id) if work is not None \
                 else None
-            cost = rollup.total if rollup is not None else 0.0
             queries.append(QueryOutcome(
                 query_id=query_id,
-                name=names[query_id],
+                name=driver.names[query_id],
                 arrived_at=arrivals[query_id] - start_at,
                 response_s=fetched[query_id] - arrivals[query_id],
-                degraded=query_id in degraded_ids,
+                degraded=query_id in driver.degraded,
                 index_mode=work.index_mode if work is not None else "",
-                cost=cost,
-                tenant=(tenants or {}).get(query_id, DEFAULT_TENANT)))
-
-        tenant_bills = self._tenant_bills(
-            admission, arrivals, fetched, tenants or {}, stats_sink,
-            estimator_breakdown, ec2_cost, costs)
+                cost=rollup.total if rollup is not None else 0.0,
+                tenant=driver.tenants.get(query_id, DEFAULT_TENANT)))
 
         timeline = [(t - start_at, n) for t, n in fleet.timeline]
         return ServingReport(
@@ -535,15 +466,14 @@ class ServingRuntime:
             shed=admission.shed,
             degraded=admission.degraded,
             completed=completed,
-            redelivered=(cloud.sqs.redelivered_count(QUERY_QUEUE)
-                         - redelivered_before),
+            redelivered=redelivered,
             duration_s=duration,
             p50_s=percentile(latencies, 50.0),
             p95_s=percentile(latencies, 95.0),
             p99_s=percentile(latencies, 99.0),
             mean_s=(sum(latencies) / len(latencies)) if latencies else 0.0,
             max_s=max(latencies) if latencies else 0.0,
-            initial_workers=initial,
+            initial_workers=self.initial,
             peak_workers=max((n for _, n in fleet.timeline), default=0),
             mean_workers=self._mean_fleet(fleet.timeline, start_at, end_at),
             launched=len(fleet.launched),
@@ -568,8 +498,10 @@ class ServingRuntime:
             failovers=controller.failovers if controller else 0,
             failbacks=controller.failbacks if controller else 0,
             failover_refusals=controller.refusals if controller else 0,
-            stale_reads=switch.stale_reads if switch is not None else 0,
-            replication_ships=replicator.ships if replicator else 0,
+            stale_reads=(self.switch.stale_reads
+                         if self.switch is not None else 0),
+            replication_ships=(self.replicator.ships
+                               if self.replicator else 0),
             outage_retries=outage_retries,
             outage_windows=[(a - start_at, b - start_at)
                             for a, b in (controller.outage_log
@@ -587,16 +519,12 @@ class ServingRuntime:
                 "sqs": estimator_breakdown.sqs,
             },
             queries=queries,
-            tenant_bills=tenant_bills,
+            tenant_bills=self._tenant_bills(estimator_breakdown, ec2_cost,
+                                            costs),
             trace=trace,
             span_id=serve_span_id)
 
-    def _tenant_bills(self, admission: AdmissionController,
-                      arrivals: Dict[int, float],
-                      fetched: Dict[int, float],
-                      tenants: Dict[int, str],
-                      stats_sink: Dict[int, QueryWorkStats],
-                      estimator_breakdown: Any, ec2_cost: float,
+    def _tenant_bills(self, estimator_breakdown: Any, ec2_cost: float,
                       costs: Dict[str, Any]) -> List[TenantBill]:
         """Per-tenant bills whose columns sum exactly to the totals.
 
@@ -612,6 +540,7 @@ class ServingRuntime:
         tenancy = self.tenancy
         if tenancy is None:
             return []
+        driver, admission = self.driver, self.admission
         tenant_names = sorted(
             {spec.name for spec in tenancy.tenants}
             | (set(costs) - {SHARED_TENANT}))
@@ -627,7 +556,7 @@ class ServingRuntime:
         # EC2 by worker busy time: stats carry the wire tenant ("" for
         # the single-owner default); idle fleet time is shared.
         busy: Dict[str, float] = {}
-        for work in stats_sink.values():
+        for work in driver.stats.values():
             owner = work.tenant or DEFAULT_TENANT
             busy[owner] = busy.get(owner, 0.0) + work.processing_s
         total_busy = sum(busy.values())
@@ -640,10 +569,10 @@ class ServingRuntime:
 
         latencies: Dict[str, List[float]] = {}
         completed: Dict[str, int] = {}
-        for query_id in fetched:
-            owner = tenants.get(query_id, DEFAULT_TENANT)
+        for query_id, fetched_at in driver.fetched.items():
+            owner = driver.tenants.get(query_id, DEFAULT_TENANT)
             latencies.setdefault(owner, []).append(
-                fetched[query_id] - arrivals[query_id])
+                fetched_at - driver.arrivals[query_id])
             completed[owner] = completed.get(owner, 0) + 1
 
         bills = []

@@ -27,8 +27,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sqs import RedrivePolicy
-from repro.errors import (InstanceCrashed, InstanceRetired,
-                          SimulationDeadlock, WarehouseError)
+from repro.errors import WarehouseError
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
@@ -37,6 +36,7 @@ from repro.query.pattern import Query
 from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.telemetry.costing import span_inclusive_costs
 from repro.warehouse.deployment import DeploymentConfig
+from repro.warehouse.driver import QueryDriver
 from repro.warehouse.fleet import Fleet
 from repro.warehouse.frontend import Frontend, check_document_uris
 from repro.warehouse.loader import IndexerWorker, LoaderWorkerStats
@@ -240,13 +240,6 @@ class WorkloadReport:
     cost: Optional[Any] = None
     #: Telemetry span id of the workload phase span.
     span_id: int = 0
-
-    def by_name(self) -> Dict[str, List[QueryExecution]]:
-        """Executions grouped by query name."""
-        grouped: Dict[str, List[QueryExecution]] = {}
-        for execution in self.executions:
-            grouped.setdefault(execution.name, []).append(execution)
-        return grouped
 
 
 class Warehouse:
@@ -789,88 +782,35 @@ class Warehouse:
         tag = tag or "workload:{}:{}x{}".format(
             strategy_name, instances, instance_type)
 
-        stats_sink: Dict[int, QueryWorkStats] = {}
-        fleet = self._query_fleet(instance_type, index, stats_sink)
+        driver = QueryDriver(self, instance_type, index)
+        plan = [query for _ in range(repeats) for query in queries]
 
-        submitted: Dict[int, float] = {}
-        fetched: Dict[int, float] = {}
-        names: Dict[int, str] = {}
-
-        def submit_one(query: Query) -> Generator[Any, Any, None]:
-            from repro.tenancy.envelope import QueryRequest as Envelope
-            query_id = yield from self.frontend.submit(
-                Envelope(query=query))
-            submitted[query_id] = self.cloud.env.now
-            names[query_id] = query.name
-
-        def collect() -> Generator[Any, Any, None]:
-            # Dedup by query id: under chaos a lapsed lease makes two
-            # workers answer the same query, so the response queue can
-            # carry duplicates.  The first response fixes the fetch
-            # time; repeats are consumed and dropped.  Fault-free this
-            # performs exactly one await per call, as before.
-            result = yield from self.frontend.await_response()
-            fetched.setdefault(result.query_id, result.fetched_at)
-
-        def driver() -> Generator[Any, Any, None]:
-            fleet.launch(instances)
-            plan = [query for _ in range(repeats) for query in queries]
-            if pipeline:
-                for query in plan:
-                    yield from submit_one(query)
-                while not all(qid in fetched for qid in submitted):
-                    yield from collect()
-            else:
-                for query in plan:
-                    yield from submit_one(query)
-                    pending = [q for q in submitted if q not in fetched]
-                    while any(qid not in fetched for qid in pending):
-                        yield from collect()
-            yield from fleet.stop(QUERY_QUEUE)
+        def source() -> Generator[Any, Any, None]:
+            for query in plan:
+                yield from driver.submit(query, query.name)
+                if not pipeline:
+                    yield from driver.collect_all()
+            yield from driver.collect_all()
 
         started_at = self.cloud.env.now
-        mark = self.cloud.meter.mark()
-        with self._span("workload", strategy=strategy_name,
-                        instances=instances,
-                        instance_type=instance_type) as workload_span:
-            with self.cloud.meter.tagged(tag):
-                try:
-                    self.cloud.env.run_process(driver(), name="workload")
-                except SimulationDeadlock as deadlock:
-                    # Name the first worker whose step raised (a crash
-                    # or a retirement is not an error of its own).
-                    for proc in (m.proc for m in fleet.launched):
-                        try:
-                            proc.ok or proc.value  # a failed one raises
-                        except (InstanceCrashed, InstanceRetired):
-                            continue
-                        except Exception as error:
-                            raise SimulationDeadlock(
-                                "{}: worker {!r} failed: {!r}".format(
-                                    deadlock, proc.name, error)) from error
-                    raise
+        driver.drive("workload", tag, instances, source,
+                     strategy=strategy_name, instances=instances,
+                     instance_type=instance_type)
         self.phases.append(PhaseRecord(
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
-
-        # Price the workload's records once, into the slots the report
-        # reads: the workload span's and each query span's.
-        trace = self.telemetry.tracer
-        workload_span_id = workload_span.span_id
-        inclusive = span_inclusive_costs(
-            trace, self.cloud.meter.since(mark), self.cloud.price_book,
-            {workload_span_id}
-            | {work.span_id for work in stats_sink.values()})
+        inclusive = driver.price()
+        submitted, fetched = driver.arrivals, driver.fetched
 
         executions: List[QueryExecution] = []
         for query_id in sorted(submitted):
-            work = stats_sink[query_id]
+            work = driver.stats[query_id]
             downgrade = ""
             if work.index_mode not in ("", "index", "none",
                                        strategy_name):
                 downgrade = work.index_mode
             executions.append(QueryExecution(
-                name=names[query_id],
+                name=driver.names[query_id],
                 strategy_name=strategy_name,
                 instance_type=instance_type,
                 instances=instances,
@@ -902,9 +842,9 @@ class Warehouse:
                               instance_type=instance_type,
                               instances=instances, tag=tag,
                               makespan_s=makespan,
-                              trace=trace,
-                              cost=inclusive.get(workload_span_id),
-                              span_id=workload_span_id)
+                              trace=self.telemetry.tracer,
+                              cost=inclusive.get(driver.span.span_id),
+                              span_id=driver.span.span_id)
 
     def run_query(self, query: Query, index: Optional[BuiltIndex],
                   config: Optional[Any] = None,
@@ -919,8 +859,6 @@ class Warehouse:
 
     def serve(self, traffic: Any, index: Optional[BuiltIndex],
               config: Optional[Any] = None,
-              degraded_indexes: Optional[Sequence[BuiltIndex]] = None,
-              queries: Optional[Dict[str, Query]] = None,
               background: Optional[Sequence[Any]] = None,
               tag: Optional[str] = None) -> Any:
         """Serve an *open* workload: traffic, admission, elastic fleet.
@@ -932,9 +870,8 @@ class Warehouse:
         ``config.workers`` (or ``config.autoscale.min_workers`` when an
         autoscale policy is set, in which case it grows and shrinks
         against queue depth and age), and ``config.admission`` sheds or
-        degrades arrivals over its queue bounds — degraded arrivals run
-        a :class:`~repro.consistency.DegradedIndexChain` over
-        ``degraded_indexes``.  ``background`` holds generator factories
+        degrades arrivals over its queue bounds — a degraded arrival
+        runs as the full S3 scan.  ``background`` holds generator factories
         run alongside traffic (the live-ingestion hooks:
         :func:`~repro.mutations.live.mutation_feed`,
         :func:`~repro.mutations.live.compaction_ticker`); the run waits
@@ -949,11 +886,8 @@ class Warehouse:
         cfg = DeploymentConfig.resolve(self.deployment, config)
         if isinstance(traffic, dict):
             traffic = TrafficProfile(**traffic)
-        runtime = ServingRuntime(self, traffic, index, cfg,
-                                 degraded_indexes=degraded_indexes,
-                                 queries=queries, background=background,
-                                 tag=tag)
-        return runtime.run()
+        return ServingRuntime(self, traffic, index, cfg,
+                              background=background, tag=tag).run()
 
     # -- live mutation (repro.mutations) -----------------------------------------
 

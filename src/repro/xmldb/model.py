@@ -10,7 +10,7 @@ explicit stack, so any nesting depth walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import XMLError
 from repro.xmldb.ids import NodeID
@@ -26,13 +26,48 @@ class _Node:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+        pairs: List[Tuple[Any, Any]] = [(self, other)]
+        while pairs:
+            left, right = pairs.pop()
+            if left.__class__ is not right.__class__:
+                return False
+            if isinstance(left, _Node):
+                pairs.extend((getattr(left, name), getattr(right, name))
+                             for name in left.__slots__)
+            elif isinstance(left, (list, tuple)):
+                if len(left) != len(right):
+                    return False
+                pairs.extend(zip(left, right))
+            elif left != right:
+                return False
+        return True
 
     def __repr__(self) -> str:
-        return "{}({})".format(type(self).__name__, ", ".join(
-            "{}={!r}".format(name, getattr(self, name))
-            for name in self.__slots__))
+        pieces: List[str] = []
+        todo: List[Any] = [(self,)]  # a literal piece, or (what to render,)
+        while todo:
+            entry = todo.pop()
+            if isinstance(entry, str):
+                pieces.append(entry)
+                continue
+            item = entry[0]
+            if isinstance(item, _Node):
+                opening, closing = type(item).__name__ + "(", ")"
+                fields = [(name + "=", getattr(item, name))
+                          for name in item.__slots__]
+            elif isinstance(item, (list, tuple)):
+                opening, closing = ("[", "]") if isinstance(item, list) \
+                    else ("(", ",)" if len(item) == 1 else ")")
+                fields = [("", value) for value in item]
+            else:
+                pieces.append(repr(item))
+                continue
+            todo.append(closing)
+            for index in range(len(fields) - 1, -1, -1):
+                todo.append((fields[index][1],))
+                todo.append((", " if index else "") + fields[index][0])
+            todo.append(opening)
+        return "".join(pieces)
 
 
 class Text(_Node):

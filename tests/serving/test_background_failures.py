@@ -4,8 +4,8 @@
 tickers before it reports.  One that has already raised by then must
 re-raise, not be dropped: otherwise the report reads 8 of 8 completed
 while a compaction silently never committed.  So must a query worker
-that died of an error: nobody answers its queries, and the completion
-poll would wait for them forever.  A live index under a failover policy
+that died of an error, as the typed error naming it (nobody answers
+its queries, and the completion poll would wait for them forever).  A live index under a failover policy
 is refused before any process starts: the secondary region holds no
 delta chain.  Each test bounds simulated time, so a regression fails
 instead of polling forever.
@@ -14,7 +14,8 @@ instead of polling forever.
 import pytest
 
 from repro.config import ScaleProfile
-from repro.errors import ConfigError, IndexingError, IntegrityError
+from repro.errors import (ConfigError, IndexingError, IntegrityError,
+                          SimulationDeadlock)
 from repro.indexing.checksums import CHECKSUM_ATTR
 from repro.mutations import CompactionPolicy, compaction_ticker
 from repro.store.sharding import shard_table_names
@@ -90,8 +91,11 @@ def test_a_query_worker_that_died_fails_serve(monkeypatch):
     monkeypatch.setattr(index.store, "read_key", vanished)
     monkeypatch.setattr(index.store, "read_keys", vanished)
     _bounded(monkeypatch, warehouse.cloud.env)
-    with pytest.raises(IndexingError, match="vanished"):
+    with pytest.raises(SimulationDeadlock,
+                       match="worker 'serve-worker-1' failed") as raised:
         warehouse.serve(TRAFFIC, index)
+    assert isinstance(raised.value.__cause__, IndexingError)
+    assert "vanished" in str(raised.value.__cause__)
 
 
 def test_a_live_index_under_failover_is_refused_before_serving(monkeypatch):

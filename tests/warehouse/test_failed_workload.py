@@ -7,7 +7,11 @@ renewing forever, and the next ``run_workload`` on that warehouse
 never returned.  Two shapes of a raised process are pinned here: one
 the kernel feeds to its waiters (the warehouse answers the next
 workload) and one that escapes a step (every later run raises
-:class:`~repro.errors.SimulationError` at once).
+:class:`~repro.errors.SimulationError` at once).  ``run_workload`` and
+``serve()`` share the one query driver, so a failed worker fails both
+the same way: a :class:`~repro.errors.SimulationDeadlock` naming the
+worker and chaining its error, after which no process of the failed
+run is left to take the next run's queries or responses.
 """
 
 import pytest
@@ -16,6 +20,7 @@ from repro.config import ScaleProfile
 from repro.engine.evaluator import evaluate_query
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.query.workload import workload_query
+from repro.tenancy import TenancyConfig, TenantSpec
 from repro.warehouse import Warehouse, query_processor
 from repro.xmark import generate_corpus
 
@@ -44,6 +49,43 @@ def test_a_failed_worker_fails_the_workload_typed_and_the_next_answers(
         warehouse.run_workload([workload_query("q1")], index)
     # The deadlock names the worker that failed and chains its error.
     assert "'qworker-1'" in str(raised.value)
+    assert "worker bug" in str(raised.value)
+    assert raised.value.__cause__ is bug
+    monkeypatch.setattr(query_processor, "join_query_rows", real)
+    query = workload_query("q1")
+    execution = warehouse.run_query(query, index)
+    assert execution.result_rows == len(
+        evaluate_query(query, warehouse.corpus.documents))
+
+
+SERVE_TRAFFIC = {"arrival": "poisson", "rate_qps": 2.0, "queries": 6,
+                 "mix": ("q1",), "seed": 7}
+
+
+@pytest.mark.parametrize("deployment", [
+    {"workers": 2},
+    {"workers": 2, "tenancy": TenancyConfig(
+        tenants=(TenantSpec(name="alpha"), TenantSpec(name="beta")))},
+], ids=["fixed-fleet", "fair-share"])
+def test_a_failed_worker_fails_serve_typed_and_the_next_answers(
+        deployed, monkeypatch, deployment):
+    warehouse, index = deployed
+    real = query_processor.join_query_rows
+    bug = RuntimeError("worker bug")
+    monkeypatch.setattr(query_processor, "join_query_rows", _raising(bug))
+    env = warehouse.cloud.env
+    step, limit_s = env.step, env.now + 3600.0
+
+    def bounded_step():
+        # A run that polls on for queries nobody can answer fails here.
+        assert env.now <= limit_s, "serve() still polling"
+        step()
+    monkeypatch.setattr(env, "step", bounded_step)
+    with pytest.raises(SimulationDeadlock) as raised:
+        warehouse.serve(SERVE_TRAFFIC, index, config=deployment)
+    # The same rule as run_workload's: the worker is named, its error
+    # is the cause.
+    assert "'serve-worker-1'" in str(raised.value)
     assert "worker bug" in str(raised.value)
     assert raised.value.__cause__ is bug
     monkeypatch.setattr(query_processor, "join_query_rows", real)

@@ -141,9 +141,9 @@ class TestRunWorkload:
         report = warehouse.run_workload(
             [workload_query("q1"), workload_query("q2")], lup_index,
             repeats=2)
-        grouped = report.by_name()
-        assert len(grouped["q1"]) == 2
-        assert len(grouped["q2"]) == 2
+        names = [execution.name for execution in report.executions]
+        assert names.count("q1") == 2
+        assert names.count("q2") == 2
 
 
 def test_drop_index_frees_storage(warehouse):

@@ -15,6 +15,7 @@ from repro.errors import XMLError
 from repro.xmldb.ids import NodeID
 from repro.xmldb.model import (Attribute, Document, Element, Text,
                                number_nodes)
+from repro.xmldb.parser import parse_document
 
 
 class TestPaperIdentifiers:
@@ -177,6 +178,39 @@ class TestLeanNodes:
         assert Element(label="a") == Element(label="a", attributes=[])
         assert Attribute(name="k", value="v") != Text(value="v")
         assert repr(Text(value="t")) == "Text(value='t')"
+
+    def test_repr_spells_every_slot_as_a_dataclass_would(self):
+        root = Element(label="a", attributes=(Attribute("k", "v"),),
+                       children=[Text("t"), Element(label="b")])
+        assert repr(root) == (
+            "Element(label='a', attributes=(Attribute(name='k', "
+            "value='v'),), children=[Text(value='t'), Element(label='b', "
+            "attributes=(), children=[])])")
+
+
+DEPTH = 3000
+
+
+def _deep(text):
+    """A parsed document nested ``DEPTH`` elements deep."""
+    return parse_document(
+        "<a>" * DEPTH + text + "</a>" * DEPTH, "deep.xml")
+
+
+class TestDeepDocuments:
+    """``==`` and ``repr`` walk an explicit stack, as the other walks do."""
+
+    def test_equal_deep_documents_compare_equal(self):
+        assert _deep("x") == _deep("x")
+
+    def test_deep_documents_differing_in_the_deepest_text_differ(self):
+        assert _deep("x") != _deep("y")
+        assert _deep("x").root != _deep("y").root
+
+    def test_repr_of_a_deep_document_returns(self):
+        text = repr(_deep("x"))
+        assert text.count("Element(label='a'") == DEPTH
+        assert "Text(value='x')" in text
 
 
 def test_post_order_completion():
