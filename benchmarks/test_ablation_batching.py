@@ -15,8 +15,7 @@ from repro.warehouse import Warehouse
 def _build(corpus, batch_size: int):
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index("LU", config={
-        "loaders": 4, "loader_type": "l", "batch_size": batch_size})
+    built = warehouse.build_index("LU", loaders=4, batch_size=batch_size)
     return built.report
 
 

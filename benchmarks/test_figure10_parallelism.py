@@ -20,8 +20,7 @@ def test_figure10_parallelism(ctx, benchmark):
     query = workload_query("q1")
 
     def one_round_trip():
-        return ctx.warehouse.run_query(query, index,
-                                       config={"worker_type": "xl"},
+        return ctx.warehouse.run_query(query, index, worker_type="xl",
                                        tag="bench-kernel")
 
     execution = benchmark(one_round_trip)

@@ -29,8 +29,7 @@ def build_and_query(cloud, corpus):
     """Upload, build the LU index, answer q6; return (index, answer)."""
     warehouse = Warehouse(cloud, deployment={"visibility_timeout": 6.0})
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("LU", config={
-        "loaders": 2, "loader_type": "l", "batch_size": 4})
+    index = warehouse.build_index("LU", loaders=2, batch_size=4)
     execution = warehouse.run_query(workload_query("q6"), index)
     return warehouse, index, execution
 

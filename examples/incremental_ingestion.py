@@ -35,8 +35,7 @@ def make_increment(batch: int, documents: int = 40):
 def main() -> None:
     warehouse = Warehouse()
     warehouse.upload_corpus(generate_corpus(ScaleProfile(documents=80)))
-    _, record = warehouse.build_index_checkpointed(
-        "LUI", config={"loaders": 4})
+    _, record = warehouse.build_index_checkpointed("LUI", loaders=4)
     live = warehouse.live_index(record.name)
     query = workload_query("q6")
 
@@ -48,8 +47,7 @@ def main() -> None:
     for batch in range(1, 4):
         increment = make_increment(batch)
         before = len(warehouse.corpus)
-        report = warehouse.add_documents(live, increment,
-                                         config={"loaders": 2})
+        report = warehouse.add_documents(live, increment, loaders=2)
         # Read-your-writes: the delta flip is visible to the very next
         # query through the same live handle — no rebuild, no restart.
         assert len(warehouse.corpus) == before + len(increment.documents)

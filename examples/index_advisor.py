@@ -44,11 +44,18 @@ def main() -> None:
 
     # Reality check: build the 10-run recommendation and measure.
     choice = advisor.recommend(queries, runs=10)
+    # The platform half of the advice: the cheapest query instance type
+    # that answers the workload within a minute, and the loader fleet
+    # that keeps DynamoDB's write throughput busy.
+    platform = advisor.recommend_platform(
+        queries, strategy_name=choice.strategy_name,
+        max_workload_seconds=60.0)
+    print("platform for a 60 s workload: queries on {}, {} loaders".format(
+        platform.query_instance_type, platform.loader_instances))
     print("\nBuilding {} for real...".format(choice.strategy_name))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index(choice.strategy_name,
-                                  config={"loaders": 4})
+    index = warehouse.build_index(choice.strategy_name, loaders=4)
     report = warehouse.run_workload(queries, index)
     dataset = DatasetMetrics.of_corpus(corpus)
     measured = workload_cost(report.executions, dataset,

@@ -23,7 +23,7 @@ def main() -> None:
                                           document_bytes=8 * 1024))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("LUP", config={"loaders": 4})
+    index = warehouse.build_index("LUP", loaders=4)
     report = warehouse.run_workload(workload(), index)
 
     dataset = DatasetMetrics.of_corpus(corpus)

@@ -106,7 +106,7 @@ def main() -> None:
                     data={d.uri: serialize(d) for d in documents})
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("2LUPI", config={"loaders": 2})
+    index = warehouse.build_index("2LUPI", loaders=2)
 
     print("\n" + "=" * 68)
     print("Figure 2 queries through the warehouse (2LUPI index)")

@@ -26,8 +26,7 @@ def main() -> None:
     warehouse.upload_corpus(corpus)
 
     # 3. Build the LUP index on 4 large loader instances (Figure 1).
-    index = warehouse.build_index("LUP",
-                                  config={"loaders": 4, "loader_type": "l"})
+    index = warehouse.build_index("LUP", loaders=4)
     report = index.report
     print("LUP index built in {:.1f} simulated seconds "
           "({} put operations, {:.2f} MB stored)".format(

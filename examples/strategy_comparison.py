@@ -29,8 +29,7 @@ def main() -> None:
     indexes = {}
     build_rows = []
     for name in ALL_STRATEGY_NAMES:
-        built = warehouse.build_index(
-            name, config={"loaders": 4, "loader_type": "l"})
+        built = warehouse.build_index(name, loaders=4)
         indexes[name] = built
         report = built.report
         build_rows.append([

@@ -8,7 +8,7 @@ simulated AWS:
 >>> from repro.config import ScaleProfile
 >>> wh = Warehouse()
 >>> wh.upload_corpus(generate_corpus(ScaleProfile(documents=50)))
->>> index = wh.build_index("LUP", config={"loaders": 4})
+>>> index = wh.build_index("LUP", loaders=4)
 >>> execution = wh.run_query(workload()[0], index)
 >>> execution.docs_from_index >= execution.docs_with_results
 True

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.config import MB, DEFAULT_PROFILE, PerformanceProfile, instance_type
+from repro.config import MB, DEFAULT_PROFILE, instance_type
 from repro.costs.metrics import DatasetMetrics, IndexMetrics, QueryMetrics
 from repro.costs.model import (index_build_cost, monthly_storage_cost,
                                query_cost_indexed)
-from repro.costs.pricing import AWS_SINGAPORE, PriceBook
+from repro.costs.pricing import AWS_SINGAPORE
 from repro.indexing.lookup_plans import pattern_plan
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.query.pattern import Query, TreePattern
@@ -43,6 +43,15 @@ DEFAULT_VALUE_KEY_SELECTIVITY = 0.05
 #: Precision gain assumed for the twig join on multi-branch patterns
 #: (LUI/2LUPI relative to LUP) — the §8.5 effect, statically guessed.
 TWIG_CORRECTION = 0.7
+
+#: The platform the estimates price: the paper's query instance and
+#: loader fleet (§8.1) under the default calibration and AWS prices.
+QUERY_INSTANCE_TYPE = "xl"
+BUILD_INSTANCES = 8
+BUILD_INSTANCE_TYPE = "l"
+#: The largest loader fleet :meth:`IndexAdvisor.recommended_loader_fleet`
+#: proposes.
+MAX_LOADERS = 16
 
 #: Rough per-document index-entry counts relative to measured corpora,
 #: used to estimate build effort (entries ≈ keys per document).
@@ -87,27 +96,19 @@ class StrategyEstimate:
     monthly_storage: float
     workload_cost: float
 
-    def total_cost(self, runs: int, months: float = 1.0) -> float:
-        """Projected total over the horizon."""
-        return (self.build_cost + months * self.monthly_storage
+    def total_cost(self, runs: int) -> float:
+        """Projected total of ``runs`` workload runs over one month."""
+        return (self.build_cost + self.monthly_storage
                 + runs * self.workload_cost)
 
 
 class IndexAdvisor:
     """Estimates performance/cost per strategy and recommends one."""
 
-    def __init__(self, stats: CorpusStats,
-                 profile: Optional[PerformanceProfile] = None,
-                 book: Optional[PriceBook] = None,
-                 query_instance_type: str = "xl",
-                 build_instances: int = 8,
-                 build_instance_type: str = "l") -> None:
+    def __init__(self, stats: CorpusStats) -> None:
         self.stats = stats
-        self.profile = profile or DEFAULT_PROFILE
-        self.book = book or AWS_SINGAPORE
-        self.query_instance_type = query_instance_type
-        self.build_instances = build_instances
-        self.build_instance_type = build_instance_type
+        self.profile = DEFAULT_PROFILE
+        self.book = AWS_SINGAPORE
 
     # -- selectivity estimation --------------------------------------------
 
@@ -190,7 +191,7 @@ class IndexAdvisor:
     def _estimate_query_cost(self, estimate: QueryEstimate) -> float:
         """Apply the §7.3 indexed formula to estimated metrics."""
         mean_mb = self.stats.mean_document_bytes / MB
-        itype = instance_type(self.query_instance_type)
+        itype = instance_type(QUERY_INSTANCE_TYPE)
         per_doc_ecu = (self.profile.parse_ecu_s_per_mb
                        + self.profile.eval_ecu_s_per_mb) * mean_mb
         processing_s = (estimate.documents * per_doc_ecu
@@ -201,7 +202,7 @@ class IndexAdvisor:
             get_operations=estimate.index_gets,
             documents_fetched=int(round(estimate.documents)),
             processing_hours=processing_s / 3600.0,
-            instance_type=self.query_instance_type)
+            instance_type=QUERY_INSTANCE_TYPE)
         return query_cost_indexed(self.book, metrics)
 
     def _estimate_build(self, strategy_name: str) -> IndexMetrics:
@@ -215,8 +216,8 @@ class IndexAdvisor:
             strategy_name=strategy_name,
             put_operations=entries,
             build_hours=max(build_hours, documents * 1e-6),
-            instances=self.build_instances,
-            instance_type=self.build_instance_type,
+            instances=BUILD_INSTANCES,
+            instance_type=BUILD_INSTANCE_TYPE,
             raw_bytes=raw,
             overhead_bytes=entries
             * self.profile.dynamodb_overhead_bytes_per_item // 4)
@@ -253,12 +254,12 @@ class IndexAdvisor:
         return {name: self.estimate_strategy(name, queries)
                 for name in ALL_STRATEGY_NAMES}
 
-    def recommend(self, queries: Sequence[Query], runs: int = 10,
-                  months: float = 1.0) -> StrategyEstimate:
-        """The strategy minimising estimated total cost over the horizon."""
+    def recommend(self, queries: Sequence[Query],
+                  runs: int = 10) -> StrategyEstimate:
+        """The strategy minimising estimated total cost over ``runs``
+        workload runs and one month of storage."""
         estimates = self.estimate_all(queries)
-        return min(estimates.values(),
-                   key=lambda e: e.total_cost(runs, months))
+        return min(estimates.values(), key=lambda e: e.total_cost(runs))
 
     # -- platform advice (the other half of §9's "platform and index
     # -- advisor") -----------------------------------------------------------
@@ -287,7 +288,7 @@ class IndexAdvisor:
                        / itype.cores)
             cost = (self.book.vm_hourly(type_name) * seconds / 3600.0
                     + estimate.workload_cost
-                    - self.book.vm_hourly(self.query_instance_type)
+                    - self.book.vm_hourly(QUERY_INSTANCE_TYPE)
                     * seconds / 3600.0)
             out[type_name] = PlatformEstimate(
                 instance_type=type_name,
@@ -326,9 +327,7 @@ class IndexAdvisor:
             loader_instances=self.recommended_loader_fleet(strategy_name),
             platform=chosen)
 
-    def recommended_loader_fleet(self, strategy_name: str,
-                                 instance_type_name: str = "l",
-                                 max_instances: int = 16) -> int:
+    def recommended_loader_fleet(self, strategy_name: str) -> int:
         """Smallest fleet whose extraction rate saturates DynamoDB writes.
 
         Index building is bottlenecked by provisioned write throughput
@@ -345,8 +344,8 @@ class IndexAdvisor:
         extract_ecu_total = (index.put_operations * per_entry
                              + self.stats.total_bytes / MB
                              * self.profile.parse_ecu_s_per_mb)
-        per_instance_ecu = instance_type(instance_type_name).total_ecu
+        per_instance_ecu = instance_type(BUILD_INSTANCE_TYPE).total_ecu
         if write_seconds <= 0:
             return 1
         needed = extract_ecu_total / (write_seconds * per_instance_ecu)
-        return max(1, min(max_instances, int(needed) + 1))
+        return max(1, min(MAX_LOADERS, int(needed) + 1))

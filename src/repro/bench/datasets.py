@@ -20,9 +20,9 @@ from repro.warehouse import Warehouse
 from repro.warehouse.warehouse import BuiltIndex, WorkloadReport
 from repro.xmark import Corpus, generate_corpus
 
-#: The paper's index-build fleet: 8 large instances (§8.2).
+#: The paper's index-build fleet: 8 large instances (§8.2; large is
+#: the deployment's loader type).
 BUILD_INSTANCES = 8
-BUILD_INSTANCE_TYPE = "l"
 
 
 class ExperimentContext:
@@ -77,10 +77,7 @@ class ExperimentContext:
         key = (strategy_name, include_words, backend)
         if key not in self._indexes:
             self._indexes[key] = self.warehouse.build_index(
-                strategy_name,
-                config={"loaders": BUILD_INSTANCES,
-                        "loader_type": BUILD_INSTANCE_TYPE,
-                        "backend": backend},
+                strategy_name, loaders=BUILD_INSTANCES, backend=backend,
                 include_words=include_words)
         return self._indexes[key]
 
@@ -99,26 +96,25 @@ class ExperimentContext:
                      if strategy_name else None)
             self._workloads[key] = self.warehouse.run_workload(
                 self.queries, index,
-                config={"workers": 1, "worker_type": instance_type})
+                workers=1, worker_type=instance_type)
         return self._workloads[key]
 
     def execution(self, strategy_name: Optional[str], query_name: str,
-                  instance_type: str = "xl", backend: str = "dynamodb"):
-        """One query's execution record from the cached workload run."""
-        report = self.workload_report(strategy_name, instance_type, backend)
+                  instance_type: str = "xl"):
+        """One query's execution record from the cached DynamoDB
+        workload run."""
+        report = self.workload_report(strategy_name, instance_type)
         for execution in report.executions:
             if execution.name == query_name:
                 return execution
         raise KeyError(query_name)
 
 
-_CONTEXTS: Dict[Tuple[int, int], ExperimentContext] = {}
+_CONTEXTS: List[ExperimentContext] = []
 
 
-def get_context(scale: Optional[ScaleProfile] = None) -> ExperimentContext:
-    """Process-wide shared context (one per corpus scale)."""
-    scale = scale or BENCH_SCALE
-    key = (scale.documents, scale.document_bytes)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = ExperimentContext(scale)
-    return _CONTEXTS[key]
+def get_context() -> ExperimentContext:
+    """The process-wide shared context at the benchmark scale."""
+    if not _CONTEXTS:
+        _CONTEXTS.append(ExperimentContext(BENCH_SCALE))
+    return _CONTEXTS[0]

@@ -34,7 +34,7 @@ def run(ctx) -> ExperimentResult:
             for fleet in FLEETS:
                 report = ctx.warehouse.run_workload(
                     ctx.queries, index,
-                    config={"workers": fleet, "worker_type": itype},
+                    workers=fleet, worker_type=itype,
                     repeats=REPEATS, pipeline=True,
                     tag="figure10:{}:{}x{}".format(
                         strategy_name, fleet, itype))

@@ -36,7 +36,7 @@ def run(ctx) -> ExperimentResult:
     rows = []
     for name in ALL_STRATEGY_NAMES:
         execution = ctx.warehouse.run_query(
-            query, ctx.index(name), config={"worker_type": "xl"},
+            query, ctx.index(name), worker_type="xl",
             tag="figure14:{}".format(name))
         rows.append([name, execution.docs_from_index,
                      execution.docs_with_results,

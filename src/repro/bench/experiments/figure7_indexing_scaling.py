@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.datasets import BUILD_INSTANCES, BUILD_INSTANCE_TYPE
+from repro.bench.datasets import BUILD_INSTANCES
 from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.warehouse import Warehouse
@@ -52,9 +52,7 @@ def run(ctx) -> ExperimentResult:
         warehouse = Warehouse()
         warehouse.upload_corpus(sub_corpus)
         for name in ALL_STRATEGY_NAMES:
-            built = warehouse.build_index(
-                name, config={"loaders": BUILD_INSTANCES,
-                              "loader_type": BUILD_INSTANCE_TYPE})
+            built = warehouse.build_index(name, loaders=BUILD_INSTANCES)
             series[name][round(sub_corpus.total_mb, 2)] = built.report.total_s
     rows = []
     for name in ALL_STRATEGY_NAMES:

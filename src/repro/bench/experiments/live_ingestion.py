@@ -118,7 +118,7 @@ def _serve_arm(ctx, increments: List[Corpus], compact: bool):
     background = [mutation_feed(live,
                                 [("add", increment)
                                  for increment in increments],
-                                config=dict(BUILD_CONFIG), interval_s=2.0)]
+                                interval_s=2.0)]
     if compact:
         background.append(compaction_ticker(
             live, CompactionPolicy(max_deltas=2),

@@ -48,15 +48,14 @@ MIN_WORKERS = 1
 MAX_WORKERS = 4
 
 
-def _serve(ctx, label: str, config: dict):
+def _serve(ctx, label: str, deployment: dict):
     """Deploy a fresh warehouse and serve the shared burst traffic."""
-    warehouse = Warehouse()
+    warehouse = Warehouse(deployment=deployment)
     warehouse.upload_corpus(ctx.corpus)
-    index = warehouse.build_index(STRATEGY, config={
-        "loaders": 4, "loader_type": "l"})
+    index = warehouse.build_index(STRATEGY, loaders=4)
     traffic = {"arrival": "burst", "rate_qps": RATE_QPS,
                "queries": QUERIES, "seed": SEED}
-    return warehouse.serve(traffic, index, config=config,
+    return warehouse.serve(traffic, index,
                            tag="serve-bench:{}".format(label))
 
 

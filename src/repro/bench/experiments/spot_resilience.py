@@ -94,8 +94,7 @@ def _serve(ctx, label: str, config: dict,
         deployment["faults"] = faults
     warehouse = Warehouse.deploy(deployment)
     warehouse.upload_corpus(ctx.corpus)
-    index = warehouse.build_index(STRATEGY, config={
-        "loaders": 4, "loader_type": "l"})
+    index = warehouse.build_index(STRATEGY, loaders=4)
     traffic = {"arrival": "burst", "rate_qps": RATE_QPS,
                "queries": QUERIES, "seed": SEED}
     return warehouse.serve(traffic, index,

@@ -42,8 +42,7 @@ def _run_deployment(ctx, cache_bytes: int) -> List[Dict[str, float]]:
     """Build one deployment and repeat the workload; per-run numbers."""
     warehouse = Warehouse(deployment={"cache_bytes": cache_bytes})
     warehouse.upload_corpus(ctx.corpus)
-    index = warehouse.build_index(STRATEGY, config={
-        "loaders": 4, "loader_type": "l"})
+    index = warehouse.build_index(STRATEGY, loaders=4)
     meter = warehouse.cloud.meter
     book = warehouse.cloud.price_book
     rows = []
@@ -51,7 +50,7 @@ def _run_deployment(ctx, cache_bytes: int) -> List[Dict[str, float]]:
         tag = "store-bench:run{}".format(run)
         report = warehouse.run_workload(
             ctx.queries, index,
-            config={"workers": 1, "worker_type": "l"}, tag=tag)
+            workers=1, worker_type="l", tag=tag)
         estimator_total = phase_cost(meter, book, tag).total
         span_total = report.cost.total if report.cost is not None else 0.0
         rows.append({

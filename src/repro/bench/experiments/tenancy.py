@@ -75,8 +75,7 @@ def _serve(ctx, scheduler: str):
     warehouse = Warehouse(deployment={"workers": 1,
                                       "tenancy": _tenancy(scheduler)})
     warehouse.upload_corpus(ctx.corpus)
-    index = warehouse.build_index(STRATEGY, config={
-        "loaders": 4, "loader_type": "l"})
+    index = warehouse.build_index(STRATEGY, loaders=4)
     # The profile argument only carries the run length envelope; each
     # tenant's own TrafficProfile drives its arrivals.
     traffic = {"arrival": "poisson", "rate_qps": 1.0, "queries": 1,

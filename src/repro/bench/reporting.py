@@ -98,6 +98,7 @@ class ExperimentResult:
             parts.append("note: " + note)
         return "\n".join(parts)
 
-    def row_map(self, key_column: int = 0) -> Dict[Any, List[Any]]:
-        """Rows keyed by one column (usually the strategy name)."""
-        return {row[key_column]: row for row in self.rows}
+    def row_map(self) -> Dict[Any, List[Any]]:
+        """Rows keyed by their first column (usually the strategy
+        name)."""
+        return {row[0]: row for row in self.rows}

@@ -234,8 +234,10 @@ def cmd_advise(args) -> int:
             for name, estimate in estimates.items()]
     out.table(["strategy", "build", "storage/mo", "per run",
                "total @{} runs".format(args.runs)], rows)
-    choice = advisor.recommend(workload(), runs=args.runs)
-    out.line("recommendation: {}".format(choice.strategy_name))
+    advice = advisor.recommend_platform(workload(), runs=args.runs)
+    out.line("recommendation: {}".format(advice.strategy_name))
+    out.line("platform: queries on {}, {} loaders".format(
+        advice.query_instance_type, advice.loader_instances))
     return 0
 
 

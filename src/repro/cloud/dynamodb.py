@@ -26,7 +26,7 @@ from typing import (Any, Callable, Dict, Generator, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from repro.config import PerformanceProfile
-from repro.errors import (ConditionalCheckFailed, ConfigError, ItemTooLarge,
+from repro.errors import (ConditionalCheckFailed, ItemTooLarge,
                           NoSuchTable, RegionUnavailable, TableAlreadyExists,
                           ThroughputExceeded, ValidationError)
 from repro.sim import Environment, Meter, ThroughputLimiter
@@ -49,6 +49,10 @@ MAX_RANGE_KEY_BYTES = 1 * 1024
 BATCH_GET_LIMIT = 100
 #: batchPut limit (§6: "inserts 25 items at a time").
 BATCH_PUT_LIMIT = 25
+
+#: Throttle mode's bound: the seconds a request may queue on the
+#: capacity server before it is rejected instead.
+THROTTLE_MAX_BACKLOG_S = 0.5
 
 AttrValue = Union[str, bytes]
 
@@ -221,7 +225,7 @@ class DynamoDB:
 
     # -- throttle mode -----------------------------------------------------
 
-    def enable_throttle_mode(self, max_backlog_s: float = 0.5) -> None:
+    def enable_throttle_mode(self) -> None:
         """Reject instead of queue once capacity is saturated.
 
         By default the capacity limiters behave as fluid queues: an
@@ -229,12 +233,10 @@ class DynamoDB:
         DynamoDB rejects requests with ``ProvisionedThroughputExceeded``
         once its burst credits run out; this mode reproduces that by
         rejecting any request that would wait more than
-        ``max_backlog_s`` seconds on the capacity server, leaving the
-        retry/backoff path to spread the load out.
+        :data:`THROTTLE_MAX_BACKLOG_S` seconds on the capacity server,
+        leaving the retry/backoff path to spread the load out.
         """
-        if max_backlog_s < 0:
-            raise ConfigError("max_backlog_s must be non-negative")
-        self._throttle_max_backlog_s = max_backlog_s
+        self._throttle_max_backlog_s = THROTTLE_MAX_BACKLOG_S
 
     @property
     def throttle_mode(self) -> bool:

@@ -144,9 +144,6 @@ class EC2:
         except KeyError:
             raise NoSuchInstance(instance_id) from None
 
-    def instances(self, type_name: Optional[str] = None) -> List[Instance]:
-        """All instances ever launched, optionally filtered by type."""
-        out = list(self._instances.values())
-        if type_name is not None:
-            out = [i for i in out if i.itype.name == type_name]
-        return out
+    def instances(self) -> List[Instance]:
+        """All instances ever launched."""
+        return list(self._instances.values())

@@ -158,15 +158,14 @@ class S3:
             target.objects.pop(key, None)
             self._meter.record(self._env.now, SERVICE, "delete")
 
-    def list_keys(self, bucket: str, prefix: str = "",
-                  ) -> Generator[Any, Any, List[str]]:
-        """List object keys (sorted) with the given prefix."""
+    def list_keys(self, bucket: str) -> Generator[Any, Any, List[str]]:
+        """List the bucket's object keys, sorted."""
         target = self._bucket(bucket)
-        with self._span("list", prefix=prefix):
+        with self._span("list"):
             if self._faults is not None:
                 yield from self._faults.perturb("list_keys")
             yield self._env.timeout(self._profile.s3_request_latency_s)
-            keys = sorted(k for k in target.objects if k.startswith(prefix))
+            keys = sorted(target.objects)
             self._meter.record(self._env.now, SERVICE, "list")
         return keys
 

@@ -171,7 +171,7 @@ class SimpleDB:
                            bytes_in=item.size_bytes)
 
     def batch_put(self, domain_name: str, items: Sequence[SimpleDBItem],
-                  replace: bool = False) -> Generator[Any, Any, None]:
+                  ) -> Generator[Any, Any, None]:
         """Insert up to 25 items in one API request."""
         if not items:
             raise ValidationError("batch_put requires at least one item")
@@ -190,7 +190,7 @@ class SimpleDB:
         yield self._write_limiter.consume(
             total * self._profile.simpledb_text_expansion)
         for item in items:
-            self._store(domain, item, replace)
+            self._store(domain, item, False)
         self._meter.record(self._env.now, SERVICE, "put",
                            count=len(items), bytes_in=total)
 

@@ -157,7 +157,6 @@ class SQS:
         return message.message_id
 
     def receive(self, queue_name: str,
-                visibility_timeout: Optional[float] = None,
                 ) -> Generator[Any, Any, Tuple[Any, str]]:
         """Receive the next message (blocking long poll).
 
@@ -173,10 +172,9 @@ class SQS:
             message: Message = yield queue.store.get()
             message.receive_count += 1
             handle = "rh-{:08d}".format(next(self._handle_ids))
-            timeout = (visibility_timeout if visibility_timeout is not None
-                       else queue.visibility_timeout)
-            record = _InFlight(message=message,
-                               deadline=self._env.now + timeout)
+            record = _InFlight(
+                message=message,
+                deadline=self._env.now + queue.visibility_timeout)
             queue.in_flight[handle] = record
             self._env.process(self._watchdog(queue, handle),
                               name="sqs-watchdog-{}".format(handle))
@@ -184,7 +182,6 @@ class SQS:
         return message.body, handle
 
     def receive_if_available(self, queue_name: str,
-                             visibility_timeout: Optional[float] = None,
                              ) -> Generator[Any, Any,
                                             Optional[Tuple[Any, str]]]:
         """Short-polling receive: returns None when the queue is empty.
@@ -203,10 +200,9 @@ class SQS:
             return None
         message.receive_count += 1
         handle = "rh-{:08d}".format(next(self._handle_ids))
-        timeout = (visibility_timeout if visibility_timeout is not None
-                   else queue.visibility_timeout)
         queue.in_flight[handle] = _InFlight(
-            message=message, deadline=self._env.now + timeout)
+            message=message,
+            deadline=self._env.now + queue.visibility_timeout)
         self._env.process(self._watchdog(queue, handle),
                           name="sqs-watchdog-{}".format(handle))
         return message.body, handle
@@ -252,8 +248,17 @@ class SQS:
         its ledger says are still missing — stale pre-crash deliveries
         must not race the recovery fleet.
         """
-        queue = self._queue(queue_name)
+        self._queue(queue_name)  # an unknown queue fails before the wait
         yield self._env.timeout(self._profile.sqs_request_latency_s)
+        dropped = self.discard(queue_name)
+        self._meter.record(self._env.now, SERVICE, "purge_queue")
+        return dropped
+
+    def discard(self, queue_name: str) -> int:
+        """Drop every visible and in-flight message now, unbilled and
+        outside simulated time; returns the count.  How a failed run
+        takes back what it left on its queues."""
+        queue = self._queue(queue_name)
         dropped = 0
         while True:
             available, _ = queue.store.try_get()
@@ -264,7 +269,6 @@ class SQS:
         # handle gone and exit without requeueing.
         dropped += len(queue.in_flight)
         queue.in_flight.clear()
-        self._meter.record(self._env.now, SERVICE, "purge_queue")
         return dropped
 
     # -- lease expiry -----------------------------------------------------------

@@ -104,8 +104,6 @@ class BuildPlan:
     table_names: Dict[str, str]  # logical -> physical (epoch-scoped)
     ledger_table: str
     instances: int = 8
-    instance_type: str = "l"
-    tag: str = ""
     #: Physical shard tables per logical table (routing metadata the
     #: store layer configures; recorded in the epoch manifest).
     shards: int = 1

@@ -41,6 +41,10 @@ from repro.errors import (BuildStateError, ConditionalCheckFailed,
 #: The hash-only DynamoDB table holding committed/pending epoch records.
 MANIFEST_TABLE = "index-manifest"
 
+#: Conditional puts :meth:`Manifest.drop_compacted` tries before it
+#: gives up on a head that keeps moving.
+DROP_ATTEMPTS = 5
+
 #: Key suffix under which a build-in-progress is recorded.
 PENDING_SUFFIX = "#pending"
 
@@ -240,10 +244,9 @@ class EpochRecord:
 class Manifest:
     """The manifest table and its commit protocol."""
 
-    def __init__(self, dynamodb: Any,
-                 table_name: str = MANIFEST_TABLE) -> None:
+    def __init__(self, dynamodb: Any) -> None:
         self._db = dynamodb
-        self._table = table_name
+        self._table = MANIFEST_TABLE
 
     def ensure_table(self) -> None:
         """Create the manifest table if this deployment lacks one.
@@ -375,7 +378,7 @@ class Manifest:
         return head
 
     def drop_compacted(self, name: str, base_epoch: int,
-                       seqs: Tuple[int, ...], attempts: int = 5,
+                       seqs: Tuple[int, ...],
                        ) -> Generator[Any, Any, LiveHead]:
         """Remove compacted deltas from the chain (bounded retry).
 
@@ -385,7 +388,7 @@ class Manifest:
         in the chain, re-based onto ``base_epoch``.
         """
         failure: Optional[BuildStateError] = None
-        for _ in range(attempts):
+        for _ in range(DROP_ATTEMPTS):
             head = yield from self.live_head(name)
             survivors = tuple(
                 replace(delta, base_epoch=base_epoch)
@@ -400,4 +403,4 @@ class Manifest:
             return result
         raise BuildStateError(
             "could not drop compacted deltas of {} after {} attempts: "
-            "{}".format(name, attempts, failure))
+            "{}".format(name, DROP_ATTEMPTS, failure))

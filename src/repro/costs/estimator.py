@@ -133,8 +133,7 @@ def phase_cost(meter: Meter, book: PriceBook,
     return _price_requests(meter, book, tag_prefix)
 
 
-def scrub_cost(warehouse, book: Optional[PriceBook] = None,
-               tag_prefix: str = "scrub:") -> CostBreakdown:
+def scrub_cost(warehouse) -> CostBreakdown:
     """Measured cost of integrity scrubbing (and its repairs).
 
     Scrub work is ordinary billed traffic — DynamoDB scans and deletes,
@@ -143,8 +142,8 @@ def scrub_cost(warehouse, book: Optional[PriceBook] = None,
     price by design: their cost shows up in the real services they
     caused traffic on.
     """
-    book = book or warehouse.cloud.price_book
-    return _price_requests(warehouse.cloud.meter, book, tag_prefix)
+    return _price_requests(warehouse.cloud.meter, warehouse.cloud.price_book,
+                           "scrub:")
 
 
 def build_phase_cost(warehouse, built_index, book: Optional[PriceBook] = None,

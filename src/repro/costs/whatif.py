@@ -17,7 +17,7 @@ be answered directly:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.costs.estimator import query_cost
 from repro.costs.metrics import DatasetMetrics, QueryMetrics
@@ -56,17 +56,17 @@ class SensitivityPoint:
 
 def price_sensitivity(executions: Sequence, dataset: DatasetMetrics,
                       book: PriceBook,
-                      components: Iterable[str] = SWEEPABLE_COMPONENTS,
                       factors: Sequence[float] = (0.5, 1.0, 2.0, 10.0),
                       ) -> List[SensitivityPoint]:
-    """Sweep each price component over ``factors``; recost the workload.
+    """Sweep each of :data:`SWEEPABLE_COMPONENTS` over ``factors``;
+    recost the workload.
 
     The output exposes which knob dominates the bill: a component whose
     x10 point barely moves the total is noise; the one that scales the
     total ~x10 is the bill's backbone (EC2, per Figure 12).
     """
     points: List[SensitivityPoint] = []
-    for component in components:
+    for component in SWEEPABLE_COMPONENTS:
         for factor in factors:
             varied = scaled_book(book, component, factor)
             total = sum(query_cost(execution, dataset, varied)

@@ -89,7 +89,7 @@ class FaultInjector:
         faults simply consume simulated time and return.
         """
         for spec in self._specs:
-            if not spec.matches(operation, self._env.now):
+            if not spec.active_at(self._env.now):
                 continue
             if spec.rate < 1.0 and self._rng.random() >= spec.rate:
                 continue

@@ -14,7 +14,7 @@ meter records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigError
 
@@ -43,6 +43,10 @@ KIND_REGION_OUTAGE = "region-outage"    # whole-region blackout window
 #: Worker roles a crash spec may target.
 CRASH_ROLES = ("loader",)
 
+#: Redrive bound of a chaotic deployment's dead-letter queues: a work
+#: message whose lease lapses this many times is dead-lettered.
+MAX_RECEIVE_COUNT = 5
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -59,9 +63,6 @@ class FaultSpec:
     start_s / end_s:
         Optional simulated-time window; outside it the rule is dormant.
         ``end_s=None`` means "until the end of the run".
-    operations:
-        Optional operation-name filter (e.g. ``("get",)``); ``None``
-        matches every data-path operation of the service.
     latency_s:
         Extra latency added by :data:`KIND_LATENCY` rules.
     """
@@ -71,20 +72,14 @@ class FaultSpec:
     rate: float
     start_s: float = 0.0
     end_s: Optional[float] = None
-    operations: Optional[Tuple[str, ...]] = None
     latency_s: float = 0.0
 
     def active_at(self, now: float) -> bool:
-        """Whether the rule's time window covers simulated time ``now``."""
+        """Whether the rule's time window covers simulated time ``now``
+        (it applies to every data-path operation of its service)."""
         if now < self.start_s:
             return False
         return self.end_s is None or now < self.end_s
-
-    def matches(self, operation: str, now: float) -> bool:
-        """Whether the rule applies to ``operation`` at time ``now``."""
-        if not self.active_at(now):
-            return False
-        return self.operations is None or operation in self.operations
 
 
 @dataclass(frozen=True)
@@ -115,20 +110,11 @@ class SpotSpec:
     byte-deterministic.  ``warning_s`` is the notice lead time — the
     cloud's two-minute warning — between the
     :class:`~repro.serving.spot.InterruptionNotice` and forced reclaim.
-    ``start_s``/``end_s`` bound the regime in simulated time
-    (``end_s=None`` means "until the end of the run").
+    A regime lasts the whole run.
     """
 
     rate: float
-    start_s: float = 0.0
-    end_s: Optional[float] = None
     warning_s: float = 120.0
-
-    def active_at(self, now: float) -> bool:
-        """Whether the regime's time window covers simulated ``now``."""
-        if now < self.start_s:
-            return False
-        return self.end_s is None or now < self.end_s
 
 
 @dataclass(frozen=True)
@@ -137,14 +123,13 @@ class OutageSpec:
 
     ``after_s`` is measured from the start of the serving phase (like
     :class:`CrashSpec`, the plan cannot know absolute times); for
-    ``duration_s`` seconds every data-path request against the region's
-    key-value store raises
+    ``duration_s`` seconds every data-path request against the primary
+    region's key-value store raises
     :class:`~repro.errors.RegionUnavailable`.
     """
 
     after_s: float
     duration_s: float
-    region: str = "primary"
 
 
 @dataclass(frozen=True)
@@ -173,12 +158,8 @@ class FaultPlan:
                 .crash(role="loader", after_s=3.0, worker=0))
     """
 
-    def __init__(self, seed: int = 0, max_receive_count: int = 5) -> None:
-        if max_receive_count < 1:
-            raise ConfigError("max_receive_count must be >= 1")
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        #: Redrive bound for the warehouse's dead-letter queues.
-        self.max_receive_count = max_receive_count
         self._specs: List[FaultSpec] = []
         self._crashes: List[CrashSpec] = []
         self._damage: List[DamageSpec] = []
@@ -203,17 +184,12 @@ class FaultPlan:
         self._specs.append(spec)
         return self
 
-    def transient_errors(self, service: str, rate: float,
-                         operations: Optional[Tuple[str, ...]] = None,
-                         start_s: float = 0.0,
-                         end_s: Optional[float] = None) -> "FaultPlan":
+    def transient_errors(self, service: str, rate: float) -> "FaultPlan":
         """Fail a fraction of ``service`` requests transiently."""
         return self._add(FaultSpec(service=service, kind=KIND_ERROR,
-                                   rate=rate, operations=operations,
-                                   start_s=start_s, end_s=end_s))
+                                   rate=rate))
 
     def throttle(self, rate: float, service: str = "dynamodb",
-                 operations: Optional[Tuple[str, ...]] = None,
                  start_s: float = 0.0,
                  end_s: Optional[float] = None) -> "FaultPlan":
         """Reject a fraction of key-value requests as throttled."""
@@ -222,18 +198,13 @@ class FaultPlan:
                 "throttle faults target key-value stores, not {!r}".format(
                     service))
         return self._add(FaultSpec(service=service, kind=KIND_THROTTLE,
-                                   rate=rate, operations=operations,
-                                   start_s=start_s, end_s=end_s))
+                                   rate=rate, start_s=start_s, end_s=end_s))
 
-    def latency_spike(self, service: str, extra_s: float, rate: float = 1.0,
-                      operations: Optional[Tuple[str, ...]] = None,
-                      start_s: float = 0.0,
-                      end_s: Optional[float] = None) -> "FaultPlan":
+    def latency_spike(self, service: str, extra_s: float,
+                      rate: float = 1.0) -> "FaultPlan":
         """Add ``extra_s`` seconds to a fraction of requests."""
         return self._add(FaultSpec(service=service, kind=KIND_LATENCY,
-                                   rate=rate, latency_s=extra_s,
-                                   operations=operations,
-                                   start_s=start_s, end_s=end_s))
+                                   rate=rate, latency_s=extra_s))
 
     def crash(self, role: str = "loader", after_s: float = 1.0,
               worker: int = 0) -> "FaultPlan":
@@ -250,30 +221,26 @@ class FaultPlan:
                                        worker=worker))
         return self
 
-    def spot_interruptions(self, rate: float, start_s: float = 0.0,
-                           end_s: Optional[float] = None,
+    def spot_interruptions(self, rate: float,
                            warning_s: float = 120.0) -> "FaultPlan":
         """Reclaim spot instances at ``rate`` interruptions per VM-hour."""
         if rate < 0:
             raise ConfigError("spot interruption rate must be non-negative")
-        if end_s is not None and end_s <= start_s:
-            raise ConfigError("spot window must end after it starts")
         if warning_s < 0:
             raise ConfigError("spot warning_s must be non-negative")
-        self._spot.append(SpotSpec(rate=rate, start_s=start_s, end_s=end_s,
-                                   warning_s=warning_s))
+        self._spot.append(SpotSpec(rate=rate, warning_s=warning_s))
         return self
 
-    def region_outage(self, after_s: float, duration_s: float,
-                      region: str = "primary") -> "FaultPlan":
-        """Black out ``region`` ``after_s`` into the serving phase."""
+    def region_outage(self, after_s: float,
+                      duration_s: float) -> "FaultPlan":
+        """Black out the primary region ``after_s`` into the serving
+        phase."""
         if after_s < 0:
             raise ConfigError("outage after_s must be non-negative")
         if duration_s <= 0:
             raise ConfigError("outage duration_s must be positive")
         self._outages.append(OutageSpec(after_s=after_s,
-                                        duration_s=duration_s,
-                                        region=region))
+                                        duration_s=duration_s))
         return self
 
     def _add_damage(self, spec: DamageSpec) -> "FaultPlan":

@@ -57,6 +57,20 @@ IndexSnapshot = Dict[str, Dict[str, Dict[str, FrozenSet[Any]]]]
 SCENARIO_NAMES = ("loader-crash", "throttle-storm", "flaky-network",
                   "scrub-repair")
 
+#: What every scenario run holds fixed: the queries it answers, the
+#: loaders' write-batch size and the work queues' lease (short, so a
+#: crashed loader's batch comes back within the run).
+SCENARIO_QUERIES = ("q1", "q2", "q5")
+SCENARIO_BATCH_SIZE = 4
+SCENARIO_VISIBILITY_TIMEOUT_S = 6.0
+#: Invariant 3: the chaos run may cost at most this many baseline runs.
+COST_BOUND = 5.0
+#: The scrub-repair scenario's fallback index, queries and damage.
+SCRUB_FALLBACK_STRATEGY = "LU"
+SCRUB_QUERIES = ("q1", "q2")
+SCRUB_CORRUPT_ITEMS = 2
+SCRUB_DROPPED_PARTITIONS = 1
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -272,23 +286,21 @@ def _run_cost(warehouse: Warehouse) -> CostBreakdown:
 
 def _execute_run(plan: Optional[FaultPlan], throttle_mode: bool,
                  documents: int, seed: int, strategy: str,
-                 instances: int, instance_type: str,
-                 queries: Tuple[str, ...], backend: str,
-                 batch_size: int, visibility_timeout: float) -> RunOutcome:
+                 instances: int, backend: str) -> RunOutcome:
     """One full upload → build → query pipeline on a fresh cloud."""
     corpus = generate_corpus(ScaleProfile(documents=documents, seed=seed))
     cloud = CloudProvider(fault_plan=plan)
     if throttle_mode:
         cloud.dynamodb.enable_throttle_mode()
     warehouse = Warehouse(cloud, deployment={
-        "visibility_timeout": visibility_timeout})
+        "visibility_timeout": SCENARIO_VISIBILITY_TIMEOUT_S})
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index(strategy, config={
-        "loaders": instances, "loader_type": instance_type,
-        "backend": backend, "batch_size": batch_size})
+    built = warehouse.build_index(strategy, loaders=instances,
+                                  batch_size=SCENARIO_BATCH_SIZE,
+                                  backend=backend)
     report = warehouse.run_workload(
-        [workload_query(name) for name in queries], built,
-        config={"workers": 1})
+        [workload_query(name) for name in SCENARIO_QUERIES], built,
+        workers=1)
 
     answers = []
     for execution in report.executions:
@@ -336,12 +348,9 @@ def _result_payload(warehouse: Warehouse, execution) -> bytes:
 
 def run_scenario(name: str, documents: int = 16, seed: int = 7,
                  strategy: str = "LU", instances: int = 2,
-                 instance_type: str = "l",
-                 queries: Tuple[str, ...] = ("q1", "q2", "q5"),
-                 backend: str = "dynamodb", batch_size: int = 4,
-                 error_rate: float = 0.08, crash_after_s: float = 0.5,
-                 cost_bound: float = 5.0,
-                 visibility_timeout: float = 6.0) -> ScenarioReport:
+                 backend: str = "dynamodb",
+                 error_rate: float = 0.08,
+                 crash_after_s: float = 0.5) -> ScenarioReport:
     """Run one canned scenario and report on the three invariants.
 
     The baseline and chaos runs see identical corpora, identical
@@ -360,18 +369,15 @@ def run_scenario(name: str, documents: int = 16, seed: int = 7,
             "unknown scenario {!r}; choose from {}".format(
                 name, ", ".join(SCENARIO_NAMES))) from None
     common = dict(documents=documents, seed=seed, strategy=strategy,
-                  instances=instances, instance_type=instance_type,
-                  queries=tuple(queries), backend=backend,
-                  batch_size=batch_size,
-                  visibility_timeout=visibility_timeout)
+                  instances=instances, backend=backend)
     baseline = _execute_run(plan=None, throttle_mode=False, **common)
     chaos = _execute_run(
         plan=spec.make_plan(seed, error_rate, crash_after_s),
         throttle_mode=spec.throttle_mode, **common)
     return ScenarioReport(
         name=name, description=spec.description, seed=seed,
-        documents=documents, queries=tuple(queries),
-        baseline=baseline, chaos=chaos, cost_bound=cost_bound)
+        documents=documents, queries=SCENARIO_QUERIES,
+        baseline=baseline, chaos=chaos, cost_bound=COST_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +523,11 @@ def _workload_answers(warehouse: Warehouse, report) -> List[QueryAnswer]:
 
 def run_scrub_repair_scenario(documents: int = 12, seed: int = 7,
                               strategy: str = "2LUPI",
-                              fallback_strategy: str = "LU",
-                              queries: Tuple[str, ...] = ("q1", "q2"),
-                              instances: int = 2, batch_size: int = 4,
-                              corrupt_items: int = 2,
-                              dropped_partitions: int = 1,
-                              ) -> ScrubScenarioReport:
+                              instances: int = 2) -> ScrubScenarioReport:
     """One full damage → degrade → repair cycle on one cloud.
 
     The pipeline: checkpointed builds of ``strategy`` (the primary) and
-    ``fallback_strategy``; a clean workload run fixes the baseline
+    the fallback strategy; a clean workload run fixes the baseline
     answers; the corruption monkey applies the plan's damage to the
     primary's tables; a detect-only scrub quarantines them; a degraded
     workload answers through the fallback chain; a repairing scrub
@@ -540,28 +541,28 @@ def run_scrub_repair_scenario(documents: int = 12, seed: int = 7,
     corpus = generate_corpus(ScaleProfile(documents=documents, seed=seed))
     warehouse = Warehouse(CloudProvider())
     warehouse.upload_corpus(corpus)
-    build_config = {"loaders": instances, "batch_size": batch_size}
     primary, record = warehouse.build_index_checkpointed(
-        strategy, config=build_config)
+        strategy, loaders=instances, batch_size=SCENARIO_BATCH_SIZE)
     fallback, _ = warehouse.build_index_checkpointed(
-        fallback_strategy, config=build_config)
-    query_list = [workload_query(name) for name in queries]
+        SCRUB_FALLBACK_STRATEGY, loaders=instances,
+        batch_size=SCENARIO_BATCH_SIZE)
+    query_list = [workload_query(name) for name in SCRUB_QUERIES]
 
     before = physical_snapshot(warehouse, primary)
     baseline = _workload_answers(warehouse, warehouse.run_workload(
-        query_list, primary, config={"workers": 1}))
+        query_list, primary, workers=1))
 
     plan = (FaultPlan(seed=seed)
-            .corrupt_item(table=0, count=corrupt_items)
+            .corrupt_item(table=0, count=SCRUB_CORRUPT_ITEMS)
             .drop_table_partition(table=len(primary.physical_tables) - 1,
-                                  count=dropped_partitions))
+                                  count=SCRUB_DROPPED_PARTITIONS))
     monkey = CorruptionMonkey(warehouse.cloud, seed=seed)
     applied = monkey.damage_index(primary, plan.damage)
 
     pre = warehouse.scrub_index(primary, record.name, record.epoch,
                                 repair=False)
     degraded = _workload_answers(warehouse, warehouse.run_degraded_workload(
-        query_list, [primary, fallback], config={"workers": 1}))
+        query_list, [primary, fallback], workers=1))
     downgrades = counter_dict(warehouse.cloud.telemetry.registry,
                               "downgrades_total")
 
@@ -571,12 +572,12 @@ def run_scrub_repair_scenario(documents: int = 12, seed: int = 7,
                                    repair=False)
     after = physical_snapshot(warehouse, primary)
     repaired = _workload_answers(warehouse, warehouse.run_workload(
-        query_list, primary, config={"workers": 1}))
+        query_list, primary, workers=1))
 
     from repro.costs.estimator import scrub_cost as _scrub_cost
     return ScrubScenarioReport(
         seed=seed, documents=documents, strategy=strategy,
-        fallback_strategy=fallback_strategy, queries=tuple(queries),
+        fallback_strategy=SCRUB_FALLBACK_STRATEGY, queries=SCRUB_QUERIES,
         damage_applied=applied,
         corrupt_items=sum(1 for entry in applied
                           if entry.startswith("corrupt-item")),

@@ -520,10 +520,8 @@ class TwoLUPILookup(LUILookup):
 
     def __init__(self, store: IndexStore, lup_table: str, lui_table: str,
                  tracer: Tracer, include_words: bool = True,
-                 reduction_enabled: bool = True,
-                 assume_sorted: bool = True) -> None:
-        super().__init__(store, lui_table, tracer, include_words,
-                         assume_sorted)
+                 reduction_enabled: bool = True) -> None:
+        super().__init__(store, lui_table, tracer, include_words)
         self._lup = LUPLookup(store, lup_table, tracer, include_words)
         self.reduction_enabled = reduction_enabled
 

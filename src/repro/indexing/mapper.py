@@ -252,8 +252,7 @@ class DynamoIndexStore(IndexStore):
     backend_name = "dynamodb"
 
     def __init__(self, dynamodb: DynamoDB, seed: int = 0,
-                 range_key_mode: str = "uuid",
-                 verify_reads: bool = False) -> None:
+                 range_key_mode: str = "uuid") -> None:
         if range_key_mode not in ("uuid", "attribute", "content"):
             raise IndexingError(
                 "range_key_mode must be 'uuid', 'attribute' or 'content', "
@@ -261,7 +260,6 @@ class DynamoIndexStore(IndexStore):
         self._db = dynamodb
         self._rng = random.Random(seed)
         self.range_key_mode = range_key_mode
-        self.verify_reads = verify_reads
         #: The item is held beside its form so its id stays its own.
         self._written: Dict[int, Tuple[DynamoItem, bytes]] = {}
         self._views = {}

@@ -31,7 +31,6 @@ def strategy(name: str, include_words: bool = True) -> IndexingStrategy:
     return cls(include_words=include_words)
 
 
-def all_strategies(include_words: bool = True):
-    """All four strategies in canonical order."""
-    return [strategy(name, include_words=include_words)
-            for name in ALL_STRATEGY_NAMES]
+def all_strategies():
+    """All four strategies in canonical order, with full-text keys."""
+    return [strategy(name) for name in ALL_STRATEGY_NAMES]

@@ -28,13 +28,6 @@ class TwoLUPIStrategy(IndexingStrategy):
     logical_tables = ("lup", "lui")
     fallback_rank = 3
 
-    def __init__(self, include_words: bool = True,
-                 reduction_enabled: bool = True) -> None:
-        super().__init__(include_words=include_words)
-        #: The §5.4 semi-join pre-filter; switchable for the ablation
-        #: bench (disabling it must not change results, only work done).
-        self.reduction_enabled = reduction_enabled
-
     def extract(self, document: Document) -> Dict[str, List[IndexEntry]]:
         """``I_2LUPI(d)``: both sub-indexes' entries (Table 2), projected
         from one walk of the document."""
@@ -44,5 +37,4 @@ class TwoLUPIStrategy(IndexingStrategy):
         """Build the §5.4 two-phase look-up planner."""
         from repro.indexing.lookup_plans import TwoLUPILookup
         return TwoLUPILookup(store, table_names["lup"], table_names["lui"],
-                             tracer, include_words=self.include_words,
-                             reduction_enabled=self.reduction_enabled)
+                             tracer, include_words=self.include_words)

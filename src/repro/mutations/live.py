@@ -48,7 +48,6 @@ from repro.consistency.ledger import BatchLedger
 from repro.consistency.manifest import DeltaRecord, LiveHead, Manifest
 from repro.errors import BuildStateError, WarehouseError
 from repro.mutations.merge import MergingStore, alias_table
-from repro.warehouse.deployment import DeploymentConfig
 from repro.warehouse.frontend import check_document_uris
 from repro.warehouse.loader import LoaderWorkerStats
 from repro.warehouse.messages import LOADER_QUEUE
@@ -297,10 +296,10 @@ class LiveIndex:
 
     # -- publication cores (generator seams; wrappers add tag + pricing) ----
 
-    def publish_add(self, increment: Corpus,
-                    config: Optional[Any] = None,
+    def publish_add(self, increment: Corpus, loaders: Optional[int] = None,
                     ) -> Generator[Any, Any, DeltaReport]:
-        """Publish new documents as one delta epoch (steps 1-6, live)."""
+        """Publish new documents as one delta epoch (steps 1-6, live)
+        on up to ``loaders`` loaders (default: the deployment's)."""
         warehouse = self.warehouse
         if warehouse.corpus is None:
             raise WarehouseError(
@@ -310,10 +309,10 @@ class LiveIndex:
             raise WarehouseError(
                 "increment re-uses existing URIs: {}".format(
                     sorted(duplicate)[:3]))
-        cfg = DeploymentConfig.resolve(warehouse.deployment, config)
         additions = [(document.uri, increment.data[document.uri])
                      for document in increment.documents]
-        report = yield from self._publish("add", additions, (), cfg)
+        report = yield from self._publish(
+            "add", additions, (), loaders or warehouse.deployment.loaders)
         warehouse.corpus = Corpus(
             documents=warehouse.corpus.documents + increment.documents,
             data={**warehouse.corpus.data, **increment.data},
@@ -340,7 +339,7 @@ class LiveIndex:
         if missing:
             raise WarehouseError(
                 "cannot delete unknown documents: {}".format(missing[:3]))
-        report = yield from self._publish("delete", [], tuple(doomed), None)
+        report = yield from self._publish("delete", [], tuple(doomed), 0)
         gone = set(doomed)
         warehouse.corpus = Corpus(
             documents=[doc for doc in warehouse.corpus.documents
@@ -358,7 +357,6 @@ class LiveIndex:
         return report
 
     def publish_update(self, uri: str, data: bytes,
-                       config: Optional[Any] = None,
                        ) -> Generator[Any, Any, DeltaReport]:
         """Replace one document: tombstone + re-extraction in one delta."""
         warehouse = self.warehouse
@@ -368,9 +366,8 @@ class LiveIndex:
         if uri not in warehouse.corpus.data:
             raise WarehouseError(
                 "cannot update unknown document {!r}".format(uri))
-        cfg = DeploymentConfig.resolve(warehouse.deployment, config)
-        report = yield from self._publish("update", [(uri, data)],
-                                          (uri,), cfg)
+        report = yield from self._publish("update", [(uri, data)], (uri,),
+                                          warehouse.deployment.loaders)
         updated = parse_document(data, uri)
         warehouse.corpus = Corpus(
             documents=[updated if doc.uri == uri else doc
@@ -385,12 +382,14 @@ class LiveIndex:
     # -- the shared publication pipeline -------------------------------------
 
     def _publish(self, kind: str, additions: List[Tuple[str, bytes]],
-                 tombstones: Tuple[str, ...], cfg: Optional[Any],
+                 tombstones: Tuple[str, ...], loaders: int,
                  ) -> Generator[Any, Any, DeltaReport]:
-        """Store → index → flip: the delta-epoch state machine."""
+        """Store → index → flip: the delta-epoch state machine, indexing
+        ``additions`` on up to ``loaders`` loaders."""
         from repro.warehouse.warehouse import DOCUMENT_BUCKET
         check_document_uris([uri for uri, _ in additions])
         warehouse = self.warehouse
+        batch_size = warehouse.deployment.batch_size
         cloud = warehouse.cloud
         env = cloud.env
         manifest = Manifest(cloud.resilient.dynamodb)
@@ -428,10 +427,10 @@ class LiveIndex:
                 ledger.ensure_table()
                 batches = partition_batches(
                     "{}-s{}".format(self.name, seq), self.record.epoch,
-                    [uri for uri, _ in additions], cfg.batch_size)
+                    [uri for uri, _ in additions], batch_size)
                 fleet = warehouse._loader_fleet(
-                    delta_store, self.strategy, tables, cfg.loader_type,
-                    cfg.batch_size, ledger=ledger,
+                    delta_store, self.strategy, tables, batch_size,
+                    ledger=ledger,
                     name="delta-loader-s{}".format(seq))
                 # The fault plan's loader crashes land here as on a
                 # build, so under a plan the queue drains before the
@@ -439,7 +438,7 @@ class LiveIndex:
                 # its lease lapses.  Fault-free publications skip the
                 # drain, as fault-free builds do.
                 warehouse._launch_loaders(
-                    fleet, max(1, min(cfg.loaders, len(batches))))
+                    fleet, max(1, min(loaders, len(batches))))
                 for batch in batches:
                     yield from cloud.resilient.sqs.send(LOADER_QUEUE, batch)
                 if cloud.faults is not None:
@@ -512,7 +511,6 @@ class LiveIndex:
 
 def mutation_feed(live: LiveIndex,
                   mutations: Iterable[Tuple[str, Any]],
-                  config: Optional[Any] = None,
                   interval_s: float = 4.0) -> Callable[[], Any]:
     """A serialised mutation schedule, packaged for ``serve()``.
 
@@ -524,7 +522,6 @@ def mutation_feed(live: LiveIndex,
     loader queue, so concurrent feeds would steal each other's batches.
     """
     warehouse = live.warehouse
-    cfg = DeploymentConfig.resolve(warehouse.deployment, config)
     schedule = list(mutations)
 
     def feed() -> Generator[Any, Any, None]:
@@ -532,12 +529,12 @@ def mutation_feed(live: LiveIndex,
         for op, payload in schedule:
             yield warehouse.cloud.env.timeout(interval_s)
             if op == "add":
-                yield from live.publish_add(payload, cfg)
+                yield from live.publish_add(payload)
             elif op == "delete":
                 yield from live.publish_delete(payload)
             elif op == "update":
                 uri, data = payload
-                yield from live.publish_update(uri, data, cfg)
+                yield from live.publish_update(uri, data)
             else:
                 raise WarehouseError(
                     "unknown mutation op {!r}".format(op))

@@ -210,6 +210,3 @@ class Query:
         return body
 
 
-def single_pattern_query(root: PatternNode, name: str = "") -> Query:
-    """Convenience: wrap a root node into a one-pattern query."""
-    return Query(patterns=[TreePattern(root=root)], name=name)

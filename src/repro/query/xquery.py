@@ -18,6 +18,9 @@ from typing import Dict, List
 from repro.query.pattern import Axis, PatternNode, Query, TreePattern
 from repro.query.predicates import Contains, Equals, RangePredicate
 
+#: The document collection every translated query ranges over.
+COLLECTION = 'collection("warehouse")'
+
 
 def _step(axis: Axis, node: PatternNode) -> str:
     sep = "/" if axis is Axis.CHILD else "//"
@@ -67,14 +70,15 @@ class _Translator:
         return var
 
 
-def to_xquery(query: Query, collection: str = 'collection("warehouse")') -> str:
-    """Translate ``query`` into an XQuery FLWOR expression string."""
+def to_xquery(query: Query) -> str:
+    """Translate ``query`` into an XQuery FLWOR expression string over
+    :data:`COLLECTION`."""
     translator = _Translator()
     for index, pattern in enumerate(query.patterns):
         doc_var = "$d{}".format(index + 1)
         translator.for_clauses.insert(
             len(translator.for_clauses),
-            "for {} in {}".format(doc_var, collection))
+            "for {} in {}".format(doc_var, COLLECTION))
         translator.pattern(pattern, doc_var)
     for join in query.joins:
         left = translator.bindings[join.left_variable]

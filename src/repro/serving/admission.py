@@ -77,12 +77,10 @@ class AdmissionController:
     """
 
     def __init__(self, cloud: Any, policy: Optional[AdmissionPolicy],
-                 queue_name: str = QUERY_QUEUE,
                  tenancy: Optional[Any] = None,
                  strategy: str = "") -> None:
         self._cloud = cloud
         self.policy = policy
-        self._queue_name = queue_name
         self._tenancy = tenancy
         self._strategy = strategy
         self.spend_lookup: Optional[Callable[[str], float]] = None
@@ -121,7 +119,7 @@ class AdmissionController:
         self.offered_by[tenant] = self.offered_by.get(tenant, 0) + 1
         decision = ADMIT
         if self.policy is not None:
-            depth = self._cloud.sqs.approximate_depth(self._queue_name)
+            depth = self._cloud.sqs.approximate_depth(QUERY_QUEUE)
             if depth >= self.policy.max_queue_depth:
                 decision = SHED
             elif (self.policy.degradation_enabled

@@ -63,12 +63,10 @@ class Autoscaler:
     """
 
     def __init__(self, cloud: Any, policy: AutoscalePolicy, fleet: Fleet,
-                 queue_name: str = QUERY_QUEUE,
                  spot: Optional[SpotPolicy] = None) -> None:
         self._cloud = cloud
         self.policy = policy
         self.fleet = fleet
-        self._queue_name = queue_name
         self.spot = spot
         self.scale_outs = 0
         self.scale_ins = 0
@@ -121,8 +119,8 @@ class Autoscaler:
         policy = self.policy
         cloud = self._cloud
         now = cloud.env.now
-        depth = cloud.sqs.approximate_depth(self._queue_name)
-        age = cloud.sqs.oldest_message_age(self._queue_name)
+        depth = cloud.sqs.approximate_depth(QUERY_QUEUE)
+        age = cloud.sqs.oldest_message_age(QUERY_QUEUE)
         size = self.fleet.size
         cooling = now - self._last_action_at < COOLDOWN_S
         hub = cloud.telemetry
@@ -144,7 +142,7 @@ class Autoscaler:
             return
 
         busy = any(m.worker.busy for m in self.fleet.members)
-        in_flight = cloud.sqs.in_flight_count(self._queue_name)
+        in_flight = cloud.sqs.in_flight_count(QUERY_QUEUE)
         idle = depth == 0 and (not policy.drain
                                or (in_flight == 0 and not busy))
         if not idle:

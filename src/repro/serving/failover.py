@@ -145,7 +145,7 @@ class FailoverController:
         primary_db.set_available(False)
         self.region_outages += 1
         self._count("region_outages_total")
-        with self._cloud.telemetry.span("region-outage", region=spec.region,
+        with self._cloud.telemetry.span("region-outage", region=PRIMARY,
                                         duration_s=spec.duration_s):
             pass
         end_at = started_at + spec.duration_s

@@ -68,9 +68,10 @@ class ServingRuntime:
     """Serves one open workload; its stages stay on it for the report."""
 
     def __init__(self, warehouse: Any, profile: TrafficProfile,
-                 index: Optional[Any], deployment: Any,
+                 index: Optional[Any],
                  background: Optional[Sequence[Any]] = None,
                  tag: Optional[str] = None) -> None:
+        deployment = warehouse.deployment
         if deployment.failover and isinstance(index, LiveIndex):
             raise ConfigError("a live index cannot fail over yet: the "
                               "secondary region replicates no delta chain")
@@ -294,10 +295,10 @@ class ServingRuntime:
                     continue
                 # Submission runs in a child process so its SQS latency
                 # cannot delay (or reorder) later arrivals.
-                env.process(
+                driver.spawn(
                     driver.submit(self._queries[name], name, tenant,
                                   decision == DEGRADE, env.now),
-                    name="serve-submit-{}".format(seq))
+                    "serve-submit-{}".format(seq))
             traffic_done[0] = True
 
         def dispatcher() -> Generator[Any, Any, None]:
@@ -458,8 +459,7 @@ class ServingRuntime:
             tag=self.tag,
             arrival=self.profile.arrival,
             rate_qps=self.profile.rate_qps,
-            seed=self.profile.seed,
-            worker_type=deployment.worker_type,
+            seed=self.profile.seed, worker_type=deployment.worker_type,
             elastic=deployment.elastic,
             offered=admission.offered,
             admitted=admission.admitted,

@@ -90,20 +90,14 @@ class SpotMarket:
         """The member's interruption ``(instant, warning_s)``, if any.
 
         One exponential draw per regime, in plan order, from the
-        member's private RNG stream; the earliest instant that lands
-        inside its regime's window wins.
+        member's private RNG stream; the earliest instant wins.
         """
         rng = random.Random("{}:spot:{}".format(self._seed, instance_id))
         best: Optional[Tuple[float, float]] = None
         for spec in self._specs:
             if spec.rate <= 0:
                 continue
-            start = max(now, spec.start_s)
-            if spec.end_s is not None and start >= spec.end_s:
-                continue
-            instant = start + rng.expovariate(spec.rate / 3600.0)
-            if spec.end_s is not None and instant >= spec.end_s:
-                continue
+            instant = now + rng.expovariate(spec.rate / 3600.0)
             if best is None or instant < best[0]:
                 best = (instant, spec.warning_s)
         return best

@@ -51,8 +51,8 @@ class Environment:
     3.0
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
         #: The process whose generator is currently being stepped (kernel

@@ -111,11 +111,10 @@ class Meter:
             ("service", "operation"))
 
     def record(self, time: float, service: str, operation: str,
-               count: int = 1, bytes_in: int = 0, bytes_out: int = 0,
-               tag: Optional[str] = None) -> MeterRecord:
-        """Append and return a new record, inheriting the current tag."""
-        if tag is None:
-            tag = self._tag_stack[-1] if self._tag_stack else ""
+               count: int = 1, bytes_in: int = 0,
+               bytes_out: int = 0) -> MeterRecord:
+        """Append and return a new record under the current tag."""
+        tag = self._tag_stack[-1] if self._tag_stack else ""
         span = None if self._tracer is None else self._tracer.current_span
         rec = MeterRecord(time, service, operation, count, bytes_in,
                           bytes_out, tag,
@@ -191,16 +190,6 @@ class Meter:
                       tag: Optional[str] = None) -> int:
         """Total billable requests matching the filter."""
         return sum(r.count for r in self.records(service, operation, tag))
-
-    def bytes_out_total(self, service: Optional[str] = None,
-                        tag: Optional[str] = None) -> int:
-        """Total bytes transferred out of matching services."""
-        return sum(r.bytes_out for r in self.records(service, tag=tag))
-
-    def bytes_in_total(self, service: Optional[str] = None,
-                       tag: Optional[str] = None) -> int:
-        """Total bytes transferred into matching services."""
-        return sum(r.bytes_in for r in self.records(service, tag=tag))
 
     def totals(self) -> MeterTotals:
         """Aggregate counters keyed by ``(service, operation)``."""

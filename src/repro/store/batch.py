@@ -24,13 +24,11 @@ class BatchPipeline:
     ``add`` dedupes; ``batches`` partitions the surviving keys by
     shard (first-seen order within a shard, ascending shard order
     across shards — both deterministic) and chunks each partition at
-    ``batch_limit`` keys.
+    ``BATCH_GET_LIMIT`` keys, DynamoDB's batch size.
     """
 
-    def __init__(self, shards: int = 1,
-                 batch_limit: int = BATCH_GET_LIMIT) -> None:
+    def __init__(self, shards: int = 1) -> None:
         self.shards = max(1, shards)
-        self.batch_limit = batch_limit
         #: shard ordinal -> keys routed there, first-seen order.
         self._by_shard: Dict[int, List[str]] = {}
         self._seen: Dict[str, None] = {}
@@ -68,7 +66,7 @@ class BatchPipeline:
     def batches(self, physical: str) -> List[Tuple[int, str, List[str]]]:
         """``(shard, shard table, key chunk)`` batches for one table.
 
-        Each chunk holds at most ``batch_limit`` keys, so every batch
+        Each chunk holds at most ``BATCH_GET_LIMIT`` keys, so every batch
         maps to exactly one ``batch_get`` request.  Empty when nothing
         was collected — the caller then issues no request at all
         (DynamoDB rejects empty ``batch_get`` key lists).
@@ -77,7 +75,7 @@ class BatchPipeline:
         out: List[Tuple[int, str, List[str]]] = []
         for shard in sorted(self._by_shard):
             keys = self._by_shard[shard]
-            for start in range(0, len(keys), self.batch_limit):
+            for start in range(0, len(keys), BATCH_GET_LIMIT):
                 out.append((shard, names[shard],
-                            keys[start:start + self.batch_limit]))
+                            keys[start:start + BATCH_GET_LIMIT]))
         return out

@@ -61,11 +61,10 @@ class TelemetryHub:
     :meth:`for_env`.
     """
 
-    def __init__(self, env: Any, meter: Optional[Any] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, env: Any, meter: Optional[Any] = None) -> None:
         self.env = env
         self.tracer = Tracer(env)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         env.telemetry = self
         if meter is not None:
             self.bind_meter(meter)
@@ -113,13 +112,6 @@ class TelemetryHub:
         """Get or create a registry counter."""
         return self.registry.counter(name, help_text, labelnames)
 
-    def gauge(self, name: str, help_text: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        """Get or create a registry gauge."""
-        return self.registry.gauge(name, help_text, labelnames)
-
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Sequence[str] = (),
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        """Get or create a registry histogram."""
-        return self.registry.histogram(name, help_text, labelnames, buckets)
+    def gauge(self, name: str, help_text: str = "") -> Gauge:
+        """Get or create an unlabelled registry gauge."""
+        return self.registry.gauge(name, help_text)

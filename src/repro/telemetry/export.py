@@ -24,6 +24,9 @@ from typing import Any, Dict, List, Optional
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
+#: How deep :func:`render_tree` descends before it stops indenting.
+MAX_TREE_DEPTH = 12
+
 __all__ = ["chrome_trace_json", "render_tree", "metrics_snapshot_json"]
 
 
@@ -85,8 +88,7 @@ def _format_cost(value: float) -> str:
 
 
 def render_tree(tracer: Tracer,
-                costs: Optional[Dict[int, Any]] = None,
-                max_depth: int = 12) -> str:
+                costs: Optional[Dict[int, Any]] = None) -> str:
     """Render the span tree as indented console text.
 
     Same-named siblings collapse into one aggregated line (count and
@@ -124,7 +126,7 @@ def render_tree(tracer: Tracer,
 
     def walk(group: List[Span], depth: int) -> None:
         lines.append("  " * depth + describe(group))
-        if depth >= max_depth:
+        if depth >= MAX_TREE_DEPTH:
             return
         merged: List[Span] = []
         for span in group:

@@ -179,19 +179,6 @@ class Histogram(_Metric):
                 # Non-cumulative storage; snapshots cumulate.
                 break
 
-    def cumulative_counts(self, **labels: str) -> List[int]:
-        """Per-bucket cumulative counts (Prometheus ``le`` semantics)."""
-        key = _label_key(self.labelnames, labels)
-        series = self._series.get(key)
-        if series is None:
-            return [0] * len(self.buckets)
-        out: List[int] = []
-        running = 0
-        for count in series.bucket_counts:
-            running += count
-            out.append(running)
-        return out
-
 
 class MetricsRegistry:
     """Named metrics, created on first use and snapshot on demand."""

@@ -109,19 +109,16 @@ def tenant_of_span(tracer: Any, span_id: int,
     return tenant
 
 
-def tenant_costs(tracer: Any, meter: Any, book: Any,
-                 tag_prefix: str = "") -> Dict[str, Any]:
-    """Partition a phase's priced records by owning tenant.
+def tenant_costs(tracer: Any, meter: Any, book: Any) -> Dict[str, Any]:
+    """Partition the meter's priced records by owning tenant.
 
     Returns tenant name → :class:`~repro.costs.estimator.CostBreakdown`
-    over exactly the records :func:`~repro.costs.estimator.phase_cost`
-    would price for the same ``tag_prefix`` — the partition refines the
-    phase fold, it never prices a record the phase would not.
+    over exactly the records the meter holds — the partition refines
+    the whole-run fold, it never prices a record that fold would not.
     """
     from repro.costs.estimator import price_records
 
-    return partition_costs(tracer, price_records(
-        meter.records(tag_prefix=tag_prefix), book))
+    return partition_costs(tracer, price_records(meter.records(), book))
 
 
 def partition_costs(tracer: Any, priced: Any) -> Dict[str, Any]:

@@ -30,7 +30,6 @@ from typing import Any, Dict, Generator
 from repro.errors import ConfigError
 from repro.tenancy.envelope import (MutationResponse, QueryRequest,
                                     QueryResponse)
-from repro.tenancy.tenant import DEFAULT_TENANT
 
 __all__ = ["TenantFacade", "MUTATION_KINDS"]
 
@@ -46,8 +45,7 @@ def _etag(live: Any) -> str:
 class TenantFacade:
     """One tenant's handle on a shared warehouse."""
 
-    def __init__(self, warehouse: Any,
-                 tenant: str = DEFAULT_TENANT) -> None:
+    def __init__(self, warehouse: Any, tenant: str) -> None:
         if not tenant or any(c.isspace() for c in tenant):
             raise ConfigError(
                 "TenantFacade tenant must be a non-empty token, got "
@@ -98,7 +96,7 @@ class TenantFacade:
         """Run one mutation iff ``if_match`` is still the current tag.
 
         ``kind`` selects the warehouse mutation (``add``: kwargs
-        ``increment`` and optional ``config``; ``delete``: ``uris``;
+        ``increment``; ``delete``: ``uris``;
         ``update``: ``uri`` and ``data``; ``compact``: optional
         ``max_units``/``retire``).  On a tag mismatch nothing runs and
         the response carries the current tag for the retry read.
@@ -115,16 +113,14 @@ class TenantFacade:
         tag = "ingest:{}:tenant:{}:{}".format(live.name, self.tenant,
                                               kind)
         if kind == "add":
-            report = warehouse.add_documents(
-                live, kwargs["increment"],
-                config=kwargs.get("config"), tag=tag)
+            report = warehouse.add_documents(live, kwargs["increment"],
+                                             tag=tag)
         elif kind == "delete":
             report = warehouse.delete_documents(
                 live, kwargs["uris"], tag=tag)
         elif kind == "update":
             report = warehouse.update_document(
-                live, kwargs["uri"], kwargs["data"],
-                config=kwargs.get("config"), tag=tag)
+                live, kwargs["uri"], kwargs["data"], tag=tag)
         else:
             report = warehouse.compact_index(
                 live, max_units=kwargs.get("max_units"),

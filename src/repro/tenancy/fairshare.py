@@ -27,29 +27,27 @@ from repro.errors import ConfigError
 __all__ = ["FairShareQueue"]
 
 
+#: The deficit top-up a weight-1.0 lane earns per round.  With unit
+#: item costs any positive value preserves the share ratios.
+QUANTUM = 1.0
+
+
 class FairShareQueue:
     """Weighted DRR over per-tenant lanes with unit-cost items.
 
     ``weights`` maps each tenant to its positive fair-share weight;
     pushes for unknown tenants join at weight 1.0 (arrivals must never
-    be lost to a configuration gap).  ``quantum`` is the deficit
-    top-up a weight-1.0 lane earns per round — with unit item costs any
-    positive value preserves the share ratios; it stays configurable so
-    tests can probe rounding behaviour.
+    be lost to a configuration gap).  Each lane earns :data:`QUANTUM`
+    x its weight per round.
     """
 
-    def __init__(self, weights: Dict[str, float],
-                 quantum: float = 1.0) -> None:
-        if quantum <= 0:
-            raise ConfigError(
-                "FairShareQueue.quantum must be > 0, got {}".format(
-                    quantum))
+    def __init__(self, weights: Dict[str, float]) -> None:
         for tenant, weight in weights.items():
             if weight <= 0:
                 raise ConfigError(
                     "FairShareQueue weight for {!r} must be > 0, got "
                     "{}".format(tenant, weight))
-        self.quantum = quantum
+        self.quantum = QUANTUM
         self._weights = dict(weights)
         self._lanes: Dict[str, deque] = {}
         self._deficits: Dict[str, float] = {}

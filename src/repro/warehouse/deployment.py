@@ -9,16 +9,17 @@ access layer, queue leases, and the optional chaos / autoscaling /
 admission policies — while the per-call arguments of the ``Warehouse``
 methods describe *what* to run (a strategy, a corpus, a workload).
 
-Construction paths:
+Construction paths, the only two places a config is resolved:
 
 - ``Warehouse(deployment=cfg)`` — deploy on a caller-supplied cloud;
 - ``Warehouse.deploy(cfg)`` — one-call deployment that also builds the
   :class:`~repro.cloud.provider.CloudProvider` (wiring the config's
-  fault plan into it);
-- every workload-shaped method takes ``config=...`` accepting either a
-  full :class:`DeploymentConfig` or a mapping of field overrides
-  applied to the warehouse's own deployment
-  (``build_index("2LUPI", config={"loaders": 4})``).
+  fault plan into it).
+
+Either takes a full :class:`DeploymentConfig` or a mapping of field
+overrides over the default one.  A call may then vary only its own
+fleet (``build_index("2LUPI", loaders=4)``,
+``run_workload(queries, index, workers=2)``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = ["DeploymentConfig"]
 #: Index-store backends the warehouse can deploy on.
 _BACKENDS = ("dynamodb", "simpledb")
 
+#: Loaders run on large instances, as in every run of the paper (§8.1).
+LOADER_TYPE = "l"
+
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -49,8 +53,9 @@ class DeploymentConfig:
 
     Attributes
     ----------
-    loaders / loader_type:
-        Index-build fleet (the paper's loader module).
+    loaders:
+        Index-build fleet size (the paper's loader module, on
+        :data:`LOADER_TYPE` instances).
     workers / worker_type:
         Query-processor fleet for closed workloads, and the *fixed*
         serving fleet when no autoscale policy is set.
@@ -94,7 +99,6 @@ class DeploymentConfig:
     """
 
     loaders: int = 8
-    loader_type: str = "l"
     workers: int = 1
     worker_type: str = "xl"
     backend: str = "dynamodb"
@@ -118,7 +122,6 @@ class DeploymentConfig:
             raise ConfigError(
                 "DeploymentConfig.workers must be >= 1, got {}".format(
                     self.workers))
-        instance_type(self.loader_type)
         instance_type(self.worker_type)
         if self.backend not in _BACKENDS:
             raise ConfigError(
@@ -144,15 +147,21 @@ class DeploymentConfig:
             raise ConfigError(
                 "DeploymentConfig.failover must be a bool, got "
                 "{!r}".format(type(self.failover).__name__))
-        if self.tenancy is not None:
-            # Lazy import: repro.tenancy sits above this module in the
-            # layering (it imports serving.traffic), so the type check
-            # must not create an import cycle at module load.
-            from repro.tenancy.tenant import TenancyConfig
-            if not isinstance(self.tenancy, TenancyConfig):
+        # Lazy imports: repro.faults and repro.tenancy sit beside or
+        # above this module in the layering, so the type checks must not
+        # create an import cycle at module load.
+        from repro.faults.plan import FaultPlan
+        from repro.tenancy.tenant import TenancyConfig
+        for name, kind in (("faults", FaultPlan),
+                           ("autoscale", AutoscalePolicy),
+                           ("admission", AdmissionPolicy),
+                           ("spot", SpotPolicy),
+                           ("tenancy", TenancyConfig)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
                 raise ConfigError(
-                    "DeploymentConfig.tenancy must be a TenancyConfig, "
-                    "got {!r}".format(type(self.tenancy).__name__))
+                    "DeploymentConfig.{} must be a {}, got {!r}".format(
+                        name, kind.__name__, type(value).__name__))
 
     @property
     def elastic(self) -> bool:

@@ -21,7 +21,7 @@ from repro.costs.estimator import price_records
 from repro.errors import ProcessInterrupted, SimulationDeadlock
 from repro.telemetry.costing import inclusive_costs
 from repro.warehouse.fleet import MARKET_ON_DEMAND
-from repro.warehouse.messages import QUERY_QUEUE
+from repro.warehouse.messages import QUERY_QUEUE, RESPONSE_QUEUE
 from repro.warehouse.query_processor import QueryWorkStats
 
 __all__ = ["QueryDriver"]
@@ -121,6 +121,10 @@ class QueryDriver:
             launches = [(launches, MARKET_ON_DEMAND)]
 
         def process() -> Generator[Any, Any, None]:
+            # The run's own process is abandoned with its children: left
+            # waiting on the response queue, it would take the next
+            # run's first response.
+            self._spawned.append(cloud.env.active_process)
             if warm_up is not None:
                 yield from warm_up()
             for count, market in launches:
@@ -156,14 +160,21 @@ class QueryDriver:
         return None
 
     def _abandon(self) -> None:
-        """Stop what a failed run left running: its own processes and
-        every fleet member (an idle one would take the next run's
-        queries into this run's records)."""
+        """Stop what a failed run left running and take back what it
+        left queued: its own processes (a submission in flight would
+        still land), every fleet member (an idle one would take the
+        next run's queries into this run's records), and its messages.
+        Runs on one warehouse never overlap, so every query, lease and
+        response on the two query queues is this run's: left there, its
+        unanswered queries would be answered ahead of the next run's."""
         for proc in self._spawned:
             if proc.is_alive:
                 proc.interrupt(ProcessInterrupted("run failed"))
         for member in list(self.fleet.members):
             self.fleet.retire(member)
+        sqs = self._warehouse.cloud.sqs
+        for queue in (QUERY_QUEUE, RESPONSE_QUEUE):
+            sqs.discard(queue)
 
     def price(self, fold: Optional[Callable[[list], None]] = None,
               ) -> Dict[int, Any]:

@@ -50,15 +50,14 @@ class Fleet:
 
     def __init__(self, cloud: Any, instance_type: str,
                  worker_factory: Callable[[Any], Any],
-                 spot_market: Optional[Any] = None,
                  name: str = "serve-worker") -> None:
         self._cloud = cloud
         self._instance_type = instance_type
         self._factory = worker_factory
         self._name = name
-        #: Optional :class:`~repro.serving.spot.SpotMarket` watching
-        #: spot members for seeded interruptions.
-        self.spot_market = spot_market
+        #: The :class:`~repro.serving.spot.SpotMarket` watching spot
+        #: members for seeded interruptions, once serving sets one.
+        self.spot_market: Optional[Any] = None
         #: The members in the fleet now (crashed and retired ones leave).
         self.members: List[_Member] = []
         #: Every member the fleet ever launched, in launch order.

@@ -28,6 +28,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sqs import RedrivePolicy
 from repro.errors import WarehouseError
+from repro.faults.plan import MAX_RECEIVE_COUNT
 from repro.indexing.base import IndexingStrategy
 from repro.indexing.mapper import (DynamoIndexStore, IndexStore,
                                    SimpleDBIndexStore)
@@ -35,7 +36,7 @@ from repro.indexing.registry import strategy as strategy_by_name
 from repro.query.pattern import Query
 from repro.store import AnswerMemo, IndexCache, StoreRouter
 from repro.telemetry.costing import span_inclusive_costs
-from repro.warehouse.deployment import DeploymentConfig
+from repro.warehouse.deployment import LOADER_TYPE, DeploymentConfig
 from repro.warehouse.driver import QueryDriver
 from repro.warehouse.fleet import Fleet
 from repro.warehouse.frontend import Frontend, check_document_uris
@@ -256,7 +257,8 @@ class Warehouse:
         resolved = DeploymentConfig.resolve(DeploymentConfig(), deployment)
         #: The deployment's frozen configuration: fleet shapes, store
         #: layout, queue lease, optional fault/autoscale/admission
-        #: policies.  Per-call ``config=`` arguments override it.
+        #: policies.  A call may vary only its own fleet's size and type
+        #: and a build's backend (see :meth:`_sized`).
         self.deployment = resolved
         visibility_timeout = resolved.visibility_timeout
         #: One epoch-aware read cache shared by every index store of
@@ -278,8 +280,7 @@ class Warehouse:
                     dlq, visibility_timeout=visibility_timeout)
                 redrive = RedrivePolicy(
                     dead_letter_queue=dlq,
-                    max_receive_count=(
-                        self.cloud.faults.plan.max_receive_count))
+                    max_receive_count=MAX_RECEIVE_COUNT)
             self.cloud.sqs.create_queue(
                 queue, visibility_timeout=visibility_timeout,
                 redrive_policy=redrive)
@@ -316,19 +317,26 @@ class Warehouse:
         return self.cloud.telemetry.span(name, **attributes)
 
     @classmethod
-    def deploy(cls, config: Optional[Any] = None,
-               cloud: Optional[CloudProvider] = None) -> "Warehouse":
+    def deploy(cls, config: Optional[Any] = None) -> "Warehouse":
         """Deploy a warehouse from one :class:`DeploymentConfig`.
 
-        The one-stop constructor: when no ``cloud`` is supplied, one is
-        provisioned from the config itself (its ``faults`` plan becomes
-        the cloud's fault plan).  ``config`` may also be a mapping of
-        overrides over the default config.
+        The one-stop constructor: the cloud is provisioned from the
+        config itself (its ``faults`` plan becomes the cloud's fault
+        plan).  ``config`` may also be a mapping of overrides over the
+        default config.
         """
         resolved = DeploymentConfig.resolve(DeploymentConfig(), config)
-        if cloud is None:
-            cloud = CloudProvider(fault_plan=resolved.faults)
-        return cls(cloud=cloud, deployment=resolved)
+        return cls(cloud=CloudProvider(fault_plan=resolved.faults),
+                   deployment=resolved)
+
+    def _sized(self, **sizes: Any) -> DeploymentConfig:
+        """The deployment with one call's fleet sizes, types or backend
+        (``None`` keeps the deployment's own); a value the deployment
+        would refuse raises :class:`~repro.errors.ConfigError`."""
+        changes = {field: value for field, value in sizes.items()
+                   if value is not None}
+        return (self.deployment.override(**changes) if changes
+                else self.deployment)
 
     # -- corpus upload -----------------------------------------------------------
 
@@ -351,24 +359,27 @@ class Warehouse:
     # -- index building ------------------------------------------------------------
 
     def build_index(self, strategy: Union[str, IndexingStrategy],
-                    config: Optional[Any] = None, include_words: bool = True,
-                    tag: Optional[str] = None) -> BuiltIndex:
+                    loaders: Optional[int] = None,
+                    batch_size: Optional[int] = None,
+                    backend: Optional[str] = None,
+                    include_words: bool = True) -> BuiltIndex:
         """Build one strategy's index over the uploaded corpus.
 
-        Launches ``config.loaders`` loader VMs of ``config.loader_type``,
+        Launches ``loaders`` loader VMs (large instances),
         enqueues one load request per document, and runs the pipeline to
-        completion.  ``config.backend`` selects the index store
-        ("dynamodb" or "simpledb" — the latter reproduces the [8]
-        baseline of Tables 7-8).  ``config`` defaults to the
-        deployment's config; a mapping overrides individual fields.
+        completion.  ``backend`` selects the index store ("dynamodb" or
+        "simpledb" — the latter reproduces the [8] baseline of Tables
+        7-8).  ``loaders``, ``batch_size`` and ``backend`` default to the
+        deployment's.
         """
-        cfg = DeploymentConfig.resolve(self.deployment, config)
+        cfg = self._sized(loaders=loaders, batch_size=batch_size,
+                          backend=backend)
         if self.corpus is None:
             raise WarehouseError("upload_corpus() must run before build_index()")
         if isinstance(strategy, str):
             strategy = strategy_by_name(strategy, include_words=include_words)
         build_id = next(self._build_ids)
-        tag = tag or "index-build:{}:{}".format(strategy.name, build_id)
+        tag = "index-build:{}:{}".format(strategy.name, build_id)
 
         store = self._make_store(cfg.backend, seed=build_id)
         table_names = {
@@ -379,7 +390,7 @@ class Warehouse:
             store.create_table(physical)
 
         fleet = self._loader_fleet(store, strategy, table_names,
-                                   cfg.loader_type, cfg.batch_size)
+                                   cfg.batch_size)
 
         def driver() -> Generator[Any, Any, None]:
             self._launch_loaders(fleet, cfg.loaders)
@@ -404,7 +415,7 @@ class Warehouse:
             with self.cloud.meter.tagged(tag):
                 self.cloud.env.run_process(
                     driver(), name="build-{}".format(strategy.name))
-        phase = PhaseRecord(tag=tag, instance_type=cfg.loader_type,
+        phase = PhaseRecord(tag=tag, instance_type=LOADER_TYPE,
                             instances=cfg.loaders, started_at=started_at,
                             ended_at=self.cloud.env.now)
         self.phases.append(phase)
@@ -416,8 +427,8 @@ class Warehouse:
                              for member in fleet.launched])
 
     def _loader_fleet(self, store: IndexStore, strategy: IndexingStrategy,
-                      table_names: Dict[str, str], instance_type: str,
-                      batch_size: int, ledger: Optional[Any] = None,
+                      table_names: Dict[str, str], batch_size: int,
+                      ledger: Optional[Any] = None,
                       name: str = "loader") -> Fleet:
         """A loader fleet writing ``strategy``'s index into ``store``
         (through ``ledger``, the batch ledger of a checkpointed run)."""
@@ -425,7 +436,7 @@ class Warehouse:
             return IndexerWorker(self.cloud, instance, store, strategy,
                                  table_names, DOCUMENT_BUCKET,
                                  batch_size=batch_size, ledger=ledger)
-        return Fleet(self.cloud, instance_type, worker, name=name)
+        return Fleet(self.cloud, LOADER_TYPE, worker, name=name)
 
     def _launch_loaders(self, fleet: Fleet, count: int) -> None:
         """Launch a build's loaders and arm the fault plan's loader
@@ -456,21 +467,6 @@ class Warehouse:
                 degraded_lookup=(degraded(tracer)
                                  if degraded is not None else None))
         return Fleet(self.cloud, instance_type, worker, name=name)
-
-    def drop_index(self, built: BuiltIndex) -> int:
-        """Delete an index's tables, ending its storage rent.
-
-        Returns the number of bytes freed (``s(D, I)``) — what the
-        monthly ``IDX$m,GB`` charge stops accruing on.
-        """
-        freed = built.store.stored_bytes(built.physical_tables)
-        for physical in built.physical_tables:
-            for shard_table in built.store.shard_tables(physical):
-                if built.store.backend_name == "dynamodb":
-                    self.cloud.dynamodb.delete_table(shard_table)
-                else:
-                    self.cloud.simpledb.delete_domain(shard_table)
-        return freed
 
     def _make_store(self, backend: str, seed: int,
                     range_key_mode: str = "uuid", epoch: int = 0,
@@ -518,28 +514,26 @@ class Warehouse:
         return self._health
 
     def plan_build(self, strategy: Union[str, IndexingStrategy],
-                   name: Optional[str] = None,
-                   config: Optional[Any] = None,
-                   include_words: bool = True) -> Any:
-        """Plan a checkpointed build of the next epoch of ``name``.
+                   loaders: Optional[int] = None,
+                   batch_size: Optional[int] = None) -> Any:
+        """Plan a checkpointed build of the strategy's next epoch.
 
         The corpus is partitioned into fixed-composition batches *now*,
         and the target epoch is one past the currently committed epoch
         (1 for a first build) — the physical tables and ledger table are
         epoch-scoped, so a rebuild never touches the committed index.
+        The index is named after the strategy.
         """
         from repro.consistency import Manifest
         from repro.consistency.build import BuildPlan, partition_batches
-        cfg = DeploymentConfig.resolve(self.deployment, config)
-        instances = cfg.loaders
-        instance_type = cfg.loader_type
+        cfg = self._sized(loaders=loaders, batch_size=batch_size)
         batch_size = cfg.batch_size
         if self.corpus is None:
             raise WarehouseError(
                 "upload_corpus() must run before plan_build()")
         if isinstance(strategy, str):
-            strategy = strategy_by_name(strategy, include_words=include_words)
-        name = name or strategy.name
+            strategy = strategy_by_name(strategy)
+        name = strategy.name
         manifest = Manifest(self.cloud.resilient.dynamodb)
         previous = None
         if manifest.exists:
@@ -552,8 +546,7 @@ class Warehouse:
         epoch = previous.epoch + 1 if previous is not None else 1
         slug = name.lower()
         return BuildPlan(
-            name=name, strategy=strategy, epoch=epoch,
-            batch_size=batch_size,
+            name=name, strategy=strategy, epoch=epoch, batch_size=batch_size,
             shards=self.deployment.shards,
             batches=partition_batches(name, epoch, self._all_uris,
                                       batch_size),
@@ -561,7 +554,7 @@ class Warehouse:
                 logical: "idx-{}-{}-e{}".format(slug, logical, epoch)
                 for logical in strategy.logical_tables},
             ledger_table="ldg-{}-e{}".format(slug, epoch),
-            instances=instances, instance_type=instance_type)
+            instances=cfg.loaders)
 
     def run_build(self, plan: Any, interrupt_after_s: Optional[float] = None,
                   purge_stale: bool = False,
@@ -577,7 +570,7 @@ class Warehouse:
         them).
         """
         from repro.consistency.build import BuildCoordinator, BuildRunResult
-        tag = tag or plan.tag or "index-build:{}:e{}".format(
+        tag = tag or "index-build:{}:e{}".format(
             plan.name, plan.epoch)
         coordinator = BuildCoordinator(self.cloud, plan)
         self._coordinators[plan.name] = coordinator
@@ -585,7 +578,7 @@ class Warehouse:
                                  range_key_mode="content",
                                  epoch=plan.epoch)
         fleet = self._loader_fleet(store, plan.strategy, plan.table_names,
-                                   plan.instance_type, plan.batch_size,
+                                   plan.batch_size,
                                    ledger=coordinator.ledger,
                                    name="ckpt-loader")
 
@@ -614,7 +607,7 @@ class Warehouse:
                     driver(), name="ckpt-build-{}".format(plan.name))
         stats = [member.worker.stats for member in fleet.launched]
         phase = PhaseRecord(
-            tag=tag, instance_type=plan.instance_type,
+            tag=tag, instance_type=LOADER_TYPE,
             instances=plan.instances, started_at=started_at,
             ended_at=self.cloud.env.now)
         self.phases.append(phase)
@@ -626,10 +619,10 @@ class Warehouse:
             skipped_batches=sum(s.skipped_batches for s in stats),
             worker_stats=stats, store=store, phase=phase)
 
-    def commit_build(self, plan: Any, tag: Optional[str] = None) -> Any:
+    def commit_build(self, plan: Any) -> Any:
         """Commit a fully-applied plan: inventories + atomic epoch flip."""
         from repro.consistency.build import BuildCoordinator
-        tag = tag or "index-commit:{}:e{}".format(plan.name, plan.epoch)
+        tag = "index-commit:{}:e{}".format(plan.name, plan.epoch)
         coordinator = self._coordinators.pop(plan.name, None)
         if coordinator is None or coordinator.plan is not plan:
             coordinator = BuildCoordinator(self.cloud, plan)
@@ -652,17 +645,14 @@ class Warehouse:
                 previous_tables | set(record.tables.values()))
         return record
 
-    def resume_build(self, plan: Any,
-                     interrupt_after_s: Optional[float] = None,
-                     tag: Optional[str] = None) -> Tuple[Any, Any]:
+    def resume_build(self, plan: Any) -> Tuple[Any, Any]:
         """Resume an interrupted plan and commit once it is complete.
 
         Purges stale queue deliveries, re-enqueues only the batches the
         ledger is missing, and — if the run completes the ledger — flips
         the manifest.  Returns ``(run_result, committed_record_or_None)``.
         """
-        result = self.run_build(plan, interrupt_after_s=interrupt_after_s,
-                                purge_stale=True, tag=tag)
+        result = self.run_build(plan, purge_stale=True)
         record = None
         if result.complete:
             record = self.commit_build(plan)
@@ -682,9 +672,8 @@ class Warehouse:
                             result.worker_stats)
 
     def build_index_checkpointed(self, strategy: Union[str, IndexingStrategy],
-                                 name: Optional[str] = None,
-                                 config: Optional[Any] = None,
-                                 include_words: bool = True,
+                                 loaders: Optional[int] = None,
+                                 batch_size: Optional[int] = None,
                                  tag: Optional[str] = None
                                  ) -> Tuple[BuiltIndex, Any]:
         """One-call checkpointed build: plan → run → commit.
@@ -692,9 +681,8 @@ class Warehouse:
         Returns the ``BuiltIndex`` handle plus the committed
         :class:`~repro.consistency.manifest.EpochRecord`.
         """
-        cfg = DeploymentConfig.resolve(self.deployment, config)
-        plan = self.plan_build(strategy, name=name, config=cfg,
-                               include_words=include_words)
+        plan = self.plan_build(strategy, loaders=loaders,
+                               batch_size=batch_size)
         result = self.run_build(plan, tag=tag)
         if not result.complete:
             raise WarehouseError(
@@ -706,11 +694,11 @@ class Warehouse:
         return self.built_index_from(plan, result), record
 
     def scrub_index(self, built: BuiltIndex, name: str, epoch: int,
-                    repair: bool = True, tag: Optional[str] = None) -> Any:
+                    repair: bool = True) -> Any:
         """Scrub (and optionally repair) one committed index epoch."""
         from repro.consistency import Manifest, Scrubber
         from repro.consistency.build import partition_batches
-        tag = tag or "scrub:{}:e{}".format(name, epoch)
+        tag = "scrub:{}:e{}".format(name, epoch)
         # Reconstruct the epoch's batch partition (meter-free manifest
         # peek) so repairs merge multi-document items like the build did.
         batch_groups = None
@@ -734,9 +722,8 @@ class Warehouse:
 
     def run_degraded_workload(self, queries: Sequence[Query],
                               indexes: Sequence[BuiltIndex],
-                              config: Optional[Any] = None,
-                              repeats: int = 1, pipeline: bool = False,
-                              tag: Optional[str] = None) -> WorkloadReport:
+                              workers: Optional[int] = None
+                              ) -> WorkloadReport:
         """Run a workload over a graceful-degradation chain of indexes.
 
         The chain tries the highest-ranked healthy candidate per
@@ -744,23 +731,23 @@ class Warehouse:
         scan when nothing is usable; every downgrade is metered.
         """
         from repro.consistency import DegradedIndexChain
-        cfg = DeploymentConfig.resolve(self.deployment, config)
+        cfg = self._sized(workers=workers)
         chain = DegradedIndexChain(self.cloud, list(indexes),
                                    self._all_uris, health=self.health)
-        tag = tag or "workload:degraded:{}x{}".format(
-            cfg.workers, cfg.worker_type)
-        return self.run_workload(queries, chain, config=cfg,
-                                 repeats=repeats, pipeline=pipeline,
+        tag = "workload:degraded:{}x{}".format(cfg.workers, cfg.worker_type)
+        return self.run_workload(queries, chain, workers=cfg.workers,
                                  tag=tag)
 
     # -- querying ----------------------------------------------------------------------
 
     def run_workload(self, queries: Sequence[Query],
                      index: Optional[BuiltIndex],
-                     config: Optional[Any] = None,
+                     workers: Optional[int] = None,
+                     worker_type: Optional[str] = None,
                      repeats: int = 1, pipeline: bool = False,
                      tag: Optional[str] = None) -> WorkloadReport:
-        """Run ``queries`` (``repeats`` times) over ``config.workers`` VMs.
+        """Run ``queries`` (``repeats`` times) over ``workers`` VMs of
+        ``worker_type`` (both default to the deployment's).
 
         With ``index=None`` the no-index baseline runs: every document
         is fetched and evaluated for every query.
@@ -773,7 +760,7 @@ class Warehouse:
         Figure 10 ("we sent to the front-end all our workload queries,
         successively, 16 times").
         """
-        cfg = DeploymentConfig.resolve(self.deployment, config)
+        cfg = self._sized(workers=workers, worker_type=worker_type)
         instances = cfg.workers
         instance_type = cfg.worker_type
         if self.corpus is None:
@@ -847,18 +834,17 @@ class Warehouse:
                               span_id=driver.span.span_id)
 
     def run_query(self, query: Query, index: Optional[BuiltIndex],
-                  config: Optional[Any] = None,
+                  worker_type: Optional[str] = None,
                   tag: Optional[str] = None) -> QueryExecution:
-        """Run a single query on a single instance."""
-        cfg = DeploymentConfig.resolve(self.deployment, config)
-        report = self.run_workload([query], index,
-                                   config=cfg.override(workers=1), tag=tag)
+        """Run a single query on a single instance of ``worker_type``
+        (default: the deployment's)."""
+        report = self.run_workload([query], index, workers=1,
+                                   worker_type=worker_type, tag=tag)
         return report.executions[0]
 
     # -- serving (repro.serving) -------------------------------------------------
 
     def serve(self, traffic: Any, index: Optional[BuiltIndex],
-              config: Optional[Any] = None,
               background: Optional[Sequence[Any]] = None,
               tag: Optional[str] = None) -> Any:
         """Serve an *open* workload: traffic, admission, elastic fleet.
@@ -866,11 +852,11 @@ class Warehouse:
         ``traffic`` is a :class:`~repro.serving.traffic.TrafficProfile`
         (or a mapping of its fields): a seeded arrival process over the
         paper's query mix that keeps offering queries regardless of
-        whether the fleet keeps up.  The fleet starts at
-        ``config.workers`` (or ``config.autoscale.min_workers`` when an
-        autoscale policy is set, in which case it grows and shrinks
-        against queue depth and age), and ``config.admission`` sheds or
-        degrades arrivals over its queue bounds — a degraded arrival
+        whether the fleet keeps up.  The deployment provisions the rest:
+        the fleet starts at its ``workers`` (or ``autoscale.min_workers``
+        when an autoscale policy is set, in which case it grows and
+        shrinks against queue depth and age), and its ``admission`` sheds
+        or degrades arrivals over its queue bounds — a degraded arrival
         runs as the full S3 scan.  ``background`` holds generator factories
         run alongside traffic (the live-ingestion hooks:
         :func:`~repro.mutations.live.mutation_feed`,
@@ -883,15 +869,14 @@ class Warehouse:
         from repro.serving.traffic import TrafficProfile
         if self.corpus is None:
             raise WarehouseError("upload_corpus() must run before serve()")
-        cfg = DeploymentConfig.resolve(self.deployment, config)
         if isinstance(traffic, dict):
             traffic = TrafficProfile(**traffic)
-        return ServingRuntime(self, traffic, index, cfg,
-                              background=background, tag=tag).run()
+        return ServingRuntime(self, traffic, index, background=background,
+                              tag=tag).run()
 
     # -- live mutation (repro.mutations) -----------------------------------------
 
-    def live_index(self, name: str, include_words: bool = True) -> Any:
+    def live_index(self, name: str) -> Any:
         """Attach a live-mutation handle to a committed index.
 
         Reads the committed epoch record and the current delta chain,
@@ -919,27 +904,26 @@ class Warehouse:
         if record is None:
             raise WarehouseError(
                 "index {} has no committed epoch to attach to".format(name))
-        strategy = strategy_by_name(record.strategy,
-                                    include_words=include_words)
-        return LiveIndex(self, record, head, strategy)
+        return LiveIndex(self, record, head, strategy_by_name(record.strategy))
 
     def add_documents(self, live: Any, increment: Corpus,
-                      config: Optional[Any] = None,
+                      loaders: Optional[int] = None,
                       tag: Optional[str] = None) -> Any:
         """Publish new documents into a live index as one delta epoch.
 
         The arriving documents are stored in S3, indexed by a loader
-        fleet into fresh delta tables, and made visible with one
+        fleet (``loaders``, default the deployment's) into fresh delta
+        tables, and made visible with one
         conditional live-head flip — queries issued after this call
         returns see them (read-your-writes).  Returns the priced
         :class:`~repro.mutations.live.DeltaReport`.
         """
-        cfg = DeploymentConfig.resolve(self.deployment, config)
+        cfg = self._sized(loaders=loaders)
         tag = tag or "ingest:{}:m{:04d}:add".format(
             live.name, next(self._mutation_ids))
         return self._run_mutation(
-            live.publish_add(increment, cfg), tag,
-            instances=cfg.loaders, instance_type=cfg.loader_type)
+            live.publish_add(increment, cfg.loaders), tag,
+            instances=cfg.loaders)
 
     def delete_documents(self, live: Any, uris: Sequence[str],
                          tag: Optional[str] = None) -> Any:
@@ -955,7 +939,6 @@ class Warehouse:
         return self._run_mutation(live.publish_delete(uris), tag)
 
     def update_document(self, live: Any, uri: str, data: bytes,
-                        config: Optional[Any] = None,
                         tag: Optional[str] = None) -> Any:
         """Replace one document in a live index atomically.
 
@@ -964,12 +947,11 @@ class Warehouse:
         document — never a blend.  Returns the priced
         :class:`~repro.mutations.live.DeltaReport`.
         """
-        cfg = DeploymentConfig.resolve(self.deployment, config)
         tag = tag or "ingest:{}:m{:04d}:update".format(
             live.name, next(self._mutation_ids))
         return self._run_mutation(
-            live.publish_update(uri, data, cfg), tag,
-            instances=cfg.loaders, instance_type=cfg.loader_type)
+            live.publish_update(uri, data), tag,
+            instances=self.deployment.loaders)
 
     def compact_index(self, live: Any, max_units: Optional[int] = None,
                       retire: bool = False,
@@ -990,8 +972,7 @@ class Warehouse:
             compactor.run(max_units=max_units, retire=retire), tag)
 
     def _run_mutation(self, core: Generator[Any, Any, Any], tag: str,
-                      instances: int = 0,
-                      instance_type: str = "l") -> Any:
+                      instances: int = 0) -> Any:
         """Drive one mutation generator under its phase tag and price it."""
         started_at = self.cloud.env.now
         mark = self.cloud.meter.mark()
@@ -999,7 +980,7 @@ class Warehouse:
             report = self.cloud.env.run_process(
                 core, name="mutation-{}".format(tag))
         self.phases.append(PhaseRecord(
-            tag=tag, instance_type=instance_type, instances=instances,
+            tag=tag, instance_type=LOADER_TYPE, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
         report.tag = tag
         self._price_mutation(report, tag, mark)

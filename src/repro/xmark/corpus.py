@@ -44,11 +44,6 @@ class Corpus:
         return sum(len(d) for d in self.data.values())
 
     @property
-    def total_gb(self) -> float:
-        """Corpus size in GB."""
-        return self.total_bytes / (1024.0 ** 3)
-
-    @property
     def total_mb(self) -> float:
         """Corpus size in MB."""
         return self.total_bytes / (1024.0 ** 2)

@@ -76,9 +76,14 @@ def restructure(document: Document, kind: str, rng: random.Random) -> bool:
     return changed
 
 
-def heterogenize(document: Document, kind: str, rng: random.Random,
-                 drop_probability: float = 0.6) -> bool:
-    """Drop otherwise-compulsory children with ``drop_probability``."""
+#: Chance that :func:`heterogenize` drops each compulsory child.
+DROP_PROBABILITY = 0.6
+
+
+def heterogenize(document: Document, kind: str,
+                 rng: random.Random) -> bool:
+    """Drop otherwise-compulsory children, each with
+    :data:`DROP_PROBABILITY`."""
     entity_label, candidates = _DROP_CANDIDATES[kind]
     if not candidates:
         return False
@@ -89,7 +94,7 @@ def heterogenize(document: Document, kind: str, rng: random.Random,
         survivors: List = []
         for child in entity.children:
             if (isinstance(child, Element) and child.label in candidates
-                    and rng.random() < drop_probability):
+                    and rng.random() < DROP_PROBABILITY):
                 changed = True
                 continue
             survivors.append(child)

@@ -13,7 +13,7 @@ pristine documents are clean and that the §8.1 modifications show up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.xmldb.model import Document, Element
 
@@ -141,28 +141,3 @@ def _validate_entity(uri: str, entity: Element,
                                  required))
     return out
 
-
-def validate_references(documents: Sequence[Document]) -> List[str]:
-    """Check that every reference attribute targets an existing id.
-
-    Returns dangling references as ``"attr=value"`` strings.  ``watch``
-    references may legitimately dangle (people can watch auctions that
-    were never generated at small scales), so they are excluded.
-    """
-    defined = set()
-    for document in documents:
-        for element in document.iter_elements():
-            attr = element.attribute("id")
-            if attr is not None:
-                defined.add(attr.value)
-    dangling: List[str] = []
-    for document in documents:
-        for element in document.iter_elements():
-            for attr in element.attributes:
-                if attr.name not in REFERENCE_PREFIXES:
-                    continue
-                if element.label == "watch":
-                    continue
-                if attr.value not in defined:
-                    dangling.append("{}={}".format(attr.name, attr.value))
-    return dangling

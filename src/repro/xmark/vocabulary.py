@@ -69,6 +69,9 @@ MARKER_WORDS: Sequence[str] = (
 
 MONTH_DAYS = 28  # keep date generation simple and always valid
 
+#: Chance that a word of generated prose is a marker word.
+PROSE_MARKER_PROBABILITY = 0.02
+
 
 class Vocabulary:
     """Seeded access to the word pools."""
@@ -127,13 +130,13 @@ class Vocabulary:
             words.insert(position, self._rng.choice(MARKER_WORDS).capitalize())
         return " ".join(words)
 
-    def prose(self, min_words: int, max_words: int,
-              marker_probability: float = 0.02) -> str:
-        """A run of description text with occasional marker words."""
+    def prose(self, min_words: int, max_words: int) -> str:
+        """A run of description text, each word a marker word with
+        :data:`PROSE_MARKER_PROBABILITY`."""
         count = self._rng.randint(min_words, max_words)
         words: List[str] = []
         for _ in range(count):
-            if self._rng.random() < marker_probability:
+            if self._rng.random() < PROSE_MARKER_PROBABILITY:
                 words.append(self._rng.choice(MARKER_WORDS))
             else:
                 words.append(self._rng.choice(COMMON_WORDS))

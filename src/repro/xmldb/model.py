@@ -98,14 +98,10 @@ class Element(_Node):
 
     __slots__ = ("label", "attributes", "children")
 
-    def __init__(self, label: str,
-                 attributes: Optional[Sequence[Attribute]] = None,
-                 children: Optional[List[Union["Element", Text]]] = None,
-                 ) -> None:
+    def __init__(self, label: str) -> None:
         self.label = label
-        self.attributes: Sequence[Attribute] = attributes or _NO_ATTRIBUTES
-        self.children: List[Union[Element, Text]] = \
-            [] if children is None else children
+        self.attributes: Sequence[Attribute] = _NO_ATTRIBUTES
+        self.children: List[Union[Element, Text]] = []
 
     # -- construction helpers ------------------------------------------------
 

@@ -87,11 +87,6 @@ class CorpusStats:
         """Total nodes across the corpus."""
         return self.element_count + self.attribute_count + self.text_count
 
-    @property
-    def total_gb(self) -> float:
-        """``s(D)`` — total size in GB (§7.1)."""
-        return self.total_bytes / (1024.0 ** 3)
-
     def add(self, stats: DocumentStats) -> None:
         """Fold one document's stats into the corpus summary."""
         self.document_count += 1

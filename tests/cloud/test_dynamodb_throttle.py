@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cloud.dynamodb import DynamoItem
-from repro.errors import ConfigError, ThroughputExceeded
+from repro.cloud.dynamodb import THROTTLE_MAX_BACKLOG_S, DynamoItem
+from repro.errors import ThroughputExceeded
 
 
 @pytest.fixture
@@ -36,13 +36,8 @@ def test_throttle_mode_is_off_by_default(cloud, db):
     assert db.throttled_total == 0
 
 
-def test_negative_backlog_bound_rejected(db):
-    with pytest.raises(ConfigError):
-        db.enable_throttle_mode(max_backlog_s=-1.0)
-
-
 def test_writes_throttle_past_the_backlog_bound(cloud, db):
-    db.enable_throttle_mode(max_backlog_s=0.5)
+    db.enable_throttle_mode()
     assert db.throttle_mode
     _backlog(db, 1.0)
 
@@ -65,7 +60,7 @@ def test_reads_throttle_too(cloud, db):
         yield from db.put("idx", _item("k"))
     cloud.env.run_process(put_one())
 
-    db.enable_throttle_mode(max_backlog_s=0.1)
+    db.enable_throttle_mode()
     _backlog(db, 1.0)
 
     def scenario():
@@ -76,8 +71,8 @@ def test_reads_throttle_too(cloud, db):
 
 
 def test_requests_under_the_bound_pass(cloud, db):
-    db.enable_throttle_mode(max_backlog_s=5.0)
-    _backlog(db, 1.0)
+    db.enable_throttle_mode()
+    _backlog(db, THROTTLE_MAX_BACKLOG_S / 2)
 
     def scenario():
         yield from db.put("idx", _item("k"))

@@ -34,8 +34,7 @@ def fresh_warehouse(corpus):
 @pytest.mark.scrub
 def test_plan_is_fixed_composition(corpus):
     warehouse = fresh_warehouse(corpus)
-    plan = warehouse.plan_build("LUP", config={"batch_size": BATCH_SIZE,
-                                               "loaders": 2})
+    plan = warehouse.plan_build("LUP", batch_size=BATCH_SIZE, loaders=2)
     assert plan.epoch == 1
     assert plan.documents == DOCUMENTS
     assert len(plan.batches) == (DOCUMENTS + BATCH_SIZE - 1) // BATCH_SIZE
@@ -53,11 +52,10 @@ def test_interrupted_resume_is_byte_identical(corpus):
     # Reference: the same plan run to completion without interruption.
     reference = fresh_warehouse(corpus)
     ref_built, ref_record = reference.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": BATCH_SIZE})
+        "LUP", loaders=2, batch_size=BATCH_SIZE)
 
     crashed = fresh_warehouse(corpus)
-    plan = crashed.plan_build("LUP", config={"batch_size": BATCH_SIZE,
-                                             "loaders": 2})
+    plan = crashed.plan_build("LUP", batch_size=BATCH_SIZE, loaders=2)
     first = crashed.run_build(plan, interrupt_after_s=INTERRUPT_AFTER_S)
     assert first.interrupted
     assert 0 < first.applied_batches < len(plan.batches)
@@ -79,8 +77,7 @@ def test_interrupted_resume_is_byte_identical(corpus):
 @pytest.mark.scrub
 def test_resume_reenqueues_only_missing_batches(corpus):
     warehouse = fresh_warehouse(corpus)
-    plan = warehouse.plan_build("LU", config={"batch_size": BATCH_SIZE,
-                                              "loaders": 2})
+    plan = warehouse.plan_build("LU", batch_size=BATCH_SIZE, loaders=2)
     first = warehouse.run_build(plan, interrupt_after_s=1.0)
     assert first.interrupted
     survived = first.applied_batches
@@ -94,8 +91,7 @@ def test_resume_reenqueues_only_missing_batches(corpus):
 @pytest.mark.scrub
 def test_build_report_describes_the_build_not_the_last_phase(corpus):
     warehouse = fresh_warehouse(corpus)
-    plan = warehouse.plan_build("LU", config={"batch_size": BATCH_SIZE,
-                                              "loaders": 2})
+    plan = warehouse.plan_build("LU", batch_size=BATCH_SIZE, loaders=2)
     warehouse.run_build(plan, interrupt_after_s=1.0)
     result, _ = warehouse.resume_build(plan)
     build_phase = warehouse.phases[-1]
@@ -111,9 +107,9 @@ def test_build_report_describes_the_build_not_the_last_phase(corpus):
 def test_rebuild_gets_a_fresh_epoch(corpus):
     warehouse = fresh_warehouse(corpus)
     _, first = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": BATCH_SIZE})
+        "LU", loaders=2, batch_size=BATCH_SIZE)
     _, second = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": BATCH_SIZE})
+        "LU", loaders=2, batch_size=BATCH_SIZE)
     assert (first.epoch, second.epoch) == (1, 2)
     # Same corpus, content-addressed items: identical content digests.
     assert first.digest == second.digest

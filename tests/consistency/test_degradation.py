@@ -20,13 +20,13 @@ def setup():
     warehouse.upload_corpus(
         generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED)))
     primary, _ = warehouse.build_index_checkpointed(
-        "2LUPI", config={"loaders": 2, "batch_size": 4})
+        "2LUPI", loaders=2, batch_size=4)
     fallback, _ = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 4})
+        "LU", loaders=2, batch_size=4)
     queries = [workload_query(name) for name in QUERIES]
     baseline = _workload_answers(
         warehouse, warehouse.run_workload(queries, primary,
-                                          config={"workers": 1}))
+                                          workers=1))
     return warehouse, primary, fallback, queries, baseline
 
 

@@ -33,8 +33,7 @@ def table_state(warehouse, plan):
 def test_redelivered_batch_is_skipped_not_reapplied(corpus):
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    plan = warehouse.plan_build("LUP", config={"batch_size": 4,
-                                               "loaders": 2})
+    plan = warehouse.plan_build("LUP", batch_size=4, loaders=2)
     first = warehouse.run_build(plan)
     assert first.complete and first.skipped_batches == 0
     before = table_state(warehouse, plan)

@@ -24,7 +24,7 @@ def test_reader_racing_rebuild_never_sees_mixed_epochs():
     warehouse.upload_corpus(
         generate_corpus(ScaleProfile(documents=12, seed=7)))
     warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 2})
+        "LU", loaders=2, batch_size=2)
 
     manifest = Manifest(warehouse.cloud.resilient.dynamodb)
     observations = []
@@ -39,8 +39,7 @@ def test_reader_racing_rebuild_never_sees_mixed_epochs():
 
     # The reader keeps polling across every phase the rebuild runs.
     warehouse.cloud.env.process(reader(), name="epoch-reader")
-    plan = warehouse.plan_build("LU", config={"batch_size": 2,
-                                              "loaders": 2})
+    plan = warehouse.plan_build("LU", batch_size=2, loaders=2)
     result = warehouse.run_build(plan)
     assert result.complete
     record = warehouse.commit_build(plan)

@@ -25,7 +25,7 @@ def checkpointed(corpus, strategy):
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
     built, record = warehouse.build_index_checkpointed(
-        strategy, config={"loaders": 2, "batch_size": 4})
+        strategy, loaders=2, batch_size=4)
     return warehouse, built, record
 
 
@@ -77,7 +77,7 @@ def test_a_repair_discards_the_cached_keys_it_rewrites(corpus, monkeypatch):
     warehouse = Warehouse(deployment={"cache_bytes": 1 << 20})
     warehouse.upload_corpus(corpus)
     built, record = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 4})
+        "LU", loaders=2, batch_size=4)
     plan = FaultPlan(seed=SEED).corrupt_item(table=0, count=3)
     CorruptionMonkey(warehouse.cloud, seed=SEED).damage_index(
         built, plan.damage)

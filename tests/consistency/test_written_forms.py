@@ -139,12 +139,11 @@ def test_resumed_build_digest_matches_a_plain_scan(serialised):
     corpus = generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED))
     reference = fresh_warehouse(corpus)
     _, ref_record = reference.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": BATCH_SIZE})
+        "LUP", loaders=2, batch_size=BATCH_SIZE)
     assert serialised[0] == 0
 
     crashed = fresh_warehouse(corpus)
-    plan = crashed.plan_build("LUP", config={"batch_size": BATCH_SIZE,
-                                             "loaders": 2})
+    plan = crashed.plan_build("LUP", batch_size=BATCH_SIZE, loaders=2)
     first = crashed.run_build(plan, interrupt_after_s=INTERRUPT_AFTER_S)
     assert first.interrupted
     result, record = crashed.resume_build(plan)
@@ -164,7 +163,7 @@ def test_delta_digests_take_the_written_forms(serialised):
     deltas = []
     for batch in (1, 2, 3):
         deltas.append(warehouse.add_documents(
-            live, make_increment(batch), config={"loaders": 2}))
+            live, make_increment(batch), loaders=2))
         assert_nothing_held(warehouse, live)
         if batch > 1:
             assert warehouse.compact_index(live).committed

@@ -23,7 +23,7 @@ def warehouse():
 
 @pytest.fixture(scope="module")
 def lu_index(warehouse):
-    return warehouse.build_index("LU", config={"loaders": 2})
+    return warehouse.build_index("LU", loaders=2)
 
 
 class TestCostBreakdown:
@@ -65,8 +65,9 @@ class TestPhaseCost:
 
     def test_simpledb_priced_separately(self):
         meter = Meter()
-        meter.record(0.0, "simpledb", "put", count=100, tag="p")
-        meter.record(0.0, "simpledb", "select", count=10, tag="p")
+        with meter.tagged("p"):
+            meter.record(0.0, "simpledb", "put", count=100)
+            meter.record(0.0, "simpledb", "select", count=10)
         out = phase_cost(meter, AWS_SINGAPORE, "p")
         assert out.simpledb == pytest.approx(
             100 * AWS_SINGAPORE.simpledb_put

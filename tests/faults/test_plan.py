@@ -57,20 +57,11 @@ def test_unknown_crash_role_rejected():
 
 
 def test_fault_window_matching():
-    plan = FaultPlan().transient_errors("s3", rate=1.0, start_s=1.0,
-                                        end_s=2.0)
+    plan = FaultPlan().throttle(rate=1.0, start_s=1.0, end_s=2.0)
     spec = plan.specs[0]
-    assert not spec.matches("get", 0.5)
-    assert spec.matches("get", 1.0)
-    assert not spec.matches("get", 2.0)  # end is exclusive
-
-
-def test_operation_filter():
-    plan = FaultPlan().transient_errors("s3", rate=1.0,
-                                        operations=("put",))
-    spec = plan.specs[0]
-    assert spec.matches("put", 0.0)
-    assert not spec.matches("get", 0.0)
+    assert not spec.active_at(0.5)
+    assert spec.active_at(1.0)
+    assert not spec.active_at(2.0)  # end is exclusive
 
 
 def test_known_constants_cover_the_cloud():

@@ -18,7 +18,6 @@ from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
 DOCUMENTS = 12
-QUERIES = ("q1", "q6")
 
 
 def test_unknown_scenario_rejected():
@@ -28,8 +27,7 @@ def test_unknown_scenario_rejected():
 
 @pytest.mark.chaos
 def test_loader_crash_scenario_recovers_exactly_once():
-    report = run_scenario("loader-crash", documents=DOCUMENTS,
-                          queries=QUERIES)
+    report = run_scenario("loader-crash", documents=DOCUMENTS)
     assert report.invariant_holds, report.render()
     assert report.chaos.crashed_instances == 1
     assert report.chaos.redelivered >= 1
@@ -43,8 +41,7 @@ def test_loader_crash_scenario_recovers_exactly_once():
 
 @pytest.mark.chaos
 def test_throttle_storm_scenario_is_absorbed_by_backoff():
-    report = run_scenario("throttle-storm", documents=DOCUMENTS,
-                          queries=QUERIES)
+    report = run_scenario("throttle-storm", documents=DOCUMENTS)
     assert report.invariant_holds, report.render()
     # Requests were actually rejected, and retries absorbed them.
     throttle_events = (report.chaos.fault_counts.get("dynamodb:throttle", 0)
@@ -57,7 +54,7 @@ def test_throttle_storm_scenario_is_absorbed_by_backoff():
 @pytest.mark.chaos
 def test_flaky_network_scenario_is_retried_transparently():
     report = run_scenario("flaky-network", documents=DOCUMENTS,
-                          queries=QUERIES, error_rate=0.15)
+                          error_rate=0.15)
     assert report.invariant_holds, report.render()
     assert sum(report.chaos.fault_counts.values()) > 0
     assert set(report.chaos.fault_counts) <= {
@@ -75,10 +72,8 @@ def _chaotic_meter_records(seed):
     cloud = CloudProvider(fault_plan=plan)
     warehouse = Warehouse(cloud, deployment={"visibility_timeout": 6.0})
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index("LU", config={
-        "loaders": 2, "loader_type": "l", "batch_size": 2})
-    warehouse.run_workload([workload_query("q1")], built,
-                           config={"workers": 1})
+    built = warehouse.build_index("LU", loaders=2, batch_size=2)
+    warehouse.run_workload([workload_query("q1")], built, workers=1)
     return cloud.meter.records()
 
 

@@ -315,10 +315,10 @@ class TestOnDiskContract:
         warehouse.upload_corpus(
             generate_corpus(ScaleProfile(documents=6, seed=11)))
         _, record = warehouse.build_index_checkpointed(
-            "2LUPI", config={"loaders": 2, "batch_size": 4})
+            "2LUPI", loaders=2, batch_size=4)
         live = warehouse.live_index(record.name)
         increment = make_increment(1, documents=2)
-        warehouse.add_documents(live, increment, config={"loaders": 2})
+        warehouse.add_documents(live, increment, loaders=2)
         warehouse.update_document(
             live, warehouse.corpus.documents[1].uri,
             increment.data[increment.documents[0].uri])

@@ -133,8 +133,8 @@ def test_a_read_after_damage_returns_a_new_view(damage):
 
 def test_verified_reads_check_every_read(monkeypatch):
     cloud = CloudProvider()
-    store = _store(cloud, "dynamodb", range_key_mode="content",
-                   verify_reads=True)
+    store = _store(cloud, "dynamodb", range_key_mode="content")
+    store.verify_reads = True
     _write(cloud, store)
     verified = []
     verify = store._verify_items

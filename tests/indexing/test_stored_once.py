@@ -99,8 +99,7 @@ def test_a_live_epochs_table_holds_only_its_own_values():
     and deltas it replaced."""
     warehouse, live = fresh_live()
     for batch in (1, 2, 3):
-        warehouse.add_documents(live, make_increment(batch),
-                                config={"loaders": 2})
+        warehouse.add_documents(live, make_increment(batch), loaders=2)
         warehouse.delete_documents(
             live, [warehouse.corpus.documents[batch].uri])
         report = warehouse.compact_index(live)

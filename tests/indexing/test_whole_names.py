@@ -173,7 +173,7 @@ def test_a_simpledb_read_of_k_never_returns_the_postings_of_k_hash_x():
     corpus = hashed_corpus()
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index("LU", config={"backend": "simpledb"})
+    built = warehouse.build_index("LU", backend="simpledb")
     lu = strategy_by_name("LU")
 
     def holders(key):

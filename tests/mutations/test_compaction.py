@@ -51,9 +51,9 @@ def table_snapshot(cloud, tables, shards):
 
 def mutate(warehouse, live):
     """The shared mutation schedule: two adds and a delete."""
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     warehouse.delete_documents(live, [warehouse.corpus.documents[0].uri])
-    warehouse.add_documents(live, make_increment(2), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(2), loaders=2)
 
 
 def test_compaction_preserves_query_results_byte_identically():
@@ -163,7 +163,7 @@ def test_delta_published_between_crash_and_resume_survives():
     partial = warehouse.compact_index(live, max_units=1)
     assert partial.interrupted and not partial.committed
 
-    warehouse.add_documents(live, make_increment(3), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(3), loaders=2)
 
     resumed = warehouse.compact_index(live)
     assert resumed.committed
@@ -234,8 +234,7 @@ def test_fold_uses_base_epochs_own_shard_routing():
             assert e.result_rows == len(direct), name
 
     answers_match()
-    warehouse.add_documents(handle, make_increment(1),
-                            config={"loaders": 2})
+    warehouse.add_documents(handle, make_increment(1), loaders=2)
     answers_match()
     report = warehouse.compact_index(handle)
     assert report.committed
@@ -289,10 +288,9 @@ def test_compacting_an_empty_chain_is_a_noop():
 def test_sequence_numbers_survive_compaction():
     """Deltas published after a compaction never reuse folded seqs."""
     warehouse, live = fresh_live()
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     warehouse.compact_index(live)
-    report = warehouse.add_documents(live, make_increment(2),
-                                     config={"loaders": 2})
+    report = warehouse.add_documents(live, make_increment(2), loaders=2)
     assert report.seq == 2  # not 1 again
     assert report.base_epoch == live.record.epoch
 

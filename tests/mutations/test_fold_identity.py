@@ -50,9 +50,9 @@ def fresh_live(strategy, shards=1, extra=()):
                         + [parse_document(data, uri)],
                         data={**corpus.data, uri: data},
                         kinds={**corpus.kinds, uri: "items"})
-    warehouse = Warehouse(deployment={"shards": shards})
+    warehouse = Warehouse(deployment={"shards": shards, **LOADERS})
     warehouse.upload_corpus(corpus)
-    _, record = warehouse.build_index_checkpointed(strategy, config=LOADERS)
+    _, record = warehouse.build_index_checkpointed(strategy)
     return warehouse, warehouse.live_index(record.name)
 
 
@@ -68,8 +68,7 @@ def mutate(warehouse, live, seed, steps):
             uri, data = deleted.pop(rng.randrange(len(deleted)))
             warehouse.add_documents(
                 live, Corpus(documents=[parse_document(data, uri)],
-                             data={uri: data}, kinds={uri: "items"}),
-                config=LOADERS)
+                             data={uri: data}, kinds={uri: "items"}))
         elif op == "delete" and len(uris) > 3:
             uri = rng.choice(uris)
             deleted.append((uri, warehouse.corpus.data[uri]))
@@ -77,13 +76,11 @@ def mutate(warehouse, live, seed, steps):
         elif op == "update":
             source = make_increment(1000 * seed + step, documents=1)
             warehouse.update_document(live, rng.choice(uris),
-                                      next(iter(source.data.values())),
-                                      config=LOADERS)
+                                      next(iter(source.data.values())))
         else:
             warehouse.add_documents(
                 live, make_increment(1000 * seed + step,
-                                     documents=rng.randint(1, 3)),
-                config=LOADERS)
+                                     documents=rng.randint(1, 3)))
 
 
 def compact(warehouse, live, monkeypatch, reference, decodes=None,
@@ -237,8 +234,7 @@ def test_split_id_lists_take_the_decode_route_and_resplit(monkeypatch):
             if round_:
                 # The update's delta stores its own split list; the
                 # tombstone masks the base's.
-                warehouse.update_document(live, "big.xml", BIGGER,
-                                          config=LOADERS)
+                warehouse.update_document(live, "big.xml", BIGGER)
             mutate(warehouse, live, 40 + round_, steps=2)
             reports.append(compact(warehouse, live, monkeypatch, reference,
                                    decodes))

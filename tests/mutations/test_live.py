@@ -46,7 +46,7 @@ def fresh_live(strategy="LUI", deployment=None):
     warehouse.upload_corpus(
         generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED)))
     _, record = warehouse.build_index_checkpointed(
-        strategy, config={"loaders": 2, "batch_size": 4})
+        strategy, loaders=2, batch_size=4)
     return warehouse, warehouse.live_index(record.name)
 
 
@@ -59,8 +59,7 @@ def test_add_documents_is_read_your_writes_and_priced():
     warehouse, live = fresh_live()
     before = query_rows(warehouse, live)
     increment = make_increment(1)
-    report = warehouse.add_documents(live, increment,
-                                     config={"loaders": 2})
+    report = warehouse.add_documents(live, increment, loaders=2)
     assert report.kind == "add"
     assert report.seq == 1
     assert report.documents == len(increment)
@@ -84,7 +83,7 @@ def test_add_documents_is_read_your_writes_and_priced():
 
 def test_results_match_direct_evaluation_after_mutations():
     warehouse, live = fresh_live()
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     victims = [d.uri for d in warehouse.corpus.documents[:2]]
     warehouse.delete_documents(live, victims)
     for name in ("q2", "q6"):
@@ -97,7 +96,7 @@ def test_results_match_direct_evaluation_after_mutations():
 def test_delete_then_readd_resolves_to_the_readded_document():
     warehouse, live = fresh_live()
     increment = make_increment(1)
-    warehouse.add_documents(live, increment, config={"loaders": 2})
+    warehouse.add_documents(live, increment, loaders=2)
     baseline = query_rows(warehouse, live)
 
     # Delete an increment document that actually contributes to q6, so
@@ -121,7 +120,7 @@ def test_delete_then_readd_resolves_to_the_readded_document():
                    data={victim: increment.data[victim]},
                    kinds={victim: increment.kinds[victim]}
                    if victim in increment.kinds else {})
-    warehouse.add_documents(live, readd, config={"loaders": 1})
+    warehouse.add_documents(live, readd, loaders=1)
     restored = query_rows(warehouse, live)
     assert restored.docs_from_index == baseline.docs_from_index
     assert restored.result_rows == baseline.result_rows
@@ -134,8 +133,7 @@ def test_update_document_is_atomic_and_visible():
     docs = warehouse.corpus.documents
     target, donor = docs[0].uri, docs[1].uri
     data = warehouse.corpus.data[donor]
-    report = warehouse.update_document(live, target, data,
-                                       config={"loaders": 1})
+    report = warehouse.update_document(live, target, data)
     assert report.kind == "update"
     assert report.tombstones == (target,)
     assert report.documents == 1
@@ -200,7 +198,7 @@ def test_failed_delete_publication_destroys_nothing(monkeypatch):
 
 def test_live_attach_reflects_published_chain():
     warehouse, live = fresh_live()
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     # A second handle attached later sees the same chain and serves
     # identical results.
     other = warehouse.live_index(live.name)
@@ -217,12 +215,10 @@ def test_ingestion_report_is_byte_deterministic():
 
     def scenario():
         warehouse, live = fresh_live()
-        warehouse.add_documents(live, make_increment(1),
-                                config={"loaders": 2})
+        warehouse.add_documents(live, make_increment(1), loaders=2)
         warehouse.delete_documents(
             live, [warehouse.corpus.documents[0].uri])
-        warehouse.add_documents(live, make_increment(2),
-                                config={"loaders": 2})
+        warehouse.add_documents(live, make_increment(2), loaders=2)
         warehouse.compact_index(live)
         return live.ingestion_report().to_json()
 
@@ -251,7 +247,7 @@ def test_cost_tie_out_is_exact_to_the_last_bit(make_report):
 
 def test_a_repeated_live_lookup_replays_its_answer():
     warehouse, live = fresh_live()
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     warehouse.delete_documents(live, [warehouse.corpus.documents[0].uri])
     memo = live.store.answer_memo
     assert memo is warehouse.answer_memo

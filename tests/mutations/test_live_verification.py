@@ -33,9 +33,9 @@ def _deployed():
     warehouse.upload_corpus(
         generate_corpus(ScaleProfile(documents=12, seed=7)))
     primary, _ = warehouse.build_index_checkpointed(
-        "2LUPI", config={"loaders": 2, "batch_size": 4})
+        "2LUPI", loaders=2, batch_size=4)
     fallback, _ = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 4})
+        "LU", loaders=2, batch_size=4)
     return warehouse, primary, fallback
 
 
@@ -74,13 +74,11 @@ def test_verification_reaches_layers_attached_later():
                        warehouse._all_uris)
     assert live.store.verify_reads
 
-    warehouse.add_documents(live, make_increment(1, documents=2),
-                            config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1, documents=2), loaders=2)
     assert len(_layer_stores(live)) == 2
     assert all(store.verify_reads for store in _layer_stores(live))
     warehouse.compact_index(live)
-    warehouse.add_documents(live, make_increment(2, documents=2),
-                            config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(2, documents=2), loaders=2)
     assert all(store.verify_reads for store in _layer_stores(live))
 
     live.store.verify_reads = False

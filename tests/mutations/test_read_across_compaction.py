@@ -64,7 +64,7 @@ def _q6():
 def test_a_straddling_lookup_keeps_the_folded_adds():
     warehouse, live = fresh_live("LUI")
     increment = make_increment(1)
-    warehouse.add_documents(live, increment, config={"loaders": 2})
+    warehouse.add_documents(live, increment, loaders=2)
     query, pattern = _q6()
     added = {document.uri for document in increment.documents
              if evaluate_query(query, [document])}

@@ -45,8 +45,7 @@ def outcome():
         [("add", make_increment(1)),
          ("add", make_increment(2)),
          ("delete", [victim]),
-         ("update", (target, donor_data))],
-        config={"loaders": 2}, interval_s=2.0)
+         ("update", (target, donor_data))], interval_s=2.0)
     ticker = compaction_ticker(live, CompactionPolicy(max_deltas=3),
                                interval_s=5.0, max_ticks=6)
     report = warehouse.serve(

@@ -266,14 +266,12 @@ def test_live_lookups_replay_only_over_the_same_layer_stack(strategy):
     assert memo is warehouse.answer_memo
     _check_live(warehouse, live)
     documents = warehouse.corpus.documents
-    warehouse.add_documents(live, make_increment(1, documents=3),
-                            config={"loaders": 1})
+    warehouse.add_documents(live, make_increment(1, documents=3), loaders=1)
     _check_live(warehouse, live)
     warehouse.delete_documents(live, [documents[0].uri])
     _check_live(warehouse, live)
     warehouse.update_document(live, documents[1].uri,
-                              warehouse.corpus.data[documents[2].uri],
-                              config={"loaders": 1})
+                              warehouse.corpus.data[documents[2].uri])
     _check_live(warehouse, live)
     assert warehouse.compact_index(live).committed
     _check_live(warehouse, live)

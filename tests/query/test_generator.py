@@ -8,7 +8,7 @@ from repro.engine.evaluator import pattern_matches
 from repro.errors import ConfigError
 from repro.indexing.mapper import DynamoIndexStore
 from repro.indexing.registry import all_strategies
-from repro.query.generator import QueryGenerator
+from tests.query_generator import QueryGenerator
 from repro.query.parser import parse_query, query_to_source
 from repro.xmldb.stats import CorpusStats
 

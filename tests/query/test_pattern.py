@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PatternSemanticsError
 from repro.query.pattern import (Axis, PatternNode, Query, TreePattern,
-                                 ValueJoin, single_pattern_query)
+                                 ValueJoin)
 from repro.query.predicates import Equals
 
 
@@ -70,7 +70,8 @@ class TestQuery:
             Query(patterns=[])
 
     def test_single_pattern_helper(self):
-        query = single_pattern_query(PatternNode(label="a"), name="t")
+        query = Query(patterns=[TreePattern(root=PatternNode(label="a"))],
+                      name="t")
         assert query.is_single_pattern
         assert not query.has_value_joins
         assert query.name == "t"

@@ -57,7 +57,3 @@ def test_duplicate_labels_get_fresh_variables():
     xquery = to_xquery(parse_query("//name[//name]"))
     assert "$name1" in xquery
 
-
-def test_custom_collection():
-    xquery = to_xquery(parse_query("//a"), collection='doc("x.xml")')
-    assert 'doc("x.xml")' in xquery

@@ -1,8 +1,7 @@
-"""Random workload generation from corpus statistics.
+"""Random workload generation from corpus statistics (a test helper).
 
-The paper's workload is fixed (10 hand-picked queries); evaluating the
-advisor and stress-testing the look-up plans benefits from *many*
-workloads.  :class:`QueryGenerator` derives random-but-valid tree
+The paper's workload is fixed (10 hand-picked queries); stress-testing
+the look-up plans benefits from *many* workloads.  :class:`QueryGenerator` derives random-but-valid tree
 pattern queries from a corpus summary: structural skeletons follow the
 corpus's actual label paths (so queries are satisfiable by
 construction, with controllable selectivity), predicates draw words and

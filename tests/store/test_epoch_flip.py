@@ -43,24 +43,24 @@ def test_manifest_flip_invalidates_the_cache(corpus):
     warehouse = Warehouse(deployment={"cache_bytes": 256 * 1024})
     warehouse.upload_corpus(corpus)
     built1, rec1 = warehouse.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": 4})
+        "LUP", loaders=2, batch_size=4)
     cache = warehouse.index_cache
 
-    warehouse.run_workload(_queries(), built1, config={"workers": 1},
+    warehouse.run_workload(_queries(), built1, workers=1,
                            tag="flip:cold")
     assert len(cache) > 0
     cold_gets = warehouse.cloud.meter.request_count(
         "dynamodb", "get", tag="flip:cold")
 
     report = warehouse.run_workload(_queries(), built1,
-                                    config={"workers": 1}, tag="flip:warm")
+                                    workers=1, tag="flip:warm")
     warm_gets = warehouse.cloud.meter.request_count(
         "dynamodb", "get", tag="flip:warm")
     assert warm_gets < cold_gets
     assert sum(e.store_cache_hits for e in report.executions) > 0
 
     built2, rec2 = warehouse.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": 4})
+        "LUP", loaders=2, batch_size=4)
     assert rec2.epoch == rec1.epoch + 1
     # The flip emptied the cache of this index's entries (its old
     # epoch's tables were the only ones cached).
@@ -69,7 +69,7 @@ def test_manifest_flip_invalidates_the_cache(corpus):
 
     # The first post-flip run pays full price again: no stale entry
     # from epoch 1 is served against epoch 2.
-    warehouse.run_workload(_queries(), built2, config={"workers": 1},
+    warehouse.run_workload(_queries(), built2, workers=1,
                            tag="flip:after")
     after_gets = warehouse.cloud.meter.request_count(
         "dynamodb", "get", tag="flip:after")
@@ -81,15 +81,15 @@ def test_flip_spares_unrelated_table_entries(corpus):
     warehouse = Warehouse(deployment={"cache_bytes": 256 * 1024})
     warehouse.upload_corpus(corpus)
     built_lu, _ = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 4})
+        "LU", loaders=2, batch_size=4)
     built_lup, _ = warehouse.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": 4})
+        "LUP", loaders=2, batch_size=4)
     cache = warehouse.index_cache
 
     # Warm both indexes' entries.
-    warehouse.run_workload(_queries(), built_lu, config={"workers": 1},
+    warehouse.run_workload(_queries(), built_lu, workers=1,
                            tag="spare:lu-cold")
-    warehouse.run_workload(_queries(), built_lup, config={"workers": 1},
+    warehouse.run_workload(_queries(), built_lup, workers=1,
                            tag="spare:lup-cold")
     lu_tables = set(built_lu.table_names.values())
     lu_entries = sum(1 for (_, table, _, _) in cache._entries
@@ -98,7 +98,7 @@ def test_flip_spares_unrelated_table_entries(corpus):
 
     # Rebuild (flip) LUP only: its entries go, LU's all survive.
     warehouse.build_index_checkpointed(
-        "LUP", config={"loaders": 2, "batch_size": 4})
+        "LUP", loaders=2, batch_size=4)
     survivors = sum(1 for (_, table, _, _) in cache._entries
                     if table in lu_tables)
     assert survivors == lu_entries
@@ -109,7 +109,7 @@ def test_flip_spares_unrelated_table_entries(corpus):
     # costs fewer billed gets than its cold run did.
     cold_gets = warehouse.cloud.meter.request_count(
         "dynamodb", "get", tag="spare:lu-cold")
-    warehouse.run_workload(_queries(), built_lu, config={"workers": 1},
+    warehouse.run_workload(_queries(), built_lu, workers=1,
                            tag="spare:lu-warm")
     warm_gets = warehouse.cloud.meter.request_count(
         "dynamodb", "get", tag="spare:lu-warm")
@@ -121,7 +121,7 @@ def test_epoch_record_carries_shard_routing_metadata(corpus):
     warehouse = Warehouse(deployment={"shards": 2})
     warehouse.upload_corpus(corpus)
     _, record = warehouse.build_index_checkpointed(
-        "LU", config={"loaders": 2, "batch_size": 4})
+        "LU", loaders=2, batch_size=4)
     assert record.shards == 2
 
 
@@ -147,7 +147,7 @@ def test_scrubber_repairs_damage_across_shard_tables(corpus):
     warehouse = Warehouse(deployment={"shards": 2})
     warehouse.upload_corpus(corpus)
     built, record = warehouse.build_index_checkpointed(
-        "2LUPI", config={"loaders": 2, "batch_size": 4})
+        "2LUPI", loaders=2, batch_size=4)
     shard_tables = [shard_table
                     for physical in built.table_names.values()
                     for shard_table in built.store.shard_tables(physical)]

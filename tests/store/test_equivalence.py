@@ -30,11 +30,10 @@ def _pipeline(make_warehouse):
     corpus = generate_corpus(ScaleProfile(documents=DOCUMENTS, seed=SEED))
     warehouse = make_warehouse()
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index("LUP", config={
-        "loaders": 2, "loader_type": "l", "batch_size": 4})
+    built = warehouse.build_index("LUP", loaders=2, batch_size=4)
     report = warehouse.run_workload(
         [workload_query("q1"), workload_query("q2")], built,
-        config={"workers": 1})
+        workers=1)
     return warehouse.cloud.meter.records(), len(report.executions)
 
 
@@ -69,11 +68,10 @@ def test_active_config_still_returns_the_same_answers():
                                               seed=SEED))
         warehouse = Warehouse(deployment=deployment)
         warehouse.upload_corpus(corpus)
-        built = warehouse.build_index("LUP", config={
-            "loaders": 2, "loader_type": "l", "batch_size": 4})
+        built = warehouse.build_index("LUP", loaders=2, batch_size=4)
         report = warehouse.run_workload(
             [workload_query("q1"), workload_query("q2")], built,
-            config={"workers": 1})
+            workers=1)
         return [(execution.name, execution.docs_with_results,
                  execution.result_rows, execution.result_bytes)
                 for execution in report.executions]

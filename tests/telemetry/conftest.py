@@ -39,10 +39,10 @@ def traced_run(seed: int = TRACE_SEED) -> TracedRun:
                                           seed=seed))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("LU", config={"loaders": 2})
+    index = warehouse.build_index("LU", loaders=2)
     report = warehouse.run_workload(
         [workload_query(name) for name in TRACE_QUERIES], index,
-        config={"workers": 2})
+        workers=2)
     return TracedRun(warehouse=warehouse, report=report)
 
 

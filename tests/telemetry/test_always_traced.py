@@ -64,9 +64,10 @@ def test_no_index_workload_is_traced_and_priced():
 
 def test_degraded_chain_workload_is_traced_and_priced():
     warehouse = _warehouse()
-    config = {"loaders": 2, "batch_size": 4}
-    primary, _ = warehouse.build_index_checkpointed("2LUPI", config=config)
-    fallback, _ = warehouse.build_index_checkpointed("LU", config=config)
+    primary, _ = warehouse.build_index_checkpointed("2LUPI", loaders=2,
+                                                    batch_size=4)
+    fallback, _ = warehouse.build_index_checkpointed("LU", loaders=2,
+                                                     batch_size=4)
     for table in primary.physical_tables:
         warehouse.health.mark(table, "suspect")
     report = warehouse.run_degraded_workload(_queries(),
@@ -94,8 +95,7 @@ def test_two_tenant_serve_is_traced_and_priced():
 
 def test_live_mutations_are_traced_and_priced():
     warehouse, live = fresh_live()
-    added = warehouse.add_documents(live, make_increment(1),
-                                    config={"loaders": 2})
+    added = warehouse.add_documents(live, make_increment(1), loaders=2)
     deleted = warehouse.delete_documents(
         live, [warehouse.corpus.documents[0].uri])
     compacted = warehouse.compact_index(live)

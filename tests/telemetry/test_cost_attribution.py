@@ -199,12 +199,12 @@ def test_closed_loop_reports_keep_the_whole_tree_slots():
 
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus())
-    index = warehouse.build_index("2LUPI", config={"loaders": 2})
+    index = warehouse.build_index("2LUPI", loaders=2)
     executions = [warehouse.run_query(workload_query(name), index)
                   for name in ("q1", "q2", "q6") * 2]
     report = warehouse.run_workload(
         [workload_query(name) for name in ("q8", "q9")], index,
-        config={"workers": 2})
+        workers=2)
     whole = _whole(warehouse)
     _assert_slot_exact(report.cost, whole[report.span_id])
     for execution in executions + report.executions:

@@ -38,7 +38,7 @@ def warehouse():
 @pytest.fixture
 def live(warehouse):
     _, record = warehouse.build_index_checkpointed(
-        "LUI", config={"loaders": 2, "batch_size": 4})
+        "LUI", loaders=2, batch_size=4)
     return warehouse.live_index(record.name)
 
 
@@ -101,8 +101,7 @@ def test_mutation_with_fresh_etag_applies(warehouse, live):
     facade = TenantFacade(warehouse, tenant="acme")
     tag = facade.etag(live)
     response = facade.mutate(live, "add", if_match=tag,
-                             increment=make_increment(1),
-                             config={"loaders": 2})
+                             increment=make_increment(1))
     assert response.applied
     assert response.kind == "add"
     assert response.report is not None
@@ -115,27 +114,24 @@ def test_mutation_with_stale_etag_conflicts(warehouse, live):
     facade = TenantFacade(warehouse, tenant="acme")
     stale = facade.etag(live)
     applied = facade.mutate(live, "add", if_match=stale,
-                            increment=make_increment(1),
-                            config={"loaders": 2})
+                            increment=make_increment(1))
     assert applied.applied
     retry = facade.mutate(live, "add", if_match=stale,
-                          increment=make_increment(2),
-                          config={"loaders": 2})
+                          increment=make_increment(2))
     assert not retry.applied
     assert retry.status == "conflict"
     # The conflict carries the current tag, so re-reading it retries
     # cleanly.
     assert retry.etag == facade.etag(live)
     recovered = facade.mutate(live, "add", if_match=retry.etag,
-                              increment=make_increment(2),
-                              config={"loaders": 2})
+                              increment=make_increment(2))
     assert recovered.applied
 
 
 def test_mutation_spans_carry_the_tenant_tag(warehouse, live):
     facade = TenantFacade(warehouse, tenant="acme")
     facade.mutate(live, "add", if_match=facade.etag(live),
-                  increment=make_increment(1), config={"loaders": 2})
+                  increment=make_increment(1))
     tags = {record.tag for record in warehouse.cloud.meter._records
             if record.tag}
     assert any(":tenant:acme:" in tag for tag in tags)
@@ -154,8 +150,7 @@ def test_a_tenants_repeated_mutations_each_tie_out(warehouse, live):
     reports = []
     for batch in (1, 2):
         response = facade.mutate(live, "add", if_match=facade.etag(live),
-                                 increment=make_increment(batch),
-                                 config={"loaders": 2})
+                                 increment=make_increment(batch))
         reports.append(response.report)
     assert reports[0].tag == reports[1].tag
     assert [report.cost_tied_out for report in reports] == [True, True]
@@ -169,8 +164,7 @@ def test_a_tenant_tag_prefixing_another_prices_only_its_own(warehouse,
     for batch, tenant in enumerate(("acme2", "acme"), start=1):
         facade = TenantFacade(warehouse, tenant=tenant)
         facade.mutate(live, "add", if_match=facade.etag(live),
-                      increment=make_increment(batch),
-                      config={"loaders": 2})
+                      increment=make_increment(batch))
         reports.append(facade.mutate(
             live, "compact", if_match=facade.etag(live)).report)
     assert reports[0].tag.startswith(reports[1].tag)

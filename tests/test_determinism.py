@@ -17,7 +17,7 @@ def _run_once():
     corpus = generate_corpus(ScaleProfile(documents=40, seed=111))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("2LUPI", config={"loaders": 3})
+    index = warehouse.build_index("2LUPI", loaders=3)
     report = warehouse.run_workload(workload()[:5], index)
     build = index.report
     return {
@@ -47,7 +47,7 @@ def test_different_seed_differs():
     corpus = generate_corpus(ScaleProfile(documents=40, seed=112))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    index = warehouse.build_index("2LUPI", config={"loaders": 3})
+    index = warehouse.build_index("2LUPI", loaders=3)
     report = warehouse.run_workload(workload()[:5], index)
     assert first["corpus_bytes"] != corpus.total_bytes or \
         first["executions"] != [

@@ -35,12 +35,12 @@ class TestOneDocumentWarehouse:
 
     def test_build_all_strategies(self, warehouse):
         for name in ("LU", "LUP", "LUI", "2LUPI"):
-            built = warehouse.build_index(name, config={"loaders": 1})
+            built = warehouse.build_index(name, loaders=1)
             assert built.report.documents == 1
             assert built.report.puts > 0
 
     def test_query_hits_and_misses(self, warehouse):
-        index = warehouse.build_index("LUI", config={"loaders": 1})
+        index = warehouse.build_index("LUI", loaders=1)
         hit = warehouse.run_query(
             parse_query("//painting/name{val}", name="hit"), index)
         assert hit.result_rows == 1
@@ -51,7 +51,7 @@ class TestOneDocumentWarehouse:
         assert miss.documents_fetched == 0
 
     def test_more_workers_than_documents(self, warehouse):
-        built = warehouse.build_index("LU", config={"loaders": 6})
+        built = warehouse.build_index("LU", loaders=6)
         assert built.report.documents == 1
 
 
@@ -82,7 +82,7 @@ class TestDeepDocument:
         warehouse = Warehouse()
         warehouse.upload_corpus(Corpus(documents=[deep],
                                        data={deep.uri: self.DATA}))
-        index = warehouse.build_index("LUI", config={"loaders": 1})
+        index = warehouse.build_index("LUI", loaders=1)
         query = parse_query(text, name="deep")
         direct = evaluate_query(query, [deep])
         execution = warehouse.run_query(query, index)
@@ -106,7 +106,7 @@ class TestDegenerateQueries:
         wh = Warehouse()
         wh.upload_corpus(generate_corpus(ScaleProfile(documents=20,
                                                       seed=151)))
-        return wh, wh.build_index("LUP", config={"loaders": 2})
+        return wh, wh.build_index("LUP", loaders=2)
 
     def test_single_label_query(self, deployed):
         warehouse, index = deployed
@@ -151,7 +151,7 @@ class TestRepeatedOperations:
         warehouse = Warehouse()
         warehouse.upload_corpus(generate_corpus(
             ScaleProfile(documents=15, seed=161)))
-        index = warehouse.build_index("LU", config={"loaders": 1})
+        index = warehouse.build_index("LU", loaders=1)
         query = parse_query("//item/name{val}", name="rep")
         first = warehouse.run_query(query, index)
         second = warehouse.run_query(query, index)

@@ -24,7 +24,7 @@ def system():
                                           seed=2013))
     warehouse = Warehouse()
     warehouse.upload_corpus(corpus)
-    indexes = {name: warehouse.build_index(name, config={"loaders": 4})
+    indexes = {name: warehouse.build_index(name, loaders=4)
                for name in ALL_STRATEGY_NAMES}
     queries = workload()
     reports = {name: warehouse.run_workload(queries, index)

@@ -28,8 +28,7 @@ def build(plan):
     # Short visibility so the lapsed lease redelivers quickly.
     warehouse = Warehouse(cloud, deployment={"visibility_timeout": 5.0})
     warehouse.upload_corpus(corpus)
-    built = warehouse.build_index("LU", config={
-        "loaders": 2, "loader_type": "l", "batch_size": 2})
+    built = warehouse.build_index("LU", loaders=2, batch_size=2)
     return cloud, warehouse, built
 
 
@@ -86,8 +85,7 @@ def build_checkpointed(plan):
     cloud = CloudProvider(fault_plan=plan)
     warehouse = Warehouse(cloud, deployment={"visibility_timeout": 5.0})
     warehouse.upload_corpus(corpus)
-    _, record = warehouse.build_index_checkpointed("LU", config={
-        "loaders": 2, "loader_type": "l", "batch_size": 2})
+    _, record = warehouse.build_index_checkpointed("LU", loaders=2, batch_size=2)
     return cloud, record
 
 

@@ -1,9 +1,11 @@
 """Deployment API: one spelling per job.
 
 Fleet shapes, store layout and queue leases reach the warehouse through
-:class:`DeploymentConfig` (``deployment=`` / ``config=``) and nothing
-else: the per-method keyword spellings are gone, so a stray keyword is
-an ordinary ``TypeError``.
+:class:`DeploymentConfig` (``Warehouse(deployment=)`` /
+``Warehouse.deploy(config)``) and nothing else.  A call may vary only
+its own fleet, so an override a method would ignore is an ordinary
+``TypeError``, and a policy of the wrong type fails when the deployment
+is built, naming its field.
 """
 
 from __future__ import annotations
@@ -46,3 +48,34 @@ def test_no_public_method_swallows_arbitrary_keywords():
         and any(p.kind is inspect.Parameter.VAR_KEYWORD
                 for p in inspect.signature(member).parameters.values())]
     assert offenders == []
+
+
+def test_only_the_constructors_take_a_deployment():
+    """Everything else says what it runs, not how it is provisioned."""
+    takers = sorted(
+        "{}({})".format(name, parameter)
+        for name, member in inspect.getmembers(Warehouse, inspect.isroutine)
+        if not name.startswith("_") or name == "__init__"
+        for parameter in inspect.signature(member).parameters
+        if parameter in ("config", "deployment"))
+    assert takers == ["__init__(deployment)", "deploy(config)"]
+
+
+def test_an_override_a_call_would_ignore_is_a_type_error():
+    warehouse = Warehouse()
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        warehouse.build_index("LU", shards=3)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        warehouse.run_workload([], None, autoscale="nonsense")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("faults", "plan"),
+    ("autoscale", "x"),
+    ("admission", 3),
+    ("spot", {"spot_fraction": 0.5}),
+])
+def test_a_policy_of_the_wrong_type_fails_naming_its_field(field, value):
+    with pytest.raises(ConfigError,
+                       match=r"DeploymentConfig\.{} must be".format(field)):
+        Warehouse.deploy({field: value})

@@ -22,15 +22,20 @@ from repro.errors import SimulationDeadlock, SimulationError
 from repro.query.workload import workload_query
 from repro.tenancy import TenancyConfig, TenantSpec
 from repro.warehouse import Warehouse, query_processor
+from repro.warehouse.messages import QUERY_QUEUE
 from repro.xmark import generate_corpus
+
+
+def _deploy(deployment=None):
+    warehouse = Warehouse(deployment=deployment)
+    warehouse.upload_corpus(generate_corpus(
+        ScaleProfile(documents=20, document_bytes=4096, seed=13)))
+    return warehouse, warehouse.build_index("LUP")
 
 
 @pytest.fixture
 def deployed():
-    warehouse = Warehouse()
-    warehouse.upload_corpus(generate_corpus(
-        ScaleProfile(documents=20, document_bytes=4096, seed=13)))
-    return warehouse, warehouse.build_index("LUP")
+    return _deploy()
 
 
 def _raising(error):
@@ -68,8 +73,8 @@ SERVE_TRAFFIC = {"arrival": "poisson", "rate_qps": 2.0, "queries": 6,
         tenants=(TenantSpec(name="alpha"), TenantSpec(name="beta")))},
 ], ids=["fixed-fleet", "fair-share"])
 def test_a_failed_worker_fails_serve_typed_and_the_next_answers(
-        deployed, monkeypatch, deployment):
-    warehouse, index = deployed
+        monkeypatch, deployment):
+    warehouse, index = _deploy(deployment)
     real = query_processor.join_query_rows
     bug = RuntimeError("worker bug")
     monkeypatch.setattr(query_processor, "join_query_rows", _raising(bug))
@@ -82,17 +87,26 @@ def test_a_failed_worker_fails_serve_typed_and_the_next_answers(
         step()
     monkeypatch.setattr(env, "step", bounded_step)
     with pytest.raises(SimulationDeadlock) as raised:
-        warehouse.serve(SERVE_TRAFFIC, index, config=deployment)
+        warehouse.serve(SERVE_TRAFFIC, index)
     # The same rule as run_workload's: the worker is named, its error
     # is the cause.
     assert "'serve-worker-1'" in str(raised.value)
     assert "worker bug" in str(raised.value)
     assert raised.value.__cause__ is bug
     monkeypatch.setattr(query_processor, "join_query_rows", real)
+    # The failed run took its queries, leases and responses back and
+    # its submissions in flight with it: the next query waits behind
+    # nothing, exactly as on a warehouse that never failed.
+    sqs = warehouse.cloud.sqs
+    assert [sqs.approximate_depth(QUERY_QUEUE),
+            sqs.in_flight_count(QUERY_QUEUE)] == [0, 0]
     query = workload_query("q1")
     execution = warehouse.run_query(query, index)
     assert execution.result_rows == len(
         evaluate_query(query, warehouse.corpus.documents))
+    clean, clean_index = _deploy(deployment)
+    assert execution.response_s == pytest.approx(
+        clean.run_query(query, clean_index).response_s, rel=1e-9)
 
 
 def test_an_error_that_escaped_a_step_fails_every_later_run_typed(

@@ -18,7 +18,7 @@ from repro.xmark import generate_corpus
 
 DOCUMENTS = 12
 SEED = 23
-LOADERS = {"loaders": 2, "loader_type": "l", "batch_size": 2}
+LOADERS = {"loaders": 2}
 
 
 def _corpus(seed=SEED, documents=DOCUMENTS, prefix=""):
@@ -33,9 +33,10 @@ def _corpus(seed=SEED, documents=DOCUMENTS, prefix=""):
     return corpus
 
 
-def _warehouse(plan=None):
+def _warehouse(plan=None, workers=1):
     warehouse = Warehouse(CloudProvider(fault_plan=plan),
-                          deployment={"visibility_timeout": 5.0})
+                          deployment={"visibility_timeout": 5.0,
+                                      "batch_size": 2, "workers": workers})
     warehouse.upload_corpus(_corpus())
     return warehouse
 
@@ -57,7 +58,7 @@ def _after(warehouse, operation):
 def test_one_shot_build():
     warehouse = _warehouse()
     _, launched, phases = _after(
-        warehouse, lambda: warehouse.build_index("LU", config=LOADERS))
+        warehouse, lambda: warehouse.build_index("LU", **LOADERS))
     assert (len(launched), phases) == (2, 1)
     assert not any(instance.crashed for instance in launched)
 
@@ -66,7 +67,7 @@ def test_one_shot_build_under_a_loader_crash():
     warehouse = _warehouse(
         FaultPlan(seed=5).crash(role="loader", after_s=0.5, worker=0))
     built, launched, phases = _after(
-        warehouse, lambda: warehouse.build_index("LU", config=LOADERS))
+        warehouse, lambda: warehouse.build_index("LU", **LOADERS))
     assert [instance.crashed for instance in launched] \
         == [True, False, False]
     assert phases == 1
@@ -77,43 +78,42 @@ def test_checkpointed_build():
     warehouse = _warehouse()
     _, launched, phases = _after(
         warehouse,
-        lambda: warehouse.build_index_checkpointed("LU", config=LOADERS))
+        lambda: warehouse.build_index_checkpointed("LU", **LOADERS))
     assert (len(launched), phases) == (2, 1)
 
 
 @pytest.mark.ingest
 def test_delta_publication():
     warehouse = _warehouse()
-    _, record = warehouse.build_index_checkpointed("LU", config=LOADERS)
+    _, record = warehouse.build_index_checkpointed("LU", **LOADERS)
     live = warehouse.live_index(record.name)
     report, launched, phases = _after(
         warehouse, lambda: warehouse.add_documents(
             live, _corpus(seed=7001, documents=4, prefix="d-"),
-            config=LOADERS))
+            loaders=2))
     assert (len(launched), phases) == (2, 1)
     assert report.documents == 4
 
 
 def test_closed_workload():
     warehouse = _warehouse()
-    built = warehouse.build_index("LU", config=LOADERS)
+    built = warehouse.build_index("LU", **LOADERS)
     queries = [workload_query(name) for name in ("q1", "q2")]
     report, launched, phases = _after(
         warehouse, lambda: warehouse.run_workload(
-            queries, built, config={"workers": 3}))
+            queries, built, workers=3))
     assert (len(launched), phases) == (3, 1)
     assert len(report.executions) == 2
 
 
 @pytest.mark.serving
 def test_serving_run():
-    warehouse = _warehouse()
-    built = warehouse.build_index("LU", config=LOADERS)
+    warehouse = _warehouse(workers=2)
+    built = warehouse.build_index("LU", **LOADERS)
     traffic = {"arrival": "poisson", "rate_qps": 2.0, "queries": 8,
                "seed": 7}
     report, launched, phases = _after(
-        warehouse, lambda: warehouse.serve(traffic, built,
-                                           config={"workers": 2}))
+        warehouse, lambda: warehouse.serve(traffic, built))
     assert (len(launched), phases) == (2, 0)
     assert report.completed == report.admitted
 
@@ -125,7 +125,7 @@ def test_delta_publication_under_a_loader_crash():
     # batch is redelivered, so the delta is the fault-free one.
     def publish(plan):
         warehouse = Warehouse(CloudProvider(fault_plan=plan),
-                              deployment=LOADERS)
+                              deployment={**LOADERS, "batch_size": 2})
         warehouse.upload_corpus(_corpus(seed=41))
         _, record = warehouse.build_index_checkpointed("LUI")
         live = warehouse.live_index(record.name)

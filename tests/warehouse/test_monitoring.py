@@ -13,7 +13,7 @@ from repro.xmark import generate_corpus
 def warehouse():
     wh = Warehouse()
     wh.upload_corpus(generate_corpus(ScaleProfile(documents=40, seed=47)))
-    index = wh.build_index("LUI", config={"loaders": 4})
+    index = wh.build_index("LUI", loaders=4)
     wh.run_query(workload_query("q2"), index)
     return wh
 

@@ -35,7 +35,7 @@ def _live_warehouse(deployment=None):
     warehouse = Warehouse(deployment=deployment)
     warehouse.upload_corpus(_corpus())
     _, record = warehouse.build_index_checkpointed(
-        "LUI", config={"loaders": 2, "batch_size": 4})
+        "LUI", loaders=2, batch_size=4)
     return warehouse, warehouse.live_index(record.name)
 
 
@@ -62,7 +62,7 @@ def _whole_meter_slot(warehouse, span_id):
 def test_run_query_prices_only_its_own_records(priced):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus())
-    index = warehouse.build_index("LU", config={"loaders": 2})
+    index = warehouse.build_index("LU", loaders=2)
     meter = warehouse.cloud.meter
     queries = [workload_query(name) for name in ("q1", "q2", "q6")]
     for call in range(30):
@@ -89,7 +89,7 @@ def test_mutations_price_only_their_own_records(priced):
         report = warehouse.add_documents(
             live, _corpus(seed=7000 + batch, documents=8,
                           prefix="b{}-".format(batch)),
-            config={"loaders": 2})
+            loaders=2)
         appended = meter.since(mark)
         # Once for the span roll-up, once more for the estimator's fold
         # of the records that carry the mutation's tag.

@@ -19,7 +19,7 @@ def deployed():
     warehouse = Warehouse()
     warehouse.upload_corpus(generate_corpus(
         ScaleProfile(documents=25, seed=131)))
-    index = warehouse.build_index("LUP", config={"loaders": 2})
+    index = warehouse.build_index("LUP", loaders=2)
     return warehouse, index
 
 

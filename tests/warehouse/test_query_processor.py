@@ -19,7 +19,7 @@ def warehouse():
 
 @pytest.fixture(scope="module")
 def lui_index(warehouse):
-    return warehouse.build_index("LUI", config={"loaders": 2})
+    return warehouse.build_index("LUI", loaders=2)
 
 
 def test_results_match_direct_evaluation(warehouse, lui_index):
@@ -73,9 +73,9 @@ def test_empty_result_query(warehouse, lui_index):
 
 def test_xl_processes_faster_than_l(warehouse, lui_index):
     l_execution = warehouse.run_query(workload_query("q2"), lui_index,
-                                      config={"worker_type": "l"})
+                                      worker_type="l")
     xl_execution = warehouse.run_query(workload_query("q2"), lui_index,
-                                       config={"worker_type": "xl"})
+                                       worker_type="xl")
     assert xl_execution.fetch_eval_s < l_execution.fetch_eval_s
 
 
@@ -110,12 +110,12 @@ def test_a_worker_parses_each_query_once_and_never_mutates_it(
     warehouse = Warehouse()
     warehouse.upload_corpus(generate_corpus(ScaleProfile(documents=40,
                                                          seed=31)))
-    index = warehouse.build_index(strategy, config={"loaders": 2})
+    index = warehouse.build_index(strategy, loaders=2)
     report = warehouse.run_workload(workload(), index,
-                                    config={"workers": 1}, repeats=3)
+                                    workers=1, repeats=3)
     other = warehouse.build_index(
         STRATEGIES[(STRATEGIES.index(strategy) + 1) % len(STRATEGIES)],
-        config={"loaders": 2})
+        loaders=2)
     executions = report.executions + [
         warehouse.run_query(query, other) for query in workload()]
     assert len(executions) == 40
@@ -143,7 +143,7 @@ def test_the_parsed_query_table_is_bounded(warehouse, lui_index, monkeypatch):
             text, name=name))
     names = ("q1", "q2", "q1", "q6", "q6", "q1")
     report = warehouse.run_workload([workload_query(name) for name in names],
-                                    lui_index, config={"workers": 1})
+                                    lui_index, workers=1)
     assert len(report.executions) == 6
     # q1 is parsed again once q2 and q6 have pushed it out.
     assert parses == ["q1", "q2", "q6", "q1"]

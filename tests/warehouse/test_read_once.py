@@ -180,14 +180,13 @@ def test_live_mutations_invalidate_the_memo(reads):
     donor = next(d for d in documents if evaluate_query(query, [d]))
     target = next(d for d in documents if not evaluate_query(query, [d]))
     warehouse.update_document(live, target.uri,
-                              warehouse.corpus.data[donor.uri],
-                              config={"loaders": 1})
+                              warehouse.corpus.data[donor.uri])
     _assert_answers_model(warehouse, live)
     warehouse.delete_documents(live, [donor.uri])
     _assert_answers_model(warehouse, live)
     warehouse.add_documents(live, _corpus(seed=7001, documents=6,
                                           prefix="new-"),
-                            config={"loaders": 2})
+                            loaders=2)
     _assert_answers_model(warehouse, live)
     assert len(reads["evaluated"]) > warmed
 

