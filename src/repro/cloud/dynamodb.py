@@ -22,6 +22,7 @@ reproduces the API surface the paper relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
@@ -91,15 +92,21 @@ class DynamoItem:
     @classmethod
     def sized(cls, hash_key: str, range_key: Optional[str],
               attributes: Mapping[str, Tuple[AttrValue, ...]],
-              attribute_bytes: int) -> "DynamoItem":
+              attribute_bytes: int,
+              key_bytes: Optional[int] = None) -> "DynamoItem":
         """An item born with its size: ``attribute_bytes`` must be the
-        sum of :func:`attribute_size` over ``attributes`` (set slot by
-        slot, not through the frozen ``__init__``)."""
+        sum of :func:`attribute_size` over ``attributes``, and
+        ``key_bytes``, if given, the keys' :func:`key_size` summed (a
+        writer that sized a hash key once passes it for each of its
+        items).  Set slot by slot, not through the frozen ``__init__``."""
         item = object.__new__(cls)
         _set_hash_key(item, hash_key)
         _set_range_key(item, range_key)
         _set_attributes(item, attributes)
-        item._remember_size(attribute_bytes)
+        if key_bytes is None:
+            item._remember_size(attribute_bytes)
+        else:
+            _set_size_bytes(item, attribute_bytes + key_bytes)
         return item
 
     def _remember_size(self, attribute_bytes: int) -> int:
@@ -124,6 +131,7 @@ class DynamoItem:
 
 _set_hash_key, _set_range_key, _set_attributes, _set_size_bytes = (
     DynamoItem.__dict__[name].__set__ for name in DynamoItem.__slots__)
+_SIZE_BYTES = attrgetter("size_bytes")
 
 
 @dataclass
@@ -141,9 +149,8 @@ class DynamoTable:
 
     def raw_bytes(self) -> int:
         """User-data bytes stored (the 'index content' series of Fig. 8)."""
-        return sum(item.size_bytes
-                   for group in self._items.values()
-                   for item in group.values())
+        return sum([sum(map(_SIZE_BYTES, group.values()))
+                    for group in self._items.values()])
 
     def hash_keys(self) -> List[str]:
         """All hash keys present in the table, sorted."""
@@ -292,35 +299,51 @@ class DynamoDB:
 
     # -- validation -------------------------------------------------------------
 
-    def _validate_item(self, table: DynamoTable, item: DynamoItem) -> int:
-        """Check the §6 limits; returns the item's size in bytes."""
-        if key_size(item.hash_key) > MAX_HASH_KEY_BYTES:
-            raise ValidationError(
-                "hash key exceeds {} bytes".format(MAX_HASH_KEY_BYTES))
-        if table.has_range_key:
-            if item.range_key is None:
+    def _validate_items(self, table: DynamoTable,
+                        items: Sequence[DynamoItem]) -> int:
+        """Check the §6 limits on each item; returns their size in bytes.
+        A key of at most ``limit // 4`` characters fits whatever they
+        are (utf-8 takes at most 4 bytes a character), so only a longer
+        one is encoded to be measured."""
+        has_range_key = table.has_range_key
+        total = 0
+        for item in items:
+            hash_key, range_key = item.hash_key, item.range_key
+            if (len(hash_key) > MAX_HASH_KEY_BYTES // 4
+                    and key_size(hash_key) > MAX_HASH_KEY_BYTES):
                 raise ValidationError(
-                    "table {!r} requires a range key".format(table.name))
-            if key_size(item.range_key) > MAX_RANGE_KEY_BYTES:
+                    "hash key exceeds {} bytes".format(MAX_HASH_KEY_BYTES))
+            if has_range_key:
+                if range_key is None:
+                    raise ValidationError(
+                        "table {!r} requires a range key".format(table.name))
+                if (len(range_key) > MAX_RANGE_KEY_BYTES // 4
+                        and key_size(range_key) > MAX_RANGE_KEY_BYTES):
+                    raise ValidationError("range key exceeds {} bytes".format(
+                        MAX_RANGE_KEY_BYTES))
+            elif range_key is not None:
                 raise ValidationError(
-                    "range key exceeds {} bytes".format(MAX_RANGE_KEY_BYTES))
-        elif item.range_key is not None:
-            raise ValidationError(
-                "table {!r} has no range key".format(table.name))
-        size = item.size_bytes
-        if size > MAX_ITEM_BYTES:
-            raise ItemTooLarge(
-                "item of {} bytes exceeds the {} byte limit".format(
-                    size, MAX_ITEM_BYTES))
-        return size
+                    "table {!r} has no range key".format(table.name))
+            size = item.size_bytes
+            if size > MAX_ITEM_BYTES:
+                raise ItemTooLarge(
+                    "item of {} bytes exceeds the {} byte limit".format(
+                        size, MAX_ITEM_BYTES))
+            total += size
+        return total
 
     # -- writes -------------------------------------------------------------------
 
-    def _store(self, table: DynamoTable, item: DynamoItem) -> None:
-        group = table._items.setdefault(item.hash_key, {})
-        # Same primary key -> the new item completely replaces the old
-        # one (§6), which is exactly what the UUID range keys prevent.
-        group[item.range_key or ""] = item
+    def _store(self, table: DynamoTable, items: Sequence[DynamoItem]) -> None:
+        stored = table._items
+        for item in items:
+            group = stored.get(item.hash_key)
+            if group is None:
+                group = stored[item.hash_key] = {}
+            # Same primary key -> the new item completely replaces the
+            # old one (§6), which is exactly what the UUID range keys
+            # prevent.
+            group[item.range_key or ""] = item
 
     def _check_condition(self, table: DynamoTable, item: DynamoItem,
                          expected: Mapping[str, Optional[Tuple[AttrValue,
@@ -360,7 +383,7 @@ class DynamoDB:
         """
         self._check_available("put")
         table = self.table(table_name)
-        size = self._validate_item(table, item)
+        size = self._validate_items(table, (item,))
         with self._span("put", table=table_name):
             if self._faults is not None:
                 yield from self._faults.perturb("put")
@@ -376,7 +399,7 @@ class DynamoDB:
                     self._meter.record(self._env.now, SERVICE, "put",
                                        bytes_in=size)
                     raise
-            self._store(table, item)
+            self._store(table, (item,))
             self._meter.record(self._env.now, SERVICE, "put",
                                bytes_in=size)
 
@@ -408,8 +431,9 @@ class DynamoDB:
         return existed
 
     def batch_put(self, table_name: str, items: Sequence[DynamoItem],
-                  ) -> Generator[Any, Any, None]:
-        """Insert up to 25 items through a single API request.
+                  ) -> Generator[Any, Any, int]:
+        """Insert up to 25 items through a single API request; returns
+        the bytes billed.
 
         Billing note: each inserted row is a billable put operation
         (|op(D, I)| in §7.1 counts rows), but the fixed request latency
@@ -423,19 +447,17 @@ class DynamoDB:
                     BATCH_PUT_LIMIT, len(items)))
         self._check_available("batch_put")
         table = self.table(table_name)
-        total = 0
-        for item in items:
-            total += self._validate_item(table, item)
+        total = self._validate_items(table, items)
         with self._span("batch_put", table=table_name, items=len(items)):
             if self._faults is not None:
                 yield from self._faults.perturb("batch_put")
             yield self._env.timeout(self._profile.dynamodb_request_latency_s)
             self._check_throttle(self._write_limiter)
             yield self._write_limiter.consume(total)
-            for item in items:
-                self._store(table, item)
+            self._store(table, items)
             self._meter.record(self._env.now, SERVICE, "put",
                                count=len(items), bytes_in=total)
+        return total
 
     # -- reads ---------------------------------------------------------------------
 

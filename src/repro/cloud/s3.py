@@ -158,17 +158,6 @@ class S3:
             target.objects.pop(key, None)
             self._meter.record(self._env.now, SERVICE, "delete")
 
-    def list_keys(self, bucket: str) -> Generator[Any, Any, List[str]]:
-        """List the bucket's object keys, sorted."""
-        target = self._bucket(bucket)
-        with self._span("list"):
-            if self._faults is not None:
-                yield from self._faults.perturb("list_keys")
-            yield self._env.timeout(self._profile.s3_request_latency_s)
-            keys = sorted(target.objects)
-            self._meter.record(self._env.now, SERVICE, "list")
-        return keys
-
     # -- synchronous inspection (for cost model and tests) --------------------
 
     def object_count(self, bucket: str) -> int:

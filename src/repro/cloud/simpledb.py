@@ -108,12 +108,6 @@ class SimpleDB:
         self._domains[name] = domain
         return domain
 
-    def delete_domain(self, name: str) -> None:
-        """Drop a domain and everything in it."""
-        if name not in self._domains:
-            raise NoSuchTable(name)
-        del self._domains[name]
-
     def domain(self, name: str) -> SimpleDBDomain:
         """Look a domain up by name."""
         try:

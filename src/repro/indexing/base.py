@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.indexing.checksums import attribute_head
 from repro.indexing.entries import IndexEntry, Posting, collect_occurrences
-from repro.xmldb.encoding import decode_ids, encode_id_rows
+from repro.xmldb.encoding import decode_ids, encode_pre_list
 from repro.xmldb.model import Document
 from repro.xmldb.serializer import serialize
 
@@ -100,8 +100,9 @@ class IndexingStrategy(abc.ABC):
         One walk feeds every table, and each posting is sized from it:
         the URI's bytes (and its pieces' head) once per document, paths
         by one encode of them joined, an ID blob by its length — blobs
-        are encoded once per distinct ID list of the document (the
-        codec refuses a list not strictly sorted by ``pre``, §5.3).
+        are encoded once per distinct ID list of the document, straight
+        from the walk's rows (the codec refuses a list not strictly
+        sorted by ``pre``, §5.3).
         """
         groups, rows = collect_occurrences(data, uri, self.include_words)
         keys = sorted(groups)
@@ -116,20 +117,23 @@ class IndexingStrategy(abc.ABC):
                 lists = [tuple(pres) for pres, _ in found]
                 blobs = dict.fromkeys(lists)
                 for ids in blobs:
-                    blobs[ids] = encode_id_rows(map(rows.__getitem__, ids),
-                                                len(ids))
-                values = [(blobs[ids],) for ids in lists]
-                sizes = [len(blob) for blob, in values]
+                    blob = encode_pre_list(ids, rows)
+                    blobs[ids] = ((blob,), uri_bytes + len(blob))
+                by_table[table] = [
+                    Posting(key, uri, value, canonical, size, head)
+                    for key, (value, size) in zip(keys, map(blobs.__getitem__,
+                                                            lists))]
                 stats.ids = sum(map(len, lists))
             elif kind == "paths":
                 values = [tuple(paths) for _, paths in found]
-                sizes = [len("".join(paths).encode()) for paths in values]
+                by_table[table] = [
+                    Posting(key, uri, value, canonical,
+                            uri_bytes + len("".join(value).encode()), head)
+                    for key, value in zip(keys, values)]
                 stats.paths = sum(map(len, values))
             else:
-                values, sizes = [()] * len(keys), [0] * len(keys)
-            by_table[table] = [
-                Posting(key, uri, value, canonical, uri_bytes + size, head)
-                for key, value, size in zip(keys, values, sizes)]
+                by_table[table] = [Posting(key, uri, (), canonical, uri_bytes,
+                                           head) for key in keys]
         return by_table, stats
 
     def _entries(self, document: Document) -> Dict[str, List[IndexEntry]]:

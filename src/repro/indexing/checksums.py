@@ -97,8 +97,7 @@ def uuid4_text(value: int) -> str:
     """``str(uuid.UUID(int=value, version=4))`` for a 128-bit ``value``,
     without building the object — every item of an index draws one."""
     text = "%032x" % (value & _UUID4_CLEAR | _UUID4_SET)
-    return "%s-%s-%s-%s-%s" % (text[:8], text[8:12], text[12:16],
-                               text[16:20], text[20:])
+    return f"{text[:8]}-{text[8:12]}-{text[12:16]}-{text[16:20]}-{text[20:]}"
 
 
 #: The UUID variant digit (``10xx``) that :func:`uuid4_text` makes of

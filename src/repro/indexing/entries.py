@@ -17,12 +17,13 @@ own payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.cloud.dynamodb import attribute_size
 from repro.indexing.checksums import AttrValue, attribute_piece
-from repro.indexing.keys import (attribute_key, attribute_value_key,
-                                 element_key, text_word_keys)
+from repro.indexing.keys import (WORD_PREFIX, attribute_key,
+                                 attribute_value_key, element_key, text_words)
 from repro.xmldb.ids import NodeID
 from repro.xmldb.parser import parse_tree
 
@@ -100,16 +101,40 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
     Returns ``(groups, rows)``.  ``groups`` maps each key to its nodes'
     ``pre`` ordinals, sorted because the walk is a pre-order traversal
     (the LUI invariant, §5.3, for free), and to its distinct label paths
-    in first-seen order.  ``rows[pre]`` is that node's (pre, post,
-    depth), numbered as :func:`~repro.xmldb.model.number_nodes`
-    numbers it: a node's post is the count of nodes completed by then,
-    ``last pre of its subtree - depth + 1``.  Word keys take the *text
-    node's* ordinal and its parent element's path plus the word step
-    (Figure 3/4: ``wOlympia`` → (4, 2, 3), ``/epainting/ename/wOlympia``).
+    in first-seen order; each node joins its keys' groups as the walk
+    visits it.  ``rows[pre]`` is that node's (pre, post, depth),
+    numbered as :func:`~repro.xmldb.model.number_nodes` numbers it: a
+    node's post is the count of nodes completed by then, ``last pre of
+    its subtree - depth + 1``.  Word keys take the *text node's* ordinal
+    and its parent element's path plus the word step (Figure 3/4:
+    ``wOlympia`` → (4, 2, 3), ``/epainting/ename/wOlympia``).
     """
+    groups: Dict[str, Tuple[List[int], Dict[str, None]]] = {}
+    get = groups.get
+
+    def visit(pre: int, step: str, keys: Iterable[str]) -> None:
+        for key in keys:
+            group = get(key)
+            if group is None:
+                groups[key] = ([pre], {step + key: None})
+            else:
+                group[0].append(pre)
+                group[1][step + key] = None
+
+    def visit_words(pre: int, step: str, text: str) -> None:
+        # ``visit(pre, step, text_word_keys(text))``, with no key list.
+        step += WORD_PREFIX
+        for word in text_words(text):
+            key = WORD_PREFIX + word
+            group = get(key)
+            if group is None:
+                groups[key] = ([pre], {step + word: None})
+            else:
+                group[0].append(pre)
+                group[1][step + word] = None
+
     rows: List[Any] = [None]  # rows[pre]; an element's row on its close
-    visits: List[Tuple[int, str, Sequence[str]]] = []  # (pre, step, keys)
-    append_row, visit = rows.append, visits.append
+    append_row = rows.append
     # Open elements: (element, its children, its pre, its path + "/",
     # its depth); ``element`` is the next one to enter, below ``step``.
     open_elements: List[tuple] = []
@@ -119,19 +144,19 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
         own = pre
         append_row(None)
         key = element_key(element.tag)
-        visit((pre, step, (key,)))
+        visit(pre, step, (key,))
         step += key + "/"
-        for name, value in element.attrib.items():
+        for name, value in element.items():
             pre += 1
             append_row((pre, pre - depth, depth + 1))
-            visit((pre, step, (attribute_key(name),
-                               attribute_value_key(name, value))))
+            visit(pre, step, (attribute_key(name),
+                              attribute_value_key(name, value)))
         text = element.text
         if text:
             pre += 1
             append_row((pre, pre - depth, depth + 1))
             if include_words:
-                visit((pre, step, text_word_keys(text)))
+                visit_words(pre, step, text)
         open_elements.append((element, iter(element), own, step, depth))
         element = None
         while open_elements:
@@ -147,15 +172,5 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
                 pre += 1
                 append_row((pre, pre - depth + 1, depth))
                 if include_words:
-                    visit((pre, open_elements[-1][3], text_word_keys(tail)))
-    groups: Dict[str, Tuple[List[int], Dict[str, None]]] = {}
-    get = groups.get
-    for pre, step, keys in visits:
-        for key in keys:
-            group = get(key)
-            if group is None:
-                groups[key] = ([pre], {step + key: None})
-            else:
-                group[0].append(pre)
-                group[1][step + key] = None
+                    visit_words(pre, open_elements[-1][3], tail)
     return groups, rows

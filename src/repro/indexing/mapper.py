@@ -38,7 +38,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES, attribute_size,
-                                  value_size)
+                                  key_size, value_size)
 from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
@@ -65,6 +65,8 @@ _ITEM_BUDGET = MAX_ITEM_BYTES - 4096
 _CHECKSUM_BYTES = attribute_size(CHECKSUM_ATTR, ("0" * 8,))
 #: A posting's index key: the packer's grouping order.
 _BY_KEY = attrgetter("key")
+#: Bytes of a UUID-shaped range key (drawn or content-derived).
+_UUID_ITEM_BYTES = 36
 #: Chunk budget for SimpleDB textual values (sequence prefix included).
 _SDB_CHUNK_BUDGET = MAX_VALUE_BYTES - 24
 
@@ -193,11 +195,11 @@ def stored_postings(entries: Entries, canonical: bool = True,
             for entry in entries]
 
 
-def _canonical(hash_key: str, held: Mapping[str, Posting]) -> bytes:
-    """The canonical form of the item holding exactly these postings
-    (by attribute name), joined from their pieces."""
+def _canonical(hash_key: str, pieces: Mapping[str, bytes]) -> bytes:
+    """The canonical form of the item holding exactly the postings
+    whose pieces these are (by attribute name), joined from them."""
     return key_prefix(hash_key) + b"".join(
-        [held[name].piece for name in sorted(held)])
+        [pieces[name] for name in sorted(pieces)])
 
 
 class _Heads(dict):
@@ -275,32 +277,38 @@ class DynamoIndexStore(IndexStore):
         """A UUID range key ([20]); seeded for reproducible runs."""
         return uuid4_text(self._rng.getrandbits(128))
 
-    def _finish_item(self, hash_key: str, held: Dict[str, Posting],
-                     attr_bytes: int, uri_key: str = "") -> DynamoItem:
-        """Close an item over the postings it holds (by URI), under the
-        mode's range-key discipline.
+    def _finish_item(self, hash_key: str, attrs: Dict[str, Any],
+                     attr_bytes: int, pieces: Optional[Dict[str, bytes]],
+                     uri_key: str = "") -> DynamoItem:
+        """Close an item over ``attrs`` (URI → interned values, the
+        postings' pieces by URI in ``content`` mode), under the mode's
+        range-key discipline.
 
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
         the write idempotent and scrub-verifiable (one canonical form,
         joined from the postings' pieces, feeds both, and is recorded
         for the digest that scans the item back); ``attribute`` uses
-        ``uri_key``.  The item is born with the size budgeted.
+        ``uri_key``.  The item is born with its size, each part
+        measured once: the attributes' bytes (budgeted as they were
+        packed), the hash key's and the range key's (36 for a UUID).
         """
-        intern = self._interned.setdefault
-        hash_key = intern(hash_key, hash_key)
-        attrs = {uri: intern(posting.values, posting.values)
-                 for uri, posting in held.items()}
-        if self.range_key_mode == "attribute":
-            return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
-        if self.range_key_mode == "content":
-            canonical = _canonical(hash_key, held)
+        hash_key = self._interned.setdefault(hash_key, hash_key)
+        key_bytes = key_size(hash_key)
+        mode = self.range_key_mode
+        if mode == "uuid":
+            return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes,
+                                    key_bytes + _UUID_ITEM_BYTES)
+        if mode == "content":
+            canonical = _canonical(hash_key, pieces)
             attrs[CHECKSUM_ATTR] = (checksum_of(canonical),)
             item = DynamoItem.sized(hash_key, range_key_of(canonical), attrs,
-                                    attr_bytes + _CHECKSUM_BYTES)
+                                    attr_bytes + _CHECKSUM_BYTES,
+                                    key_bytes + _UUID_ITEM_BYTES)
             self._written[id(item)] = (item, canonical)
             return item
-        return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes)
+        return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes,
+                                key_bytes + key_size(uri_key))
 
     def create_table(self, physical_name: str) -> None:
         """Create the physical table/domain."""
@@ -311,10 +319,12 @@ class DynamoIndexStore(IndexStore):
     def _posting_items(self, posting: Posting) -> List[DynamoItem]:
         """Items for one posting alone, splitting an oversized payload."""
         key, uri, values = posting.key, posting.uri, posting.values
+        intern = self._interned.setdefault
         value_bytes = posting.attr_bytes - value_size(uri)
         if value_bytes <= _ITEM_BUDGET:
-            return [self._finish_item(key, {uri: posting},
-                                      posting.attr_bytes, uri)]
+            return [self._finish_item(key, {uri: intern(values, values)},
+                                      posting.attr_bytes, {uri: posting.piece},
+                                      uri)]
         # Oversized payload: split across items.
         chunks: List[Tuple[Any, ...]] = []
         if isinstance(values[0], bytes):
@@ -341,7 +351,8 @@ class DynamoIndexStore(IndexStore):
                 size += path_bytes
             if chunk:
                 chunks.append(tuple(chunk))
-        return [self._finish_item(key, {uri: part}, part.attr_bytes,
+        return [self._finish_item(key, {uri: intern(part.values, part.values)},
+                                  part.attr_bytes, {uri: part.piece},
                                   "{}#{}".format(uri, index))
                 for index, part in enumerate(
                     Posting(key, uri, chunk, self.range_key_mode == "content")
@@ -354,37 +365,50 @@ class DynamoIndexStore(IndexStore):
         items (up to the item budget) — the paper's point about UUIDs
         reducing item counts; in ``attribute`` mode every entry keeps
         its own item (range key = URI), which is the ablation baseline.
-        Each entry is encoded and sized once, here or by its sender.
+        Each entry is encoded and sized once, here or by its sender,
+        and each value is interned straight into its item's attributes.
         """
-        postings = stored_postings(entries, self.range_key_mode == "content")
+        content = self.range_key_mode == "content"
+        if not all(map(Posting.__instancecheck__, entries)):
+            entries = stored_postings(entries, content)
         if self.range_key_mode == "attribute":
-            return [item for posting in postings
+            return [item for posting in entries
                     for item in self._posting_items(posting)]
-        # Stable, so a key's postings keep their order; a batch already
-        # in key order (a fold's) is only checked, not moved.
-        postings.sort(key=_BY_KEY)
+        intern = self._interned.setdefault
+        finish = self._finish_item
         items: List[DynamoItem] = []
         key = None
-        held: Dict[str, Posting] = {}
+        attrs: Dict[str, Any] = {}
+        pieces: Optional[Dict[str, bytes]] = {} if content else None
         size = 0
-        for posting in postings:
+        # Stable, so a key's postings keep their order; a batch already
+        # in key order (a fold's) is only checked, not moved.
+        for posting in sorted(entries, key=_BY_KEY):
             if posting.key != key:
-                if held:
-                    items.append(self._finish_item(key, held, size))
-                    held, size = {}, 0
+                if attrs:
+                    items.append(finish(key, attrs, size, pieces))
+                    attrs, size = {}, 0
+                    if content:
+                        pieces = {}
                 key = posting.key
             attr_bytes = posting.attr_bytes
-            if attr_bytes > _ITEM_BUDGET:
-                # Oversized single posting: dedicated split items.
-                items.extend(self._posting_items(posting))
-                continue
-            if held and size + attr_bytes > _ITEM_BUDGET:
-                items.append(self._finish_item(key, held, size))
-                held, size = {}, 0
-            held[posting.uri] = posting
+            if size + attr_bytes > _ITEM_BUDGET:
+                if attr_bytes > _ITEM_BUDGET:
+                    # Oversized single posting: dedicated split items,
+                    # ahead of the item its key holds open.
+                    items.extend(self._posting_items(posting))
+                    continue
+                items.append(finish(key, attrs, size, pieces))
+                attrs, size = {}, 0
+                if content:
+                    pieces = {}
+            values = posting.values
+            attrs[posting.uri] = intern(values, values)
+            if content:
+                pieces[posting.uri] = posting.piece
             size += attr_bytes
-        if held:
-            items.append(self._finish_item(key, held, size))
+        if attrs:
+            items.append(finish(key, attrs, size, pieces))
         return items
 
     def write_entries(self, physical_name: str, entries: Entries,
@@ -395,10 +419,9 @@ class DynamoIndexStore(IndexStore):
         stats.items = len(items)
         stats.puts = len(items)
         for start in range(0, len(items), BATCH_PUT_LIMIT):
-            batch = items[start:start + BATCH_PUT_LIMIT]
-            yield from self._db.batch_put(physical_name, batch)
+            stats.payload_bytes += yield from self._db.batch_put(
+                physical_name, items[start:start + BATCH_PUT_LIMIT])
             stats.batches += 1
-            stats.payload_bytes += sum(item.size_bytes for item in batch)
         return stats
 
     # -- reads ---------------------------------------------------------------
@@ -458,11 +481,13 @@ class DynamoIndexStore(IndexStore):
             key = item.hash_key
             attributes = item.attributes
             held: Dict[str, Posting] = {}
+            pieces: Dict[str, bytes] = {}
             merged_form = True
             for name, values in attributes.items():
                 if name != CHECKSUM_ATTR:
-                    held[name] = Posting(key, name, values, True, None,
-                                         heads[name])
+                    held[name] = posting = Posting(key, name, values, True,
+                                                   None, heads[name])
+                    pieces[name] = posting.piece
                     # Merged form: nothing under a presence key, at
                     # most one blob, paths distinct.
                     if values and (presence or len(values) > 1 and (
@@ -470,7 +495,7 @@ class DynamoIndexStore(IndexStore):
                         merged_form = False
             if CHECKSUM_ATTR in attributes:
                 _check_stamp(physical_name, item,
-                             checksum_of(_canonical(key, held)))
+                             checksum_of(_canonical(key, pieces)))
             else:
                 merged_form = False  # no checksum vouches for it
             if not merged_form:

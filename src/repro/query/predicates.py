@@ -19,6 +19,11 @@ from typing import Optional
 from repro.errors import PatternSemanticsError
 
 _WORD = re.compile(r"[A-Za-z0-9]+")
+#: ASCII text lower-cased, with every character but a letter or digit
+#: made a space: its ``split()`` is its lower-cased ``_WORD`` runs.
+_ASCII_WORD_RUNS = str.maketrans({
+    chr(code): chr(code).lower() if chr(code).isalnum() else " "
+    for code in range(0x80)})
 
 
 def tokenize(value: str) -> list:
@@ -26,8 +31,13 @@ def tokenize(value: str) -> list:
 
     Words are maximal alphanumeric runs, lower-cased — the tokenization
     both the full-text index keys (``w‖n.val``) and ``contains`` use, so
-    index look-ups and final evaluation always agree.
+    index look-ups and final evaluation always agree.  ASCII text is
+    lowered and split in one pass over it; any other text word by word,
+    since lowering it first can change the runs (``'İ'`` lowers to two
+    characters, the Kelvin sign to an ASCII ``k``).
     """
+    if value.isascii():
+        return value.translate(_ASCII_WORD_RUNS).split()
     return [w.lower() for w in _WORD.findall(value)]
 
 

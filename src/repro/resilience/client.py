@@ -26,7 +26,7 @@ from repro.sim import Environment, Meter
 #: Everything else on the service object is administration or
 #: inspection and passes through unwrapped.
 DATA_OPERATIONS: Dict[str, tuple] = {
-    "s3": ("put", "get", "head", "delete", "list_keys"),
+    "s3": ("put", "get", "head", "delete"),
     "dynamodb": ("put", "batch_put", "get", "batch_get", "scan",
                  "delete_item"),
     "simpledb": ("put", "batch_put", "get", "select_prefix"),

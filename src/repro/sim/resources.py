@@ -167,11 +167,3 @@ class ThroughputLimiter:
         self.total_units += amount
         self.total_queue_delay += queue_delay
         return self.env.timeout(finish - now, value=queue_delay)
-
-    def utilization(self) -> float:
-        """Fraction of the run so far the server spent busy (approximate:
-        served units / rate over the elapsed time)."""
-        window = self.env.now
-        if window <= 0:
-            return 0.0
-        return min(1.0, (self.total_units / self.rate) / window)

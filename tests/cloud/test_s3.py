@@ -71,14 +71,6 @@ def test_delete_is_idempotent(cloud, s3):
     assert cloud.env.run_process(scenario()) is False
 
 
-def test_list_keys_prefix_and_sorted(cloud, s3):
-    def scenario():
-        for key in ("b/2", "a/1", "b/1"):
-            yield from s3.put("docs", key, b"x")
-        return (yield from s3.list_keys("docs"))
-    assert cloud.env.run_process(scenario()) == ["a/1", "b/1", "b/2"]
-
-
 def test_transfer_time_scales_with_size(cloud, s3):
     env = cloud.env
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDBItem)
-from repro.errors import (AttributeTooLarge, NoSuchTable, TableAlreadyExists,
+from repro.errors import (AttributeTooLarge, TableAlreadyExists,
                           TooManyAttributes, ValidationError)
 
 
@@ -139,9 +139,3 @@ def test_storage_accounting(cloud, sdb):
     assert sdb.raw_bytes(["idx"]) == len("k") + len("uri") + len("value")
     assert sdb.overhead_bytes(["idx"]) == \
         cloud.profile.simpledb_overhead_bytes_per_item
-
-
-def test_delete_domain(cloud, sdb):
-    sdb.delete_domain("idx")
-    with pytest.raises(NoSuchTable):
-        sdb.domain("idx")

@@ -177,11 +177,3 @@ class TestThroughputLimiter:
         limiter = ThroughputLimiter(env, rate=1.0)
         with pytest.raises(SimulationError):
             limiter.consume(-1.0)
-
-    def test_utilization_bounded(self, env):
-        limiter = ThroughputLimiter(env, rate=10.0)
-
-        def worker(env):
-            yield limiter.consume(100.0)
-        env.run_process(worker(env))
-        assert limiter.utilization() == pytest.approx(1.0)

@@ -26,9 +26,9 @@ def calls(monkeypatch):
     an ID blob, ``converted`` of them still entry objects on arrival)
     into ``items``, ``hashed`` postings."""
     counts = {"walks": 0, "encodes": 0, "decodes": 0, "canonical": 0,
-              "pieces": 0, "joined": 0, "sized": 0, "entries_built": 0,
-              "packed": 0, "id_postings": 0, "converted": 0, "items": 0,
-              "hashed": 0}
+              "pieces": 0, "joined": 0, "sized": 0, "key_sized": 0,
+              "entries_built": 0, "packed": 0, "id_postings": 0,
+              "converted": 0, "items": 0, "hashed": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -38,10 +38,11 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(base, "collect_occurrences",
                         counting("walks", base.collect_occurrences))
-    # The projection encodes from the walk's rows; the packer only to
-    # re-split an oversized posting (never, at this size).
-    monkeypatch.setattr(base, "encode_id_rows",
-                        counting("encodes", base.encode_id_rows))
+    # The projection encodes each distinct ID list of a document from
+    # the walk's rows; the packer only to re-split an oversized posting
+    # (never, at this size).
+    monkeypatch.setattr(base, "encode_pre_list",
+                        counting("encodes", base.encode_pre_list))
     monkeypatch.setattr(mapper, "encode_ids",
                         counting("encodes", mapper.encode_ids))
     monkeypatch.setattr(mapper, "decode_ids",
@@ -59,6 +60,9 @@ def calls(monkeypatch):
     monkeypatch.setattr(dynamodb, "attribute_size", sized)
     monkeypatch.setattr(mapper, "attribute_size", sized)
     monkeypatch.setattr(entries, "attribute_size", sized)
+    key_sized = counting("key_sized", dynamodb.key_size)
+    monkeypatch.setattr(dynamodb, "key_size", key_sized)
+    monkeypatch.setattr(mapper, "key_size", key_sized)
     monkeypatch.setattr(
         entries.IndexEntry, "__post_init__",
         counting("entries_built", entries.IndexEntry.__post_init__))
@@ -114,9 +118,11 @@ def test_build_walks_encodes_and_sizes_once(calls, monkeypatch):
               for item in db.table(name).all_items()]
     assert len(stored) == calls["items"] == index.report.items
     # Every attribute was sized once, by its extraction, with no call
-    # of the size formula; the put path, the write stats and the
-    # storage report read that size, and it is the formula's exactly.
+    # of the size formula, and every item's hash key once, as it was
+    # born; the put path, the write stats and the storage report read
+    # the size each item was born with, and it is the formula's exactly.
     assert calls["sized"] == 0
+    assert calls["key_sized"] == len(stored)
     assert db.raw_bytes() == sum(item.size_bytes for item in stored)
     monkeypatch.undo()
     assert [item.size_bytes for item in stored] == [
