@@ -22,7 +22,6 @@ reproduces the API surface the paper relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
@@ -92,21 +91,15 @@ class DynamoItem:
     @classmethod
     def sized(cls, hash_key: str, range_key: Optional[str],
               attributes: Mapping[str, Tuple[AttrValue, ...]],
-              attribute_bytes: int,
-              key_bytes: Optional[int] = None) -> "DynamoItem":
+              attribute_bytes: int) -> "DynamoItem":
         """An item born with its size: ``attribute_bytes`` must be the
-        sum of :func:`attribute_size` over ``attributes``, and
-        ``key_bytes``, if given, the keys' :func:`key_size` summed (a
-        writer that sized a hash key once passes it for each of its
-        items).  Set slot by slot, not through the frozen ``__init__``."""
+        sum of :func:`attribute_size` over ``attributes`` (set slot by
+        slot, not through the frozen ``__init__``)."""
         item = object.__new__(cls)
         _set_hash_key(item, hash_key)
         _set_range_key(item, range_key)
         _set_attributes(item, attributes)
-        if key_bytes is None:
-            item._remember_size(attribute_bytes)
-        else:
-            _set_size_bytes(item, attribute_bytes + key_bytes)
+        item._remember_size(attribute_bytes)
         return item
 
     def _remember_size(self, attribute_bytes: int) -> int:
@@ -131,7 +124,6 @@ class DynamoItem:
 
 _set_hash_key, _set_range_key, _set_attributes, _set_size_bytes = (
     DynamoItem.__dict__[name].__set__ for name in DynamoItem.__slots__)
-_SIZE_BYTES = attrgetter("size_bytes")
 
 
 @dataclass
@@ -149,8 +141,9 @@ class DynamoTable:
 
     def raw_bytes(self) -> int:
         """User-data bytes stored (the 'index content' series of Fig. 8)."""
-        return sum([sum(map(_SIZE_BYTES, group.values()))
-                    for group in self._items.values()])
+        return sum(item.size_bytes
+                   for group in self._items.values()
+                   for item in group.values())
 
     def hash_keys(self) -> List[str]:
         """All hash keys present in the table, sorted."""

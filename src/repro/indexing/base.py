@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.indexing.checksums import attribute_head
 from repro.indexing.entries import IndexEntry, Posting, collect_occurrences
-from repro.xmldb.encoding import decode_ids, encode_pre_list
+from repro.xmldb.encoding import decode_ids, encode_id_rows
 from repro.xmldb.model import Document
 from repro.xmldb.serializer import serialize
 
@@ -117,7 +117,7 @@ class IndexingStrategy(abc.ABC):
                 lists = [tuple(pres) for pres, _ in found]
                 blobs = dict.fromkeys(lists)
                 for ids in blobs:
-                    blob = encode_pre_list(ids, rows)
+                    blob = encode_id_rows(map(rows.__getitem__, ids), len(ids))
                     blobs[ids] = ((blob,), uri_bytes + len(blob))
                 by_table[table] = [
                     Posting(key, uri, value, canonical, size, head)

@@ -17,13 +17,12 @@ own payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.dynamodb import attribute_size
 from repro.indexing.checksums import AttrValue, attribute_piece
-from repro.indexing.keys import (WORD_PREFIX, attribute_key,
-                                 attribute_value_key, element_key, text_words)
+from repro.indexing.keys import (attribute_key, attribute_value_key,
+                                 element_key, text_word_keys)
 from repro.xmldb.ids import NodeID
 from repro.xmldb.parser import parse_tree
 
@@ -112,7 +111,7 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
     groups: Dict[str, Tuple[List[int], Dict[str, None]]] = {}
     get = groups.get
 
-    def visit(pre: int, step: str, keys: Iterable[str]) -> None:
+    def visit(pre: int, step: str, keys: Sequence[str]) -> None:
         for key in keys:
             group = get(key)
             if group is None:
@@ -120,18 +119,6 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
             else:
                 group[0].append(pre)
                 group[1][step + key] = None
-
-    def visit_words(pre: int, step: str, text: str) -> None:
-        # ``visit(pre, step, text_word_keys(text))``, with no key list.
-        step += WORD_PREFIX
-        for word in text_words(text):
-            key = WORD_PREFIX + word
-            group = get(key)
-            if group is None:
-                groups[key] = ([pre], {step + word: None})
-            else:
-                group[0].append(pre)
-                group[1][step + word] = None
 
     rows: List[Any] = [None]  # rows[pre]; an element's row on its close
     append_row = rows.append
@@ -156,7 +143,7 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
             pre += 1
             append_row((pre, pre - depth, depth + 1))
             if include_words:
-                visit_words(pre, step, text)
+                visit(pre, step, text_word_keys(text))
         open_elements.append((element, iter(element), own, step, depth))
         element = None
         while open_elements:
@@ -172,5 +159,5 @@ def collect_occurrences(data: bytes, uri: str, include_words: bool = True,
                 pre += 1
                 append_row((pre, pre - depth + 1, depth))
                 if include_words:
-                    visit_words(pre, open_elements[-1][3], tail)
+                    visit(pre, open_elements[-1][3], text_word_keys(tail))
     return groups, rows

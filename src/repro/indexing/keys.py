@@ -15,7 +15,7 @@ index and the ``contains`` predicate always agree on what a word is.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.query.predicates import tokenize
 
@@ -50,11 +50,6 @@ def word_key(word: str) -> str:
     return WORD_PREFIX + tokens[0]
 
 
-def text_words(text: str) -> Dict[str, None]:
-    """The *distinct* words of a text value, first-seen order."""
-    return dict.fromkeys(tokenize(text))
-
-
 def text_word_keys(text: str) -> List[str]:
     """Keys of all *distinct* words of a text value, first-seen order."""
-    return [WORD_PREFIX + word for word in text_words(text)]
+    return [WORD_PREFIX + token for token in dict.fromkeys(tokenize(text))]

@@ -38,7 +38,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES, attribute_size,
-                                  key_size, value_size)
+                                  value_size)
 from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
@@ -65,8 +65,6 @@ _ITEM_BUDGET = MAX_ITEM_BYTES - 4096
 _CHECKSUM_BYTES = attribute_size(CHECKSUM_ATTR, ("0" * 8,))
 #: A posting's index key: the packer's grouping order.
 _BY_KEY = attrgetter("key")
-#: Bytes of a UUID-shaped range key (drawn or content-derived).
-_UUID_ITEM_BYTES = 36
 #: Chunk budget for SimpleDB textual values (sequence prefix included).
 _SDB_CHUNK_BUDGET = MAX_VALUE_BYTES - 24
 
@@ -289,26 +287,20 @@ class DynamoIndexStore(IndexStore):
         the write idempotent and scrub-verifiable (one canonical form,
         joined from the postings' pieces, feeds both, and is recorded
         for the digest that scans the item back); ``attribute`` uses
-        ``uri_key``.  The item is born with its size, each part
-        measured once: the attributes' bytes (budgeted as they were
-        packed), the hash key's and the range key's (36 for a UUID).
+        ``uri_key``.  The item is born with the size budgeted.
         """
         hash_key = self._interned.setdefault(hash_key, hash_key)
-        key_bytes = key_size(hash_key)
         mode = self.range_key_mode
         if mode == "uuid":
-            return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes,
-                                    key_bytes + _UUID_ITEM_BYTES)
+            return DynamoItem.sized(hash_key, self._uuid(), attrs, attr_bytes)
         if mode == "content":
             canonical = _canonical(hash_key, pieces)
             attrs[CHECKSUM_ATTR] = (checksum_of(canonical),)
             item = DynamoItem.sized(hash_key, range_key_of(canonical), attrs,
-                                    attr_bytes + _CHECKSUM_BYTES,
-                                    key_bytes + _UUID_ITEM_BYTES)
+                                    attr_bytes + _CHECKSUM_BYTES)
             self._written[id(item)] = (item, canonical)
             return item
-        return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes,
-                                key_bytes + key_size(uri_key))
+        return DynamoItem.sized(hash_key, uri_key, attrs, attr_bytes)
 
     def create_table(self, physical_name: str) -> None:
         """Create the physical table/domain."""

@@ -140,8 +140,6 @@ def _built_index(strategy: IndexingStrategy, store: IndexStore,
     last_delete = max((s.last_delete for s in active),
                       default=phase.ended_at)
     physical = [table_names[t] for t in strategy.logical_tables]
-    raw_bytes = store.raw_bytes(physical)
-    overhead_bytes = store.overhead_bytes(physical)
     report = IndexBuildReport(
         strategy_name=strategy.name,
         include_words=strategy.include_words,
@@ -160,9 +158,9 @@ def _built_index(strategy: IndexingStrategy, store: IndexStore,
         entries=sum(s.extraction.entries for s in stats),
         ids=sum(s.extraction.ids for s in stats),
         paths=sum(s.extraction.paths for s in stats),
-        raw_bytes=raw_bytes,
-        overhead_bytes=overhead_bytes,
-        stored_bytes=raw_bytes + overhead_bytes,  # ``s = sr + ovh``
+        raw_bytes=store.raw_bytes(physical),
+        overhead_bytes=store.overhead_bytes(physical),
+        stored_bytes=store.stored_bytes(physical),
         vm_hours=phase.vm_hours,
     )
     return BuiltIndex(strategy=strategy, store=store,

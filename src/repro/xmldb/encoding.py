@@ -21,7 +21,7 @@ Two codecs:
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import EncodingError
 from repro.xmldb.blocks import IDBlock
@@ -95,19 +95,6 @@ def encode_id_rows(rows: Iterable[Tuple[int, int, int]], count: int) -> bytes:
             else:
                 _write_varint(value, out)
     return bytes(out)
-
-
-def encode_pre_list(pres: Sequence[int], rows: Any) -> bytes:
-    """:func:`encode_id_rows` of ``rows[pre]`` for each ``pre`` of
-    ``pres`` (``rows`` indexed by ``pre``, as an extraction walk numbers
-    a document).  A one-ID list with every field below 128 (nearly all
-    of a small document's) is the bytes of its four fields."""
-    if len(pres) == 1:
-        pre = pres[0]
-        _, post, depth = rows[pre]
-        if 0 < pre < 0x80 and 0 <= post < 0x80 and 0 <= depth < 0x80:
-            return bytes((1, pre, post, depth))
-    return encode_id_rows(map(rows.__getitem__, pres), len(pres))
 
 
 def decode_ids_block(data: bytes):

@@ -41,8 +41,8 @@ def calls(monkeypatch):
     # The projection encodes each distinct ID list of a document from
     # the walk's rows; the packer only to re-split an oversized posting
     # (never, at this size).
-    monkeypatch.setattr(base, "encode_pre_list",
-                        counting("encodes", base.encode_pre_list))
+    monkeypatch.setattr(base, "encode_id_rows",
+                        counting("encodes", base.encode_id_rows))
     monkeypatch.setattr(mapper, "encode_ids",
                         counting("encodes", mapper.encode_ids))
     monkeypatch.setattr(mapper, "decode_ids",
@@ -60,9 +60,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(dynamodb, "attribute_size", sized)
     monkeypatch.setattr(mapper, "attribute_size", sized)
     monkeypatch.setattr(entries, "attribute_size", sized)
-    key_sized = counting("key_sized", dynamodb.key_size)
-    monkeypatch.setattr(dynamodb, "key_size", key_sized)
-    monkeypatch.setattr(mapper, "key_size", key_sized)
+    monkeypatch.setattr(dynamodb, "key_size",
+                        counting("key_sized", dynamodb.key_size))
     monkeypatch.setattr(
         entries.IndexEntry, "__post_init__",
         counting("entries_built", entries.IndexEntry.__post_init__))
@@ -118,11 +117,11 @@ def test_build_walks_encodes_and_sizes_once(calls, monkeypatch):
               for item in db.table(name).all_items()]
     assert len(stored) == calls["items"] == index.report.items
     # Every attribute was sized once, by its extraction, with no call
-    # of the size formula, and every item's hash key once, as it was
+    # of the size formula, and each item's two keys once, as it was
     # born; the put path, the write stats and the storage report read
     # the size each item was born with, and it is the formula's exactly.
     assert calls["sized"] == 0
-    assert calls["key_sized"] == len(stored)
+    assert calls["key_sized"] == 2 * len(stored)
     assert db.raw_bytes() == sum(item.size_bytes for item in stored)
     monkeypatch.undo()
     assert [item.size_bytes for item in stored] == [
