@@ -70,7 +70,9 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           "read_keys",
           "_serving_report", "record",  # ``record`` is Meter.record
           # The write side (``ingest-live``, ``build-2lupi``): the
-          # compaction fold and its regroup of the scanned items, the
+          # compaction fold, split into its regroup (verify every
+          # scanned item and build its pieces), its carry of whole
+          # items, its packing of touched keys and its ledger hash, the
           # epoch commit and the content digests (an epoch's, a
           # delta's), one query end to end (the serve-side names above
           # are nested in it and win), one document's fetch + extract,
@@ -80,7 +82,8 @@ PHASES = ("evaluate_pattern", "_twig_lookup", "lookup_pattern",
           # the put of its batch (innermost wins, so ``_extract`` is
           # what is left of it without the walk: encoding and sizing the
           # postings, and ``_pack_items`` the packer's own grouping).
-          "_fold_unit", "_stored_postings", "commit", "items_digest",
+          "_fold_unit", "_regroup", "_carry", "_pack_key", "frame_pieces",
+          "commit", "items_digest",
           "_process", "_extract", "collect_occurrences", "parse_document",
           "_pack_items", "_finish_item", "batch_put",
           # The read side's host work per call: the pattern's plan (its

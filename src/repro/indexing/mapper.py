@@ -33,8 +33,8 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter, is_
 from types import MappingProxyType
-from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES, attribute_size,
@@ -43,7 +43,8 @@ from repro.cloud.simpledb import (MAX_ATTRIBUTES_PER_ITEM, MAX_VALUE_BYTES,
                                   SimpleDB, SimpleDBItem)
 from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
-from repro.indexing.checksums import (CHECKSUM_ATTR, attribute_head,
+from repro.indexing.checksums import (CHECKSUM_ATTR, AttrValue,
+                                      attribute_head, attribute_piece,
                                       checksum_of, item_checksum,
                                       key_prefix, range_key_of, uuid4_text)
 from repro.indexing.entries import Entries, IndexEntry, Posting
@@ -54,10 +55,15 @@ from repro.xmldb.ids import NodeID
 #: Payload returned per URI by reads: None (presence), tuple of paths,
 #: or the sorted IDs as an :class:`~repro.xmldb.blocks.IDBlock`.  The
 #: write side (``Entries``) never sees one: a compaction's per-URI maps
-#: hold the scanned :class:`Posting` where a read's hold a payload.
+#: hold the scanned :data:`Attribute` where a read's hold a payload.
 #: A backend read hands each key's map out as a read-only view (see
 #: :meth:`IndexStore._view`).
 Payload = Any
+
+#: One URI's attribute in stored form, as a compaction regroups it:
+#: ``(values, piece, attr_bytes)`` — the values the store holds, their
+#: :func:`~repro.indexing.checksums.attribute_piece` and billable bytes.
+Attribute = Tuple[Tuple[AttrValue, ...], bytes, int]
 
 #: Safety margin under the DynamoDB item limit for key bytes.
 _ITEM_BUDGET = MAX_ITEM_BYTES - 4096
@@ -65,6 +71,10 @@ _ITEM_BUDGET = MAX_ITEM_BYTES - 4096
 _CHECKSUM_BYTES = attribute_size(CHECKSUM_ATTR, ("0" * 8,))
 #: A posting's index key: the packer's grouping order.
 _BY_KEY = attrgetter("key")
+#: A posting's canonical piece.
+_PIECE = attrgetter("piece")
+#: An attribute head that adds nothing: the values' own tail.
+_NO_HEAD = (b"", 0)
 #: Chunk budget for SimpleDB textual values (sequence prefix included).
 _SDB_CHUNK_BUDGET = MAX_VALUE_BYTES - 24
 
@@ -140,10 +150,18 @@ class IndexStore(abc.ABC):
         """Create one table already named by :meth:`shard_tables`."""
         self.create_table(shard_table)
 
-    @abc.abstractmethod
     def write_entries(self, physical_name: str, entries: Entries,
                       ) -> Generator[Any, Any, WriteStats]:
-        """Persist a batch (postings or entries); returns write stats."""
+        """Persist a batch (postings or entries): the backend's
+        ``_pack_items`` maps it to items, :meth:`write_items` puts
+        them; returns write stats."""
+        return (yield from self.write_items(physical_name,
+                                            self._pack_items(entries)))
+
+    @abc.abstractmethod
+    def write_items(self, physical_name: str, items: Sequence[Any],
+                    ) -> Generator[Any, Any, WriteStats]:
+        """Persist packed items, in order; returns write stats."""
 
     @abc.abstractmethod
     def read_key(self, physical_name: str, key: str, kind: str,
@@ -165,10 +183,17 @@ class IndexStore(abc.ABC):
     def overhead_bytes(self, physical_names: Iterable[str]) -> int:
         """Store-internal overhead bytes (``ovh(D, I)``, §7.1)."""
 
-    def stored_bytes(self, physical_names: Iterable[str]) -> int:
-        """``s(D, I) = sr + ovh`` (§7.1)."""
+    def storage_bytes(self, physical_names: Iterable[str],
+                      ) -> Tuple[int, int, int]:
+        """``(sr, ovh, s)`` with ``s(D, I) = sr + ovh`` (§7.1), each
+        table's items summed once."""
         names = list(physical_names)
-        return self.raw_bytes(names) + self.overhead_bytes(names)
+        raw, overhead = self.raw_bytes(names), self.overhead_bytes(names)
+        return raw, overhead, raw + overhead
+
+    def stored_bytes(self, physical_names: Iterable[str]) -> int:
+        """``s(D, I)`` (§7.1)."""
+        return self.storage_bytes(physical_names)[2]
 
     def take_written(self) -> Dict[int, Tuple[Any, bytes]]:
         """Hand over, and forget, ``id(item)`` → ``(item, canonical
@@ -193,20 +218,34 @@ def stored_postings(entries: Entries, canonical: bool = True,
             for entry in entries]
 
 
-def _canonical(hash_key: str, pieces: Mapping[str, bytes]) -> bytes:
+def _canonical(hash_key: str, pieces: Iterable[bytes]) -> bytes:
     """The canonical form of the item holding exactly the postings
-    whose pieces these are (by attribute name), joined from them."""
-    return key_prefix(hash_key) + b"".join(
-        [pieces[name] for name in sorted(pieces)])
+    whose pieces these are, in URI order, joined from them."""
+    return key_prefix(hash_key) + b"".join(pieces)
 
 
-class _Heads(dict):
-    """URI -> :func:`attribute_head`, each encoded on first sight: one
-    per URI of a scanned table, not one per posting."""
+def _in_order(pieces: Mapping[str, bytes]) -> List[bytes]:
+    """Pieces by attribute name, in the canonical form's (sorted) order."""
+    return [pieces[name] for name in sorted(pieces)]
 
-    def __missing__(self, name: str) -> Tuple[bytes, int]:
-        head = self[name] = attribute_head(name)
-        return head
+
+class _Memo(dict):
+    """``function(argument)`` by argument, each computed on first sight
+    (:func:`attribute_head` by URI: one per URI of a scanned table, not
+    one per posting)."""
+
+    def __init__(self, function: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._function = function
+
+    def __missing__(self, argument: Any) -> Any:
+        value = self[argument] = self._function(argument)
+        return value
+
+
+#: A ledger frame's length field by length: a few thousand distinct
+#: lengths, against one per posting hashed.
+_LENGTH_FIELDS = _Memo(b"%d:".__mod__)
 
 
 def _check_stamp(physical_name: str, item: DynamoItem, actual: str) -> None:
@@ -220,6 +259,24 @@ def _check_stamp(physical_name: str, item: DynamoItem, actual: str) -> None:
                 stamped, actual))
 
 
+def frame_pieces(update: Callable[[bytes], Any], logical_table: str,
+                 postings: Iterable[Tuple[str, bytes]]) -> None:
+    """Stream ``(key, piece)`` pairs, in runs of one key, into a ledger
+    hash: each piece under the table's name, a NUL and its key's prefix,
+    framed as by :func:`~repro.indexing.checksums.batch_content_hash` —
+    the one framing writer of :func:`batch_entries_hash` and of a
+    compaction unit's ledger value."""
+    prefix = logical_table.encode("utf-8") + b"\x00"
+    key = head = None
+    for posting_key, piece in postings:
+        if posting_key != key:
+            key = posting_key
+            head = prefix + key_prefix(key)
+        update(_LENGTH_FIELDS[len(head) + len(piece)])
+        update(head)
+        update(piece)
+
+
 def batch_entries_hash(extracted: Mapping[str, Entries]) -> str:
     """Content hash of one loader batch's extracted entries.
 
@@ -228,21 +285,13 @@ def batch_entries_hash(extracted: Mapping[str, Entries]) -> str:
     Extraction is deterministic, so a redelivered batch always hashes
     identically; a mismatch in the ledger means a determinism bug, not
     a fault.  Each posting's form (table, key prefix, piece) streams
-    into one hash, framed as by :func:`batch_content_hash`.
+    into one hash through :func:`frame_pieces`.
     """
     digest = hashlib.sha256()
-    update = digest.update
     for logical_table in sorted(extracted):
-        prefix = logical_table.encode("utf-8") + b"\x00"
-        key = head = None
-        for posting in stored_postings(extracted[logical_table]):
-            if posting.key != key:
-                key = posting.key
-                head = prefix + key_prefix(key)
-            piece = posting.piece
-            update(b"%d:" % (len(head) + len(piece)))
-            update(head)
-            update(piece)
+        postings = stored_postings(extracted[logical_table])
+        frame_pieces(digest.update, logical_table,
+                     zip(map(_BY_KEY, postings), map(_PIECE, postings)))
     return digest.hexdigest()
 
 
@@ -276,11 +325,11 @@ class DynamoIndexStore(IndexStore):
         return uuid4_text(self._rng.getrandbits(128))
 
     def _finish_item(self, hash_key: str, attrs: Dict[str, Any],
-                     attr_bytes: int, pieces: Optional[Dict[str, bytes]],
+                     attr_bytes: int, pieces: Optional[Sequence[bytes]],
                      uri_key: str = "") -> DynamoItem:
-        """Close an item over ``attrs`` (URI → interned values, the
-        postings' pieces by URI in ``content`` mode), under the mode's
-        range-key discipline.
+        """Close an item over ``attrs`` (URI → interned values, and in
+        ``content`` mode the postings' pieces in URI order), under the
+        mode's range-key discipline.
 
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
@@ -315,7 +364,7 @@ class DynamoIndexStore(IndexStore):
         value_bytes = posting.attr_bytes - value_size(uri)
         if value_bytes <= _ITEM_BUDGET:
             return [self._finish_item(key, {uri: intern(values, values)},
-                                      posting.attr_bytes, {uri: posting.piece},
+                                      posting.attr_bytes, [posting.piece],
                                       uri)]
         # Oversized payload: split across items.
         chunks: List[Tuple[Any, ...]] = []
@@ -344,7 +393,7 @@ class DynamoIndexStore(IndexStore):
             if chunk:
                 chunks.append(tuple(chunk))
         return [self._finish_item(key, {uri: intern(part.values, part.values)},
-                                  part.attr_bytes, {uri: part.piece},
+                                  part.attr_bytes, [part.piece],
                                   "{}#{}".format(uri, index))
                 for index, part in enumerate(
                     Posting(key, uri, chunk, self.range_key_mode == "content")
@@ -373,12 +422,12 @@ class DynamoIndexStore(IndexStore):
         attrs: Dict[str, Any] = {}
         pieces: Optional[Dict[str, bytes]] = {} if content else None
         size = 0
-        # Stable, so a key's postings keep their order; a batch already
-        # in key order (a fold's) is only checked, not moved.
+        # Stable, so a key's postings keep their order.
         for posting in sorted(entries, key=_BY_KEY):
             if posting.key != key:
                 if attrs:
-                    items.append(finish(key, attrs, size, pieces))
+                    items.append(finish(key, attrs, size,
+                                        pieces and _in_order(pieces)))
                     attrs, size = {}, 0
                     if content:
                         pieces = {}
@@ -390,7 +439,8 @@ class DynamoIndexStore(IndexStore):
                     # ahead of the item its key holds open.
                     items.extend(self._posting_items(posting))
                     continue
-                items.append(finish(key, attrs, size, pieces))
+                items.append(finish(key, attrs, size,
+                                    pieces and _in_order(pieces)))
                 attrs, size = {}, 0
                 if content:
                     pieces = {}
@@ -400,16 +450,50 @@ class DynamoIndexStore(IndexStore):
                 pieces[posting.uri] = posting.piece
             size += attr_bytes
         if attrs:
-            items.append(finish(key, attrs, size, pieces))
+            items.append(finish(key, attrs, size,
+                                pieces and _in_order(pieces)))
         return items
 
-    def write_entries(self, physical_name: str, entries: Entries,
-                      ) -> Generator[Any, Any, WriteStats]:
-        """Persist a loader batch; returns write stats."""
-        stats = WriteStats()
-        items = self._pack_items(entries)
-        stats.items = len(items)
-        stats.puts = len(items)
+    def _pack_key(self, key: str, uris: Sequence[str],
+                  attributes: Sequence[Attribute]) -> List[DynamoItem]:
+        """One key's items from its attributes in stored form, ``uris``
+        ascending: when they fit one item, the item :meth:`_pack_items`
+        closes over them, built at once; else they take the packer's
+        own route (split and oversized postings) as postings."""
+        values, pieces, sizes = zip(*attributes)
+        size = sum(sizes)
+        if size > _ITEM_BUDGET:
+            return self._pack_items([
+                Posting(key, uri, stored[0])
+                for uri, stored in zip(uris, attributes)])
+        intern = self._interned.setdefault
+        return [self._finish_item(key, dict(zip(uris, map(intern, values,
+                                                          values))),
+                                  size, pieces)]
+
+    def _carry(self, item: DynamoItem, attributes: Sequence[Attribute],
+               ) -> bool:
+        """Take a scanned item that :meth:`_regroup` found whole, its
+        ``attributes`` in its order, to be written again as it stands:
+        its canonical form is recorded as :meth:`_finish_item` records
+        a packed item's.  Refused (False) unless its hash key and every
+        values tuple are the objects this store interns — else an equal
+        value would be held twice — and the key is packed instead."""
+        intern = self._interned.setdefault
+        key = item.hash_key
+        values = [stored[0] for stored in attributes]
+        if intern(key, key) is not key or not all(
+                map(is_, map(intern, values, values), values)):
+            return False
+        self._written[id(item)] = (item, _canonical(
+            key, [stored[1] for stored in attributes]))
+        return True
+
+    def write_items(self, physical_name: str, items: Sequence[DynamoItem],
+                    ) -> Generator[Any, Any, WriteStats]:
+        """Put items, :data:`BATCH_PUT_LIMIT` a request; returns write
+        stats."""
+        stats = WriteStats(puts=len(items), items=len(items))
         for start in range(0, len(items), BATCH_PUT_LIMIT):
             stats.payload_bytes += yield from self._db.batch_put(
                 physical_name, items[start:start + BATCH_PUT_LIMIT])
@@ -448,64 +532,84 @@ class DynamoIndexStore(IndexStore):
         return merged
 
     @staticmethod
-    def _stored_postings(physical_name: str, items: Sequence[DynamoItem],
-                         kind: str) -> Dict[str, Dict[str, Posting]]:
+    def _regroup(physical_name: str, items: Sequence[DynamoItem], kind: str,
+                 ) -> Tuple[Dict[str, Dict[str, Attribute]],
+                            Dict[str, DynamoItem]]:
         """:meth:`_merge_items` without leaving stored form, over a
-        scanned table: key → URI → the posting a rewrite would store
-        (the compaction fold's regroup step).
+        scanned table (the compaction fold's regroup step): key → URI →
+        :data:`Attribute`, and key → the item that holds the key
+        *whole*, which a fold may carry as it stands.
 
-        Each attribute becomes a posting once (its URI encoded once per
-        table, see :class:`_Heads`), and its piece serves twice.
-        Joined per item, the pieces are the canonical form the
-        stamped checksum is verified against: carrying bytes means
-        vouching for them.  And a posting that is its URI's only
-        sighting, checksummed and already in merged form, is carried as
-        is — only ``encode_ids`` ever wrote a blob under a checksum, so
-        decode → encode would reproduce it.  A key with any other URI
-        (a list split over items, a redelivered batch, repeated paths,
-        no checksum) takes what :meth:`_merge_items` makes of it.
+        An attribute's piece is its URI's head (encoded once per table,
+        see :class:`_Memo`) and its values' tail (encoded once per
+        distinct values tuple: a store interns them).  Joined per item,
+        the pieces are the canonical form the stamped checksum is
+        verified against: carrying bytes means vouching for them.  A
+        URI's only sighting, in a checksummed item and already in
+        merged form (nothing under a presence key, at most one blob,
+        paths distinct), is kept as stored — only ``encode_ids`` ever
+        wrote a blob under a checksum, so decode → encode would
+        reproduce it.  A key with any other URI (a list split over
+        items, a redelivered batch, repeated paths, no checksum) takes
+        what :meth:`_merge_items` makes of it.  A key is held whole by
+        the one item that holds it when that item is checksummed, in
+        merged form and in the packer's order (URIs ascending, then the
+        checksum): the very item the packer would close over its pieces.
         """
-        by_key: Dict[str, Dict[str, Posting]] = {}
+        by_key: Dict[str, Dict[str, Attribute]] = {}
+        whole: Dict[str, DynamoItem] = {}
         again = set()
-        heads = _Heads()
+        heads = _Memo(attribute_head)
+        tails: Dict[Tuple[AttrValue, ...], Tuple[bytes, int]] = {}
+        get_tail = tails.get
+        odd = set()  # values tuples not in merged form
         presence, paths = kind == "presence", kind == "paths"
         for item in items:
             key = item.hash_key
             attributes = item.attributes
-            held: Dict[str, Posting] = {}
-            pieces: Dict[str, bytes] = {}
-            merged_form = True
+            held: Dict[str, Attribute] = {}
             for name, values in attributes.items():
                 if name != CHECKSUM_ATTR:
-                    held[name] = posting = Posting(key, name, values, True,
-                                                   None, heads[name])
-                    pieces[name] = posting.piece
-                    # Merged form: nothing under a presence key, at
-                    # most one blob, paths distinct.
-                    if values and (presence or len(values) > 1 and (
-                            not paths or len(set(values)) != len(values))):
-                        merged_form = False
+                    tail = get_tail(values)
+                    if tail is None:
+                        tail = tails[values] = attribute_piece(
+                            "", values, _NO_HEAD)
+                        if values and (presence or len(values) > 1 and (
+                                not paths
+                                or len(set(values)) != len(values))):
+                            odd.add(values)
+                    head, name_bytes = heads[name]
+                    held[name] = (values, head + tail[0],
+                                  name_bytes + tail[1])
+            ordered = sorted(held)
             if CHECKSUM_ATTR in attributes:
-                _check_stamp(physical_name, item,
-                             checksum_of(_canonical(key, pieces)))
+                _check_stamp(physical_name, item, checksum_of(_canonical(
+                    key, [held[name][1] for name in ordered])))
+                if odd and not odd.isdisjoint(attributes.values()):
+                    again.add(key)  # not in merged form
             else:
-                merged_form = False  # no checksum vouches for it
-            if not merged_form:
-                again.add(key)
+                again.add(key)  # no checksum vouches for it
             merged = by_key.setdefault(key, held)
-            if merged is not held:  # the key's second item or later
+            if merged is held:
+                names = list(attributes)
+                if ordered and names[-1] == CHECKSUM_ATTR and (
+                        names[:-1] == ordered):
+                    whole[key] = item
+            else:  # the key's second item or later
+                whole.pop(key, None)
                 if not merged.keys().isdisjoint(held):
                     again.add(key)
                 merged.update(held)
         for key in again:  # the whole key takes the decode route
+            whole.pop(key, None)
             payloads = DynamoIndexStore._merge_items(
                 [item for item in items if item.hash_key == key], kind)
-            by_key[key] = {
-                uri: Posting(key, uri, (encode_ids(payload),)
-                             if payload and kind == "ids"
-                             else tuple(payload or ()))
-                for uri, payload in payloads.items()}
-        return by_key
+            by_key[key] = rows = {}
+            for uri, payload in payloads.items():
+                values = ((encode_ids(payload),) if payload and kind == "ids"
+                          else tuple(payload or ()))
+                rows[uri] = (values, *attribute_piece(uri, values))
+        return by_key, whole
 
     def _verify_items(self, physical_name: str,
                       items: Sequence[DynamoItem]) -> None:
@@ -619,10 +723,9 @@ class SimpleDBIndexStore(IndexStore):
                     "{!r}".format(path[:80]))
         return [(entry.uri, path) for path in paths] or [(entry.uri, "")]
 
-    def write_entries(self, physical_name: str, entries: Entries,
-                      ) -> Generator[Any, Any, WriteStats]:
-        """Persist a loader batch; returns write stats."""
-        stats = WriteStats()
+    def _pack_items(self, entries: Entries) -> List[SimpleDBItem]:
+        """Map a batch to items: a key's (URI, value) pairs, sharded at
+        the per-item attribute limit."""
         by_key: Dict[str, List[Tuple[str, str]]] = {}
         for entry in entries:
             by_key.setdefault(entry.key, []).extend(self._entry_pairs(entry))
@@ -633,8 +736,13 @@ class SimpleDBIndexStore(IndexStore):
                 shard = tuple(pairs[start:start + MAX_ATTRIBUTES_PER_ITEM])
                 items.append(SimpleDBItem(name=self._shard_name(key),
                                           attributes=shard))
-        stats.items = len(items)
-        stats.puts = len(items)
+        return items
+
+    def write_items(self, physical_name: str, items: Sequence[SimpleDBItem],
+                    ) -> Generator[Any, Any, WriteStats]:
+        """Put items, SimpleDB's batch limit a request; returns write
+        stats."""
+        stats = WriteStats(puts=len(items), items=len(items))
         for start in range(0, len(items), SDB_BATCH_PUT_LIMIT):
             batch = items[start:start + SDB_BATCH_PUT_LIMIT]
             yield from self._db.batch_put(physical_name, batch)

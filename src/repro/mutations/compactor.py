@@ -39,19 +39,24 @@ traffic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.consistency.build import BuildCoordinator, BuildPlan
 from repro.consistency.manifest import decode_json
 from repro.errors import BuildStateError
-from repro.indexing.entries import Posting
-from repro.indexing.mapper import DynamoIndexStore, batch_entries_hash
+from repro.indexing.mapper import Attribute, DynamoIndexStore, frame_pieces
 from repro.mutations.merge import overlay_payloads
 from repro.store.sharding import shard_of, shard_table_names
 
 __all__ = ["CompactionPolicy", "CompactionReport", "Compactor"]
+
+#: A regrouped :data:`~repro.indexing.mapper.Attribute`'s piece.
+_PIECE = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -306,9 +311,13 @@ class Compactor:
         Scan → regroup → overlay-merge → rewrite → ledger-record, all
         against shard ``shard`` of every layer (key-hash sharding keeps
         a key in the same shard index across base and deltas).  The
-        fold never leaves stored form; its regroup verifies every
-        scanned item's checksum, so corruption raises before this unit
-        writes and the pass stays uncommitted like an interrupted one.
+        fold never leaves stored form and works key by key: a base key
+        no delta holds and no tombstone touches, held whole by one
+        scanned item, is carried as that item; every other key is
+        overlaid and packed again from its pieces.  Its regroup
+        verifies every scanned item's checksum, carried or not, so
+        corruption raises before this unit writes and the pass stays
+        uncommitted like an interrupted one.
         """
         live = self.live
         cloud = self.warehouse.cloud
@@ -328,46 +337,66 @@ class Compactor:
             # keys that route to this unit under the current config.
             base_scan = base_tables
 
-        def regroup(table: str) -> Generator[Any, Any, Dict[str, Any]]:
+        def regroup(table: str) -> Generator[Any, Any, Tuple[
+                Dict[str, Dict[str, Attribute]], Dict[str, Any]]]:
             scanned = yield from cloud.resilient.dynamodb.scan(table)
             report.scanned_items += len(scanned)
-            return DynamoIndexStore._stored_postings(table, scanned, kind)
+            return DynamoIndexStore._regroup(table, scanned, kind)
 
-        base: Dict[str, Dict[str, Posting]] = {}
+        base: Dict[str, Dict[str, Attribute]] = {}
+        whole: Dict[str, Any] = {}
         for table in base_scan:
-            base.update((yield from regroup(table)))
+            regrouped, held_whole = yield from regroup(table)
+            base.update(regrouped)
+            whole.update(held_whole)
         if base_record.shards != shards:
-            base = {key: payloads for key, payloads in base.items()
+            base = {key: held for key, held in base.items()
                     if shard_of(key, shards) == shard}
-        layers: List[Tuple[Dict[str, Dict[str, Posting]],
+            whole = {}  # a key may span base shards: none is carried
+        layers: List[Tuple[Dict[str, Dict[str, Attribute]],
                            Tuple[str, ...]]] = []
         for delta in deltas:
-            payloads = {}
+            regrouped = {}
             if logical in delta.tables:
-                payloads = yield from regroup(shard_table_names(
+                regrouped, _ = yield from regroup(shard_table_names(
                     delta.tables[logical], shards)[shard])
-            layers.append((payloads, delta.tombstones))
+            layers.append((regrouped, delta.tombstones))
 
-        touched = set().union(*(payloads for payloads, _ in layers))
+        touched = set().union(*(regrouped for regrouped, _ in layers))
         tombstoned = set().union(*(tombstones for _, tombstones in layers))
-        # In key order, then URI order: the packer's grouping order, so
-        # it packs the list as it stands.  A base key no layer touches
-        # is carried as scanned.
-        postings: List[Posting] = []
+        packer = store.base_store
+        items: List[Any] = []
+        # Each posting written, as its key and its piece: the unit's
+        # ledger value is hashed from them once the items are out.
+        keys: List[str] = []
+        pieces: List[bytes] = []
+        # In key order, each key's items in URI order: the packer's
+        # order, so the items are those it would pack from the list.
         for key in sorted(touched.union(base)):
-            merged = base.get(key, {})
-            if key in touched or not tombstoned.isdisjoint(merged):
-                merged = overlay_payloads(
-                    merged, [(payloads.get(key, {}), tombstones)
-                             for payloads, tombstones in layers])
-            postings.extend(map(merged.__getitem__, sorted(merged)))
-        if postings:
-            stats = yield from store.write_entries(new_table, postings,
-                                                   fresh=True)
-            report.entries_written += len(postings)
+            held = base.get(key, {})
+            carried = whole.get(key)
+            if key in touched or not tombstoned.isdisjoint(held):
+                held = overlay_payloads(
+                    held, [(regrouped.get(key, {}), tombstones)
+                           for regrouped, tombstones in layers])
+                carried = None
+            uris = sorted(held)
+            if not uris:
+                continue  # every URI tombstoned
+            attributes = list(map(held.__getitem__, uris))
+            if carried is not None and packer._carry(carried, attributes):
+                items.append(carried)
+            else:
+                items.extend(packer._pack_key(key, uris, attributes))
+            keys.extend(repeat(key, len(uris)))
+            pieces.extend(map(_PIECE, attributes))
+        if items:
+            stats = yield from store.write_items(new_table, items)
+            report.entries_written += len(pieces)
             report.puts += stats.puts
             report.items += stats.items
             report.batches += stats.batches
             report.payload_bytes += stats.payload_bytes
-        yield from coordinator.ledger.record(
-            unit_id, batch_entries_hash({logical: postings}))
+        ledger = hashlib.sha256()
+        frame_pieces(ledger.update, logical, zip(keys, pieces))
+        yield from coordinator.ledger.record(unit_id, ledger.hexdigest())

@@ -32,7 +32,6 @@ from typing import (Any, Callable, Dict, Generator, Iterable, Iterator, List,
                     Mapping, Sequence, Tuple)
 
 from repro.errors import IndexingError
-from repro.indexing.entries import Entries
 from repro.indexing.mapper import IndexStore, Payload, WriteStats
 
 __all__ = ["MergingStore", "alias_table", "overlay_payloads"]
@@ -74,7 +73,8 @@ class MergingStore(IndexStore):
     handle for the *current* base store, base tables and delta chain,
     so manifest flips are observed immediately by planners that were
     built before the flip.  Writes go through delta publication, never
-    through this store — :meth:`write_entries` refuses.
+    through this store — :meth:`write_items` and ``write_entries``
+    refuse.
     """
 
     def __init__(self, live: Any) -> None:
@@ -123,13 +123,15 @@ class MergingStore(IndexStore):
             "the live merging store is read-only; mutate through "
             "Warehouse.add_documents/delete_documents/update_document")
 
-    def write_entries(self, physical_name: str, entries: Entries,
-                      ) -> Generator[Any, Any, WriteStats]:
+    def write_items(self, physical_name: str, items: Sequence[Any],
+                    ) -> Generator[Any, Any, WriteStats]:
         """Refuse: writes land in delta tables, not through the merge."""
         raise IndexingError(
             "the live merging store is read-only; mutate through "
             "Warehouse.add_documents/delete_documents/update_document")
         yield  # pragma: no cover - unreachable, keeps this a generator
+
+    write_entries = write_items
 
     # -- reads -------------------------------------------------------------
 

@@ -29,7 +29,8 @@ the savings are visible in traces, metrics and priced costs alike.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Generator, Iterable, List, Mapping,
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from repro.indexing.entries import Entries
@@ -38,6 +39,9 @@ from repro.indexing.mapper import IndexStore, Payload, WriteStats
 from repro.store.batch import BatchPipeline
 from repro.store.cache import AnswerMemo, IndexCache
 from repro.store.sharding import shard_of, shard_table_names
+
+#: What a batch is sharded by: an entry's index key, an item's hash key.
+_ENTRY_KEY, _ITEM_KEY = attrgetter("key"), attrgetter("hash_key")
 
 
 class StoreRouter(IndexStore):
@@ -205,32 +209,46 @@ class StoreRouter(IndexStore):
     # -- writes ------------------------------------------------------------
 
     def write_entries(self, physical_name: str, entries: Entries,
-                      fresh: bool = False) -> Generator[Any, Any, WriteStats]:
-        """Persist a batch, partitioned to its shards; merged stats.
-        ``fresh``: no reader can have read the tables (a fold's epoch)."""
-        if self.passthrough:
-            stats = yield from self._base.write_entries(
-                self._physical(physical_name), entries)
-            return stats
-        names = self.shard_tables(physical_name)
-        by_shard: Dict[int, Entries] = {0: entries}  # one shard: whole
-        if self.shards > 1:
-            by_shard = {}
-            for entry in entries:
-                by_shard.setdefault(
-                    shard_of(entry.key, self.shards), []).append(entry)
-        stats = WriteStats()
-        for shard in sorted(by_shard):
-            shard_stats = yield from self._base.write_entries(
-                names[shard], by_shard[shard])
-            stats.merge(shard_stats)
-            self._note_shard_write(shard, shard_stats.items)
-        if self.cache is not None and not fresh:
+                      ) -> Generator[Any, Any, WriteStats]:
+        """Persist a batch, partitioned to its shards; merged stats."""
+        stats = yield from self._write_by_shard(
+            physical_name, entries, _ENTRY_KEY, self._base.write_entries)
+        if self.cache is not None:
             # Write-through coherence: an ingest or repair into a live
             # table must not leave stale payloads behind.
             for key in dict.fromkeys([entry.key for entry in entries]):
                 self.cache.discard(physical_name, key, self.epoch,
                                    self.tenant)
+        return stats
+
+    def write_items(self, physical_name: str, items: Sequence[Any],
+                    ) -> Generator[Any, Any, WriteStats]:
+        """Persist packed items, partitioned to their shards by hash
+        key; merged stats.  Items come from a fold, into an epoch no
+        reader has read, so no cache line is discarded."""
+        return (yield from self._write_by_shard(
+            physical_name, items, _ITEM_KEY, self._base.write_items))
+
+    def _write_by_shard(self, physical_name: str, batch: Sequence[Any],
+                        key_of: Callable[[Any], str],
+                        write: Callable[..., Generator[Any, Any, WriteStats]],
+                        ) -> Generator[Any, Any, WriteStats]:
+        """``write`` each shard's part of ``batch`` (split by
+        ``key_of``), in shard order; merged stats."""
+        if self.passthrough:
+            return (yield from write(self._physical(physical_name), batch))
+        names = self.shard_tables(physical_name)
+        by_shard: Dict[int, Sequence[Any]] = {0: batch}  # one shard: whole
+        if self.shards > 1:
+            by_shard = {}
+            for element in batch:
+                by_shard.setdefault(
+                    shard_of(key_of(element), self.shards), []).append(element)
+        stats = WriteStats()
+        for shard in sorted(by_shard):
+            shard_stats = yield from write(names[shard], by_shard[shard])
+            stats.merge(shard_stats)
+            self._note_shard_write(shard, shard_stats.items)
         return stats
 
     def take_written(self) -> Dict[int, Tuple[Any, bytes]]:

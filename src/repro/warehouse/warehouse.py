@@ -139,7 +139,8 @@ def _built_index(strategy: IndexingStrategy, store: IndexStore,
                         default=phase.started_at)
     last_delete = max((s.last_delete for s in active),
                       default=phase.ended_at)
-    physical = [table_names[t] for t in strategy.logical_tables]
+    raw, overhead, stored = store.storage_bytes(
+        [table_names[t] for t in strategy.logical_tables])
     report = IndexBuildReport(
         strategy_name=strategy.name,
         include_words=strategy.include_words,
@@ -158,9 +159,9 @@ def _built_index(strategy: IndexingStrategy, store: IndexStore,
         entries=sum(s.extraction.entries for s in stats),
         ids=sum(s.extraction.ids for s in stats),
         paths=sum(s.extraction.paths for s in stats),
-        raw_bytes=store.raw_bytes(physical),
-        overhead_bytes=store.overhead_bytes(physical),
-        stored_bytes=store.stored_bytes(physical),
+        raw_bytes=raw,
+        overhead_bytes=overhead,
+        stored_bytes=stored,
         vm_hours=phase.vm_hours,
     )
     return BuiltIndex(strategy=strategy, store=store,

@@ -286,11 +286,10 @@ def test_regroup_equals_the_fold_oracle(case):
     """Carried or re-merged, the compaction fold's regroup holds the
     postings of the fold oracle's payloads, in the same URI order."""
     kind, items = case
-    regrouped = DynamoIndexStore._stored_postings("t", items, kind)["ea"]
+    regrouped = DynamoIndexStore._regroup("t", items, kind)[0]["ea"]
     reference = reference_merge_items(items, kind)
     assert list(regrouped) == list(reference)
-    for uri, posting in regrouped.items():
-        values = posting.values
+    for uri, (values, _, _) in regrouped.items():
         if kind == "ids":
             values = decode_ids(values[0]) if values else []
         assert values == (reference[uri] if kind != "presence" else ()), uri

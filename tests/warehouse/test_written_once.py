@@ -93,7 +93,7 @@ def calls(monkeypatch):
         counts["hashed"] += sum(map(len, extracted.values()))
         return hash_entries(extracted)
 
-    for module in (mapper, loader, compactor):
+    for module in (mapper, loader):
         monkeypatch.setattr(module, "batch_entries_hash", hashing)
     return counts
 
@@ -155,21 +155,20 @@ def test_checkpointed_ingest_and_compaction_encode_once(calls):
     assert calls["encodes"] == before["encodes"]
     assert calls["decodes"] == 0
     assert calls["entries_built"] == calls["converted"] == 0
-    # One piece per posting written (build batches, delta and fold
-    # alike; this chain masks nothing, so every posting the fold scans
-    # it also writes), from one encode per value: the scanned item's
-    # canonical form, the new item's, the ledger's form and the
-    # packer's budget check all read it.
-    assert calls["packed"] - before["packed"] == compaction.entries_written
+    # The fold packs and hashes keys, not postings: it builds no
+    # posting, and hands neither the packer nor the batch ledger hash
+    # any, so every piece was built once by an extraction (build
+    # batches and delta), then packed once and hashed once.
+    assert calls["packed"] == before["packed"]
     assert calls["pieces"] == calls["packed"] == calls["hashed"]
-    # Canonical forms are joined from those pieces: one per scanned
-    # item (the fold's checksum verification) and one per item packed.
-    # No digest serialises an item again: the build's commit, the
-    # delta's flip and the compaction's commit each take the form the
-    # packer joined for the very item they scan.
+    # Canonical forms are joined from pieces: one per scanned item (the
+    # fold's checksum verification) and one per item written, packed
+    # or carried.  No digest serialises an item again: the build's
+    # commit, the delta's flip and the compaction's commit each take
+    # the form joined for the very item they scan.
     assert (calls["joined"] - before["joined"]
             == compaction.scanned_items + compaction.items)
-    assert calls["joined"] - compaction.scanned_items == calls["items"]
+    assert before["joined"] == before["items"]
     assert before["canonical"] == 0
     assert calls["canonical"] - before["canonical"] == 0
 
