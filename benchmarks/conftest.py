@@ -3,8 +3,9 @@
 The experiment context (corpus, warehouse, indexes, workload runs) is
 process-wide: the first bench that needs an artefact builds it, later
 benches reuse it.  ``pytest benchmarks/ --benchmark-only`` therefore
-regenerates every table and figure of the paper in one pass, printing
-each artefact as it is produced.
+regenerates every experiment of ``repro.bench.EXPERIMENTS`` (through
+``test_experiments.py``) and every ablation in one pass, printing each
+artefact as it is produced.
 """
 
 from __future__ import annotations

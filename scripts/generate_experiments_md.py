@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md: run every experiment, record
-paper-vs-measured for each table and figure.
+"""Regenerate EXPERIMENTS.md: run every experiment of
+``repro.bench.EXPERIMENTS`` that states claims, record paper-vs-measured
+for each table and figure.
 
 Usage::
 
@@ -13,106 +14,7 @@ import io
 import sys
 import time
 
-from repro.bench import get_context
-from repro.bench.experiments import (figure7_indexing_scaling,
-                                     figure8_index_sizes,
-                                     figure9_response_times,
-                                     figure10_parallelism,
-                                     figure11_query_costs,
-                                     figure12_cost_details,
-                                     figure13_amortization,
-                                     figure14_selectivity_crossover,
-                                     figure15_sensitivity,
-                                     table3_pricing, table4_indexing_times,
-                                     table5_query_details,
-                                     table6_indexing_costs,
-                                     table7_simpledb_indexing,
-                                     table8_simpledb_querying)
-
-#: (module, what the paper reports, what must hold in our reproduction).
-EXPERIMENTS = [
-    (table3_pricing,
-     "AWS Singapore prices, Sept-Oct 2012 (Table 3)",
-     "constants identical to the paper's printed values"),
-    (table4_indexing_times,
-     "Indexing times on 8 L instances: LU 0:24/1:33/2:11, "
-     "LUP 0:32/3:47/4:25, LUI 0:41/2:31/3:22, 2LUPI 1:13/6:30/7:46 "
-     "(extract/upload/total, hh:mm)",
-     "extraction ordered LU<LUP<LUI<2LUPI; uploading dominates "
-     "extraction everywhere; totals ordered LU<LUI<LUP<2LUPI"),
-    (figure7_indexing_scaling,
-     "indexing time scales linearly in data size for every strategy",
-     "monotone growth over 4 corpus prefixes, least-squares R^2 > 0.95"),
-    (figure8_index_sizes,
-     "LUP/2LUPI are the largest indexes (full-text LUP larger than the "
-     "data); LUI smaller than LUP; no-keyword variants much smaller; "
-     "DynamoDB overhead noticeable, heavier without keywords",
-     "all of the above, asserted on measured byte counts"),
-    (table5_query_details,
-     "per-query look-up precision: LU >= LUP >= LUI = 2LUPI >= docs "
-     "with results; LUI/2LUPI exact for tree patterns (their q1-q7); "
-     "LU/LUP imprecision up to ~200%",
-     "same orderings; LUI exact on our q1-q3 and q5-q7 (q4 carries a "
-     "range predicate, which §5.5 look-ups ignore, so only >= holds); "
-     "strict LU>LUP and LUP>LUI gaps exist"),
-    (figure9_response_times,
-     "all indexes speed up every query by 1-2 orders of magnitude; "
-     "xl beats l; LU/LUP look-ups systematically cheaper than LUI/2LUPI",
-     "every strategy faster than no-index on every query and machine "
-     "type; best speedup >= 10x; xl <= l; coarse look-up cheaper than "
-     "fine, summed over the workload"),
-    (figure10_parallelism,
-     "8 instances clearly beat 1; the gain is larger for l than xl "
-     "because strong fleets near-saturate DynamoDB",
-     "speedup > 1.5x for every strategy/type; l speedup >= xl speedup "
-     "for the index-read-heavy strategies (LUI, 2LUPI)"),
-    (table6_indexing_costs,
-     "indexing cost: LU $26.64 < LUI $42.44 < LUP $56.75 < 2LUPI "
-     "$99.44 (40 GB); S3+SQS negligible and constant",
-     "same cost ordering; S3+SQS identical across strategies and "
-     "negligible; the measured bill matches the §7.3 ci$ formula "
-     "within 20%"),
-    (figure11_query_costs,
-     "index savings of 92-97% vs no-index; cost practically "
-     "independent of machine type",
-     "every indexed query cheaper; worst-case saving >= 30% at our "
-     "scale (fixed request latencies weigh more on a small corpus); "
-     "l-vs-xl indexed costs within 2x"),
-    (figure12_cost_details,
-     "EC2 cost dominates the workload bill for every strategy; "
-     "AWSDown identical across strategies; S3 proportional to "
-     "selectivity; DynamoDB reflects index data read",
-     "all four decomposition properties, asserted on the measured "
-     "per-service breakdown"),
-    (figure13_amortization,
-     "index build cost recovered after 4 (LU), 8 (LUP, LUI) and 16 "
-     "(2LUPI) workload runs",
-     "positive benefit per run for every strategy; bounded break-even; "
-     "LU amortises first, 2LUPI last"),
-    (table7_simpledb_indexing,
-     "vs the SimpleDB system [8]: indexing 1-2 orders of magnitude "
-     "faster and 2-3 orders cheaper with DynamoDB",
-     "DynamoDB faster (>= 3x at our calibration) and cheaper for every "
-     "strategy; SimpleDB storage rent lower (0.275 vs 1.14 $/GB-month) "
-     "yet overall economics favour DynamoDB"),
-    (table8_simpledb_querying,
-     "querying ~5x faster and cheaper than [8]",
-     "DynamoDB faster and no more expensive for every strategy; "
-     "coarse strategies query faster than fine ones on both backends"),
-    (figure14_selectivity_crossover,
-     "(not in the paper — its §8.5 conjecture) LUI/2LUPI should win on "
-     "multi-branch, highly selective twigs over corpora matching only "
-     "linear paths",
-     "on such a query LUI retrieves strictly fewer documents than "
-     "LUP/LU, is exact, and spends less on document transfer + "
-     "evaluation"),
-    (figure15_sensitivity,
-     "(not in the paper — implicit in §7/§8.3) EC2 dominates the bill; "
-     "the 92-97% savings were measured at 20 000-document scale",
-     "VM price is the dominant sensitivity component; projecting the "
-     "measured costs to 20 000 documents with the §7.3 linear model "
-     "pushes savings toward the paper's band"),
-]
+from repro.bench import EXPERIMENTS, get_context
 
 HEADER = """\
 # EXPERIMENTS — paper vs. reproduction
@@ -135,7 +37,10 @@ def main() -> None:
     out = io.StringIO()
     started = time.time()
 
-    for module, paper_claim, our_claim in EXPERIMENTS:
+    for module in EXPERIMENTS:
+        paper_claim = getattr(module, "PAPER_CLAIM", None)
+        if paper_claim is None:
+            continue
         result = module.run(ctx)
         status = "PASS"
         try:
@@ -146,7 +51,7 @@ def main() -> None:
                                           result.title))
         out.write("**Paper**: {}\n\n".format(paper_claim))
         out.write("**Reproduced claim** ({}): {}\n\n".format(
-            status, our_claim))
+            status, module.OUR_CLAIM))
         out.write("```\n")
         out.write(result.render())
         out.write("\n```\n\n")

@@ -4,14 +4,15 @@ Most experiments need the same expensive artefacts: the generated
 corpus, a warehouse with the corpus uploaded, the four indexes built on
 8 L instances (the §8.1 setup), and single-instance workload runs per
 strategy and machine type.  :class:`ExperimentContext` builds each at
-most once and caches it; :func:`get_context` maintains one context per
-scale so a whole pytest session shares the work.
+most once and caches it; :func:`get_context` keeps one context at the
+benchmark scale so a whole pytest session shares the work.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.advisor import BUILD_INSTANCES
 from repro.config import BENCH_SCALE, ScaleProfile
 from repro.costs.metrics import DatasetMetrics
 from repro.query.pattern import Query
@@ -19,10 +20,6 @@ from repro.query.workload import workload
 from repro.warehouse import Warehouse
 from repro.warehouse.warehouse import BuiltIndex, WorkloadReport
 from repro.xmark import Corpus, generate_corpus
-
-#: The paper's index-build fleet: 8 large instances (§8.2; large is
-#: the deployment's loader type).
-BUILD_INSTANCES = 8
 
 
 class ExperimentContext:

@@ -20,6 +20,13 @@ from typing import Dict, Tuple
 from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 
+PAPER_CLAIM = (
+    "8 instances clearly beat 1; the gain is larger for l than xl "
+    "because strong fleets near-saturate DynamoDB")
+OUR_CLAIM = (
+    "speedup > 1.5x for every strategy/type; l speedup >= xl speedup "
+    "for the index-read-heavy strategies (LUI, 2LUPI)")
+
 REPEATS = 16
 FLEETS = (1, 8)
 INSTANCE_TYPES = ("l", "xl")

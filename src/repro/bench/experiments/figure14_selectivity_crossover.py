@@ -20,6 +20,15 @@ from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.query.parser import parse_query
 
+PAPER_CLAIM = (
+    "(not in the paper — its §8.5 conjecture) LUI/2LUPI should win on "
+    "multi-branch, highly selective twigs over corpora matching only "
+    "linear paths")
+OUR_CLAIM = (
+    "on such a query LUI retrieves strictly fewer documents than "
+    "LUP/LU, is exact, and spends less on document transfer + "
+    "evaluation")
+
 #: Three branches that co-occur under one person only rarely; every
 #: branch alone is common across person documents.
 CROSSOVER_QUERY = (

@@ -18,6 +18,9 @@ from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.warehouse import Warehouse
 
+PAPER_CLAIM = "indexing time scales linearly in data size for every strategy"
+OUR_CLAIM = "monotone growth over 4 corpus prefixes, least-squares R^2 > 0.95"
+
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 

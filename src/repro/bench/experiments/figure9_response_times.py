@@ -22,6 +22,14 @@ from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.query.workload import WORKLOAD_ORDER
 
+PAPER_CLAIM = (
+    "all indexes speed up every query by 1-2 orders of magnitude; xl "
+    "beats l; LU/LUP look-ups systematically cheaper than LUI/2LUPI")
+OUR_CLAIM = (
+    "every strategy faster than no-index on every query and machine "
+    "type; best speedup >= 10x; xl <= l; coarse look-up cheaper than "
+    "fine, summed over the workload")
+
 STRATEGIES = ("none",) + ALL_STRATEGY_NAMES
 INSTANCE_TYPES = ("l", "xl")
 

@@ -32,6 +32,8 @@ from repro.mutations import CompactionPolicy, compaction_ticker, mutation_feed
 from repro.warehouse import Warehouse
 from repro.xmark import Corpus, generate_corpus
 
+ARTEFACT = "BENCH_ingest.json"
+
 #: Number of corpus increments each arm absorbs.
 INCREMENTS = 3
 

@@ -27,6 +27,8 @@ from repro.bench.reporting import ExperimentResult
 from repro.serving import AutoscalePolicy
 from repro.warehouse import Warehouse
 
+ARTEFACT = "BENCH_serving.json"
+
 #: Mean offered rate (queries per simulated second) outside the burst.
 RATE_QPS = 2.0
 

@@ -42,6 +42,8 @@ from repro.faults import FaultPlan
 from repro.serving import AutoscalePolicy, SpotPolicy
 from repro.warehouse import Warehouse
 
+ARTEFACT = "BENCH_spot.json"
+
 #: Mean offered rate (queries per simulated second) outside the burst.
 RATE_QPS = 2.0
 

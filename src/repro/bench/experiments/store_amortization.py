@@ -27,6 +27,8 @@ from repro.bench.reporting import ExperimentResult
 from repro.costs.estimator import phase_cost
 from repro.warehouse import Warehouse
 
+ARTEFACT = "BENCH_store.json"
+
 #: Workload repetitions per deployment (the "K" of the K-repeat bench).
 RUNS = 4
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from repro.bench.reporting import ExperimentResult
 from repro.costs.pricing import AWS_SINGAPORE
 
+PAPER_CLAIM = "AWS Singapore prices, Sept-Oct 2012 (Table 3)"
+OUR_CLAIM = "constants identical to the paper's printed values"
+
 #: The paper's Table 3, transcribed independently.
 PAPER_TABLE3 = {
     "ST$m,GB": 0.125,

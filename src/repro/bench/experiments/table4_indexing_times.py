@@ -12,6 +12,14 @@ from __future__ import annotations
 from repro.bench.reporting import ExperimentResult, format_duration
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 
+PAPER_CLAIM = (
+    "Indexing times on 8 L instances: LU 0:24/1:33/2:11, LUP "
+    "0:32/3:47/4:25, LUI 0:41/2:31/3:22, 2LUPI 1:13/6:30/7:46 "
+    "(extract/upload/total, hh:mm)")
+OUR_CLAIM = (
+    "extraction ordered LU<LUP<LUI<2LUPI; uploading dominates "
+    "extraction everywhere; totals ordered LU<LUI<LUP<2LUPI")
+
 
 def run(ctx) -> ExperimentResult:
     """Regenerate this artefact from the shared context."""

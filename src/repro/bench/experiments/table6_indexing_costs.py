@@ -18,6 +18,14 @@ from repro.costs.metrics import IndexMetrics
 from repro.costs.model import index_build_cost
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 
+PAPER_CLAIM = (
+    "indexing cost: LU $26.64 < LUI $42.44 < LUP $56.75 < 2LUPI $99.44 "
+    "(40 GB); S3+SQS negligible and constant")
+OUR_CLAIM = (
+    "same cost ordering; S3+SQS identical across strategies and "
+    "negligible; the measured bill matches the §7.3 ci$ formula within "
+    "20%")
+
 
 def run(ctx) -> ExperimentResult:
     """Regenerate this artefact from the shared context."""

@@ -36,6 +36,8 @@ from repro.serving import TrafficProfile
 from repro.tenancy import TenancyConfig, TenantSpec
 from repro.warehouse import Warehouse
 
+ARTEFACT = "BENCH_tenancy.json"
+
 #: Strategy whose index serves the queries.
 STRATEGY = "LUI"
 

@@ -1,7 +1,13 @@
-"""Unit tests for the bench support layer (reporting + datasets)."""
+"""Unit tests for the bench support layer (reporting, datasets and the
+experiment registry)."""
+
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.bench import EXPERIMENTS, experiments
 from repro.bench.datasets import ExperimentContext, get_context
 from repro.bench.reporting import (ExperimentResult, format_bytes,
                                    format_duration, format_money,
@@ -61,7 +67,7 @@ class TestExperimentResult:
 
 
 class TestExperimentContext:
-    def test_context_cached_per_scale(self):
+    def test_context_shared_at_bench_scale(self):
         # Building the context builds nothing: everything in it is lazy.
         assert get_context() is get_context()
         assert get_context().scale == BENCH_SCALE
@@ -85,3 +91,34 @@ class TestExperimentContext:
         metrics = ctx.dataset_metrics
         assert metrics.documents == len(ctx.corpus)
         assert metrics.size_bytes == ctx.corpus.total_bytes
+
+
+class TestExperimentRegistry:
+    def test_lists_every_experiment_module_once(self):
+        names = [module.__name__.split(".")[-1] for module in EXPERIMENTS]
+        assert len(names) == len(set(names))
+        assert sorted(names) == sorted(
+            info.name for info in pkgutil.iter_modules(experiments.__path__))
+
+    def test_every_experiment_has_claims_or_an_artefact(self):
+        artefacts = []
+        for module in EXPERIMENTS:
+            if getattr(module, "PAPER_CLAIM", None):
+                assert module.OUR_CLAIM, module.__name__
+            else:
+                artefacts.append(module.ARTEFACT)
+                assert re.fullmatch(r"BENCH_\w+\.json", module.ARTEFACT)
+        assert len(artefacts) == len(set(artefacts))
+
+    def test_claimed_experiments_come_first_in_report_order(self):
+        claimed = [module for module in EXPERIMENTS
+                   if getattr(module, "PAPER_CLAIM", None)]
+        assert list(EXPERIMENTS[:len(claimed)]) == claimed
+        # The committed report lists the same claims in the same order.
+        report = (Path(__file__).resolve().parents[1]
+                  / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert re.findall(r"^\*\*Paper\*\*: (.*)$", report, re.M) == \
+            [module.PAPER_CLAIM for module in claimed]
+        assert re.findall(r"^\*\*Reproduced claim\*\* \(.*?\): (.*)$",
+                          report, re.M) == \
+            [module.OUR_CLAIM for module in claimed]
