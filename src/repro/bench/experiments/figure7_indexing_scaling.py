@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.datasets import BUILD_INSTANCES
+from repro.advisor import BUILD_INSTANCES
 from repro.bench.reporting import ExperimentResult
 from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.warehouse import Warehouse
